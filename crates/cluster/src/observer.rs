@@ -15,8 +15,8 @@
 //! * result tuples carry a [`TaskTiming`] attribution record
 //!   (space-wait, transfer, compute, result-write), aggregated into
 //!   per-worker and per-job histograms;
-//! * a straggler detector flags workers whose compute p99 exceeds
-//!   `k · median` of the cluster's per-worker medians;
+//! * a straggler detector flags workers whose median compute time
+//!   exceeds `k ×` the median of their peers' medians;
 //! * the observer implements [`DecisionInput`], so the monitoring agent's
 //!   exclusion decisions can use load *trends* and straggler flags, not
 //!   only the instantaneous SNMP sample.
@@ -213,8 +213,9 @@ impl DecisionInput for RawSamples {}
 pub struct ObserverConfig {
     /// Samples retained per history ring.
     pub history_depth: usize,
-    /// Straggler threshold: flagged when a worker's compute p99 exceeds
-    /// `k ×` the median of all workers' median compute times.
+    /// Straggler threshold: flagged when a worker's median compute time
+    /// exceeds `k ×` the median of its peers' median compute times.
+    /// Values below 1 are treated as 1.
     pub straggler_k: f64,
     /// Minimum completed tasks before a worker can be judged at all.
     pub straggler_min_samples: u64,
@@ -406,54 +407,47 @@ impl ClusterObserver {
             .unwrap_or(0)
     }
 
-    /// Workers currently flagged as compute stragglers: compute p99
-    /// exceeding `k ×` the median of all qualifying workers' medians.
-    /// Needs at least two qualifying workers — an outlier is only
-    /// meaningful relative to peers.
+    /// Workers currently flagged as compute stragglers: median compute
+    /// time exceeding `k ×` the median of their *peers'* medians. Like is
+    /// compared with like — a worker's typical task against its peers'
+    /// typical task — so neither tasks of unequal cost (every worker's
+    /// tail is then far above every median) nor one preempted task among
+    /// thousands of cheap ones reads as a slow worker. Needs at least two
+    /// qualifying workers — an outlier is only meaningful relative to
+    /// peers.
     pub fn stragglers(&self) -> Vec<String> {
         let workers = self.workers.lock();
-        let mut medians: Vec<u64> = Vec::new();
-        let mut candidates: Vec<(&String, u64)> = Vec::new();
-        for (name, view) in workers.iter() {
-            let snap = view.compute.snapshot();
-            if snap.count < self.config.straggler_min_samples {
-                continue;
-            }
-            let p50 = snap.p50().unwrap_or(0);
-            medians.push(p50);
-            candidates.push((name, snap.p99().unwrap_or(0)));
-        }
+        let medians: Vec<(&String, u64)> = workers
+            .iter()
+            .filter_map(|(name, view)| {
+                let snap = view.compute.snapshot();
+                (snap.count >= self.config.straggler_min_samples)
+                    .then(|| (name, snap.p50().unwrap_or(0)))
+            })
+            .collect();
         if medians.len() < 2 {
             return Vec::new();
         }
-        let pool = medians.len();
-        medians.sort_unstable();
-        // Lower median on even counts: in a two-worker cluster the upper
-        // median IS the slow worker's own median, which would make a
-        // straggler mathematically undetectable.
-        let median_of_medians = medians[(medians.len() - 1) / 2].max(1);
-        let threshold = (median_of_medians as f64) * self.config.straggler_k;
-        let mut flagged: Vec<(&String, u64)> = candidates
-            .into_iter()
-            .filter(|(_, p99)| (*p99 as f64) > threshold)
-            .collect();
-        // Never flag the whole pool: excluding every worker would starve
-        // the cluster, and the least-slow "straggler" is by definition
-        // the pool's new baseline, not an outlier from it. Sparing it
-        // also makes spurious flags self-correcting — a worker stopped
-        // by a transient hiccup unflags (and restarts) as soon as a
-        // genuinely slower peer qualifies.
-        if flagged.len() == pool {
-            if let Some(fastest) = flagged
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, p99))| *p99)
-                .map(|(i, _)| i)
-            {
-                flagged.remove(fastest);
-            }
-        }
-        flagged.into_iter().map(|(name, _)| name.clone()).collect()
+        // `k >= 1` is what keeps the whole pool from being flagged at once
+        // (which would stop every worker): the fastest worker's median
+        // cannot exceed any multiple >= 1 of its peers', so one worker
+        // always survives as the pool's baseline.
+        let k = self.config.straggler_k.max(1.0);
+        let mut sorted: Vec<u64> = medians.iter().map(|&(_, median)| median).collect();
+        sorted.sort_unstable();
+        // A worker's peers are `sorted` minus its own entry. Their median
+        // is the upper one on even counts: a worker is an outlier when it
+        // is slow against most of its peers, not against the fastest.
+        let mid = (sorted.len() - 1) / 2;
+        medians
+            .iter()
+            .filter(|&&(_, own)| {
+                let own_rank = sorted.partition_point(|&median| median < own);
+                let baseline = sorted[if mid < own_rank { mid } else { mid + 1 }].max(1);
+                own as f64 > baseline as f64 * k
+            })
+            .map(|&(name, _)| name.clone())
+            .collect()
     }
 
     /// The aligned text table behind `GET /cluster`.
@@ -740,12 +734,13 @@ mod tests {
 
     #[test]
     fn whole_pool_is_never_flagged_at_once() {
-        // Two workers, both beyond k x the lower median (k = 1 makes the
-        // faster one exceed its own median's threshold too). Flagging
-        // both would stop every worker in the cluster — the fastest must
-        // be spared as the new baseline.
+        // Two workers, one four times slower, and a `k` that — taken at
+        // its word — would flag any worker at all slower than a fifth of
+        // its peer. Flagging both would stop every worker in the cluster:
+        // `k` is floored at 1, so the faster one always survives as the
+        // baseline.
         let config = ObserverConfig {
-            straggler_k: 1.0,
+            straggler_k: 0.2,
             straggler_min_samples: 2,
             ..ObserverConfig::default()
         };
@@ -764,6 +759,43 @@ mod tests {
         }
         assert_eq!(obs.stragglers(), vec!["worse".to_owned()]);
         assert!(!obs.is_straggler("meh"));
+    }
+
+    fn record_compute(obs: &ClusterObserver, worker: &str, compute_us: u64) {
+        obs.record_attribution(
+            "job",
+            worker,
+            &TaskTiming {
+                compute_us,
+                ..TaskTiming::default()
+            },
+        );
+    }
+
+    #[test]
+    fn tasks_of_unequal_cost_do_not_make_healthy_workers_stragglers() {
+        // A ray-traced scene: most strips are cheap, some cost 40x as
+        // much, and both workers get the same mix. Every worker's tail is
+        // far beyond 4x any median; no worker is slow.
+        let obs = ClusterObserver::new(ObserverConfig::default());
+        for i in 0..40 {
+            let cost = if i % 4 == 0 { 40_000 } else { 1_000 };
+            record_compute(&obs, "w0", cost);
+            record_compute(&obs, "w1", cost + 50);
+        }
+        assert!(obs.stragglers().is_empty(), "{:?}", obs.stragglers());
+    }
+
+    #[test]
+    fn one_preempted_task_does_not_make_a_healthy_worker_a_straggler() {
+        // Zero-compute tasks, one of which lost the CPU for a timeslice.
+        let obs = ClusterObserver::new(ObserverConfig::default());
+        for _ in 0..50 {
+            record_compute(&obs, "w0", 1);
+            record_compute(&obs, "w1", 1);
+        }
+        record_compute(&obs, "w1", 4_000);
+        assert!(obs.stragglers().is_empty(), "{:?}", obs.stragglers());
     }
 
     #[test]

@@ -85,7 +85,9 @@ pub struct FrameworkConfig {
     pub task_prefetch: usize,
     /// How many planned tasks the master writes per batched space
     /// operation during the planning phase (one pipelined round trip per
-    /// chunk on a remote space).
+    /// chunk on a remote space). It also bounds a result drain: after
+    /// blocking for one result the master takes at most this many more in
+    /// one non-blocking batch.
     pub dispatch_chunk: usize,
     /// Base interval between a worker's heartbeat/metric tuple
     /// publications into the space (actual intervals are jittered
@@ -96,9 +98,9 @@ pub struct FrameworkConfig {
     /// Samples retained per federation history ring (per worker, per
     /// series).
     pub history_depth: usize,
-    /// Straggler threshold: a worker is flagged when its compute p99
-    /// exceeds `straggler_k ×` the median of all workers' median
-    /// compute times.
+    /// Straggler threshold: a worker is flagged when its median compute
+    /// time exceeds `straggler_k ×` the median of its peers' median
+    /// compute times. Values below 1 are treated as 1.
     pub straggler_k: f64,
     /// Completed tasks required before a worker can be judged a
     /// straggler.

@@ -40,9 +40,10 @@ pub struct Master {
     space: StoreHandle,
     /// How long to wait for each outstanding result before giving up.
     pub result_timeout: Duration,
-    /// How many planned tasks go into one batched space write. Over a
-    /// remote space each chunk is a single pipelined round trip instead of
-    /// one per task; see [`crate::FrameworkConfig::dispatch_chunk`].
+    /// How many planned tasks go into one batched space write, and the
+    /// most results one aggregation drain takes. Over a remote space each
+    /// chunk is a single pipelined round trip instead of one per task; see
+    /// [`crate::FrameworkConfig::dispatch_chunk`].
     pub dispatch_chunk: usize,
     /// Federation sink for the task-level timing attribution riding each
     /// result entry. `None` (the default) drops the attribution.
@@ -69,7 +70,9 @@ impl Master {
     ///
     /// Returns a [`RunReport`] with the paper's phase timings. If a result
     /// does not arrive within `result_timeout`, aggregation stops and the
-    /// report is marked incomplete (`complete == false`).
+    /// report is marked incomplete (`complete == false`). Results are
+    /// deduplicated by task id, so a result delivered twice (a worker's
+    /// at-least-once flush resend) is absorbed once.
     ///
     /// Task and result entries are matched by job name only, so a run
     /// assumes a space with no leftover entries for this job. Re-running a
@@ -77,124 +80,7 @@ impl Master {
     /// run's stragglers into the new aggregation — use a fresh space (as
     /// [`crate::AdaptiveCluster`] does) or drain the job's entries first.
     pub fn run(&self, app: &mut dyn Application) -> Result<RunReport, SpaceError> {
-        let job = app.job_name();
-        // The run's root span: every task tuple written during planning
-        // carries this trace context, so worker spans — possibly in other
-        // processes — assemble under it.
-        let _dispatch = span!("master.dispatch", job = job.as_str());
-        let run_start = Instant::now();
-        let mut times = PhaseTimes::default();
-        if let Some(profiler) = &self.profiler {
-            profiler.job_started(&job);
-        }
-
-        // ------------------------------------------------------------
-        // Task-planning phase.
-        // ------------------------------------------------------------
-        let planning_start = Instant::now();
-        let mut max_overhead = 0.0f64;
-        let specs = {
-            let _span = span!("master.planning", job = job.as_str());
-            let specs = app.plan();
-            times.tasks = specs.len();
-            for batch in specs.chunks(self.dispatch_chunk.max(1)) {
-                let mut tuples: Vec<Tuple> = batch
-                    .iter()
-                    .map(|spec| {
-                        TaskEntry::new(job.clone(), spec.task_id, spec.payload.clone()).to_tuple()
-                    })
-                    .collect();
-                dispatch_batch(&self.space, &mut tuples, &mut max_overhead)?;
-            }
-            specs
-        };
-        times.task_planning_ms = ms_since(planning_start);
-        series().tasks_planned.add(specs.len() as u64);
-
-        // ------------------------------------------------------------
-        // Result-aggregation phase. The master blocks on the space until
-        // each outstanding result arrives; workers run concurrently.
-        // ------------------------------------------------------------
-        let template = result_template(&job);
-        let mut report = RunReport::default();
-        let aggregation_start = Instant::now();
-        let mut aggregation_busy = 0.0f64;
-        let mut recorder = self.profiler.as_ref().map(|p| p.recorder(&job));
-        let aggregation_span = span!(
-            "master.aggregation",
-            job = job.as_str(),
-            tasks = specs.len()
-        );
-        for _ in 0..specs.len() {
-            let Some(tuple) = self.space.take(&template, Some(self.result_timeout))? else {
-                break; // deadline: a worker died or was stopped for good
-            };
-            let per_task = Instant::now();
-            match ResultEntry::from_tuple(&tuple) {
-                None => report
-                    .failures
-                    .push((u64::MAX, ExecError::App("malformed result entry".into()))),
-                Some(result) => {
-                    times.max_worker_ms = times.max_worker_ms.max(result.span_ms);
-                    let slot = times
-                        .per_worker_ms
-                        .entry(result.worker.clone())
-                        .or_insert(0.0);
-                    *slot = slot.max(result.span_ms);
-                    if let Some(observer) = &self.observer {
-                        observer.record_attribution(&result.job, &result.worker, &result.timing);
-                    }
-                    if let Some(recorder) = &mut recorder {
-                        recorder.record_task(
-                            result.task_id,
-                            &result.worker,
-                            &result.timing,
-                            result.error.is_some(),
-                        );
-                    }
-                    match result.error {
-                        // A poison task exhausted its retries: account for
-                        // it so the run terminates, but report the failure.
-                        Some(error) => report
-                            .failures
-                            .push((result.task_id, ExecError::App(error))),
-                        None => match app.absorb(result.task_id, &result.payload) {
-                            Ok(()) => report.results_collected += 1,
-                            Err(e) => report.failures.push((result.task_id, e)),
-                        },
-                    }
-                }
-            }
-            let elapsed = ms_since(per_task);
-            aggregation_busy += elapsed;
-            max_overhead = max_overhead.max(elapsed);
-        }
-        drop(aggregation_span);
-        // Task aggregation time is the wall time of the aggregation phase:
-        // it tracks max worker time, since the master waits for the last
-        // task to complete (paper §5.2.1).
-        times.task_aggregation_ms = ms_since(aggregation_start);
-        times.max_master_overhead_ms = max_overhead;
-        times.parallel_ms = ms_since(run_start);
-        report.complete = report.results_collected == specs.len();
-        drop(recorder); // flushes any buffered results into the build
-        if let Some(profiler) = &self.profiler {
-            // Aggregation phase cost is the master's *busy* time, not the
-            // phase's wall (which mostly overlaps worker compute).
-            profiler.job_finished(
-                &job,
-                (times.task_planning_ms * 1e3) as u64,
-                (aggregation_busy * 1e3) as u64,
-                times.parallel_ms as u64,
-            );
-        }
-        times.publish();
-        series().master_runs.inc();
-        series()
-            .results_collected
-            .add(report.results_collected as u64);
-        report.times = times;
-        Ok(report)
+        self.run_job(app, None)
     }
 
     /// Like [`run`](Master::run), but persisting aggregation progress to a
@@ -205,10 +91,9 @@ impl Master {
     /// [`Application::restore_partials`], result entries that reached the
     /// (typically durable, recovered) space before the previous master died
     /// are drained first, and only tasks that are neither completed nor
-    /// still queued in the space are re-written. Results are deduplicated
-    /// by task id, so a task that was re-issued and computed twice is
-    /// absorbed exactly once. The checkpoint file is removed when the run
-    /// completes, and rewritten one final time when it does not (timeout).
+    /// still queued in the space are re-written. The checkpoint file is
+    /// removed once every task is accounted for, and rewritten one final
+    /// time when the run stops short of that (timeout).
     ///
     /// `plan` must be deterministic: a restarted master re-plans the job
     /// and relies on task ids matching the interrupted run's.
@@ -218,69 +103,75 @@ impl Master {
         checkpoint: &Path,
         every: usize,
     ) -> Result<RunReport, SpaceError> {
+        self.run_job(app, Some((checkpoint, every.max(1))))
+    }
+
+    /// The one run loop: [`run`](Master::run) is the checkpointing run
+    /// with checkpointing off.
+    fn run_job(
+        &self,
+        app: &mut dyn Application,
+        checkpoint: Option<(&Path, usize)>,
+    ) -> Result<RunReport, SpaceError> {
         let job = app.job_name();
+        // The run's root span: every task tuple written during planning
+        // carries this trace context, so worker spans — possibly in other
+        // processes — assemble under it.
         let _dispatch = span!("master.dispatch", job = job.as_str());
         let run_start = Instant::now();
-        let mut times = PhaseTimes::default();
-        let every = every.max(1);
         if let Some(profiler) = &self.profiler {
             profiler.job_started(&job);
         }
 
         let mut completed: BTreeSet<u64> = BTreeSet::new();
         let mut resumed = false;
-        match CheckpointState::load(checkpoint) {
-            Ok(Some(state)) if state.job == job => {
-                app.restore_partials(&state.app_state)
-                    .map_err(|e| SpaceError::Storage(format!("restore partials: {e}")))?;
-                completed = state.completed;
-                resumed = true;
+        if let Some((path, _)) = checkpoint {
+            match CheckpointState::load(path) {
+                Ok(Some(state)) if state.job == job => {
+                    app.restore_partials(&state.app_state)
+                        .map_err(|e| SpaceError::Storage(format!("restore partials: {e}")))?;
+                    completed = state.completed;
+                    resumed = true;
+                }
+                Ok(_) => {}
+                Err(e) => return Err(SpaceError::Storage(format!("load checkpoint: {e}"))),
             }
-            Ok(_) => {}
-            Err(e) => return Err(SpaceError::Storage(format!("load checkpoint: {e}"))),
         }
 
         // ------------------------------------------------------------
         // Task-planning phase.
         // ------------------------------------------------------------
         let planning_start = Instant::now();
-        let mut max_overhead = 0.0f64;
         let specs = {
             let _span = span!("master.planning", job = job.as_str());
             app.plan()
         };
-        times.tasks = specs.len();
-        let total = specs.len() as u64;
+        let total = specs.len();
         let template = result_template(&job);
-        let mut report = RunReport::default();
+        let mut agg = Aggregation {
+            app,
+            completed,
+            report: RunReport::default(),
+            observer: self.observer.as_deref(),
+            recorder: self.profiler.as_ref().map(|p| p.recorder(&job)),
+            busy_ms: 0.0,
+            max_overhead_ms: 0.0,
+        };
 
-        // Drain results that reached the space before the previous master
-        // died, so their tasks are not re-issued below.
-        let mut aggregation_busy = 0.0f64;
-        let mut recorder = self.profiler.as_ref().map(|p| p.recorder(&job));
         if resumed {
-            while let Some(tuple) = self.space.take_if_exists(&template)? {
-                let per_task = Instant::now();
-                absorb_result(
-                    app,
-                    &tuple,
-                    &mut completed,
-                    &mut report,
-                    &mut times,
-                    self.observer.as_deref(),
-                    recorder.as_mut(),
-                );
-                let elapsed = ms_since(per_task);
-                aggregation_busy += elapsed;
-                max_overhead = max_overhead.max(elapsed);
+            // Drain results that reached the space before the previous
+            // master died, so their tasks are not re-issued below.
+            for tuple in self.space.take_all(&template)? {
+                agg.absorb(&tuple);
             }
         }
 
+        agg.report.times.tasks = total;
         let mut written = 0usize;
         let chunk = self.dispatch_chunk.max(1);
         let mut pending: Vec<Tuple> = Vec::new();
         for spec in &specs {
-            if completed.contains(&spec.task_id) {
+            if agg.completed.contains(&spec.task_id) {
                 continue;
             }
             if resumed {
@@ -297,78 +188,93 @@ impl Master {
             pending.push(entry.to_tuple());
             written += 1;
             if pending.len() >= chunk {
-                dispatch_batch(&self.space, &mut pending, &mut max_overhead)?;
+                dispatch_batch(&self.space, &mut pending, &mut agg.max_overhead_ms)?;
             }
         }
-        dispatch_batch(&self.space, &mut pending, &mut max_overhead)?;
-        times.task_planning_ms = ms_since(planning_start);
+        dispatch_batch(&self.space, &mut pending, &mut agg.max_overhead_ms)?;
+        agg.report.times.task_planning_ms = ms_since(planning_start);
         series().tasks_planned.add(written as u64);
 
+        let save = |agg: &Aggregation| match checkpoint {
+            Some((path, _)) => save_checkpoint(path, &job, total as u64, &agg.completed, agg.app),
+            None => Ok(()),
+        };
         // Persist progress-so-far (including drained leftovers) before
         // blocking on new results: a crash from here on resumes cleanly.
-        save_checkpoint(checkpoint, &job, total, &completed, &*app)?;
+        save(&agg)?;
 
         // ------------------------------------------------------------
-        // Result-aggregation phase.
+        // Result-aggregation phase. Each wake-up blocks in `take` for one
+        // result and then drains whatever else has already arrived with
+        // one non-blocking batch take, so a burst of results costs two
+        // round trips instead of one each; workers run concurrently.
         // ------------------------------------------------------------
         let aggregation_start = Instant::now();
-        let aggregation_span = span!(
-            "master.aggregation",
-            job = job.as_str(),
-            tasks = specs.len()
-        );
+        let aggregation_span = span!("master.aggregation", job = job.as_str(), tasks = total);
+        let every = checkpoint.map_or(usize::MAX, |(_, every)| every);
         let mut since_save = 0usize;
-        while (completed.len() as u64) < total {
-            let Some(tuple) = self.space.take(&template, Some(self.result_timeout))? else {
+        while agg.completed.len() < total {
+            let Some(first) = self.space.take(&template, Some(self.result_timeout))? else {
                 break; // deadline: a worker died or was stopped for good
             };
-            let per_task = Instant::now();
-            let before = completed.len();
-            absorb_result(
-                app,
-                &tuple,
-                &mut completed,
-                &mut report,
-                &mut times,
-                self.observer.as_deref(),
-                recorder.as_mut(),
-            );
-            let elapsed = ms_since(per_task);
-            aggregation_busy += elapsed;
-            max_overhead = max_overhead.max(elapsed);
-            if completed.len() > before {
-                since_save += 1;
-                if since_save >= every {
-                    save_checkpoint(checkpoint, &job, total, &completed, &*app)?;
-                    since_save = 0;
+            let mut batch = vec![first];
+            let rest = (total - agg.completed.len() - 1).min(chunk);
+            if rest > 0 {
+                batch.extend(
+                    self.space
+                        .take_up_to(&template, rest, Some(Duration::ZERO))?,
+                );
+            }
+            for tuple in &batch {
+                if agg.absorb(tuple) {
+                    since_save += 1;
+                    if since_save >= every {
+                        save(&agg)?;
+                        since_save = 0;
+                    }
                 }
             }
         }
         drop(aggregation_span);
-        times.task_aggregation_ms = ms_since(aggregation_start);
-        times.max_master_overhead_ms = max_overhead;
-        times.parallel_ms = ms_since(run_start);
-        report.complete = completed.len() as u64 == total;
+        // Task aggregation time is the wall time of the aggregation phase:
+        // it tracks max worker time, since the master waits for the last
+        // task to complete (paper §5.2.1).
+        agg.report.times.task_aggregation_ms = ms_since(aggregation_start);
+        agg.report.times.max_master_overhead_ms = agg.max_overhead_ms;
+        agg.report.times.parallel_ms = ms_since(run_start);
+        let accounted = agg.completed.len() == total;
+        if let Some((path, _)) = checkpoint {
+            if accounted {
+                let _ = std::fs::remove_file(path);
+            } else {
+                save(&agg)?;
+            }
+        }
+        let Aggregation {
+            mut report,
+            recorder,
+            busy_ms,
+            ..
+        } = agg;
+        // A task accounted for by a terminal error (or an undecodable
+        // payload) is done, but the job it belongs to is not whole.
+        report.complete = accounted && report.failures.is_empty();
         drop(recorder); // flushes any buffered results into the build
         if let Some(profiler) = &self.profiler {
+            // Aggregation phase cost is the master's *busy* time, not the
+            // phase's wall (which mostly overlaps worker compute).
             profiler.job_finished(
                 &job,
-                (times.task_planning_ms * 1e3) as u64,
-                (aggregation_busy * 1e3) as u64,
-                times.parallel_ms as u64,
+                (report.times.task_planning_ms * 1e3) as u64,
+                (busy_ms * 1e3) as u64,
+                report.times.parallel_ms as u64,
             );
         }
-        if report.complete {
-            let _ = std::fs::remove_file(checkpoint);
-        } else {
-            save_checkpoint(checkpoint, &job, total, &completed, &*app)?;
-        }
-        times.publish();
+        report.times.publish();
         series().master_runs.inc();
         series()
             .results_collected
             .add(report.results_collected as u64);
-        report.times = times;
         Ok(report)
     }
 }
@@ -391,56 +297,78 @@ fn dispatch_batch(
     Ok(())
 }
 
-/// Absorbs one result tuple into the application, marking its task
-/// completed. Duplicates (a re-issued task computed twice) are dropped; a
-/// terminal worker error still completes the task so the run terminates.
-fn absorb_result(
-    app: &mut dyn Application,
-    tuple: &acc_tuplespace::Tuple,
-    completed: &mut BTreeSet<u64>,
-    report: &mut RunReport,
-    times: &mut PhaseTimes,
-    observer: Option<&ClusterObserver>,
-    recorder: Option<&mut JobRecorder>,
-) {
-    let Some(result) = ResultEntry::from_tuple(tuple) else {
-        report
-            .failures
-            .push((u64::MAX, ExecError::App("malformed result entry".into())));
-        return;
-    };
-    if completed.contains(&result.task_id) {
-        return;
+/// What one run's results fold into: the application's aggregate, the set
+/// of finished task ids, and the master-side cost of getting them there.
+struct Aggregation<'a> {
+    app: &'a mut dyn Application,
+    completed: BTreeSet<u64>,
+    report: RunReport,
+    observer: Option<&'a ClusterObserver>,
+    recorder: Option<JobRecorder>,
+    /// Time the master spent absorbing results (not waiting for them).
+    busy_ms: f64,
+    /// The costliest single step so far: one result's absorb, or one
+    /// planning chunk's write amortised over its tasks.
+    max_overhead_ms: f64,
+}
+
+impl Aggregation<'_> {
+    /// Absorbs one result tuple into the application and reports whether
+    /// it completed a task. Duplicates (a re-issued task computed twice, a
+    /// result flush resent) are dropped; a terminal worker error still
+    /// completes the task so the run terminates.
+    fn absorb(&mut self, tuple: &Tuple) -> bool {
+        let start = Instant::now();
+        let newly_completed = self.absorb_untimed(tuple);
+        let elapsed = ms_since(start);
+        self.busy_ms += elapsed;
+        self.max_overhead_ms = self.max_overhead_ms.max(elapsed);
+        newly_completed
     }
-    times.max_worker_ms = times.max_worker_ms.max(result.span_ms);
-    let slot = times
-        .per_worker_ms
-        .entry(result.worker.clone())
-        .or_insert(0.0);
-    *slot = slot.max(result.span_ms);
-    if let Some(observer) = observer {
-        observer.record_attribution(&result.job, &result.worker, &result.timing);
-    }
-    if let Some(recorder) = recorder {
-        recorder.record_task(
-            result.task_id,
-            &result.worker,
-            &result.timing,
-            result.error.is_some(),
-        );
-    }
-    match result.error {
-        Some(error) => {
-            report
+
+    fn absorb_untimed(&mut self, tuple: &Tuple) -> bool {
+        let Some(result) = ResultEntry::from_tuple(tuple) else {
+            self.report
                 .failures
-                .push((result.task_id, ExecError::App(error)));
+                .push((u64::MAX, ExecError::App("malformed result entry".into())));
+            return false;
+        };
+        if self.completed.contains(&result.task_id) {
+            return false;
         }
-        None => match app.absorb(result.task_id, &result.payload) {
-            Ok(()) => report.results_collected += 1,
-            Err(e) => report.failures.push((result.task_id, e)),
-        },
+        let times = &mut self.report.times;
+        times.max_worker_ms = times.max_worker_ms.max(result.span_ms);
+        let slot = times
+            .per_worker_ms
+            .entry(result.worker.clone())
+            .or_insert(0.0);
+        *slot = slot.max(result.span_ms);
+        if let Some(observer) = self.observer {
+            observer.record_attribution(&result.job, &result.worker, &result.timing);
+        }
+        if let Some(recorder) = &mut self.recorder {
+            recorder.record_task(
+                result.task_id,
+                &result.worker,
+                &result.timing,
+                result.error.is_some(),
+            );
+        }
+        match result.error {
+            // A poison task exhausted its retries: account for it so the
+            // run terminates, but report the failure.
+            Some(error) => self
+                .report
+                .failures
+                .push((result.task_id, ExecError::App(error))),
+            None => match self.app.absorb(result.task_id, &result.payload) {
+                Ok(()) => self.report.results_collected += 1,
+                Err(e) => self.report.failures.push((result.task_id, e)),
+            },
+        }
+        self.completed.insert(result.task_id);
+        true
     }
-    completed.insert(result.task_id);
 }
 
 /// Writes the current progress atomically to the checkpoint file.
@@ -470,7 +398,8 @@ fn ms_since(start: Instant) -> f64 {
 mod tests {
     use super::*;
     use crate::task::{task_template, TaskExecutor, TaskSpec};
-    use acc_tuplespace::{Payload, Space, SpaceHandle};
+    use acc_tuplespace::{EntryId, Lease, Payload, Space, SpaceHandle, SpaceResult, TupleStore};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     /// Doubles each input; trivially correct so aggregation is checkable.
@@ -504,37 +433,6 @@ mod tests {
                 .push(u64::from_bytes(payload).map_err(ExecError::Decode)?);
             Ok(())
         }
-    }
-
-    /// A bare-bones inline worker: takes tasks, executes, writes results.
-    fn spawn_inline_worker(
-        space: SpaceHandle,
-        job: &str,
-        exec: Arc<dyn TaskExecutor>,
-        name: &str,
-    ) -> std::thread::JoinHandle<()> {
-        let template = task_template(job);
-        let job = job.to_owned();
-        let name = name.to_owned();
-        std::thread::spawn(move || {
-            let first = Instant::now();
-            while let Ok(Some(tuple)) = space.take(&template, Some(Duration::from_millis(200))) {
-                let task = TaskEntry::from_tuple(&tuple).unwrap();
-                let t0 = Instant::now();
-                let payload = exec.execute(&task).unwrap();
-                let result = ResultEntry {
-                    job: job.clone(),
-                    task_id: task.task_id,
-                    worker: name.clone(),
-                    payload,
-                    compute_ms: ms_since(t0),
-                    span_ms: ms_since(first),
-                    timing: Default::default(),
-                    error: None,
-                };
-                space.write(result.to_tuple()).unwrap();
-            }
-        })
     }
 
     #[test]
@@ -598,9 +496,10 @@ mod tests {
         }
     }
 
-    /// Like [`spawn_inline_worker`] but stops on the first space error, so
-    /// a mid-run close (simulated master crash) doesn't panic the thread.
-    fn spawn_tolerant_worker(
+    /// A bare-bones inline worker: takes tasks, executes, writes results.
+    /// It stops on the first space error, so a mid-run close (simulated
+    /// master crash) ends the thread instead of panicking it.
+    fn spawn_inline_worker(
         space: SpaceHandle,
         job: &str,
         exec: Arc<dyn TaskExecutor>,
@@ -749,10 +648,15 @@ mod tests {
             let exec = app.executor();
             let workers: Vec<_> = (0..2)
                 .map(|i| {
-                    spawn_tolerant_worker(space.clone(), "double", exec.clone(), &format!("w{i}"))
+                    spawn_inline_worker(space.clone(), "double", exec.clone(), &format!("w{i}"))
                 })
                 .collect();
-            let master = Master::new(space.clone());
+            let mut master = Master::new(space.clone());
+            // A real crash kills the process; closing the space only fails
+            // the master's *next* store call, and results it had already
+            // drained would still be absorbed. A small chunk bounds that
+            // drain, so the simulated crash lands mid-job.
+            master.dispatch_chunk = 2;
             let err = master.run_with_checkpoint(&mut app, &ckpt, 1).unwrap_err();
             assert_eq!(err, SpaceError::Closed);
             for w in workers {
@@ -774,7 +678,7 @@ mod tests {
         let mut app = Doubler::with_partials(20);
         let exec = app.executor();
         let workers: Vec<_> = (0..2)
-            .map(|i| spawn_tolerant_worker(space.clone(), "double", exec.clone(), &format!("w{i}")))
+            .map(|i| spawn_inline_worker(space.clone(), "double", exec.clone(), &format!("w{i}")))
             .collect();
         let master = Master::new(space.clone());
         let report = master.run_with_checkpoint(&mut app, &ckpt, 1).unwrap();
@@ -794,6 +698,105 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    fn result(id: u64, worker: &str) -> Tuple {
+        ResultEntry {
+            job: "double".into(),
+            task_id: id,
+            worker: worker.into(),
+            payload: (id * 20).to_bytes(),
+            compute_ms: 1.0,
+            span_ms: 1.0,
+            timing: Default::default(),
+            error: None,
+        }
+        .to_tuple()
+    }
+
+    /// Counts the result takes a master makes, by kind.
+    struct CountingStore {
+        inner: SpaceHandle,
+        takes: AtomicUsize,
+        /// `max` of every batch take.
+        drains: parking_lot::Mutex<Vec<usize>>,
+    }
+
+    impl TupleStore for CountingStore {
+        fn write_leased(&self, tuple: Tuple, lease: Lease) -> SpaceResult<EntryId> {
+            self.inner.write_leased(tuple, lease)
+        }
+        fn read(&self, t: &Template, d: Option<Duration>) -> SpaceResult<Option<Tuple>> {
+            self.inner.read(t, d)
+        }
+        fn take(&self, t: &Template, d: Option<Duration>) -> SpaceResult<Option<Tuple>> {
+            self.takes.fetch_add(1, Ordering::SeqCst);
+            self.inner.take(t, d)
+        }
+        fn take_up_to(
+            &self,
+            t: &Template,
+            max: usize,
+            d: Option<Duration>,
+        ) -> SpaceResult<Vec<Tuple>> {
+            assert_eq!(d, Some(Duration::ZERO), "the drain must never block");
+            self.drains.lock().push(max);
+            self.inner.take_up_to(t, max, d)
+        }
+        fn count(&self, t: &Template) -> SpaceResult<usize> {
+            Ok(Space::count(&self.inner, t))
+        }
+        fn close(&self) {
+            self.inner.close()
+        }
+        fn is_closed(&self) -> bool {
+            self.inner.is_closed()
+        }
+    }
+
+    #[test]
+    fn aggregation_blocks_for_one_result_then_drains_the_rest_in_batches() {
+        let space = Space::new("test");
+        for id in 0..10 {
+            space.write(result(id, "w")).unwrap();
+        }
+        let store = Arc::new(CountingStore {
+            inner: space.clone(),
+            takes: Default::default(),
+            drains: Default::default(),
+        });
+        let mut master = Master::new(store.clone());
+        // The drain is bounded by the chunk and by what is outstanding.
+        master.dispatch_chunk = 4;
+        let mut app = Doubler {
+            n: 10,
+            outputs: vec![],
+        };
+        let report = master.run(&mut app).unwrap();
+        assert!(report.complete);
+        assert_eq!(report.results_collected, 10);
+        // 10 results in two wake-ups: 1 + 4, then 1 + 4 (all that is left).
+        assert_eq!(store.takes.load(Ordering::SeqCst), 2);
+        assert_eq!(*store.drains.lock(), vec![4, 4]);
+    }
+
+    #[test]
+    fn a_result_delivered_twice_is_absorbed_once() {
+        // A worker's flush that was resent after a lost response leaves
+        // two copies of each of its results in the space.
+        let space = Space::new("test");
+        for id in [0, 1, 0, 1, 2] {
+            space.write(result(id, "w")).unwrap();
+        }
+        let mut app = Doubler {
+            n: 3,
+            outputs: vec![],
+        };
+        let report = Master::new(space.clone()).run(&mut app).unwrap();
+        assert!(report.complete);
+        assert_eq!(report.results_collected, 3);
+        app.outputs.sort_unstable();
+        assert_eq!(app.outputs, vec![0, 20, 40]);
+    }
+
     #[test]
     fn aggregation_tracks_worker_spans() {
         let space = Space::new("test");
@@ -805,16 +808,8 @@ mod tests {
         let master = Master::new(space.clone());
         // Pre-seed results; plan() writes tasks but the workers "already ran".
         for (id, span) in [(0u64, 120.0f64), (1, 80.0)] {
-            let r = ResultEntry {
-                job: "double".into(),
-                task_id: id,
-                worker: format!("w{id}"),
-                payload: (id * 7).to_bytes(),
-                compute_ms: span / 2.0,
-                span_ms: span,
-                timing: Default::default(),
-                error: None,
-            };
+            let mut r = ResultEntry::from_tuple(&result(id, &format!("w{id}"))).unwrap();
+            r.span_ms = span;
             space.write(r.to_tuple()).unwrap();
         }
         let report = master.run(&mut app).unwrap();

@@ -8,10 +8,12 @@
 //!   application's code bundle from the master's bundle server (paying the
 //!   modeled class-loading cost) and links the executor;
 //! * while Running it takes task entries from the space by value-based
-//!   lookup, computes them, and writes result entries back;
+//!   lookup (a prefetched batch per round trip), computes them, and writes
+//!   result entries back — coalesced into one batch write per prefetched
+//!   batch when the tasks are cheaper than a round trip (see [`Outbox`]);
 //! * signals only take effect *between* tasks: the currently executing task
-//!   always completes and its result is written into the space first, so no
-//!   work is ever lost;
+//!   always completes and every finished result is written into the space
+//!   first, so no work is ever lost;
 //! * on Pause the executor stays linked (Resume skips class loading); on
 //!   Stop it is dropped (the next Start reloads).
 
@@ -233,9 +235,7 @@ fn worker_loop(ls: LoopState) {
     // the task's spans live (flight rings are per-process).
     let mut retention_history: std::collections::BTreeMap<String, acc_telemetry::HistoryRing> =
         std::collections::BTreeMap::new();
-    // A worker can't know its own result-write cost before writing: the
-    // previous write's duration rides the *next* result.
-    let mut last_write_us: u64 = 0;
+    let mut outbox = Outbox::default();
     let mut transport_strikes = 0u32;
     let set_load = |pct: u64| {
         if let Some(load) = &ls.config.node_load {
@@ -265,6 +265,11 @@ fn worker_loop(ls: LoopState) {
                 // configuration engine forwards the signal before the
                 // worker fetches the next task).
                 if let Some(msg) = ls.config.duplex.try_recv() {
+                    // Every finished result is in the space before the
+                    // worker reacts (and acks).
+                    if outbox.flush(&ls).is_err() {
+                        break;
+                    }
                     handle_message(&ls, msg, &mut executor, &set_load);
                     continue;
                 }
@@ -275,6 +280,11 @@ fn worker_loop(ls: LoopState) {
                     continue;
                 };
                 if prefetched.is_empty() {
+                    // The batch is done: its results go out in one write,
+                    // just ahead of the take for the next batch.
+                    if outbox.flush(&ls).is_err() {
+                        break;
+                    }
                     set_load(IDLE_RUNNING_LOAD);
                     let take_start = Instant::now();
                     let taken = ls.config.space.take_up_to(
@@ -343,10 +353,11 @@ fn worker_loop(ls: LoopState) {
                             let _compute = span!("worker.compute", task_id = task.task_id);
                             execute_policed(&exec, &task, &ls.config.framework.policy)
                         };
-                        let compute_ms = compute_start.elapsed().as_secs_f64() * 1e3;
+                        let compute = compute_start.elapsed();
+                        let compute_ms = compute.as_secs_f64() * 1e3;
                         series().compute_us.observe((compute_ms * 1e3) as u64);
                         timing.compute_us = (compute_ms * 1e3) as u64;
-                        timing.write_us = last_write_us;
+                        timing.write_us = outbox.last_write_us;
                         maybe_retain_trace(
                             &mut retention_history,
                             &task.job,
@@ -358,75 +369,54 @@ fn worker_loop(ls: LoopState) {
                         let span_ms = first_access
                             .map(|f| f.elapsed().as_secs_f64() * 1e3)
                             .unwrap_or(compute_ms);
-                        match outcome {
-                            Ok(payload) => {
-                                let result = ResultEntry {
-                                    job: task.job.clone(),
-                                    task_id: task.task_id,
-                                    worker: ls.config.name.clone(),
-                                    payload,
-                                    compute_ms,
-                                    span_ms,
-                                    error: None,
-                                    timing,
-                                };
-                                let write_start = Instant::now();
-                                if ls.config.space.write(result.to_tuple()).is_err() {
-                                    break;
-                                }
-                                last_write_us = write_start.elapsed().as_micros() as u64;
-                                event!("worker.result.write", task_id = task.task_id);
-                                series().tasks_completed.inc();
-                                *ls.tasks_done.lock() += 1;
-                            }
-                            Err(e) if task.retries < ls.config.framework.max_task_retries => {
+                        let (payload, error) = match outcome {
+                            Ok(payload) => (payload, None),
+                            Err(_) if task.retries < ls.config.framework.max_task_retries => {
                                 // Return the task to the space (with its
                                 // retry count bumped) so another attempt —
                                 // possibly on another worker — can succeed.
-                                let _ = e;
+                                // Written at once, not buffered: a worker
+                                // may be waiting for it.
                                 let mut retry = task.clone();
                                 retry.retries += 1;
                                 if ls.config.space.write(retry.to_tuple()).is_err() {
-                                    // Same exit as the result-write sites:
+                                    // Same exit as a failed result flush:
                                     // swallowing this error would silently
                                     // lose the task and keep looping against
                                     // a dead space.
                                     break;
                                 }
                                 series().tasks_retried.inc();
+                                continue;
                             }
-                            Err(e) => {
-                                // Poison task: write a terminal error result
-                                // so the master can account for it.
-                                let result = ResultEntry {
-                                    job: task.job.clone(),
-                                    task_id: task.task_id,
-                                    worker: ls.config.name.clone(),
-                                    payload: Vec::new(),
-                                    compute_ms,
-                                    span_ms,
-                                    error: Some(e.to_string()),
-                                    timing,
-                                };
-                                if ls.config.space.write(result.to_tuple()).is_err() {
-                                    break;
-                                }
-                                event!(
-                                    "worker.result.write",
-                                    task_id = task.task_id,
-                                    poisoned = true
-                                );
-                                series().tasks_poisoned.inc();
-                            }
+                            // Poison task: a terminal error result, so the
+                            // master can account for it.
+                            Err(e) => (Vec::new(), Some(e.to_string())),
+                        };
+                        let result = ResultEntry {
+                            job: task.job.clone(),
+                            task_id: task.task_id,
+                            worker: ls.config.name.clone(),
+                            payload,
+                            compute_ms,
+                            span_ms,
+                            error,
+                            timing,
+                        };
+                        outbox.push(&result);
+                        if outbox.worth_flushing_after(compute) && outbox.flush(&ls).is_err() {
+                            break;
                         }
                     }
                 }
             }
         }
     }
-    // Whatever ended the loop (shutdown, space closed, poisoned write):
-    // give unstarted prefetched tasks back if the space will still have
-    // them, so they are not lost with this worker.
+    // Whatever ended the loop (shutdown, space closed, failed write):
+    // hand finished results over and give unstarted prefetched tasks back
+    // if the space will still have them, so neither is lost with this
+    // worker.
+    let _ = outbox.flush(&ls);
     return_prefetched(&ls, &mut prefetched, &mut pending_timing);
     set_load(0);
     ls.config.duplex.send(RuleMessage::Bye);
@@ -467,6 +457,91 @@ fn maybe_retain_trace(
             compute_us = compute_us,
             errored = errored
         );
+    }
+}
+
+/// Finished results waiting to be written to the space.
+///
+/// One blocking `write` per result is a round trip per task; for tasks
+/// cheaper than that round trip it is most of the worker's time. So
+/// results collect here and go out in one `write_all` when the prefetched
+/// batch that produced them is done — and at once whenever buffering
+/// would not pay, or would hold a result back from a worker that is
+/// about to stop:
+///
+/// * the task just computed took longer than a flush round trip
+///   ([`Outbox::worth_flushing_after`]), so a compute-bound job writes
+///   each result the moment it exists, exactly as without an outbox;
+/// * a signal arrived, or the loop is exiting (paper §4.3: only the
+///   executing task is the worker's to finish; nothing else it holds may
+///   be lost or delayed with it).
+///
+/// A result counts as done (`tasks_done`, `worker.task.completed`) when
+/// its flush succeeds, not when it is buffered.
+#[derive(Default)]
+struct Outbox {
+    tuples: Vec<Tuple>,
+    /// `(task_id, poisoned)` of each buffered result, booked on flush.
+    tasks: Vec<(u64, bool)>,
+    /// The fastest flush round trip seen — what one write costs when
+    /// nothing else delays it. A minimum because every other statistic of
+    /// the samples also measures the host: a flush that shared the CPU
+    /// with the other worker's timeslice reads milliseconds, and judged
+    /// by that a millisecond-scale task would look cheap and have its
+    /// (large) result held back to ride a batch frame.
+    min_flush: Option<Duration>,
+    /// The previous flush's duration ÷ its result count. A worker cannot
+    /// know a result's write cost before writing it, so this rides the
+    /// *next* results' [`TaskTiming`](acc_cluster::TaskTiming).
+    last_write_us: u64,
+}
+
+impl Outbox {
+    fn push(&mut self, result: &ResultEntry) {
+        self.tuples.push(result.to_tuple());
+        self.tasks.push((result.task_id, result.error.is_some()));
+    }
+
+    /// Whether the result just pushed should go out now instead of
+    /// waiting for its batch: its task computed for longer than a flush
+    /// costs (so the round trip saved is small change, and the result may
+    /// be large), or no flush has been timed yet.
+    fn worth_flushing_after(&self, compute: Duration) -> bool {
+        self.min_flush.is_none_or(|rtt| compute > rtt)
+    }
+
+    /// Writes everything buffered in one space operation — a plain
+    /// `write` for a single result. On failure the results are gone with
+    /// the connection (the master's result timeout covers them) and the
+    /// worker must stop, as after any failed write.
+    fn flush(&mut self, ls: &LoopState) -> Result<(), SpaceError> {
+        if self.tuples.is_empty() {
+            return Ok(());
+        }
+        let tasks = std::mem::take(&mut self.tasks);
+        let mut tuples = std::mem::take(&mut self.tuples);
+        let start = Instant::now();
+        if tuples.len() == 1 {
+            ls.config.space.write(tuples.pop().expect("one tuple"))?;
+        } else {
+            ls.config.space.write_all(tuples)?;
+        }
+        let took = start.elapsed();
+        self.min_flush = Some(self.min_flush.map_or(took, |min| min.min(took)));
+        self.last_write_us = took.as_micros() as u64 / tasks.len() as u64;
+        let mut completed = 0;
+        for &(task_id, poisoned) in &tasks {
+            if poisoned {
+                event!("worker.result.write", task_id = task_id, poisoned = true);
+                series().tasks_poisoned.inc();
+            } else {
+                event!("worker.result.write", task_id = task_id);
+                completed += 1;
+            }
+        }
+        series().tasks_completed.add(completed);
+        *ls.tasks_done.lock() += completed;
+        Ok(())
     }
 }
 
@@ -617,7 +692,6 @@ fn handle_message(
             set_load(IDLE_RUNNING_LOAD);
         }
     }
-    *ls.state.lock() = next;
     let worker_signal_ms = ls.config.epoch.elapsed().as_millis() as u64;
     series().transitions.inc();
     series()
@@ -636,6 +710,9 @@ fn handle_message(
         worker_signal_ms,
         new_state: next,
     });
+    // Published after the log entry: whoever sees the new state (tests
+    // poll it) must also find the transition in the signal log.
+    *ls.state.lock() = next;
     ls.config.duplex.send(RuleMessage::Ack {
         signal,
         new_state: next,
@@ -836,18 +913,47 @@ mod tests {
 
     /// Delegates everything to an inner space, but fails writes once
     /// armed — the shape of a master whose space became unreachable for
-    /// writes while takes still drain a local queue.
+    /// writes while takes still drain a local queue. Every write also
+    /// costs `write_delay` (a round trip far dearer than the test tasks,
+    /// so their results are buffered rather than flushed one by one), and
+    /// the size of every result write is logged.
     struct FailingWriteStore {
         inner: SpaceHandle,
         arm: AtomicBool,
+        write_delay: Duration,
+        result_writes: Mutex<Vec<usize>>,
+    }
+
+    impl FailingWriteStore {
+        fn new(inner: SpaceHandle, write_delay: Duration) -> Arc<FailingWriteStore> {
+            Arc::new(FailingWriteStore {
+                inner,
+                arm: AtomicBool::new(false),
+                write_delay,
+                result_writes: Mutex::new(Vec::new()),
+            })
+        }
+
+        fn before_write(&self, tuples: &[Tuple]) -> SpaceResult<()> {
+            std::thread::sleep(self.write_delay);
+            if self.arm.load(Ordering::SeqCst) {
+                return Err(SpaceError::Storage("injected write failure".into()));
+            }
+            if tuples[0].type_name() == crate::task::RESULT_TYPE {
+                self.result_writes.lock().push(tuples.len());
+            }
+            Ok(())
+        }
     }
 
     impl TupleStore for FailingWriteStore {
         fn write_leased(&self, tuple: Tuple, lease: Lease) -> SpaceResult<EntryId> {
-            if self.arm.load(Ordering::SeqCst) {
-                return Err(SpaceError::Storage("injected write failure".into()));
-            }
+            self.before_write(std::slice::from_ref(&tuple))?;
             self.inner.write_leased(tuple, lease)
+        }
+        fn write_all_leased(&self, tuples: Vec<Tuple>, lease: Lease) -> SpaceResult<Vec<EntryId>> {
+            self.before_write(&tuples)?;
+            self.inner.write_all_leased(tuples, lease)
         }
         fn read(&self, t: &Template, timeout: Option<Duration>) -> SpaceResult<Option<Tuple>> {
             self.inner.read(t, timeout)
@@ -866,6 +972,49 @@ mod tests {
         }
     }
 
+    /// Squares its input, and runs `hook` while executing the `at`-th
+    /// task it sees — how a test lands a signal (or a fault) between two
+    /// tasks of one prefetched batch, deterministically.
+    struct HookedExec {
+        seen: std::sync::atomic::AtomicUsize,
+        at: usize,
+        hook: Mutex<Option<Box<dyn Fn() + Send>>>,
+    }
+
+    impl HookedExec {
+        fn at(at: usize) -> Arc<HookedExec> {
+            Arc::new(HookedExec {
+                seen: std::sync::atomic::AtomicUsize::new(0),
+                at,
+                hook: Mutex::new(None),
+            })
+        }
+    }
+
+    impl TaskExecutor for HookedExec {
+        fn execute(&self, task: &TaskEntry) -> Result<Vec<u8>, ExecError> {
+            if self.seen.fetch_add(1, Ordering::SeqCst) + 1 == self.at {
+                if let Some(hook) = self.hook.lock().as_ref() {
+                    hook();
+                }
+            }
+            let x: u64 = task.input()?;
+            Ok((x * x).to_bytes())
+        }
+    }
+
+    /// The task ids of every tuple in `space` matching `template`.
+    fn task_ids(space: &SpaceHandle, template: &Template) -> Vec<i64> {
+        let mut ids: Vec<i64> = space
+            .read_all(template)
+            .unwrap()
+            .iter()
+            .map(|t| t.get_int("task_id").unwrap())
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
     #[test]
     fn retry_write_failure_stops_worker_without_losing_queued_tasks() {
         struct AlwaysFails;
@@ -875,10 +1024,7 @@ mod tests {
             }
         }
         let space = Space::new("failing-writes");
-        let store = Arc::new(FailingWriteStore {
-            inner: space.clone(),
-            arm: AtomicBool::new(false),
-        });
+        let store = FailingWriteStore::new(space.clone(), Duration::ZERO);
         let r = rig_with(
             space.clone(),
             store.clone(),
@@ -907,6 +1053,137 @@ mod tests {
         );
         assert_eq!(r.worker.tasks_done(), 0);
         r.worker.shutdown();
+    }
+
+    #[test]
+    fn flush_failure_stops_worker_without_consuming_further_tasks() {
+        let space = Space::new("failing-flush");
+        let store = FailingWriteStore::new(space.clone(), Duration::from_millis(2));
+        // Writes start failing while the third task of the first batch
+        // runs: result 0 went out alone, 1..=3 are (or will be) buffered.
+        let exec = HookedExec::at(3);
+        let r = rig_with(
+            space.clone(),
+            store.clone(),
+            exec.clone(),
+            FrameworkConfig {
+                task_poll_timeout: Duration::from_millis(10),
+                task_prefetch: 4,
+                ..FrameworkConfig::default()
+            },
+            false,
+        );
+        let arm = store.clone();
+        *exec.hook.lock() = Some(Box::new(move || arm.arm.store(true, Ordering::SeqCst)));
+        for i in 0..8 {
+            put_task(&r.space, i, i);
+        }
+        r.server.send_signal(r.worker.id(), Signal::Start);
+        // The batch's flush fails; the worker must end there, as after a
+        // failed single write — not fetch the second batch and lose it too.
+        let worker_thread = r.worker.thread.as_ref().unwrap();
+        wait_for(|| worker_thread.is_finished(), "worker loop exit");
+        assert_eq!(r.worker.tasks_done(), 1, "only the flushed result counts");
+        assert_eq!(*store.result_writes.lock(), vec![1]);
+        assert_eq!(
+            task_ids(&space, &task_template("squares")),
+            vec![4, 5, 6, 7],
+            "the second batch must still be in the space"
+        );
+        r.worker.shutdown();
+    }
+
+    /// What takes the worker off its batch in
+    /// [`hold_point_flushes_results_and_returns_unstarted_tasks`].
+    #[derive(Clone, Copy, Debug)]
+    enum HoldPoint {
+        Signal(Signal),
+        Shutdown,
+    }
+
+    /// Paper §4.3 with an outbox: when a Pause, a Stop or a shutdown lands
+    /// between two tasks of a prefetched batch, the results already
+    /// computed reach the space and the tasks not yet started go back to
+    /// it, each exactly once.
+    fn hold_point_flushes_results_and_returns_unstarted_tasks(hold: HoldPoint) {
+        let space = Space::new("hold-point");
+        // A 2 ms "round trip" against microsecond tasks: results buffer.
+        let store = FailingWriteStore::new(space.clone(), Duration::from_millis(2));
+        // The hold lands while the third task of the first batch runs.
+        let exec = HookedExec::at(3);
+        let r = rig_with(
+            space.clone(),
+            store.clone(),
+            exec.clone(),
+            FrameworkConfig {
+                task_poll_timeout: Duration::from_millis(10),
+                task_prefetch: 4,
+                ..FrameworkConfig::default()
+            },
+            false,
+        );
+        let total = 10i64;
+        for i in 0..total {
+            put_task(&r.space, i as u64, i as u64);
+        }
+        *exec.hook.lock() = Some(match hold {
+            HoldPoint::Signal(signal) => {
+                let (server, id) = (r.server.clone(), r.worker.id());
+                Box::new(move || {
+                    server.send_signal(id, signal);
+                })
+            }
+            HoldPoint::Shutdown => {
+                let shutdown = r.worker.shutdown.clone();
+                Box::new(move || shutdown.store(true, Ordering::SeqCst))
+            }
+        });
+        r.server.send_signal(r.worker.id(), Signal::Start);
+        match hold {
+            HoldPoint::Signal(signal) => {
+                let held = WorkerState::Running.apply(signal).unwrap();
+                wait_for(|| r.worker.state() == held, "the signal to land");
+                // Let the loop reach its held arm, which returns the buffer.
+                wait_for(
+                    || space.count(&task_template("squares")) == (total - 3) as usize,
+                    "unstarted tasks back in the space",
+                );
+            }
+            HoldPoint::Shutdown => {
+                let worker_thread = r.worker.thread.as_ref().unwrap();
+                wait_for(|| worker_thread.is_finished(), "worker loop exit");
+            }
+        }
+        // Tasks 0..3 ran: result 0 went out alone (no flush timed yet),
+        // 1 and 2 were buffered and flushed together by the hold.
+        assert_eq!(*store.result_writes.lock(), vec![1, 2], "{hold:?}");
+        assert_eq!(r.worker.tasks_done(), 3, "{hold:?}");
+        assert_eq!(
+            task_ids(&space, &crate::task::result_template("squares")),
+            vec![0, 1, 2],
+            "{hold:?}: finished results in the space, each once"
+        );
+        assert_eq!(
+            task_ids(&space, &task_template("squares")),
+            (3..total).collect::<Vec<_>>(),
+            "{hold:?}: unstarted tasks back in the space, each once"
+        );
+        r.worker.shutdown();
+    }
+
+    #[test]
+    fn pause_flushes_the_outbox_and_returns_unstarted_tasks() {
+        hold_point_flushes_results_and_returns_unstarted_tasks(HoldPoint::Signal(Signal::Pause));
+    }
+
+    #[test]
+    fn stop_flushes_the_outbox_and_returns_unstarted_tasks() {
+        hold_point_flushes_results_and_returns_unstarted_tasks(HoldPoint::Signal(Signal::Stop));
+    }
+
+    #[test]
+    fn shutdown_flushes_the_outbox_and_returns_unstarted_tasks() {
+        hold_point_flushes_results_and_returns_unstarted_tasks(HoldPoint::Shutdown);
     }
 
     #[test]

@@ -23,11 +23,13 @@
 //!   that miss on the owner fall back to a scatter before reporting
 //!   `None`, so a tuple another client rerouted off its owner is still
 //!   found.
-//! * **Batching**: `write_all` splits the batch by owner and dispatches
-//!   the per-shard groups in parallel, each riding the protocol-v2
-//!   pipelined frames (and their `BATCH_FRAME_BUDGET` chunking) of its
-//!   own connection; `take_up_to` fans quota-bounded batch takes out the
-//!   same way.
+//! * **Batching**: `write_all` splits the batch by owner and sends the
+//!   per-shard groups split-phase from the calling thread — every
+//!   shard's protocol-v2 pipelined frames (with their
+//!   `BATCH_FRAME_BUDGET` chunking) go out on its own connection before
+//!   the first response is read, so the shards work concurrently and no
+//!   helper thread is spawned; `take_up_to` and `take_all` fan
+//!   quota-bounded batch takes out the same way.
 //! * **Degradation**: a shard whose connection keeps failing (after
 //!   [`RemoteSpace`]'s own reconnect-and-retry) is marked unhealthy:
 //!   writes deterministically probe onward to the next healthy shard,
@@ -51,7 +53,7 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use acc_tuplespace::{
-    EntryId, Lease, RemoteSpace, SpaceError, SpaceResult, Template, Tuple, TupleStore,
+    EntryId, Lease, Pending, RemoteSpace, SpaceError, SpaceResult, Template, Tuple, TupleStore,
 };
 
 pub use router::{route_template, route_tuple, tuple_hash, GridConfig};
@@ -100,6 +102,10 @@ fn shard_op_histogram(index: usize) -> Arc<acc_telemetry::Histogram> {
     acc_telemetry::registry().histogram(name)
 }
 
+/// Tuples asked of each shard per round of a [`PartitionedSpace::take_all`]
+/// drain (the per-frame cap `RemoteSpace::take_all` drains with).
+const DRAIN_BATCH: usize = 4096;
+
 /// One shard of the grid: a [`RemoteSpace`] connection plus its health
 /// mark. The health mark is per *client* (each grid instance judges its
 /// own connections), which is exactly what routing needs — a shard this
@@ -130,15 +136,19 @@ impl Shard {
         }
     }
 
-    /// Runs one operation against the shard, recording its latency and
-    /// downgrading the shard on a connection-level failure.
-    /// [`RemoteSpace`] has already absorbed one reconnect-and-resend by
-    /// the time `Transport` surfaces here, so a failure at this layer
-    /// means the server is genuinely unreachable (or desynced, for
-    /// `Protocol`) — strike it out rather than hammering it.
+    /// Runs one operation against the shard; see [`Shard::account`].
     fn call<T>(&self, op: impl FnOnce(&RemoteSpace) -> SpaceResult<T>) -> SpaceResult<T> {
         let start = Instant::now();
-        let result = op(&self.remote);
+        self.account(start, op(&self.remote))
+    }
+
+    /// Books one finished operation: records its latency and downgrades
+    /// the shard on a connection-level failure. [`RemoteSpace`] has
+    /// already absorbed one reconnect-and-resend by the time `Transport`
+    /// surfaces here, so a failure at this layer means the server is
+    /// genuinely unreachable (or desynced, for `Protocol`) — strike it
+    /// out rather than hammering it.
+    fn account<T>(&self, start: Instant, result: SpaceResult<T>) -> SpaceResult<T> {
         self.op_us.observe(start.elapsed().as_micros() as u64);
         match &result {
             Err(SpaceError::Transport(_)) | Err(SpaceError::Protocol(_)) => self.mark_unhealthy(),
@@ -146,6 +156,31 @@ impl Shard {
         }
         result
     }
+}
+
+/// Split-phase fan-out of one batch operation over several shards, on the
+/// calling thread: `begin` puts each shard's request on the wire, and only
+/// when all of them are out are the responses collected — the shards work
+/// concurrently and the caller pays about one round trip, with no helper
+/// thread to spawn and join. Every op goes through [`Shard::account`], so
+/// health strikes and the per-shard histograms see it exactly as they see
+/// [`Shard::call`].
+///
+/// `targets` must be in ascending shard order. A [`Pending`] holds its
+/// connection's lock, so this holds several at once; a fixed acquisition
+/// order is what keeps two threads sharing one grid client (the master and
+/// its metrics collector, say) from deadlocking on them.
+fn fan_out<'a, X, T>(
+    targets: impl IntoIterator<Item = (&'a Arc<Shard>, X)>,
+    mut begin: impl FnMut(&'a RemoteSpace, X) -> Pending<'a, T>,
+) -> Vec<SpaceResult<T>> {
+    let sent: Vec<_> = targets
+        .into_iter()
+        .map(|(shard, arg)| (shard, Instant::now(), begin(&shard.remote, arg)))
+        .collect();
+    sent.into_iter()
+        .map(|(shard, start, pending)| shard.account(start, pending.finish()))
+        .collect()
 }
 
 /// Health and identity of one shard, as reported by
@@ -663,11 +698,10 @@ impl PartitionedSpace {
         }
     }
 
-    /// One parallel, non-blocking batch sweep: every healthy shard is
-    /// asked for a quota-bounded slice of `max` (quotas sum to `max`, so
-    /// the merge can never overfetch and nothing needs restoring). Runs
-    /// the last shard's request on the calling thread; a single healthy
-    /// shard therefore costs no thread spawn at all.
+    /// One non-blocking batch sweep: every healthy shard is asked for a
+    /// quota-bounded slice of `max` (quotas sum to `max`, so the merge can
+    /// never overfetch and nothing needs restoring) in one split-phase
+    /// [`fan_out`].
     fn sweep_take_up_to(&self, template: &Template, max: usize) -> SpaceResult<Vec<Tuple>> {
         let healthy = self.healthy();
         if healthy.is_empty() {
@@ -675,29 +709,23 @@ impl PartitionedSpace {
         }
         series().scatter_fanout.observe(healthy.len() as u64);
         let n = healthy.len();
-        let base = max / n;
-        let extra = max % n;
-        let quota = |slot: usize| base + usize::from(slot < extra);
-        let start = self.sweep_cursor.fetch_add(1, Ordering::Relaxed) % n;
         // Rotate which shards get the remainder quotas, for fairness.
-        let order: Vec<Arc<Shard>> = (0..n).map(|k| healthy[(start + k) % n].clone()).collect();
-        let mut handles = Vec::new();
-        for (slot, shard) in order.iter().enumerate().skip(1) {
-            if quota(slot) == 0 {
-                continue;
-            }
-            let shard = shard.clone();
-            let template = template.clone();
-            let want = quota(slot);
-            handles.push(std::thread::spawn(move || {
-                shard.call(|r| r.take_up_to(&template, want, Some(Duration::ZERO)))
-            }));
-        }
-        let mut results =
-            vec![order[0].call(|r| r.take_up_to(template, quota(0), Some(Duration::ZERO)))];
-        for handle in handles {
-            results.push(handle.join().expect("grid sweep helper panicked"));
-        }
+        let start = self.sweep_cursor.fetch_add(1, Ordering::Relaxed) % n;
+        let quota = |i: usize| max / n + usize::from((i + n - start) % n < max % n);
+        let asked = healthy
+            .iter()
+            .enumerate()
+            .map(|(i, shard)| (shard, quota(i)))
+            .filter(|(_, want)| *want > 0);
+        let results = fan_out(asked, |remote, want| {
+            remote.begin_take_up_to(template, want)
+        });
+        self.merge_batches(results)
+    }
+
+    /// Concatenates per-shard batch results. Struck shards degrade the
+    /// result, not the caller; `Closed` latches and propagates.
+    fn merge_batches(&self, results: Vec<SpaceResult<Vec<Tuple>>>) -> SpaceResult<Vec<Tuple>> {
         let mut out = Vec::new();
         for result in results {
             match result {
@@ -706,7 +734,6 @@ impl PartitionedSpace {
                     self.closed.store(true, Ordering::SeqCst);
                     return Err(SpaceError::Closed);
                 }
-                // Struck shards degrade the sweep, not the caller.
                 Err(SpaceError::Transport(_)) | Err(SpaceError::Protocol(_)) => {}
                 Err(e) => return Err(e),
             }
@@ -884,47 +911,35 @@ impl TupleStore for PartitionedSpace {
         self.healthy().iter().any(|s| s.remote.is_closed())
     }
 
-    /// Drains every healthy shard in parallel — no routed fast path,
-    /// for the same reason as [`PartitionedSpace::count`]: an
-    /// owner-only drain would strand tuples another client rerouted
-    /// off-owner.
+    /// Drains every healthy shard — no routed fast path, for the same
+    /// reason as [`PartitionedSpace::count`]: an owner-only drain would
+    /// strand tuples another client rerouted off-owner. Rounds of
+    /// split-phase batch takes over the shards that still had something
+    /// last round, until every one has answered empty (or been struck).
     fn take_all(&self, template: &Template) -> SpaceResult<Vec<Tuple>> {
         self.ensure_open()?;
-        let healthy = self.healthy();
-        if healthy.is_empty() {
+        let mut live = self.healthy();
+        if live.is_empty() {
             return Err(PartitionedSpace::no_healthy());
         }
-        series().scatter_fanout.observe(healthy.len() as u64);
-        let mut handles = Vec::new();
-        for shard in healthy.iter().skip(1) {
-            let shard = shard.clone();
-            let template = template.clone();
-            handles.push(std::thread::spawn(move || {
-                shard.call(|r| r.take_all(&template))
-            }));
-        }
-        let mut results = vec![healthy[0].call(|r| r.take_all(template))];
-        for handle in handles {
-            results.push(handle.join().expect("grid take_all helper panicked"));
-        }
+        series().scatter_fanout.observe(live.len() as u64);
         let mut out = Vec::new();
-        for result in results {
-            match result {
-                Ok(batch) => out.extend(batch),
-                Err(SpaceError::Closed) => {
-                    self.closed.store(true, Ordering::SeqCst);
-                    return Err(SpaceError::Closed);
-                }
-                Err(SpaceError::Transport(_)) | Err(SpaceError::Protocol(_)) => {}
-                Err(e) => return Err(e),
-            }
+        while !live.is_empty() {
+            let results = fan_out(live.iter().map(|shard| (shard, ())), |remote, ()| {
+                remote.begin_take_up_to(template, DRAIN_BATCH)
+            });
+            let mut had_more = results
+                .iter()
+                .map(|r| matches!(r, Ok(batch) if !batch.is_empty()));
+            live.retain(|_| had_more.next().expect("one result per live shard"));
+            out.extend(self.merge_batches(results)?);
         }
         Ok(out)
     }
 
-    /// Splits the batch by owner and dispatches the per-shard groups in
-    /// parallel — each group rides its own connection's pipelined
-    /// protocol-v2 frames (and their frame-budget chunking). Ids come
+    /// Splits the batch by owner and sends the per-shard groups in one
+    /// split-phase [`fan_out`] — each group rides its own connection's
+    /// pipelined protocol-v2 frames (and their frame-budget chunking). Ids come
     /// back in input order. A group whose shard dies mid-write is
     /// re-dispatched through the (now updated) probe order; as with
     /// [`RemoteSpace`], the retry makes batch writes at-least-once.
@@ -968,22 +983,16 @@ impl TupleStore for PartitionedSpace {
                     None => groups.push((target, vec![(pos, tuple)])),
                 }
             }
-            let last = groups.len() - 1;
-            let mut handles = Vec::new();
-            for (shard, group) in groups.drain(..last) {
-                handles.push(std::thread::spawn(move || {
-                    let batch: Vec<Tuple> = group.iter().map(|(_, t)| t.clone()).collect();
-                    let result = shard.call(|r| r.write_all_leased(batch, lease));
-                    (group, result)
-                }));
-            }
-            // Last group runs inline: a single-shard grid spawns nothing.
-            let (shard, group) = groups.pop().expect("at least one group");
-            let batch: Vec<Tuple> = group.iter().map(|(_, t)| t.clone()).collect();
-            let mut outcomes = vec![(group, shard.call(|r| r.write_all_leased(batch, lease)))];
-            for handle in handles {
-                outcomes.push(handle.join().expect("grid write helper panicked"));
-            }
+            // Ascending shard order, as `fan_out` requires.
+            groups.sort_by_key(|(shard, _)| shard.index);
+            let results = fan_out(
+                groups.iter().map(|(shard, group)| (shard, group)),
+                |remote, group| {
+                    let batch = group.iter().map(|(_, t)| t.clone()).collect();
+                    remote.begin_write_all_leased(batch, lease)
+                },
+            );
+            let outcomes: Vec<_> = groups.into_iter().map(|(_, g)| g).zip(results).collect();
             for (group, result) in outcomes {
                 match result {
                     Ok(batch_ids) => {

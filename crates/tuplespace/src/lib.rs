@@ -52,7 +52,7 @@ pub use error::{SpaceError, SpaceResult};
 pub use events::{EventCookie, SpaceEvent};
 pub use lease::{Lease, LeaseId};
 pub use payload::{decode_frame, NameInterner, Payload, PayloadError, WireReader, WireWriter};
-pub use remote::{RemoteSpace, SpaceServer};
+pub use remote::{Pending, RemoteSpace, SpaceServer};
 pub use space::{EntryId, Space, SpaceHandle};
 pub use stats::SpaceStats;
 pub use store::{StoreHandle, TupleStore};

@@ -42,7 +42,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use acc_telemetry::TraceContext;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::error::{SpaceError, SpaceResult};
 use crate::lease::Lease;
@@ -1287,6 +1287,97 @@ impl Conn {
             interner: crate::payload::NameInterner::new(),
         }
     }
+
+    fn write_frames(&mut self, frames: &[Request]) -> std::io::Result<()> {
+        frames
+            .iter()
+            .try_for_each(|frame| self.enc.write_frame(&mut self.stream, frame))
+    }
+
+    fn read_frames(&mut self, n: usize) -> std::io::Result<Vec<bytes::Bytes>> {
+        (0..n)
+            .map(|_| self.pool.read_frame(&mut self.stream))
+            .collect()
+    }
+}
+
+/// Pipelined request frames that are on the wire (or failed to get there)
+/// and whose responses have not been read: the state between the two
+/// halves of a split-phase call. It holds the connection lock throughout,
+/// so no other caller's frames can interleave with the outstanding ones.
+struct InFlight<'a> {
+    space: &'a RemoteSpace,
+    conn: MutexGuard<'a, Conn>,
+    /// Kept for the resend after a reconnect.
+    frames: Vec<Request>,
+    sent: std::io::Result<()>,
+}
+
+impl InFlight<'_> {
+    /// Reads one response per frame sent and returns them in request
+    /// order. A transport failure in either half — the send recorded at
+    /// construction or the reads here — triggers the one reconnect and a
+    /// resend of the *whole* batch, which is what makes pipelined writes
+    /// at-least-once.
+    fn finish(self) -> SpaceResult<Vec<Response>> {
+        let InFlight {
+            space,
+            mut conn,
+            frames,
+            sent,
+        } = self;
+        let conn = &mut *conn;
+        let n = frames.len();
+        let raw = match sent.and_then(|()| conn.read_frames(n)) {
+            Ok(raw) => raw,
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                return Err(SpaceError::Protocol(e.to_string()));
+            }
+            Err(first) => {
+                space.reconnect(conn, &first)?;
+                if space.peer_version() < 2 {
+                    // The server was replaced by an older build between
+                    // attempts; resending v2 frames would just hang up.
+                    return Err(SpaceError::Transport(format!(
+                        "{first}; peer downgraded below v2 on reconnect"
+                    )));
+                }
+                conn.write_frames(&frames)
+                    .and_then(|()| conn.read_frames(n))
+                    .map_err(|e| SpaceError::Transport(e.to_string()))?
+            }
+        };
+        let mut slots: Vec<Option<Response>> = (0..n).map(|_| None).collect();
+        for frame in raw {
+            let decoded =
+                crate::payload::decode_frame::<Response>(frame.clone(), &mut conn.interner);
+            conn.pool.recycle(frame);
+            let Ok(Response::Corr { corr_id, inner }) = decoded else {
+                RemoteSpace::poison(&conn.stream);
+                return Err(SpaceError::Protocol(
+                    "expected a correlated response frame".into(),
+                ));
+            };
+            let Some(slot) = slots.get_mut(corr_id as usize) else {
+                RemoteSpace::poison(&conn.stream);
+                return Err(SpaceError::Protocol(format!(
+                    "correlation id {corr_id} out of range"
+                )));
+            };
+            if slot.is_some() {
+                RemoteSpace::poison(&conn.stream);
+                return Err(SpaceError::Protocol(format!(
+                    "duplicate correlation id {corr_id}"
+                )));
+            }
+            *slot = Some(*inner);
+        }
+        // n responses with unique in-range ids fill all n slots.
+        Ok(slots
+            .into_iter()
+            .map(|s| s.expect("all correlation slots filled"))
+            .collect())
+    }
 }
 
 /// Client-side proxy to a [`SpaceServer`] — the "downloaded space proxy".
@@ -1447,15 +1538,11 @@ impl RemoteSpace {
     /// Pipelines several requests over the connection in one lock hold:
     /// every frame goes out (wrapped in a [`Request::Corr`] envelope,
     /// trace context attached when live) before the first response is
-    /// read, so the whole batch costs one round trip. Responses are
-    /// matched by correlation id and returned in request order. Requires a
-    /// v2 peer.
-    fn call_pipelined(
-        &self,
-        span_name: &'static str,
-        requests: Vec<Request>,
-    ) -> SpaceResult<Vec<Response>> {
-        let _span = acc_telemetry::span!(span_name, frames = requests.len() as u64);
+    /// read, so the whole batch costs one round trip. This is the sending
+    /// half: it takes the connection lock and writes the frames;
+    /// [`InFlight::finish`] reads the responses, and owns the one
+    /// reconnect-and-resend whichever half failed. Requires a v2 peer.
+    fn send_pipelined(&self, requests: Vec<Request>) -> InFlight<'_> {
         let ctx = TraceContext::current_if_enabled();
         let frames: Vec<Request> = requests
             .into_iter()
@@ -1475,65 +1562,95 @@ impl RemoteSpace {
                 }
             })
             .collect();
-        let n = frames.len();
         let mut conn = self.stream.lock();
-        let conn = &mut *conn;
         // The whole batch is encoded through the one reusable scratch
         // buffer before the first response is read (that is the whole
         // point of pipelining: one round trip).
-        let exchange = |c: &mut Conn| -> std::io::Result<Vec<bytes::Bytes>> {
-            for frame in &frames {
-                c.enc.write_frame(&mut c.stream, frame)?;
-            }
-            (0..n).map(|_| c.pool.read_frame(&mut c.stream)).collect()
-        };
-        let raw = match exchange(conn) {
-            Ok(raw) => raw,
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                return Err(SpaceError::Protocol(e.to_string()));
-            }
-            Err(first) => {
-                self.reconnect(conn, &first)?;
-                if self.peer_version() < 2 {
-                    // The server was replaced by an older build between
-                    // attempts; resending v2 frames would just hang up.
-                    return Err(SpaceError::Transport(format!(
-                        "{first}; peer downgraded below v2 on reconnect"
-                    )));
-                }
-                exchange(conn).map_err(|e| SpaceError::Transport(e.to_string()))?
-            }
-        };
-        let mut slots: Vec<Option<Response>> = (0..n).map(|_| None).collect();
-        for frame in raw {
-            let decoded =
-                crate::payload::decode_frame::<Response>(frame.clone(), &mut conn.interner);
-            conn.pool.recycle(frame);
-            let Ok(Response::Corr { corr_id, inner }) = decoded else {
-                RemoteSpace::poison(&conn.stream);
-                return Err(SpaceError::Protocol(
-                    "expected a correlated response frame".into(),
-                ));
-            };
-            let Some(slot) = slots.get_mut(corr_id as usize) else {
-                RemoteSpace::poison(&conn.stream);
-                return Err(SpaceError::Protocol(format!(
-                    "correlation id {corr_id} out of range"
-                )));
-            };
-            if slot.is_some() {
-                RemoteSpace::poison(&conn.stream);
-                return Err(SpaceError::Protocol(format!(
-                    "duplicate correlation id {corr_id}"
-                )));
-            }
-            *slot = Some(*inner);
+        let sent = conn.write_frames(&frames);
+        InFlight {
+            space: self,
+            conn,
+            frames,
+            sent,
         }
-        // n responses with unique in-range ids fill all n slots.
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("all correlation slots filled"))
-            .collect())
+    }
+
+    /// Split-phase [`TupleStore::write_all_leased`]: the chunked
+    /// `WriteAll` frames go out now, the ids come back from
+    /// [`Pending::finish`]. A caller with several servers to write to
+    /// begins on each before finishing on any, paying one round trip of
+    /// latency for all of them without a thread per server (see
+    /// `acc-spacegrid`). Pre-v2 peers have no pipelining; the write
+    /// completes here and `finish` just hands the outcome over.
+    pub fn begin_write_all_leased(
+        &self,
+        tuples: Vec<Tuple>,
+        lease: Lease,
+    ) -> Pending<'_, Vec<EntryId>> {
+        if tuples.is_empty() {
+            return Pending::done(Ok(Vec::new()));
+        }
+        if self.peer_version() < 2 {
+            return Pending::done(
+                tuples
+                    .into_iter()
+                    .map(|tuple| self.write_leased(tuple, lease))
+                    .collect(),
+            );
+        }
+        let lease_ms = match lease {
+            Lease::Forever => None,
+            Lease::Duration(d) => Some(d.as_millis() as u64),
+        };
+        let mut chunks: Vec<Request> = Vec::new();
+        let mut current: Vec<Tuple> = Vec::new();
+        let mut budget = 0usize;
+        for tuple in tuples {
+            let hint = tuple.size_hint() + 64;
+            if !current.is_empty()
+                && (budget + hint > BATCH_FRAME_BUDGET || current.len() >= BATCH_MAX_TUPLES)
+            {
+                chunks.push(Request::WriteAll(std::mem::take(&mut current), lease_ms));
+                budget = 0;
+            }
+            budget += hint;
+            current.push(tuple);
+        }
+        chunks.push(Request::WriteAll(current, lease_ms));
+        Pending::sent(self.send_pipelined(chunks), |responses| {
+            let mut ids = Vec::new();
+            for response in responses {
+                match response {
+                    Response::Ids(batch) => ids.extend(batch),
+                    Response::Err(code, detail) => return Err(error_from(code, detail)),
+                    other => return Err(unexpected("remote.write_all", &other)),
+                }
+            }
+            Ok(ids)
+        })
+    }
+
+    /// Split-phase, non-blocking [`TupleStore::take_up_to`]: asks now for
+    /// up to `max` tuples that match *at this moment* (a zero timeout, so
+    /// the server answers from its connection thread and never parks);
+    /// the tuples come back from [`Pending::finish`]. Same fan-out use
+    /// and pre-v2 behaviour as [`RemoteSpace::begin_write_all_leased`].
+    pub fn begin_take_up_to(&self, template: &Template, max: usize) -> Pending<'_, Vec<Tuple>> {
+        if max == 0 {
+            return Pending::done(Ok(Vec::new()));
+        }
+        if self.peer_version() < 2 {
+            return Pending::done(self.take_up_to(template, max, Some(Duration::ZERO)));
+        }
+        let request = Request::TakeUpTo(template.clone(), max as u64, Some(0));
+        Pending::sent(
+            self.send_pipelined(vec![request]),
+            |mut responses| match responses.pop().expect("one response per request sent") {
+                Response::Tuples(tuples) => Ok(tuples),
+                Response::Err(code, detail) => Err(error_from(code, detail)),
+                other => Err(unexpected("remote.take_up_to", &other)),
+            },
+        )
     }
 
     fn expect_tuple(
@@ -1545,6 +1662,59 @@ impl RemoteSpace {
             Response::MaybeTuple(t) => Ok(t),
             Response::Err(code, detail) => Err(error_from(code, detail)),
             other => Err(unexpected(span_name, &other)),
+        }
+    }
+}
+
+/// The second half of a split-phase batch call (see
+/// [`RemoteSpace::begin_write_all_leased`]): the request is on the wire
+/// and this value holds the connection — lock included — until
+/// [`Pending::finish`] reads the answer. Begin on several `RemoteSpace`s
+/// in one fixed order (two threads that share them and begin in different
+/// orders can deadlock on the connection locks), then finish each; do not
+/// call the same `RemoteSpace` again in between, its lock is held.
+pub struct Pending<'a, T> {
+    state: PendingState<'a, T>,
+}
+
+enum PendingState<'a, T> {
+    /// Completed at `begin` (empty batch, or a pre-v2 peer).
+    Done(SpaceResult<T>),
+    Sent {
+        in_flight: InFlight<'a>,
+        interpret: fn(Vec<Response>) -> SpaceResult<T>,
+    },
+}
+
+impl<'a, T> Pending<'a, T> {
+    fn done(result: SpaceResult<T>) -> Pending<'a, T> {
+        Pending {
+            state: PendingState::Done(result),
+        }
+    }
+
+    fn sent(
+        in_flight: InFlight<'a>,
+        interpret: fn(Vec<Response>) -> SpaceResult<T>,
+    ) -> Pending<'a, T> {
+        Pending {
+            state: PendingState::Sent {
+                in_flight,
+                interpret,
+            },
+        }
+    }
+
+    /// Reads the response(s) and releases the connection. Failure
+    /// handling is that of every `RemoteSpace` call: one reconnect and
+    /// one resend of the whole request before `Transport` surfaces.
+    pub fn finish(self) -> SpaceResult<T> {
+        match self.state {
+            PendingState::Done(result) => result,
+            PendingState::Sent {
+                in_flight,
+                interpret,
+            } => in_flight.finish().and_then(interpret),
         }
     }
 }
@@ -1609,44 +1779,8 @@ impl TupleStore for RemoteSpace {
     /// handful of round trips instead of one per task. Pre-v2 peers get
     /// the plain one-write-per-tuple loop.
     fn write_all_leased(&self, tuples: Vec<Tuple>, lease: Lease) -> SpaceResult<Vec<EntryId>> {
-        if tuples.is_empty() {
-            return Ok(Vec::new());
-        }
-        if self.peer_version() < 2 {
-            let mut ids = Vec::with_capacity(tuples.len());
-            for tuple in tuples {
-                ids.push(self.write_leased(tuple, lease)?);
-            }
-            return Ok(ids);
-        }
-        let lease_ms = match lease {
-            Lease::Forever => None,
-            Lease::Duration(d) => Some(d.as_millis() as u64),
-        };
-        let mut chunks: Vec<Request> = Vec::new();
-        let mut current: Vec<Tuple> = Vec::new();
-        let mut budget = 0usize;
-        for tuple in tuples {
-            let hint = tuple.size_hint() + 64;
-            if !current.is_empty()
-                && (budget + hint > BATCH_FRAME_BUDGET || current.len() >= BATCH_MAX_TUPLES)
-            {
-                chunks.push(Request::WriteAll(std::mem::take(&mut current), lease_ms));
-                budget = 0;
-            }
-            budget += hint;
-            current.push(tuple);
-        }
-        chunks.push(Request::WriteAll(current, lease_ms));
-        let mut ids = Vec::new();
-        for response in self.call_pipelined("remote.write_all", chunks)? {
-            match response {
-                Response::Ids(batch) => ids.extend(batch),
-                Response::Err(code, detail) => return Err(error_from(code, detail)),
-                other => return Err(unexpected("remote.write_all", &other)),
-            }
-        }
-        Ok(ids)
+        let _span = acc_telemetry::span!("remote.write_all", tuples = tuples.len() as u64);
+        self.begin_write_all_leased(tuples, lease).finish()
     }
 
     /// Batch take over the wire: one round trip fetches up to `max`
@@ -2155,10 +2289,52 @@ mod tests {
     }
 
     #[test]
+    fn split_phase_calls_overlap_across_servers() {
+        let (space_a, server_a, a) = rig();
+        let (space_b, _server_b, b) = rig();
+        // Both writes are on the wire before either response is read.
+        let pending_a = a.begin_write_all_leased((0..5).map(tuple).collect(), Lease::Forever);
+        let pending_b = b.begin_write_all_leased((5..8).map(tuple).collect(), Lease::Forever);
+        assert_eq!(pending_a.finish().unwrap().len(), 5);
+        assert_eq!(pending_b.finish().unwrap().len(), 3);
+        assert_eq!(space_a.len(), 5);
+        assert_eq!(space_b.len(), 3);
+        // Batch takes likewise; each is non-blocking and capped at `max`.
+        let t = Template::of_type("t");
+        let pending_a = a.begin_take_up_to(&t, 4);
+        let pending_b = b.begin_take_up_to(&t, 4);
+        assert_eq!(pending_a.finish().unwrap().len(), 4);
+        assert_eq!(pending_b.finish().unwrap().len(), 3);
+        assert!(a.begin_take_up_to(&t, 0).finish().unwrap().is_empty());
+        assert_eq!(space_a.len() + space_b.len(), 1);
+        // A pre-v2 peer has no pipelining: the call completes at `begin`.
+        let old = RemoteSpace::connect_capped(server_a.addr(), 1).unwrap();
+        let pending = old.begin_take_up_to(&t, 4);
+        assert_eq!(space_a.len(), 0, "served before finish");
+        assert_eq!(pending.finish().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn split_phase_finish_resends_after_a_dropped_connection() {
+        let (space, server, remote) = rig();
+        let pending = remote.begin_write_all_leased((0..6).map(tuple).collect(), Lease::Forever);
+        // The connection dies between the request frames and the response:
+        // `finish` reconnects and resends the whole batch. Whether the
+        // first copy was applied before the cut is a race, so the write is
+        // at-least-once — 6 tuples or 12, never fewer, and always 6 ids.
+        server.disconnect_all();
+        assert_eq!(pending.finish().unwrap().len(), 6);
+        let stored = Space::count(&space, &Template::of_type("t"));
+        assert!(stored == 6 || stored == 12, "stored {stored}");
+        // The proxy is usable again afterwards (lock released, fresh socket).
+        remote.write(tuple(99)).unwrap();
+    }
+
+    #[test]
     fn pipelined_requests_correlate_responses() {
         let (space, _server, remote) = rig();
         let requests = (0..8).map(|i| Request::Write(tuple(i), None)).collect();
-        let responses = remote.call_pipelined("test.pipeline", requests).unwrap();
+        let responses = remote.send_pipelined(requests).finish().unwrap();
         assert_eq!(responses.len(), 8);
         for r in responses {
             assert!(matches!(r, Response::Id(_)), "unexpected {r:?}");
@@ -2443,7 +2619,7 @@ mod tests {
                 any::<u32>().prop_map(Request::Hello),
                 arb_traced(),
                 // Corr wraps an op or a trace envelope — the codec's legal
-                // nesting, matched by what `call_pipelined` sends.
+                // nesting, matched by what `send_pipelined` sends.
                 (any::<u64>(), prop_oneof![arb_op(), arb_traced()]).prop_map(|(corr_id, inner)| {
                     Request::Corr {
                         corr_id,

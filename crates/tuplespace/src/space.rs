@@ -586,9 +586,8 @@ impl Space {
             }
             break;
         }
-        if out.len() < max {
-            self.stats.record_miss();
-        }
+        // A partly filled batch is a hit, not a miss: the only miss is the
+        // opening `take` finding nothing, and it has booked that itself.
         Ok(out)
     }
 
@@ -2242,6 +2241,24 @@ mod tests {
             .take_up_to(&Template::of_type("task"), 0, Some(Duration::ZERO))
             .unwrap();
         assert!(none.is_empty());
+    }
+
+    #[test]
+    fn take_up_to_counts_a_miss_only_when_nothing_is_returned() {
+        let s = Space::new("t");
+        s.write_all((0..3).map(task).collect()).unwrap();
+        let tmpl = Template::of_type("task");
+        // A partly filled batch (3 of 10) returned tuples: not a miss.
+        let got = s.take_up_to(&tmpl, 10, Some(Duration::ZERO)).unwrap();
+        assert_eq!(got.len(), 3);
+        assert_eq!(s.stats().takes, 3);
+        assert_eq!(s.stats().misses, 0);
+        // An empty one is exactly one.
+        assert!(s
+            .take_up_to(&tmpl, 10, Some(Duration::ZERO))
+            .unwrap()
+            .is_empty());
+        assert_eq!(s.stats().misses, 1);
     }
 
     #[test]

@@ -3,14 +3,18 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use adaptive_spaces::cluster::NodeSpec;
 use adaptive_spaces::framework::{
-    task_template, Application, ClusterBuilder, ExecError, FrameworkConfig, Master, TaskEntry,
-    TaskExecutor, TaskSpec,
+    duplex_pair, task_template, Application, BundleServer, ClusterBuilder, CodeBundle, ExecError,
+    ExecutorRegistry, FrameworkConfig, Master, RuleBaseServer, Signal, TaskEntry, TaskExecutor,
+    TaskSpec, WorkerConfig, WorkerRuntime,
 };
-use adaptive_spaces::space::{Payload, Space, StoreHandle, Template};
+use adaptive_spaces::space::{
+    EntryId, Lease, Payload, RemoteSpace, Space, SpaceResult, SpaceServer, StoreHandle, Template,
+    Tuple, TupleStore,
+};
 
 fn fast_config() -> FrameworkConfig {
     FrameworkConfig {
@@ -306,4 +310,142 @@ fn worker_dies_when_space_server_disappears() {
     let report = cluster.run(&mut app);
     assert!(report.complete);
     cluster.shutdown();
+}
+
+/// A worker's proxy to the space whose connection is cut exactly once:
+/// between the request frames of the first multi-result flush and their
+/// response.
+struct CutDuringFlush {
+    remote: RemoteSpace,
+    server: Arc<SpaceServer>,
+    cuts: AtomicU64,
+}
+
+impl TupleStore for CutDuringFlush {
+    fn write_all_leased(&self, tuples: Vec<Tuple>, lease: Lease) -> SpaceResult<Vec<EntryId>> {
+        let pending = self.remote.begin_write_all_leased(tuples, lease);
+        if self.cuts.fetch_add(1, Ordering::SeqCst) == 0 {
+            self.server.disconnect_all();
+        }
+        pending.finish()
+    }
+    fn write_leased(&self, tuple: Tuple, lease: Lease) -> SpaceResult<EntryId> {
+        self.remote.write_leased(tuple, lease)
+    }
+    fn read(&self, t: &Template, timeout: Option<Duration>) -> SpaceResult<Option<Tuple>> {
+        self.remote.read(t, timeout)
+    }
+    fn take(&self, t: &Template, timeout: Option<Duration>) -> SpaceResult<Option<Tuple>> {
+        self.remote.take(t, timeout)
+    }
+    fn take_up_to(&self, t: &Template, max: usize, d: Option<Duration>) -> SpaceResult<Vec<Tuple>> {
+        self.remote.take_up_to(t, max, d)
+    }
+    fn count(&self, t: &Template) -> SpaceResult<usize> {
+        self.remote.count(t)
+    }
+    fn close(&self) {
+        self.remote.close()
+    }
+    fn is_closed(&self) -> bool {
+        self.remote.is_closed()
+    }
+}
+
+#[test]
+fn connection_cut_during_a_result_flush_still_completes_the_job_exactly_once() {
+    // The worker's coalesced result write loses its connection after the
+    // frames went out and before the response came back. `RemoteSpace`
+    // reconnects and resends the whole batch, which makes the flush
+    // at-least-once: if the server had applied the first copy, every
+    // result of that batch is now in the space twice. The master must
+    // absorb each task id once, and the job must complete.
+    struct CountingApp {
+        absorbed: Vec<u32>,
+    }
+    struct Echo;
+    impl TaskExecutor for Echo {
+        fn execute(&self, task: &TaskEntry) -> Result<Vec<u8>, ExecError> {
+            Ok(task.payload.clone())
+        }
+    }
+    impl Application for CountingApp {
+        fn job_name(&self) -> String {
+            "cut".into()
+        }
+        fn bundle_name(&self) -> String {
+            "cut-worker".into()
+        }
+        fn plan(&mut self) -> Vec<TaskSpec> {
+            (0..self.absorbed.len() as u64)
+                .map(|i| TaskSpec::new(i, &i))
+                .collect()
+        }
+        fn executor(&self) -> Arc<dyn TaskExecutor> {
+            Arc::new(Echo)
+        }
+        fn absorb(&mut self, task_id: u64, payload: &[u8]) -> Result<(), ExecError> {
+            assert_eq!(u64::from_bytes(payload).unwrap(), task_id);
+            self.absorbed[task_id as usize] += 1;
+            Ok(())
+        }
+    }
+
+    let space = Space::new("cut");
+    let server = Arc::new(SpaceServer::spawn(space.clone(), "127.0.0.1:0").unwrap());
+    let store = Arc::new(CutDuringFlush {
+        remote: RemoteSpace::connect(server.addr()).unwrap(),
+        server: server.clone(),
+        cuts: AtomicU64::new(0),
+    });
+
+    // One worker, assembled by hand so it can be given that proxy.
+    let mut app = CountingApp {
+        absorbed: vec![0; 40],
+    };
+    let rule_base = RuleBaseServer::new(Arc::new(|_, _| {}));
+    let bundle_server = BundleServer::new(Duration::from_millis(1), Duration::ZERO);
+    bundle_server.publish(CodeBundle::synthetic(app.bundle_name(), 1, 1));
+    let registry = ExecutorRegistry::new();
+    registry.register(app.bundle_name(), app.executor());
+    let (client, server_side) = duplex_pair();
+    let acceptor = rule_base.clone();
+    let accept = std::thread::spawn(move || {
+        acceptor
+            .accept(server_side, Duration::from_secs(5))
+            .unwrap()
+    });
+    let worker = WorkerRuntime::spawn(WorkerConfig {
+        name: "w-cut".into(),
+        space: store.clone(),
+        bundle_server,
+        registry,
+        duplex: client,
+        bundle_name: app.bundle_name(),
+        job: app.job_name(),
+        node_load: None,
+        epoch: Instant::now(),
+        framework: fast_config(),
+        publish_metrics: false,
+    })
+    .unwrap();
+    assert_eq!(accept.join().unwrap(), worker.id());
+    rule_base.send_signal(worker.id(), Signal::Start);
+
+    let master_store: StoreHandle = Arc::new(RemoteSpace::connect(server.addr()).unwrap());
+    let mut master = Master::new(master_store);
+    master.result_timeout = Duration::from_secs(10);
+    let report = master.run(&mut app).unwrap();
+    assert!(report.complete, "failures: {:?}", report.failures);
+    assert_eq!(report.results_collected, 40);
+    assert!(
+        app.absorbed.iter().all(|&n| n == 1),
+        "every task id absorbed exactly once: {:?}",
+        app.absorbed
+    );
+    assert!(
+        store.cuts.load(Ordering::SeqCst) >= 1,
+        "the job must have flushed at least one coalesced batch"
+    );
+    worker.shutdown();
 }
