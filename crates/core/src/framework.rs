@@ -92,6 +92,11 @@ impl ClusterBuilder {
         // bounded per-thread ring whose contents surface in `/spans` and in
         // `flight-<pid>.json` should the process panic.
         acc_telemetry::flight::install();
+        // Not in this crate's own unit tests: they panic on purpose
+        // (`should_panic`, `catch_unwind`) in a process where some other
+        // test has built a cluster, and each such panic would leave a
+        // dump in the source tree.
+        #[cfg(not(test))]
         acc_telemetry::flight::install_panic_hook();
         acc_telemetry::refresh_process_series();
         let epoch = Instant::now();

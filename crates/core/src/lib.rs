@@ -53,4 +53,4 @@ pub use task::{
     result_template, task_template, tuple_trace_context, Application, ExecError, ResultEntry,
     TaskEntry, TaskExecutor, TaskSpec,
 };
-pub use worker::{WorkerConfig, WorkerRuntime};
+pub use worker::{TraceRetention, WorkerConfig, WorkerRuntime};

@@ -6,9 +6,9 @@
 //! result tuples back (paper §4.2).
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use acc_tuplespace::{Payload, PayloadError, Template, Tuple};
+use acc_tuplespace::{Bytes, Payload, PayloadError, Template, Tuple, Value};
 
 /// Tuple type for task entries.
 pub const TASK_TYPE: &str = "acc.task";
@@ -28,8 +28,46 @@ pub fn tuple_trace_context(tuple: &Tuple) -> Option<acc_telemetry::TraceContext>
     acc_telemetry::TraceContext::from_bytes(tuple.get_bytes(TRACE_FIELD)?)
 }
 
-fn current_trace_bytes() -> Option<Vec<u8>> {
-    acc_telemetry::TraceContext::current_if_enabled().map(|ctx| ctx.to_bytes().to_vec())
+/// The current trace context as a tuple field value.
+fn current_trace_value() -> Option<Value> {
+    acc_telemetry::TraceContext::current_if_enabled()
+        .map(|ctx| Value::Bytes(Bytes::copy_from_slice(&ctx.to_bytes())))
+}
+
+/// The type and field names of task and result tuples, as process-wide
+/// shared strings: a tuple names its type and every field with an
+/// `Arc<str>`, and these are the same eleven strings on every tuple the
+/// framework builds — cloning one is a reference-count increment where
+/// `Tuple::build("acc.task").field("job", ..)` allocates and copies each.
+struct Names {
+    task_type: Arc<str>,
+    result_type: Arc<str>,
+    job: Arc<str>,
+    task_id: Arc<str>,
+    payload: Arc<str>,
+    retries: Arc<str>,
+    worker: Arc<str>,
+    compute_ms: Arc<str>,
+    span_ms: Arc<str>,
+    timing: Arc<str>,
+    tctx: Arc<str>,
+}
+
+fn names() -> &'static Names {
+    static NAMES: OnceLock<Names> = OnceLock::new();
+    NAMES.get_or_init(|| Names {
+        task_type: TASK_TYPE.into(),
+        result_type: RESULT_TYPE.into(),
+        job: "job".into(),
+        task_id: "task_id".into(),
+        payload: "payload".into(),
+        retries: "retries".into(),
+        worker: "worker".into(),
+        compute_ms: "compute_ms".into(),
+        span_ms: "span_ms".into(),
+        timing: TIMING_FIELD.into(),
+        tctx: TRACE_FIELD.into(),
+    })
 }
 
 /// A unit of work produced during task planning.
@@ -79,13 +117,14 @@ impl TaskEntry {
     /// [`acc_telemetry::TraceContext`] rides along as a `tctx` field so the
     /// worker that takes this task can join the master's trace.
     pub fn to_tuple(&self) -> Tuple {
-        let mut builder = Tuple::build(TASK_TYPE)
-            .field("job", self.job.as_str())
-            .field("task_id", self.task_id as i64)
-            .field("payload", self.payload.clone())
-            .field("retries", self.retries as i64);
-        if let Some(ctx) = current_trace_bytes() {
-            builder = builder.field(TRACE_FIELD, ctx);
+        let names = names();
+        let mut builder = Tuple::build(names.task_type.clone())
+            .field(names.job.clone(), self.job.as_str())
+            .field(names.task_id.clone(), self.task_id as i64)
+            .field(names.payload.clone(), self.payload.clone())
+            .field(names.retries.clone(), self.retries as i64);
+        if let Some(ctx) = current_trace_value() {
+            builder = builder.field(names.tctx.clone(), ctx);
         }
         builder.done()
     }
@@ -139,21 +178,22 @@ pub struct ResultEntry {
 impl ResultEntry {
     /// Serializes into a space tuple.
     pub fn to_tuple(&self) -> Tuple {
-        let mut builder = Tuple::build(RESULT_TYPE)
-            .field("job", self.job.as_str())
-            .field("task_id", self.task_id as i64)
-            .field("worker", self.worker.as_str())
-            .field("payload", self.payload.clone())
-            .field("compute_ms", self.compute_ms)
-            .field("span_ms", self.span_ms);
+        let names = names();
+        let mut builder = Tuple::build(names.result_type.clone())
+            .field(names.job.clone(), self.job.as_str())
+            .field(names.task_id.clone(), self.task_id as i64)
+            .field(names.worker.clone(), self.worker.as_str())
+            .field(names.payload.clone(), self.payload.clone())
+            .field(names.compute_ms.clone(), self.compute_ms)
+            .field(names.span_ms.clone(), self.span_ms);
         if self.timing != acc_cluster::TaskTiming::default() {
-            builder = builder.field(TIMING_FIELD, self.timing.to_bytes());
+            builder = builder.field(names.timing.clone(), self.timing.to_bytes());
         }
         if let Some(error) = &self.error {
             builder = builder.field("error", error.as_str());
         }
-        if let Some(ctx) = current_trace_bytes() {
-            builder = builder.field(TRACE_FIELD, ctx);
+        if let Some(ctx) = current_trace_value() {
+            builder = builder.field(names.tctx.clone(), ctx);
         }
         builder.done()
     }

@@ -230,11 +230,10 @@ fn worker_loop(ls: LoopState) {
     // `wait_us` to the first task of the batch and amortised into
     // `xfer_us` across all of them.
     let mut pending_timing: VecDeque<acc_cluster::TaskTiming> = VecDeque::new();
-    // Per-job compute history for tail-based trace retention: the
-    // decision whether a finished task was "slow" is made here, where
-    // the task's spans live (flight rings are per-process).
-    let mut retention_history: std::collections::BTreeMap<String, acc_telemetry::HistoryRing> =
-        std::collections::BTreeMap::new();
+    // Tail-based trace retention: the decision whether a finished task
+    // was "slow" is made here, where the task's spans live (flight rings
+    // are per-process).
+    let mut retention = TraceRetention::new(&ls.config.framework);
     let mut outbox = Outbox::default();
     let mut transport_strikes = 0u32;
     let set_load = |pct: u64| {
@@ -358,13 +357,7 @@ fn worker_loop(ls: LoopState) {
                         series().compute_us.observe((compute_ms * 1e3) as u64);
                         timing.compute_us = (compute_ms * 1e3) as u64;
                         timing.write_us = outbox.last_write_us;
-                        maybe_retain_trace(
-                            &mut retention_history,
-                            &task.job,
-                            timing.compute_us,
-                            outcome.is_err(),
-                            &ls.config.framework,
-                        );
+                        retention.observe(&task.job, timing.compute_us, outcome.is_err());
                         set_load(IDLE_RUNNING_LOAD);
                         let span_ms = first_access
                             .map(|f| f.elapsed().as_secs_f64() * 1e3)
@@ -422,41 +415,64 @@ fn worker_loop(ls: LoopState) {
     ls.config.duplex.send(RuleMessage::Bye);
 }
 
-/// Tail-based trace retention (decided worker-side, after the task ends,
-/// where the task's flight records live): pin the current trace when the
-/// task errored/retried, or when its compute time reaches the configured
-/// percentile of this worker's per-job compute history. The threshold is
-/// taken *before* recording the new sample, so a task is judged against
-/// the distribution of its predecessors.
-fn maybe_retain_trace(
-    history: &mut std::collections::BTreeMap<String, acc_telemetry::HistoryRing>,
-    job: &str,
-    compute_us: u64,
-    errored: bool,
-    framework: &FrameworkConfig,
-) {
-    if !acc_telemetry::flight::installed() {
-        return;
+/// Tail-based trace retention, decided worker-side, after the task ends,
+/// where the task's flight records live: pin the current trace when the
+/// task errored/retried, or when its compute time *exceeds* the
+/// configured percentile of the compute times of the tasks this worker
+/// ran before it (the last `history_depth` of them, once there are
+/// `trace_retention_min_samples`). A worker runs the tasks of one job,
+/// so one window is its per-job history.
+///
+/// Exceeds, not reaches: on a job of equal-cost tasks — zero-compute ones
+/// above all, whose every sample reads 0 µs — the percentile *is* the
+/// common cost, and a `>=` would pin every task.
+///
+/// Runs once per task, so it does no allocation and no sort: the window
+/// is a [`SortedWindow`](acc_telemetry::SortedWindow).
+#[derive(Debug)]
+pub struct TraceRetention {
+    window: acc_telemetry::SortedWindow,
+    min_samples: usize,
+    percentile: f64,
+}
+
+impl TraceRetention {
+    /// Retention under `framework`'s `history_depth`,
+    /// `trace_retention_min_samples` and `trace_retention_percentile`.
+    pub fn new(framework: &FrameworkConfig) -> TraceRetention {
+        TraceRetention {
+            window: acc_telemetry::SortedWindow::new(framework.history_depth),
+            min_samples: framework.trace_retention_min_samples.max(1),
+            percentile: framework.trace_retention_percentile,
+        }
     }
-    let Some(ctx) = acc_telemetry::TraceContext::current() else {
-        return; // untraced task: nothing to pin
-    };
-    let ring = history
-        .entry(job.to_owned())
-        .or_insert_with(|| acc_telemetry::HistoryRing::new(framework.history_depth));
-    let threshold = (ring.len() >= framework.trace_retention_min_samples.max(1))
-        .then(|| ring.percentile(framework.trace_retention_percentile))
-        .flatten();
-    ring.record(0, compute_us as i64);
-    let slow = threshold.is_some_and(|t| compute_us as i64 >= t);
-    if errored || slow {
-        acc_telemetry::flight::retain_trace(ctx.trace_id);
-        event!(
-            "worker.trace.retained",
-            job = job,
-            compute_us = compute_us,
-            errored = errored
-        );
+
+    /// Judges the task that just ended on this thread, inside its trace:
+    /// pins the trace if the task was slow or errored, and says whether
+    /// it did. The threshold is taken *before* recording the new sample,
+    /// so a task is judged against the distribution of its predecessors.
+    pub fn observe(&mut self, job: &str, compute_us: u64, errored: bool) -> bool {
+        if !acc_telemetry::flight::installed() {
+            return false;
+        }
+        let Some(ctx) = acc_telemetry::TraceContext::current() else {
+            return false; // untraced task: nothing to pin
+        };
+        let threshold = (self.window.len() >= self.min_samples)
+            .then(|| self.window.percentile(self.percentile))
+            .flatten();
+        self.window.record(compute_us);
+        let slow = threshold.is_some_and(|t| compute_us > t);
+        if errored || slow {
+            acc_telemetry::flight::retain_trace(ctx.trace_id);
+            event!(
+                "worker.trace.retained",
+                job = job,
+                compute_us = compute_us,
+                errored = errored
+            );
+        }
+        errored || slow
     }
 }
 
@@ -815,6 +831,32 @@ mod tests {
         let spec = TaskSpec::new(id, &x);
         let entry = TaskEntry::new("squares", spec.task_id, spec.payload);
         space.write(entry.to_tuple()).unwrap();
+    }
+
+    /// The tie at the threshold: equal-cost tasks (zero-compute ones read
+    /// 0 µs, and so does their p95) must retain nothing, while a task
+    /// that really is slower than its predecessors still does.
+    #[test]
+    fn equal_cost_tasks_retain_nothing_and_a_slow_one_among_them_is_retained() {
+        use acc_telemetry::flight;
+        flight::install();
+        for cost_us in [0u64, 40] {
+            let mut retention = TraceRetention::new(&FrameworkConfig::default());
+            let job_trace = acc_telemetry::TraceContext::root();
+            let _ctx = job_trace.attach();
+            for _ in 0..250 {
+                assert!(!retention.observe("squares", cost_us, false));
+            }
+            assert!(!flight::is_retained(job_trace.trace_id), "cost {cost_us}");
+            // One task 50x its peers (at least 50 us, for the 0 us job).
+            assert!(retention.observe("squares", (50 * cost_us).max(50), false));
+            assert!(flight::is_retained(job_trace.trace_id), "cost {cost_us}");
+            for _ in 0..249 {
+                assert!(!retention.observe("squares", cost_us, false));
+            }
+            // Errors pin whatever they cost.
+            assert!(retention.observe("squares", cost_us, true));
+        }
     }
 
     #[test]

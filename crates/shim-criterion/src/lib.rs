@@ -226,7 +226,7 @@ impl Bencher {
                 batch * 16
             } else {
                 let per_iter = (elapsed.as_nanos() / batch as u128).max(1);
-                ((slice.as_nanos() / per_iter).max(1) as u64).max(batch + 1)
+                ((slice.as_nanos() / per_iter).max(1) as u64).max(batch + batch / 4 + 1)
             };
         }
 

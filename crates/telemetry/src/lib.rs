@@ -16,8 +16,10 @@
 //!   boundaries, plus the [`TraceAssembler`] that stitches per-process
 //!   dumps into one cross-process tree;
 //! * [`flight`] — the always-on bounded flight recorder (last N records
-//!   per thread), dumped on demand or from a panic hook, with tail-based
-//!   trace retention for slow or errored tasks;
+//!   per thread, written in place without allocating or locking), dumped
+//!   on demand or from a panic hook, with tail-based trace retention for
+//!   slow or errored tasks; [`clock`] is the tick counter it stamps
+//!   records with;
 //! * [`profile`] — per-job waterfall profiles: phase totals, the
 //!   reconstructed critical path, and a one-word bound verdict with its
 //!   evidence;
@@ -33,9 +35,10 @@
 //!
 //! * counters and histograms record through relaxed atomics — no locks,
 //!   no allocation;
-//! * with no subscriber installed, `span!`/`event!` cost one relaxed
+//! * with no trace sink active, `span!`/`event!` cost one relaxed
 //!   atomic load and a branch (single-digit nanoseconds) and build no
-//!   fields;
+//!   fields; with the flight recorder on, a record is one tick-counter
+//!   read and at most twelve plain stores;
 //! * operation-latency *timing* (the two `Instant::now` calls around an
 //!   op) is gated separately by [`set_timing`], so the tuple space's
 //!   sub-microsecond write path pays nothing until a deployment opts in
@@ -51,6 +54,7 @@
 
 #![warn(missing_docs)]
 
+pub mod clock;
 pub mod context;
 pub mod flight;
 pub mod histogram;
@@ -68,7 +72,7 @@ pub use registry::{
     json_escape, json_unescape, refresh_process_series, registry, Counter, Gauge, Registry,
     Snapshot,
 };
-pub use ring::{HistoryRing, RingSample, RingStats, DEFAULT_DEPTH};
+pub use ring::{HistoryRing, RingSample, RingStats, SortedWindow, DEFAULT_DEPTH};
 pub use trace::{
     init_from_env, install, uninstall, RingBufferSubscriber, StderrSubscriber, Subscriber,
     TraceEvent, TraceKind,

@@ -1,5 +1,7 @@
 //! Bounded time-series history: a fixed-size ring of `(timestamp, value)`
-//! samples per series, with windowed min/max/mean/p99 queries.
+//! samples per series, with windowed min/max/mean/p99 queries — and
+//! [`SortedWindow`], the allocation-free sliding percentile the worker's
+//! per-task retention decision runs on.
 //!
 //! The registry's counters and gauges are instants — one value, no
 //! memory. The federation plane ([`crate::http`]'s `/cluster` consumers,
@@ -112,21 +114,6 @@ impl HistoryRing {
         self.stats_since(0)
     }
 
-    /// Nearest-rank percentile over every retained sample, or `None` when
-    /// the ring is empty. `q` is clamped to `[0, 1]`; `percentile(0.99)`
-    /// matches [`RingStats::p99`].
-    pub fn percentile(&self, q: f64) -> Option<i64> {
-        let samples = self.samples.lock().unwrap_or_else(|e| e.into_inner());
-        if samples.is_empty() {
-            return None;
-        }
-        let mut sorted: Vec<i64> = samples.iter().map(|s| s.value).collect();
-        sorted.sort_unstable();
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((sorted.len() as f64) * q).ceil() as usize;
-        Some(sorted[rank.clamp(1, sorted.len()) - 1])
-    }
-
     /// Statistics over samples with `at_ms >= since_ms`.
     pub fn stats_since(&self, since_ms: u64) -> RingStats {
         let samples = self.samples.lock().unwrap_or_else(|e| e.into_inner());
@@ -156,6 +143,78 @@ impl HistoryRing {
             mean,
             p99,
         }
+    }
+}
+
+/// The last `capacity` values of a series, held in arrival order *and*
+/// in sorted order, so that any percentile of the window is an index
+/// lookup and recording a value is two binary searches and one shift of
+/// the sorted values between the slot vacated and the slot filled — no
+/// allocation, no sort.
+///
+/// Built for judging each finished task against its predecessors (the
+/// worker's tail-based trace retention), which asks for a percentile as
+/// often as it records. Single-owner: methods take `&mut self`.
+#[derive(Debug)]
+pub struct SortedWindow {
+    capacity: usize,
+    arrivals: VecDeque<u64>,
+    sorted: Vec<u64>,
+}
+
+impl SortedWindow {
+    /// A window over the last `capacity` values (at least 1), with both
+    /// orders allocated up front.
+    pub fn new(capacity: usize) -> SortedWindow {
+        let capacity = capacity.max(1);
+        SortedWindow {
+            capacity,
+            arrivals: VecDeque::with_capacity(capacity),
+            sorted: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Number of values currently in the window.
+    pub fn len(&self) -> usize {
+        self.sorted.len()
+    }
+
+    /// True when no value has been recorded yet.
+    pub fn is_empty(&self) -> bool {
+        self.sorted.is_empty()
+    }
+
+    /// Nearest-rank percentile of the window (1-based rank `⌈q·n⌉`, `q`
+    /// clamped to `[0, 1]`), or `None` when it is empty.
+    pub fn percentile(&self, q: f64) -> Option<u64> {
+        let n = self.sorted.len();
+        let rank = ((n as f64) * q.clamp(0.0, 1.0)).ceil() as usize;
+        self.sorted.get(rank.clamp(1, n.max(1)) - 1).copied()
+    }
+
+    /// Adds a value, pushing the oldest out of a full window.
+    pub fn record(&mut self, value: u64) {
+        // Where the value goes among the sorted ones: after its equals.
+        let to = self.sorted.partition_point(|v| *v <= value);
+        if self.arrivals.len() < self.capacity {
+            self.sorted.insert(to, value);
+        } else {
+            let oldest = self.arrivals.pop_front().expect("a full window");
+            let from = self
+                .sorted
+                .binary_search(&oldest)
+                .expect("every arrival is among the sorted values");
+            // Close the gap at `from` and open one for the new value,
+            // moving only the values in between.
+            if from < to {
+                self.sorted[from..to].rotate_left(1);
+                self.sorted[to - 1] = value;
+            } else {
+                self.sorted[to..=from].rotate_right(1);
+                self.sorted[to] = value;
+            }
+        }
+        self.arrivals.push_back(value);
     }
 }
 
@@ -212,25 +271,59 @@ mod tests {
     }
 
     #[test]
-    fn percentile_matches_nearest_rank() {
-        let ring = HistoryRing::new(128);
-        assert_eq!(ring.percentile(0.95), None);
-        for v in 1..=100 {
-            ring.record(v, v as i64);
-        }
-        assert_eq!(ring.percentile(0.99), Some(99));
-        assert_eq!(ring.percentile(0.5), Some(50));
-        assert_eq!(ring.percentile(0.0), Some(1));
-        assert_eq!(ring.percentile(1.0), Some(100));
-        assert_eq!(ring.percentile(2.0), Some(100));
-    }
-
-    #[test]
     fn zero_capacity_clamps_to_one() {
         let ring = HistoryRing::new(0);
         ring.record(1, 1);
         ring.record(2, 2);
         assert_eq!(ring.len(), 1);
         assert_eq!(ring.stats().last, 2);
+    }
+
+    #[test]
+    fn sorted_window_percentile_matches_nearest_rank() {
+        let mut window = SortedWindow::new(128);
+        assert_eq!(window.percentile(0.95), None);
+        for v in 1..=100 {
+            window.record(v);
+        }
+        assert_eq!(window.percentile(0.99), Some(99));
+        assert_eq!(window.percentile(0.5), Some(50));
+        assert_eq!(window.percentile(0.0), Some(1));
+        assert_eq!(window.percentile(1.0), Some(100));
+        assert_eq!(window.percentile(2.0), Some(100));
+    }
+
+    #[test]
+    fn sorted_window_tracks_a_sort_of_the_last_n_values() {
+        // Against the obvious model — keep the last n, sort, index — over
+        // a stream with runs of duplicates, ascents and descents.
+        let capacity = 37;
+        let mut window = SortedWindow::new(capacity);
+        let mut model: VecDeque<u64> = VecDeque::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for i in 0..2_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let value = match (i / 100) % 4 {
+                0 => x % 8,     // many ties
+                1 => i,         // ascending: always lands last
+                2 => 5_000 - i, // descending: always lands first
+                _ => x % 1_000,
+            };
+            window.record(value);
+            model.push_back(value);
+            if model.len() > capacity {
+                model.pop_front();
+            }
+            let mut sorted: Vec<u64> = model.iter().copied().collect();
+            sorted.sort_unstable();
+            assert_eq!(window.len(), sorted.len());
+            for q in [0.0, 0.5, 0.95, 1.0] {
+                let rank = ((sorted.len() as f64) * q).ceil() as usize;
+                let want = sorted[rank.clamp(1, sorted.len()) - 1];
+                assert_eq!(window.percentile(q), Some(want), "q={q} at step {i}");
+            }
+        }
     }
 }

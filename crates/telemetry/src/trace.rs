@@ -2,26 +2,31 @@
 //!
 //! Instrumented code marks regions with [`span!`](crate::span) and points
 //! with [`event!`](crate::event), each carrying key–value fields. Nothing
-//! happens unless a [`Subscriber`] is installed: the macros compile down
-//! to one relaxed atomic load and a branch, so the disabled path costs a
-//! few nanoseconds and allocates nothing — instrumentation can stay in
-//! hot paths permanently.
+//! happens unless a sink is active: the macros compile down to one
+//! relaxed atomic load and a branch, so the disabled path costs a few
+//! nanoseconds and allocates nothing — instrumentation can stay in hot
+//! paths permanently.
 //!
-//! When a subscriber *is* installed, each span enter/exit and each event
-//! is dispatched to it with the thread-local span depth attached, so a
-//! subscriber can reconstruct the span tree per thread. Three subscribers
-//! ship here: the implicit no-op default, a [`StderrSubscriber`] for
-//! humans and CI greps, and a [`RingBufferSubscriber`] for tests that
-//! assert on emitted span trees.
+//! There are two sinks. The [flight recorder](crate::flight) takes each
+//! record as borrowed parts — static name, static key list, a stack
+//! array of [`FieldRef`]s — and copies them into its ring without
+//! allocating. A [`Subscriber`], when one is installed, gets an owned
+//! [`TraceEvent`] (a `Vec` of fields, a `String` per text field) with
+//! the thread-local span depth attached, so it can reconstruct the span
+//! tree per thread; that event is built only while a subscriber is
+//! installed. Three subscribers ship here: the implicit no-op default,
+//! a [`StderrSubscriber`] for humans and CI greps, and a
+//! [`RingBufferSubscriber`] for tests that assert on emitted span trees.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
 
+use crate::clock;
 use crate::context::{self, TraceContext};
+use crate::flight::{self, Parts, RecordKind};
 
 /// A field value attached to a span or event.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,37 +55,82 @@ impl fmt::Display for FieldValue {
     }
 }
 
-macro_rules! impl_from {
+/// A field value as the call site hands it over: scalars by value, text
+/// borrowed. Lives only for the duration of one `span!`/`event!` call —
+/// the flight recorder copies it into a ring slot, a subscriber gets
+/// [`FieldRef::to_owned`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FieldRef<'a> {
+    /// Signed integer.
+    I64(i64),
+    /// Unsigned integer.
+    U64(u64),
+    /// Floating point.
+    F64(f64),
+    /// Boolean.
+    Bool(bool),
+    /// Text.
+    Str(&'a str),
+}
+
+impl FieldRef<'_> {
+    /// The owned form a [`TraceEvent`] carries.
+    pub fn to_owned(&self) -> FieldValue {
+        match *self {
+            FieldRef::I64(v) => FieldValue::I64(v),
+            FieldRef::U64(v) => FieldValue::U64(v),
+            FieldRef::F64(v) => FieldValue::F64(v),
+            FieldRef::Bool(v) => FieldValue::Bool(v),
+            FieldRef::Str(v) => FieldValue::Str(v.to_owned()),
+        }
+    }
+}
+
+/// Types usable as `key = value` in [`span!`](crate::span) and
+/// [`event!`](crate::event). The macros call `as_field(&value)`, so a
+/// `String` or `&str` field is borrowed, never copied to the heap.
+pub trait AsField {
+    /// The value as a borrowed field.
+    fn as_field(&self) -> FieldRef<'_>;
+}
+
+macro_rules! impl_as_field {
     ($($ty:ty => $variant:ident as $conv:ty),* $(,)?) => {$(
-        impl From<$ty> for FieldValue {
-            fn from(v: $ty) -> FieldValue {
-                FieldValue::$variant(v as $conv)
+        impl AsField for $ty {
+            fn as_field(&self) -> FieldRef<'_> {
+                FieldRef::$variant(*self as $conv)
             }
         }
     )*};
 }
 
-impl_from!(
+impl_as_field!(
     i8 => I64 as i64, i16 => I64 as i64, i32 => I64 as i64, i64 => I64 as i64,
     u8 => U64 as u64, u16 => U64 as u64, u32 => U64 as u64, u64 => U64 as u64,
     usize => U64 as u64, f32 => F64 as f64, f64 => F64 as f64,
 );
 
-impl From<bool> for FieldValue {
-    fn from(v: bool) -> FieldValue {
-        FieldValue::Bool(v)
+impl AsField for bool {
+    fn as_field(&self) -> FieldRef<'_> {
+        FieldRef::Bool(*self)
     }
 }
 
-impl From<&str> for FieldValue {
-    fn from(v: &str) -> FieldValue {
-        FieldValue::Str(v.to_owned())
+impl AsField for str {
+    fn as_field(&self) -> FieldRef<'_> {
+        FieldRef::Str(self)
     }
 }
 
-impl From<String> for FieldValue {
-    fn from(v: String) -> FieldValue {
-        FieldValue::Str(v)
+impl AsField for String {
+    fn as_field(&self) -> FieldRef<'_> {
+        FieldRef::Str(self)
+    }
+}
+
+impl<T: AsField + ?Sized> AsField for &T {
+    fn as_field(&self) -> FieldRef<'_> {
+        (**self).as_field()
     }
 }
 
@@ -179,31 +229,63 @@ pub fn uninstall() {
     *SUBSCRIBER.write().unwrap_or_else(|e| e.into_inner()) = None;
 }
 
-fn dispatch(event: TraceEvent) {
+#[inline]
+fn dispatch(record: Parts<'_>) {
     let active = ACTIVE.load(Ordering::Relaxed);
-    if active & SUBSCRIBER_BIT != 0 {
-        let subscriber = SUBSCRIBER.read().unwrap_or_else(|e| e.into_inner()).clone();
-        if let Some(s) = subscriber {
-            s.record(&event);
-        }
-    }
     if active & FLIGHT_BIT != 0 {
-        crate::flight::record(event); // takes ownership: no clone on this path
+        flight::record(&record);
+    }
+    if active & SUBSCRIBER_BIT != 0 {
+        to_subscriber(&record);
     }
 }
 
+/// Builds the owned event a [`Subscriber`] takes. Out of line: this is
+/// the allocating path, and only runs while a subscriber is installed.
+#[cold]
+fn to_subscriber(record: &Parts<'_>) {
+    let subscriber = SUBSCRIBER.read().unwrap_or_else(|e| e.into_inner()).clone();
+    let Some(subscriber) = subscriber else {
+        return;
+    };
+    let kind = match record.kind {
+        RecordKind::Enter => TraceKind::SpanEnter,
+        RecordKind::Exit => TraceKind::SpanExit {
+            elapsed_us: clock::Scale::now().span_us(record.elapsed_ticks),
+        },
+        RecordKind::Event => TraceKind::Event,
+    };
+    subscriber.record(&TraceEvent {
+        kind,
+        name: record.name,
+        fields: record
+            .keys
+            .iter()
+            .zip(record.values)
+            .map(|(key, value)| (*key, value.to_owned()))
+            .collect(),
+        depth: record.depth,
+        trace_id: record.trace_id,
+        span_id: record.span_id,
+        parent_span_id: record.parent_span_id,
+    });
+}
+
 /// Emits a point event (used by [`event!`](crate::event); call the macro,
-/// not this).
-pub fn emit_event(name: &'static str, fields: Vec<(&'static str, FieldValue)>) {
+/// not this). `keys` and `values` pair up by position.
+pub fn emit_event(name: &'static str, keys: &'static [&'static str], values: &[FieldRef<'_>]) {
     let ctx = TraceContext::current();
-    dispatch(TraceEvent {
-        kind: TraceKind::Event,
+    dispatch(Parts {
+        kind: RecordKind::Event,
         name,
-        fields,
+        keys,
+        values,
         depth: DEPTH.with(|d| d.get()),
         trace_id: ctx.map(|c| c.trace_id).unwrap_or(0),
         span_id: ctx.map(|c| c.span_id).unwrap_or(0),
         parent_span_id: 0,
+        ticks: clock::ticks(),
+        elapsed_ticks: 0,
     });
 }
 
@@ -216,7 +298,8 @@ pub struct SpanGuard {
 
 struct SpanData {
     name: &'static str,
-    start: Instant,
+    /// [`clock::ticks`] at enter — the enter record's own timestamp.
+    start_ticks: u64,
     ctx: TraceContext,
     parent: Option<TraceContext>,
 }
@@ -226,7 +309,12 @@ impl SpanGuard {
     /// this). The span becomes a child of the thread's current
     /// [`TraceContext`] (same trace id, fresh span id) — or a new trace
     /// root if there is none — and makes itself current until exit.
-    pub fn enter(name: &'static str, fields: Vec<(&'static str, FieldValue)>) -> SpanGuard {
+    /// `keys` and `values` pair up by position.
+    pub fn enter(
+        name: &'static str,
+        keys: &'static [&'static str],
+        values: &[FieldRef<'_>],
+    ) -> SpanGuard {
         let depth = DEPTH.with(|d| {
             let depth = d.get();
             d.set(depth + 1);
@@ -238,19 +326,23 @@ impl SpanGuard {
             None => TraceContext::root(),
         };
         context::set_current(Some(ctx));
-        dispatch(TraceEvent {
-            kind: TraceKind::SpanEnter,
+        let start_ticks = clock::ticks();
+        dispatch(Parts {
+            kind: RecordKind::Enter,
             name,
-            fields,
+            keys,
+            values,
             depth,
             trace_id: ctx.trace_id,
             span_id: ctx.span_id,
             parent_span_id: parent.map(|p| p.span_id).unwrap_or(0),
+            ticks: start_ticks,
+            elapsed_ticks: 0,
         });
         SpanGuard {
             data: Some(SpanData {
                 name,
-                start: Instant::now(),
+                start_ticks,
                 ctx,
                 parent,
             }),
@@ -274,23 +366,25 @@ impl Drop for SpanGuard {
             depth
         });
         context::set_current(data.parent);
-        dispatch(TraceEvent {
-            kind: TraceKind::SpanExit {
-                elapsed_us: data.start.elapsed().as_micros() as u64,
-            },
+        let ticks = clock::ticks();
+        dispatch(Parts {
+            kind: RecordKind::Exit,
             name: data.name,
-            fields: Vec::new(),
+            keys: &[],
+            values: &[],
             depth,
             trace_id: data.ctx.trace_id,
             span_id: data.ctx.span_id,
             parent_span_id: data.parent.map(|p| p.span_id).unwrap_or(0),
+            ticks,
+            elapsed_ticks: ticks.saturating_sub(data.start_ticks),
         });
     }
 }
 
 /// Opens a span with key–value fields; returns a [`SpanGuard`] that closes
-/// it on drop. Compiles to an atomic load + branch when no subscriber is
-/// installed.
+/// it on drop. Compiles to an atomic load + branch when no trace sink is
+/// active.
 ///
 /// ```
 /// let _span = acc_telemetry::span!("master.planning", tasks = 128usize);
@@ -301,7 +395,8 @@ macro_rules! span {
         if $crate::trace::enabled() {
             $crate::trace::SpanGuard::enter(
                 $name,
-                vec![$((stringify!($key), $crate::trace::FieldValue::from($value))),*],
+                &[$(stringify!($key)),*],
+                &[$($crate::trace::AsField::as_field(&$value)),*],
             )
         } else {
             $crate::trace::SpanGuard::disabled()
@@ -310,7 +405,7 @@ macro_rules! span {
 }
 
 /// Emits a point event with key–value fields. Compiles to an atomic load
-/// + branch when no subscriber is installed.
+/// + branch when no trace sink is active.
 ///
 /// ```
 /// acc_telemetry::event!("worker.transition", from = "Stopped", to = "Running");
@@ -321,7 +416,8 @@ macro_rules! event {
         if $crate::trace::enabled() {
             $crate::trace::emit_event(
                 $name,
-                vec![$((stringify!($key), $crate::trace::FieldValue::from($value))),*],
+                &[$(stringify!($key)),*],
+                &[$($crate::trace::AsField::as_field(&$value)),*],
             );
         }
     };

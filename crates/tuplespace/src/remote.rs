@@ -375,6 +375,44 @@ impl Request {
     }
 }
 
+/// A request as the client puts it on the wire: the operation inside
+/// its optional envelopes (`Corr` outermost, then `Traced`), encoded from
+/// borrowed parts. Byte for byte what the nested
+/// `Request::Corr { Request::Traced { op } }` encodes to — which is what
+/// the server decodes it as — without boxing the operation once per
+/// envelope to build that value for every request sent.
+struct Framed<'a> {
+    corr_id: Option<u64>,
+    trace: Option<TraceContext>,
+    op: &'a Request,
+}
+
+/// What a [`FrameEncoder`] can fill a frame body with.
+trait Encode {
+    fn encode_into(&self, w: &mut WireWriter);
+}
+
+impl<P: Payload> Encode for P {
+    fn encode_into(&self, w: &mut WireWriter) {
+        self.encode(w);
+    }
+}
+
+impl Encode for Framed<'_> {
+    fn encode_into(&self, w: &mut WireWriter) {
+        if let Some(corr_id) = self.corr_id {
+            w.put_u8(11);
+            w.put_u64(corr_id);
+        }
+        if let Some(ctx) = self.trace {
+            w.put_u8(8);
+            w.put_u64(ctx.trace_id);
+            w.put_u64(ctx.span_id);
+        }
+        self.op.encode(w);
+    }
+}
+
 #[derive(Debug, Clone, PartialEq)]
 enum Response {
     Id(EntryId),
@@ -691,7 +729,7 @@ impl FrameEncoder {
     fn write_frame(
         &mut self,
         stream: &mut TcpStream,
-        payload: &impl Payload,
+        payload: &impl Encode,
     ) -> std::io::Result<()> {
         self.uses += 1;
         if self.uses % FramePool::DECAY_INTERVAL == 0 {
@@ -702,7 +740,7 @@ impl FrameEncoder {
             self.seen_max = 0;
         }
         self.w.clear();
-        payload.encode(&mut self.w);
+        payload.encode_into(&mut self.w);
         let body = self.w.as_slice();
         // Reject oversized frames before the length prefix goes out (see
         // `write_frame`).
@@ -1288,10 +1326,21 @@ impl Conn {
         }
     }
 
-    fn write_frames(&mut self, frames: &[Request]) -> std::io::Result<()> {
-        frames
-            .iter()
-            .try_for_each(|frame| self.enc.write_frame(&mut self.stream, frame))
+    /// Pipelines `ops`, each in a `Corr` envelope numbered by its
+    /// position (and a `Traced` one inside it when `trace` is live).
+    fn write_frames(
+        &mut self,
+        ops: &[Request],
+        trace: Option<TraceContext>,
+    ) -> std::io::Result<()> {
+        ops.iter().enumerate().try_for_each(|(i, op)| {
+            let framed = Framed {
+                corr_id: Some(i as u64),
+                trace,
+                op,
+            };
+            self.enc.write_frame(&mut self.stream, &framed)
+        })
     }
 
     fn read_frames(&mut self, n: usize) -> std::io::Result<Vec<bytes::Bytes>> {
@@ -1309,7 +1358,8 @@ struct InFlight<'a> {
     space: &'a RemoteSpace,
     conn: MutexGuard<'a, Conn>,
     /// Kept for the resend after a reconnect.
-    frames: Vec<Request>,
+    ops: Vec<Request>,
+    trace: Option<TraceContext>,
     sent: std::io::Result<()>,
 }
 
@@ -1323,11 +1373,12 @@ impl InFlight<'_> {
         let InFlight {
             space,
             mut conn,
-            frames,
+            ops,
+            trace,
             sent,
         } = self;
         let conn = &mut *conn;
-        let n = frames.len();
+        let n = ops.len();
         let raw = match sent.and_then(|()| conn.read_frames(n)) {
             Ok(raw) => raw,
             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
@@ -1342,7 +1393,7 @@ impl InFlight<'_> {
                         "{first}; peer downgraded below v2 on reconnect"
                     )));
                 }
-                conn.write_frames(&frames)
+                conn.write_frames(&ops, trace)
                     .and_then(|()| conn.read_frames(n))
                     .map_err(|e| SpaceError::Transport(e.to_string()))?
             }
@@ -1486,11 +1537,18 @@ impl RemoteSpace {
         let _ = stream.shutdown(std::net::Shutdown::Both);
     }
 
-    fn call(&self, request: Request) -> SpaceResult<Response> {
+    /// One request, one response. `trace`, when set, rides along in a
+    /// [`Request::Traced`] envelope (v1+ peers only — the caller checks).
+    fn call(&self, request: &Request, trace: Option<TraceContext>) -> SpaceResult<Response> {
+        let framed = Framed {
+            corr_id: None,
+            trace,
+            op: request,
+        };
         let mut conn = self.stream.lock();
         let conn = &mut *conn;
         let exchange = |c: &mut Conn| -> std::io::Result<bytes::Bytes> {
-            c.enc.write_frame(&mut c.stream, &request)?;
+            c.enc.write_frame(&mut c.stream, &framed)?;
             c.pool.read_frame(&mut c.stream)
         };
         let frame = match exchange(conn) {
@@ -1519,58 +1577,34 @@ impl RemoteSpace {
     }
 
     /// Opens a client-side span over the operation and, when tracing is
-    /// on and the peer speaks v1, wraps the request in a [`Request::Traced`]
-    /// envelope carrying that span's context — which is how the server's
-    /// handler span ends up in the caller's trace.
+    /// on and the peer speaks v1, sends the request in a
+    /// [`Request::Traced`] envelope carrying that span's context — which
+    /// is how the server's handler span ends up in the caller's trace.
     fn call_traced(&self, span_name: &'static str, request: Request) -> SpaceResult<Response> {
         let _span = acc_telemetry::span!(span_name);
-        let request = match TraceContext::current_if_enabled() {
-            Some(ctx) if self.peer_version() >= 1 => Request::Traced {
-                trace_id: ctx.trace_id,
-                span_id: ctx.span_id,
-                inner: Box::new(request),
-            },
-            _ => request,
-        };
-        self.call(request)
+        let trace = TraceContext::current_if_enabled().filter(|_| self.peer_version() >= 1);
+        self.call(&request, trace)
     }
 
     /// Pipelines several requests over the connection in one lock hold:
-    /// every frame goes out (wrapped in a [`Request::Corr`] envelope,
-    /// trace context attached when live) before the first response is
-    /// read, so the whole batch costs one round trip. This is the sending
-    /// half: it takes the connection lock and writes the frames;
+    /// every frame goes out (in a [`Request::Corr`] envelope, trace
+    /// context attached when live) before the first response is read, so
+    /// the whole batch costs one round trip. This is the sending half: it
+    /// takes the connection lock and writes the frames;
     /// [`InFlight::finish`] reads the responses, and owns the one
     /// reconnect-and-resend whichever half failed. Requires a v2 peer.
-    fn send_pipelined(&self, requests: Vec<Request>) -> InFlight<'_> {
-        let ctx = TraceContext::current_if_enabled();
-        let frames: Vec<Request> = requests
-            .into_iter()
-            .enumerate()
-            .map(|(i, inner)| {
-                let inner = match ctx {
-                    Some(ctx) => Request::Traced {
-                        trace_id: ctx.trace_id,
-                        span_id: ctx.span_id,
-                        inner: Box::new(inner),
-                    },
-                    None => inner,
-                };
-                Request::Corr {
-                    corr_id: i as u64,
-                    inner: Box::new(inner),
-                }
-            })
-            .collect();
+    fn send_pipelined(&self, ops: Vec<Request>) -> InFlight<'_> {
+        let trace = TraceContext::current_if_enabled();
         let mut conn = self.stream.lock();
         // The whole batch is encoded through the one reusable scratch
         // buffer before the first response is read (that is the whole
         // point of pipelining: one round trip).
-        let sent = conn.write_frames(&frames);
+        let sent = conn.write_frames(&ops, trace);
         InFlight {
             space: self,
             conn,
-            frames,
+            ops,
+            trace,
             sent,
         }
     }
@@ -1763,12 +1797,12 @@ impl TupleStore for RemoteSpace {
     }
 
     fn close(&self) {
-        let _ = self.call(Request::Close);
+        let _ = self.call(&Request::Close, None);
     }
 
     fn is_closed(&self) -> bool {
         matches!(
-            self.call(Request::IsClosed),
+            self.call(&Request::IsClosed, None),
             Ok(Response::Bool(true)) | Err(_)
         )
     }
@@ -1910,6 +1944,39 @@ mod tests {
         ];
         for r in responses {
             assert_eq!(Response::from_bytes(&r.to_bytes()).unwrap(), r);
+        }
+    }
+
+    #[test]
+    fn framed_requests_encode_as_the_nested_envelopes_they_decode_to() {
+        let op = Request::TakeUpTo(Template::of_type("t"), 8, Some(50));
+        let ctx = TraceContext {
+            trace_id: 0xdead_beef_cafe_f00d,
+            span_id: 42,
+        };
+        let traced = |inner: Request| Request::Traced {
+            trace_id: ctx.trace_id,
+            span_id: ctx.span_id,
+            inner: Box::new(inner),
+        };
+        let corr = |inner: Request| Request::Corr {
+            corr_id: 3,
+            inner: Box::new(inner),
+        };
+        for (corr_id, trace, nested) in [
+            (None, None, op.clone()),
+            (None, Some(ctx), traced(op.clone())),
+            (Some(3), None, corr(op.clone())),
+            (Some(3), Some(ctx), corr(traced(op.clone()))),
+        ] {
+            let mut w = WireWriter::new();
+            Framed {
+                corr_id,
+                trace,
+                op: &op,
+            }
+            .encode_into(&mut w);
+            assert_eq!(w.into_vec(), nested.to_bytes());
         }
     }
 

@@ -1,10 +1,13 @@
-//! Hard allocation budgets for the wire path's hot operations.
+//! Hard allocation budgets for the wire path's and the trace path's hot
+//! operations.
 //!
 //! The zero-copy decode work (borrowed `Bytes` frames, name interning,
-//! pooled buffers) is only real if it stays real: this binary installs a
-//! counting global allocator and gates the per-operation allocation
-//! counts. CI runs it as a hard gate — a regression that quietly
-//! reintroduces per-field copies fails the build, not a dashboard.
+//! pooled buffers) and the flight recorder's in-place records are only
+//! real if they stay real: this binary installs a counting global
+//! allocator and gates the per-operation allocation counts. CI runs it
+//! as a hard gate — a regression that quietly reintroduces per-field
+//! copies, or a `Vec` per trace record, fails the build, not a
+//! dashboard.
 //!
 //! Everything lives in ONE `#[test]` so no sibling test thread can
 //! allocate inside a measurement window.
@@ -12,9 +15,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use adaptive_spaces::cluster::TaskTiming;
+use adaptive_spaces::framework::{tuple_trace_context, ResultEntry, TaskEntry};
 use adaptive_spaces::space::{
     decode_frame, Bytes, NameInterner, Payload, Space, Template, Tuple, Value, WireReader,
 };
+use adaptive_spaces::telemetry::{event, flight, span, TraceContext};
 
 struct CountingAlloc;
 
@@ -183,4 +189,100 @@ fn wire_path_allocation_budgets() {
         write_take <= 40 * ROUNDS,
         "write+take cycle exceeded 40 allocs/op: {write_take} over {ROUNDS} rounds"
     );
+
+    // --- Gate 4: flight records allocate nothing ------------------------
+    // The recorder is on in every `ClusterBuilder` deployment, so a
+    // record's cost is every task's cost. Steady state is a ring that has
+    // wrapped (its chunks are allocated as it first fills).
+    flight::install();
+    let job_trace = TraceContext::root();
+    let _job = job_trace.attach();
+    let worker = String::from("bench-w0");
+    let record_set = |task_id: u64| {
+        let _task = span!("alloc.task", worker = worker.as_str(), task_id = task_id);
+        event!("alloc.take", task_id = task_id, op = "take_up_to");
+        event!("alloc.flags", ok = true, share = 0.5f64);
+    };
+    const RECORDS_PER_SET: u64 = 4;
+    let wrap = (2 * flight::DEFAULT_CAPACITY) as u64 / RECORDS_PER_SET;
+    (0..wrap).for_each(record_set);
+    let (dropping, ()) = allocs(|| (0..wrap).for_each(record_set));
+    assert_eq!(
+        dropping,
+        0,
+        "steady-state span!/event! allocated: {dropping} allocs over {} records",
+        wrap * RECORDS_PER_SET
+    );
+    // The same with the trace retained, so that every evicted record is
+    // moved to the kept ring instead of dropped (warm-up: that ring's
+    // chunks, and this thread's copy of the retained set).
+    flight::retain_trace(job_trace.trace_id);
+    (0..wrap).for_each(record_set);
+    let (keeping, ()) = allocs(|| (0..wrap).for_each(record_set));
+    assert_eq!(
+        keeping, 0,
+        "steady-state span!/event! with a retained trace allocated: {keeping} allocs"
+    );
+    let mine = flight::occupancy()
+        .into_iter()
+        .find(|o| o.live == flight::DEFAULT_CAPACITY && o.kept == flight::DEFAULT_CAPACITY);
+    assert!(mine.is_some(), "both rings of this thread wrapped");
+
+    // --- Gate 5: framework tuples, traced -------------------------------
+    // Type and field names are shared strings, so what is left is the
+    // tuple's own storage: the field list (grown once, then frozen), the
+    // job/worker strings, and the payload/timing/trace-context blobs (a
+    // buffer and its ref-count each).
+    let task = TaskEntry::new("alloc-budget", 7, vec![0xA5; 64]);
+    let result = ResultEntry {
+        job: "alloc-budget".into(),
+        task_id: 7,
+        worker: "bench-w0".into(),
+        payload: vec![0x5A; 64],
+        compute_ms: 0.25,
+        span_ms: 12.5,
+        error: None,
+        timing: TaskTiming {
+            wait_us: 40,
+            xfer_us: 5,
+            compute_us: 250,
+            write_us: 12,
+        },
+    };
+    // The first tuple ever built allocates the shared names.
+    drop(task.to_tuple());
+    let rounds_of = |build: &dyn Fn() -> Tuple| {
+        allocs(|| {
+            let mut last = build();
+            for _ in 1..ROUNDS {
+                last = build();
+            }
+            last
+        })
+    };
+    let (task_allocs, task_tuple) = rounds_of(&|| task.to_tuple());
+    let (result_allocs, result_tuple) = rounds_of(&|| result.to_tuple());
+    eprintln!(
+        "alloc_budget: task.to_tuple={:.2}/op result.to_tuple={:.2}/op",
+        task_allocs as f64 / ROUNDS as f64,
+        result_allocs as f64 / ROUNDS as f64,
+    );
+    for tuple in [&task_tuple, &result_tuple] {
+        assert_eq!(
+            tuple_trace_context(tuple),
+            Some(job_trace),
+            "the tuple carries the current trace context"
+        );
+    }
+    assert_eq!(TaskEntry::from_tuple(&task_tuple), Some(task));
+    assert_eq!(ResultEntry::from_tuple(&result_tuple), Some(result));
+    assert!(
+        task_allocs <= 8 * ROUNDS,
+        "TaskEntry::to_tuple exceeded 8 allocs/op: {task_allocs} over {ROUNDS} rounds"
+    );
+    assert!(
+        result_allocs <= 11 * ROUNDS,
+        "ResultEntry::to_tuple exceeded 11 allocs/op: {result_allocs} over {ROUNDS} rounds"
+    );
+    flight::uninstall();
 }
