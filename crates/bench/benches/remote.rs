@@ -1,10 +1,9 @@
-//! Wire-protocol benchmarks: protocol-v2 batch dispatch and batch fetch
-//! against the per-tuple v1 baseline, over a real loopback TCP server.
+//! Wire-protocol benchmarks: batch dispatch and batch fetch against an
+//! explicit unbatched loop, over a real loopback TCP server.
 //!
-//! Both arms drive the same `TupleStore` batch API through a
-//! [`RemoteSpace`]; the baseline proxy is capped at protocol v1
-//! (`connect_capped(addr, 1)`), which degrades every batch call to one
-//! frame — one round trip — per tuple, exactly what a v1 peer pays.
+//! Both arms drive one [`RemoteSpace`]: `per_tuple` pays one frame — one
+//! round trip — per tuple (`write` / `take_if_exists`), `batched` uses the
+//! batch operations (`write_all` / `take_up_to`).
 
 use std::time::Duration;
 
@@ -22,52 +21,67 @@ fn task_tuple(id: i64) -> Tuple {
         .done()
 }
 
-/// Master-side planning: dispatch 1k tasks through the proxy in one
-/// `write_all`. v1 pays 1000 round trips; v2 sends budgeted batch frames
-/// pipelined over the same connection.
+/// Master-side planning: dispatch 1k tasks through the proxy. The loop
+/// pays 1000 round trips; `write_all` sends budgeted batch frames back to
+/// back over the same connection.
 fn bench_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("remote/dispatch_1k");
     group.throughput(Throughput::Elements(TASKS as u64));
-    for (label, cap) in [("per_tuple_v1", 1u32), ("batched_v2", 2)] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &cap, |b, &cap| {
-            let space = Space::new("bench");
-            let server = SpaceServer::spawn(space.clone(), "127.0.0.1:0").unwrap();
-            let remote = RemoteSpace::connect_capped(server.addr(), cap).unwrap();
-            let template = Template::of_type("acc.task");
-            b.iter(|| {
-                let tuples: Vec<Tuple> = (0..TASKS as i64).map(task_tuple).collect();
-                remote.write_all(tuples).unwrap();
-                // Cleanup between iterations stays local — off the wire
-                // path under test, and identical in both arms.
-                let drained = Space::take_all(&space, &template).unwrap();
-                assert_eq!(drained.len(), TASKS);
-            });
-        });
+    for (label, batched) in [("per_tuple", false), ("batched", true)] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(label),
+            &batched,
+            |b, &batched| {
+                let space = Space::new("bench");
+                let server = SpaceServer::spawn(space.clone(), "127.0.0.1:0").unwrap();
+                let remote = RemoteSpace::connect(server.addr()).unwrap();
+                let template = Template::of_type("acc.task");
+                b.iter(|| {
+                    let tuples: Vec<Tuple> = (0..TASKS as i64).map(task_tuple).collect();
+                    if batched {
+                        remote.write_all(tuples).unwrap();
+                    } else {
+                        for tuple in tuples {
+                            remote.write(tuple).unwrap();
+                        }
+                    }
+                    // Cleanup between iterations stays local — off the wire
+                    // path under test, and identical in both arms.
+                    let drained = Space::take_all(&space, &template).unwrap();
+                    assert_eq!(drained.len(), TASKS);
+                });
+            },
+        );
     }
     group.finish();
 }
 
-/// Worker-side fetching: drain 1k tasks through the proxy in prefetch
-/// batches of 32. v1 degrades `take_up_to` to a round trip per tuple.
+/// Worker-side fetching: drain 1k tasks through the proxy, one
+/// `take_if_exists` per tuple or in prefetch batches of 32.
 fn bench_fetch(c: &mut Criterion) {
     let mut group = c.benchmark_group("remote/fetch_1k");
     group.throughput(Throughput::Elements(TASKS as u64));
-    for (label, cap) in [("per_tuple_v1", 1u32), ("batched_v2", 2)] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &cap, |b, &cap| {
+    for (label, batch) in [("per_tuple", 1usize), ("batched", 32)] {
+        group.bench_with_input(BenchmarkId::from_parameter(label), &batch, |b, &batch| {
             let space = Space::new("bench");
             let server = SpaceServer::spawn(space.clone(), "127.0.0.1:0").unwrap();
-            let remote = RemoteSpace::connect_capped(server.addr(), cap).unwrap();
+            let remote = RemoteSpace::connect(server.addr()).unwrap();
             let template = Template::of_type("acc.task");
             b.iter(|| {
                 // Seeding is local: same cost in both arms, off the wire.
                 Space::write_all(&space, (0..TASKS as i64).map(task_tuple).collect()).unwrap();
                 let mut got = 0usize;
                 while got < TASKS {
-                    let batch = remote
-                        .take_up_to(&template, 32, Some(Duration::ZERO))
-                        .unwrap();
-                    assert!(!batch.is_empty(), "seeded tasks must be fetchable");
-                    got += batch.len();
+                    let fetched = if batch == 1 {
+                        usize::from(remote.take_if_exists(&template).unwrap().is_some())
+                    } else {
+                        remote
+                            .take_up_to(&template, batch, Some(Duration::ZERO))
+                            .unwrap()
+                            .len()
+                    };
+                    assert!(fetched > 0, "seeded tasks must be fetchable");
+                    got += fetched;
                 }
             });
         });

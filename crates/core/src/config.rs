@@ -78,7 +78,7 @@ pub struct FrameworkConfig {
     /// worker writes a terminal error result instead (poison-task guard).
     pub max_task_retries: u32,
     /// How many tasks a worker fetches from the space per round trip
-    /// (protocol v2 batch take). Signals are still drained between tasks,
+    /// (one batch take). Signals are still drained between tasks,
     /// so signal latency is bounded by one task regardless — but unstarted
     /// prefetched tasks only return to the space when the worker reacts to
     /// Pause/Stop, so keep this small (paper §4.3). 1 disables prefetch.

@@ -325,9 +325,8 @@ fn spawn_observer(
     health.register("remote", || {
         let r = acc_telemetry::registry();
         Ok(format!(
-            "reconnects={} protocol_version={} transport_strikes={} tuples_restored={}",
+            "reconnects={} transport_strikes={} tuples_restored={}",
             r.counter("remote.reconnects").get(),
-            r.gauge("remote.protocol_version").get(),
             r.counter("worker.transport_strikes").get(),
             r.counter("server.tuples_restored").get(),
         ))
@@ -443,8 +442,7 @@ fn flight_json() -> String {
 }
 
 /// The `"wire"` section of `/cluster.json`: zero-copy wire-path health —
-/// total frame traffic, read-buffer pool reuse, and the server-side
-/// pipeline pool's queue depth and saturation count.
+/// total frame traffic and read-buffer pool reuse.
 fn wire_json() -> String {
     let r = acc_telemetry::registry();
     let hits = r.counter("remote.buffer_reuse_hits").get();
@@ -457,15 +455,12 @@ fn wire_json() -> String {
     format!(
         concat!(
             "{{\"frame_bytes\":{},\"buffer_reuse_hits\":{},",
-            "\"buffer_reuse_misses\":{},\"buffer_reuse_pct\":{:.1},",
-            "\"pipeline_queue_depth\":{},\"pipeline_saturated\":{}}}"
+            "\"buffer_reuse_misses\":{},\"buffer_reuse_pct\":{:.1}}}"
         ),
         r.counter("remote.frame_bytes").get(),
         hits,
         misses,
         reuse_pct,
-        r.gauge("server.pipeline_queue_depth").get(),
-        r.counter("server.pipeline_saturated").get(),
     )
 }
 
@@ -1010,7 +1005,7 @@ mod tests {
         // through RemoteSpace connections, so frame traffic is non-zero.
         assert!(json.contains(r#""wire":{"frame_bytes":"#), "got: {json}");
         assert!(json.contains(r#""buffer_reuse_hits":"#), "got: {json}");
-        assert!(json.contains(r#""pipeline_queue_depth":"#), "got: {json}");
+        assert!(json.contains(r#""buffer_reuse_pct":"#), "got: {json}");
         let text = http_get(addr, "/cluster");
         assert!(text.contains("space grid:"), "got: {text}");
         cluster.shutdown();

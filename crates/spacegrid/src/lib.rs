@@ -25,7 +25,7 @@
 //!   found.
 //! * **Batching**: `write_all` splits the batch by owner and sends the
 //!   per-shard groups split-phase from the calling thread — every
-//!   shard's protocol-v2 pipelined frames (with their
+//!   shard's request frames (with their
 //!   `BATCH_FRAME_BUDGET` chunking) go out on its own connection before
 //!   the first response is read, so the shards work concurrently and no
 //!   helper thread is spawned; `take_up_to` and `take_all` fan
@@ -939,7 +939,7 @@ impl TupleStore for PartitionedSpace {
 
     /// Splits the batch by owner and sends the per-shard groups in one
     /// split-phase [`fan_out`] — each group rides its own connection's
-    /// pipelined protocol-v2 frames (and their frame-budget chunking). Ids come
+    /// request frames (and their frame-budget chunking). Ids come
     /// back in input order. A group whose shard dies mid-write is
     /// re-dispatched through the (now updated) probe order; as with
     /// [`RemoteSpace`], the retry makes batch writes at-least-once.

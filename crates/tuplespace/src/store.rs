@@ -73,8 +73,7 @@ pub trait TupleStore: Send + Sync {
     //
     // The defaults are plain loops of singles, so every store is
     // batch-capable; `Space` overrides them with single-lock bulk
-    // operations and `RemoteSpace` with batched/pipelined wire frames
-    // (protocol v2). Errors mid-batch surface immediately: tuples written
+    // operations and `RemoteSpace` with batch wire frames. Errors mid-batch surface immediately: tuples written
     // before the failure stay written, exactly like the equivalent loop.
 
     /// Stores every tuple under one lease, returning ids in input order.
