@@ -4,6 +4,10 @@
 //! Both arms drive one [`RemoteSpace`]: `per_tuple` pays one frame — one
 //! round trip — per tuple (`write` / `take_if_exists`), `batched` uses the
 //! batch operations (`write_all` / `take_up_to`).
+//!
+//! `remote/refill` is a worker's refill point on its own: four results
+//! out, four tasks in, as the two calls it used to be and as the one
+//! pipelined pair it is now.
 
 use std::time::Duration;
 
@@ -89,9 +93,55 @@ fn bench_fetch(c: &mut Criterion) {
     group.finish();
 }
 
+/// Worker-side refill: write a batch's four results and take the next
+/// four tasks — `write_all` then `take_up_to` (two round trips), or
+/// `write_all_then_take_up_to` (one exchange, one syscall each way on
+/// each side).
+fn bench_refill(c: &mut Criterion) {
+    const BATCH: usize = 4;
+    let mut group = c.benchmark_group("remote/refill");
+    group.throughput(Throughput::Elements(BATCH as u64));
+    for (label, paired) in [("two_calls", false), ("pair", true)] {
+        group.bench_with_input(BenchmarkId::from_parameter(label), &paired, |b, &paired| {
+            let space = Space::new("bench");
+            let server = SpaceServer::spawn(space.clone(), "127.0.0.1:0").unwrap();
+            let remote = RemoteSpace::connect(server.addr()).unwrap();
+            let tasks = Template::of_type("acc.task");
+            let results = Template::of_type("acc.result");
+            let result_tuple = |id: i64| {
+                Tuple::build("acc.result")
+                    .field("job", "bench")
+                    .field("task_id", id)
+                    .field("payload", vec![0u8; 64])
+                    .done()
+            };
+            b.iter(|| {
+                // Seeding and cleanup are local: off the wire, the same
+                // in both arms.
+                Space::write_all(&space, (0..BATCH as i64).map(task_tuple).collect()).unwrap();
+                let out: Vec<Tuple> = (0..BATCH as i64).map(result_tuple).collect();
+                let taken = if paired {
+                    let (written, taken) =
+                        remote.write_all_then_take_up_to(out, &tasks, BATCH, Some(Duration::ZERO));
+                    written.unwrap();
+                    taken.unwrap()
+                } else {
+                    remote.write_all(out).unwrap();
+                    remote
+                        .take_up_to(&tasks, BATCH, Some(Duration::ZERO))
+                        .unwrap()
+                };
+                assert_eq!(taken.len(), BATCH);
+                assert_eq!(Space::take_all(&space, &results).unwrap().len(), BATCH);
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_dispatch, bench_fetch
+    targets = bench_dispatch, bench_fetch, bench_refill
 );
 criterion_main!(benches);

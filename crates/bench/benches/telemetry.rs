@@ -201,21 +201,7 @@ fn bench_flight_recorder(c: &mut Criterion) {
 /// Writes `BENCH_trace.json` at the repo root: the recorded `before`
 /// numbers beside this run's, with the host and commit they belong to.
 fn export_trace_json(after: &[(&str, f64)]) {
-    let cpu = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            let line = info.lines().find(|l| l.starts_with("model name"))?;
-            Some(line.split_once(':')?.1.trim().to_owned())
-        })
-        .unwrap_or_else(|| "unknown".into());
-    let commit = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_owned())
-        .unwrap_or_else(|| "unknown".into());
-    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let acc_bench::Provenance { cpu, cores, commit } = acc_bench::Provenance::capture();
     let side = |rows: &[(&str, f64)]| {
         rows.iter()
             .map(|(label, ns)| format!("      \"{label}\": {ns:.0}"))

@@ -126,7 +126,13 @@ fn main() {
     println!("wire/decode_borrowed_speedup: {decode_speedup:.2}x");
     println!("wire/encode_reused_speedup: {encode_speedup:.2}x");
 
-    let mut json = String::from("{\n  \"bench\": \"wire\",\n  \"results_ns\": {\n");
+    let from = acc_bench::Provenance::capture();
+    let mut json = format!(
+        "{{\n  \"bench\": \"wire\",\n  \"host\": {{ \"cpu\": \"{}\", \"cores\": {} }},\n  \"commit\": \"{}\",\n  \"results_ns\": {{\n",
+        acc_telemetry::json_escape(&from.cpu),
+        from.cores,
+        from.commit,
+    );
     for (i, (label, ns)) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };
         json.push_str(&format!("    \"{label}\": {ns:.0}{comma}\n"));

@@ -338,11 +338,16 @@ impl Aggregation<'_> {
         }
         let times = &mut self.report.times;
         times.max_worker_ms = times.max_worker_ms.max(result.span_ms);
-        let slot = times
-            .per_worker_ms
-            .entry(result.worker.clone())
-            .or_insert(0.0);
-        *slot = slot.max(result.span_ms);
+        // Looked up before `entry`, which needs an owned key: only a
+        // worker's first result pays for the name's clone.
+        match times.per_worker_ms.get_mut(&result.worker) {
+            Some(slot) => *slot = slot.max(result.span_ms),
+            None => {
+                times
+                    .per_worker_ms
+                    .insert(result.worker.clone(), result.span_ms.max(0.0));
+            }
+        }
         if let Some(observer) = self.observer {
             observer.record_attribution(&result.job, &result.worker, &result.timing);
         }

@@ -279,18 +279,19 @@ fn worker_loop(ls: LoopState) {
                     continue;
                 };
                 if prefetched.is_empty() {
-                    // The batch is done: its results go out in one write,
-                    // just ahead of the take for the next batch.
-                    if outbox.flush(&ls).is_err() {
-                        break;
-                    }
+                    // The batch is done: its results go out with the take
+                    // for the next batch, as one exchange where the store
+                    // can pair them.
                     set_load(IDLE_RUNNING_LOAD);
                     let take_start = Instant::now();
-                    let taken = ls.config.space.take_up_to(
-                        &template,
-                        prefetch,
-                        Some(ls.config.framework.task_poll_timeout),
-                    );
+                    let (flushed, taken) = outbox.flush_and_refill(&ls, &template, prefetch);
+                    if flushed.is_err() {
+                        // As after any failed flush, the worker stops; a
+                        // paired take may have succeeded all the same, and
+                        // its tasks go back to the space on the way out.
+                        prefetched.extend(taken.unwrap_or_default());
+                        break;
+                    }
                     match taken {
                         Err(SpaceError::Transport(_))
                             if transport_strikes + 1 < MAX_TRANSPORT_STRIKES =>
@@ -480,8 +481,9 @@ impl TraceRetention {
 ///
 /// One blocking `write` per result is a round trip per task; for tasks
 /// cheaper than that round trip it is most of the worker's time. So
-/// results collect here and go out in one `write_all` when the prefetched
-/// batch that produced them is done — and at once whenever buffering
+/// results collect here and go out in one batch write when the prefetched
+/// batch that produced them is done — paired with the take for the next
+/// batch ([`Outbox::flush_and_refill`]) — and at once whenever buffering
 /// would not pay, or would hold a result back from a worker that is
 /// about to stop:
 ///
@@ -499,16 +501,17 @@ struct Outbox {
     tuples: Vec<Tuple>,
     /// `(task_id, poisoned)` of each buffered result, booked on flush.
     tasks: Vec<(u64, bool)>,
-    /// The fastest flush round trip seen — what one write costs when
-    /// nothing else delays it. A minimum because every other statistic of
+    /// The fastest stand-alone flush round trip seen — what one write
+    /// costs when nothing else delays it. A minimum because every other statistic of
     /// the samples also measures the host: a flush that shared the CPU
     /// with the other worker's timeslice reads milliseconds, and judged
     /// by that a millisecond-scale task would look cheap and have its
     /// (large) result held back to ride a batch frame.
     min_flush: Option<Duration>,
-    /// The previous flush's duration ÷ its result count. A worker cannot
-    /// know a result's write cost before writing it, so this rides the
-    /// *next* results' [`TaskTiming`](acc_cluster::TaskTiming).
+    /// The previous flush's duration ÷ its result count — zero when it
+    /// rode the refill exchange, whose time is charged to the take. A
+    /// worker cannot know a result's write cost before writing it, so
+    /// this rides the *next* results' [`TaskTiming`](acc_cluster::TaskTiming).
     last_write_us: u64,
 }
 
@@ -526,10 +529,13 @@ impl Outbox {
         self.min_flush.is_none_or(|rtt| compute > rtt)
     }
 
-    /// Writes everything buffered in one space operation — a plain
-    /// `write` for a single result. On failure the results are gone with
-    /// the connection (the master's result timeout covers them) and the
-    /// worker must stop, as after any failed write.
+    /// Writes everything buffered in one space operation of its own — a
+    /// plain `write` for a single result — and times it: these
+    /// stand-alone flushes (first result, long task, signal, exit) are
+    /// the only samples of [`Outbox::min_flush`], because only they
+    /// measure a write and nothing else. On failure the results are gone
+    /// with the connection (the master's result timeout covers them) and
+    /// the worker must stop, as after any failed write.
     fn flush(&mut self, ls: &LoopState) -> Result<(), SpaceError> {
         if self.tuples.is_empty() {
             return Ok(());
@@ -545,20 +551,58 @@ impl Outbox {
         let took = start.elapsed();
         self.min_flush = Some(self.min_flush.map_or(took, |min| min.min(took)));
         self.last_write_us = took.as_micros() as u64 / tasks.len() as u64;
-        let mut completed = 0;
-        for &(task_id, poisoned) in &tasks {
-            if poisoned {
-                event!("worker.result.write", task_id = task_id, poisoned = true);
-                series().tasks_poisoned.inc();
-            } else {
-                event!("worker.result.write", task_id = task_id);
-                completed += 1;
-            }
-        }
-        series().tasks_completed.add(completed);
-        *ls.tasks_done.lock() += completed;
+        book_flushed(ls, &tasks);
         Ok(())
     }
+
+    /// The refill point: whatever is buffered goes out *with* the take
+    /// for the next batch of up to `max` tasks — one pipelined exchange on
+    /// a store that pairs them (`RemoteSpace`, the one-shard grid), the
+    /// same two calls as ever on one that does not. Both outcomes come
+    /// back, the flush's first: the pair may have taken tasks although
+    /// its write failed, and the caller owns them.
+    ///
+    /// The exchange's wall time is the caller's to charge, once, to the
+    /// take; the results that rode it cost no write of their own, so the
+    /// next results carry `write_us = 0` and no flush sample is taken.
+    fn flush_and_refill(
+        &mut self,
+        ls: &LoopState,
+        template: &Template,
+        max: usize,
+    ) -> (Result<(), SpaceError>, Result<Vec<Tuple>, SpaceError>) {
+        let timeout = Some(ls.config.framework.task_poll_timeout);
+        if self.tuples.is_empty() {
+            return (Ok(()), ls.config.space.take_up_to(template, max, timeout));
+        }
+        let tasks = std::mem::take(&mut self.tasks);
+        let tuples = std::mem::take(&mut self.tuples);
+        let (written, taken) = ls
+            .config
+            .space
+            .write_all_then_take_up_to(tuples, template, max, timeout);
+        let flushed = written.map(|_| {
+            self.last_write_us = 0;
+            book_flushed(ls, &tasks);
+        });
+        (flushed, taken)
+    }
+}
+
+/// Counts flushed results as done: `(task_id, poisoned)` each.
+fn book_flushed(ls: &LoopState, tasks: &[(u64, bool)]) {
+    let mut completed = 0;
+    for &(task_id, poisoned) in tasks {
+        if poisoned {
+            event!("worker.result.write", task_id = task_id, poisoned = true);
+            series().tasks_poisoned.inc();
+        } else {
+            event!("worker.result.write", task_id = task_id);
+            completed += 1;
+        }
+    }
+    series().tasks_completed.add(completed);
+    *ls.tasks_done.lock() += completed;
 }
 
 /// Writes the worker's unstarted prefetched tasks back to the space in one
@@ -741,7 +785,9 @@ mod tests {
     use crate::loader::CodeBundle;
     use crate::rulebase::{duplex_pair, RuleBaseServer};
     use crate::task::{ExecError, TaskSpec};
-    use acc_tuplespace::{EntryId, Lease, Payload, Space, SpaceHandle, SpaceResult, TupleStore};
+    use acc_tuplespace::{
+        EntryId, Lease, Payload, Space, SpaceHandle, SpaceResult, TupleStore, WriteThenTake,
+    };
 
     struct SquareExec;
     impl TaskExecutor for SquareExec {
@@ -1132,6 +1178,136 @@ mod tests {
             vec![4, 5, 6, 7],
             "the second batch must still be in the space"
         );
+        r.worker.shutdown();
+    }
+
+    #[test]
+    fn a_failed_paired_write_returns_the_tasks_its_take_removed_and_stops_the_worker() {
+        /// A store that runs the refill pair as one exchange, like
+        /// `RemoteSpace`: the take is done by the time the write's
+        /// failure is known. Its stand-alone writes work, at 2 ms each,
+        /// so microsecond tasks buffer their results for the pair.
+        struct PairFailsWrite(SpaceHandle);
+        impl TupleStore for PairFailsWrite {
+            fn write_all_then_take_up_to(
+                &self,
+                _results: Vec<Tuple>,
+                t: &Template,
+                max: usize,
+                timeout: Option<Duration>,
+            ) -> WriteThenTake {
+                let taken = self.0.take_up_to(t, max, timeout);
+                (Err(SpaceError::Storage("injected".into())), taken)
+            }
+            fn write_leased(&self, tuple: Tuple, lease: Lease) -> SpaceResult<EntryId> {
+                std::thread::sleep(Duration::from_millis(2));
+                self.0.write_leased(tuple, lease)
+            }
+            fn write_all_leased(&self, ts: Vec<Tuple>, lease: Lease) -> SpaceResult<Vec<EntryId>> {
+                std::thread::sleep(Duration::from_millis(2));
+                self.0.write_all_leased(ts, lease)
+            }
+            fn read(&self, t: &Template, timeout: Option<Duration>) -> SpaceResult<Option<Tuple>> {
+                self.0.read(t, timeout)
+            }
+            fn take(&self, t: &Template, timeout: Option<Duration>) -> SpaceResult<Option<Tuple>> {
+                self.0.take(t, timeout)
+            }
+            fn take_up_to(
+                &self,
+                t: &Template,
+                max: usize,
+                timeout: Option<Duration>,
+            ) -> SpaceResult<Vec<Tuple>> {
+                self.0.take_up_to(t, max, timeout)
+            }
+            fn count(&self, t: &Template) -> SpaceResult<usize> {
+                Ok(Space::count(&self.0, t))
+            }
+            fn close(&self) {
+                self.0.close()
+            }
+            fn is_closed(&self) -> bool {
+                self.0.is_closed()
+            }
+        }
+        let space = Space::new("failing-pair");
+        let r = rig_with(
+            space.clone(),
+            Arc::new(PairFailsWrite(space.clone())),
+            Arc::new(SquareExec),
+            FrameworkConfig {
+                task_poll_timeout: Duration::from_millis(10),
+                task_prefetch: 4,
+                ..FrameworkConfig::default()
+            },
+            false,
+        );
+        for i in 0..8 {
+            put_task(&r.space, i, i);
+        }
+        r.server.send_signal(r.worker.id(), Signal::Start);
+        // Batch 0..4 arrives by a plain take (nothing to flush yet);
+        // result 0 goes out alone, 1..=3 ride the refill pair, whose
+        // write fails although its take brought 4..8.
+        let worker_thread = r.worker.thread.as_ref().unwrap();
+        wait_for(|| worker_thread.is_finished(), "worker loop exit");
+        assert_eq!(r.worker.tasks_done(), 1, "only the flushed result counts");
+        assert_eq!(
+            task_ids(&space, &crate::task::result_template("squares")),
+            vec![0]
+        );
+        assert_eq!(
+            task_ids(&space, &task_template("squares")),
+            vec![4, 5, 6, 7],
+            "the tasks the failed pair took are back in the space, each once"
+        );
+        r.worker.shutdown();
+    }
+
+    #[test]
+    fn results_that_rode_the_refill_exchange_carry_no_write_cost() {
+        let space = Space::new("attribution");
+        // A 2 ms write against microsecond tasks: everything after the
+        // first result is buffered and leaves with a refill.
+        let store = FailingWriteStore::new(space.clone(), Duration::from_millis(2));
+        let r = rig_with(
+            space.clone(),
+            store.clone(),
+            Arc::new(SquareExec),
+            FrameworkConfig {
+                task_poll_timeout: Duration::from_millis(10),
+                task_prefetch: 4,
+                ..FrameworkConfig::default()
+            },
+            false,
+        );
+        for i in 0..8 {
+            put_task(&r.space, i, i);
+        }
+        r.server.send_signal(r.worker.id(), Signal::Start);
+        wait_for(|| r.worker.tasks_done() == 8, "all eight results flushed");
+        // One stand-alone flush (the first result), then one per refill.
+        assert_eq!(*store.result_writes.lock(), vec![1, 3, 4]);
+        let mut timing = vec![acc_cluster::TaskTiming::default(); 8];
+        for tuple in space
+            .read_all(&crate::task::result_template("squares"))
+            .unwrap()
+        {
+            let result = ResultEntry::from_tuple(&tuple).unwrap();
+            timing[result.task_id as usize] = result.timing;
+        }
+        // `write_us` is the previous flush's cost per result: nothing
+        // before task 0; the 2 ms stand-alone flush of result 0 before
+        // tasks 1..=3; and nothing again after the refill exchange, whose
+        // whole time — write included — is the take's, charged once to
+        // the batch's first task. A stale 2 ms sample here is the bug.
+        let write_us: Vec<u64> = timing.iter().map(|t| t.write_us).collect();
+        assert_eq!(write_us[0], 0, "{write_us:?}");
+        assert!(write_us[1..4].iter().all(|&us| us >= 2_000), "{write_us:?}");
+        assert_eq!(write_us[4..], [0; 4], "{write_us:?}");
+        assert!(timing[4].wait_us >= 2_000, "{:?}", timing[4]);
+        assert!(timing[5..].iter().all(|t| t.wait_us == 0), "{timing:?}");
         r.worker.shutdown();
     }
 

@@ -13,7 +13,7 @@
 //! to a buffer pool once no other view is alive — the primitives the
 //! wire path's borrowed decode and pooled frame buffers are built on.
 
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock};
 
 /// The shared backing store of every empty [`Bytes`], so `Bytes::new()`
@@ -205,6 +205,12 @@ impl BytesMut {
         self.data.clear();
     }
 
+    /// Shortens the buffer to `len` bytes, keeping its capacity; no effect
+    /// when it is already that short.
+    pub fn truncate(&mut self, len: usize) {
+        self.data.truncate(len);
+    }
+
     /// Shrinks the allocation to at most `min_capacity` (or the current
     /// length, whichever is larger) — the decay half of a
     /// high-water-mark scratch buffer.
@@ -233,6 +239,12 @@ impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         &self.data
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data
     }
 }
 

@@ -53,7 +53,8 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use acc_tuplespace::{
-    EntryId, Lease, Pending, RemoteSpace, SpaceError, SpaceResult, Template, Tuple, TupleStore,
+    write_all_then_take_up_to_in_sequence, EntryId, Lease, Pending, RemoteSpace, SpaceError,
+    SpaceResult, Template, Tuple, TupleStore, WriteThenTake,
 };
 
 pub use router::{route_template, route_tuple, tuple_hash, GridConfig};
@@ -1074,6 +1075,33 @@ impl TupleStore for PartitionedSpace {
             }
         }
     }
+
+    /// One shard: forwarded, so the worker's refill stays the one
+    /// exchange [`RemoteSpace`] makes of it — booked as one shard op,
+    /// judged for health by the take's outcome (a transport failure
+    /// fails both halves alike). More shards: results and tasks live on
+    /// different ones in general, so the pair has nothing to share and
+    /// runs as the two calls above, reroutes and scatter included.
+    fn write_all_then_take_up_to(
+        &self,
+        tuples: Vec<Tuple>,
+        template: &Template,
+        max: usize,
+        timeout: Option<Duration>,
+    ) -> WriteThenTake {
+        if self.shards.len() != 1 || !self.shards[0].is_healthy() || self.ensure_open().is_err() {
+            return write_all_then_take_up_to_in_sequence(self, tuples, template, max, timeout);
+        }
+        let shard = &self.shards[0];
+        let start = Instant::now();
+        let (written, taken) = shard
+            .remote
+            .write_all_then_take_up_to(tuples, template, max, timeout);
+        if matches!(written, Err(SpaceError::Closed)) {
+            self.closed.store(true, Ordering::SeqCst);
+        }
+        (written, shard.account(start, taken))
+    }
 }
 
 impl Drop for PartitionedSpace {
@@ -1153,6 +1181,33 @@ mod tests {
         }
         assert_eq!(seen.len(), 64);
         assert_eq!(r.grid.count(&job_template()).unwrap(), 0);
+    }
+
+    #[test]
+    fn refill_pair_writes_then_takes_on_one_shard_and_on_several() {
+        let result = |id: i64| Tuple::build("acc.result").field("task_id", id).done();
+        for shards in [1, 3] {
+            let r = rig(shards);
+            r.grid.write_all((0..10).map(task).collect()).unwrap();
+            let (written, taken) = r.grid.write_all_then_take_up_to(
+                (0..4).map(result).collect(),
+                &job_template(),
+                4,
+                Some(Duration::from_secs(2)),
+            );
+            assert_eq!(written.unwrap().len(), 4, "{shards} shard(s)");
+            assert_eq!(taken.unwrap().len(), 4, "{shards} shard(s)");
+            assert_eq!(r.grid.count(&job_template()).unwrap(), 6);
+            assert_eq!(r.grid.count(&Template::of_type("acc.result")).unwrap(), 4);
+            // A closed grid fails both halves.
+            r.grid.close();
+            let (written, taken) =
+                r.grid
+                    .write_all_then_take_up_to(vec![result(9)], &job_template(), 4, None);
+            assert_eq!(written, Err(SpaceError::Closed), "{shards} shard(s)");
+            // (Forwarded, the take fails too; in sequence it is skipped.)
+            assert!(taken.is_err() || taken == Ok(Vec::new()), "{taken:?}");
+        }
     }
 
     #[test]

@@ -34,6 +34,7 @@
 mod codec;
 mod error;
 mod events;
+mod fx;
 mod journal;
 mod lease;
 mod payload;
@@ -55,7 +56,7 @@ pub use payload::{decode_frame, NameInterner, Payload, PayloadError, WireReader,
 pub use remote::{Pending, RemoteSpace, SpaceServer};
 pub use space::{EntryId, Space, SpaceHandle};
 pub use stats::SpaceStats;
-pub use store::{StoreHandle, TupleStore};
+pub use store::{write_all_then_take_up_to_in_sequence, StoreHandle, TupleStore, WriteThenTake};
 pub use template::{Constraint, Template, TemplateBuilder};
 pub use tuple::{Tuple, TupleBuilder};
 pub use txn::{Txn, TxnId, TxnState};

@@ -15,6 +15,8 @@ use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::fx::FxBuild;
+
 /// Errors raised while decoding a payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PayloadError {
@@ -94,9 +96,17 @@ pub fn decode_frame<T: Payload>(
 /// heap allocation. Bounded on both entry count and name length so a
 /// hostile peer streaming unique names cannot grow it without limit —
 /// once full, unseen names simply decode unshared.
+///
+/// Names are hashed with the crate's multiplicative `FxBuild`, not
+/// SipHash: every field name of every decoded tuple is looked up here,
+/// and the keyed hash was several percent of a framework-bound job's
+/// CPU. The keys do come off the wire, but the same two caps bound what
+/// a collision flood can do — at most 256 colliding 64-byte entries,
+/// i.e. a lookup degrades to comparing against 256 short strings, once
+/// per name, on the attacker's own connection.
 #[derive(Debug, Default)]
 pub struct NameInterner {
-    set: HashSet<Arc<str>>,
+    set: HashSet<Arc<str>, FxBuild>,
 }
 
 impl NameInterner {
@@ -171,6 +181,18 @@ impl WireWriter {
     /// Empties the writer, keeping its allocation (scratch reuse).
     pub fn clear(&mut self) {
         self.buf.clear();
+    }
+
+    /// Drops everything written after the first `len` bytes (taking back
+    /// a partly encoded value), keeping the allocation.
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
+    }
+
+    /// Overwrites the `u32` at byte offset `at` — how a length prefix is
+    /// filled in once the value behind it has been encoded in place.
+    pub fn set_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Allocated capacity in bytes.

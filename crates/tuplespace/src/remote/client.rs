@@ -11,14 +11,14 @@ use parking_lot::{Mutex, MutexGuard};
 
 use super::net_series;
 use super::proto::{
-    self, io_error, lease_to_ms, timeout_to_ms, FrameEncoder, FramePool, Request, Response,
-    MAX_FRAME,
+    self, io_error, lease_to_ms, timeout_to_ms, FrameEncoder, FrameReader, Request, Response,
+    COALESCE_LIMIT, MAX_FRAME,
 };
 use crate::error::{SpaceError, SpaceResult};
 use crate::lease::Lease;
 use crate::payload::NameInterner;
 use crate::space::EntryId;
-use crate::store::TupleStore;
+use crate::store::{TupleStore, WriteThenTake};
 use crate::template::Template;
 use crate::tuple::Tuple;
 
@@ -32,13 +32,14 @@ const BATCH_MAX_TUPLES: usize = 4096;
 
 /// The client's per-connection state: the socket plus the reusable
 /// buffers that make the wire path allocation-free in steady state — an
-/// encode scratch, a recycled read frame, and the decode name cache.
-/// All live under the one connection mutex, so none need their own.
+/// encode buffer, a read buffer with its recycled frame, and the decode
+/// name cache. All live under the one connection mutex, so none need
+/// their own.
 #[derive(Debug)]
 struct Conn {
     stream: TcpStream,
     enc: FrameEncoder,
-    pool: FramePool,
+    reader: FrameReader,
     interner: NameInterner,
     /// Sequence number of the next frame sent. It survives reconnects, so
     /// an answer to an earlier attempt can never pass for a current one.
@@ -46,16 +47,26 @@ struct Conn {
 }
 
 impl Conn {
-    /// Writes one frame per op, back to back, and returns the first
-    /// frame's sequence number; the rest follow it consecutively.
+    /// Encodes one frame per op, back to back, and sends them in one
+    /// write (one per [`COALESCE_LIMIT`] bytes, for a batch of large
+    /// frames). Returns the first frame's sequence number; the rest
+    /// follow it consecutively. A frame the encoder refuses fails the
+    /// send with whatever was not yet written dropped.
     fn send(&mut self, ops: &[Request], trace: Option<TraceContext>) -> SpaceResult<u32> {
         let first = self.next_seq;
         for op in ops {
             let seq = self.next_seq;
             self.next_seq = seq.wrapping_add(1);
-            self.enc
-                .write_frame(&mut self.stream, seq, trace, op)
-                .map_err(io_error)?;
+            if let Err(e) = self.enc.push(seq, trace, op) {
+                self.enc.discard();
+                return Err(io_error(e));
+            }
+            if self.enc.pending() >= COALESCE_LIMIT {
+                self.enc.flush(&mut self.stream).map_err(io_error)?;
+            }
+        }
+        if self.enc.pending() > 0 {
+            self.enc.flush(&mut self.stream).map_err(io_error)?;
         }
         Ok(first)
     }
@@ -66,11 +77,11 @@ impl Conn {
     fn receive(&mut self, first: u32, n: usize) -> SpaceResult<Vec<Response>> {
         let mut responses = Vec::with_capacity(n);
         for i in 0..n {
-            let frame = self.pool.read_frame(&mut self.stream).map_err(io_error)?;
+            let frame = self.reader.read_frame(&mut self.stream).map_err(io_error)?;
             let decoded = proto::decode::<Response>(frame.clone(), &mut self.interner);
             // Opportunistic: reclaims the buffer unless the response
             // borrowed it (a tuple payload holding a `Bytes` view).
-            self.pool.recycle(frame);
+            self.reader.recycle(frame);
             let response = decoded?;
             let expected = first.wrapping_add(i as u32);
             if response.seq != expected {
@@ -82,6 +93,50 @@ impl Conn {
             responses.push(response.body);
         }
         Ok(responses)
+    }
+}
+
+/// Chunks a batch write to `WriteAll` frames within
+/// [`BATCH_FRAME_BUDGET`] and [`BATCH_MAX_TUPLES`] (none for no tuples).
+fn write_all_chunks(tuples: Vec<Tuple>, lease_ms: Option<u64>) -> Vec<Request> {
+    let mut chunks: Vec<Request> = Vec::new();
+    let mut current: Vec<Tuple> = Vec::new();
+    let mut budget = 0usize;
+    for tuple in tuples {
+        let hint = tuple.size_hint() + 64;
+        if !current.is_empty()
+            && (budget + hint > BATCH_FRAME_BUDGET || current.len() >= BATCH_MAX_TUPLES)
+        {
+            chunks.push(Request::WriteAll(std::mem::take(&mut current), lease_ms));
+            budget = 0;
+        }
+        budget += hint;
+        current.push(tuple);
+    }
+    if !current.is_empty() {
+        chunks.push(Request::WriteAll(current, lease_ms));
+    }
+    chunks
+}
+
+/// The ids answering [`write_all_chunks`]' frames, in input order.
+fn ids_of(responses: Vec<Response>) -> SpaceResult<Vec<EntryId>> {
+    let mut ids = Vec::new();
+    for response in responses {
+        match response {
+            Response::Ids(batch) => ids.extend(batch),
+            other => return Err(other.into_error("remote.write_all")),
+        }
+    }
+    Ok(ids)
+}
+
+/// The tuples answering a `TakeUpTo` frame.
+fn tuples_of(response: Option<Response>) -> SpaceResult<Vec<Tuple>> {
+    match response {
+        None => Ok(Vec::new()),
+        Some(Response::Tuples(tuples)) => Ok(tuples),
+        Some(other) => Err(other.into_error("remote.take_up_to")),
     }
 }
 
@@ -114,7 +169,7 @@ impl RemoteSpace {
             stream: Mutex::new(Conn {
                 stream: RemoteSpace::open(addr)?,
                 enc: FrameEncoder::default(),
-                pool: FramePool::default(),
+                reader: FrameReader::default(),
                 interner: NameInterner::new(),
                 next_seq: 0,
             }),
@@ -149,6 +204,9 @@ impl RemoteSpace {
             outcome = match RemoteSpace::open(self.addr) {
                 Ok(fresh) => {
                     conn.stream = fresh;
+                    // Bytes received on the old socket are not answers to
+                    // anything sent on this one.
+                    conn.reader.discard_buffered();
                     net_series().reconnects.inc();
                     conn.send(ops, trace)
                         .and_then(|first| conn.receive(first, n))
@@ -213,34 +271,8 @@ impl RemoteSpace {
         tuples: Vec<Tuple>,
         lease: Lease,
     ) -> Pending<'_, Vec<EntryId>> {
-        let lease_ms = lease_to_ms(lease);
-        let mut chunks: Vec<Request> = Vec::new();
-        let mut current: Vec<Tuple> = Vec::new();
-        let mut budget = 0usize;
-        for tuple in tuples {
-            let hint = tuple.size_hint() + 64;
-            if !current.is_empty()
-                && (budget + hint > BATCH_FRAME_BUDGET || current.len() >= BATCH_MAX_TUPLES)
-            {
-                chunks.push(Request::WriteAll(std::mem::take(&mut current), lease_ms));
-                budget = 0;
-            }
-            budget += hint;
-            current.push(tuple);
-        }
-        if !current.is_empty() {
-            chunks.push(Request::WriteAll(current, lease_ms));
-        }
-        self.begin(chunks, |responses| {
-            let mut ids = Vec::new();
-            for response in responses {
-                match response {
-                    Response::Ids(batch) => ids.extend(batch),
-                    other => return Err(other.into_error("remote.write_all")),
-                }
-            }
-            Ok(ids)
-        })
+        let chunks = write_all_chunks(tuples, lease_to_ms(lease));
+        self.begin(chunks, ids_of)
     }
 
     /// Split-phase, non-blocking [`TupleStore::take_up_to`]: asks now for
@@ -253,10 +285,33 @@ impl RemoteSpace {
             0 => Vec::new(),
             _ => vec![Request::TakeUpTo(template.clone(), max as u64, Some(0))],
         };
-        self.begin(ops, |responses| match responses.into_iter().next() {
-            None => Ok(Vec::new()),
-            Some(Response::Tuples(tuples)) => Ok(tuples),
-            Some(other) => Err(other.into_error("remote.take_up_to")),
+        self.begin(ops, |responses| tuples_of(responses.into_iter().next()))
+    }
+
+    /// Split-phase [`TupleStore::write_all_then_take_up_to`]: the
+    /// `WriteAll` frame(s) and the `TakeUpTo` frame leave in one write,
+    /// the server serves them in order and answers both in one write;
+    /// [`Pending::finish`] reads the two outcomes. The take may block on
+    /// the server for `timeout` — the write has been applied by then,
+    /// only its answer waits. A transport failure resends the whole pair
+    /// once, so write and take are each at-least-once, as on their own
+    /// (the server restores a take whose answer it could not deliver).
+    pub fn begin_write_all_then_take_up_to(
+        &self,
+        tuples: Vec<Tuple>,
+        template: &Template,
+        max: usize,
+        timeout: Option<Duration>,
+    ) -> Pending<'_, WriteThenTake> {
+        let mut ops = write_all_chunks(tuples, None);
+        ops.push(Request::TakeUpTo(
+            template.clone(),
+            max as u64,
+            timeout_to_ms(timeout),
+        ));
+        self.begin(ops, |mut responses| {
+            let taken = tuples_of(responses.pop());
+            Ok((ids_of(responses), taken))
         })
     }
 
@@ -362,10 +417,23 @@ impl TupleStore for RemoteSpace {
             return Ok(Vec::new());
         }
         let request = Request::TakeUpTo(template.clone(), max as u64, timeout_to_ms(timeout));
-        match self.call_traced("remote.take_up_to", request)? {
-            Response::Tuples(tuples) => Ok(tuples),
-            other => Err(other.into_error("remote.take_up_to")),
-        }
+        tuples_of(Some(self.call_traced("remote.take_up_to", request)?))
+    }
+
+    /// The refill pair as one exchange — see
+    /// [`RemoteSpace::begin_write_all_then_take_up_to`]. What fails for
+    /// good (after the one reconnect and resend) fails both outcomes.
+    fn write_all_then_take_up_to(
+        &self,
+        tuples: Vec<Tuple>,
+        template: &Template,
+        max: usize,
+        timeout: Option<Duration>,
+    ) -> WriteThenTake {
+        let _span = acc_telemetry::span!("remote.write_take", tuples = tuples.len() as u64);
+        self.begin_write_all_then_take_up_to(tuples, template, max, timeout)
+            .finish()
+            .unwrap_or_else(|e| (Err(e.clone()), Err(e)))
     }
 
     /// Batch drain over the wire: repeated `take_up_to` frames instead of

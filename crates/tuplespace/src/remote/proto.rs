@@ -14,9 +14,10 @@
 //!
 //! This file owns the layout ([`Frame`]), the operation and response
 //! codecs ([`Request`], [`Response`]), the error-code table, and the
-//! per-connection frame I/O ([`FrameEncoder`], [`FramePool`]) with its
-//! length policing. [`decode`] — `payload::decode_frame` underneath — is
-//! the single point where a malformed frame is rejected.
+//! per-connection frame I/O ([`FrameEncoder`], [`FrameReader`]) with its
+//! length policing and its one-syscall-per-direction batching. [`decode`]
+//! — `payload::decode_frame` underneath — is the single point where a
+//! malformed frame is rejected.
 
 use std::io::{Read, Write};
 use std::time::Duration;
@@ -93,7 +94,7 @@ impl<T: Payload> Payload for Frame<T> {
     }
 }
 
-/// Decodes one frame (as read by [`FramePool::read_frame`]), borrowing
+/// Decodes one frame (as read by [`FrameReader::read_frame`]), borrowing
 /// from it: `Bytes` values in the result alias the frame's allocation and
 /// names go through the connection's `interner`. Wrong version, unknown
 /// flags or tags, truncation and trailing bytes are all refused here.
@@ -398,33 +399,92 @@ const DECAY_INTERVAL: u32 = 64;
 /// Never decay below this; tiny control frames shouldn't thrash.
 const MIN_CAPACITY: usize = 4 << 10;
 
-/// A per-connection recycled read buffer.
+/// Size of a connection's read buffer: what one `recv` can drain, and
+/// what each end of each connection pays for it in resident memory
+/// (8 KiB, zeroed when the connection opens — about 0.1 MB for the ten
+/// connection ends of a two-worker cluster in one process). A pipelined
+/// batch of ordinary frames arrives in one call — a worker's refill pair
+/// is under 2 KiB, its two answers about 1 KiB; a frame that does not fit
+/// is finished straight into its own allocation, two calls as before.
+pub(super) const READ_BUFFER: usize = 8 << 10;
+
+/// Most bytes either side gathers before writing them out: the server
+/// stops holding answers back and the client stops coalescing request
+/// frames once this much is encoded, so the encode buffer is bounded by
+/// this plus one frame whatever the peer pipelines.
+pub(super) const COALESCE_LIMIT: usize = 64 << 10;
+
+/// `read` that rides out `EINTR` and reports a hangup as an error, like
+/// `read_exact`.
+fn read_some(stream: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
+    loop {
+        match stream.read(buf) {
+            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => return Ok(n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// A connection's read half: one [`READ_BUFFER`] that every `recv` fills
+/// with whatever the peer has written — several frames, when it
+/// pipelined — plus the recycled per-frame allocation.
 ///
-/// Each frame is read into a ref-counted [`Bytes`] so decoded values can
-/// borrow it; once every borrower is gone, [`FramePool::recycle`] reclaims
-/// the allocation for the next read.
-#[derive(Debug, Default)]
-pub(super) struct FramePool {
+/// Each frame is handed out as its own ref-counted [`Bytes`] so decoded
+/// values can borrow it; once every borrower is gone,
+/// [`FrameReader::recycle`] reclaims the allocation for the next frame.
+#[derive(Debug)]
+pub(super) struct FrameReader {
+    buf: Box<[u8]>,
+    /// `buf[start..end]` is received and not yet handed out.
+    start: usize,
+    end: usize,
     spare: Option<Vec<u8>>,
     /// Largest frame seen since the last decay window closed.
     seen_max: usize,
     recycles: u32,
 }
 
-impl FramePool {
-    /// Reads one frame. The length prefix is policed here, before any
-    /// allocation: over [`MAX_FRAME`] is refused, and so is zero — every
-    /// legal frame has a header, so an empty one means a desynced or
-    /// hostile peer.
+impl Default for FrameReader {
+    fn default() -> Self {
+        FrameReader {
+            buf: vec![0; READ_BUFFER].into_boxed_slice(),
+            start: 0,
+            end: 0,
+            spare: None,
+            seen_max: 0,
+            recycles: 0,
+        }
+    }
+}
+
+impl FrameReader {
+    /// Reads one frame, touching the stream only for what the buffer
+    /// does not already hold. The length prefix is policed here, before
+    /// any allocation: over [`MAX_FRAME`] is refused, and so is zero —
+    /// every legal frame has a header, so an empty one means a desynced
+    /// or hostile peer.
     pub(super) fn read_frame(&mut self, stream: &mut impl Read) -> std::io::Result<Bytes> {
-        let mut len_buf = [0u8; 4];
-        stream.read_exact(&mut len_buf)?;
-        let len = u32::from_le_bytes(len_buf) as usize;
+        while self.end - self.start < 4 {
+            if self.start == self.end {
+                (self.start, self.end) = (0, 0);
+            } else if self.end == self.buf.len() {
+                // A prefix split across the buffer's end: move its first
+                // bytes (at most three) to the front.
+                self.buf.copy_within(self.start..self.end, 0);
+                (self.start, self.end) = (0, self.end - self.start);
+            }
+            self.end += read_some(stream, &mut self.buf[self.end..])?;
+        }
+        let prefix = &self.buf[self.start..self.start + 4];
+        let len = u32::from_le_bytes(prefix.try_into().expect("four bytes")) as usize;
         if len == 0 || len > MAX_FRAME {
             return Err(invalid_data(format!(
                 "frame length {len} outside 1..={MAX_FRAME}"
             )));
         }
+        self.start += 4;
         let net = net_series();
         let mut body = match self.spare.take() {
             Some(buf) => {
@@ -436,11 +496,32 @@ impl FramePool {
                 Vec::new()
             }
         };
-        body.resize(len, 0);
-        stream.read_exact(&mut body)?;
+        let buffered = len.min(self.end - self.start);
+        body.reserve(len);
+        body.extend_from_slice(&self.buf[self.start..self.start + buffered]);
+        self.start += buffered;
+        if buffered < len {
+            // The rest of a frame larger than what one `recv` brought
+            // goes straight into the frame's own allocation.
+            body.resize(len, 0);
+            stream.read_exact(&mut body[buffered..])?;
+        }
         net.frame_bytes.add((len + 4) as u64);
         self.seen_max = self.seen_max.max(len);
         Ok(Bytes::from(body))
+    }
+
+    /// Whether bytes of a further frame have already been received — the
+    /// peer pipelined, and the next [`FrameReader::read_frame`] starts
+    /// without waiting.
+    pub(super) fn has_buffered(&self) -> bool {
+        self.start < self.end
+    }
+
+    /// Forgets received bytes: they came from a socket that has been
+    /// given up.
+    pub(super) fn discard_buffered(&mut self) {
+        (self.start, self.end) = (0, 0);
     }
 
     /// Hands a frame's allocation back for reuse. A frame still borrowed
@@ -471,30 +552,65 @@ impl FramePool {
     }
 }
 
-/// A per-connection reusable encode buffer (decayed like [`FramePool`]):
-/// the length prefix and the frame go out in a single `write_vectored`
-/// call instead of two writes or a concatenating copy.
+/// A connection's write half: frames are encoded back to back into one
+/// reusable buffer ([`FrameEncoder::push`]) and leave in one write
+/// ([`FrameEncoder::flush`]), so an exchange of *n* frames costs one
+/// `send`. The buffer decays like [`FrameReader`]'s spare.
 #[derive(Debug, Default)]
 pub(super) struct FrameEncoder {
     w: WireWriter,
     seen_max: usize,
-    uses: u32,
+    flushes: u32,
 }
 
 impl FrameEncoder {
-    /// Encodes and sends one frame. An oversized frame is refused before
-    /// the length prefix goes out: the peer's reader would reject it
-    /// anyway — after we paid to send it — and past 4 GiB the `u32`
-    /// prefix would wrap and desync the stream.
-    pub(super) fn write_frame(
+    /// Encodes one frame behind those already pushed. An oversized frame
+    /// is refused and taken back out of the buffer, so its length prefix
+    /// never goes out: the peer's reader would reject it anyway — after
+    /// we paid to send it — and past 4 GiB the `u32` prefix would wrap
+    /// and desync the stream. Frames pushed before it stay.
+    pub(super) fn push(
         &mut self,
-        stream: &mut impl Write,
         seq: u32,
         trace: Option<TraceContext>,
         body: &impl Payload,
     ) -> std::io::Result<()> {
-        self.uses += 1;
-        if self.uses % DECAY_INTERVAL == 0 {
+        let at = self.w.len();
+        self.w.put_u32(0);
+        put_header(&mut self.w, seq, trace);
+        body.encode(&mut self.w);
+        let len = self.w.len() - at - 4;
+        if len > MAX_FRAME {
+            self.w.truncate(at);
+            return Err(invalid_data(format!(
+                "frame too large to send: {len} > {MAX_FRAME} bytes"
+            )));
+        }
+        self.w.set_u32(at, len as u32);
+        Ok(())
+    }
+
+    /// Bytes pushed and not yet flushed.
+    pub(super) fn pending(&self) -> usize {
+        self.w.len()
+    }
+
+    /// Drops what was pushed without sending it.
+    pub(super) fn discard(&mut self) {
+        self.w.clear();
+    }
+
+    /// Writes every pushed frame in one call (more only if the socket
+    /// takes part of it) and empties the buffer, also on failure: what
+    /// could not be sent is the caller's to resend or restore.
+    pub(super) fn flush(&mut self, stream: &mut impl Write) -> std::io::Result<()> {
+        let bytes = self.w.len();
+        let sent = stream
+            .write_all(self.w.as_slice())
+            .and_then(|()| stream.flush());
+        self.seen_max = self.seen_max.max(bytes);
+        self.flushes += 1;
+        if self.flushes % DECAY_INTERVAL == 0 {
             let target = self.seen_max.max(MIN_CAPACITY);
             if self.w.capacity() > target * 2 {
                 self.w.shrink_to(target);
@@ -502,35 +618,8 @@ impl FrameEncoder {
             self.seen_max = 0;
         }
         self.w.clear();
-        put_header(&mut self.w, seq, trace);
-        body.encode(&mut self.w);
-        let frame = self.w.as_slice();
-        if frame.len() > MAX_FRAME {
-            return Err(invalid_data(format!(
-                "frame too large to send: {} > {MAX_FRAME} bytes",
-                frame.len()
-            )));
-        }
-        self.seen_max = self.seen_max.max(frame.len());
-        let prefix = (frame.len() as u32).to_le_bytes();
-        let total = prefix.len() + frame.len();
-        let mut written = 0usize;
-        while written < total {
-            let n = if written < prefix.len() {
-                stream.write_vectored(&[
-                    std::io::IoSlice::new(&prefix[written..]),
-                    std::io::IoSlice::new(frame),
-                ])?
-            } else {
-                stream.write(&frame[written - prefix.len()..])?
-            };
-            if n == 0 {
-                return Err(std::io::ErrorKind::WriteZero.into());
-            }
-            written += n;
-        }
-        stream.flush()?;
-        net_series().frame_bytes.add(total as u64);
+        sent?;
+        net_series().frame_bytes.add(bytes as u64);
         Ok(())
     }
 }

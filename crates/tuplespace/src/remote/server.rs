@@ -15,7 +15,8 @@ use parking_lot::Mutex;
 
 use super::net_series;
 use super::proto::{
-    self, error_encode, lease_from_ms, FrameEncoder, FramePool, Request, Response, MAX_FRAME,
+    self, error_encode, lease_from_ms, FrameEncoder, FrameReader, Request, Response,
+    COALESCE_LIMIT, MAX_FRAME,
 };
 use crate::error::SpaceError;
 use crate::payload::NameInterner;
@@ -202,34 +203,65 @@ impl Drop for SpaceServer {
 /// One connection's whole life: read a frame, serve it, answer with the
 /// request's `seq`, repeat. The read buffer, the encode buffer and the
 /// name cache are per connection and reused frame to frame.
+///
+/// **Flush rule.** An answer is held back only while bytes of a further
+/// request are *already received* (and under [`COALESCE_LIMIT`] are
+/// pending): a client that pipelined *n* frames is answered in one write
+/// after the *n*-th is served; a client that sends one request and waits
+/// leaves nothing buffered behind it, so its answer goes out at once. The
+/// server never waits on the socket with an answer in hand unless the
+/// client stopped in the middle of a frame it has yet to finish — which
+/// no client waiting for an answer does — so holding cannot deadlock.
+///
+/// **Lost-take protection.** Every destructive answer served and not yet
+/// successfully flushed is kept in `unacked`; however the loop ends —
+/// failed write, hangup, timeout, undecodable frame — what is still there
+/// goes back to the space.
 fn serve_connection(space: &Arc<Space>, mut stream: TcpStream) {
-    let mut frames = FramePool::default();
+    let mut frames = FrameReader::default();
     let mut enc = FrameEncoder::default();
     let mut interner = NameInterner::new();
+    let mut unacked: Vec<Response> = Vec::new();
     while let Ok(frame) = frames.read_frame(&mut stream) {
         let request = match proto::decode::<Request>(frame.clone(), &mut interner) {
             Ok(request) => request,
             Err(e) => {
                 // Say why before hanging up: a peer of another wire
                 // version learns both versions instead of a bare reset.
-                let _ = enc.write_frame(&mut stream, 0, None, &error_encode(&e));
-                return;
+                let _ = enc.push(0, None, &error_encode(&e));
+                break;
             }
         };
         let destructive = request.body.is_destructive();
         let response = serve(space, request.body, request.trace);
-        if enc
-            .write_frame(&mut stream, request.seq, None, &response)
-            .is_err()
-        {
+        if enc.push(request.seq, None, &response).is_err() {
+            // An answer too large to frame can never be delivered.
             if destructive {
                 restore_unacked(space, response);
             }
-            return;
+            break;
+        }
+        if destructive {
+            unacked.push(response);
         }
         // Reused for the next read unless what was served kept a view of
         // it (a written tuple's blob now living in the space).
         frames.recycle(frame);
+        if frames.has_buffered() && enc.pending() < COALESCE_LIMIT {
+            continue;
+        }
+        if enc.flush(&mut stream).is_err() {
+            break;
+        }
+        unacked.clear();
+    }
+    // Answers still pending (the peer stopped mid-frame, or sent one that
+    // does not decode) get one last chance to leave.
+    if enc.pending() > 0 && enc.flush(&mut stream).is_ok() {
+        unacked.clear();
+    }
+    for response in unacked {
+        restore_unacked(space, response);
     }
 }
 

@@ -7,8 +7,8 @@ use acc_telemetry::TraceContext;
 use bytes::Bytes;
 
 use super::proto::{
-    self, error_encode, error_from, Frame, FrameEncoder, FramePool, Request, Response, MAX_FRAME,
-    WIRE_VERSION,
+    self, error_encode, error_from, Frame, FrameEncoder, FrameReader, Request, Response, MAX_FRAME,
+    READ_BUFFER, WIRE_VERSION,
 };
 use super::server::serve;
 use super::{RemoteSpace, ServerOptions, SpaceServer};
@@ -43,16 +43,16 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
 
 /// A frame as it travels, length prefix included.
 fn raw_frame<T: Payload>(seq: u32, trace: Option<TraceContext>, body: &T) -> Vec<u8> {
+    let mut enc = FrameEncoder::default();
+    enc.push(seq, trace, body).unwrap();
     let mut out = Vec::new();
-    FrameEncoder::default()
-        .write_frame(&mut out, seq, trace, body)
-        .unwrap();
+    enc.flush(&mut out).unwrap();
     out
 }
 
 /// Reads one frame off a raw socket, as either side's service loop would.
 fn read_raw<T: Payload>(stream: &mut TcpStream) -> SpaceResult<Frame<T>> {
-    let frame = FramePool::default()
+    let frame = FrameReader::default()
         .read_frame(stream)
         .map_err(proto::io_error)?;
     proto::decode(frame, &mut NameInterner::new())
@@ -208,13 +208,15 @@ fn hostile_frames_are_rejected_at_decode() {
         ("one over the cap", MAX_FRAME as u32 + 1),
         ("4 GiB", u32::MAX),
     ] {
-        let mut pool = FramePool::default();
-        let err = pool.read_frame(&mut &len.to_le_bytes()[..]).unwrap_err();
+        let mut reader = FrameReader::default();
+        let err = reader.read_frame(&mut &len.to_le_bytes()[..]).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
     }
     let mut cut = (100u32).to_le_bytes().to_vec();
     cut.extend([WIRE_VERSION, 0, 0]);
-    let err = FramePool::default().read_frame(&mut &cut[..]).unwrap_err();
+    let err = FrameReader::default()
+        .read_frame(&mut &cut[..])
+        .unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
 }
 
@@ -653,14 +655,18 @@ fn encoder_enforces_max_frame_at_the_boundary() {
     let overhead = raw_frame(0, None, &Blob(Vec::new())).len() - 4;
     // Exactly MAX_FRAME: allowed (the reader accepts len == MAX_FRAME).
     let at_limit = Blob(vec![0u8; MAX_FRAME - overhead]);
-    enc.write_frame(&mut sink, 0, None, &at_limit).unwrap();
-    // One byte over: rejected cleanly before any bytes go out.
+    enc.push(0, None, &at_limit).unwrap();
+    enc.flush(&mut sink).unwrap();
+    // One byte over: rejected cleanly before any bytes go out, and taken
+    // back out of the buffer — a frame pushed before it still leaves.
     let over = Blob(vec![0u8; MAX_FRAME - overhead + 1]);
-    let mut out = Vec::new();
-    let err = enc.write_frame(&mut out, 0, None, &over).unwrap_err();
+    enc.push(1, None, &Request::IsClosed).unwrap();
+    let err = enc.push(2, None, &over).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("frame too large"), "{err}");
-    assert!(out.is_empty());
+    let mut out = Vec::new();
+    enc.flush(&mut out).unwrap();
+    assert_eq!(out, raw_frame(1, None, &Request::IsClosed));
 }
 
 #[test]
@@ -758,6 +764,466 @@ fn take_up_to_splits_responses_that_would_overflow_a_frame() {
     }
     assert_eq!(total, 6);
     assert_eq!(Space::count(&space, &Template::of_type("big")), 0);
+}
+
+/// A `Write` that counts how often it is called.
+#[derive(Default)]
+struct CountingWrite {
+    bytes: Vec<u8>,
+    calls: usize,
+}
+
+impl std::io::Write for CountingWrite {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A `Read` over fixed bytes that hands out at most `chunks[i]` bytes on
+/// its `i`-th call (cycling; everything it has when `chunks` is empty),
+/// and counts the calls — a socket whose segments arrive as they please.
+struct ChunkedRead {
+    bytes: Vec<u8>,
+    at: usize,
+    chunks: Vec<usize>,
+    calls: usize,
+}
+
+impl ChunkedRead {
+    fn new(bytes: Vec<u8>, chunks: Vec<usize>) -> ChunkedRead {
+        ChunkedRead {
+            bytes,
+            at: 0,
+            chunks,
+            calls: 0,
+        }
+    }
+}
+
+impl std::io::Read for ChunkedRead {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let chunk = match self.chunks.len() {
+            0 => usize::MAX,
+            n => self.chunks[self.calls % n],
+        };
+        self.calls += 1;
+        let n = chunk.min(buf.len()).min(self.bytes.len() - self.at);
+        buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+#[test]
+fn pushed_frames_reach_the_socket_in_one_write() {
+    let ops = [
+        Request::WriteAll((0..4).map(tuple).collect(), None),
+        Request::TakeUpTo(Template::of_type("t"), 4, Some(50)),
+        Request::IsClosed,
+    ];
+    let mut enc = FrameEncoder::default();
+    let mut expected = Vec::new();
+    for (seq, op) in ops.iter().enumerate() {
+        enc.push(seq as u32, None, op).unwrap();
+        expected.extend(raw_frame(seq as u32, None, op));
+    }
+    assert_eq!(enc.pending(), expected.len());
+    let mut sink = CountingWrite::default();
+    enc.flush(&mut sink).unwrap();
+    assert_eq!(sink.calls, 1, "an exchange's frames are one write");
+    assert_eq!(sink.bytes, expected);
+    assert_eq!(enc.pending(), 0);
+}
+
+#[test]
+fn frames_written_in_one_call_are_read_in_one_call() {
+    let ops = [
+        Request::Write(tuple(1), None),
+        Request::TakeUpTo(Template::of_type("t"), 4, Some(50)),
+    ];
+    // One frame, one read — not a read for the prefix and one for the body.
+    let mut one = ChunkedRead::new(raw_frame(0, None, &ops[0]), Vec::new());
+    let mut reader = FrameReader::default();
+    let frame = reader.read_frame(&mut one).unwrap();
+    assert_eq!(one.calls, 1);
+    let decoded: Frame<Request> = proto::decode(frame, &mut NameInterner::new()).unwrap();
+    assert_eq!(decoded.body, ops[0]);
+    assert!(!reader.has_buffered());
+    // A pipelined pair: the first read brings both, the second frame is
+    // served from the buffer.
+    let both = [raw_frame(1, None, &ops[0]), raw_frame(2, None, &ops[1])].concat();
+    let mut pair = ChunkedRead::new(both, Vec::new());
+    let mut reader = FrameReader::default();
+    for (seq, op) in [(1, &ops[0]), (2, &ops[1])] {
+        assert_eq!(reader.has_buffered(), seq == 2);
+        let frame = reader.read_frame(&mut pair).unwrap();
+        let decoded: Frame<Request> = proto::decode(frame, &mut NameInterner::new()).unwrap();
+        assert_eq!((decoded.seq, &decoded.body), (seq, op));
+    }
+    assert_eq!(pair.calls, 1);
+    assert!(!reader.has_buffered());
+}
+
+#[test]
+fn a_frame_larger_than_the_read_buffer_lands_in_its_own_reclaimable_allocation() {
+    // `raytrace_job`'s shape: a 45 KB strip in one result tuple.
+    let strip: Vec<u8> = (0..45_000u32).map(|i| (i % 251) as u8).collect();
+    assert!(strip.len() > READ_BUFFER);
+    let op = Request::Write(
+        Tuple::build("strip")
+            .field("id", 7i64)
+            .field("pixels", strip.clone())
+            .done(),
+        None,
+    );
+    let follower = Request::IsClosed;
+    let bytes = [raw_frame(0, None, &op), raw_frame(1, None, &follower)].concat();
+    let mut reader = FrameReader::default();
+    let mut stream = ChunkedRead::new(bytes, Vec::new());
+    let frame = reader.read_frame(&mut stream).unwrap();
+    assert_eq!(stream.calls, 2, "one read for what fits, one for the rest");
+    let decoded: Frame<Request> = proto::decode(frame.clone(), &mut NameInterner::new()).unwrap();
+    let Request::Write(written, None) = decoded.body else {
+        panic!("decoded as {:?}", decoded.body)
+    };
+    let pixels = written.get_bytes("pixels").expect("a bytes field");
+    assert_eq!(pixels, &strip[..]);
+    // The field is a view into the frame, not a copy of it, so the frame
+    // cannot be reused while the tuple lives, and can once it is gone:
+    // its allocation is the frame's own, not the read buffer.
+    let pixels_at = pixels.as_ptr();
+    assert!(frame.as_ptr_range().contains(&pixels_at));
+    let frame = frame.try_reclaim().expect_err("the tuple still borrows it");
+    drop(written);
+    let reclaimed = frame.try_reclaim().expect("last view gone");
+    assert!(reclaimed.capacity() >= strip.len());
+    // The frame behind it is intact.
+    let next = reader.read_frame(&mut stream).unwrap();
+    let decoded: Frame<Request> = proto::decode(next, &mut NameInterner::new()).unwrap();
+    assert_eq!((decoded.seq, decoded.body), (1, follower));
+}
+
+#[test]
+fn a_client_that_waits_for_each_answer_is_answered_at_once() {
+    // Nothing is buffered behind a lone request, so its answer is never
+    // held: each comes back well inside the raw socket's read timeout
+    // (the server's own idle timeout is 30 s).
+    let (space, server, _remote) = rig();
+    space.write(tuple(1)).unwrap();
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    let exchanges = [
+        (Request::Count(Template::of_type("t")), Response::Count(1)),
+        (
+            Request::Take(Template::of_type("t"), Some(0)),
+            Response::MaybeTuple(Some(tuple(1))),
+        ),
+        (Request::IsClosed, Response::Bool(false)),
+    ];
+    for (seq, (request, expected)) in exchanges.iter().enumerate() {
+        raw.write_all(&raw_frame(seq as u32, None, request))
+            .unwrap();
+        let answer = read_raw::<Response>(&mut raw).unwrap();
+        assert_eq!((answer.seq, &answer.body), (seq as u32, expected));
+    }
+}
+
+#[test]
+fn a_pipelined_batch_is_answered_in_order_with_the_echoed_seqs() {
+    let (space, server, _remote) = rig();
+    let batch = [
+        (40, Request::Write(tuple(1), None)),
+        (7, Request::WriteAll(vec![tuple(2), tuple(3)], None)),
+        (7, Request::Count(Template::of_type("t"))),
+        (
+            u32::MAX,
+            Request::TakeUpTo(Template::of_type("t"), 2, Some(0)),
+        ),
+        (0, Request::Read(Template::of_type("t"), Some(0))),
+    ];
+    let mut segment = Vec::new();
+    for (seq, request) in &batch {
+        segment.extend(raw_frame(*seq, None, request));
+    }
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    raw.write_all(&segment).unwrap();
+    let mut reader = FrameReader::default();
+    let mut answers = Vec::new();
+    for _ in &batch {
+        let frame = reader.read_frame(&mut raw).unwrap();
+        let answer: Frame<Response> = proto::decode(frame, &mut NameInterner::new()).unwrap();
+        answers.push((answer.seq, answer.body));
+    }
+    assert!(matches!(answers[0], (40, Response::Id(_))), "{answers:?}");
+    assert!(
+        matches!(&answers[1], (7, Response::Ids(ids)) if ids.len() == 2),
+        "{answers:?}"
+    );
+    assert_eq!(answers[2], (7, Response::Count(3)));
+    assert_eq!(
+        answers[3],
+        (u32::MAX, Response::Tuples(vec![tuple(1), tuple(2)]))
+    );
+    assert_eq!(answers[4], (0, Response::MaybeTuple(Some(tuple(3)))));
+    assert_eq!(space.len(), 1);
+}
+
+/// `server.tuples_restored` is one counter for the whole test process:
+/// tests that assert on how much it moved take this lock.
+static RESTORES: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+
+fn tuples_restored() -> u64 {
+    super::net_series().tuples_restored.get()
+}
+
+/// Writes `batch` to a fresh raw connection in one segment — its last
+/// frame a take on type `t` that parks — and hangs up without reading a
+/// byte, the server's side of the connection severed too so that the
+/// held-back answers' write fails for certain instead of depending on
+/// when the peer's reset lands. Then makes the parked take match.
+/// Returns how many tuples the server restored.
+fn hang_up_on_a_pipelined_batch(
+    space: &Arc<Space>,
+    server: &SpaceServer,
+    batch: &[Request],
+) -> u64 {
+    let before = tuples_restored();
+    let parked = space.stats().blocked_waits;
+    let mut segment = Vec::new();
+    for (seq, request) in batch.iter().enumerate() {
+        segment.extend(raw_frame(seq as u32, None, request));
+    }
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    raw.write_all(&segment).unwrap();
+    wait_until("the batch's last take is parked", || {
+        space.stats().blocked_waits > parked
+    });
+    drop(raw);
+    server.disconnect_all();
+    Space::write_all(space, (10..13).map(tuple).collect()).unwrap();
+    wait_until("the connection's thread has restored and gone", || {
+        tuples_restored() > before && Space::count(space, &Template::of_type("t")) == 3
+    });
+    tuples_restored() - before
+}
+
+#[test]
+fn every_take_answer_held_back_is_restored_when_the_flush_fails() {
+    let _serial = RESTORES.lock();
+    let (space, server, _remote) = rig();
+    let u = |id: i64| Tuple::build("u").field("id", id).done();
+    Space::write_all(&space, (0..4).map(u).collect()).unwrap();
+    // Two destructive answers pending at once: the first (two `u`s) is
+    // held while the second is served, and the second parks.
+    let restored = hang_up_on_a_pipelined_batch(
+        &space,
+        &server,
+        &[
+            Request::TakeUpTo(Template::of_type("u"), 2, Some(0)),
+            Request::TakeUpTo(Template::of_type("t"), 8, Some(5000)),
+        ],
+    );
+    assert_eq!(restored, 5, "two held `u`s and the three `t`s");
+    let mut us: Vec<i64> = Space::take_all(&space, &Template::of_type("u"))
+        .unwrap()
+        .iter()
+        .map(|t| t.get_int("id").unwrap())
+        .collect();
+    us.sort_unstable();
+    assert_eq!(us, vec![0, 1, 2, 3], "each taken tuple back exactly once");
+    let mut ts: Vec<i64> = Space::take_all(&space, &Template::of_type("t"))
+        .unwrap()
+        .iter()
+        .map(|t| t.get_int("id").unwrap())
+        .collect();
+    ts.sort_unstable();
+    assert_eq!(ts, vec![10, 11, 12]);
+}
+
+#[test]
+fn a_refill_pair_whose_answers_are_lost_keeps_its_write_and_restores_its_take() {
+    let _serial = RESTORES.lock();
+    let (space, server, _remote) = rig();
+    let result = |id: i64| Tuple::build("r").field("id", id).done();
+    // The worker's shape: results out, tasks in. The write is applied
+    // once and stays; only the take is undone.
+    let restored = hang_up_on_a_pipelined_batch(
+        &space,
+        &server,
+        &[
+            Request::WriteAll((0..4).map(result).collect(), None),
+            Request::TakeUpTo(Template::of_type("t"), 8, Some(5000)),
+        ],
+    );
+    assert_eq!(restored, 3);
+    assert_eq!(Space::count(&space, &Template::of_type("r")), 4);
+    assert_eq!(Space::count(&space, &Template::of_type("t")), 3);
+}
+
+#[test]
+fn a_read_answer_in_a_lost_batch_is_not_written_back() {
+    let _serial = RESTORES.lock();
+    let (space, server, _remote) = rig();
+    let u = Tuple::build("u").field("id", 1i64).done();
+    space.write(u).unwrap();
+    // The read's `MaybeTuple(Some(..))` looks just like a take's, but its
+    // tuple never left the space: restoring it would duplicate it.
+    let restored = hang_up_on_a_pipelined_batch(
+        &space,
+        &server,
+        &[
+            Request::Read(Template::of_type("u"), Some(0)),
+            Request::TakeUpTo(Template::of_type("t"), 8, Some(5000)),
+        ],
+    );
+    assert_eq!(restored, 3, "the take's tuples only");
+    assert_eq!(Space::count(&space, &Template::of_type("u")), 1);
+}
+
+#[test]
+fn answers_pending_when_the_peer_stops_mid_frame_are_restored() {
+    let _serial = RESTORES.lock();
+    let (space, server, _remote) = rig();
+    Space::write_all(&space, (0..3).map(tuple).collect()).unwrap();
+    let before = tuples_restored();
+    // A whole take, then the first bytes of a further frame: the answer
+    // is held for the frame to finish, and the hangup comes instead.
+    let mut segment = raw_frame(
+        0,
+        None,
+        &Request::TakeUpTo(Template::of_type("t"), 8, Some(0)),
+    );
+    segment.extend(&raw_frame(1, None, &Request::IsClosed)[..5]);
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    raw.write_all(&segment).unwrap();
+    wait_until("the take is served", || space.is_empty());
+    server.disconnect_all();
+    drop(raw);
+    wait_until("the taken tuples are back", || space.len() == 3);
+    assert_eq!(tuples_restored() - before, 3);
+}
+
+#[test]
+fn remote_refill_pair_writes_then_takes_in_one_exchange() {
+    let (space, _server, remote) = rig();
+    let t = Template::of_type("t");
+    let result = |id: i64| Tuple::build("r").field("id", id).done();
+    Space::write_all(&space, (0..6).map(tuple).collect()).unwrap();
+    let frames_before =
+        super::net_series().buffer_reuse_hits.get() + super::net_series().buffer_reuse_misses.get();
+    let (written, taken) =
+        remote.write_all_then_take_up_to((0..4).map(result).collect(), &t, 4, Some(Duration::ZERO));
+    assert_eq!(written.unwrap().len(), 4);
+    assert_eq!(taken.unwrap(), (0..4).map(tuple).collect::<Vec<_>>());
+    assert_eq!(Space::count(&space, &Template::of_type("r")), 4);
+    assert_eq!(Space::count(&space, &t), 2);
+    // Nothing to write: the take alone; nothing to take: an empty batch
+    // after the timeout, with the write applied.
+    let (written, taken) = remote.write_all_then_take_up_to(Vec::new(), &t, 8, None);
+    assert!(written.unwrap().is_empty());
+    assert_eq!(taken.unwrap().len(), 2);
+    let (written, taken) =
+        remote.write_all_then_take_up_to(vec![result(9)], &t, 8, Some(Duration::from_millis(10)));
+    assert_eq!(written.unwrap().len(), 1);
+    assert!(taken.unwrap().is_empty());
+    assert_eq!(Space::count(&space, &Template::of_type("r")), 5);
+    // Other tests share the frame counters, so only a floor holds: two
+    // frames each way for the first pair, one and two for the others.
+    let frames = super::net_series().buffer_reuse_hits.get()
+        + super::net_series().buffer_reuse_misses.get()
+        - frames_before;
+    assert!(frames >= 10, "frames {frames}");
+    // A closed space fails both halves, each with its own answer.
+    remote.close();
+    let (written, taken) = remote.write_all_then_take_up_to(vec![result(1)], &t, 4, None);
+    assert_eq!(written, Err(SpaceError::Closed));
+    assert_eq!(taken, Err(SpaceError::Closed));
+}
+
+/// A server for [`a_resent_pair_keeps_seq_monotone_and_fails_through_one_exit`]:
+/// hangs up on its first `deaf` connections after reading `per_exchange`
+/// frames from each, serves the later ones against `space`, and logs the
+/// `seq`s every connection saw.
+fn deaf_then_serving(
+    space: Arc<Space>,
+    deaf: usize,
+    per_exchange: usize,
+) -> (SocketAddr, Arc<parking_lot::Mutex<Vec<Vec<u32>>>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let seen = log.clone();
+    std::thread::spawn(move || {
+        for (conn, mut stream) in listener.incoming().flatten().enumerate() {
+            let mut reader = FrameReader::default();
+            let mut interner = NameInterner::new();
+            seen.lock().push(Vec::new());
+            let mut answers = Vec::new();
+            while let Ok(frame) = reader.read_frame(&mut stream) {
+                let request: Frame<Request> = proto::decode(frame, &mut interner).unwrap();
+                seen.lock()[conn].push(request.seq);
+                if conn < deaf {
+                    if seen.lock()[conn].len() == per_exchange {
+                        break; // hang up with the whole exchange unanswered
+                    }
+                    continue;
+                }
+                let response = serve(&space, request.body, None);
+                answers.extend(raw_frame(request.seq, None, &response));
+                if !reader.has_buffered() {
+                    if stream.write_all(&answers).is_err() {
+                        break;
+                    }
+                    answers.clear();
+                }
+            }
+        }
+    });
+    (addr, log)
+}
+
+#[test]
+fn a_resent_pair_keeps_seq_monotone_and_fails_through_one_exit() {
+    let t = Template::of_type("t");
+    let result = |id: i64| Tuple::build("r").field("id", id).done();
+    // One dropped connection: invisible — the pair is resent whole, under
+    // fresh sequence numbers.
+    let space = Space::new("resent");
+    Space::write_all(&space, (0..3).map(tuple).collect()).unwrap();
+    let (addr, log) = deaf_then_serving(space.clone(), 1, 2);
+    let remote = RemoteSpace::connect(addr).unwrap();
+    let (written, taken) =
+        remote.write_all_then_take_up_to(vec![result(0), result(1)], &t, 8, Some(Duration::ZERO));
+    assert_eq!(written.unwrap().len(), 2);
+    assert_eq!(taken.unwrap().len(), 3);
+    assert_eq!(*log.lock(), vec![vec![0, 1], vec![2, 3]]);
+    assert_eq!(Space::count(&space, &Template::of_type("r")), 2);
+    // The connection that served the resend is in step: a plain call
+    // follows on it, under the next number.
+    assert_eq!(remote.count(&t), Ok(0));
+    assert_eq!(*log.lock(), vec![vec![0, 1], vec![2, 3, 4]]);
+    // Two in a row: one reconnect, one resend, then both halves fail with
+    // the one transport error — and the next call starts from a clean
+    // reconnect instead of reading a stale answer.
+    let (addr, log) = deaf_then_serving(space.clone(), 2, 2);
+    let remote = RemoteSpace::connect(addr).unwrap();
+    let (written, taken) =
+        remote.write_all_then_take_up_to(vec![result(2)], &t, 8, Some(Duration::ZERO));
+    assert!(
+        matches!(written, Err(SpaceError::Transport(_))),
+        "{written:?}"
+    );
+    assert_eq!(written.map(|_| ()), taken.map(|_| ()));
+    assert_eq!(*log.lock(), vec![vec![0, 1], vec![2, 3]]);
+    // (`seq` 4 went to the send that found the socket shut down.)
+    assert_eq!(remote.count(&Template::of_type("r")), Ok(2));
+    assert_eq!(*log.lock(), vec![vec![0, 1], vec![2, 3], vec![5]]);
 }
 
 /// Property tests over the wire codec: arbitrary frames — every header
@@ -866,6 +1332,36 @@ mod codec_props {
         fn responses_roundtrip(frame in arb_frame(arb_response())) {
             let decoded = proto::decode(Bytes::from(frame.to_bytes()), &mut NameInterner::new());
             prop_assert_eq!(decoded, Ok(frame));
+        }
+
+        #[test]
+        fn frames_survive_arbitrary_chunking(
+            frames in proptest::collection::vec(arb_frame(arb_request()), 1..12),
+            chunks in proptest::collection::vec(1usize..600, 1..8),
+            blob in 0usize..40_000,
+        ) {
+            // The stream delivers 1 byte … several frames per read; one
+            // frame may be far larger than the read buffer.
+            let mut frames = frames;
+            frames[0].body = Request::Write(
+                Tuple::build("big").field("blob", vec![0xA5u8; blob]).done(),
+                None,
+            );
+            let mut bytes = Vec::new();
+            for frame in &frames {
+                bytes.extend(raw_frame(frame.seq, frame.trace, &frame.body));
+            }
+            let mut stream = ChunkedRead::new(bytes, chunks);
+            let mut reader = FrameReader::default();
+            let mut interner = NameInterner::new();
+            for frame in &frames {
+                let read = reader.read_frame(&mut stream).unwrap();
+                prop_assert_eq!(&proto::decode::<Request>(read.clone(), &mut interner).unwrap(), frame);
+                reader.recycle(read);
+            }
+            prop_assert!(!reader.has_buffered());
+            let end = reader.read_frame(&mut stream).unwrap_err();
+            prop_assert_eq!(end.kind(), std::io::ErrorKind::UnexpectedEof);
         }
 
         #[test]

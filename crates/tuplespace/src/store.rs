@@ -23,7 +23,17 @@ use crate::tuple::Tuple;
 /// Shared handle to any tuple store (local or remote).
 pub type StoreHandle = Arc<dyn TupleStore>;
 
+/// Both outcomes of [`TupleStore::write_all_then_take_up_to`]: the batch
+/// write's ids and the batch take's tuples.
+pub type WriteThenTake = (SpaceResult<Vec<EntryId>>, SpaceResult<Vec<Tuple>>);
+
 /// The operations every space client relies on.
+///
+/// A decorator (a store that wraps another) forwards every method it
+/// does not mean to change: one that leaves a defaulted method out still
+/// works, but silently gets the default's loop of plain calls instead of
+/// the wrapped store's one-exchange version —
+/// [`TupleStore::write_all_then_take_up_to`] is the costly one to forget.
 pub trait TupleStore: Send + Sync {
     /// Stores a tuple under a lease.
     fn write_leased(&self, tuple: Tuple, lease: Lease) -> SpaceResult<EntryId>;
@@ -115,6 +125,46 @@ pub trait TupleStore: Send + Sync {
         }
         Ok(out)
     }
+
+    /// `write_all(tuples)`, then `take_up_to(template, max, timeout)` —
+    /// a worker's refill point: the finished batch's results out, the
+    /// next batch's tasks in. [`crate::remote::RemoteSpace`] sends the two
+    /// as one pipelined exchange (one round trip, one syscall each way);
+    /// this default is [`write_all_then_take_up_to_in_sequence`].
+    ///
+    /// Both outcomes come back. A store that runs the pair as one
+    /// exchange has already removed the tuples when it learns the write
+    /// failed, so a failed write beside a successful take hands the
+    /// caller tuples it must use or write back — never silently drops
+    /// them.
+    fn write_all_then_take_up_to(
+        &self,
+        tuples: Vec<Tuple>,
+        template: &Template,
+        max: usize,
+        timeout: Option<Duration>,
+    ) -> WriteThenTake {
+        write_all_then_take_up_to_in_sequence(self, tuples, template, max, timeout)
+    }
+}
+
+/// The two-call form of [`TupleStore::write_all_then_take_up_to`], for
+/// stores with nothing to gain from pairing them: the write, and the
+/// take only if the write succeeded (nothing is taken after a failed
+/// write, which reports an empty batch).
+pub fn write_all_then_take_up_to_in_sequence<S: TupleStore + ?Sized>(
+    store: &S,
+    tuples: Vec<Tuple>,
+    template: &Template,
+    max: usize,
+    timeout: Option<Duration>,
+) -> WriteThenTake {
+    let written = store.write_all(tuples);
+    let taken = match written {
+        Ok(_) => store.take_up_to(template, max, timeout),
+        Err(_) => Ok(Vec::new()),
+    };
+    (written, taken)
 }
 
 impl TupleStore for Space {
@@ -186,5 +236,21 @@ mod tests {
         store.close();
         assert!(store.is_closed());
         assert!(store.write(tuple(3)).is_err());
+    }
+
+    #[test]
+    fn default_refill_pair_is_the_two_calls_and_takes_nothing_after_a_failed_write() {
+        let space = Space::new("pair");
+        let store: StoreHandle = space.clone();
+        let t = Template::of_type("t");
+        store.write_all((0..5).map(tuple).collect()).unwrap();
+        let result = Tuple::build("r").field("id", 0i64).done();
+        let (written, taken) = store.write_all_then_take_up_to(vec![result.clone()], &t, 3, None);
+        assert_eq!(written.unwrap().len(), 1);
+        assert_eq!(taken.unwrap().len(), 3);
+        store.close();
+        let (written, taken) = store.write_all_then_take_up_to(vec![result], &t, 3, None);
+        assert!(written.is_err());
+        assert_eq!(taken, Ok(Vec::new()), "no take is attempted");
     }
 }

@@ -13,7 +13,7 @@ use adaptive_spaces::framework::{
 };
 use adaptive_spaces::space::{
     EntryId, Lease, Payload, RemoteSpace, Space, SpaceResult, SpaceServer, StoreHandle, Template,
-    Tuple, TupleStore,
+    Tuple, TupleStore, WriteThenTake,
 };
 
 fn fast_config() -> FrameworkConfig {
@@ -313,21 +313,42 @@ fn worker_dies_when_space_server_disappears() {
 }
 
 /// A worker's proxy to the space whose connection is cut exactly once:
-/// between the request frames of the first multi-result flush and their
-/// response.
+/// between the request frames of the first multi-result flush — on its
+/// own or paired with the refill take — and their response.
 struct CutDuringFlush {
     remote: RemoteSpace,
     server: Arc<SpaceServer>,
     cuts: AtomicU64,
 }
 
-impl TupleStore for CutDuringFlush {
-    fn write_all_leased(&self, tuples: Vec<Tuple>, lease: Lease) -> SpaceResult<Vec<EntryId>> {
-        let pending = self.remote.begin_write_all_leased(tuples, lease);
+impl CutDuringFlush {
+    fn cut_once(&self) {
         if self.cuts.fetch_add(1, Ordering::SeqCst) == 0 {
             self.server.disconnect_all();
         }
+    }
+}
+
+impl TupleStore for CutDuringFlush {
+    fn write_all_leased(&self, tuples: Vec<Tuple>, lease: Lease) -> SpaceResult<Vec<EntryId>> {
+        let pending = self.remote.begin_write_all_leased(tuples, lease);
+        self.cut_once();
         pending.finish()
+    }
+    fn write_all_then_take_up_to(
+        &self,
+        tuples: Vec<Tuple>,
+        t: &Template,
+        max: usize,
+        d: Option<Duration>,
+    ) -> WriteThenTake {
+        let pending = self
+            .remote
+            .begin_write_all_then_take_up_to(tuples, t, max, d);
+        self.cut_once();
+        pending
+            .finish()
+            .unwrap_or_else(|e| (Err(e.clone()), Err(e)))
     }
     fn write_leased(&self, tuple: Tuple, lease: Lease) -> SpaceResult<EntryId> {
         self.remote.write_leased(tuple, lease)
@@ -354,12 +375,15 @@ impl TupleStore for CutDuringFlush {
 
 #[test]
 fn connection_cut_during_a_result_flush_still_completes_the_job_exactly_once() {
-    // The worker's coalesced result write loses its connection after the
-    // frames went out and before the response came back. `RemoteSpace`
-    // reconnects and resends the whole batch, which makes the flush
-    // at-least-once: if the server had applied the first copy, every
-    // result of that batch is now in the space twice. The master must
-    // absorb each task id once, and the job must complete.
+    // The worker's coalesced result write — the first half of its refill
+    // pair — loses its connection after the frames went out and before
+    // the responses came back. `RemoteSpace` reconnects and resends the
+    // whole pair, which makes the flush at-least-once: if the server had
+    // applied the first copy, every result of that batch is now in the
+    // space twice; and the tasks the first copy's take removed are back
+    // in the space (the server restores a take it could not answer) for
+    // the resent take to find. The master must absorb each task id once,
+    // and the job must complete.
     struct CountingApp {
         absorbed: Vec<u32>,
     }
