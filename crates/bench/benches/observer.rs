@@ -1,26 +1,12 @@
-//! Micro-benchmarks of the metrics-federation plane: what the hot paths
-//! pay for history rings and heartbeat handling, and what one federated
-//! metric tuple costs end to end (encode → space write → collector drain
-//! → ingest). The federation ticks at ~1 Hz per worker, so these numbers
-//! bound its steady-state overhead to microseconds per second of runtime.
+//! Micro-benchmarks of the cluster observer: what its history rings and
+//! its hub cost. The rings record once per worker per SNMP poll and the
+//! hub once per result, so these numbers bound the observer's share of
+//! the monitor's tick and of the master's absorb path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use acc_cluster::observer::now_ms;
-use acc_cluster::{metrics_template, ClusterObserver, MetricsReport, ObserverConfig, TaskTiming};
+use acc_cluster::{ClusterObserver, ObserverConfig, TaskTiming};
 use acc_telemetry::HistoryRing;
-use acc_tuplespace::Space;
-
-fn report(worker: &str, seq: u64) -> MetricsReport {
-    MetricsReport {
-        worker: worker.into(),
-        seq,
-        at_ms: now_ms(),
-        total_load: 37,
-        framework_load: 12,
-        tasks_done: seq * 3,
-    }
-}
 
 fn bench_ring(c: &mut Criterion) {
     let mut group = c.benchmark_group("observer/ring");
@@ -42,40 +28,6 @@ fn bench_ring(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_report_codec(c: &mut Criterion) {
-    let mut group = c.benchmark_group("observer/report");
-    let r = report("bench-worker", 42);
-    group.bench_function("encode", |b| b.iter(|| r.encode()));
-    let bytes = r.encode();
-    group.bench_function("decode", |b| {
-        b.iter(|| MetricsReport::decode("bench-worker", &bytes).unwrap())
-    });
-    group.bench_function("to_tuple", |b| b.iter(|| r.to_tuple()));
-    group.finish();
-}
-
-/// The full federated publish path: a worker-side heartbeat tuple written
-/// into the space, drained by the collector, decoded and folded into the
-/// hub — the per-interval cost of one worker's federation.
-fn bench_publish_roundtrip(c: &mut Criterion) {
-    let mut group = c.benchmark_group("observer/publish");
-    group.bench_function("write_drain_ingest", |b| {
-        let space = Space::new("bench-metrics");
-        let hub = ClusterObserver::new(ObserverConfig::default());
-        let template = metrics_template();
-        let mut seq = 0u64;
-        b.iter(|| {
-            seq += 1;
-            space.write(report("bench-worker", seq).to_tuple()).unwrap();
-            for tuple in space.take_all(&template).unwrap() {
-                let r = MetricsReport::from_tuple(&tuple).unwrap();
-                assert!(hub.ingest(&r));
-            }
-        });
-    });
-    group.finish();
-}
-
 fn bench_hub(c: &mut Criterion) {
     let mut group = c.benchmark_group("observer/hub");
     group.bench_function("record_attribution", |b| {
@@ -89,8 +41,8 @@ fn bench_hub(c: &mut Criterion) {
         b.iter(|| hub.record_attribution("job", "bench-worker", &timing));
     });
     group.bench_function("straggler_scan_16_workers", |b| {
-        // The monitor calls is_straggler once per poll tick; bound the
-        // scan over a fleet-sized hub.
+        // The monitor's effective_load runs this scan once per worker per
+        // poll tick; bound it over a fleet-sized hub.
         let hub = ClusterObserver::new(ObserverConfig::default());
         for w in 0..16 {
             let name = format!("w{w:02}");
@@ -113,6 +65,6 @@ fn bench_hub(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_ring, bench_report_codec, bench_publish_roundtrip, bench_hub
+    targets = bench_ring, bench_hub
 );
 criterion_main!(benches);

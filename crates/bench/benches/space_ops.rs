@@ -66,7 +66,7 @@ fn bench_template_match(c: &mut Criterion) {
     });
 }
 
-fn bench_transactional_take(c: &mut Criterion) {
+fn bench_take_modes(c: &mut Criterion) {
     let mut group = c.benchmark_group("space/take_modes");
     group.bench_function("plain", |b| {
         let space = Space::new("bench");
@@ -199,7 +199,7 @@ criterion_group!(
     bench_write_take,
     bench_read,
     bench_template_match,
-    bench_transactional_take,
+    bench_take_modes,
     bench_notify_dispatch,
     bench_leased_writes_and_sweep,
     bench_concurrent_takers

@@ -23,9 +23,6 @@ mod testbeds;
 pub use loadgen::{LoadGenerator, LoadPhase, LoadTrace, TrafficKind};
 pub use meter::{LoadMix, UsageHistory, UsagePoint};
 pub use node::{Node, NodeSpec};
-pub use observer::{
-    jittered_interval, metrics_template, ClusterObserver, DecisionInput, MetricsReport,
-    ObserverConfig, RawSamples, TaskTiming, METRICS_TYPE,
-};
+pub use observer::{ClusterObserver, ObserverConfig, TaskTiming};
 pub use profiler::{JobProfiler, JobRecorder};
 pub use testbeds::{option_pricing_testbed, ray_tracing_testbed, Testbed, MASTER_SPEC};

@@ -1,45 +1,33 @@
-//! Cluster-wide metric federation through the tuple space itself.
+//! The cluster view: one row per worker, fed by the two carriers the
+//! framework already has.
 //!
-//! The paper's adaptive loop is only as informed as what the monitoring
-//! agent can see. This module gives it a cluster view instead of a
-//! last-sample view:
+//! * **SNMP** (paper §4.1): every monitor poll tick hands the observer
+//!   the node's total and external load ([`ClusterObserver::record_load_sample`]).
+//!   External load lands in the `load` ring, the framework's own share
+//!   (total − external) in the `framework_load` ring, and the count of
+//!   results attributed to the worker so far in the `tasks` ring — the
+//!   samples behind throughput.
+//! * **Result tuples** carry a [`TaskTiming`] attribution record
+//!   (space-wait, transfer, compute, result-write); the master folds each
+//!   into per-worker and per-job histograms
+//!   ([`ClusterObserver::record_attribution`]).
 //!
-//! * workers (and the space server) periodically publish a compact
-//!   [`MetricsReport`] heartbeat tuple — type [`METRICS_TYPE`], payload a
-//!   versioned little-endian byte record in the same style as the `tctx`
-//!   trace-context field;
-//! * a master-side [`ClusterObserver`] collects those tuples, folds them
-//!   into per-worker [`HistoryRing`]s (bounded time series), mirrors the
-//!   latest values into the global registry under `cluster.<worker>.*`,
-//!   and renders the whole table for the `/cluster` route (text + JSON);
-//! * result tuples carry a [`TaskTiming`] attribution record
-//!   (space-wait, transfer, compute, result-write), aggregated into
-//!   per-worker and per-job histograms;
-//! * a straggler detector flags workers whose median compute time
-//!   exceeds `k ×` the median of their peers' medians;
-//! * the observer implements [`DecisionInput`], so the monitoring agent's
-//!   exclusion decisions can use load *trends* and straggler flags, not
-//!   only the instantaneous SNMP sample.
-//!
-//! Everything here is off the hot path by construction: heartbeats are
-//! second-scale and jittered ([`jittered_interval`]), attribution is one
-//! histogram observe per *completed task*, and an unobserved (v0-style)
-//! worker that never publishes simply falls back to raw SNMP samples —
-//! the same probe-and-fallback posture as the wire protocol.
+//! From those the observer flags stragglers (a worker whose median
+//! compute time exceeds `k ×` the median of its peers' medians), hands
+//! the monitoring agent the load its inference engine should act on
+//! ([`ClusterObserver::effective_load`]: trend-floored, saturated for a
+//! straggler), mirrors the latest values into the global registry under
+//! `cluster.<worker>.*`, and renders the `/cluster` view (text + JSON).
+//! Nothing here travels through the space: the space is what is being
+//! monitored.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 use acc_telemetry::{registry, Histogram, HistoryRing, RingStats};
-use acc_tuplespace::{Template, Tuple};
 use parking_lot::Mutex;
 
-/// Tuple type of the heartbeat/metric tuples workers publish.
-pub const METRICS_TYPE: &str = "acc.metrics";
-
-/// Current version byte of the [`MetricsReport`] body encoding.
-const REPORT_VERSION: u8 = 1;
 /// Current version byte of the [`TaskTiming`] encoding.
 const TIMING_VERSION: u8 = 1;
 
@@ -49,89 +37,6 @@ pub fn now_ms() -> u64 {
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
         .unwrap_or(0)
-}
-
-/// One heartbeat: a worker's (or the space server's) self-reported state
-/// at a point in time. Rides the space as an [`METRICS_TYPE`] tuple with
-/// the numeric payload packed into a single versioned bytes field, so
-/// the whole report costs one tuple write per interval.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricsReport {
-    /// Reporting entity: a worker name, or `space:<name>` for the space
-    /// server's self-report.
-    pub worker: String,
-    /// Monotone per-worker sequence number; the collector is idempotent
-    /// by `(worker, seq)`, which is what makes duplicate and late
-    /// heartbeats harmless.
-    pub seq: u64,
-    /// Wall-clock milliseconds since the Unix epoch at publication.
-    pub at_ms: u64,
-    /// Total CPU load percentage (0–100) seen by the reporter.
-    pub total_load: u64,
-    /// The framework's own share of that load (0–100).
-    pub framework_load: u64,
-    /// Tasks completed so far (cumulative).
-    pub tasks_done: u64,
-}
-
-impl MetricsReport {
-    /// Packs the numeric payload: version byte, then five `u64`s
-    /// little-endian (seq, at_ms, total_load, framework_load,
-    /// tasks_done) — 41 bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(41);
-        out.push(REPORT_VERSION);
-        for v in [
-            self.seq,
-            self.at_ms,
-            self.total_load,
-            self.framework_load,
-            self.tasks_done,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// Decodes an [`MetricsReport::encode`] payload for `worker`. `None`
-    /// on a short body or an unknown version (a newer publisher talking
-    /// to an older collector — skip, don't crash).
-    pub fn decode(worker: &str, body: &[u8]) -> Option<MetricsReport> {
-        if body.len() < 41 || body[0] != REPORT_VERSION {
-            return None;
-        }
-        let word = |i: usize| u64::from_le_bytes(body[1 + i * 8..9 + i * 8].try_into().unwrap());
-        Some(MetricsReport {
-            worker: worker.to_owned(),
-            seq: word(0),
-            at_ms: word(1),
-            total_load: word(2),
-            framework_load: word(3),
-            tasks_done: word(4),
-        })
-    }
-
-    /// The tuple form written into the space.
-    pub fn to_tuple(&self) -> Tuple {
-        Tuple::build(METRICS_TYPE)
-            .field("worker", self.worker.as_str())
-            .field("seq", self.seq as i64)
-            .field("body", self.encode())
-            .done()
-    }
-
-    /// Parses a [`METRICS_TYPE`] tuple back into a report.
-    pub fn from_tuple(tuple: &Tuple) -> Option<MetricsReport> {
-        if tuple.type_name() != METRICS_TYPE {
-            return None;
-        }
-        MetricsReport::decode(tuple.get_str("worker")?, tuple.get_bytes("body")?)
-    }
-}
-
-/// The template a collector takes heartbeat tuples with.
-pub fn metrics_template() -> Template {
-    Template::of_type(METRICS_TYPE)
 }
 
 /// Per-task cost attribution, carried on result tuples as a compact
@@ -179,35 +84,6 @@ impl TaskTiming {
     }
 }
 
-/// The monitoring agent's pluggable view of the federation plane.
-///
-/// The default implementation of every method is the v0 behaviour
-/// (pass raw samples through, flag nothing), so an agent without an
-/// observer — or an observer that has never heard from a worker —
-/// degrades to exactly the paper's last-SNMP-sample loop.
-pub trait DecisionInput: Send + Sync {
-    /// Called on every SNMP poll with the raw external/total load split.
-    fn on_load_sample(&self, _worker: &str, _external: u64, _total: u64) {}
-
-    /// The load value the inference engine should act on; defaults to
-    /// the raw sample (unknown workers fall back unchanged).
-    fn effective_load(&self, _worker: &str, raw: u64) -> u64 {
-        raw
-    }
-
-    /// True when the federation plane has flagged this worker as a
-    /// compute straggler (and it should be treated as overloaded).
-    fn is_straggler(&self, _worker: &str) -> bool {
-        false
-    }
-}
-
-/// A no-op [`DecisionInput`]: the v0 monitoring loop.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RawSamples;
-
-impl DecisionInput for RawSamples {}
-
 /// Tuning for the observer's rings and straggler detector.
 #[derive(Debug, Clone, Copy)]
 pub struct ObserverConfig {
@@ -254,19 +130,17 @@ impl MirrorSeries {
     }
 }
 
-/// Everything the observer knows about one reporting entity.
+/// Everything the observer knows about one worker.
 #[derive(Debug)]
 struct WorkerView {
-    /// Highest heartbeat sequence number ingested (dedupe watermark).
-    last_seq: u64,
-    /// Wall-clock ms of the newest heartbeat.
-    last_heartbeat_ms: u64,
-    /// External (non-framework) load samples, fed by the SNMP poll loop.
+    /// External (non-framework) load, one sample per SNMP poll.
     load: HistoryRing,
-    /// Framework-load samples from heartbeats.
+    /// The framework's own load (total − external), one sample per poll.
     framework_load: HistoryRing,
-    /// Cumulative tasks-done samples from heartbeats (for throughput).
+    /// `results` as of each poll — the samples behind throughput.
     tasks: HistoryRing,
+    /// Results the master has attributed to this worker.
+    results: u64,
     /// Per-worker compute-time histogram (µs), from task attribution.
     compute: Histogram,
     /// Aggregate non-compute attribution (µs), for the table.
@@ -279,11 +153,10 @@ struct WorkerView {
 impl WorkerView {
     fn new(worker: &str, depth: usize) -> WorkerView {
         WorkerView {
-            last_seq: 0,
-            last_heartbeat_ms: 0,
             load: HistoryRing::new(depth),
             framework_load: HistoryRing::new(depth),
             tasks: HistoryRing::new(depth),
+            results: 0,
             compute: Histogram::new(),
             wait_us: 0,
             xfer_us: 0,
@@ -292,11 +165,7 @@ impl WorkerView {
         }
     }
 
-    fn tasks_done(&self) -> u64 {
-        self.tasks.stats().last.max(0) as u64
-    }
-
-    /// Tasks per second over the heartbeat window (0.0 with < 2 samples).
+    /// Tasks per second over the poll window (0.0 with < 2 samples).
     fn throughput(&self) -> f64 {
         let samples = self.tasks.samples();
         let (Some(first), Some(last)) = (samples.first(), samples.last()) else {
@@ -309,12 +178,17 @@ impl WorkerView {
         let done = (last.value - first.value).max(0) as f64;
         done * 1000.0 / span_ms as f64
     }
+
+    /// Milliseconds since the newest SNMP sample, `None` before the first.
+    fn sample_age_ms(&self, now: u64) -> Option<u64> {
+        self.load.last().map(|s| now.saturating_sub(s.at_ms))
+    }
 }
 
-/// The master-side collector: ingests heartbeat tuples, folds SNMP load
-/// samples and task attribution into bounded history, detects
-/// stragglers, and renders the `/cluster` view. Doubles as the
-/// monitoring agent's [`DecisionInput`].
+/// The master-side cluster view: folds SNMP load samples and task
+/// attribution into bounded per-worker history, detects stragglers,
+/// tells the monitoring agent what load to act on, and renders the
+/// `/cluster` view.
 #[derive(Debug)]
 pub struct ClusterObserver {
     config: ObserverConfig,
@@ -338,36 +212,24 @@ impl ClusterObserver {
         self.config
     }
 
-    /// Ingests one heartbeat. Returns `false` (and changes nothing) for
-    /// a duplicate or out-of-order report — the collector is idempotent
-    /// by `(worker, seq)`, so redelivered or late tuples are harmless.
-    pub fn ingest(&self, report: &MetricsReport) -> bool {
-        let mut workers = self.workers.lock();
-        let view = workers
-            .entry(report.worker.clone())
-            .or_insert_with(|| WorkerView::new(&report.worker, self.config.history_depth));
-        if view.last_seq != 0 && report.seq <= view.last_seq {
-            return false;
-        }
-        view.last_seq = report.seq;
-        view.last_heartbeat_ms = report.at_ms;
-        view.framework_load
-            .record(report.at_ms, report.framework_load as i64);
-        view.tasks.record(report.at_ms, report.tasks_done as i64);
-        view.mirror.framework_load.set(report.framework_load as i64);
-        view.mirror.tasks_done.set(report.tasks_done as i64);
-        true
-    }
-
-    /// Folds one SNMP poll sample (external = total − framework) into
-    /// the worker's load ring. Fed by [`DecisionInput::on_load_sample`].
-    pub fn record_load_sample(&self, worker: &str, external: u64, _total: u64) {
+    /// Folds one SNMP poll of `worker` — total CPU load and the external
+    /// (non-framework) part of it — into its rings: external load,
+    /// framework load (`total − external`), and the results attributed
+    /// to it so far. Called by the monitoring agent once per poll tick.
+    pub fn record_load_sample(&self, worker: &str, external: u64, total: u64) {
+        let at_ms = now_ms();
+        let framework = total.saturating_sub(external) as i64;
         let mut workers = self.workers.lock();
         let view = workers
             .entry(worker.to_owned())
             .or_insert_with(|| WorkerView::new(worker, self.config.history_depth));
-        view.load.record(now_ms(), external as i64);
+        let results = view.results as i64;
+        view.load.record(at_ms, external as i64);
+        view.framework_load.record(at_ms, framework);
+        view.tasks.record(at_ms, results);
         view.mirror.load.set(external as i64);
+        view.mirror.framework_load.set(framework);
+        view.mirror.tasks_done.set(results);
     }
 
     /// Records one completed task's cost attribution under its worker
@@ -378,6 +240,7 @@ impl ClusterObserver {
             let view = workers
                 .entry(worker.to_owned())
                 .or_insert_with(|| WorkerView::new(worker, self.config.history_depth));
+            view.results += 1;
             view.compute.observe(timing.compute_us);
             view.wait_us += timing.wait_us;
             view.xfer_us += timing.xfer_us;
@@ -392,21 +255,6 @@ impl ClusterObserver {
         hist.observe(timing.compute_us);
     }
 
-    /// Number of distinct reporting entities seen so far.
-    pub fn worker_count(&self) -> usize {
-        self.workers.lock().len()
-    }
-
-    /// History depth of one worker's heartbeat ring (0 if unknown) —
-    /// the "has it really reported?" probe used by tests and CI.
-    pub fn history_len(&self, worker: &str) -> usize {
-        self.workers
-            .lock()
-            .get(worker)
-            .map(|v| v.framework_load.len())
-            .unwrap_or(0)
-    }
-
     /// Workers currently flagged as compute stragglers: median compute
     /// time exceeding `k ×` the median of their *peers'* medians. Like is
     /// compared with like — a worker's typical task against its peers'
@@ -417,6 +265,11 @@ impl ClusterObserver {
     /// peers.
     pub fn stragglers(&self) -> Vec<String> {
         let workers = self.workers.lock();
+        self.flagged(&workers).into_iter().cloned().collect()
+    }
+
+    /// [`ClusterObserver::stragglers`] over an already locked table.
+    fn flagged<'a>(&self, workers: &'a BTreeMap<String, WorkerView>) -> Vec<&'a String> {
         let medians: Vec<(&String, u64)> = workers
             .iter()
             .filter_map(|(name, view)| {
@@ -446,14 +299,35 @@ impl ClusterObserver {
                 let baseline = sorted[if mid < own_rank { mid } else { mid + 1 }].max(1);
                 own as f64 > baseline as f64 * k
             })
-            .map(|&(name, _)| name.clone())
+            .map(|&(name, _)| name)
             .collect()
+    }
+
+    /// The load the inference engine should act on, and whether `worker`
+    /// is a flagged straggler — one straggler scan, so the two cannot
+    /// disagree. A straggler reads as saturated (100, forcing its
+    /// exclusion); otherwise the raw sample is floored by the recent mean
+    /// so one optimistic poll can't instantly undo a sustained-load
+    /// trend. A worker with under two samples gets the raw sample back.
+    pub fn effective_load(&self, worker: &str, raw: u64) -> (u64, bool) {
+        let workers = self.workers.lock();
+        if self.flagged(&workers).iter().any(|name| *name == worker) {
+            return (100, true);
+        }
+        let Some(view) = workers.get(worker) else {
+            return (raw, false);
+        };
+        let stats = view.load.stats();
+        if stats.samples < 2 {
+            return (raw, false);
+        }
+        (raw.max(stats.mean.round() as u64).min(100), false)
     }
 
     /// The aligned text table behind `GET /cluster`.
     pub fn render_text(&self) -> String {
-        let stragglers = self.stragglers();
         let workers = self.workers.lock();
+        let stragglers = self.flagged(&workers);
         let now = now_ms();
         let mut out = String::new();
         out.push_str(&format!(
@@ -473,12 +347,10 @@ impl ClusterObserver {
             let load = view.load.stats();
             let fw = view.framework_load.stats();
             let compute = view.compute.snapshot();
-            let age = if view.last_heartbeat_ms == 0 {
-                "-".to_owned()
-            } else {
-                format!("{}ms", now.saturating_sub(view.last_heartbeat_ms))
-            };
-            let flags = if stragglers.contains(name) {
+            let age = view
+                .sample_age_ms(now)
+                .map_or_else(|| "-".to_owned(), |ms| format!("{ms}ms"));
+            let flags = if stragglers.contains(&name) {
                 "STRAGGLER"
             } else {
                 ""
@@ -488,7 +360,7 @@ impl ClusterObserver {
                 name,
                 load.last,
                 fw.last,
-                view.tasks_done(),
+                view.results,
                 view.throughput(),
                 compute.p50().unwrap_or(0),
                 compute.p99().unwrap_or(0),
@@ -505,8 +377,8 @@ impl ClusterObserver {
 
     /// The JSON document behind `GET /cluster.json`.
     pub fn render_json(&self) -> String {
-        let stragglers = self.stragglers();
         let workers = self.workers.lock();
+        let stragglers = self.flagged(&workers);
         let jobs = self.jobs.lock();
         let now = now_ms();
         let ring_json = |stats: &RingStats, len: usize| {
@@ -535,24 +407,19 @@ impl ClusterObserver {
             }
             first = false;
             out.push_str(&format!(
-                "\"{}\":{{\"load\":{},\"framework_load\":{},\"tasks_done\":{},\"throughput_per_s\":{:.3},\"compute_us\":{},\"wait_us\":{},\"xfer_us\":{},\"write_us\":{},\"last_seq\":{},\"heartbeat_age_ms\":{},\"history_samples\":{},\"straggler\":{}}}",
+                "\"{}\":{{\"load\":{},\"framework_load\":{},\"tasks_done\":{},\"throughput_per_s\":{:.3},\"compute_us\":{},\"wait_us\":{},\"xfer_us\":{},\"write_us\":{},\"heartbeat_age_ms\":{},\"history_samples\":{},\"straggler\":{}}}",
                 acc_telemetry::json_escape(name),
                 ring_json(&view.load.stats(), view.load.len()),
                 ring_json(&view.framework_load.stats(), view.framework_load.len()),
-                view.tasks_done(),
+                view.results,
                 view.throughput(),
                 hist_json(&view.compute),
                 view.wait_us,
                 view.xfer_us,
                 view.write_us,
-                view.last_seq,
-                if view.last_heartbeat_ms == 0 {
-                    -1
-                } else {
-                    now.saturating_sub(view.last_heartbeat_ms) as i64
-                },
+                view.sample_age_ms(now).map_or(-1, |ms| ms as i64),
                 view.framework_load.len(),
-                stragglers.contains(name)
+                stragglers.contains(&name)
             ));
         }
         out.push_str("},\"jobs\":{");
@@ -582,88 +449,9 @@ impl ClusterObserver {
     }
 }
 
-impl DecisionInput for ClusterObserver {
-    fn on_load_sample(&self, worker: &str, external: u64, total: u64) {
-        self.record_load_sample(worker, external, total);
-    }
-
-    /// The load the inference engine should act on: a flagged straggler
-    /// reads as saturated (force exclusion); otherwise the raw sample is
-    /// floored by the recent mean so one optimistic poll can't instantly
-    /// undo a sustained-load trend. A worker with no history gets the
-    /// raw sample back — the v0 fallback.
-    fn effective_load(&self, worker: &str, raw: u64) -> u64 {
-        if self.is_straggler(worker) {
-            return 100;
-        }
-        let workers = self.workers.lock();
-        let Some(view) = workers.get(worker) else {
-            return raw;
-        };
-        let stats = view.load.stats();
-        if stats.samples < 2 {
-            return raw;
-        }
-        raw.max(stats.mean.round() as u64).min(100)
-    }
-
-    fn is_straggler(&self, worker: &str) -> bool {
-        self.stragglers().iter().any(|w| w == worker)
-    }
-}
-
-/// Deterministic jitter for heartbeat publication: the base interval
-/// skewed by ±25% as a pure function of `(worker, seq)`, so every
-/// worker drifts off the common phase (no thundering herd on the
-/// space) while tests stay reproducible.
-pub fn jittered_interval(base: Duration, worker: &str, seq: u64) -> Duration {
-    // FNV-1a over the worker name, mixed with the sequence number via
-    // a splitmix64 finaliser.
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in worker.as_bytes() {
-        hash ^= *b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut z = hash ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    // Map to [-0.25, +0.25).
-    let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
-    let skew = 0.75 + unit * 0.5;
-    Duration::from_nanos((base.as_nanos() as f64 * skew) as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn report(worker: &str, seq: u64, at_ms: u64) -> MetricsReport {
-        MetricsReport {
-            worker: worker.to_owned(),
-            seq,
-            at_ms,
-            total_load: 40 + seq,
-            framework_load: 10 + seq,
-            tasks_done: seq * 3,
-        }
-    }
-
-    #[test]
-    fn report_roundtrips_through_tuple() {
-        let r = report("w0", 7, 123_456);
-        let decoded = MetricsReport::from_tuple(&r.to_tuple()).unwrap();
-        assert_eq!(decoded, r);
-    }
-
-    #[test]
-    fn decode_rejects_short_and_versioned_garbage() {
-        assert_eq!(MetricsReport::decode("w", &[]), None);
-        assert_eq!(MetricsReport::decode("w", &[9; 41]), None);
-        let mut body = report("w", 1, 2).encode();
-        body[0] = 99;
-        assert_eq!(MetricsReport::decode("w", &body), None);
-    }
 
     #[test]
     fn timing_roundtrips() {
@@ -675,21 +463,6 @@ mod tests {
         };
         assert_eq!(TaskTiming::from_bytes(&t.to_bytes()), Some(t));
         assert_eq!(TaskTiming::from_bytes(&[1, 2]), None);
-    }
-
-    #[test]
-    fn collector_is_idempotent_by_worker_and_seq() {
-        let obs = ClusterObserver::new(ObserverConfig::default());
-        assert!(obs.ingest(&report("w0", 1, 100)));
-        assert!(obs.ingest(&report("w0", 2, 200)));
-        // Exact duplicate (redelivered tuple): ignored.
-        assert!(!obs.ingest(&report("w0", 2, 200)));
-        // Late heartbeat arriving after a newer one: ignored.
-        assert!(!obs.ingest(&report("w0", 1, 100)));
-        assert_eq!(obs.history_len("w0"), 2);
-        // Another worker's seq space is independent.
-        assert!(obs.ingest(&report("w1", 1, 150)));
-        assert_eq!(obs.worker_count(), 2);
     }
 
     #[test]
@@ -727,9 +500,8 @@ mod tests {
             );
         }
         assert_eq!(obs.stragglers(), vec!["slow".to_owned()]);
-        assert!(obs.is_straggler("slow"));
-        assert!(!obs.is_straggler("fast-0"));
-        assert_eq!(obs.effective_load("slow", 0), 100);
+        assert_eq!(obs.effective_load("slow", 0), (100, true));
+        assert_eq!(obs.effective_load("fast-0", 0), (0, false));
     }
 
     #[test]
@@ -758,7 +530,7 @@ mod tests {
             }
         }
         assert_eq!(obs.stragglers(), vec!["worse".to_owned()]);
-        assert!(!obs.is_straggler("meh"));
+        assert_eq!(obs.effective_load("meh", 0), (0, false));
     }
 
     fn record_compute(obs: &ClusterObserver, worker: &str, compute_us: u64) {
@@ -828,21 +600,20 @@ mod tests {
     #[test]
     fn effective_load_floors_raw_by_trend_and_falls_back_when_unknown() {
         let obs = ClusterObserver::new(ObserverConfig::default());
-        // Unknown worker: raw passes through (v0 fallback).
-        assert_eq!(obs.effective_load("ghost", 42), 42);
+        // Unknown worker: raw passes through.
+        assert_eq!(obs.effective_load("ghost", 42), (42, false));
         // Sustained high load: one optimistic sample is floored.
         for _ in 0..10 {
             obs.record_load_sample("w0", 80, 90);
         }
-        assert_eq!(obs.effective_load("w0", 5), 80);
+        assert_eq!(obs.effective_load("w0", 5), (80, false));
         // Raw above the mean wins.
-        assert_eq!(obs.effective_load("w0", 95), 95);
+        assert_eq!(obs.effective_load("w0", 95), (95, false));
     }
 
     #[test]
     fn render_covers_workers_jobs_and_stragglers() {
         let obs = ClusterObserver::new(ObserverConfig::default());
-        obs.ingest(&report("w0", 1, now_ms()));
         obs.record_load_sample("w0", 12, 30);
         obs.record_attribution(
             "pricing",
@@ -865,30 +636,41 @@ mod tests {
     }
 
     #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let base = Duration::from_millis(1_000);
-        let a = jittered_interval(base, "w0", 3);
-        let b = jittered_interval(base, "w0", 3);
-        assert_eq!(a, b);
-        let mut distinct = std::collections::BTreeSet::new();
-        for seq in 0..50 {
-            let d = jittered_interval(base, "w0", seq);
-            assert!(d >= Duration::from_millis(750), "{d:?}");
-            assert!(d < Duration::from_millis(1_250), "{d:?}");
-            distinct.insert(d);
-        }
-        assert!(distinct.len() > 10, "jitter barely varies: {distinct:?}");
-    }
-
-    #[test]
     fn registry_mirror_appears_under_cluster_prefix() {
+        // SNMP feeds load and framework load; the master's attribution
+        // feeds the result count, which the next poll tick mirrors.
         let obs = ClusterObserver::new(ObserverConfig::default());
-        obs.ingest(&report("mirror-test", 4, 99));
+        for _ in 0..12 {
+            record_compute(&obs, "mirror-test", 500);
+        }
+        obs.record_load_sample("mirror-test", 7, 19);
         let text = registry().render_text();
+        assert!(text.contains("cluster.mirror-test.load 7"), "{text}");
         assert!(
-            text.contains("cluster.mirror-test.framework_load"),
+            text.contains("cluster.mirror-test.framework_load 12"),
             "{text}"
         );
         assert!(text.contains("cluster.mirror-test.tasks_done 12"), "{text}");
+    }
+
+    #[test]
+    fn rings_fill_from_polls_and_count_attributed_results() {
+        let obs = ClusterObserver::new(ObserverConfig::default());
+        obs.record_load_sample("w0", 10, 40);
+        for _ in 0..3 {
+            record_compute(&obs, "w0", 100);
+        }
+        obs.record_load_sample("w0", 10, 40);
+        let json = obs.render_json();
+        assert!(json.contains("\"history_samples\":2"), "{json}");
+        assert!(json.contains("\"tasks_done\":3"), "{json}");
+        assert!(
+            json.contains("\"framework_load\":{\"samples\":2,\"last\":30"),
+            "{json}"
+        );
+        assert!(!json.contains("\"heartbeat_age_ms\":-1"), "{json}");
+        // A worker known only from its results has no sample to age.
+        record_compute(&obs, "unpolled", 100);
+        assert!(obs.render_json().contains("\"heartbeat_age_ms\":-1"));
     }
 }

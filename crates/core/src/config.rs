@@ -57,8 +57,6 @@ pub struct FrameworkConfig {
     /// Consecutive out-of-band samples required before the inference engine
     /// acts (1 = react immediately; higher damps oscillation).
     pub hysteresis: usize,
-    /// Samples of poll history retained per worker.
-    pub history_capacity: usize,
     /// Modeled cost of fetching + verifying a code bundle per KB, plus a
     /// fixed base. This is the class-loading overhead Start pays and Resume
     /// avoids.
@@ -68,9 +66,6 @@ pub struct FrameworkConfig {
     /// How long a worker waits on the task template before re-checking its
     /// signal channel.
     pub task_poll_timeout: Duration,
-    /// Whether workers take tasks under a transaction (crash safety at the
-    /// cost of two-phase bookkeeping). Benchmarked in the ablations.
-    pub transactional_take: bool,
     /// Limits enforced around every task execution (the sandbox policy of
     /// paper §1's security challenge).
     pub policy: crate::policy::ExecutionPolicy,
@@ -89,14 +84,8 @@ pub struct FrameworkConfig {
     /// blocking for one result the master takes at most this many more in
     /// one non-blocking batch.
     pub dispatch_chunk: usize,
-    /// Base interval between a worker's heartbeat/metric tuple
-    /// publications into the space (actual intervals are jittered
-    /// ±25%). `Duration::ZERO` disables federation publishing and the
-    /// master-side collector entirely. Kept at a second by default so
-    /// the federation plane stays off the space's hot path.
-    pub metrics_interval: Duration,
-    /// Samples retained per federation history ring (per worker, per
-    /// series).
+    /// Samples retained per cluster-view history ring (per worker, per
+    /// series), and the depth of each worker's trace-retention window.
     pub history_depth: usize,
     /// Straggler threshold: a worker is flagged when its median compute
     /// time exceeds `straggler_k ×` the median of its peers' median
@@ -124,16 +113,13 @@ impl Default for FrameworkConfig {
             poll_interval: Duration::from_millis(100),
             thresholds: Thresholds::paper(),
             hysteresis: 1,
-            history_capacity: 1024,
             class_load_base: Duration::from_millis(40),
             class_load_per_kb: Duration::from_micros(200),
             task_poll_timeout: Duration::from_millis(50),
-            transactional_take: false,
             policy: crate::policy::ExecutionPolicy::default(),
             max_task_retries: 3,
             task_prefetch: 4,
             dispatch_chunk: 256,
-            metrics_interval: Duration::from_secs(1),
             history_depth: acc_telemetry::DEFAULT_DEPTH,
             straggler_k: 4.0,
             straggler_min_samples: 5,

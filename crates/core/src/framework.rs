@@ -9,12 +9,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use acc_cluster::{metrics_template, ClusterObserver, JobProfiler, MetricsReport, Node, NodeSpec};
+use acc_cluster::{ClusterObserver, JobProfiler, Node, NodeSpec};
 use acc_federation::{Attributes, DiscoveryBus, LookupService, Registrar, ServiceItem};
 use acc_snmp::{host_resources_mib, oids, transport::InProcTransport, Agent, Manager};
 use acc_spacegrid::PartitionedSpace;
 use acc_tuplespace::{
-    remote::SpaceServer, RemoteSpace, Space, SpaceHandle, StoreHandle, Template, TupleStore,
+    remote::SpaceServer, RemoteSpace, Space, SpaceHandle, StoreHandle, TupleStore,
 };
 
 use crate::config::FrameworkConfig;
@@ -22,7 +22,6 @@ use crate::loader::{BundleServer, CodeBundle, ExecutorRegistry};
 use crate::master::{Master, RunReport};
 use crate::monitor::MonitoringAgent;
 use crate::rulebase::{duplex_pair, WorkerId};
-use crate::series::series;
 use crate::signal::{SignalLogEntry, WorkerState};
 use crate::task::Application;
 use crate::worker::{WorkerConfig, WorkerRuntime};
@@ -64,12 +63,12 @@ impl ClusterBuilder {
     }
 
     /// Runs the cluster over a space grid: the given addresses are
-    /// external shard `SpaceServer`s, and all master dispatch, worker
-    /// prefetch and heartbeat traffic goes through a
-    /// [`PartitionedSpace`] over them instead of the in-process space
-    /// (which remains hosted for federation discovery). Without this
-    /// call the shard list can still come from the `ACC_SHARDS`
-    /// environment variable (comma-separated `host:port` addresses).
+    /// external shard `SpaceServer`s, and all master dispatch and worker
+    /// prefetch traffic goes through a [`PartitionedSpace`] over them
+    /// instead of the in-process space (which remains hosted for
+    /// federation discovery). Without this call the shard list can still
+    /// come from the `ACC_SHARDS` environment variable (comma-separated
+    /// `host:port` addresses).
     pub fn shards<I, S>(mut self, addrs: I) -> ClusterBuilder
     where
         I: IntoIterator<Item = S>,
@@ -117,20 +116,19 @@ impl ClusterBuilder {
         .expect("registering the space cannot fail on a fresh lookup");
         let bundle_server =
             BundleServer::new(self.config.class_load_base, self.config.class_load_per_kb);
-        let monitor = MonitoringAgent::new(self.config.clone(), epoch);
-        // The federation hub: merges every heartbeat tuple and task
-        // attribution into one cluster view, and feeds effective loads
-        // (and straggler verdicts) back into the inference loop.
+        // The cluster view: the monitor's SNMP samples and the master's
+        // per-result attribution merge here, and effective loads (and
+        // straggler verdicts) flow back into the inference loop.
         let hub = Arc::new(ClusterObserver::new(self.config.observer_config()));
-        monitor.set_decision_input(hub.clone());
+        let monitor = MonitoringAgent::new(self.config.clone(), epoch, hub.clone());
         // The per-job waterfall profiler: the master folds every result's
         // timing into it; `/profile` and `acc_top` read it live.
         let profiler = Arc::new(JobProfiler::new());
         // Space grid: when a shard list is configured (builder or
         // ACC_SHARDS), every store operation the cluster performs —
-        // dispatch, prefetch, heartbeats — goes through a
-        // PartitionedSpace over those servers. Shards must be up at
-        // build time; one dying later degrades instead of failing.
+        // dispatch and prefetch — goes through a PartitionedSpace over
+        // those servers. Shards must be up at build time; one dying later
+        // degrades instead of failing.
         let shard_addrs: Vec<std::net::SocketAddr> = {
             let list = if self.shards.is_empty() {
                 std::env::var("ACC_SHARDS")
@@ -155,20 +153,6 @@ impl ClusterBuilder {
             Some(Arc::new(
                 PartitionedSpace::connect(&shard_addrs)
                     .expect("all space-grid shards reachable at build time"),
-            ))
-        };
-        let store: StoreHandle = match &grid {
-            Some(grid) => grid.clone(),
-            None => space.clone(),
-        };
-        let collector = if self.config.metrics_interval.is_zero() {
-            None
-        } else {
-            Some(spawn_collector(
-                store.clone(),
-                self.space_name.clone(),
-                hub.clone(),
-                self.config.metrics_interval,
             ))
         };
         let observer = self
@@ -205,7 +189,6 @@ impl ClusterBuilder {
             monitor,
             hub,
             profiler,
-            collector,
             manager: Manager::new("public"),
             binding: None,
             workers: Vec::new(),
@@ -214,71 +197,6 @@ impl ClusterBuilder {
             observer,
         }
     }
-}
-
-/// Starts the master-side collector: every interval it publishes the
-/// space's own heartbeat tuple (the space is a federation participant
-/// like any worker, under the name `space:<name>`), then drains every
-/// pending `acc.metrics` tuple and folds it into the hub. Runs against
-/// whatever store the cluster dispatches through — the in-process space
-/// or the grid (where `take_all` scatter-gathers heartbeats from every
-/// shard). Exits when the store closes.
-fn spawn_collector(
-    store: StoreHandle,
-    space_name: String,
-    hub: Arc<ClusterObserver>,
-    interval: Duration,
-) -> (Arc<AtomicBool>, std::thread::JoinHandle<()>) {
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = stop.clone();
-    let thread = std::thread::Builder::new()
-        .name("acc-collector".into())
-        .spawn(move || {
-            let template = metrics_template();
-            let any = Template::any_type().done();
-            let self_name = format!("space:{space_name}");
-            let mut seq = 0u64;
-            while !stop2.load(Ordering::SeqCst) {
-                seq += 1;
-                let self_report = MetricsReport {
-                    worker: self_name.clone(),
-                    seq,
-                    at_ms: acc_cluster::observer::now_ms(),
-                    total_load: 0,
-                    framework_load: 0,
-                    tasks_done: store.count(&any).unwrap_or(0) as u64,
-                };
-                if store.write(self_report.to_tuple()).is_err() && store.is_closed() {
-                    break;
-                }
-                match store.take_all(&template) {
-                    Ok(tuples) => {
-                        for tuple in &tuples {
-                            let Some(report) = MetricsReport::from_tuple(tuple) else {
-                                continue;
-                            };
-                            if hub.ingest(&report) {
-                                series().heartbeats_ingested.inc();
-                            } else {
-                                series().heartbeats_duplicate.inc();
-                            }
-                        }
-                    }
-                    // Transient store faults (e.g. every grid shard
-                    // momentarily unhealthy) skip a cycle; only a closed
-                    // store ends collection.
-                    Err(_) if !store.is_closed() => {}
-                    Err(_) => break,
-                }
-                // Sleep in slices so shutdown is prompt at any interval.
-                let deadline = Instant::now() + interval;
-                while Instant::now() < deadline && !stop2.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(10).min(interval));
-                }
-            }
-        })
-        .expect("spawn collector thread");
-    (stop, thread)
 }
 
 /// Mounts the scrape/health endpoint for a cluster: `/healthz` reports
@@ -514,7 +432,6 @@ pub struct AdaptiveCluster {
     monitor: Arc<MonitoringAgent>,
     hub: Arc<ClusterObserver>,
     profiler: Arc<JobProfiler>,
-    collector: Option<(Arc<AtomicBool>, std::thread::JoinHandle<()>)>,
     manager: Manager,
     binding: Option<(String, String)>,
     workers: Vec<ManagedWorker>,
@@ -664,7 +581,6 @@ impl AdaptiveCluster {
             node_load: Some(node.load()),
             epoch: self.epoch,
             framework: self.config.clone(),
-            publish_metrics: true,
         })
         .expect("worker registration");
         let id = accept.join().expect("accept thread");
@@ -691,8 +607,8 @@ impl AdaptiveCluster {
         let session = self.manager.session(Box::new(InProcTransport::new(agent)));
 
         // Monitoring: register with the inference engine and start
-        // polling, keyed by the node name the worker's heartbeat tuples
-        // carry so both feeds merge into one federation view.
+        // polling, keyed by the node name the worker's result tuples
+        // carry, so SNMP samples and attribution merge into one row.
         self.monitor
             .watch_named(id, node.spec().name.clone(), session);
 
@@ -774,10 +690,6 @@ impl AdaptiveCluster {
     /// blocked workers), and joins every worker thread.
     pub fn shutdown(mut self) {
         if let Some((stop, thread)) = self.sampler.take() {
-            stop.store(true, Ordering::SeqCst);
-            let _ = thread.join();
-        }
-        if let Some((stop, thread)) = self.collector.take() {
             stop.store(true, Ordering::SeqCst);
             let _ = thread.join();
         }
@@ -968,8 +880,13 @@ mod tests {
         cluster.shutdown();
     }
 
+    /// The grid tests run one at a time: one of them counts the
+    /// process-wide `grid.restored_tuples` across its run.
+    static GRID_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn end_to_end_run_over_a_space_grid() {
+        let _serial = GRID_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         // Two external shard servers, as separate processes would host.
         let shard_a = Space::new("shard-a");
         let shard_b = Space::new("shard-b");
@@ -1008,6 +925,48 @@ mod tests {
         assert!(json.contains(r#""buffer_reuse_pct":"#), "got: {json}");
         let text = http_get(addr, "/cluster");
         assert!(text.contains("space grid:"), "got: {text}");
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn monitoring_writes_nothing_into_the_space_it_monitors() {
+        let _serial = GRID_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        let shards = [Space::new("quiet-a"), Space::new("quiet-b")];
+        let servers: Vec<SpaceServer> = shards
+            .iter()
+            .map(|s| SpaceServer::spawn(s.clone(), "127.0.0.1:0").unwrap())
+            .collect();
+        let mut cluster = ClusterBuilder::new(FrameworkConfig {
+            // No straggler verdict may stop a worker (whose unstarted
+            // tasks would then go back to the space as writes).
+            straggler_k: f64::INFINITY,
+            ..fast_config()
+        })
+        .shards(servers.iter().map(|s| s.addr().to_string()))
+        .build();
+        let mut app = SumSquares { n: 40, total: 0 };
+        cluster.install(&app);
+        for i in 0..2 {
+            cluster.add_worker(NodeSpec::new(format!("qw{i}"), 800, 256));
+        }
+        // Workers up and polled for longer than any periodic report
+        // interval would take to fire.
+        std::thread::sleep(Duration::from_millis(1_500));
+        let restored = acc_telemetry::registry().counter("grid.restored_tuples");
+        let restored_before = restored.get();
+        let report = cluster.run(&mut app);
+        assert!(report.complete, "failures: {:?}", report.failures);
+        // The shards saw the job's tasks and results and nothing else —
+        // bar the tuples scatter takes that lost a race put back, each
+        // with one write. A restore counts itself just after its write
+        // lands, so give the last count a moment.
+        let writes = || shards.iter().map(|s| s.stats().writes).sum::<u64>();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let expected = || 40 + 40 + restored.get() - restored_before;
+        while writes() != expected() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(writes(), expected());
         cluster.shutdown();
     }
 }

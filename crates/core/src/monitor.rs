@@ -10,17 +10,17 @@
 //! inference engine decides on their difference — the *external* load — so
 //! the framework never reacts to its own computation.
 //!
-//! When a [`DecisionInput`] is plugged in (the framework plugs in its
-//! `ClusterObserver`), each raw sample is first fed to the federation
-//! plane and the engine then acts on the *effective* load it returns —
-//! trend-floored, and saturated for flagged stragglers — instead of the
-//! bare last sample. Without one, the loop is exactly the paper's.
+//! Each sample also goes to the [`ClusterObserver`], which keeps the
+//! worker's load history for the cluster view; the engine then acts on
+//! the *effective* load the observer returns — floored by the recent
+//! mean, and saturated for a flagged compute straggler — rather than on
+//! the bare last sample.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use acc_cluster::DecisionInput;
+use acc_cluster::ClusterObserver;
 use acc_snmp::{oids, Session, SnmpValue};
 use acc_telemetry::event;
 use crossbeam::channel::{bounded, Sender};
@@ -41,12 +41,12 @@ pub struct DecisionLogEntry {
     pub worker: WorkerId,
     /// Total CPU load polled from the node.
     pub total_load: u64,
-    /// External (non-framework) load — the decision variable. When a
-    /// [`DecisionInput`] is plugged in this is the *effective* load the
-    /// engine acted on, not the raw sample.
+    /// External (non-framework) load — the decision variable: the
+    /// *effective* load the engine acted on (see
+    /// [`ClusterObserver::effective_load`]), not the raw sample.
     pub external_load: u64,
-    /// Whether the federation plane had this worker flagged as a
-    /// straggler when the decision was taken.
+    /// Whether the observer had this worker flagged as a straggler when
+    /// the decision was taken.
     pub straggler: bool,
     /// The signal sent, if the inference engine acted.
     pub signal: Option<Signal>,
@@ -65,9 +65,8 @@ pub struct MonitoringAgent {
     rulebase: Arc<RuleBaseServer>,
     decisions: Arc<Mutex<Vec<DecisionLogEntry>>>,
     watchers: Mutex<Vec<Watcher>>,
-    // Optional federation feedback: raw samples go in, effective loads
-    // and straggler verdicts come back (None = paper-faithful loop).
-    decision_input: Mutex<Option<Arc<dyn DecisionInput>>>,
+    // Raw samples go in; effective loads and straggler verdicts come back.
+    observer: Arc<ClusterObserver>,
     // Milliseconds-since-epoch of the newest sample, plus one so a sample
     // in the epoch's first millisecond is distinguishable from "never".
     last_sample_ms: Arc<AtomicU64>,
@@ -82,8 +81,13 @@ impl std::fmt::Debug for MonitoringAgent {
 }
 
 impl MonitoringAgent {
-    /// Creates the agent (and its rule-base server) for a deployment.
-    pub fn new(config: FrameworkConfig, epoch: Instant) -> Arc<MonitoringAgent> {
+    /// Creates the agent (and its rule-base server) for a deployment,
+    /// feeding every polled sample to `observer`.
+    pub fn new(
+        config: FrameworkConfig,
+        epoch: Instant,
+        observer: Arc<ClusterObserver>,
+    ) -> Arc<MonitoringAgent> {
         let engine = Arc::new(Mutex::new(InferenceEngine::new(
             config.thresholds,
             config.hysteresis,
@@ -101,16 +105,9 @@ impl MonitoringAgent {
             rulebase,
             decisions: Arc::new(Mutex::new(Vec::new())),
             watchers: Mutex::new(Vec::new()),
-            decision_input: Mutex::new(None),
+            observer,
             last_sample_ms: Arc::new(AtomicU64::new(0)),
         })
-    }
-
-    /// Plugs a federation decision input into every polling loop. Applies
-    /// to watchers started after (and, since loops re-read it each tick,
-    /// also before) this call.
-    pub fn set_decision_input(&self, input: Arc<dyn DecisionInput>) {
-        *self.decision_input.lock() = Some(input);
     }
 
     /// How long ago the newest worker sample arrived — the health signal
@@ -157,8 +154,8 @@ impl MonitoringAgent {
     }
 
     /// [`MonitoringAgent::watch`] with the worker's cluster name attached,
-    /// so samples and straggler lookups reach the federation plane under
-    /// the same key the worker publishes its heartbeats with.
+    /// so samples and straggler lookups reach the observer under the same
+    /// key the worker's result tuples carry.
     pub fn watch_named(self: &Arc<Self>, id: WorkerId, name: impl Into<String>, session: Session) {
         let name = name.into();
         self.engine.lock().register(id);
@@ -176,17 +173,8 @@ impl MonitoringAgent {
                     let total = gauge(&values, 0);
                     let framework = gauge(&values, 1);
                     let external = total.saturating_sub(framework);
-                    let input = agent.decision_input.lock().clone();
-                    let (effective, straggler) = match &input {
-                        Some(input) => {
-                            input.on_load_sample(&name, external, total);
-                            (
-                                input.effective_load(&name, external),
-                                input.is_straggler(&name),
-                            )
-                        }
-                        None => (external, false),
-                    };
+                    agent.observer.record_load_sample(&name, external, total);
+                    let (effective, straggler) = agent.observer.effective_load(&name, external);
                     let signal = agent.engine.lock().on_sample(id, effective);
                     series().monitor_samples.inc();
                     agent.mark_sample();
@@ -313,9 +301,13 @@ fn gauge(values: &[(acc_snmp::Oid, SnmpValue)], index: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::rulebase::{client_register, duplex_pair};
-    use acc_cluster::{Node, NodeSpec};
+    use acc_cluster::{Node, NodeSpec, ObserverConfig, TaskTiming};
     use acc_snmp::{host_resources_mib, transport::InProcTransport, Agent, Manager};
     use std::time::Duration;
+
+    fn observer() -> Arc<ClusterObserver> {
+        Arc::new(ClusterObserver::new(ObserverConfig::default()))
+    }
 
     fn node_session(node: &Node) -> Session {
         let n1 = node.clone();
@@ -342,7 +334,7 @@ mod tests {
             poll_interval: Duration::from_millis(10),
             ..FrameworkConfig::default()
         };
-        let monitor = MonitoringAgent::new(config, Instant::now());
+        let monitor = MonitoringAgent::new(config, Instant::now(), observer());
         let node = Node::new(NodeSpec::new("w01", 800, 256));
         let session = node_session(&node);
 
@@ -397,7 +389,7 @@ mod tests {
         use std::sync::atomic::{AtomicU64, Ordering};
 
         let config = FrameworkConfig::default();
-        let monitor = MonitoringAgent::new(config, Instant::now());
+        let monitor = MonitoringAgent::new(config, Instant::now(), observer());
         let (sender, rx) = TrapSender::channel("public");
         let external = Arc::new(AtomicU64::new(0));
         let external2 = external.clone();
@@ -447,7 +439,7 @@ mod tests {
             poll_interval: Duration::from_millis(10),
             ..FrameworkConfig::default()
         };
-        let monitor = MonitoringAgent::new(config, Instant::now());
+        let monitor = MonitoringAgent::new(config, Instant::now(), observer());
         let node = Node::new(NodeSpec::new("w02", 800, 256));
         // The node is busy — but it's all framework work.
         node.load().set_framework(98);
@@ -473,5 +465,49 @@ mod tests {
             .decisions()
             .iter()
             .all(|d| d.external_load == 0 && d.total_load >= 98));
+    }
+
+    #[test]
+    fn a_flagged_straggler_reads_saturated_on_every_logged_decision() {
+        let config = FrameworkConfig {
+            poll_interval: Duration::from_millis(5),
+            ..FrameworkConfig::default()
+        };
+        // "w03" computes 50x slower than its peer: flagged before the
+        // first poll, on an otherwise idle node.
+        let observer = observer();
+        for _ in 0..10 {
+            for (worker, compute_us) in [("w03", 50_000), ("peer", 1_000)] {
+                let timing = TaskTiming {
+                    compute_us,
+                    ..TaskTiming::default()
+                };
+                observer.record_attribution("job", worker, &timing);
+            }
+        }
+        let monitor = MonitoringAgent::new(config, Instant::now(), observer);
+        let node = Node::new(NodeSpec::new("w03", 800, 256));
+        let session = node_session(&node);
+        let (client, server_side) = duplex_pair();
+        let rb = monitor.rulebase();
+        let reg = std::thread::spawn(move || {
+            client_register(&client, "w03", Duration::from_secs(2)).map(|id| (client, id))
+        });
+        rb.accept(server_side, Duration::from_secs(2)).unwrap();
+        let (_client, id) = reg.join().unwrap().unwrap();
+        monitor.watch_named(id, "w03", session);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while monitor.decisions().len() < 20 {
+            assert!(Instant::now() < deadline, "monitor never polled 20 times");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        monitor.stop();
+        let decisions = monitor.decisions();
+        assert!(
+            decisions
+                .iter()
+                .all(|d| d.external_load == 100 && d.straggler && d.signal.is_none()),
+            "{decisions:?}"
+        );
     }
 }

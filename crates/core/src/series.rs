@@ -42,14 +42,6 @@ pub(crate) struct CoreSeries {
     /// Consecutive-transport-failure strikes workers absorbed on takes
     /// (each strike is one ridden-out transient failure).
     pub transport_strikes: Arc<Counter>,
-    /// Heartbeat/metric tuples published into the space by this
-    /// process's workers.
-    pub heartbeats_published: Arc<Counter>,
-    /// Heartbeat tuples the master-side collector ingested.
-    pub heartbeats_ingested: Arc<Counter>,
-    /// Heartbeat tuples dropped as duplicates/out-of-order (idempotence
-    /// by worker + seq).
-    pub heartbeats_duplicate: Arc<Counter>,
 }
 
 /// The lazily registered framework series (one set per process).
@@ -74,9 +66,6 @@ pub(crate) fn series() -> &'static CoreSeries {
             monitor_samples: r.counter("monitor.samples"),
             monitor_signals: r.counter("monitor.signals"),
             transport_strikes: r.counter("worker.transport_strikes"),
-            heartbeats_published: r.counter("worker.heartbeats.published"),
-            heartbeats_ingested: r.counter("cluster.heartbeats.ingested"),
-            heartbeats_duplicate: r.counter("cluster.heartbeats.duplicate"),
         }
     })
 }

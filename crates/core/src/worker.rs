@@ -58,11 +58,6 @@ pub struct WorkerConfig {
     pub epoch: Instant,
     /// Framework tunables (task poll timeout, etc.).
     pub framework: FrameworkConfig,
-    /// Whether this worker publishes heartbeat/metric tuples into the
-    /// space for the master-side `ClusterObserver` (the federation
-    /// plane). Off by default so bare rigs don't seed the space with
-    /// extra tuples; the framework turns it on for managed workers.
-    pub publish_metrics: bool,
 }
 
 /// CPU percent the worker's process shows while computing a task.
@@ -81,7 +76,6 @@ pub struct WorkerRuntime {
     log: Arc<Mutex<Vec<SignalLogEntry>>>,
     tasks_done: Arc<Mutex<u64>>,
     thread: Option<std::thread::JoinHandle<()>>,
-    publisher: Option<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for WorkerRuntime {
@@ -103,21 +97,6 @@ impl WorkerRuntime {
         let log = Arc::new(Mutex::new(Vec::new()));
         let tasks_done = Arc::new(Mutex::new(0u64));
         let name = config.name.clone();
-        let publisher = (config.publish_metrics && !config.framework.metrics_interval.is_zero())
-            .then(|| {
-                let hb = HeartbeatState {
-                    worker: config.name.clone(),
-                    space: config.space.clone(),
-                    node_load: config.node_load.clone(),
-                    tasks_done: tasks_done.clone(),
-                    shutdown: shutdown.clone(),
-                    interval: config.framework.metrics_interval,
-                };
-                std::thread::Builder::new()
-                    .name(format!("acc-heartbeat-{name}"))
-                    .spawn(move || heartbeat_loop(hb))
-                    .expect("spawn heartbeat thread")
-            });
         let loop_state = LoopState {
             config,
             shutdown: shutdown.clone(),
@@ -139,7 +118,6 @@ impl WorkerRuntime {
             log,
             tasks_done,
             thread: Some(thread),
-            publisher,
         })
     }
 
@@ -187,9 +165,6 @@ impl WorkerRuntime {
     fn stop_join(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.publisher.take() {
             let _ = t.join();
         }
     }
@@ -626,56 +601,6 @@ fn return_prefetched(
     }
 }
 
-/// State the heartbeat publisher thread owns.
-struct HeartbeatState {
-    worker: String,
-    space: StoreHandle,
-    node_load: Option<Arc<LoadMix>>,
-    tasks_done: Arc<Mutex<u64>>,
-    shutdown: Arc<AtomicBool>,
-    interval: Duration,
-}
-
-/// Publishes one [`acc_cluster::MetricsReport`] tuple per interval until
-/// shutdown or the space goes away. Intervals are jittered ±25%
-/// deterministically per `(worker, seq)` so a fleet of workers never
-/// heartbeats in phase; sleeps run in short slices so shutdown stays
-/// prompt even at second-scale intervals.
-fn heartbeat_loop(hb: HeartbeatState) {
-    let mut seq: u64 = 0;
-    loop {
-        let wait = acc_cluster::jittered_interval(hb.interval, &hb.worker, seq);
-        let deadline = Instant::now() + wait;
-        while Instant::now() < deadline {
-            if hb.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(10).min(wait));
-        }
-        if hb.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        seq += 1;
-        let (total, framework) = hb
-            .node_load
-            .as_ref()
-            .map(|l| (l.total(), l.framework_effective()))
-            .unwrap_or((0, 0));
-        let report = acc_cluster::MetricsReport {
-            worker: hb.worker.clone(),
-            seq,
-            at_ms: acc_cluster::observer::now_ms(),
-            total_load: total,
-            framework_load: framework,
-            tasks_done: *hb.tasks_done.lock(),
-        };
-        if hb.space.write(report.to_tuple()).is_err() {
-            return; // space closed or unreachable: stop reporting
-        }
-        series().heartbeats_published.inc();
-    }
-}
-
 fn handle_message(
     ls: &LoopState,
     msg: RuleMessage,
@@ -814,7 +739,6 @@ mod tests {
                 task_poll_timeout: Duration::from_millis(10),
                 ..FrameworkConfig::default()
             },
-            false,
         )
     }
 
@@ -827,7 +751,6 @@ mod tests {
         store: StoreHandle,
         exec: Arc<dyn TaskExecutor>,
         framework: FrameworkConfig,
-        publish_metrics: bool,
     ) -> Rig {
         let server = RuleBaseServer::new(Arc::new(|_, _| {}));
         let bundle_server = BundleServer::new(Duration::from_millis(5), Duration::ZERO);
@@ -850,7 +773,6 @@ mod tests {
             node_load: None,
             epoch: Instant::now(),
             framework,
-            publish_metrics,
         })
         .unwrap();
         let id = accept.join().unwrap();
@@ -1123,7 +1045,6 @@ mod tests {
                 max_task_retries: 10,
                 ..FrameworkConfig::default()
             },
-            false,
         );
         put_task(&r.space, 0, 1);
         put_task(&r.space, 1, 2);
@@ -1159,7 +1080,6 @@ mod tests {
                 task_prefetch: 4,
                 ..FrameworkConfig::default()
             },
-            false,
         );
         let arm = store.clone();
         *exec.hook.lock() = Some(Box::new(move || arm.arm.store(true, Ordering::SeqCst)));
@@ -1241,7 +1161,6 @@ mod tests {
                 task_prefetch: 4,
                 ..FrameworkConfig::default()
             },
-            false,
         );
         for i in 0..8 {
             put_task(&r.space, i, i);
@@ -1280,7 +1199,6 @@ mod tests {
                 task_prefetch: 4,
                 ..FrameworkConfig::default()
             },
-            false,
         );
         for i in 0..8 {
             put_task(&r.space, i, i);
@@ -1338,7 +1256,6 @@ mod tests {
                 task_prefetch: 4,
                 ..FrameworkConfig::default()
             },
-            false,
         );
         let total = 10i64;
         for i in 0..total {
@@ -1405,41 +1322,6 @@ mod tests {
     }
 
     #[test]
-    fn publishing_worker_heartbeats_into_the_space() {
-        let space = Space::new("heartbeats");
-        let store: StoreHandle = space.clone();
-        let r = rig_with(
-            space,
-            store,
-            Arc::new(SquareExec),
-            FrameworkConfig {
-                task_poll_timeout: Duration::from_millis(10),
-                metrics_interval: Duration::from_millis(20),
-                ..FrameworkConfig::default()
-            },
-            true,
-        );
-        // Heartbeats flow even while the worker is Stopped — the
-        // publisher thread is independent of the task loop.
-        wait_for(
-            || r.space.count(&acc_cluster::metrics_template()) >= 2,
-            "two heartbeats",
-        );
-        let tuple = r
-            .space
-            .take(
-                &acc_cluster::metrics_template(),
-                Some(Duration::from_secs(1)),
-            )
-            .unwrap()
-            .unwrap();
-        let report = acc_cluster::MetricsReport::from_tuple(&tuple).unwrap();
-        assert_eq!(report.worker, "w01");
-        assert!(report.seq >= 1);
-        r.worker.shutdown();
-    }
-
-    #[test]
     fn pause_returns_unstarted_prefetched_tasks_to_the_space() {
         struct Slow;
         impl TaskExecutor for Slow {
@@ -1460,7 +1342,6 @@ mod tests {
                 task_prefetch: 4,
                 ..FrameworkConfig::default()
             },
-            false,
         );
         let total = 10u64;
         for i in 0..total {

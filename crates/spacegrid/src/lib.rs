@@ -5,7 +5,7 @@
 //! failure; [`PartitionedSpace`] shards past it by spreading tuples over
 //! N independent [`SpaceServer`](acc_tuplespace::SpaceServer)s while
 //! still presenting the one [`TupleStore`] interface masters and workers
-//! already speak — dispatch, prefetch, heartbeats, and durability all
+//! already speak — dispatch, prefetch and durability all
 //! work unchanged through the grid.
 //!
 //! * **Routing** ([`router`]): every write lands on the deterministic

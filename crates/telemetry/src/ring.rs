@@ -4,16 +4,16 @@
 //! per-task retention decision runs on.
 //!
 //! The registry's counters and gauges are instants — one value, no
-//! memory. The federation plane ([`crate::http`]'s `/cluster` consumers,
-//! the MonitoringAgent's decision input) needs *trends*: was this
-//! worker's load spiking for the last minute or only for the last poll?
-//! A [`HistoryRing`] answers that with a fixed memory footprint:
-//! `capacity` samples (default [`DEFAULT_DEPTH`]), oldest evicted first.
+//! memory. The cluster view (`/cluster`, and the load the monitoring
+//! agent acts on) needs *trends*: was this worker's load spiking for the
+//! last minute or only for the last poll? A [`HistoryRing`] answers that
+//! with a fixed memory footprint: `capacity` samples (default
+//! [`DEFAULT_DEPTH`]), oldest evicted first.
 //!
 //! Recording is a mutex-guarded `VecDeque` push — a few tens of
 //! nanoseconds, and deliberately *not* on any tuple-space hot path:
-//! rings are fed by the heartbeat collector and the SNMP poll loop,
-//! both of which run on second-scale intervals.
+//! the rings are fed by the SNMP poll loop, once per worker per poll
+//! interval.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -97,6 +97,15 @@ impl HistoryRing {
     /// True when no sample has been recorded yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The newest sample, if any.
+    pub fn last(&self) -> Option<RingSample> {
+        self.samples
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .back()
+            .copied()
     }
 
     /// A copy of the retained samples, oldest first.
@@ -226,6 +235,7 @@ mod tests {
     fn empty_ring_reports_zeroes() {
         let ring = HistoryRing::new(8);
         assert!(ring.is_empty());
+        assert_eq!(ring.last(), None);
         assert_eq!(ring.stats(), RingStats::EMPTY);
     }
 
@@ -236,6 +246,7 @@ mod tests {
             ring.record(i, i as i64);
         }
         assert_eq!(ring.len(), 4);
+        assert_eq!(ring.last(), Some(RingSample { at_ms: 9, value: 9 }));
         let samples = ring.samples();
         assert_eq!(samples[0].value, 6);
         assert_eq!(samples[3].value, 9);

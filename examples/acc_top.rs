@@ -1,10 +1,11 @@
-//! `acc-top`: a live terminal dashboard over the cluster federation view.
+//! `acc-top`: a live terminal dashboard over the cluster view.
 //!
 //! Polls a running cluster's `/cluster` route (mounted by `ACC_OBSERVE` or
-//! `ClusterBuilder::observe`) and redraws the merged per-worker table —
-//! load and framework-load history, task throughput, compute-time
-//! quantiles, heartbeat age, and straggler flags — like `top`, but for the
-//! whole cluster.
+//! `ClusterBuilder::observe`) and redraws the per-worker table — load and
+//! framework load from the monitor's SNMP polls, results attributed,
+//! throughput and compute-time quantiles from the result tuples, the age
+//! of the newest poll, and straggler flags — like `top`, but for the whole
+//! cluster.
 //!
 //! ```text
 //! cargo run --release --example acc_top -- 127.0.0.1:9137
@@ -81,7 +82,7 @@ fn main() {
         match http_get(&addr, "/cluster") {
             Ok(body) => {
                 failures = 0;
-                // Clear screen + home, then the federation table as-is.
+                // Clear screen + home, then the cluster table as-is.
                 print!("\x1b[2J\x1b[H");
                 println!("acc-top — {addr} (refresh {interval_ms} ms, ctrl-c to quit)");
                 println!();

@@ -6,9 +6,8 @@
 //! Run with: `cargo run --release --example remote_workers`
 //!
 //! Observability: set `ACC_OBSERVE=127.0.0.1:9137` to mount the scrape
-//! endpoint (including the `/cluster` federation view), `ACC_METRICS_MS=<n>`
-//! to override the heartbeat interval, and pass `--hold-ms <n>` to keep
-//! the cluster alive after the run so it can be scraped live.
+//! endpoint (including the `/cluster` view), and pass `--hold-ms <n>` to
+//! keep the cluster alive after the run so it can be scraped live.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -28,17 +27,10 @@ fn main() {
                 std::process::exit(2);
             })
     });
-    let metrics_interval = std::env::var("ACC_METRICS_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map(Duration::from_millis);
-    let mut config = FrameworkConfig {
+    let config = FrameworkConfig {
         poll_interval: Duration::from_millis(20),
         ..FrameworkConfig::default()
     };
-    if let Some(interval) = metrics_interval {
-        config.metrics_interval = interval;
-    }
     let mut cluster = ClusterBuilder::new(config).build();
     let mut app = PricingApp::new(OptionSpec::paper_default(), 20, 50);
     cluster.install(&app);

@@ -1,8 +1,8 @@
-//! Acceptance test for the cluster federation plane: a master and two
-//! remote workers, heartbeats flowing through the space, `/cluster`
-//! reporting both workers with history and compute histograms, and an
+//! Acceptance test for the cluster view: a master and two remote workers,
+//! `/cluster` reporting both with load history from the monitor's SNMP
+//! polls and results and compute histograms from the result tuples, and an
 //! artificially slowed worker flagged as a straggler and excluded through
-//! the monitor's `DecisionInput` hook.
+//! the load the observer hands the monitor.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use adaptive_spaces::cluster::NodeSpec;
 use adaptive_spaces::framework::{
     Application, ClusterBuilder, ExecError, FrameworkConfig, Signal, TaskEntry, TaskExecutor,
-    TaskSpec,
+    TaskSpec, WorkerState,
 };
 use adaptive_spaces::space::Payload;
 
@@ -87,7 +87,6 @@ fn federation_reports_both_workers_and_excludes_the_straggler() {
         class_load_base: Duration::from_millis(1),
         class_load_per_kb: Duration::ZERO,
         task_prefetch: 1,
-        metrics_interval: Duration::from_millis(25),
         // The slow worker computes at ~7.5x the fast one, so 3x the
         // median flags it with plenty of margin — while a scheduling
         // hiccup on the fast worker (p99 a few ms over its own median)
@@ -110,22 +109,15 @@ fn federation_reports_both_workers_and_excludes_the_straggler() {
         .add_remote_worker(NodeSpec::new("slow-1", 800, 256))
         .expect("slow worker connects");
 
-    // Heartbeats federate through the space: both workers must show up in
-    // /cluster.json with at least 3 history samples each, before any task
-    // has even run.
+    // Both workers Running before the job starts.
     let deadline = Instant::now() + Duration::from_secs(15);
-    loop {
-        let json = http_get(addr, "/cluster.json");
-        let fast_hist = json_int_after(&json, "\"fast-0\"", "history_samples").unwrap_or(0);
-        let slow_hist = json_int_after(&json, "\"slow-1\"", "history_samples").unwrap_or(0);
-        if fast_hist >= 3 && slow_hist >= 3 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "workers never federated 3 heartbeats: {json}"
-        );
-        std::thread::sleep(Duration::from_millis(10));
+    while cluster
+        .workers()
+        .iter()
+        .any(|w| w.state() != WorkerState::Running)
+    {
+        assert!(Instant::now() < deadline, "workers were never started");
+        std::thread::sleep(Duration::from_millis(5));
     }
 
     let report = cluster.run(&mut app);
@@ -134,16 +126,42 @@ fn federation_reports_both_workers_and_excludes_the_straggler() {
     assert_eq!(app.total, (1..=150u64).sum::<u64>());
 
     // Task-level attribution: both workers carry a non-empty compute
-    // histogram in the federation view.
+    // histogram, and the results attributed to them are the job's.
     let json = http_get(addr, "/cluster.json");
+    let mut tasks_done = 0;
     for worker in ["fast-0", "slow-1"] {
-        let count = json_int_after(&json, &format!("\"{worker}\""), "count").unwrap_or(0);
+        let anchor = format!("\"{worker}\"");
+        let count = json_int_after(&json, &anchor, "count").unwrap_or(0);
         assert!(count > 0, "{worker} has no compute samples: {json}");
+        tasks_done += json_int_after(&json, &anchor, "tasks_done").unwrap_or(0);
+        // SNMP polls fill the load history.
+        let history = json_int_after(&json, &anchor, "history_samples").unwrap_or(0);
+        assert!(history >= 3, "{worker} has {history} samples: {json}");
+    }
+    assert_eq!(tasks_done, 150, "{json}");
+    // The framework-load column is the node's own `set_framework` share,
+    // as the SNMP agent exports it: the fast worker idles Running at a
+    // small non-zero load.
+    let fast_load = cluster.workers()[0].node.load();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let json = http_get(addr, "/cluster.json");
+        let fw_last = json
+            .find("\"fast-0\"")
+            .and_then(|at| json_int_after(&json[at..], "\"framework_load\"", "last"));
+        let own = fast_load.framework_effective() as i64;
+        if own > 0 && fw_last == Some(own) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "framework_load.last {fw_last:?} never matched the node's {own}: {json}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
     }
     // The text rendering covers both workers too.
     let text = http_get(addr, "/cluster");
     assert!(text.contains("fast-0") && text.contains("slow-1"), "{text}");
-    assert!(text.contains("space:observed-space"), "{text}");
 
     // The slowed worker's compute p99 is far beyond 2x the cluster
     // median: it must be flagged.
@@ -151,9 +169,9 @@ fn federation_reports_both_workers_and_excludes_the_straggler() {
     assert_eq!(observer.stragglers(), vec!["slow-1".to_owned()]);
     assert!(json.contains("\"stragglers\":[\"slow-1\"]"), "{json}");
 
-    // ... and excluded through the DecisionInput hook: the monitor keeps
-    // polling, reads the straggler's load as saturated, and the inference
-    // engine orders a Stop with the straggler flag on the decision.
+    // ... and excluded: the monitor keeps polling, the observer hands it
+    // the straggler's load as saturated, and the inference engine orders
+    // a Stop with the straggler flag on the decision.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let excluded = cluster

@@ -450,7 +450,6 @@ fn connection_cut_during_a_result_flush_still_completes_the_job_exactly_once() {
         node_load: None,
         epoch: Instant::now(),
         framework: fast_config(),
-        publish_metrics: false,
     })
     .unwrap();
     assert_eq!(accept.join().unwrap(), worker.id());

@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 use adaptive_spaces::cluster::NodeSpec;
 use adaptive_spaces::framework::{
     Application, ClusterBuilder, ExecError, FrameworkConfig, TaskEntry, TaskExecutor, TaskSpec,
+    WorkerState,
 };
 use adaptive_spaces::space::Payload;
 use adaptive_spaces::telemetry::{flight, registry, TraceAssembler};
@@ -109,7 +110,6 @@ fn profile_names_the_straggler_and_retention_outlives_ring_overflow() {
         class_load_base: Duration::from_millis(1),
         class_load_per_kb: Duration::ZERO,
         task_prefetch: 1,
-        metrics_interval: Duration::from_millis(25),
         // Keep the straggler detector out of the way: if it flags the
         // slow worker the monitor excludes it mid-run and the fast
         // worker bounds the job instead. The profiler's own peer-ratio
@@ -144,21 +144,16 @@ fn profile_names_the_straggler_and_retention_outlives_ring_overflow() {
         .add_remote_worker(NodeSpec::new("slow-1", 800, 256))
         .expect("slow worker connects");
 
-    // Both workers federating heartbeats means both are up and taking
-    // before the job starts, so the bounding chain spans the whole run.
+    // Both workers Running means both are up and taking before the job
+    // starts, so the bounding chain spans the whole run.
     let deadline = Instant::now() + Duration::from_secs(15);
-    loop {
-        let json = http_get(addr, "/cluster.json");
-        let fast_hist = json_int_after(&json, "\"fast-0\"", "history_samples").unwrap_or(0);
-        let slow_hist = json_int_after(&json, "\"slow-1\"", "history_samples").unwrap_or(0);
-        if fast_hist >= 3 && slow_hist >= 3 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "workers never federated 3 heartbeats: {json}"
-        );
-        std::thread::sleep(Duration::from_millis(10));
+    while cluster
+        .workers()
+        .iter()
+        .any(|w| w.state() != WorkerState::Running)
+    {
+        assert!(Instant::now() < deadline, "workers were never started");
+        std::thread::sleep(Duration::from_millis(5));
     }
 
     // Whose result closes the job is a race in the final task handoff

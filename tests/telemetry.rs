@@ -255,7 +255,6 @@ fn one_trace_crosses_wire_space_and_worker() {
             task_poll_timeout: Duration::from_millis(10),
             ..FrameworkConfig::default()
         },
-        publish_metrics: false,
     })
     .unwrap();
     let worker_id = accept.join().unwrap();
