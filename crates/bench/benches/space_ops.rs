@@ -94,25 +94,6 @@ fn bench_take_modes(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_notify_dispatch(c: &mut Criterion) {
-    c.bench_function("space/write_with_10_registrations", |b| {
-        let space = Space::new("bench");
-        for i in 0..10i64 {
-            space.notify(
-                Template::build("acc.task").eq("task_id", i).done(),
-                Box::new(|_| {}),
-            );
-        }
-        let mut i = 0i64;
-        let template = Template::of_type("acc.task");
-        b.iter(|| {
-            space.write(task_tuple(i % 10, 64)).unwrap();
-            i += 1;
-            space.take_if_exists(&template).unwrap()
-        });
-    });
-}
-
 fn bench_leased_writes_and_sweep(c: &mut Criterion) {
     c.bench_function("space/leased_write_sweep_100", |b| {
         let space = Space::new("bench");
@@ -200,7 +181,6 @@ criterion_group!(
     bench_read,
     bench_template_match,
     bench_take_modes,
-    bench_notify_dispatch,
     bench_leased_writes_and_sweep,
     bench_concurrent_takers
 );

@@ -13,16 +13,11 @@ pub enum SpaceError {
     Closed,
     /// The transaction has already committed or aborted.
     TxnInactive,
-    /// The referenced entry does not exist (already taken, cancelled, or its
-    /// lease expired).
+    /// The referenced entry does not exist (already taken, or its lease
+    /// expired).
     NoSuchEntry,
     /// A lease operation referenced an expired lease.
     LeaseExpired,
-    /// The referenced entry exists but is locked by an active transaction
-    /// (pending write, taken, or read-locked) and cannot be cancelled.
-    EntryLocked,
-    /// The event registration cookie is unknown.
-    NoSuchRegistration,
     /// A durability operation (journal, snapshot, recovery) failed at the
     /// storage layer; the message carries the underlying I/O error.
     Storage(String),
@@ -45,8 +40,6 @@ impl fmt::Display for SpaceError {
             SpaceError::TxnInactive => write!(f, "transaction is no longer active"),
             SpaceError::NoSuchEntry => write!(f, "no such entry"),
             SpaceError::LeaseExpired => write!(f, "lease has expired"),
-            SpaceError::EntryLocked => write!(f, "entry is locked by a transaction"),
-            SpaceError::NoSuchRegistration => write!(f, "no such event registration"),
             SpaceError::Storage(msg) => write!(f, "storage error: {msg}"),
             SpaceError::Transport(msg) => write!(f, "transport error: {msg}"),
             SpaceError::Protocol(msg) => write!(f, "protocol error: {msg}"),

@@ -3,7 +3,7 @@
 //!
 //! Every state-changing operation that survived a crash must be derivable
 //! from `snapshot + WAL tail`, so the journal records exactly the committed
-//! mutations: plain writes, destructive takes, cancels, lease renewals and
+//! mutations: plain writes, destructive takes, lease renewals and
 //! transaction commits (a transaction's ops hit the journal only at commit,
 //! as one atomic record). Expiry is *not* journaled — lease deadlines are
 //! recorded as absolute wall-clock times and recovery re-evaluates them, so
@@ -73,7 +73,7 @@ pub(crate) fn instant_from_wall(
     }
 }
 
-fn put_deadline(w: &mut WireWriter, deadline_ms: Option<u64>) {
+pub(crate) fn put_deadline(w: &mut WireWriter, deadline_ms: Option<u64>) {
     match deadline_ms {
         Some(ms) => {
             w.put_bool(true);
@@ -83,7 +83,7 @@ fn put_deadline(w: &mut WireWriter, deadline_ms: Option<u64>) {
     }
 }
 
-fn get_deadline(r: &mut WireReader) -> Result<Option<u64>, PayloadError> {
+pub(crate) fn get_deadline(r: &mut WireReader) -> Result<Option<u64>, PayloadError> {
     Ok(if r.get_bool()? {
         Some(r.get_u64()?)
     } else {
@@ -103,8 +103,6 @@ pub(crate) enum Op {
     },
     /// A plain take removed the entry.
     Take { id: EntryId },
-    /// [`crate::Space::cancel`] removed the entry.
-    Cancel { id: EntryId },
     /// [`crate::Space::renew_lease`] moved the entry's deadline.
     Renew {
         id: EntryId,
@@ -133,10 +131,6 @@ impl Payload for Op {
             }
             Op::Take { id } => {
                 w.put_u8(2);
-                w.put_u64(*id);
-            }
-            Op::Cancel { id } => {
-                w.put_u8(3);
                 w.put_u64(*id);
             }
             Op::Renew { id, deadline_ms } => {
@@ -168,7 +162,8 @@ impl Payload for Op {
                 tuple: Tuple::decode(r)?,
             }),
             2 => Ok(Op::Take { id: r.get_u64()? }),
-            3 => Ok(Op::Cancel { id: r.get_u64()? }),
+            // Tag 3 is retired (it named the removed `cancel` op): never
+            // reuse it, or an old log would replay as something else.
             4 => Ok(Op::Renew {
                 id: r.get_u64()?,
                 deadline_ms: get_deadline(r)?,
@@ -290,7 +285,6 @@ mod tests {
                 tuple: sample_tuple(),
             },
             Op::Take { id: 9 },
-            Op::Cancel { id: 10 },
             Op::Renew {
                 id: 11,
                 deadline_ms: Some(999),
@@ -316,6 +310,16 @@ mod tests {
     #[test]
     fn bad_tag_rejected() {
         assert!(Op::from_bytes(&[9]).is_err());
+    }
+
+    #[test]
+    fn retired_cancel_tag_is_an_unknown_op_tag() {
+        let mut record = vec![3u8];
+        record.extend_from_slice(&10u64.to_le_bytes());
+        assert_eq!(
+            Op::from_bytes(&record),
+            Err(PayloadError::Corrupt("op tag"))
+        );
     }
 
     #[test]

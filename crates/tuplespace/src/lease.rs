@@ -1,14 +1,12 @@
 //! Entry leases.
 //!
 //! Every entry written into a space is governed by a lease, after which the
-//! space may reclaim it — the Jini resource-management discipline. Most
-//! framework entries use [`Lease::forever`]; heartbeat-style entries (worker
-//! registrations) use short leases that must be renewed.
+//! space may reclaim it — the Jini resource-management discipline. The
+//! framework's task and result entries use [`Lease::forever`]; a short
+//! lease lets an entry lapse unless its writer renews it
+//! ([`crate::Space::renew_lease`]).
 
 use std::time::{Duration, Instant};
-
-/// Identifier for a granted lease (equal to the entry id it covers).
-pub type LeaseId = u64;
 
 /// How long an entry may live in the space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -11,7 +11,6 @@
 //! * [`Space::read`] returns a copy of a tuple matching a [`Template`]
 //!   (associative, value-based lookup), blocking until one arrives;
 //! * [`Space::take`] removes and returns a matching tuple;
-//! * [`Space::notify`] registers interest in future matching writes;
 //! * [`Txn`] transactions make groups of operations atomic: in the event of a
 //!   partial failure the transaction either completes or has no effect,
 //!   mirroring the paper's fault-tolerance claim for JavaSpaces.
@@ -33,7 +32,6 @@
 
 mod codec;
 mod error;
-mod events;
 mod fx;
 mod journal;
 mod lease;
@@ -44,20 +42,17 @@ mod stats;
 mod store;
 mod template;
 mod tuple;
-mod txn;
 mod value;
 
 pub use acc_durability::{SyncPolicy, WalOptions};
 pub use bytes::Bytes;
 pub use error::{SpaceError, SpaceResult};
-pub use events::{EventCookie, SpaceEvent};
-pub use lease::{Lease, LeaseId};
+pub use lease::Lease;
 pub use payload::{decode_frame, NameInterner, Payload, PayloadError, WireReader, WireWriter};
 pub use remote::{Pending, RemoteSpace, SpaceServer};
-pub use space::{EntryId, Space, SpaceHandle};
+pub use space::{EntryId, Space, SpaceHandle, Txn, TxnId, TxnState};
 pub use stats::SpaceStats;
 pub use store::{write_all_then_take_up_to_in_sequence, StoreHandle, TupleStore, WriteThenTake};
 pub use template::{Constraint, Template, TemplateBuilder};
 pub use tuple::{Tuple, TupleBuilder};
-pub use txn::{Txn, TxnId, TxnState};
 pub use value::Value;

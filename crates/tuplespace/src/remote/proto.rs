@@ -326,14 +326,15 @@ impl Response {
     }
 }
 
+/// Codes 5 and 6 are retired (they named errors of the removed notify and
+/// cancel ops) and decode as unknown. Do not reuse them: every peer of
+/// wire version 3 must agree on what each code means.
 pub(super) fn error_encode(e: &SpaceError) -> Response {
     let code = match e {
         SpaceError::Closed => 1,
         SpaceError::TxnInactive => 2,
         SpaceError::NoSuchEntry => 3,
         SpaceError::LeaseExpired => 4,
-        SpaceError::NoSuchRegistration => 5,
-        SpaceError::EntryLocked => 6,
         SpaceError::Storage(_) => 7,
         SpaceError::Transport(_) => 8,
         SpaceError::Protocol(_) => 9,
@@ -353,8 +354,6 @@ pub(super) fn error_from(code: u8, detail: String) -> SpaceError {
         2 => SpaceError::TxnInactive,
         3 => SpaceError::NoSuchEntry,
         4 => SpaceError::LeaseExpired,
-        5 => SpaceError::NoSuchRegistration,
-        6 => SpaceError::EntryLocked,
         7 => SpaceError::Storage(detail),
         8 => SpaceError::Transport(detail),
         9 => SpaceError::Protocol(detail),

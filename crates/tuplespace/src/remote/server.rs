@@ -21,6 +21,7 @@ use super::proto::{
 use crate::error::SpaceError;
 use crate::payload::NameInterner;
 use crate::space::Space;
+use crate::store::TupleStore;
 
 /// Resource limits for a [`SpaceServer`]. Each accepted connection owns one
 /// service thread, so an unbounded accept loop lets one misbehaving client
@@ -304,7 +305,9 @@ pub(super) fn serve(space: &Arc<Space>, request: Request, trace: Option<TraceCon
         Request::Take(tmpl, timeout) => {
             Space::take(space, &tmpl, millis(timeout)).map(Response::MaybeTuple)
         }
-        Request::Count(tmpl) => Ok(Response::Count(Space::count(space, &tmpl) as u64)),
+        Request::Count(tmpl) => {
+            TupleStore::count(&**space, &tmpl).map(|n| Response::Count(n as u64))
+        }
         Request::Close => {
             Space::close(space);
             Ok(Response::Unit)

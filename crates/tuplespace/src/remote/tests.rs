@@ -357,6 +357,16 @@ fn remote_close_propagates() {
 }
 
 #[test]
+fn count_on_a_closed_space_reports_closed() {
+    let (space, _server, remote) = rig();
+    remote.write(tuple(1)).unwrap();
+    space.close();
+    let t = Template::of_type("t");
+    assert_eq!(TupleStore::count(&*space, &t), Err(SpaceError::Closed));
+    assert_eq!(remote.count(&t), Err(SpaceError::Closed));
+}
+
+#[test]
 fn leased_remote_writes_expire() {
     let (_space, _server, remote) = rig();
     remote
@@ -503,8 +513,6 @@ fn every_error_crosses_the_wire_and_unknown_codes_are_protocol_errors() {
         SpaceError::TxnInactive,
         SpaceError::NoSuchEntry,
         SpaceError::LeaseExpired,
-        SpaceError::EntryLocked,
-        SpaceError::NoSuchRegistration,
         SpaceError::Storage("disk on fire".into()),
         SpaceError::Transport("connection reset".into()),
         SpaceError::Protocol("stale answer".into()),
@@ -513,7 +521,7 @@ fn every_error_crosses_the_wire_and_unknown_codes_are_protocol_errors() {
         let decoded = Response::from_bytes(&resp.to_bytes()).unwrap();
         assert_eq!(decoded.into_error("test"), e);
     }
-    for code in [0u8, 10, 255] {
+    for code in [0u8, 5, 6, 10, 255] {
         match error_from(code, "whatever".into()) {
             SpaceError::Protocol(msg) => {
                 assert!(msg.contains(&format!("unknown error code {code}")), "{msg}")

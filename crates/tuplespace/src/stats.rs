@@ -27,8 +27,6 @@ pub(crate) struct SpaceSeries {
     shard_contention: Arc<Counter>,
     index_hits: Arc<Counter>,
     index_misses: Arc<Counter>,
-    /// Events delivered to notify listeners.
-    pub events_dispatched: Arc<Counter>,
     /// Full write-op latency (timing-gated).
     pub write_us: Arc<Histogram>,
     /// Full read-op latency, including any blocking (timing-gated).
@@ -61,7 +59,6 @@ pub(crate) fn series() -> &'static SpaceSeries {
             shard_contention: r.counter("space.shard_contention"),
             index_hits: r.counter("space.index.hits"),
             index_misses: r.counter("space.index.misses"),
-            events_dispatched: r.counter("space.events.dispatched"),
             write_us: r.histogram("space.write.us"),
             read_us: r.histogram("space.read.us"),
             take_us: r.histogram("space.take.us"),

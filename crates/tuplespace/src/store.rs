@@ -7,14 +7,14 @@
 //! [`crate::remote::RemoteSpace`].
 //!
 //! Transactions are deliberately not part of the trait: they are offered
-//! by the in-process space only (see `crate::txn`), mirroring the fact
+//! by the in-process space only (see [`Space::txn`]), mirroring the fact
 //! that this reproduction's remote protocol covers the master/worker
 //! fast path.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::error::SpaceResult;
+use crate::error::{SpaceError, SpaceResult};
 use crate::lease::Lease;
 use crate::space::{EntryId, Space};
 use crate::template::Template;
@@ -181,6 +181,9 @@ impl TupleStore for Space {
     }
 
     fn count(&self, template: &Template) -> SpaceResult<usize> {
+        if self.is_closed() {
+            return Err(SpaceError::Closed);
+        }
         Ok(Space::count(self, template))
     }
 

@@ -85,8 +85,9 @@ fn every_kill_point_recovers_exactly_the_committed_prefix() {
     let all = Template::of_type("task");
     let mut boundaries: Vec<Boundary> = vec![record(&dir, &space)];
 
-    // A representative op mix: plain writes, leased writes, takes, cancel,
-    // renew, a committed transaction, and an aborted one.
+    // A representative op mix: plain writes, leased writes, takes (one of
+    // them indexed, off the FIFO head), renew, a committed transaction,
+    // and an aborted one.
     for i in 0..6 {
         space.write(task(i)).unwrap();
         boundaries.push(record(&dir, &space));
@@ -101,9 +102,12 @@ fn every_kill_point_recovers_exactly_the_committed_prefix() {
         .renew_lease(leased, Lease::for_millis(240_000))
         .unwrap();
     boundaries.push(record(&dir, &space));
-    let victim = space.write(task(200)).unwrap();
+    space.write(task(200)).unwrap();
     boundaries.push(record(&dir, &space));
-    space.cancel(victim).unwrap();
+    space
+        .take_if_exists(&Template::build("task").eq("id", 200i64).done())
+        .unwrap()
+        .unwrap();
     boundaries.push(record(&dir, &space));
 
     let txn = space.txn().unwrap();
