@@ -4,8 +4,8 @@
 //! * `record_task` — the master-side fold of one result's `TaskTiming`
 //!   into the job's waterfall (the only profiler work on the result
 //!   hot path).
-//! * `render_json` — building the `/profile.json` body over a populated
-//!   job (route-handler cost, off the hot path).
+//! * `document` — building and writing the `/profile.json` body over a
+//!   populated job (route-handler cost, off the hot path).
 //! * `retention_decision` — the worker-side tail-retention check: a
 //!   percentile over the job's compute history plus the sample record,
 //!   on the `SortedWindow` the worker keeps. This runs once per *task
@@ -22,7 +22,7 @@
 //! compatible.
 
 use acc_cluster::{JobProfiler, TaskTiming};
-use acc_telemetry::SortedWindow;
+use acc_telemetry::{Json, SortedWindow};
 use acc_tuplespace::{Space, Template, Tuple};
 
 /// Median per-iteration nanoseconds over `rounds` timed batches.
@@ -82,7 +82,7 @@ fn main() {
     results.push(("profile/record_task".into(), record_ns));
 
     // ----------------------------------------------------------------
-    // render_json: the /profile.json route over a populated job —
+    // document: the /profile.json route over a populated job —
     // several workers, chains past the per-worker detail cap.
     // ----------------------------------------------------------------
     let rendered = JobProfiler::new();
@@ -95,12 +95,12 @@ fn main() {
     let stragglers = vec!["w-3".to_owned()];
     let render_ns = median_ns(
         || {
-            std::hint::black_box(rendered.render_json(&stragglers));
+            std::hint::black_box(rendered.to_json(&stragglers).to_string());
         },
         rounds,
         per_round.min(200),
     );
-    results.push(("profile/render_json".into(), render_ns));
+    results.push(("profile/document".into(), render_ns));
 
     // ----------------------------------------------------------------
     // retention_decision: percentile over a full history window + record,
@@ -187,15 +187,11 @@ fn main() {
         "retention decision took {retention_ns:.0} ns (budget 500 ns per task end)"
     );
 
-    let mut json = String::from("{\n  \"bench\": \"profile\",\n  \"results_ns\": {\n");
-    for (i, (label, ns)) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        json.push_str(&format!("    \"{label}\": {ns:.0}{comma}\n"));
-    }
-    json.push_str(&format!(
-        "  }},\n  \"write_take_64_overhead_pct\": {overhead_pct:.2}\n}}\n"
+    acc_bench::write_bench_record(&acc_bench::bench_record(
+        "profile",
+        [
+            ("results_ns", acc_bench::results_ns(&results)),
+            ("write_take_64_overhead_pct", Json::Float(overhead_pct, 2)),
+        ],
     ));
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_profile.json");
-    std::fs::write(out, json).unwrap();
-    println!("profile: wrote {out}");
 }

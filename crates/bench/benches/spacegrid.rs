@@ -42,6 +42,7 @@ use std::time::Instant;
 
 use acc_durability::{SyncPolicy, WalOptions};
 use acc_spacegrid::{route_tuple, GridConfig, PartitionedSpace};
+use acc_telemetry::Json;
 use acc_tuplespace::{RemoteSpace, Space, SpaceHandle, SpaceServer, Template, Tuple, TupleStore};
 
 const WRITERS: usize = 16;
@@ -432,15 +433,13 @@ fn main() {
     println!("spacegrid/durable_scaling_4_shards_vs_1: {durable_4x:.2}x");
     println!("spacegrid/overhead_1shard_vs_direct: {overhead_pct:+.1}%");
 
-    let mut json = String::from("{\n  \"bench\": \"spacegrid\",\n  \"results_ns\": {\n");
-    for (i, (label, ns)) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        json.push_str(&format!("    \"{label}\": {ns:.0}{comma}\n"));
-    }
-    json.push_str(&format!(
-        "  }},\n  \"scaling_4_shards_vs_1\": {scaling_4x:.3},\n  \"durable_scaling_4_shards_vs_1\": {durable_4x:.3},\n  \"overhead_1shard_pct\": {overhead_pct:.2}\n}}\n"
+    acc_bench::write_bench_record(&acc_bench::bench_record(
+        "spacegrid",
+        [
+            ("results_ns", acc_bench::results_ns(&results)),
+            ("scaling_4_shards_vs_1", Json::Float(scaling_4x, 3)),
+            ("durable_scaling_4_shards_vs_1", Json::Float(durable_4x, 3)),
+            ("overhead_1shard_pct", Json::Float(overhead_pct, 2)),
+        ],
     ));
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_spacegrid.json");
-    std::fs::write(out, json).unwrap();
-    println!("spacegrid: wrote {out}");
 }

@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use acc_telemetry::{event, registry, span, Histogram, Timed};
+use acc_telemetry::{event, registry, span, Histogram, Json};
 
 fn bench_disabled_tracing(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry/disabled");
@@ -23,14 +23,6 @@ fn bench_disabled_tracing(c: &mut Criterion) {
     group.bench_function("span", |b| {
         b.iter(|| {
             let _span = span!("bench.span", task_id = 42u64);
-        });
-    });
-    group.bench_function("timed_stopwatch", |b| {
-        acc_telemetry::set_timing(false);
-        let h = Histogram::new();
-        b.iter(|| {
-            let t = Timed::start();
-            t.observe(&h);
         });
     });
     group.finish();
@@ -199,35 +191,37 @@ fn bench_flight_recorder(c: &mut Criterion) {
 }
 
 /// Writes `BENCH_trace.json` at the repo root: the recorded `before`
-/// numbers beside this run's, with the host and commit they belong to.
+/// numbers beside this run's `after`, stamped with this run's host and
+/// commit.
 fn export_trace_json(after: &[(&str, f64)]) {
-    let acc_bench::Provenance { cpu, cores, commit } = acc_bench::Provenance::capture();
-    let side = |rows: &[(&str, f64)]| {
-        rows.iter()
-            .map(|(label, ns)| format!("      \"{label}\": {ns:.0}"))
-            .collect::<Vec<_>>()
-            .join(",\n")
-    };
     let ratio = |label: &str| {
         let of = |rows: &[(&str, f64)]| rows.iter().find(|(l, _)| *l == label).map(|(_, ns)| *ns);
         of(&BEFORE_NS).zip(of(after)).map_or(0.0, |(b, a)| b / a)
     };
-    let json = format!(
-        "{{\n  \"bench\": \"trace\",\n  \"host\": {{ \"cpu\": \"{}\", \"cores\": {cores}, \"clock\": \"{}\" }},\n  \
-         \"before\": {{\n    \"commit\": \"{BEFORE_COMMIT}\",\n    \"results_ns\": {{\n{}\n    }}\n  }},\n  \
-         \"after\": {{\n    \"commit\": \"{commit}\",\n    \"results_ns\": {{\n{}\n    }}\n  }},\n  \
-         \"event_speedup\": {:.2},\n  \"span_speedup\": {:.2},\n  \"task_record_set_speedup\": {:.2}\n}}\n",
-        acc_telemetry::json_escape(&cpu),
-        acc_telemetry::clock::source(),
-        side(&BEFORE_NS),
-        side(after),
-        ratio("flight/event_recorded"),
-        ratio("flight/span_recorded"),
-        ratio("flight/task_record_set"),
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json");
-    std::fs::write(out, json).unwrap();
-    println!("telemetry: wrote {out}");
+    let before = Json::object([
+        ("commit", BEFORE_COMMIT.into()),
+        ("results_ns", acc_bench::results_ns(&BEFORE_NS)),
+    ]);
+    let after = Json::object([("results_ns", acc_bench::results_ns(after))]);
+    acc_bench::write_bench_record(&acc_bench::bench_record(
+        "trace",
+        [
+            ("before", before),
+            ("after", after),
+            (
+                "event_speedup",
+                Json::Float(ratio("flight/event_recorded"), 2),
+            ),
+            (
+                "span_speedup",
+                Json::Float(ratio("flight/span_recorded"), 2),
+            ),
+            (
+                "task_record_set_speedup",
+                Json::Float(ratio("flight/task_record_set"), 2),
+            ),
+        ],
+    ));
 }
 
 criterion_group!(

@@ -10,6 +10,7 @@
 
 use std::time::Instant;
 
+use acc_telemetry::Json;
 use acc_tuplespace::{decode_frame, Bytes, NameInterner, Payload, Tuple, WireWriter};
 
 fn task_tuple(id: i64) -> Tuple {
@@ -126,21 +127,12 @@ fn main() {
     println!("wire/decode_borrowed_speedup: {decode_speedup:.2}x");
     println!("wire/encode_reused_speedup: {encode_speedup:.2}x");
 
-    let from = acc_bench::Provenance::capture();
-    let mut json = format!(
-        "{{\n  \"bench\": \"wire\",\n  \"host\": {{ \"cpu\": \"{}\", \"cores\": {} }},\n  \"commit\": \"{}\",\n  \"results_ns\": {{\n",
-        acc_telemetry::json_escape(&from.cpu),
-        from.cores,
-        from.commit,
-    );
-    for (i, (label, ns)) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        json.push_str(&format!("    \"{label}\": {ns:.0}{comma}\n"));
-    }
-    json.push_str(&format!(
-        "  }},\n  \"decode_borrowed_speedup\": {decode_speedup:.3},\n  \"encode_reused_speedup\": {encode_speedup:.3}\n}}\n"
+    acc_bench::write_bench_record(&acc_bench::bench_record(
+        "wire",
+        [
+            ("results_ns", acc_bench::results_ns(&results)),
+            ("decode_borrowed_speedup", Json::Float(decode_speedup, 3)),
+            ("encode_reused_speedup", Json::Float(encode_speedup, 3)),
+        ],
     ));
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_wire.json");
-    std::fs::write(out, json).unwrap();
-    println!("wire: wrote {out}");
 }

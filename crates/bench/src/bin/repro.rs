@@ -50,7 +50,7 @@ fn main() {
     // telemetry registry (sim.* virtual-time series plus any real-runtime
     // series); persist the dump next to the captured stdout so regenerated
     // figures come with their per-phase histograms.
-    match std::fs::write("telemetry.json", registry().render_json()) {
+    match std::fs::write("telemetry.json", registry().to_json().to_string()) {
         Ok(()) => eprintln!("telemetry written to telemetry.json"),
         Err(e) => eprintln!("could not write telemetry.json: {e}"),
     }

@@ -16,8 +16,7 @@
 //! compute time exceeds `k ×` the median of its peers' medians), hands
 //! the monitoring agent the load its inference engine should act on
 //! ([`ClusterObserver::effective_load`]: trend-floored, saturated for a
-//! straggler), mirrors the latest values into the global registry under
-//! `cluster.<worker>.*`, and renders the `/cluster` view (text + JSON).
+//! straggler), and writes the worker and job sections of `/cluster.json`.
 //! Nothing here travels through the space: the space is what is being
 //! monitored.
 
@@ -25,7 +24,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use acc_telemetry::{registry, Histogram, HistoryRing, RingStats};
+use acc_telemetry::{Histogram, HistoryRing, Json, RingStats};
 use parking_lot::Mutex;
 
 /// Current version byte of the [`TaskTiming`] encoding.
@@ -107,29 +106,6 @@ impl Default for ObserverConfig {
     }
 }
 
-/// Registry mirror handles for one worker, registered once under leaked
-/// `cluster.<worker>.*` names (the registry keys by `&'static str`; the
-/// leak is bounded by workers × series).
-#[derive(Debug)]
-struct MirrorSeries {
-    load: Arc<acc_telemetry::Gauge>,
-    framework_load: Arc<acc_telemetry::Gauge>,
-    tasks_done: Arc<acc_telemetry::Gauge>,
-}
-
-impl MirrorSeries {
-    fn new(worker: &str) -> MirrorSeries {
-        let leaked = |suffix: &str| -> &'static str {
-            Box::leak(format!("cluster.{worker}.{suffix}").into_boxed_str())
-        };
-        MirrorSeries {
-            load: registry().gauge(leaked("load")),
-            framework_load: registry().gauge(leaked("framework_load")),
-            tasks_done: registry().gauge(leaked("tasks_done")),
-        }
-    }
-}
-
 /// Everything the observer knows about one worker.
 #[derive(Debug)]
 struct WorkerView {
@@ -147,11 +123,10 @@ struct WorkerView {
     wait_us: u64,
     xfer_us: u64,
     write_us: u64,
-    mirror: MirrorSeries,
 }
 
 impl WorkerView {
-    fn new(worker: &str, depth: usize) -> WorkerView {
+    fn new(depth: usize) -> WorkerView {
         WorkerView {
             load: HistoryRing::new(depth),
             framework_load: HistoryRing::new(depth),
@@ -161,7 +136,6 @@ impl WorkerView {
             wait_us: 0,
             xfer_us: 0,
             write_us: 0,
-            mirror: MirrorSeries::new(worker),
         }
     }
 
@@ -187,8 +161,8 @@ impl WorkerView {
 
 /// The master-side cluster view: folds SNMP load samples and task
 /// attribution into bounded per-worker history, detects stragglers,
-/// tells the monitoring agent what load to act on, and renders the
-/// `/cluster` view.
+/// tells the monitoring agent what load to act on, and writes the worker
+/// and job sections of `/cluster.json`.
 #[derive(Debug)]
 pub struct ClusterObserver {
     config: ObserverConfig,
@@ -222,14 +196,11 @@ impl ClusterObserver {
         let mut workers = self.workers.lock();
         let view = workers
             .entry(worker.to_owned())
-            .or_insert_with(|| WorkerView::new(worker, self.config.history_depth));
+            .or_insert_with(|| WorkerView::new(self.config.history_depth));
         let results = view.results as i64;
         view.load.record(at_ms, external as i64);
         view.framework_load.record(at_ms, framework);
         view.tasks.record(at_ms, results);
-        view.mirror.load.set(external as i64);
-        view.mirror.framework_load.set(framework);
-        view.mirror.tasks_done.set(results);
     }
 
     /// Records one completed task's cost attribution under its worker
@@ -239,7 +210,7 @@ impl ClusterObserver {
             let mut workers = self.workers.lock();
             let view = workers
                 .entry(worker.to_owned())
-                .or_insert_with(|| WorkerView::new(worker, self.config.history_depth));
+                .or_insert_with(|| WorkerView::new(self.config.history_depth));
             view.results += 1;
             view.compute.observe(timing.compute_us);
             view.wait_us += timing.wait_us;
@@ -324,128 +295,59 @@ impl ClusterObserver {
         (raw.max(stats.mean.round() as u64).min(100), false)
     }
 
-    /// The aligned text table behind `GET /cluster`.
-    pub fn render_text(&self) -> String {
-        let workers = self.workers.lock();
-        let stragglers = self.flagged(&workers);
-        let now = now_ms();
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<18} {:>5} {:>5} {:>7} {:>8} {:>9} {:>9} {:>7} {:>5}  {}\n",
-            "WORKER",
-            "LOAD",
-            "FW",
-            "TASKS",
-            "TASK/S",
-            "CP50(us)",
-            "CP99(us)",
-            "HB_AGE",
-            "HIST",
-            "FLAGS"
-        ));
-        for (name, view) in workers.iter() {
-            let load = view.load.stats();
-            let fw = view.framework_load.stats();
-            let compute = view.compute.snapshot();
-            let age = view
-                .sample_age_ms(now)
-                .map_or_else(|| "-".to_owned(), |ms| format!("{ms}ms"));
-            let flags = if stragglers.contains(&name) {
-                "STRAGGLER"
-            } else {
-                ""
-            };
-            out.push_str(&format!(
-                "{:<18} {:>5} {:>5} {:>7} {:>8.1} {:>9} {:>9} {:>7} {:>5}  {}\n",
-                name,
-                load.last,
-                fw.last,
-                view.results,
-                view.throughput(),
-                compute.p50().unwrap_or(0),
-                compute.p99().unwrap_or(0),
-                age,
-                view.framework_load.len(),
-                flags
-            ));
-        }
-        if workers.is_empty() {
-            out.push_str("(no workers have reported yet)\n");
-        }
-        out
-    }
-
-    /// The JSON document behind `GET /cluster.json`.
-    pub fn render_json(&self) -> String {
+    /// The worker, job and straggler sections of `/cluster.json`.
+    pub fn to_json(&self) -> Json {
         let workers = self.workers.lock();
         let stragglers = self.flagged(&workers);
         let jobs = self.jobs.lock();
         let now = now_ms();
         let ring_json = |stats: &RingStats, len: usize| {
-            format!(
-                "{{\"samples\":{},\"last\":{},\"min\":{},\"max\":{},\"mean\":{:.2},\"p99\":{},\"depth\":{}}}",
-                stats.samples, stats.last, stats.min, stats.max, stats.mean, stats.p99, len
-            )
+            Json::object([
+                ("samples", stats.samples.into()),
+                ("last", stats.last.into()),
+                ("min", stats.min.into()),
+                ("max", stats.max.into()),
+                ("mean", Json::Float(stats.mean, 2)),
+                ("p99", stats.p99.into()),
+                ("depth", len.into()),
+            ])
         };
-        let hist_json = |h: &Histogram| {
-            let s = h.snapshot();
-            format!(
-                "{{\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                s.count,
-                s.sum,
-                s.max,
-                s.p50().unwrap_or(0),
-                s.p90().unwrap_or(0),
-                s.p99().unwrap_or(0)
-            )
-        };
-        let mut out = String::from("{\"workers\":{");
-        let mut first = true;
-        for (name, view) in workers.iter() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\"{}\":{{\"load\":{},\"framework_load\":{},\"tasks_done\":{},\"throughput_per_s\":{:.3},\"compute_us\":{},\"wait_us\":{},\"xfer_us\":{},\"write_us\":{},\"heartbeat_age_ms\":{},\"history_samples\":{},\"straggler\":{}}}",
-                acc_telemetry::json_escape(name),
-                ring_json(&view.load.stats(), view.load.len()),
-                ring_json(&view.framework_load.stats(), view.framework_load.len()),
-                view.results,
-                view.throughput(),
-                hist_json(&view.compute),
-                view.wait_us,
-                view.xfer_us,
-                view.write_us,
-                view.sample_age_ms(now).map_or(-1, |ms| ms as i64),
-                view.framework_load.len(),
-                stragglers.contains(&name)
-            ));
-        }
-        out.push_str("},\"jobs\":{");
-        let mut first = true;
-        for (name, hist) in jobs.iter() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\"{}\":{}",
-                acc_telemetry::json_escape(name),
-                hist_json(hist)
-            ));
-        }
-        out.push_str("},\"stragglers\":[");
-        let mut first = true;
-        for name in &stragglers {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\"{}\"", acc_telemetry::json_escape(name)));
-        }
-        out.push_str("]}");
-        out
+        let worker_rows = workers.iter().map(|(name, view)| {
+            let row = Json::object([
+                ("load", ring_json(&view.load.stats(), view.load.len())),
+                (
+                    "framework_load",
+                    ring_json(&view.framework_load.stats(), view.framework_load.len()),
+                ),
+                ("tasks_done", view.results.into()),
+                ("throughput_per_s", Json::Float(view.throughput(), 3)),
+                ("compute_us", view.compute.snapshot().to_json()),
+                ("wait_us", view.wait_us.into()),
+                ("xfer_us", view.xfer_us.into()),
+                ("write_us", view.write_us.into()),
+                (
+                    "sample_age_ms",
+                    view.sample_age_ms(now).map_or(-1, |ms| ms as i64).into(),
+                ),
+                ("history_samples", view.framework_load.len().into()),
+                ("straggler", stragglers.contains(&name).into()),
+            ]);
+            (name.as_str(), row)
+        });
+        Json::object([
+            ("workers", Json::object(worker_rows)),
+            (
+                "jobs",
+                Json::object(
+                    jobs.iter()
+                        .map(|(name, h)| (name.as_str(), h.snapshot().to_json())),
+                ),
+            ),
+            (
+                "stragglers",
+                stragglers.iter().map(|s| s.as_str()).collect(),
+            ),
+        ])
     }
 }
 
@@ -611,6 +513,10 @@ mod tests {
         assert_eq!(obs.effective_load("w0", 95), (95, false));
     }
 
+    fn document(obs: &ClusterObserver) -> Json {
+        Json::parse(&obs.to_json().to_string()).unwrap()
+    }
+
     #[test]
     fn render_covers_workers_jobs_and_stragglers() {
         let obs = ClusterObserver::new(ObserverConfig::default());
@@ -625,32 +531,12 @@ mod tests {
                 write_us: 8,
             },
         );
-        let text = obs.render_text();
-        assert!(text.contains("WORKER"), "{text}");
-        assert!(text.contains("w0"), "{text}");
-        let json = obs.render_json();
-        assert!(json.contains("\"w0\""), "{json}");
-        assert!(json.contains("\"history_samples\":1"), "{json}");
-        assert!(json.contains("\"pricing\""), "{json}");
-        assert!(json.contains("\"stragglers\":[]"), "{json}");
-    }
-
-    #[test]
-    fn registry_mirror_appears_under_cluster_prefix() {
-        // SNMP feeds load and framework load; the master's attribution
-        // feeds the result count, which the next poll tick mirrors.
-        let obs = ClusterObserver::new(ObserverConfig::default());
-        for _ in 0..12 {
-            record_compute(&obs, "mirror-test", 500);
-        }
-        obs.record_load_sample("mirror-test", 7, 19);
-        let text = registry().render_text();
-        assert!(text.contains("cluster.mirror-test.load 7"), "{text}");
-        assert!(
-            text.contains("cluster.mirror-test.framework_load 12"),
-            "{text}"
-        );
-        assert!(text.contains("cluster.mirror-test.tasks_done 12"), "{text}");
+        let json = document(&obs);
+        let w0 = &json["workers"]["w0"];
+        assert_eq!(w0["history_samples"].as_u64(), Some(1), "{json}");
+        assert_eq!(w0["compute_us"]["sum"].as_u64(), Some(700), "{json}");
+        assert_eq!(json["jobs"]["pricing"]["count"].as_u64(), Some(1), "{json}");
+        assert_eq!(json["stragglers"], Json::Array(Vec::new()), "{json}");
     }
 
     #[test]
@@ -661,16 +547,19 @@ mod tests {
             record_compute(&obs, "w0", 100);
         }
         obs.record_load_sample("w0", 10, 40);
-        let json = obs.render_json();
-        assert!(json.contains("\"history_samples\":2"), "{json}");
-        assert!(json.contains("\"tasks_done\":3"), "{json}");
-        assert!(
-            json.contains("\"framework_load\":{\"samples\":2,\"last\":30"),
-            "{json}"
-        );
-        assert!(!json.contains("\"heartbeat_age_ms\":-1"), "{json}");
+        let json = document(&obs);
+        let w0 = &json["workers"]["w0"];
+        assert_eq!(w0["history_samples"].as_u64(), Some(2), "{json}");
+        assert_eq!(w0["tasks_done"].as_u64(), Some(3), "{json}");
+        assert_eq!(w0["framework_load"]["samples"].as_u64(), Some(2), "{json}");
+        assert_eq!(w0["framework_load"]["last"].as_u64(), Some(30), "{json}");
+        assert!(w0["sample_age_ms"].as_u64().is_some(), "{json}");
         // A worker known only from its results has no sample to age.
         record_compute(&obs, "unpolled", 100);
-        assert!(obs.render_json().contains("\"heartbeat_age_ms\":-1"));
+        let json = document(&obs);
+        assert_eq!(
+            json["workers"]["unpolled"]["sample_age_ms"].as_i64(),
+            Some(-1)
+        );
     }
 }

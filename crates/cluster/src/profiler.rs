@@ -25,6 +25,7 @@ use std::time::Instant;
 use acc_telemetry::profile::{
     judge, CriticalPath, JobProfile, PathSegment, PhaseTotals, ShardPhase, VerdictInput,
 };
+use acc_telemetry::Json;
 
 use crate::observer::TaskTiming;
 
@@ -194,8 +195,8 @@ impl Drop for JobRecorder {
 type JobEntry = (u64, Arc<Mutex<JobBuild>>);
 
 /// Folds result-tuple timings and master phase scalars into per-job
-/// waterfall profiles. Shared (`Arc`) between the master, the scrape
-/// routes and `acc_top`; every method takes `&self`.
+/// waterfall profiles. Shared (`Arc`) between the master and the
+/// `/profile.json` route; every method takes `&self`.
 #[derive(Debug, Default)]
 pub struct JobProfiler {
     jobs: Mutex<BTreeMap<String, JobEntry>>,
@@ -360,48 +361,24 @@ impl JobProfiler {
         })
     }
 
-    /// The latest job's profile.
-    pub fn latest_profile(&self, stragglers: &[String]) -> Option<JobProfile> {
-        let job = self.latest_job()?;
-        self.profile(&job, stragglers)
-    }
-
-    /// The `/profile.json` body: the latest job's profile plus the list
-    /// of every retained job name. `{"job":null,"jobs":[]}` before any
-    /// job has run.
-    pub fn render_json(&self, stragglers: &[String]) -> String {
-        let names: Vec<String> = {
+    /// The `/profile.json` document: the latest job's profile plus the
+    /// list of every retained job name. `{"job":null,"jobs":[]}` before
+    /// any job has run.
+    pub fn to_json(&self, stragglers: &[String]) -> Json {
+        let names: Json = {
             let jobs = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
             let mut by_seq: Vec<(&String, u64)> =
                 jobs.iter().map(|(name, (seq, _))| (name, *seq)).collect();
             by_seq.sort_by_key(|&(_, seq)| seq);
-            by_seq.into_iter().map(|(name, _)| name.clone()).collect()
+            by_seq.into_iter().map(|(name, _)| name.as_str()).collect()
         };
-        let mut out = match self.latest_profile(stragglers) {
-            Some(profile) => {
-                let body = profile.render_json();
-                // Splice "jobs" into the profile object.
-                body[..body.len() - 1].to_owned()
-            }
-            None => "{\"job\":null".to_owned(),
+        let latest = self.latest_job();
+        let mut doc = match latest.and_then(|job| self.profile(&job, stragglers)) {
+            Some(profile) => profile.to_json(),
+            None => Json::object([("job", Json::Null)]),
         };
-        out.push_str(",\"jobs\":[");
-        for (i, name) in names.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", acc_telemetry::json_escape(name)));
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// The `/profile` body: the latest job's waterfall, human-readable.
-    pub fn render_text(&self, stragglers: &[String]) -> String {
-        match self.latest_profile(stragglers) {
-            Some(profile) => profile.render_text(),
-            None => "no jobs profiled yet\n".to_owned(),
-        }
+        doc.insert("jobs", names);
+        doc
     }
 }
 
@@ -482,17 +459,16 @@ mod tests {
         p.record_task("live", 0, "w", &timing(5, 5, 100, 2), false);
         let profile = p.profile("live", &[]).unwrap();
         assert!(!profile.finished);
-        let json = p.render_json(&[]);
-        assert!(json.contains("\"job\":\"live\""), "{json}");
-        assert!(json.contains("\"jobs\":[\"live\"]"), "{json}");
+        let json = Json::parse(&p.to_json(&[]).to_string()).unwrap();
+        assert_eq!(json["job"].as_str(), Some("live"), "{json}");
+        assert_eq!(json["jobs"], ["live"].into_iter().collect(), "{json}");
     }
 
     #[test]
     fn empty_profiler_renders_placeholders() {
         let p = JobProfiler::new();
         assert!(p.latest_job().is_none());
-        assert_eq!(p.render_json(&[]), "{\"job\":null,\"jobs\":[]}");
-        assert_eq!(p.render_text(&[]), "no jobs profiled yet\n");
+        assert_eq!(p.to_json(&[]).to_string(), "{\"job\":null,\"jobs\":[]}");
     }
 
     #[test]

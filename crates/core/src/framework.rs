@@ -13,6 +13,7 @@ use acc_cluster::{ClusterObserver, JobProfiler, Node, NodeSpec};
 use acc_federation::{Attributes, DiscoveryBus, LookupService, Registrar, ServiceItem};
 use acc_snmp::{host_resources_mib, oids, transport::InProcTransport, Agent, Manager};
 use acc_spacegrid::PartitionedSpace;
+use acc_telemetry::Json;
 use acc_tuplespace::{
     remote::SpaceServer, RemoteSpace, Space, SpaceHandle, StoreHandle, TupleStore,
 };
@@ -53,10 +54,10 @@ impl ClusterBuilder {
     }
 
     /// Binds the observability endpoint (`/metrics`, `/metrics.json`,
-    /// `/healthz`, `/spans`) on the given address, e.g. `"127.0.0.1:9137"`
-    /// or `"127.0.0.1:0"` for an ephemeral port. Without this call the
-    /// endpoint can still be requested via the `ACC_OBSERVE` environment
-    /// variable.
+    /// `/healthz`, `/spans`, `/cluster.json`, `/profile.json`) on the given
+    /// address, e.g. `"127.0.0.1:9137"` or `"127.0.0.1:0"` for an ephemeral
+    /// port. Without this call the endpoint can still be requested via the
+    /// `ACC_OBSERVE` environment variable.
     pub fn observe(mut self, bind: impl Into<String>) -> ClusterBuilder {
         self.observe = Some(bind.into());
         self
@@ -82,10 +83,7 @@ impl ClusterBuilder {
     /// service, registers the space with the federation, and starts the
     /// network management module.
     pub fn build(self) -> AdaptiveCluster {
-        // Cluster deployments always collect operation-latency histograms
-        // (raw `Space::new` users opt in via `acc_telemetry::set_timing`),
-        // and honor `ACC_TRACE` for a stderr trace subscriber.
-        acc_telemetry::set_timing(true);
+        // Honor `ACC_TRACE` for a stderr trace subscriber.
         acc_telemetry::init_from_env();
         // The flight recorder is always on under cluster management: a
         // bounded per-thread ring whose contents surface in `/spans` and in
@@ -122,7 +120,7 @@ impl ClusterBuilder {
         let hub = Arc::new(ClusterObserver::new(self.config.observer_config()));
         let monitor = MonitoringAgent::new(self.config.clone(), epoch, hub.clone());
         // The per-job waterfall profiler: the master folds every result's
-        // timing into it; `/profile` and `acc_top` read it live.
+        // timing into it; `/profile.json` serves it live.
         let profiler = Arc::new(JobProfiler::new());
         // Space grid: when a shard list is configured (builder or
         // ACC_SHARDS), every store operation the cluster performs —
@@ -224,11 +222,11 @@ fn spawn_observer(
         Ok(()) => Ok("journal flushes (or space is non-durable)".into()),
         Err(e) => Err(format!("journal flush failed: {e}")),
     });
-    // A worker heartbeat is stale when the monitor has gone many poll
+    // The workers' view is stale when the monitor has gone many poll
     // intervals without a sample (capped so sub-millisecond test intervals
     // don't flap).
     let stale_after = (config.poll_interval * 10).max(Duration::from_secs(2));
-    health.register("workers", move || match monitor.heartbeat_age() {
+    health.register("workers", move || match monitor.sample_age() {
         None => Ok("no workers watched".into()),
         Some(age) if age <= stale_after => Ok(format!("last sample {} ms ago", age.as_millis())),
         Some(age) => Err(format!(
@@ -250,7 +248,7 @@ fn spawn_observer(
         ))
     });
     // Grid posture: degraded shards flip `/healthz` and are listed, with
-    // per-shard health, in `/cluster` and `/cluster.json`.
+    // per-shard health, in `/cluster.json`.
     if let Some(grid_for_check) = grid.clone() {
         health.register("grid", move || {
             let healthy = grid_for_check.healthy_count();
@@ -268,101 +266,46 @@ fn spawn_observer(
         });
     }
     let routes = acc_telemetry::Routes::new();
-    let hub_text = hub.clone();
-    let grid_text = grid.clone();
-    routes.register("/cluster", move || {
-        let mut body = hub_text.render_text();
-        if let Some(grid) = &grid_text {
-            body.push_str("\nspace grid:\n");
-            for shard in grid.status() {
-                body.push_str(&format!(
-                    "  shard {} {} {}\n",
-                    shard.index,
-                    shard.addr,
-                    if shard.healthy {
-                        "healthy"
-                    } else {
-                        "UNHEALTHY"
-                    }
-                ));
-            }
-        }
-        ("200 OK", "text/plain; charset=utf-8", body)
-    });
-    let hub_json = hub.clone();
+    let hub_for_cluster = hub.clone();
     routes.register("/cluster.json", move || {
-        let mut body = hub_json.render_json();
-        if let Some(grid) = &grid {
-            // Splice the grid object into the hub's top-level document.
-            if let Some(close) = body.rfind('}') {
-                body.truncate(close);
-                body.push_str(&format!(r#","grid":{}}}"#, grid.render_json()));
-            }
-        }
-        // Flight-recorder pressure: dropped events plus per-thread ring
-        // occupancy, so retention pressure is visible before traces
-        // silently vanish.
-        if let Some(close) = body.rfind('}') {
-            body.truncate(close);
-            body.push_str(&format!(r#","flight":{}}}"#, flight_json()));
-        }
-        // Wire-path posture: frame volume, buffer-pool effectiveness and
-        // server pipeline saturation, so a regression in the zero-copy
-        // path shows up as a reuse-rate drop before it shows up as CPU.
-        if let Some(close) = body.rfind('}') {
-            body.truncate(close);
-            body.push_str(&format!(r#","wire":{}}}"#, wire_json()));
-        }
-        ("200 OK", "application/json", body)
-    });
-    let hub_profile = hub.clone();
-    let profiler_text = profiler.clone();
-    routes.register("/profile", move || {
-        (
-            "200 OK",
-            "text/plain; charset=utf-8",
-            profiler_text.render_text(&hub_profile.stragglers()),
-        )
+        let doc = cluster_document(&hub_for_cluster, grid.as_deref());
+        ("200 OK", "application/json", doc.to_string())
     });
     routes.register("/profile.json", move || {
-        (
-            "200 OK",
-            "application/json",
-            profiler.render_json(&hub.stragglers()),
-        )
+        let doc = profiler.to_json(&hub.stragglers());
+        ("200 OK", "application/json", doc.to_string())
     });
     acc_telemetry::serve_routed(bind, health, routes, acc_telemetry::HttpOptions::default())
 }
 
-/// The `"flight"` section of `/cluster.json`: loss and occupancy of the
-/// flight recorder's per-thread rings.
-fn flight_json() -> String {
-    let mut out = format!(
-        "{{\"dropped_events\":{},\"threads\":[",
-        acc_telemetry::registry()
-            .counter("telemetry.flight.dropped_events")
-            .get()
-    );
-    for (i, t) in acc_telemetry::flight::occupancy().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"thread\":\"{}\",\"live\":{},\"kept\":{},\"capacity\":{}}}",
-            acc_telemetry::json_escape(&t.thread),
-            t.live,
-            t.kept,
-            t.capacity
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
-/// The `"wire"` section of `/cluster.json`: zero-copy wire-path health —
-/// total frame traffic and read-buffer pool reuse.
-fn wire_json() -> String {
+/// The `/cluster.json` document: the observer's worker and job sections,
+/// then the grid's shards (when there is a grid), the flight recorder's
+/// loss and ring occupancy — retention pressure shows before traces
+/// silently vanish — and the wire path's frame traffic and read-buffer
+/// reuse, so a regression in the zero-copy path shows up as a reuse-rate
+/// drop before it shows up as CPU.
+fn cluster_document(hub: &ClusterObserver, grid: Option<&PartitionedSpace>) -> Json {
     let r = acc_telemetry::registry();
+    let mut doc = hub.to_json();
+    if let Some(grid) = grid {
+        doc.insert("grid", grid.to_json());
+    }
+    let threads = acc_telemetry::flight::occupancy().into_iter().map(|t| {
+        Json::object([
+            ("thread", t.thread.into()),
+            ("live", t.live.into()),
+            ("kept", t.kept.into()),
+            ("capacity", t.capacity.into()),
+        ])
+    });
+    let dropped = r.counter("telemetry.flight.dropped_events").get();
+    doc.insert(
+        "flight",
+        Json::object([
+            ("dropped_events", dropped.into()),
+            ("threads", threads.collect()),
+        ]),
+    );
     let hits = r.counter("remote.buffer_reuse_hits").get();
     let misses = r.counter("remote.buffer_reuse_misses").get();
     let reuse_pct = if hits + misses > 0 {
@@ -370,16 +313,16 @@ fn wire_json() -> String {
     } else {
         0.0
     };
-    format!(
-        concat!(
-            "{{\"frame_bytes\":{},\"buffer_reuse_hits\":{},",
-            "\"buffer_reuse_misses\":{},\"buffer_reuse_pct\":{:.1}}}"
-        ),
-        r.counter("remote.frame_bytes").get(),
-        hits,
-        misses,
-        reuse_pct,
-    )
+    doc.insert(
+        "wire",
+        Json::object([
+            ("frame_bytes", r.counter("remote.frame_bytes").get().into()),
+            ("buffer_reuse_hits", hits.into()),
+            ("buffer_reuse_misses", misses.into()),
+            ("buffer_reuse_pct", Json::Float(reuse_pct, 1)),
+        ]),
+    );
+    doc
 }
 
 /// A worker node under cluster management.
@@ -485,7 +428,8 @@ impl AdaptiveCluster {
     }
 
     /// The federation hub: merged per-worker history rings, task-level
-    /// attribution and straggler verdicts (what `/cluster` renders).
+    /// attribution and straggler verdicts (the worker and job sections of
+    /// `/cluster.json`).
     pub fn cluster_observer(&self) -> Arc<ClusterObserver> {
         self.hub.clone()
     }
@@ -658,7 +602,7 @@ impl AdaptiveCluster {
         report
     }
 
-    /// The per-job waterfall profiler (the state behind `/profile`).
+    /// The per-job waterfall profiler (the state behind `/profile.json`).
     pub fn job_profiler(&self) -> Arc<JobProfiler> {
         self.profiler.clone()
     }
@@ -862,7 +806,12 @@ mod tests {
             metrics.contains("process.uptime_seconds"),
             "got: {metrics:.300}"
         );
-        // With a worker watched, the heartbeat check reports sample age.
+        // The text views are `acc_top`'s, rendered from the JSON routes.
+        for gone in ["/cluster", "/profile"] {
+            let reply = http_get(addr, gone);
+            assert!(reply.starts_with("HTTP/1.0 404"), "{gone}: {reply}");
+        }
+        // With a worker watched, the workers check reports sample age.
         let mut app = SumSquares { n: 1, total: 0 };
         cluster.install(&app);
         cluster.add_worker(NodeSpec::new("w0", 800, 256));
@@ -872,7 +821,7 @@ mod tests {
             if health.contains("last sample") {
                 break;
             }
-            assert!(Instant::now() < deadline, "no heartbeat: {health}");
+            assert!(Instant::now() < deadline, "no sample: {health}");
             std::thread::sleep(Duration::from_millis(5));
         }
         let report = cluster.run(&mut app);
@@ -916,15 +865,19 @@ mod tests {
         let addr = cluster.observe_addr().expect("observer mounted");
         let health = http_get(addr, "/healthz");
         assert!(health.contains("2/2 shards healthy"), "got: {health}");
-        let json = http_get(addr, "/cluster.json");
-        assert!(json.contains(r#""grid":{"total":2"#), "got: {json}");
+        let reply = http_get(addr, "/cluster.json");
+        let body = reply.split_once("\r\n\r\n").expect("header block").1;
+        let json = Json::parse(body).expect("/cluster.json parses");
+        assert_eq!(json["grid"]["total"].as_u64(), Some(2), "got: {json}");
+        assert_eq!(json["grid"]["shards"].as_array().map(<[_]>::len), Some(2));
         // Wire-path posture rides along: the run above pushed real frames
         // through RemoteSpace connections, so frame traffic is non-zero.
-        assert!(json.contains(r#""wire":{"frame_bytes":"#), "got: {json}");
-        assert!(json.contains(r#""buffer_reuse_hits":"#), "got: {json}");
-        assert!(json.contains(r#""buffer_reuse_pct":"#), "got: {json}");
-        let text = http_get(addr, "/cluster");
-        assert!(text.contains("space grid:"), "got: {text}");
+        assert!(
+            json["wire"]["frame_bytes"].as_u64() > Some(0),
+            "got: {json}"
+        );
+        assert!(json["wire"]["buffer_reuse_hits"].as_u64().is_some());
+        assert!(json["wire"]["buffer_reuse_pct"].as_f64().is_some());
         cluster.shutdown();
     }
 

@@ -18,7 +18,6 @@ use acc_tuplespace::{SpaceError, StoreHandle, Template, Tuple};
 
 use crate::checkpoint::CheckpointState;
 use crate::metrics::PhaseTimes;
-use crate::series::series;
 use crate::task::{result_template, Application, ExecError, ResultEntry, TaskEntry, TASK_TYPE};
 
 /// Outcome of one application run.
@@ -167,7 +166,6 @@ impl Master {
         }
 
         agg.report.times.tasks = total;
-        let mut written = 0usize;
         let chunk = self.dispatch_chunk.max(1);
         let mut pending: Vec<Tuple> = Vec::new();
         for spec in &specs {
@@ -186,14 +184,12 @@ impl Master {
             }
             let entry = TaskEntry::new(job.clone(), spec.task_id, spec.payload.clone());
             pending.push(entry.to_tuple());
-            written += 1;
             if pending.len() >= chunk {
                 dispatch_batch(&self.space, &mut pending, &mut agg.max_overhead_ms)?;
             }
         }
         dispatch_batch(&self.space, &mut pending, &mut agg.max_overhead_ms)?;
         agg.report.times.task_planning_ms = ms_since(planning_start);
-        series().tasks_planned.add(written as u64);
 
         let save = |agg: &Aggregation| match checkpoint {
             Some((path, _)) => save_checkpoint(path, &job, total as u64, &agg.completed, agg.app),
@@ -270,11 +266,6 @@ impl Master {
                 report.times.parallel_ms as u64,
             );
         }
-        report.times.publish();
-        series().master_runs.inc();
-        series()
-            .results_collected
-            .add(report.results_collected as u64);
         Ok(report)
     }
 }

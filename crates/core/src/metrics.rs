@@ -45,24 +45,6 @@ impl PhaseTimes {
         }
         baseline.parallel_ms / self.parallel_ms
     }
-
-    /// Folds this run's phase timings into the global telemetry registry
-    /// (`master.planning.us` etc.), so per-run `PhaseTimes` values and the
-    /// process-wide histograms always agree. Called by [`crate::Master`]
-    /// at the end of every run; also usable for simulated runs, where the
-    /// millisecond fields carry virtual time.
-    pub fn publish(&self) {
-        let s = crate::series::series();
-        s.planning_us.observe(ms_to_us(self.task_planning_ms));
-        s.aggregation_us.observe(ms_to_us(self.task_aggregation_ms));
-        s.parallel_us.observe(ms_to_us(self.parallel_ms));
-        s.master_overhead_us
-            .observe(ms_to_us(self.max_master_overhead_ms));
-    }
-}
-
-fn ms_to_us(ms: f64) -> u64 {
-    (ms * 1e3).max(0.0) as u64
 }
 
 #[cfg(test)]

@@ -113,7 +113,7 @@ impl MonitoringAgent {
     /// How long ago the newest worker sample arrived — the health signal
     /// the `/healthz` endpoint exposes. `None` while no watcher is running
     /// (a master-only deployment is not unhealthy, just unwatched).
-    pub fn heartbeat_age(&self) -> Option<Duration> {
+    pub fn sample_age(&self) -> Option<Duration> {
         if self.watchers.lock().is_empty() {
             return None;
         }
@@ -179,7 +179,6 @@ impl MonitoringAgent {
                     series().monitor_samples.inc();
                     agent.mark_sample();
                     if let Some(sig) = signal {
-                        series().monitor_signals.inc();
                         event!(
                             "monitor.decision",
                             worker = id.0,
@@ -244,7 +243,6 @@ impl MonitoringAgent {
                     series().monitor_samples.inc();
                     agent.mark_sample();
                     if let Some(sig) = signal {
-                        series().monitor_signals.inc();
                         event!(
                             "monitor.decision",
                             worker = id.0,
@@ -347,13 +345,13 @@ mod tests {
         rb.accept(server_side, Duration::from_secs(2)).unwrap();
         let (client, id) = reg.join().unwrap().unwrap();
 
-        // Nothing watched yet: no heartbeat to age.
-        assert_eq!(monitor.heartbeat_age(), None);
+        // Nothing watched yet: no sample to age.
+        assert_eq!(monitor.sample_age(), None);
         monitor.watch(id, session);
         // Idle → Start.
         let msg = client.recv_timeout(Duration::from_secs(2)).unwrap();
-        // A signal implies a sample arrived; the heartbeat must be fresh.
-        assert!(monitor.heartbeat_age().unwrap() < Duration::from_secs(5));
+        // A signal implies a sample arrived; it must be fresh.
+        assert!(monitor.sample_age().unwrap() < Duration::from_secs(5));
         assert_eq!(
             msg,
             RuleMessage::Signal {

@@ -330,7 +330,6 @@ fn worker_loop(ls: LoopState) {
                         };
                         let compute = compute_start.elapsed();
                         let compute_ms = compute.as_secs_f64() * 1e3;
-                        series().compute_us.observe((compute_ms * 1e3) as u64);
                         timing.compute_us = (compute_ms * 1e3) as u64;
                         timing.write_us = outbox.last_write_us;
                         retention.observe(&task.job, timing.compute_us, outcome.is_err());
@@ -355,7 +354,6 @@ fn worker_loop(ls: LoopState) {
                                     // a dead space.
                                     break;
                                 }
-                                series().tasks_retried.inc();
                                 continue;
                             }
                             // Poison task: a terminal error result, so the
@@ -469,8 +467,8 @@ impl TraceRetention {
 ///   executing task is the worker's to finish; nothing else it holds may
 ///   be lost or delayed with it).
 ///
-/// A result counts as done (`tasks_done`, `worker.task.completed`) when
-/// its flush succeeds, not when it is buffered.
+/// A result counts as done (`tasks_done`) when its flush succeeds, not
+/// when it is buffered.
 #[derive(Default)]
 struct Outbox {
     tuples: Vec<Tuple>,
@@ -570,13 +568,11 @@ fn book_flushed(ls: &LoopState, tasks: &[(u64, bool)]) {
     for &(task_id, poisoned) in tasks {
         if poisoned {
             event!("worker.result.write", task_id = task_id, poisoned = true);
-            series().tasks_poisoned.inc();
         } else {
             event!("worker.result.write", task_id = task_id);
             completed += 1;
         }
     }
-    series().tasks_completed.add(completed);
     *ls.tasks_done.lock() += completed;
 }
 
@@ -678,10 +674,6 @@ fn handle_message(
         }
     }
     let worker_signal_ms = ls.config.epoch.elapsed().as_millis() as u64;
-    series().transitions.inc();
-    series()
-        .reaction_us
-        .observe(worker_signal_ms.saturating_sub(client_signal_ms) * 1_000);
     event!(
         "worker.transition",
         worker = ls.config.name.as_str(),

@@ -1,28 +1,15 @@
-//! The `wal.*` / `snapshot.*` / `recovery.*` telemetry series, registered
-//! in the workspace-wide [`acc_telemetry::registry`] like every other
-//! layer's series.
+//! The `wal.*` telemetry series the benchmark's layer table reads,
+//! registered in the workspace-wide [`acc_telemetry::registry`] like every
+//! other layer's series.
 
 use std::sync::{Arc, OnceLock};
 
-use acc_telemetry::{registry, Counter, Histogram};
+use acc_telemetry::{registry, Counter};
 
 pub(crate) struct DurabilitySeries {
     pub appends: Arc<Counter>,
     pub append_bytes: Arc<Counter>,
-    /// Full append latency including any policy-driven fsync (timing-gated).
-    pub append_us: Arc<Histogram>,
     pub fsyncs: Arc<Counter>,
-    /// fsync syscall latency (timing-gated).
-    pub fsync_us: Arc<Histogram>,
-    pub rotations: Arc<Counter>,
-    pub snapshot_writes: Arc<Counter>,
-    pub snapshot_bytes: Arc<Counter>,
-    /// Snapshot write+rename latency (timing-gated).
-    pub snapshot_us: Arc<Histogram>,
-    pub compacted_segments: Arc<Counter>,
-    pub replay_records: Arc<Counter>,
-    /// Bytes the recovery scan dropped as a torn tail.
-    pub torn_bytes: Arc<Counter>,
 }
 
 pub(crate) fn series() -> &'static DurabilitySeries {
@@ -32,16 +19,7 @@ pub(crate) fn series() -> &'static DurabilitySeries {
         DurabilitySeries {
             appends: r.counter("wal.append.count"),
             append_bytes: r.counter("wal.append.bytes"),
-            append_us: r.histogram("wal.append.us"),
             fsyncs: r.counter("wal.fsync.count"),
-            fsync_us: r.histogram("wal.fsync.us"),
-            rotations: r.counter("wal.segment.rotations"),
-            snapshot_writes: r.counter("snapshot.write.count"),
-            snapshot_bytes: r.counter("snapshot.write.bytes"),
-            snapshot_us: r.histogram("snapshot.write.us"),
-            compacted_segments: r.counter("snapshot.compacted_segments"),
-            replay_records: r.counter("recovery.wal.records"),
-            torn_bytes: r.counter("recovery.wal.torn_bytes"),
         }
     })
 }

@@ -11,10 +11,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use acc_telemetry::Timed;
-
 use crate::crc::crc32;
-use crate::series::series;
 
 const MAGIC: &[u8; 8] = b"ACCSNAP1";
 const HEADER: usize = 8 + 8 + 4 + 4; // magic + cut_lsn + len + crc
@@ -76,7 +73,6 @@ fn snapshots(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 pub fn write_snapshot(dir: impl AsRef<Path>, cut_lsn: u64, body: &[u8]) -> io::Result<()> {
     let dir = dir.as_ref();
     fs::create_dir_all(dir)?;
-    let timed = Timed::start();
     let mut bytes = Vec::with_capacity(HEADER + body.len());
     bytes.extend_from_slice(MAGIC);
     bytes.extend_from_slice(&cut_lsn.to_le_bytes());
@@ -89,10 +85,6 @@ pub fn write_snapshot(dir: impl AsRef<Path>, cut_lsn: u64, body: &[u8]) -> io::R
             fs::remove_file(path)?;
         }
     }
-    let s = series();
-    s.snapshot_writes.inc();
-    s.snapshot_bytes.add(bytes.len() as u64);
-    timed.observe(&s.snapshot_us);
     Ok(())
 }
 

@@ -31,8 +31,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use acc_telemetry::Timed;
-
 use crate::crc::crc32;
 use crate::series::series;
 
@@ -190,7 +188,6 @@ impl Wal {
         file.read_to_end(&mut bytes)?;
         let (count, valid_len, _) = scan_segment(&bytes, false);
         if valid_len < bytes.len() as u64 {
-            series().torn_bytes.add(bytes.len() as u64 - valid_len);
             file.set_len(valid_len)?;
             file.sync_data()?;
             // Reopen in append mode so the cursor lands at the new end on
@@ -215,7 +212,6 @@ impl Wal {
     /// crash can tear at most this one frame.
     pub fn append(&self, payload: &[u8]) -> io::Result<u64> {
         assert!(payload.len() <= MAX_RECORD, "record exceeds MAX_RECORD");
-        let timed = Timed::start();
         let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(payload).to_le_bytes());
@@ -242,7 +238,6 @@ impl Wal {
         let s = series();
         s.appends.inc();
         s.append_bytes.add(frame.len() as u64);
-        timed.observe(&s.append_us);
         Ok(lsn)
     }
 
@@ -253,13 +248,10 @@ impl Wal {
     }
 
     fn fsync(inner: &mut Inner) -> io::Result<()> {
-        let timed = Timed::start();
         inner.file.sync_data()?;
         inner.unsynced = 0;
         inner.last_sync = Instant::now();
-        let s = series();
-        s.fsyncs.inc();
-        timed.observe(&s.fsync_us);
+        series().fsyncs.inc();
         Ok(())
     }
 
@@ -273,7 +265,6 @@ impl Wal {
             .append(true)
             .open(path)?;
         inner.segment_len = 0;
-        series().rotations.inc();
         Ok(())
     }
 
@@ -298,9 +289,6 @@ impl Wal {
                 fs::remove_file(path)?;
                 removed += 1;
             }
-        }
-        if removed > 0 {
-            series().compacted_segments.add(removed as u64);
         }
         Ok(removed)
     }
@@ -340,7 +328,6 @@ impl Wal {
             }
             expected_lsn = Some(start + count);
         }
-        series().replay_records.add(records.len() as u64);
         Ok(WalReplay {
             records,
             torn_bytes,

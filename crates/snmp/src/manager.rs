@@ -7,42 +7,16 @@
 //! callback.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use acc_telemetry::{registry, Counter, Histogram};
 use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
 
 use crate::oid::Oid;
 use crate::pdu::{ErrorStatus, Message, Pdu, PduType, SnmpError, SnmpValue, VERSION_2C};
 use crate::transport::Transport;
-
-/// Global `snmp.*` series, registered on first use.
-struct SnmpSeries {
-    /// Manager→agent requests issued (any PDU type).
-    requests: Arc<Counter>,
-    /// Exchanges that failed (transport, codec or agent error).
-    errors: Arc<Counter>,
-    /// Poll ticks whose GET failed (the worker was unreachable).
-    missed_polls: Arc<Counter>,
-    /// Round-trip time of one manager↔agent exchange, µs.
-    rtt_us: Arc<Histogram>,
-}
-
-fn series() -> &'static SnmpSeries {
-    static SERIES: OnceLock<SnmpSeries> = OnceLock::new();
-    SERIES.get_or_init(|| {
-        let r = registry();
-        SnmpSeries {
-            requests: r.counter("snmp.poll.requests"),
-            errors: r.counter("snmp.poll.errors"),
-            missed_polls: r.counter("snmp.poll.missed"),
-            rtt_us: r.histogram("snmp.poll.rtt_us"),
-        }
-    })
-}
 
 /// Creates sessions that share a community string and request-id sequence.
 #[derive(Debug)]
@@ -86,21 +60,9 @@ impl std::fmt::Debug for Session {
 }
 
 impl Session {
-    /// The single choke point every manager request goes through — GETs,
-    /// GETNEXTs and SETs all record their round trip here.
+    /// The single exchange every manager request goes through: GETs,
+    /// GETNEXTs and SETs.
     fn exchange(&self, pdu_type: PduType, pdu: Pdu) -> Result<Pdu, SnmpError> {
-        let s = series();
-        s.requests.inc();
-        let started = Instant::now();
-        let result = self.exchange_inner(pdu_type, pdu);
-        s.rtt_us.observe_duration(started.elapsed());
-        if result.is_err() {
-            s.errors.inc();
-        }
-        result
-    }
-
-    fn exchange_inner(&self, pdu_type: PduType, pdu: Pdu) -> Result<Pdu, SnmpError> {
         let _span = acc_telemetry::span!("snmp.request");
         let request_id = pdu.request_id;
         // SNMPv2c has no extension header, so the trace context rides as a
@@ -280,18 +242,14 @@ impl Poller {
         let history2 = history.clone();
         let thread = std::thread::spawn(move || {
             while !stop2.load(Ordering::SeqCst) {
-                match session.get(&oid) {
-                    Ok(value) => {
-                        if let Some(v) = value.as_u64() {
-                            let sample = Sample {
-                                at: Instant::now(),
-                                value: v,
-                            };
-                            history2.lock().push(sample);
-                            on_sample(sample);
-                        }
-                    }
-                    Err(_) => series().missed_polls.inc(),
+                // A failed GET is a missed poll: the next tick tries again.
+                if let Some(v) = session.get(&oid).ok().and_then(|value| value.as_u64()) {
+                    let sample = Sample {
+                        at: Instant::now(),
+                        value: v,
+                    };
+                    history2.lock().push(sample);
+                    on_sample(sample);
                 }
                 // Sleep until the next tick, but wake immediately on stop.
                 let _ = wake_rx.recv_timeout(interval);

@@ -37,11 +37,11 @@
 //!   answers again. One dead shard degrades the grid instead of killing
 //!   the cluster.
 //!
-//! Telemetry: `grid.shards`, `grid.unhealthy_shards`, per-shard op
-//! latency (`grid.shard<i>.op_us`), scatter fan-out width
-//! (`grid.scatter.fanout`), rerouted writes (`grid.rerouted_writes`),
-//! first-wins restores (`grid.restored_tuples`) and restore failures
-//! (`grid.lost_tuples` — every increment is also logged to stderr).
+//! Telemetry: per-shard op latency (`grid.shard<i>.op_us`), scatter
+//! fan-out width (`grid.scatter.fanout`), rerouted writes
+//! (`grid.rerouted_writes`), first-wins restores (`grid.restored_tuples`)
+//! and restore failures (`grid.lost_tuples` — every increment is also
+//! logged to stderr). Shard health is in [`PartitionedSpace::to_json`].
 
 #![warn(missing_docs)]
 
@@ -61,8 +61,6 @@ pub use router::{route_template, route_tuple, tuple_hash, GridConfig};
 
 /// Grid-wide telemetry series (see the crate docs for the name list).
 struct GridSeries {
-    shards: Arc<acc_telemetry::Gauge>,
-    unhealthy: Arc<acc_telemetry::Gauge>,
     rerouted_writes: Arc<acc_telemetry::Counter>,
     restored_tuples: Arc<acc_telemetry::Counter>,
     lost_tuples: Arc<acc_telemetry::Counter>,
@@ -74,8 +72,6 @@ fn series() -> &'static GridSeries {
     SERIES.get_or_init(|| {
         let r = acc_telemetry::registry();
         GridSeries {
-            shards: r.gauge("grid.shards"),
-            unhealthy: r.gauge("grid.unhealthy_shards"),
             rerouted_writes: r.counter("grid.rerouted_writes"),
             restored_tuples: r.counter("grid.restored_tuples"),
             lost_tuples: r.counter("grid.lost_tuples"),
@@ -125,18 +121,6 @@ impl Shard {
         self.healthy.load(Ordering::SeqCst)
     }
 
-    fn mark_unhealthy(&self) {
-        if self.healthy.swap(false, Ordering::SeqCst) {
-            series().unhealthy.add(1);
-        }
-    }
-
-    fn mark_healthy(&self) {
-        if !self.healthy.swap(true, Ordering::SeqCst) {
-            series().unhealthy.add(-1);
-        }
-    }
-
     /// Runs one operation against the shard; see [`Shard::account`].
     fn call<T>(&self, op: impl FnOnce(&RemoteSpace) -> SpaceResult<T>) -> SpaceResult<T> {
         let start = Instant::now();
@@ -152,7 +136,9 @@ impl Shard {
     fn account<T>(&self, start: Instant, result: SpaceResult<T>) -> SpaceResult<T> {
         self.op_us.observe(start.elapsed().as_micros() as u64);
         match &result {
-            Err(SpaceError::Transport(_)) | Err(SpaceError::Protocol(_)) => self.mark_unhealthy(),
+            Err(SpaceError::Transport(_)) | Err(SpaceError::Protocol(_)) => {
+                self.healthy.store(false, Ordering::SeqCst)
+            }
             _ => {}
         }
         result
@@ -182,18 +168,6 @@ fn fan_out<'a, X, T>(
     sent.into_iter()
         .map(|(shard, start, pending)| shard.account(start, pending.finish()))
         .collect()
-}
-
-/// Health and identity of one shard, as reported by
-/// [`PartitionedSpace::status`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardStatus {
-    /// Position in the shard list (the routing space).
-    pub index: usize,
-    /// The shard server's address.
-    pub addr: SocketAddr,
-    /// Whether this client currently considers the shard reachable.
-    pub healthy: bool,
 }
 
 /// Outcome events a scatter helper thread reports to its caller. `Win`
@@ -338,7 +312,6 @@ impl PartitionedSpace {
                 }))
             })
             .collect::<std::io::Result<_>>()?;
-        series().shards.set(shards.len() as i64);
         let prober = PartitionedSpace::spawn_prober(&shards, config.reprobe_interval);
         Ok(PartitionedSpace {
             shards,
@@ -367,7 +340,7 @@ impl PartitionedSpace {
                 while !stop2.load(Ordering::SeqCst) {
                     for shard in &shards {
                         if !shard.is_healthy() && shard.remote.count(&probe).is_ok() {
-                            shard.mark_healthy();
+                            shard.healthy.store(true, Ordering::SeqCst);
                         }
                     }
                     // Sleep in slices so drop/shutdown stays prompt.
@@ -394,18 +367,6 @@ impl PartitionedSpace {
     /// Number of currently healthy shards.
     pub fn healthy_count(&self) -> usize {
         self.healthy().len()
-    }
-
-    /// Per-shard identity and health, in routing order.
-    pub fn status(&self) -> Vec<ShardStatus> {
-        self.shards
-            .iter()
-            .map(|s| ShardStatus {
-                index: s.index,
-                addr: s.addr,
-                healthy: s.is_healthy(),
-            })
-            .collect()
     }
 
     /// Per-shard scatter-gather fan-out attribution: cumulative op count
@@ -447,27 +408,24 @@ impl PartitionedSpace {
             .collect()
     }
 
-    /// The grid's status as a JSON object (for `/cluster.json` and
-    /// dashboards): shard list with health, plus the reroute counters.
-    pub fn render_json(&self) -> String {
-        let shards: Vec<String> = self
-            .status()
-            .iter()
-            .map(|s| {
-                format!(
-                    r#"{{"index":{},"addr":"{}","healthy":{}}}"#,
-                    s.index, s.addr, s.healthy
-                )
-            })
-            .collect();
-        format!(
-            r#"{{"total":{},"healthy":{},"rerouted_writes":{},"restored_tuples":{},"shards":[{}]}}"#,
-            self.shard_count(),
-            self.healthy_count(),
-            series().rerouted_writes.get(),
-            series().restored_tuples.get(),
-            shards.join(",")
-        )
+    /// The `grid` section of `/cluster.json`: per-shard identity and
+    /// health in routing order, plus the reroute counters.
+    pub fn to_json(&self) -> acc_telemetry::Json {
+        use acc_telemetry::Json;
+        let shards = self.shards.iter().map(|s| {
+            Json::object([
+                ("index", s.index.into()),
+                ("addr", s.addr.to_string().into()),
+                ("healthy", s.is_healthy().into()),
+            ])
+        });
+        Json::object([
+            ("total", self.shard_count().into()),
+            ("healthy", self.healthy_count().into()),
+            ("rerouted_writes", series().rerouted_writes.get().into()),
+            ("restored_tuples", series().restored_tuples.get().into()),
+            ("shards", shards.collect()),
+        ])
     }
 
     /// A fresh grid client over the same shards and tunables — each
@@ -1295,8 +1253,11 @@ mod tests {
             r.grid.write(task(i)).unwrap();
         }
         assert_eq!(r.grid.healthy_count(), 2);
-        let status = r.grid.status();
-        assert!(!status[dead].healthy);
+        let view = r.grid.to_json();
+        assert_eq!(
+            view["shards"][dead]["healthy"],
+            acc_telemetry::Json::Bool(false)
+        );
         // Scatter reads cover the surviving shards.
         let visible = r.grid.count(&job_template()).unwrap();
         assert_eq!(visible, 60 - held);

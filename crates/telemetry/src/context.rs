@@ -19,8 +19,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use crate::registry::json_unescape;
-use crate::trace::{TraceEvent, TraceKind};
+use crate::json::Json;
 
 /// A propagated trace identity: which trace a unit of work belongs to and
 /// which span is its immediate parent.
@@ -221,9 +220,9 @@ pub struct SpanRecord {
     pub elapsed_us: u64,
 }
 
-/// Stitches span records from several processes (live [`TraceEvent`]s or
-/// flight-recorder JSON dumps) into per-trace trees, keyed by the trace
-/// and span ids every record carries.
+/// Stitches span records from several processes' flight-recorder dumps
+/// into per-trace trees, keyed by the trace and span ids every record
+/// carries.
 #[derive(Debug, Default)]
 pub struct TraceAssembler {
     spans: Vec<SpanRecord>,
@@ -236,58 +235,30 @@ impl TraceAssembler {
         TraceAssembler::default()
     }
 
-    /// Adds every span-enter record in `events` under the given process
-    /// label, folding span-exit records into the matching span's
-    /// [`elapsed_us`](SpanRecord::elapsed_us). Duplicate span ids (the
-    /// same dump added twice) are ignored. Returns how many spans were
-    /// added.
-    pub fn add_events(&mut self, process: &str, events: &[TraceEvent]) -> usize {
-        let mut added = 0;
-        for e in events {
-            if e.span_id == 0 {
-                continue;
-            }
-            match e.kind {
-                TraceKind::SpanEnter => {
-                    added += self.push(SpanRecord {
-                        name: e.name.to_owned(),
-                        process: process.to_owned(),
-                        thread: String::new(),
-                        trace_id: e.trace_id,
-                        span_id: e.span_id,
-                        parent_span_id: e.parent_span_id,
-                        t_us: 0,
-                        elapsed_us: 0,
-                    });
-                }
-                TraceKind::SpanExit { elapsed_us } => self.set_elapsed(e.span_id, elapsed_us),
-                TraceKind::Event => {}
-            }
-        }
-        added
-    }
-
     /// Parses a flight-recorder dump (the `/spans` body or a
     /// `flight-<pid>.json` file) and adds its span-enter records under the
     /// given process label. Returns how many spans were added.
     ///
-    /// The dump format is line-oriented by construction — one event object
-    /// per line — so this needs no general JSON parser.
+    /// The dump holds one record object per line, so each line parses on
+    /// its own: a truncated dump still yields every complete line, and
+    /// whatever else a line holds (the header, a torn tail) is skipped.
     pub fn add_flight_json(&mut self, process: &str, dump: &str) -> usize {
-        let mut thread = String::new();
         let mut added = 0;
         for line in dump.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if let Some(name) = extract_str(line, "thread") {
-                thread = name;
+            let Ok(record) = Json::parse(line.trim_end_matches(',')) else {
                 continue;
-            }
-            match extract_str(line, "kind").as_deref() {
+            };
+            let hex = |key: &str| {
+                record[key]
+                    .as_str()
+                    .and_then(|id| u64::from_str_radix(id, 16).ok())
+            };
+            match record["kind"].as_str() {
                 Some("enter") => {}
                 Some("exit") => {
                     // Fold the duration into the already-seen enter record.
                     if let (Some(span_id), Some(elapsed_us)) =
-                        (extract_hex(line, "span"), extract_u64(line, "elapsed_us"))
+                        (hex("span"), record["elapsed_us"].as_u64())
                     {
                         self.set_elapsed(span_id, elapsed_us);
                     }
@@ -295,24 +266,22 @@ impl TraceAssembler {
                 }
                 _ => continue,
             }
-            let (Some(name), Some(trace_id), Some(span_id)) = (
-                extract_str(line, "name"),
-                extract_hex(line, "trace"),
-                extract_hex(line, "span"),
-            ) else {
+            let (Some(name), Some(trace_id), Some(span_id)) =
+                (record["name"].as_str(), hex("trace"), hex("span"))
+            else {
                 continue;
             };
             if span_id == 0 {
                 continue;
             }
             added += self.push(SpanRecord {
-                name,
+                name: name.to_owned(),
                 process: process.to_owned(),
-                thread: thread.clone(),
+                thread: record["thread"].as_str().unwrap_or_default().to_owned(),
                 trace_id,
                 span_id,
-                parent_span_id: extract_hex(line, "parent").unwrap_or(0),
-                t_us: extract_u64(line, "t_us").unwrap_or(0),
+                parent_span_id: hex("parent").unwrap_or(0),
+                t_us: record["t_us"].as_u64().unwrap_or(0),
                 elapsed_us: 0,
             });
         }
@@ -425,37 +394,6 @@ impl TraceAssembler {
     }
 }
 
-fn find_key<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let marker = format!("\"{key}\":");
-    let at = line.find(&marker)? + marker.len();
-    Some(&line[at..])
-}
-
-fn extract_str(line: &str, key: &str) -> Option<String> {
-    let rest = find_key(line, key)?.strip_prefix('"')?;
-    // Scan to the closing unescaped quote, then unescape.
-    let mut escaped = false;
-    for (i, ch) in rest.char_indices() {
-        match ch {
-            '\\' if !escaped => escaped = true,
-            '"' if !escaped => return json_unescape(&rest[..i]),
-            _ => escaped = false,
-        }
-    }
-    None
-}
-
-fn extract_hex(line: &str, key: &str) -> Option<u64> {
-    let raw = extract_str(line, key)?;
-    u64::from_str_radix(&raw, 16).ok()
-}
-
-fn extract_u64(line: &str, key: &str) -> Option<u64> {
-    let rest = find_key(line, key)?;
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,48 +439,20 @@ mod tests {
     #[test]
     fn assembler_builds_ancestry_across_processes() {
         let mut asm = TraceAssembler::new();
-        // "Process A": root → child, as live events.
-        let root = SpanRecord {
-            name: "master.dispatch".into(),
-            process: String::new(),
-            thread: String::new(),
-            trace_id: 7,
-            span_id: 100,
-            parent_span_id: 0,
-            t_us: 0,
-            elapsed_us: 0,
-        };
-        let events = vec![
-            TraceEvent {
-                kind: TraceKind::SpanEnter,
-                name: "master.dispatch",
-                fields: vec![],
-                depth: 0,
-                trace_id: 7,
-                span_id: 100,
-                parent_span_id: 0,
-            },
-            TraceEvent {
-                kind: TraceKind::SpanEnter,
-                name: "remote.take",
-                fields: vec![],
-                depth: 1,
-                trace_id: 7,
-                span_id: 101,
-                parent_span_id: 100,
-            },
-        ];
-        assert_eq!(asm.add_events("a", &events), 2);
+        // "Process A": the master's root span and its wire call.
+        let master = r#"{"thread":"main","kind":"enter","name":"master.dispatch","trace":"7","span":"64","parent":"0","depth":0,"t_us":0}
+{"thread":"main","kind":"enter","name":"remote.take","trace":"7","span":"65","parent":"64","depth":1,"t_us":1}
+"#;
+        assert_eq!(asm.add_flight_json("a", master), 2);
         // "Process B": the server-side handler, as a flight dump line.
-        let dump = r#"{"thread":"svc-1"}
-{"kind":"enter","name":"space.serve","trace":"7","span":"66","parent":"65","depth":0,"t_us":10}
+        let dump = r#"{"thread":"svc-1","kind":"enter","name":"space.serve","trace":"7","span":"66","parent":"65","depth":0,"t_us":10}
 "#;
         assert_eq!(asm.add_flight_json("b", dump), 1);
         assert_eq!(asm.traces(), vec![7]);
         let take = asm.find("remote.take").unwrap();
         let chain = asm.ancestry(take.span_id);
         assert_eq!(chain.len(), 1);
-        assert_eq!(chain[0].name, root.name);
+        assert_eq!(chain[0].name, "master.dispatch");
         let serve = asm.find("space.serve").unwrap();
         assert_eq!(serve.process, "b");
         assert_eq!(serve.thread, "svc-1");
@@ -558,12 +468,10 @@ mod tests {
         // died mid-flight: only the worker's *child* spans made it into a
         // dump, the worker.task span that parented them never did.
         let mut asm = TraceAssembler::new();
-        let master = r#"{"thread":"main"}
-{"kind":"enter","name":"master.dispatch","trace":"9","span":"1","parent":"0","depth":0,"t_us":0}
+        let master = r#"{"thread":"main","kind":"enter","name":"master.dispatch","trace":"9","span":"1","parent":"0","depth":0,"t_us":0}
 "#;
-        let dead_worker = r#"{"thread":"acc-worker-w0"}
-{"kind":"enter","name":"worker.compute","trace":"9","span":"30","parent":"20","depth":1,"t_us":50}
-{"kind":"enter","name":"worker.result.write","trace":"9","span":"31","parent":"30","depth":2,"t_us":90}
+        let dead_worker = r#"{"thread":"acc-worker-w0","kind":"enter","name":"worker.compute","trace":"9","span":"30","parent":"20","depth":1,"t_us":50}
+{"thread":"acc-worker-w0","kind":"enter","name":"worker.result.write","trace":"9","span":"31","parent":"30","depth":2,"t_us":90}
 "#;
         assert_eq!(asm.add_flight_json("master", master), 1);
         assert_eq!(asm.add_flight_json("w0", dead_worker), 2);
@@ -597,9 +505,8 @@ mod tests {
     #[test]
     fn complete_trace_renders_without_orphan_section() {
         let mut asm = TraceAssembler::new();
-        let dump = r#"{"thread":"t"}
-{"kind":"enter","name":"root","trace":"5","span":"1","parent":"0","depth":0,"t_us":0}
-{"kind":"enter","name":"leaf","trace":"5","span":"2","parent":"1","depth":1,"t_us":1}
+        let dump = r#"{"thread":"t","kind":"enter","name":"root","trace":"5","span":"1","parent":"0","depth":0,"t_us":0}
+{"thread":"t","kind":"enter","name":"leaf","trace":"5","span":"2","parent":"1","depth":1,"t_us":1}
 "#;
         assert_eq!(asm.add_flight_json("p", dump), 2);
         assert!(asm.orphans(5).is_empty());
@@ -612,49 +519,37 @@ mod tests {
     #[test]
     fn exit_records_fold_durations_into_spans() {
         let mut asm = TraceAssembler::new();
-        let dump = r#"{"thread":"t"}
-{"kind":"enter","name":"root","trace":"5","span":"1","parent":"0","depth":0,"t_us":0}
-{"kind":"enter","name":"leaf","trace":"5","span":"2","parent":"1","depth":1,"t_us":10}
-{"kind":"exit","name":"leaf","trace":"5","span":"2","parent":"1","depth":1,"t_us":40,"elapsed_us":30}
-{"kind":"exit","name":"missing","trace":"5","span":"9","parent":"0","depth":0,"t_us":50,"elapsed_us":99}
+        let dump = r#"{"thread":"t","kind":"enter","name":"root","trace":"5","span":"1","parent":"0","depth":0,"t_us":0}
+{"thread":"t","kind":"enter","name":"leaf","trace":"5","span":"2","parent":"1","depth":1,"t_us":10}
+{"thread":"t","kind":"exit","name":"leaf","trace":"5","span":"2","parent":"1","depth":1,"t_us":40,"elapsed_us":30}
+{"thread":"t","kind":"exit","name":"missing","trace":"5","span":"9","parent":"0","depth":0,"t_us":50,"elapsed_us":99}
 "#;
         assert_eq!(asm.add_flight_json("p", dump), 2);
         assert_eq!(asm.find("leaf").unwrap().elapsed_us, 30);
         assert_eq!(asm.find("root").unwrap().elapsed_us, 0, "root never exited");
+    }
 
-        // Same folding from live events.
-        let mut asm2 = TraceAssembler::new();
-        let events = vec![
-            TraceEvent {
-                kind: TraceKind::SpanEnter,
-                name: "job",
-                fields: vec![],
-                depth: 0,
-                trace_id: 6,
-                span_id: 11,
-                parent_span_id: 0,
-            },
-            TraceEvent {
-                kind: TraceKind::SpanExit { elapsed_us: 77 },
-                name: "job",
-                fields: vec![],
-                depth: 0,
-                trace_id: 6,
-                span_id: 11,
-                parent_span_id: 0,
-            },
-        ];
-        assert_eq!(asm2.add_events("p", &events), 1);
-        assert_eq!(asm2.find("job").unwrap().elapsed_us, 77);
+    #[test]
+    fn a_dump_cut_mid_line_still_yields_every_complete_line() {
+        let dump = r#"{"pid":1,"dropped":0,"retained":[],"events":[
+{"thread":"t","kind":"enter","name":"root","trace":"5","span":"1","parent":"0","depth":0,"t_us":0},
+{"thread":"t","kind":"enter","name":"leaf","trace":"5","span":"2","parent":"1","depth":1,"t_us":1},
+{"thread":"t","kind":"enter","name":"cut","trace":"5","span":"3","parent":"1","depth":1,"t_us":2}
+]}
+"#;
+        let crash = dump.find("\"cut\"").expect("the last record");
+        let mut asm = TraceAssembler::new();
+        assert_eq!(asm.add_flight_json("p", &dump[..crash]), 2);
+        assert_eq!(asm.find("leaf").unwrap().thread, "t");
+        assert!(asm.find("cut").is_none());
     }
 
     #[test]
     fn flight_parser_survives_hostile_names() {
         let mut asm = TraceAssembler::new();
-        let dump = r#"{"thread":"we\"ird\\thread"}
-{"kind":"enter","name":"x","trace":"1","span":"2","parent":"0","depth":0,"t_us":0}
+        let dump = r#"{"thread":"we\"ird\\thread","kind":"enter","name":"x","trace":"1","span":"2","parent":"0","depth":0,"t_us":0}
 not json at all
-{"kind":"event","name":"ignored","trace":"1","span":"3"}
+{"thread":"we\"ird\\thread","kind":"event","name":"ignored","trace":"1","span":"3"}
 "#;
         assert_eq!(asm.add_flight_json("p", dump), 1);
         assert_eq!(asm.find("x").unwrap().thread, "we\"ird\\thread");

@@ -44,7 +44,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::clock::Scale;
-use crate::registry::{json_escape, registry};
+use crate::json::Json;
+use crate::registry::registry;
 use crate::trace::{FieldRef, FieldValue};
 
 use self::slot::{Ring, Slot, Snapshot};
@@ -905,39 +906,18 @@ fn publish_spilled(ring: &ThreadRing, number: u64, parts: &Parts<'_>) {
     spill.live.push_back((number, fields));
 }
 
-/// Serializes every thread's ring as JSON. The format is deliberately
-/// line-oriented — one event object per line — so
+/// Serializes every thread's ring as JSON: the process header, then
+/// `"events"`, one record object per line, each naming its thread — so
 /// [`TraceAssembler::add_flight_json`](crate::context::TraceAssembler::add_flight_json)
-/// can parse it without a general JSON parser, and a truncated file
-/// (crash mid-write) still yields every complete line. Ids are hex
-/// strings to dodge 64-bit precision loss in consumers that read JSON
-/// numbers as doubles.
+/// parses the dump line by line and a truncated file (crash mid-write)
+/// still yields every complete line. Ids are hex strings to dodge 64-bit
+/// precision loss in consumers that read JSON numbers as doubles.
 pub fn dump_json() -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("\"pid\":{},\n", std::process::id()));
-    out.push_str(&format!(
-        "\"dropped\":{},\n",
-        registry().counter("telemetry.flight.dropped_events").get()
-    ));
-    let retained = retained_traces();
-    if !retained.is_empty() {
-        out.push_str("\"retained\":[");
-        for (i, id) in retained.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{id:x}\""));
-        }
-        out.push_str("],\n");
-    }
-    out.push_str("\"threads\":[\n");
+    let mut events = Vec::new();
     if let Some(rec) = RECORDER.get() {
         let scale = Scale::now();
         let threads = lock(&rec.threads);
-        for (ti, t) in threads.iter().enumerate() {
-            out.push_str(&format!("{{\"thread\":\"{}\",\n", json_escape(&t.label)));
-            out.push_str("\"events\":[\n");
+        for t in threads.iter() {
             // Spilled fields are looked up under the lock the owner
             // takes to move or drop them, after the slots were copied: a
             // record whose fields went meanwhile renders without them.
@@ -945,49 +925,59 @@ pub fn dump_json() -> String {
             // Kept (retained-trace) records first: they are the oldest.
             let kept = t.kept.snapshot();
             let live = t.live.snapshot();
-            let total = kept.len() + live.len();
             let with_spill = kept
                 .iter()
                 .map(|r| (r, &spill.kept))
                 .chain(live.iter().map(|r| (r, &spill.live)));
-            for (ei, ((number, record), spilled)) in with_spill.enumerate() {
-                write_record(&mut out, record, *number, spilled, &scale);
-                out.push_str(if ei + 1 < total { ",\n" } else { "\n" });
+            for ((number, record), spilled) in with_spill {
+                events.push(record_json(&t.label, record, *number, spilled, &scale));
             }
-            out.push_str("]}");
-            out.push_str(if ti + 1 < threads.len() { ",\n" } else { "\n" });
         }
     }
-    out.push_str("]}\n");
-    out
+    let retained: Json = retained_traces()
+        .iter()
+        .map(|id| format!("{id:x}"))
+        .collect();
+    let dump = Json::object([
+        ("pid", std::process::id().into()),
+        (
+            "dropped",
+            registry()
+                .counter("telemetry.flight.dropped_events")
+                .get()
+                .into(),
+        ),
+        ("retained", retained),
+        ("events", Json::Array(events)),
+    ]);
+    format!("{dump:#}\n")
 }
 
-fn write_record(
-    out: &mut String,
+fn record_json(
+    thread: &str,
     record: &Snapshot,
     number: u64,
     spilled: &VecDeque<(u64, SpilledFields)>,
     scale: &Scale,
-) {
+) -> Json {
     let kind = match record.kind() {
         RecordKind::Enter => "enter",
         RecordKind::Exit => "exit",
         RecordKind::Event => "event",
     };
-    out.push_str(&format!(
-        "{{\"kind\":\"{kind}\",\"name\":\"{}\",\"trace\":\"{:x}\",\"span\":\"{:x}\",\"parent\":\"{:x}\",\"depth\":{},\"t_us\":{}",
-        json_escape(record.name()),
-        record.trace_id(),
-        record.span_id(),
-        record.parent_span_id(),
-        record.depth(),
-        scale.since_start_us(record.ticks()),
-    ));
+    let hex = |id: u64| Json::from(format!("{id:x}"));
+    let mut out = Json::object([
+        ("thread", thread.into()),
+        ("kind", kind.into()),
+        ("name", record.name().into()),
+        ("trace", hex(record.trace_id())),
+        ("span", hex(record.span_id())),
+        ("parent", hex(record.parent_span_id())),
+        ("depth", record.depth().into()),
+        ("t_us", scale.since_start_us(record.ticks()).into()),
+    ]);
     if record.kind() == RecordKind::Exit {
-        out.push_str(&format!(
-            ",\"elapsed_us\":{}",
-            scale.span_us(record.elapsed_ticks())
-        ));
+        out.insert("elapsed_us", scale.span_us(record.elapsed_ticks()).into());
     }
     let inline;
     let fields: &[(&'static str, FieldValue)] = if record.spilled() {
@@ -1001,21 +991,17 @@ fn write_record(
         &inline
     };
     if !fields.is_empty() {
-        out.push_str(",\"fields\":{");
-        for (i, (k, v)) in fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let rendered = match v {
-                FieldValue::Str(s) => format!("\"{}\"", json_escape(s)),
-                FieldValue::F64(f) if !f.is_finite() => format!("\"{f}\""),
-                other => format!("\"{other}\""),
+        // Every field value is written as text, as a subscriber prints it.
+        let text = fields.iter().map(|(k, v)| {
+            let value = match v {
+                FieldValue::Str(s) => s.clone(),
+                other => other.to_string(),
             };
-            out.push_str(&format!("\"{}\":{rendered}", json_escape(k)));
-        }
-        out.push('}');
+            (*k, Json::from(value))
+        });
+        out.insert("fields", Json::object(text));
     }
-    out.push('}');
+    out
 }
 
 /// Writes [`dump_json`] to `path` (atomically enough for forensics:
@@ -1068,6 +1054,27 @@ mod tests {
     use crate::event;
     use crate::TEST_EXCLUSIVE as EXCLUSIVE;
 
+    /// The record objects of a dump, one per line.
+    fn records(dump: &str) -> Vec<Json> {
+        dump.lines()
+            .filter_map(|line| Json::parse(line.trim_end_matches(',')).ok())
+            .filter(|record| record["kind"] != Json::Null)
+            .collect()
+    }
+
+    /// The `fields` object of every record named `name`.
+    fn fields_of<'a>(records: &'a [Json], name: &str) -> Vec<&'a Json> {
+        records
+            .iter()
+            .filter(|r| r["name"].as_str() == Some(name))
+            .map(|r| &r["fields"])
+            .collect()
+    }
+
+    fn text_fields(fields: &[(&str, &str)]) -> Json {
+        Json::object(fields.iter().map(|&(k, v)| (k, Json::from(v))))
+    }
+
     fn my_occupancy() -> ThreadOccupancy {
         let me = std::thread::current().name().map(str::to_owned);
         occupancy()
@@ -1102,8 +1109,37 @@ mod tests {
         assert!(asm.find("flight.main").is_some());
         let side = asm.find("flight.side").unwrap();
         assert_eq!(side.thread, "flight-side");
-        assert!(dump.contains("j\\\"1"), "field string escaped: {dump}");
-        assert!(dump.contains("\"fields\":{\"n\":\"3\"}"), "{dump}");
+        let records = records(&dump);
+        assert!(fields_of(&records, "flight.main").contains(&&text_fields(&[("job", "j\"1")])));
+        assert_eq!(
+            fields_of(&records, "flight.tick"),
+            [&text_fields(&[("n", "3")])]
+        );
+        clear();
+    }
+
+    /// Field keys are free-form at every `span!` site: a field named
+    /// `thread` must neither relabel the recording thread nor hide the
+    /// span from the assembler.
+    #[test]
+    fn a_span_field_named_thread_keeps_its_span_and_thread_label() {
+        let _guard = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
+        install();
+        clear();
+        std::thread::Builder::new()
+            .name("flight-real".into())
+            .spawn(|| {
+                let _span = crate::span!("flight.hijack", thread = "y");
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        let dump = dump_json();
+        uninstall();
+        let mut asm = TraceAssembler::new();
+        asm.add_flight_json("me", &dump);
+        let span = asm.find("flight.hijack").expect("the span survives");
+        assert_eq!(span.thread, "flight-real");
         clear();
     }
 
@@ -1218,8 +1254,8 @@ mod tests {
     #[test]
     fn dump_without_install_is_valid() {
         // No EXCLUSIVE needed: read-only.
-        let dump = dump_json();
-        assert!(dump.contains("\"threads\":["));
+        let dump = Json::parse(&dump_json()).unwrap();
+        assert!(dump["events"].as_array().is_some(), "{dump}");
     }
 
     /// Everything a record can carry survives a wrapped ring and the move
@@ -1269,31 +1305,38 @@ mod tests {
         assert_eq!(mine.live, DEFAULT_CAPACITY);
         assert_eq!(mine.kept, 3, "enter, event and exit of the pinned trace");
 
-        let long_json = format!("\"note\":\"{}\"", json_escape(long));
+        let records = records(&dump);
         assert_eq!(
-            dump.matches(&long_json).count(),
-            2,
-            "the long value, exactly, on the kept span and on the live one"
+            fields_of(&records, "rt.pinned"),
+            [&text_fields(&[("note", long), ("n", "7")]), &Json::Null],
+            "the long value, exactly, on the kept span (its exit carries no fields)"
         );
-        assert!(
-            dump.contains(&format!("{long_json},\"n\":\"7\"")),
-            "{dump:.600}"
+        assert_eq!(
+            fields_of(&records, "rt.live"),
+            [&text_fields(&[("note", long)]), &Json::Null],
+            "and on the live one"
         );
-        assert!(
-            dump.contains(
-                "\"fields\":{\"a\":\"1\",\"b\":\"-2\",\"c\":\"0.500\",\"d\":\"true\",\"e\":\"\\\"five\\\"\"}"
-            ) || dump.contains("\"e\":\"five\""),
+        let five = [
+            ("a", "1"),
+            ("b", "-2"),
+            ("c", "0.500"),
+            ("d", "true"),
+            ("e", "five"),
+        ];
+        assert_eq!(
+            fields_of(&records, "rt.five"),
+            [&text_fields(&five)],
             "five-field event kept whole"
         );
-        let last_noise = (DEFAULT_CAPACITY * 3 / 2 - 1) as u64;
-        assert!(
-            dump.contains(&format!(
-                "\"fields\":{{\"i\":\"{last_noise}\",\"who\":\"{at_limit}\"}}"
-            )),
+        let noise = fields_of(&records, "rt.noise");
+        let last_noise = (DEFAULT_CAPACITY * 3 / 2 - 1).to_string();
+        assert_eq!(
+            noise.last().copied(),
+            Some(&text_fields(&[("i", &last_noise), ("who", at_limit)])),
             "inline fields of the newest noise record"
         );
         assert!(
-            !dump.contains("\"i\":\"0\""),
+            noise.iter().all(|f| f["i"].as_str() != Some("0")),
             "the oldest noise record aged out"
         );
 
@@ -1389,14 +1432,12 @@ mod tests {
             assert_eq!(text.len(), len);
             event!("len.probe", len = len, text = text.as_str());
         }
-        let dump = dump_json();
+        let records = records(&dump_json());
         uninstall();
+        let probes = fields_of(&records, "len.probe");
         for (len, text) in texts.iter().enumerate() {
-            let want = format!(
-                "\"fields\":{{\"len\":\"{len}\",\"text\":\"{}\"}}",
-                json_escape(text)
-            );
-            assert!(dump.contains(&want), "length {len}: {want} not in dump");
+            let want = text_fields(&[("len", &len.to_string()), ("text", text)]);
+            assert!(probes.contains(&&want), "length {len}: {want} not in dump");
         }
         clear();
     }
@@ -1455,31 +1496,26 @@ mod tests {
         });
         uninstall();
 
-        let long_json = format!("\"fields\":{{\"note\":\"{long}\"}}");
+        let spilled = text_fields(&[("note", &long)]);
         let mut records = 0;
         for dump in &dumps {
-            for line in dump.lines().filter(|l| l.starts_with("{\"kind\"")) {
+            for line in dump.lines().filter(|l| l.contains("\"kind\"")) {
                 records += 1;
-                let line = line.trim_end_matches(',');
-                let whole = match () {
-                    _ if line.contains("\"name\":\"race.span\"") => {
-                        line.contains("\"kind\":\"exit\"") || line.contains("\"fields\":{\"w\":\"")
+                let record = Json::parse(line.trim_end_matches(','))
+                    .unwrap_or_else(|e| panic!("torn record ({e}): {line}"));
+                let fields = &record["fields"];
+                let whole = match record["name"].as_str() {
+                    Some("race.span") => {
+                        record["kind"].as_str() == Some("exit") || fields["w"].as_str().is_some()
                     }
-                    _ if line.contains("\"name\":\"race.event\"") => {
-                        line.contains("\"tag\":\"inline\"}}")
-                    }
+                    Some("race.event") => fields["tag"].as_str() == Some("inline"),
                     // A spilled record may lose its fields to a racing
                     // eviction, never show someone else's.
-                    _ if line.contains("\"name\":\"race.spilled\"") => {
-                        line.contains(&long_json) || !line.contains("\"fields\"")
-                    }
+                    Some("race.spilled") => *fields == spilled || *fields == Json::Null,
                     _ => false,
                 };
-                assert!(whole && line.ends_with('}'), "torn record: {line}");
-                let trace = line
-                    .split("\"trace\":\"")
-                    .nth(1)
-                    .and_then(|r| r.split('"').next());
+                assert!(whole, "torn record: {line}");
+                let trace = record["trace"].as_str();
                 assert!(
                     traces
                         .iter()

@@ -79,12 +79,6 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Records a wall-clock duration in microseconds.
-    #[inline]
-    pub fn observe_duration(&self, d: std::time::Duration) {
-        self.observe(d.as_micros() as u64);
-    }
-
     /// Takes a point-in-time copy of the histogram.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = [0u64; BUCKETS];
@@ -166,6 +160,20 @@ impl HistogramSnapshot {
         } else {
             Some(self.sum as f64 / self.count as f64)
         }
+    }
+
+    /// `{count, sum, max, p50, p90, p99}`, as `/metrics.json` and
+    /// `/cluster.json` write a histogram.
+    pub fn to_json(&self) -> crate::Json {
+        let quantiles = [
+            ("p50", self.p50()),
+            ("p90", self.p90()),
+            ("p99", self.p99()),
+        ];
+        let fields = [("count", self.count), ("sum", self.sum), ("max", self.max)]
+            .into_iter()
+            .chain(quantiles.map(|(q, v)| (q, v.unwrap_or(0))));
+        crate::Json::object(fields.map(|(k, v)| (k, v.into())))
     }
 }
 

@@ -12,7 +12,7 @@
 //! * `GET /spans` — the flight recorder's dump
 //!   ([`crate::flight::dump_json`]);
 //! * any extra [`Routes`] the mounting component registers (the
-//!   framework adds `/cluster` and `/cluster.json` here).
+//!   framework adds `/cluster.json` and `/profile.json` here).
 //!
 //! This is an observability plane, not a web server: no keep-alive, no
 //! TLS, no request bodies, an 8 KiB request cap, and the same bounded
@@ -134,7 +134,7 @@ impl Routes {
         Arc::new(Routes::default())
     }
 
-    /// Registers a handler for an exact path (e.g. `/cluster`).
+    /// Registers a handler for an exact path (e.g. `/cluster.json`).
     pub fn register(
         &self,
         path: impl Into<String>,
@@ -184,16 +184,7 @@ impl Drop for HttpServer {
 
 /// Serves the observability routes on `bind` with default options.
 pub fn serve(bind: &str, health: Arc<HealthChecks>) -> std::io::Result<HttpServer> {
-    serve_with(bind, health, HttpOptions::default())
-}
-
-/// Serves the observability routes on `bind`.
-pub fn serve_with(
-    bind: &str,
-    health: Arc<HealthChecks>,
-    opts: HttpOptions,
-) -> std::io::Result<HttpServer> {
-    serve_routed(bind, health, Routes::new(), opts)
+    serve_routed(bind, health, Routes::new(), HttpOptions::default())
 }
 
 /// Serves the observability routes on `bind`, plus any extra [`Routes`]
@@ -361,7 +352,11 @@ fn route(
         }
         "/metrics.json" => {
             refresh_process_series();
-            ("200 OK", "application/json", registry().render_json())
+            (
+                "200 OK",
+                "application/json",
+                registry().to_json().to_string(),
+            )
         }
         "/healthz" => {
             refresh_process_series();
@@ -413,7 +408,8 @@ mod tests {
         let (head, body) = get(addr, "/metrics.json");
         assert!(head.starts_with("HTTP/1.0 200"), "{head}");
         assert!(head.contains("application/json"));
-        assert!(body.contains("\"telemetry.http.test\": 1"), "{body}");
+        let metrics = crate::Json::parse(&body).unwrap();
+        assert_eq!(metrics["counters"]["telemetry.http.test"].as_u64(), Some(1));
 
         let (head, body) = get(addr, "/healthz");
         assert!(head.starts_with("HTTP/1.0 200"), "{head}");
@@ -422,7 +418,8 @@ mod tests {
 
         let (head, body) = get(addr, "/spans");
         assert!(head.starts_with("HTTP/1.0 200"), "{head}");
-        assert!(body.contains("\"threads\":["), "{body}");
+        let spans = crate::Json::parse(&body).unwrap();
+        assert!(spans["events"].as_array().is_some(), "{body}");
 
         let (head, _) = get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.0 404"), "{head}");
@@ -517,9 +514,7 @@ mod tests {
     #[test]
     fn extra_routes_dispatch_before_404() {
         let routes = Routes::new();
-        routes.register("/cluster", || {
-            ("200 OK", "text/plain", "worker table\n".to_owned())
-        });
+        routes.register("/extra", || ("200 OK", "text/plain", "extra\n".to_owned()));
         let server = serve_routed(
             "127.0.0.1:0",
             HealthChecks::new(),
@@ -527,9 +522,9 @@ mod tests {
             HttpOptions::default(),
         )
         .unwrap();
-        let (head, body) = get(server.addr(), "/cluster");
+        let (head, body) = get(server.addr(), "/extra");
         assert!(head.starts_with("HTTP/1.0 200"), "{head}");
-        assert_eq!(body, "worker table\n");
+        assert_eq!(body, "extra\n");
         let (head, _) = get(server.addr(), "/other");
         assert!(head.starts_with("HTTP/1.0 404"), "{head}");
     }

@@ -19,9 +19,11 @@
 //!   ([`ShardPhase`]).
 //!
 //! The types live here (not in the cluster crate) so anything holding a
-//! flight dump — a test, `acc_top`, a post-mortem script — can build and
-//! render profiles; the master-side `JobProfiler` that folds live result
-//! tuples into them lives with the observer in `acc-cluster`.
+//! flight dump — a test, a post-mortem script — can build profiles and
+//! write them as the `/profile.json` document; `acc_top` draws the
+//! waterfall from that document. The master-side `JobProfiler` that folds
+//! live result tuples into profiles lives with the observer in
+//! `acc-cluster`.
 //!
 //! [`span_critical_path`] is the span-tree counterpart: given an
 //! assembled cross-process trace, it walks from the root down the
@@ -29,7 +31,7 @@
 //! that bounded that trace.
 
 use crate::context::{SpanRecord, TraceAssembler};
-use crate::registry::json_escape;
+use crate::json::Json;
 
 /// Aggregate microseconds per phase, summed over every task of a job.
 ///
@@ -68,17 +70,16 @@ impl PhaseTotals {
             + self.aggregation_us
     }
 
-    /// JSON object body (no trailing comma).
-    pub fn render_json(&self) -> String {
-        format!(
-            "{{\"dispatch_us\":{},\"wait_us\":{},\"xfer_us\":{},\"compute_us\":{},\"write_us\":{},\"aggregation_us\":{}}}",
-            self.dispatch_us,
-            self.wait_us,
-            self.xfer_us,
-            self.compute_us,
-            self.write_us,
-            self.aggregation_us
-        )
+    /// The `phases` section of `/profile.json`.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("dispatch_us", self.dispatch_us.into()),
+            ("wait_us", self.wait_us.into()),
+            ("xfer_us", self.xfer_us.into()),
+            ("compute_us", self.compute_us.into()),
+            ("write_us", self.write_us.into()),
+            ("aggregation_us", self.aggregation_us.into()),
+        ])
     }
 }
 
@@ -114,31 +115,22 @@ pub struct CriticalPath {
 }
 
 impl CriticalPath {
-    /// JSON object body.
-    pub fn render_json(&self) -> String {
-        let mut out = format!(
-            "{{\"worker\":\"{}\",\"total_us\":{},\"omitted\":{},\"segments\":[",
-            json_escape(&self.worker),
-            self.total_us,
-            self.omitted
-        );
-        for (i, s) in self.segments.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let task = match s.task_id {
-                Some(id) => id.to_string(),
-                None => "null".to_owned(),
-            };
-            out.push_str(&format!(
-                "{{\"label\":\"{}\",\"task\":{task},\"worker\":\"{}\",\"duration_us\":{}}}",
-                json_escape(&s.label),
-                json_escape(&s.worker),
-                s.duration_us
-            ));
-        }
-        out.push_str("]}");
-        out
+    /// The `critical_path` section of `/profile.json`.
+    pub fn to_json(&self) -> Json {
+        let segments = self.segments.iter().map(|s| {
+            Json::object([
+                ("label", s.label.as_str().into()),
+                ("task", s.task_id.into()),
+                ("worker", s.worker.as_str().into()),
+                ("duration_us", s.duration_us.into()),
+            ])
+        });
+        Json::object([
+            ("worker", self.worker.as_str().into()),
+            ("total_us", self.total_us.into()),
+            ("omitted", self.omitted.into()),
+            ("segments", segments.collect()),
+        ])
     }
 }
 
@@ -177,12 +169,6 @@ impl BoundVerdict {
             BoundVerdict::ComputeBound => "compute-bound",
             BoundVerdict::StragglerBound => "straggler-bound",
         }
-    }
-}
-
-impl std::fmt::Display for BoundVerdict {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
     }
 }
 
@@ -279,119 +265,29 @@ pub struct JobProfile {
 }
 
 impl JobProfile {
-    /// The full profile as one JSON object.
-    pub fn render_json(&self) -> String {
-        let mut out = format!(
-            "{{\"job\":\"{}\",\"tasks\":{},\"errors\":{},\"wall_ms\":{},\"finished\":{},\"verdict\":\"{}\",\"evidence\":\"{}\",\"phases\":{},\"critical_path\":{},\"fanout\":[",
-            json_escape(&self.job),
-            self.tasks,
-            self.errors,
-            self.wall_ms,
-            self.finished,
-            self.verdict,
-            json_escape(&self.evidence),
-            self.phases.render_json(),
-            self.critical_path.render_json(),
-        );
-        for (i, s) in self.fanout.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"shard\":{},\"addr\":\"{}\",\"ops\":{},\"total_us\":{}}}",
-                s.index,
-                json_escape(&s.addr),
-                s.ops,
-                s.total_us
-            ));
-        }
-        out.push_str("]}");
-        out
+    /// The full profile as one `/profile.json` object.
+    pub fn to_json(&self) -> Json {
+        let fanout = self.fanout.iter().map(|s| {
+            Json::object([
+                ("shard", s.index.into()),
+                ("addr", s.addr.as_str().into()),
+                ("ops", s.ops.into()),
+                ("total_us", s.total_us.into()),
+            ])
+        });
+        Json::object([
+            ("job", self.job.as_str().into()),
+            ("tasks", self.tasks.into()),
+            ("errors", self.errors.into()),
+            ("wall_ms", self.wall_ms.into()),
+            ("finished", self.finished.into()),
+            ("verdict", self.verdict.as_str().into()),
+            ("evidence", self.evidence.as_str().into()),
+            ("phases", self.phases.to_json()),
+            ("critical_path", self.critical_path.to_json()),
+            ("fanout", fanout.collect()),
+        ])
     }
-
-    /// Human waterfall: phases with proportional bars, then the critical
-    /// path, then fan-out. For `/profile` and `acc_top`.
-    pub fn render_text(&self) -> String {
-        let mut out = format!(
-            "job {} — {} tasks ({} errors), wall {} ms{} — verdict: {}\n  evidence: {}\n",
-            self.job,
-            self.tasks,
-            self.errors,
-            self.wall_ms,
-            if self.finished { "" } else { " (running)" },
-            self.verdict,
-            self.evidence
-        );
-        out.push_str("  phases (totals across tasks):\n");
-        let rows = [
-            ("dispatch", self.phases.dispatch_us),
-            ("space wait", self.phases.wait_us),
-            ("transfer", self.phases.xfer_us),
-            ("compute", self.phases.compute_us),
-            ("result write", self.phases.write_us),
-            ("aggregation", self.phases.aggregation_us),
-        ];
-        let widest = rows.iter().map(|&(_, v)| v).max().unwrap_or(0).max(1);
-        for (label, us) in rows {
-            out.push_str(&format!(
-                "    {label:<13}{:>10.1} ms {}\n",
-                us as f64 / 1_000.0,
-                bar(us, widest)
-            ));
-        }
-        let cp = &self.critical_path;
-        out.push_str(&format!(
-            "  critical path (worker {}, {:.1} ms, {} segments{}):\n",
-            if cp.worker.is_empty() {
-                "-"
-            } else {
-                &cp.worker
-            },
-            cp.total_us as f64 / 1_000.0,
-            cp.segments.len() + cp.omitted,
-            if cp.omitted > 0 {
-                format!(", {} omitted", cp.omitted)
-            } else {
-                String::new()
-            }
-        ));
-        let seg_widest = cp
-            .segments
-            .iter()
-            .map(|s| s.duration_us)
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        for s in &cp.segments {
-            out.push_str(&format!(
-                "    {:<13}{:>10.1} ms {}\n",
-                s.label,
-                s.duration_us as f64 / 1_000.0,
-                bar(s.duration_us, seg_widest)
-            ));
-        }
-        if !self.fanout.is_empty() {
-            out.push_str("  fan-out:");
-            for s in &self.fanout {
-                out.push_str(&format!(
-                    " shard {} ({}) {} ops {:.1} ms |",
-                    s.index,
-                    s.addr,
-                    s.ops,
-                    s.total_us as f64 / 1_000.0
-                ));
-            }
-            out.pop();
-            out.push('\n');
-        }
-        out
-    }
-}
-
-fn bar(value: u64, widest: u64) -> String {
-    const WIDTH: u64 = 24;
-    let n = (value.saturating_mul(WIDTH) / widest).min(WIDTH) as usize;
-    "#".repeat(n)
 }
 
 /// Walks an assembled trace from its root down the longest child at each
@@ -489,9 +385,9 @@ mod tests {
     fn phase_totals_sum_and_json() {
         let p = sample_profile().phases;
         assert_eq!(p.sum(), 574_000);
-        let json = p.render_json();
-        assert!(json.contains("\"compute_us\":510000"), "{json}");
-        assert!(json.contains("\"aggregation_us\":2000"), "{json}");
+        let json = Json::parse(&p.to_json().to_string()).unwrap();
+        assert_eq!(json["compute_us"].as_u64(), Some(510_000), "{json}");
+        assert_eq!(json["aggregation_us"].as_u64(), Some(2_000), "{json}");
     }
 
     #[test]
@@ -558,41 +454,32 @@ mod tests {
 
     #[test]
     fn profile_renders_json_and_waterfall() {
-        let p = sample_profile();
-        let json = p.render_json();
-        assert!(json.contains("\"job\":\"render \\\"x\\\"\""), "{json}");
-        assert!(json.contains("\"verdict\":\"straggler-bound\""), "{json}");
-        assert!(json.contains("\"task\":4"), "{json}");
-        assert!(json.contains("\"task\":null"), "{json}");
-        assert!(json.contains("\"omitted\":3"), "{json}");
-        assert!(json.contains("\"shard\":0"), "{json}");
-
-        let text = p.render_text();
-        assert!(text.contains("verdict: straggler-bound"), "{text}");
-        assert!(text.contains("compute"), "{text}");
-        assert!(text.contains("critical path (worker w-slow"), "{text}");
-        assert!(text.contains("5 segments, 3 omitted"), "{text}");
-        assert!(text.contains("shard 0 (127.0.0.1:9201) 120 ops"), "{text}");
-        // The dominant phase gets the longest bar.
-        let compute_line = text
-            .lines()
-            .find(|l| l.trim_start().starts_with("compute"))
-            .unwrap();
-        assert!(compute_line.contains("########"), "{text}");
+        let json = Json::parse(&sample_profile().to_json().to_string()).unwrap();
+        assert_eq!(json["job"].as_str(), Some("render \"x\""), "{json}");
+        assert_eq!(json["verdict"].as_str(), Some("straggler-bound"), "{json}");
+        let segments = &json["critical_path"]["segments"];
+        assert_eq!(segments[0]["task"], Json::Null, "{json}");
+        assert_eq!(segments[1]["task"].as_u64(), Some(4), "{json}");
+        assert_eq!(json["critical_path"]["omitted"].as_u64(), Some(3), "{json}");
+        assert_eq!(json["fanout"][0]["shard"].as_u64(), Some(0), "{json}");
+        assert_eq!(
+            json["phases"]["compute_us"].as_u64(),
+            Some(510_000),
+            "{json}"
+        );
     }
 
     #[test]
     fn span_critical_path_follows_longest_children() {
         let mut asm = TraceAssembler::new();
-        let dump = r#"{"thread":"t"}
-{"kind":"enter","name":"job","trace":"a","span":"1","parent":"0","depth":0,"t_us":0}
-{"kind":"enter","name":"fast.task","trace":"a","span":"2","parent":"1","depth":1,"t_us":5}
-{"kind":"enter","name":"slow.task","trace":"a","span":"3","parent":"1","depth":1,"t_us":6}
-{"kind":"enter","name":"slow.compute","trace":"a","span":"4","parent":"3","depth":2,"t_us":7}
-{"kind":"exit","name":"slow.compute","trace":"a","span":"4","parent":"3","depth":2,"t_us":90,"elapsed_us":83}
-{"kind":"exit","name":"slow.task","trace":"a","span":"3","parent":"1","depth":1,"t_us":95,"elapsed_us":89}
-{"kind":"exit","name":"fast.task","trace":"a","span":"2","parent":"1","depth":1,"t_us":9,"elapsed_us":4}
-{"kind":"exit","name":"job","trace":"a","span":"1","parent":"0","depth":0,"t_us":100,"elapsed_us":100}
+        let dump = r#"{"thread":"t","kind":"enter","name":"job","trace":"a","span":"1","parent":"0","depth":0,"t_us":0}
+{"thread":"t","kind":"enter","name":"fast.task","trace":"a","span":"2","parent":"1","depth":1,"t_us":5}
+{"thread":"t","kind":"enter","name":"slow.task","trace":"a","span":"3","parent":"1","depth":1,"t_us":6}
+{"thread":"t","kind":"enter","name":"slow.compute","trace":"a","span":"4","parent":"3","depth":2,"t_us":7}
+{"thread":"t","kind":"exit","name":"slow.compute","trace":"a","span":"4","parent":"3","depth":2,"t_us":90,"elapsed_us":83}
+{"thread":"t","kind":"exit","name":"slow.task","trace":"a","span":"3","parent":"1","depth":1,"t_us":95,"elapsed_us":89}
+{"thread":"t","kind":"exit","name":"fast.task","trace":"a","span":"2","parent":"1","depth":1,"t_us":9,"elapsed_us":4}
+{"thread":"t","kind":"exit","name":"job","trace":"a","span":"1","parent":"0","depth":0,"t_us":100,"elapsed_us":100}
 "#;
         assert_eq!(asm.add_flight_json("p", dump), 4);
         let path: Vec<&str> = span_critical_path(&asm, 0xa)

@@ -6,9 +6,9 @@
 //! construction) and then records through plain relaxed atomics with no
 //! further locking. One process-wide registry ([`registry`]) aggregates
 //! every layer — tuple space, framework, SNMP, federation, simulator —
-//! into a single [`Registry::snapshot`], a Prometheus-style text
-//! exposition ([`Registry::render_text`]) and a JSON dump
-//! ([`Registry::render_json`]) for the bench harness.
+//! into a single [`Registry::snapshot`] (what the benchmark's layer table
+//! reads), a Prometheus-style text exposition ([`Registry::render_text`])
+//! and the `/metrics.json` document ([`Registry::to_json`]).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -16,60 +16,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::histogram::{Histogram, HistogramSnapshot};
-
-/// Escapes a string for embedding inside a JSON string literal: quotes,
-/// backslashes and control characters (`\n`, `\t`, …, `\u00XX`). Series
-/// names are static today, but span/event field values and thread names
-/// are arbitrary — and a hostile value must not break the document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Inverse of [`json_escape`] (plus the other standard JSON escapes
-/// `\/`, `\b`, `\f` and full `\uXXXX`). Returns `None` on a malformed
-/// escape sequence.
-pub fn json_unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(ch) = chars.next() {
-        if ch != '\\' {
-            out.push(ch);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            '/' => out.push('/'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            't' => out.push('\t'),
-            'b' => out.push('\u{8}'),
-            'f' => out.push('\u{c}'),
-            'u' => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if hex.len() != 4 {
-                    return None;
-                }
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
-}
+use crate::json::Json;
 
 /// The instant process-level series measure uptime from: first call
 /// wins, so every entry point can refresh freely.
@@ -271,51 +218,23 @@ impl Registry {
         out
     }
 
-    /// Renders every series as a JSON object (hand-rolled: the workspace
-    /// has no serde), shaped as
+    /// Every series as the `/metrics.json` document:
     /// `{"counters": {..}, "gauges": {..}, "histograms": {name: {count,
     /// sum, max, p50, p90, p99}}}`.
-    pub fn render_json(&self) -> String {
+    pub fn to_json(&self) -> Json {
         let snap = self.snapshot();
-        let mut out = String::from("{\n  \"counters\": {");
-        let mut first = true;
-        for (name, value) in &snap.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\n    \"{}\": {value}", json_escape(name)));
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        first = true;
-        for (name, value) in &snap.gauges {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\n    \"{}\": {value}", json_escape(name)));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        first = true;
-        for (name, h) in &snap.histograms {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"max\": {}, \
-                 \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-                json_escape(name),
-                h.count,
-                h.sum,
-                h.max,
-                h.p50().unwrap_or(0),
-                h.p90().unwrap_or(0),
-                h.p99().unwrap_or(0),
-            ));
-        }
-        out.push_str("\n  }\n}\n");
-        out
+        let histograms = snap.histograms.iter().map(|(name, h)| (*name, h.to_json()));
+        Json::object([
+            (
+                "counters",
+                Json::object(snap.counters.iter().map(|(n, v)| (*n, Json::from(*v)))),
+            ),
+            (
+                "gauges",
+                Json::object(snap.gauges.iter().map(|(n, v)| (*n, Json::from(*v)))),
+            ),
+            ("histograms", Json::object(histograms)),
+        ])
     }
 }
 
@@ -366,16 +285,23 @@ mod tests {
     fn json_dump_is_shaped() {
         let r = Registry::new();
         r.counter("a").inc();
+        r.gauge("g").set(-4);
         r.histogram("h_us").observe(7);
-        let json = r.render_json();
-        assert!(json.contains("\"a\": 1"));
-        assert!(json.contains("\"h_us\": {\"count\": 1, \"sum\": 7, \"max\": 7"));
-        // Crude but effective: braces balance.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced JSON: {json}"
-        );
+        let doc = Json::parse(&r.to_json().to_string()).unwrap();
+        assert_eq!(doc["counters"]["a"].as_u64(), Some(1));
+        assert_eq!(doc["gauges"]["g"].as_i64(), Some(-4));
+        let h = &doc["histograms"]["h_us"];
+        for (field, want) in [("count", 1), ("sum", 7), ("max", 7), ("p50", 7)] {
+            assert_eq!(h[field].as_u64(), Some(want), "{field} in {doc}");
+        }
+    }
+
+    #[test]
+    fn escaped_json_renders_hostile_series_names_safely() {
+        let r = Registry::new();
+        r.counter("evil\"name\\with\nstuff").inc();
+        let doc = Json::parse(&r.to_json().to_string()).unwrap();
+        assert_eq!(doc["counters"]["evil\"name\\with\nstuff"].as_u64(), Some(1));
     }
 
     #[test]
@@ -392,54 +318,6 @@ mod tests {
     fn global_registry_is_shared() {
         registry().counter("telemetry.test.shared").inc();
         assert!(registry().snapshot().counters["telemetry.test.shared"] >= 1);
-    }
-
-    #[test]
-    fn hostile_strings_roundtrip_through_json_escaping() {
-        let hostile = [
-            "plain",
-            "quote\"inside",
-            "back\\slash",
-            "new\nline\ttab\rret",
-            "ctrl\u{1}\u{1f}chars",
-            "uni ✓ 🚀",
-            "\"},\"pwned\":{\"",
-        ];
-        for s in hostile {
-            let escaped = json_escape(s);
-            assert!(
-                !escaped.chars().any(|c| (c as u32) < 0x20),
-                "raw control char survived: {escaped:?}"
-            );
-            // Every quote in the escaped form is itself escaped, so the
-            // value cannot terminate the enclosing JSON string early.
-            let bytes = escaped.as_bytes();
-            for (i, b) in bytes.iter().enumerate() {
-                if *b == b'"' {
-                    assert!(i > 0 && bytes[i - 1] == b'\\', "naked quote in {escaped:?}");
-                }
-            }
-            assert_eq!(json_unescape(&escaped).as_deref(), Some(s));
-        }
-        // Standard escapes we don't emit still parse.
-        assert_eq!(json_unescape("a\\/b\\u0041").as_deref(), Some("a/bA"));
-        // Malformed input is rejected, not mangled.
-        assert_eq!(json_unescape("bad\\"), None);
-        assert_eq!(json_unescape("bad\\q"), None);
-        assert_eq!(json_unescape("bad\\u12"), None);
-    }
-
-    #[test]
-    fn escaped_json_renders_hostile_series_names_safely() {
-        let r = Registry::new();
-        r.counter("evil\"name\\with\nstuff").inc();
-        let json = r.render_json();
-        assert!(json.contains("evil\\\"name\\\\with\\nstuff"));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced JSON: {json}"
-        );
     }
 
     #[test]

@@ -548,6 +548,8 @@ mod tests {
 
     #[test]
     fn disabled_macros_are_inert() {
+        // Other tests install subscribers and the flight recorder.
+        let _guard = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
         assert!(!enabled());
         let _span = span!("never.seen", x = 1);
         event!("never.seen.event", y = 2);

@@ -133,8 +133,6 @@ impl Space {
 
         let inst_now = Instant::now();
         let wall_now = journal::wall_now_ms();
-        let mut restored = 0u64;
-        let mut expired_dropped = 0u64;
         let space = Space::new(name);
         for (id, (deadline_ms, tuple)) in entries {
             max_id = max_id.max(id);
@@ -142,10 +140,7 @@ impl Space {
                 None => None,
                 Some(ms) => match journal::instant_from_wall(ms, inst_now, wall_now) {
                     // The lease ran out during the downtime: stay dead.
-                    None => {
-                        expired_dropped += 1;
-                        continue;
-                    }
+                    None => continue,
                     some => some,
                 },
             };
@@ -156,12 +151,8 @@ impl Space {
                 expires,
                 lock: LockState::Free,
             });
-            restored += 1;
         }
         space.next_id.store(max_id, Ordering::Relaxed);
-        let r = acc_telemetry::registry();
-        r.counter("recovery.entries_restored").add(restored);
-        r.counter("recovery.expired_dropped").add(expired_dropped);
         space
             .journal
             .set(journal)

@@ -47,14 +47,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use acc_telemetry::Timed;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::error::{SpaceError, SpaceResult};
 use crate::fx::FxBuild;
 use crate::journal::{self, Op, SpaceJournal};
 use crate::lease::Lease;
-use crate::stats::series;
 use crate::stats::{SpaceStats, StatsSnapshot};
 use crate::template::Template;
 use crate::tuple::Tuple;
@@ -404,7 +402,6 @@ impl Space {
         if self.is_closed() {
             return Err(SpaceError::Closed);
         }
-        let timed = Timed::start();
         let ty = tuple.type_name_arc();
         let shard = self.shard_for(&ty);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
@@ -422,7 +419,6 @@ impl Space {
             self.notify_shard(&shard);
             self.notify_wildcard_waiters();
         }
-        timed.observe(&series().write_us);
         Ok(id)
     }
 

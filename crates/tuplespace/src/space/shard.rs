@@ -6,14 +6,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use acc_telemetry::Timed;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use super::index::FieldIndex;
 use super::{EntryId, Space, TxnId};
 use crate::error::{SpaceError, SpaceResult};
 use crate::journal::Op;
-use crate::stats::series;
 use crate::template::Template;
 use crate::tuple::Tuple;
 
@@ -211,9 +209,8 @@ impl Space {
         txn: Option<TxnId>,
         destructive: bool,
     ) -> SpaceResult<Option<Tuple>> {
-        let timed = Timed::start();
         let deadline = timeout.map(|d| Instant::now() + d);
-        let (result, parked) = match template.type_name() {
+        let result = match template.type_name() {
             Some(ty) => {
                 let (ty, shard) = self.shard_entry(ty);
                 let mut state = self.lock_shard(&shard);
@@ -248,33 +245,21 @@ impl Space {
                 outcome
             }
         };
-        let s = series();
         if let Ok(found) = &result {
             match (found, destructive) {
                 (Some(_), true) => self.stats.record_take(),
                 (Some(_), false) => self.stats.record_read(),
                 (None, _) => self.stats.record_miss(),
             }
-            // Recorded whether or not timing is enabled: the op already
-            // paid for a park/wake cycle, so two clock reads are noise.
-            if let Some(start) = parked {
-                let h = if destructive {
-                    &s.take_wait_us
-                } else {
-                    &s.read_wait_us
-                };
-                h.observe_duration(start.elapsed());
-            }
         }
-        timed.observe(if destructive { &s.take_us } else { &s.read_us });
         result
     }
 
     /// The park-and-retry loop behind both matchers: `attempt` looks for a
     /// match under `guard`, the lock `cond` pairs with; finding none, the
-    /// caller parks until woken or `deadline`, then looks once more. Also
-    /// returns when the caller first parked, if it did. `waiters`, when
-    /// given, counts the parked threads for the writer's notify skip.
+    /// caller parks until woken or `deadline`, then looks once more.
+    /// `waiters`, when given, counts the parked threads for the writer's
+    /// notify skip.
     fn park_until_match<T>(
         &self,
         guard: &mut MutexGuard<'_, T>,
@@ -283,24 +268,22 @@ impl Space {
         deadline: Option<Instant>,
         txn: Option<TxnId>,
         mut attempt: impl FnMut(&mut T) -> Option<Tuple>,
-    ) -> (SpaceResult<Option<Tuple>>, Option<Instant>) {
-        let mut parked = None;
+    ) -> SpaceResult<Option<Tuple>> {
+        let mut parked = false;
         loop {
             if self.is_closed() {
-                return (Err(SpaceError::Closed), parked);
+                return Err(SpaceError::Closed);
             }
-            if let Err(e) = self.check_active(txn) {
-                return (Err(e), parked);
-            }
+            self.check_active(txn)?;
             if let Some(tuple) = attempt(&mut **guard) {
-                return (Ok(Some(tuple)), parked);
+                return Ok(Some(tuple));
             }
             if deadline.is_some_and(|d| Instant::now() >= d) {
-                return (Ok(None), parked);
+                return Ok(None);
             }
-            if parked.is_none() {
+            if !parked {
                 self.stats.record_blocked_wait();
-                parked = Some(Instant::now());
+                parked = true;
             }
             if let Some(w) = waiters {
                 w.fetch_add(1, Ordering::SeqCst);

@@ -15,14 +15,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use acc_telemetry::Timed;
-
 use super::shard::{LockState, ShardState};
 use super::{EntryId, Space};
 use crate::error::{SpaceError, SpaceResult};
 use crate::journal::{self, Op};
 use crate::lease::Lease;
-use crate::stats::series;
 use crate::template::Template;
 use crate::tuple::Tuple;
 
@@ -223,7 +220,6 @@ impl Space {
     }
 
     fn finish_txn(&self, id: TxnId, commit: bool) -> SpaceResult<()> {
-        let timed = Timed::start();
         let rec = self
             .txns
             .lock()
@@ -327,7 +323,6 @@ impl Space {
             self.notify_shard(&shard);
         }
         self.notify_wildcard_waiters();
-        timed.observe(&series().txn_finish_us);
         Ok(())
     }
 }

@@ -2,47 +2,30 @@
 //!
 //! Every space keeps its own [`SpaceStats`] atomics (so tests and callers
 //! can assert on one space's traffic via [`SpaceStats::snapshot`]), and
-//! every recording *also* bumps the process-wide series in
-//! [`acc_telemetry::registry`] under `space.*` names — the unified view
-//! the rest of the stack (bench harness, examples, Prometheus-style
-//! exposition) reads. Latency histograms live only in the registry:
-//! latencies are a property of the deployment, not of one space handle.
+//! the recordings the benchmark's layer table reads *also* bump the
+//! process-wide series in [`acc_telemetry::registry`] under `space.*`
+//! names.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use acc_telemetry::{registry, Counter, Histogram};
+use acc_telemetry::{registry, Counter};
 
-/// The global `space.*` series every [`SpaceStats`] records into.
-pub(crate) struct SpaceSeries {
+/// The global `space.*` series every [`SpaceStats`] records into: the
+/// counts the benchmark's layer table reads.
+struct SpaceSeries {
     writes: Arc<Counter>,
     reads: Arc<Counter>,
     takes: Arc<Counter>,
-    misses: Arc<Counter>,
     blocked_waits: Arc<Counter>,
-    expired: Arc<Counter>,
-    txns_committed: Arc<Counter>,
-    txns_aborted: Arc<Counter>,
     bytes_written: Arc<Counter>,
     shard_contention: Arc<Counter>,
     index_hits: Arc<Counter>,
     index_misses: Arc<Counter>,
-    /// Full write-op latency (timing-gated).
-    pub write_us: Arc<Histogram>,
-    /// Full read-op latency, including any blocking (timing-gated).
-    pub read_us: Arc<Histogram>,
-    /// Full take-op latency, including any blocking (timing-gated).
-    pub take_us: Arc<Histogram>,
-    /// Time read ops spent parked waiting for a match (always recorded).
-    pub read_wait_us: Arc<Histogram>,
-    /// Time take ops spent parked waiting for a match (always recorded).
-    pub take_wait_us: Arc<Histogram>,
-    /// Transaction commit/abort fix-up latency (timing-gated).
-    pub txn_finish_us: Arc<Histogram>,
 }
 
 /// The lazily registered global series (one set per process).
-pub(crate) fn series() -> &'static SpaceSeries {
+fn series() -> &'static SpaceSeries {
     static SERIES: OnceLock<SpaceSeries> = OnceLock::new();
     SERIES.get_or_init(|| {
         let r = registry();
@@ -50,21 +33,11 @@ pub(crate) fn series() -> &'static SpaceSeries {
             writes: r.counter("space.write.count"),
             reads: r.counter("space.read.count"),
             takes: r.counter("space.take.count"),
-            misses: r.counter("space.miss.count"),
             blocked_waits: r.counter("space.blocked_waits"),
-            expired: r.counter("space.expired.count"),
-            txns_committed: r.counter("space.txn.commit"),
-            txns_aborted: r.counter("space.txn.abort"),
             bytes_written: r.counter("space.bytes_written"),
             shard_contention: r.counter("space.shard_contention"),
             index_hits: r.counter("space.index.hits"),
             index_misses: r.counter("space.index.misses"),
-            write_us: r.histogram("space.write.us"),
-            read_us: r.histogram("space.read.us"),
-            take_us: r.histogram("space.take.us"),
-            read_wait_us: r.histogram("space.read.wait_us"),
-            take_wait_us: r.histogram("space.take.wait_us"),
-            txn_finish_us: r.histogram("space.txn.finish_us"),
         }
     })
 }
@@ -150,7 +123,6 @@ impl SpaceStats {
     #[inline]
     pub(crate) fn record_miss(&self) {
         bump(&self.misses);
-        series().misses.inc();
     }
 
     /// Records one operation blocking for a match.
@@ -164,19 +136,16 @@ impl SpaceStats {
     #[inline]
     pub(crate) fn record_expired(&self, n: u64) {
         self.expired.fetch_add(n, Ordering::Relaxed);
-        series().expired.add(n);
     }
 
     /// Records a transaction finishing.
     #[inline]
     pub(crate) fn record_txn_finished(&self, commit: bool) {
-        if commit {
-            bump(&self.txns_committed);
-            series().txns_committed.inc();
+        bump(if commit {
+            &self.txns_committed
         } else {
-            bump(&self.txns_aborted);
-            series().txns_aborted.inc();
-        }
+            &self.txns_aborted
+        });
     }
 
     /// Records a contended shard-lock acquisition.

@@ -1,5 +1,5 @@
 //! Acceptance test for the cluster view: a master and two remote workers,
-//! `/cluster` reporting both with load history from the monitor's SNMP
+//! `/cluster.json` reporting both with load history from the monitor's SNMP
 //! polls and results and compute histograms from the result tuples, and an
 //! artificially slowed worker flagged as a straggler and excluded through
 //! the load the observer hands the monitor.
@@ -13,6 +13,7 @@ use adaptive_spaces::framework::{
     TaskSpec, WorkerState,
 };
 use adaptive_spaces::space::Payload;
+use adaptive_spaces::telemetry::Json;
 
 /// Adds one to each input. The executor sleeps per task, much longer on
 /// any worker whose thread name marks it slow — worker threads are named
@@ -57,26 +58,15 @@ impl Application for SkewedApp {
     }
 }
 
-fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
+/// GETs a JSON route and parses its body.
+fn get_json(addr: std::net::SocketAddr, path: &str) -> Json {
     use std::io::{Read, Write};
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
     write!(stream, "GET {path} HTTP/1.0\r\n\r\n").unwrap();
     let mut out = String::new();
     stream.read_to_string(&mut out).unwrap();
-    out
-}
-
-/// Pulls `"key":<int>` out of the worker's JSON object — enough of a
-/// parser for the fields this test asserts on.
-fn json_int_after(json: &str, anchor: &str, key: &str) -> Option<i64> {
-    let at = json.find(anchor)?;
-    let rest = &json[at..];
-    let kat = rest.find(&format!("\"{key}\":"))?;
-    let num = &rest[kat + key.len() + 3..];
-    let end = num
-        .find(|c: char| !c.is_ascii_digit() && c != '-')
-        .unwrap_or(num.len());
-    num[..end].parse().ok()
+    let (_, body) = out.split_once("\r\n\r\n").expect("header block");
+    Json::parse(body).unwrap_or_else(|e| panic!("{path}: {e}: {body}"))
 }
 
 #[test]
@@ -127,15 +117,15 @@ fn federation_reports_both_workers_and_excludes_the_straggler() {
 
     // Task-level attribution: both workers carry a non-empty compute
     // histogram, and the results attributed to them are the job's.
-    let json = http_get(addr, "/cluster.json");
+    let json = get_json(addr, "/cluster.json");
     let mut tasks_done = 0;
     for worker in ["fast-0", "slow-1"] {
-        let anchor = format!("\"{worker}\"");
-        let count = json_int_after(&json, &anchor, "count").unwrap_or(0);
+        let row = &json["workers"][worker];
+        let count = row["compute_us"]["count"].as_u64().unwrap_or(0);
         assert!(count > 0, "{worker} has no compute samples: {json}");
-        tasks_done += json_int_after(&json, &anchor, "tasks_done").unwrap_or(0);
+        tasks_done += row["tasks_done"].as_u64().unwrap_or(0);
         // SNMP polls fill the load history.
-        let history = json_int_after(&json, &anchor, "history_samples").unwrap_or(0);
+        let history = row["history_samples"].as_u64().unwrap_or(0);
         assert!(history >= 3, "{worker} has {history} samples: {json}");
     }
     assert_eq!(tasks_done, 150, "{json}");
@@ -145,10 +135,8 @@ fn federation_reports_both_workers_and_excludes_the_straggler() {
     let fast_load = cluster.workers()[0].node.load();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let json = http_get(addr, "/cluster.json");
-        let fw_last = json
-            .find("\"fast-0\"")
-            .and_then(|at| json_int_after(&json[at..], "\"framework_load\"", "last"));
+        let json = get_json(addr, "/cluster.json");
+        let fw_last = json["workers"]["fast-0"]["framework_load"]["last"].as_i64();
         let own = fast_load.framework_effective() as i64;
         if own > 0 && fw_last == Some(own) {
             break;
@@ -159,15 +147,16 @@ fn federation_reports_both_workers_and_excludes_the_straggler() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    // The text rendering covers both workers too.
-    let text = http_get(addr, "/cluster");
-    assert!(text.contains("fast-0") && text.contains("slow-1"), "{text}");
 
     // The slowed worker's compute p99 is far beyond 2x the cluster
     // median: it must be flagged.
     let observer = cluster.cluster_observer();
     assert_eq!(observer.stragglers(), vec!["slow-1".to_owned()]);
-    assert!(json.contains("\"stragglers\":[\"slow-1\"]"), "{json}");
+    assert_eq!(
+        json["stragglers"],
+        ["slow-1"].into_iter().collect(),
+        "{json}"
+    );
 
     // ... and excluded: the monitor keeps polling, the observer hands it
     // the straggler's load as saturated, and the inference engine orders

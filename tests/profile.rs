@@ -15,7 +15,7 @@ use adaptive_spaces::framework::{
     WorkerState,
 };
 use adaptive_spaces::space::Payload;
-use adaptive_spaces::telemetry::{flight, registry, TraceAssembler};
+use adaptive_spaces::telemetry::{flight, registry, Json, TraceAssembler};
 
 /// Inputs at or above this are "filler" tasks: they return immediately
 /// instead of sleeping. Remote workers are bound to the job installed
@@ -76,26 +76,15 @@ impl Application for SkewedApp {
     }
 }
 
-fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
+/// GETs a JSON route and parses its body.
+fn get_json(addr: std::net::SocketAddr, path: &str) -> Json {
     use std::io::{Read, Write};
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
     write!(stream, "GET {path} HTTP/1.0\r\n\r\n").unwrap();
     let mut out = String::new();
     stream.read_to_string(&mut out).unwrap();
-    out
-}
-
-/// Pulls `"key":<int>` out of the JSON following `anchor` — enough of a
-/// parser for the fields this test asserts on.
-fn json_int_after(json: &str, anchor: &str, key: &str) -> Option<i64> {
-    let at = json.find(anchor)?;
-    let rest = &json[at..];
-    let kat = rest.find(&format!("\"{key}\":"))?;
-    let num = &rest[kat + key.len() + 3..];
-    let end = num
-        .find(|c: char| !c.is_ascii_digit() && c != '-')
-        .unwrap_or(num.len());
-    num[..end].parse().ok()
+    let (_, body) = out.split_once("\r\n\r\n").expect("header block");
+    Json::parse(body).unwrap_or_else(|e| panic!("{path}: {e}: {body}"))
 }
 
 #[test]
@@ -160,7 +149,7 @@ fn profile_names_the_straggler_and_retention_outlives_ring_overflow() {
     // (the fast worker can snatch the last task while the slow one is
     // mid-task), so allow a few runs; each rerun of the same job name
     // resets its profile. The expected outcome dominates every run.
-    let mut profile_json = String::new();
+    let mut profile = Json::Null;
     let mut ok = false;
     for _attempt in 0..3 {
         app.total = 0;
@@ -169,12 +158,12 @@ fn profile_names_the_straggler_and_retention_outlives_ring_overflow() {
         assert_eq!(report.results_collected, 80);
         assert_eq!(app.total, (1..=80u64).sum::<u64>());
 
-        profile_json = http_get(addr, "/profile.json");
-        let wall_us = json_int_after(&profile_json, "\"skewed\"", "wall_ms").unwrap_or(0) * 1000;
-        let total_us = json_int_after(&profile_json, "critical_path", "total_us").unwrap_or(0);
+        profile = get_json(addr, "/profile.json");
+        let wall_us = profile["wall_ms"].as_i64().unwrap_or(0) * 1000;
+        let total_us = profile["critical_path"]["total_us"].as_i64().unwrap_or(0);
         let reconciles = wall_us > 0 && (total_us - wall_us).abs() <= wall_us / 10;
-        if profile_json.contains("\"verdict\":\"straggler-bound\"")
-            && profile_json.contains("\"critical_path\":{\"worker\":\"slow-1\"")
+        if profile["verdict"].as_str() == Some("straggler-bound")
+            && profile["critical_path"]["worker"].as_str() == Some("slow-1")
             && reconciles
             && !flight::retained_traces().is_empty()
         {
@@ -182,42 +171,36 @@ fn profile_names_the_straggler_and_retention_outlives_ring_overflow() {
             break;
         }
         eprintln!(
-            "attempt missed: wall_us={wall_us} total_us={total_us} retained={} — {profile_json}",
+            "attempt missed: wall_us={wall_us} total_us={total_us} retained={} — {profile}",
             flight::retained_traces().len()
         );
     }
-    assert!(ok, "no run produced the expected profile: {profile_json}");
+    assert!(ok, "no run produced the expected profile: {profile}");
 
     // The winning profile's shape: all 80 results folded in, no errors,
     // a finished job, raw phase totals carrying the compute skew
     // (every task sleeps at least 6 ms), and a non-empty bounding chain
     // attributed to the slow worker.
+    assert_eq!(profile["job"].as_str(), Some("skewed"), "{profile}");
+    assert_eq!(profile["tasks"].as_u64(), Some(80), "{profile}");
+    assert_eq!(profile["errors"].as_u64(), Some(0), "{profile}");
+    assert_eq!(profile["finished"].as_bool(), Some(true), "{profile}");
     assert!(
-        json_int_after(&profile_json, "\"skewed\"", "tasks") == Some(80),
-        "{profile_json}"
+        profile["phases"]["compute_us"].as_u64().unwrap_or(0) >= 480_000,
+        "{profile}"
     );
+    let segments = profile["critical_path"]["segments"]
+        .as_array()
+        .unwrap_or_default();
     assert!(
-        json_int_after(&profile_json, "\"skewed\"", "errors") == Some(0),
-        "{profile_json}"
+        segments.iter().any(|s| s["task"].as_u64().is_some()),
+        "critical path has no task segments: {profile}"
     );
-    assert!(profile_json.contains("\"finished\":true"), "{profile_json}");
-    assert!(
-        json_int_after(&profile_json, "phases", "compute_us").unwrap_or(0) >= 480_000,
-        "{profile_json}"
-    );
-    assert!(
-        profile_json.contains("\"task\":"),
-        "critical path has no task segments: {profile_json}"
-    );
-    // The human waterfall names the same bound.
-    let text = http_get(addr, "/profile");
-    assert!(text.contains("verdict: straggler-bound"), "{text}");
-    assert!(text.contains("critical path (worker slow-1"), "{text}");
     // The flight occupancy satellite reports through /cluster.json.
-    let cluster_json = http_get(addr, "/cluster.json");
+    let view = get_json(addr, "/cluster.json");
     assert!(
-        cluster_json.contains("\"flight\":{\"dropped_events\":"),
-        "{cluster_json}"
+        view["flight"]["dropped_events"].as_u64().is_some(),
+        "{view}"
     );
 
     // Tail retention: the slow job's trace ids are pinned. Flood the
