@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the telemetry substrate itself — the point is to
 //! prove the instrumentation is cheap enough to leave in hot paths.
 //!
-//! The contract: with no trace sink active, `span!`/`event!` cost a
+//! The contract: with the flight recorder off, `span!`/`event!` cost a
 //! relaxed atomic load and a branch (single-digit nanoseconds); counters
 //! and histograms are a relaxed fetch_add; with the flight recorder on —
 //! as every `ClusterBuilder` deployment has it — a recorded event stays
@@ -15,8 +15,8 @@ use acc_telemetry::{event, registry, span, Histogram, Json};
 
 fn bench_disabled_tracing(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry/disabled");
-    // No subscriber is installed in this process, so these measure the
-    // permanent cost instrumented code pays in production hot paths.
+    // The flight recorder is not yet installed in this process, so these
+    // measure what an instrumented site costs with tracing off.
     group.bench_function("event", |b| {
         b.iter(|| event!("bench.event", task_id = 42u64, job = "bench"));
     });

@@ -83,8 +83,6 @@ impl ClusterBuilder {
     /// service, registers the space with the federation, and starts the
     /// network management module.
     pub fn build(self) -> AdaptiveCluster {
-        // Honor `ACC_TRACE` for a stderr trace subscriber.
-        acc_telemetry::init_from_env();
         // The flight recorder is always on under cluster management: a
         // bounded per-thread ring whose contents surface in `/spans` and in
         // `flight-<pid>.json` should the process panic.

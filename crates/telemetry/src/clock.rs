@@ -5,7 +5,7 @@
 //! vDSO's `clock_gettime` (counter read, seqlock, scaling — ~30 ns on
 //! the reference host) while writing the record itself takes ~10 ns. So
 //! the recorder stamps records with raw *ticks* and converts to
-//! microseconds only when somebody reads them (a dump, a subscriber):
+//! microseconds only when somebody reads them (a dump):
 //!
 //! * on x86-64 Linux hosts whose kernel itself keeps time by the TSC
 //!   (`current_clocksource` is `tsc`, i.e. the kernel has verified the

@@ -440,12 +440,12 @@ mod tests {
     fn assembler_builds_ancestry_across_processes() {
         let mut asm = TraceAssembler::new();
         // "Process A": the master's root span and its wire call.
-        let master = r#"{"thread":"main","kind":"enter","name":"master.dispatch","trace":"7","span":"64","parent":"0","depth":0,"t_us":0}
-{"thread":"main","kind":"enter","name":"remote.take","trace":"7","span":"65","parent":"64","depth":1,"t_us":1}
+        let master = r#"{"thread":"main","kind":"enter","name":"master.dispatch","trace":"7","span":"64","parent":"0","t_us":0}
+{"thread":"main","kind":"enter","name":"remote.take","trace":"7","span":"65","parent":"64","t_us":1}
 "#;
         assert_eq!(asm.add_flight_json("a", master), 2);
         // "Process B": the server-side handler, as a flight dump line.
-        let dump = r#"{"thread":"svc-1","kind":"enter","name":"space.serve","trace":"7","span":"66","parent":"65","depth":0,"t_us":10}
+        let dump = r#"{"thread":"svc-1","kind":"enter","name":"space.serve","trace":"7","span":"66","parent":"65","t_us":10}
 "#;
         assert_eq!(asm.add_flight_json("b", dump), 1);
         assert_eq!(asm.traces(), vec![7]);
@@ -468,10 +468,10 @@ mod tests {
         // died mid-flight: only the worker's *child* spans made it into a
         // dump, the worker.task span that parented them never did.
         let mut asm = TraceAssembler::new();
-        let master = r#"{"thread":"main","kind":"enter","name":"master.dispatch","trace":"9","span":"1","parent":"0","depth":0,"t_us":0}
+        let master = r#"{"thread":"main","kind":"enter","name":"master.dispatch","trace":"9","span":"1","parent":"0","t_us":0}
 "#;
-        let dead_worker = r#"{"thread":"acc-worker-w0","kind":"enter","name":"worker.compute","trace":"9","span":"30","parent":"20","depth":1,"t_us":50}
-{"thread":"acc-worker-w0","kind":"enter","name":"worker.result.write","trace":"9","span":"31","parent":"30","depth":2,"t_us":90}
+        let dead_worker = r#"{"thread":"acc-worker-w0","kind":"enter","name":"worker.compute","trace":"9","span":"30","parent":"20","t_us":50}
+{"thread":"acc-worker-w0","kind":"enter","name":"worker.result.write","trace":"9","span":"31","parent":"30","t_us":90}
 "#;
         assert_eq!(asm.add_flight_json("master", master), 1);
         assert_eq!(asm.add_flight_json("w0", dead_worker), 2);
@@ -505,8 +505,8 @@ mod tests {
     #[test]
     fn complete_trace_renders_without_orphan_section() {
         let mut asm = TraceAssembler::new();
-        let dump = r#"{"thread":"t","kind":"enter","name":"root","trace":"5","span":"1","parent":"0","depth":0,"t_us":0}
-{"thread":"t","kind":"enter","name":"leaf","trace":"5","span":"2","parent":"1","depth":1,"t_us":1}
+        let dump = r#"{"thread":"t","kind":"enter","name":"root","trace":"5","span":"1","parent":"0","t_us":0}
+{"thread":"t","kind":"enter","name":"leaf","trace":"5","span":"2","parent":"1","t_us":1}
 "#;
         assert_eq!(asm.add_flight_json("p", dump), 2);
         assert!(asm.orphans(5).is_empty());
@@ -519,10 +519,10 @@ mod tests {
     #[test]
     fn exit_records_fold_durations_into_spans() {
         let mut asm = TraceAssembler::new();
-        let dump = r#"{"thread":"t","kind":"enter","name":"root","trace":"5","span":"1","parent":"0","depth":0,"t_us":0}
-{"thread":"t","kind":"enter","name":"leaf","trace":"5","span":"2","parent":"1","depth":1,"t_us":10}
-{"thread":"t","kind":"exit","name":"leaf","trace":"5","span":"2","parent":"1","depth":1,"t_us":40,"elapsed_us":30}
-{"thread":"t","kind":"exit","name":"missing","trace":"5","span":"9","parent":"0","depth":0,"t_us":50,"elapsed_us":99}
+        let dump = r#"{"thread":"t","kind":"enter","name":"root","trace":"5","span":"1","parent":"0","t_us":0}
+{"thread":"t","kind":"enter","name":"leaf","trace":"5","span":"2","parent":"1","t_us":10}
+{"thread":"t","kind":"exit","name":"leaf","trace":"5","span":"2","parent":"1","t_us":40,"elapsed_us":30}
+{"thread":"t","kind":"exit","name":"missing","trace":"5","span":"9","parent":"0","t_us":50,"elapsed_us":99}
 "#;
         assert_eq!(asm.add_flight_json("p", dump), 2);
         assert_eq!(asm.find("leaf").unwrap().elapsed_us, 30);
@@ -532,9 +532,9 @@ mod tests {
     #[test]
     fn a_dump_cut_mid_line_still_yields_every_complete_line() {
         let dump = r#"{"pid":1,"dropped":0,"retained":[],"events":[
-{"thread":"t","kind":"enter","name":"root","trace":"5","span":"1","parent":"0","depth":0,"t_us":0},
-{"thread":"t","kind":"enter","name":"leaf","trace":"5","span":"2","parent":"1","depth":1,"t_us":1},
-{"thread":"t","kind":"enter","name":"cut","trace":"5","span":"3","parent":"1","depth":1,"t_us":2}
+{"thread":"t","kind":"enter","name":"root","trace":"5","span":"1","parent":"0","t_us":0},
+{"thread":"t","kind":"enter","name":"leaf","trace":"5","span":"2","parent":"1","t_us":1},
+{"thread":"t","kind":"enter","name":"cut","trace":"5","span":"3","parent":"1","t_us":2}
 ]}
 "#;
         let crash = dump.find("\"cut\"").expect("the last record");
@@ -547,7 +547,7 @@ mod tests {
     #[test]
     fn flight_parser_survives_hostile_names() {
         let mut asm = TraceAssembler::new();
-        let dump = r#"{"thread":"we\"ird\\thread","kind":"enter","name":"x","trace":"1","span":"2","parent":"0","depth":0,"t_us":0}
+        let dump = r#"{"thread":"we\"ird\\thread","kind":"enter","name":"x","trace":"1","span":"2","parent":"0","t_us":0}
 not json at all
 {"thread":"we\"ird\\thread","kind":"event","name":"ignored","trace":"1","span":"3"}
 "#;

@@ -1,9 +1,9 @@
 //! The flight recorder: an always-on, bounded ring of the last N trace
-//! records per thread, cheap enough to leave installed in production.
+//! records per thread, cheap enough to leave installed in production. It
+//! is where every [`span!`](crate::span) and [`event!`](crate::event)
+//! goes, and [`install`] is what turns them on.
 //!
-//! Unlike the test-only [`RingBufferSubscriber`](crate::RingBufferSubscriber)
-//! — one global ring of owned events behind one mutex — the flight
-//! recorder keeps one ring *per thread*, reached through a thread-local
+//! Each thread records into its own ring, reached through a thread-local
 //! handle, and a record is twelve machine words written in place: no
 //! allocation, no lock, no read-modify-write instruction (see
 //! [`slot`](self::slot) for the layout and the publication protocol). The
@@ -46,7 +46,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use crate::clock::Scale;
 use crate::json::Json;
 use crate::registry::registry;
-use crate::trace::{FieldRef, FieldValue};
+use crate::trace::FieldRef;
 
 use self::slot::{Ring, Slot, Snapshot};
 
@@ -79,8 +79,6 @@ pub(crate) struct Parts<'a> {
     /// Field names and values, paired by position.
     pub(crate) keys: &'static [&'static str],
     pub(crate) values: &'a [FieldRef<'a>],
-    /// Span nesting depth on the emitting thread.
-    pub(crate) depth: usize,
     pub(crate) trace_id: u64,
     pub(crate) span_id: u64,
     pub(crate) parent_span_id: u64,
@@ -98,7 +96,7 @@ mod slot {
     use std::sync::atomic::{fence, AtomicU64, Ordering};
     use std::sync::OnceLock;
 
-    use super::{FieldRef, FieldValue, Parts, RecordKind, DEFAULT_CAPACITY};
+    use super::{FieldRef, Parts, RecordKind, DEFAULT_CAPACITY};
 
     /// Fields a slot holds in place: what every per-task record needs.
     const INLINE_FIELDS: usize = 2;
@@ -108,8 +106,7 @@ mod slot {
     pub(super) const INLINE_STR_LEN: usize = 14;
 
     // Word indices. `META` packs the name's length (bits 0..32), the
-    // kind (32..40), the field count (40..48) and the span depth
-    // (48..64, saturating).
+    // kind (32..40) and the field count (40..48).
     const NAME_PTR: usize = 0;
     const META: usize = 1;
     const TRACE: usize = 2;
@@ -180,18 +177,19 @@ mod slot {
         })
     }
 
-    fn unpack_value(words: [u64; 2]) -> FieldValue {
+    /// One inline field's dump text.
+    fn unpack_value(words: [u64; 2]) -> String {
         let mut buf = [0u8; 16];
         buf[..8].copy_from_slice(&words[0].to_le_bytes());
         buf[8..].copy_from_slice(&words[1].to_le_bytes());
         match buf[0] {
-            TAG_I64 => FieldValue::I64(words[1] as i64),
-            TAG_U64 => FieldValue::U64(words[1]),
-            TAG_F64 => FieldValue::F64(f64::from_bits(words[1])),
-            TAG_BOOL => FieldValue::Bool(words[1] != 0),
+            TAG_I64 => FieldRef::I64(words[1] as i64).to_string(),
+            TAG_U64 => FieldRef::U64(words[1]).to_string(),
+            TAG_F64 => FieldRef::F64(f64::from_bits(words[1])).to_string(),
+            TAG_BOOL => FieldRef::Bool(words[1] != 0).to_string(),
             _ => {
                 let len = usize::from(buf[1]).min(INLINE_STR_LEN);
-                FieldValue::Str(String::from_utf8_lossy(&buf[2..2 + len]).into_owned())
+                String::from_utf8_lossy(&buf[2..2 + len]).into_owned()
             }
         }
     }
@@ -254,10 +252,7 @@ mod slot {
             let name_len = parts.name.len().min(u32::MAX as usize) as u64;
             self.store(
                 META,
-                name_len
-                    | (parts.kind as u64) << 32
-                    | (count as u64) << 40
-                    | (parts.depth.min(usize::from(u16::MAX)) as u64) << 48,
+                name_len | (parts.kind as u64) << 32 | (count as u64) << 40,
             );
             self.store(TRACE, parts.trace_id);
             self.store(SPAN, parts.span_id);
@@ -320,10 +315,6 @@ mod slot {
             self.0[PARENT]
         }
 
-        pub(super) fn depth(&self) -> u64 {
-            self.0[META] >> 48
-        }
-
         pub(super) fn ticks(&self) -> u64 {
             self.0[TICKS]
         }
@@ -337,8 +328,8 @@ mod slot {
             field_count(self.0[META]) == SPILLED
         }
 
-        /// The fields held in place (none for a spilled record).
-        pub(super) fn inline_fields(&self) -> Vec<(&'static str, FieldValue)> {
+        /// The fields held in place, as text (none for a spilled record).
+        pub(super) fn inline_fields(&self) -> Vec<(&'static str, String)> {
             if self.spilled() {
                 return Vec::new();
             }
@@ -515,8 +506,8 @@ mod slot {
 /// per-thread side list at the cost of an allocation.
 pub const INLINE_STR_LEN: usize = slot::INLINE_STR_LEN;
 
-/// A field set that did not fit its slot.
-type SpilledFields = Box<[(&'static str, FieldValue)]>;
+/// A field set that did not fit its slot, as the text a dump shows.
+type SpilledFields = Box<[(&'static str, String)]>;
 
 /// Spilled field sets by record number, oldest first — one list per ring.
 #[derive(Default)]
@@ -575,7 +566,8 @@ struct Recorder {
 }
 
 static RECORDER: OnceLock<Recorder> = OnceLock::new();
-static FLIGHT_ON: AtomicBool = AtomicBool::new(false);
+/// Whether the recorder is on: the one switch for every span and event.
+static ON: AtomicBool = AtomicBool::new(false);
 static THREAD_SEQ: AtomicUsize = AtomicUsize::new(0);
 static DUMP_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
 static PANIC_HOOK: OnceLock<()> = OnceLock::new();
@@ -641,20 +633,20 @@ pub fn install() {
         threads: Mutex::new(Vec::new()),
         dropped: registry().counter("telemetry.flight.dropped_events"),
     });
-    FLIGHT_ON.store(true, Ordering::Release);
-    crate::trace::set_flight_active(true);
+    ON.store(true, Ordering::Release);
 }
 
-/// True while the recorder is on.
+/// True while the recorder is on. [`crate::trace::enabled`] is this.
+#[inline]
 pub fn installed() -> bool {
-    FLIGHT_ON.load(Ordering::Relaxed)
+    ON.load(Ordering::Relaxed)
 }
 
-/// Turns the recorder off. Retained records stay dumpable until
-/// [`clear`].
+/// Turns the recorder off: `span!` and `event!` record nothing from now
+/// on (a span entered before still records its exit). Retained records
+/// stay dumpable until [`clear`].
 pub fn uninstall() {
-    crate::trace::set_flight_active(false);
-    FLIGHT_ON.store(false, Ordering::Release);
+    ON.store(false, Ordering::Release);
 }
 
 /// Empties every thread's rings — live and kept records, not
@@ -863,10 +855,10 @@ fn report_drops(count: u32) {
     }
 }
 
-/// Appends one record to the calling thread's ring. Called by the trace
-/// dispatcher with the record's parts still borrowed from the call site;
-/// unless the fields spill, nothing here allocates, locks, or executes an
-/// atomic read-modify-write.
+/// Appends one record to the calling thread's ring. Called by `span!`
+/// and `event!` with the record's parts still borrowed from the call
+/// site; unless the fields spill, nothing here allocates, locks, or
+/// executes an atomic read-modify-write.
 #[inline]
 pub(crate) fn record(parts: &Parts<'_>) {
     // An error means the thread is past its thread-local destructors:
@@ -891,14 +883,14 @@ pub(crate) fn record(parts: &Parts<'_>) {
     });
 }
 
-/// The slow end of [`record`]: the fields go to the spill list, owned.
+/// The slow end of [`record`]: the fields go to the spill list, as text.
 #[cold]
 fn publish_spilled(ring: &ThreadRing, number: u64, parts: &Parts<'_>) {
     let fields = parts
         .keys
         .iter()
         .zip(parts.values)
-        .map(|(key, value)| (*key, value.to_owned()))
+        .map(|(key, value)| (*key, value.to_string()))
         .collect();
     // Under the lock, so a dump sees the record and its fields together.
     let mut spill = lock(&ring.spill);
@@ -973,14 +965,13 @@ fn record_json(
         ("trace", hex(record.trace_id())),
         ("span", hex(record.span_id())),
         ("parent", hex(record.parent_span_id())),
-        ("depth", record.depth().into()),
         ("t_us", scale.since_start_us(record.ticks()).into()),
     ]);
     if record.kind() == RecordKind::Exit {
         out.insert("elapsed_us", scale.span_us(record.elapsed_ticks()).into());
     }
     let inline;
-    let fields: &[(&'static str, FieldValue)] = if record.spilled() {
+    let fields: &[(&'static str, String)] = if record.spilled() {
         let at = spilled.partition_point(|(n, _)| *n < number);
         match spilled.get(at) {
             Some((n, fields)) if *n == number => fields,
@@ -991,17 +982,28 @@ fn record_json(
         &inline
     };
     if !fields.is_empty() {
-        // Every field value is written as text, as a subscriber prints it.
-        let text = fields.iter().map(|(k, v)| {
-            let value = match v {
-                FieldValue::Str(s) => s.clone(),
-                other => other.to_string(),
-            };
-            (*k, Json::from(value))
-        });
+        let text = fields.iter().map(|(k, v)| (*k, Json::from(v.as_str())));
         out.insert("fields", Json::object(text));
     }
     out
+}
+
+/// The calling thread's live records as [`dump_json`] renders them,
+/// oldest first.
+#[cfg(test)]
+pub(crate) fn thread_records() -> Vec<Json> {
+    REGISTRATION.with(|registration| {
+        let Some(t) = registration.ring.get() else {
+            return Vec::new();
+        };
+        let scale = Scale::now();
+        let spill = lock(&t.spill);
+        t.live
+            .snapshot()
+            .iter()
+            .map(|(number, record)| record_json(&t.label, record, *number, &spill.live, &scale))
+            .collect()
+    })
 }
 
 /// Writes [`dump_json`] to `path` (atomically enough for forensics:
@@ -1052,7 +1054,7 @@ mod tests {
     use super::*;
     use crate::context::TraceAssembler;
     use crate::event;
-    use crate::TEST_EXCLUSIVE as EXCLUSIVE;
+    use crate::tests::Recording;
 
     /// The record objects of a dump, one per line.
     fn records(dump: &str) -> Vec<Json> {
@@ -1085,9 +1087,7 @@ mod tests {
 
     #[test]
     fn records_and_dumps_per_thread() {
-        let _guard = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-        install();
-        clear();
+        let _recording = Recording::start();
         {
             let _span = crate::span!("flight.main", job = "j\"1");
             crate::event!("flight.tick", n = 3u64);
@@ -1101,7 +1101,6 @@ mod tests {
             .join()
             .unwrap();
         let dump = dump_json();
-        uninstall();
 
         let mut asm = TraceAssembler::new();
         let added = asm.add_flight_json("me", &dump);
@@ -1115,7 +1114,6 @@ mod tests {
             fields_of(&records, "flight.tick"),
             [&text_fields(&[("n", "3")])]
         );
-        clear();
     }
 
     /// Field keys are free-form at every `span!` site: a field named
@@ -1123,9 +1121,7 @@ mod tests {
     /// span from the assembler.
     #[test]
     fn a_span_field_named_thread_keeps_its_span_and_thread_label() {
-        let _guard = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-        install();
-        clear();
+        let _recording = Recording::start();
         std::thread::Builder::new()
             .name("flight-real".into())
             .spawn(|| {
@@ -1135,26 +1131,21 @@ mod tests {
             .join()
             .unwrap();
         let dump = dump_json();
-        uninstall();
         let mut asm = TraceAssembler::new();
         asm.add_flight_json("me", &dump);
         let span = asm.find("flight.hijack").expect("the span survives");
         assert_eq!(span.thread, "flight-real");
-        clear();
     }
 
     #[test]
     fn overflow_drops_oldest_and_counts() {
-        let _guard = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-        install();
-        clear();
+        let _recording = Recording::start();
         let dropped = registry().counter("telemetry.flight.dropped_events");
         let before = dropped.get();
         let overflow = 3 * DROP_REPORT_BATCH as usize;
         for _ in 0..(DEFAULT_CAPACITY + overflow) {
             crate::event!("flight.spam");
         }
-        uninstall();
         assert_eq!(my_occupancy().live, DEFAULT_CAPACITY);
         // The counter trails by less than one batch per thread.
         assert!(
@@ -1167,10 +1158,7 @@ mod tests {
 
     #[test]
     fn retained_trace_survives_overflow_while_others_age_out() {
-        let _guard = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-        install();
-        clear();
-        clear_retained();
+        let _recording = Recording::start();
 
         // A "slow task" trace: a span plus an event, then flag it.
         let slow = crate::TraceContext::root();
@@ -1198,7 +1186,6 @@ mod tests {
         for _ in 0..(DEFAULT_CAPACITY * 2) {
             crate::event!("flight.noise");
         }
-        uninstall();
 
         let mine = my_occupancy();
         assert_eq!(mine.kept, 3, "retained records kept: {mine:?}");
@@ -1229,15 +1216,13 @@ mod tests {
             spans[0].elapsed_us
         );
 
-        clear();
         clear_retained();
         assert!(!is_retained(slow.trace_id));
     }
 
     #[test]
     fn retained_set_is_bounded_and_ignores_zero() {
-        let _guard = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-        clear_retained();
+        let _recording = Recording::start();
         retain_trace(0);
         assert!(retained_traces().is_empty());
         for id in 1..=(RETAINED_TRACE_CAPACITY as u64 + 10) {
@@ -1248,12 +1233,11 @@ mod tests {
         assert_eq!(ids[0], 11, "oldest flags forgotten first");
         retain_trace(11); // already present: no-op, no reorder
         assert_eq!(retained_traces().len(), RETAINED_TRACE_CAPACITY);
-        clear_retained();
     }
 
     #[test]
     fn dump_without_install_is_valid() {
-        // No EXCLUSIVE needed: read-only.
+        // No test lock needed: read-only.
         let dump = Json::parse(&dump_json()).unwrap();
         assert!(dump["events"].as_array().is_some(), "{dump}");
     }
@@ -1264,10 +1248,7 @@ mod tests {
     /// `TraceAssembler` rebuilds from the dump.
     #[test]
     fn wrapped_ring_and_kept_records_round_trip_with_exact_fields() {
-        let _guard = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-        install();
-        clear();
-        clear_retained();
+        let _recording = Recording::start();
 
         let long = "a long text value, \"quoted\" \\ and well over fourteen bytes — ünïcödé too";
         assert!(long.len() > INLINE_STR_LEN);
@@ -1299,7 +1280,6 @@ mod tests {
             crate::TraceContext::current().unwrap()
         };
         let dump = dump_json();
-        uninstall();
 
         let mine = my_occupancy();
         assert_eq!(mine.live, DEFAULT_CAPACITY);
@@ -1348,9 +1328,6 @@ mod tests {
         let live = asm.find("rt.live").expect("the newest span is in the dump");
         assert_eq!(live.span_id, newest.span_id);
         assert_eq!(live.trace_id, newest.trace_id);
-
-        clear();
-        clear_retained();
     }
 
     /// A stream of short-lived threads (the space grid's scatter helpers)
@@ -1358,9 +1335,7 @@ mod tests {
     /// share a slot budget, oldest out first, their records counted.
     #[test]
     fn rings_of_ended_threads_are_held_to_a_budget() {
-        let _guard = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-        install();
-        clear();
+        let _recording = Recording::start();
         let dropped = registry().counter("telemetry.flight.dropped_events");
         let before = dropped.get();
         // Two records fit a ring's first chunk, of 8 slots.
@@ -1376,7 +1351,6 @@ mod tests {
                 .join()
                 .unwrap();
         }
-        uninstall();
         let brief: Vec<String> = occupancy()
             .into_iter()
             .map(|o| o.thread)
@@ -1400,7 +1374,6 @@ mod tests {
             dropped.get() >= before + 2 * (threads - brief.len()) as u64,
             "freed rings' records count as dropped"
         );
-        clear();
     }
 
     /// Text values survive exactly at every length around the in-place
@@ -1408,9 +1381,7 @@ mod tests {
     /// characters included.
     #[test]
     fn text_fields_of_every_length_survive_exactly() {
-        let _guard = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-        install();
-        clear();
+        let _recording = Recording::start();
         let alphabet = "aé\"z\\9ü-Q\u{7f}xß.~m#";
         let texts: Vec<String> = (0..=INLINE_STR_LEN + 2)
             .map(|len| {
@@ -1433,37 +1404,36 @@ mod tests {
             event!("len.probe", len = len, text = text.as_str());
         }
         let records = records(&dump_json());
-        uninstall();
         let probes = fields_of(&records, "len.probe");
         for (len, text) in texts.iter().enumerate() {
             let want = text_fields(&[("len", &len.to_string()), ("text", text)]);
             assert!(probes.contains(&&want), "length {len}: {want} not in dump");
         }
-        clear();
     }
 
     /// Four threads record flat out while this one dumps, retains and
     /// un-retains: every dump must parse line by line into whole records
     /// (no torn names, ids or field sets), and every writer must end
-    /// with a full ring.
+    /// with a full ring. Each dump waits until every writer has written
+    /// a ring's worth since the last, so the dumps race full rings that
+    /// are being overwritten however the scheduler runs the threads.
     #[test]
     fn threads_record_while_one_dumps_and_retains() {
-        let _guard = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-        install();
-        clear();
-        clear_retained();
+        let _recording = Recording::start();
 
         const WRITERS: usize = 4;
-        // Writers start together and keep going until told to stop, so
-        // dumps overlap writes whatever the scheduler does.
+        // Loop iterations (three records each) that fill a ring.
+        const FILL: u64 = DEFAULT_CAPACITY as u64 / 3 + 1;
+        // Writers start together and keep going until told to stop.
         let start = std::sync::Barrier::new(WRITERS + 1);
         let stop = AtomicBool::new(false);
+        let progress: Vec<AtomicU64> = (0..WRITERS).map(|_| AtomicU64::new(0)).collect();
         let traces: Vec<crate::TraceContext> =
             (0..WRITERS).map(|_| crate::TraceContext::root()).collect();
         let long = "w".repeat(3 * INLINE_STR_LEN);
         let dumps = std::thread::scope(|scope| {
             for (w, trace) in traces.iter().enumerate() {
-                let (start, stop, long) = (&start, &stop, &long);
+                let (start, stop, long, done) = (&start, &stop, &long, &progress[w]);
                 std::thread::Builder::new()
                     .name(format!("flight-writer-{w}"))
                     .spawn_scoped(scope, move || {
@@ -1478,6 +1448,7 @@ mod tests {
                                 crate::event!("race.event", w = w, tag = "inline");
                             }
                             i += 1;
+                            done.store(i, Ordering::Relaxed);
                         }
                     })
                     .unwrap();
@@ -1485,7 +1456,11 @@ mod tests {
             start.wait();
             let mut dumps = Vec::new();
             for round in 0..12 {
-                retain_trace(traces[round % WRITERS].trace_id);
+                let target = (round + 1) * FILL;
+                while progress.iter().any(|p| p.load(Ordering::Relaxed) < target) {
+                    std::thread::yield_now();
+                }
+                retain_trace(traces[round as usize % WRITERS].trace_id);
                 dumps.push(dump_json());
                 if round % 3 == 2 {
                     clear_retained();
@@ -1494,7 +1469,6 @@ mod tests {
             stop.store(true, Ordering::Relaxed);
             dumps
         });
-        uninstall();
 
         let spilled = text_fields(&[("note", &long)]);
         let mut records = 0;
@@ -1534,8 +1508,5 @@ mod tests {
             writers.iter().all(|o| o.live == DEFAULT_CAPACITY),
             "{writers:?}"
         );
-
-        clear();
-        clear_retained();
     }
 }

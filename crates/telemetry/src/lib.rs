@@ -9,19 +9,17 @@
 //!   `/metrics.json` document;
 //! * [`json`] — the one JSON writer and parser every document goes
 //!   through;
-//! * [`trace`] — the structured-tracing facade: [`span!`]/[`event!`]
-//!   with key–value fields, thread-local span depth, and pluggable
-//!   [`Subscriber`]s (no-op default, stderr writer, ring-buffer capture
-//!   for tests);
+//! * [`trace`] — structured tracing: [`span!`]/[`event!`] with
+//!   key–value fields, recorded by the flight recorder while it is on;
 //! * [`context`] — distributed trace propagation: a thread-local
 //!   [`TraceContext`] every span inherits, serialisable across process
 //!   boundaries, plus the [`TraceAssembler`] that stitches per-process
 //!   dumps into one cross-process tree;
-//! * [`flight`] — the always-on bounded flight recorder (last N records
-//!   per thread, written in place without allocating or locking), dumped
-//!   on demand or from a panic hook, with tail-based trace retention for
-//!   slow or errored tasks; [`clock`] is the tick counter it stamps
-//!   records with;
+//! * [`flight`] — the always-on bounded flight recorder, the one sink of
+//!   every span and event (last N records per thread, written in place
+//!   without allocating or locking), dumped on demand or from a panic
+//!   hook, with tail-based trace retention for slow or errored tasks;
+//!   [`clock`] is the tick counter it stamps records with;
 //! * [`profile`] — per-job waterfall profiles: phase totals, the
 //!   reconstructed critical path, and a one-word bound verdict with its
 //!   evidence;
@@ -37,10 +35,10 @@
 //!
 //! * counters and histograms record through relaxed atomics — no locks,
 //!   no allocation;
-//! * with no trace sink active, `span!`/`event!` cost one relaxed
+//! * with the flight recorder off, `span!`/`event!` cost one relaxed
 //!   atomic load and a branch (single-digit nanoseconds) and build no
-//!   fields; with the flight recorder on, a record is one tick-counter
-//!   read and at most twelve plain stores.
+//!   fields; with it on, a record is one tick-counter read and at most
+//!   twelve plain stores.
 //!
 //! Like the `shim-*` crates, this crate depends on nothing outside `std`.
 //!
@@ -72,12 +70,41 @@ pub use json::Json;
 pub use profile::{BoundVerdict, CriticalPath, JobProfile, PathSegment, PhaseTotals, ShardPhase};
 pub use registry::{refresh_process_series, registry, Counter, Gauge, Registry, Snapshot};
 pub use ring::{HistoryRing, RingSample, RingStats, SortedWindow, DEFAULT_DEPTH};
-pub use trace::{
-    init_from_env, install, uninstall, RingBufferSubscriber, StderrSubscriber, Subscriber,
-    TraceEvent, TraceKind,
-};
 
-/// Serialises tests (here and across modules) that mutate process-global
-/// trace state: subscriber installation and the flight-recorder bit.
+/// Test support shared by the modules' tests.
 #[cfg(test)]
-pub(crate) static TEST_EXCLUSIVE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+mod tests {
+    use crate::flight;
+
+    /// Serialises tests that mutate process-global trace state: the
+    /// flight recorder's switch, its rings and the retained set.
+    pub(crate) static TEST_EXCLUSIVE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// A test's hold on the flight recorder: [`TEST_EXCLUSIVE`], with the
+    /// recorder installed and emptied and no trace retained. Dropping it —
+    /// also while a failed assertion unwinds — turns the recorder off and
+    /// empties it again, so no test leaves it on for the next.
+    pub(crate) struct Recording {
+        _exclusive: std::sync::MutexGuard<'static, ()>,
+    }
+
+    impl Recording {
+        pub(crate) fn start() -> Recording {
+            let exclusive = TEST_EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
+            flight::install();
+            flight::clear();
+            flight::clear_retained();
+            Recording {
+                _exclusive: exclusive,
+            }
+        }
+    }
+
+    impl Drop for Recording {
+        fn drop(&mut self) {
+            flight::uninstall();
+            flight::clear();
+            flight::clear_retained();
+        }
+    }
+}

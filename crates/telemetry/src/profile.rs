@@ -472,14 +472,14 @@ mod tests {
     #[test]
     fn span_critical_path_follows_longest_children() {
         let mut asm = TraceAssembler::new();
-        let dump = r#"{"thread":"t","kind":"enter","name":"job","trace":"a","span":"1","parent":"0","depth":0,"t_us":0}
-{"thread":"t","kind":"enter","name":"fast.task","trace":"a","span":"2","parent":"1","depth":1,"t_us":5}
-{"thread":"t","kind":"enter","name":"slow.task","trace":"a","span":"3","parent":"1","depth":1,"t_us":6}
-{"thread":"t","kind":"enter","name":"slow.compute","trace":"a","span":"4","parent":"3","depth":2,"t_us":7}
-{"thread":"t","kind":"exit","name":"slow.compute","trace":"a","span":"4","parent":"3","depth":2,"t_us":90,"elapsed_us":83}
-{"thread":"t","kind":"exit","name":"slow.task","trace":"a","span":"3","parent":"1","depth":1,"t_us":95,"elapsed_us":89}
-{"thread":"t","kind":"exit","name":"fast.task","trace":"a","span":"2","parent":"1","depth":1,"t_us":9,"elapsed_us":4}
-{"thread":"t","kind":"exit","name":"job","trace":"a","span":"1","parent":"0","depth":0,"t_us":100,"elapsed_us":100}
+        let dump = r#"{"thread":"t","kind":"enter","name":"job","trace":"a","span":"1","parent":"0","t_us":0}
+{"thread":"t","kind":"enter","name":"fast.task","trace":"a","span":"2","parent":"1","t_us":5}
+{"thread":"t","kind":"enter","name":"slow.task","trace":"a","span":"3","parent":"1","t_us":6}
+{"thread":"t","kind":"enter","name":"slow.compute","trace":"a","span":"4","parent":"3","t_us":7}
+{"thread":"t","kind":"exit","name":"slow.compute","trace":"a","span":"4","parent":"3","t_us":90,"elapsed_us":83}
+{"thread":"t","kind":"exit","name":"slow.task","trace":"a","span":"3","parent":"1","t_us":95,"elapsed_us":89}
+{"thread":"t","kind":"exit","name":"fast.task","trace":"a","span":"2","parent":"1","t_us":9,"elapsed_us":4}
+{"thread":"t","kind":"exit","name":"job","trace":"a","span":"1","parent":"0","t_us":100,"elapsed_us":100}
 "#;
         assert_eq!(asm.add_flight_json("p", dump), 4);
         let path: Vec<&str> = span_critical_path(&asm, 0xa)

@@ -19,8 +19,8 @@
 //!   tracing, web-page pre-fetching);
 //! * [`sim`] — the deterministic discrete-event simulator that regenerates
 //!   the paper's figures;
-//! * [`telemetry`] — the workspace-wide metrics registry and structured
-//!   tracing facade every layer reports into;
+//! * [`telemetry`] — the workspace-wide metrics registry and the flight
+//!   recorder every layer's spans and events go to;
 //! * [`durability`] — the write-ahead log, snapshot, and crash-recovery
 //!   subsystem backing durable spaces and master checkpoints.
 //!

@@ -1,6 +1,6 @@
-//! Telemetry integration: a real master/worker round emits the expected
-//! span tree, and one cluster run populates the global metrics registry
-//! with series from every layer.
+//! Telemetry integration: a real master/worker round leaves the expected
+//! span tree in the flight recorder, and one cluster run populates the
+//! global metrics registry with series from every layer.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -10,11 +10,10 @@ use adaptive_spaces::framework::{
     Application, ClusterBuilder, ExecError, FrameworkConfig, TaskEntry, TaskExecutor, TaskSpec,
 };
 use adaptive_spaces::space::Payload;
-use adaptive_spaces::telemetry::trace::{RingBufferSubscriber, TraceKind};
-use adaptive_spaces::telemetry::{flight, registry, trace, TraceAssembler};
+use adaptive_spaces::telemetry::{flight, registry, Json, TraceAssembler};
 
-/// The trace subscriber is process-global; tests that install one
-/// serialise here so captures don't interleave.
+/// The flight recorder is process-global; tests that turn it on or read
+/// it serialise here so recordings don't interleave.
 static EXCLUSIVE: Mutex<()> = Mutex::new(());
 
 struct Doubler {
@@ -73,69 +72,120 @@ fn run_job(tasks: u64, workers: usize) -> Doubler {
     app
 }
 
+/// The record objects of a flight dump, one per line, in dump order:
+/// thread by thread, each thread's oldest first.
+fn dump_records(dump: &str) -> Vec<Json> {
+    dump.lines()
+        .filter_map(|line| Json::parse(line.trim_end_matches(',')).ok())
+        .filter(|record| record["kind"] != Json::Null)
+        .collect()
+}
+
 #[test]
 fn master_worker_round_emits_expected_span_tree() {
     let _guard = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-    let ring = RingBufferSubscriber::new(16_384);
-    trace::install(ring.clone());
+    flight::install();
+    flight::clear();
     let app = run_job(8, 2);
-    trace::uninstall();
+    let dump = flight::dump_json();
+    flight::uninstall();
+    flight::clear();
     assert_eq!(app.total, (0..8).map(|i| 2 * i).sum::<u64>());
 
-    let names = ring.names();
-    let first = |name: &str| {
-        names
+    let records = dump_records(&dump);
+    let named = |name: &'static str| {
+        records
             .iter()
-            .position(|n| *n == name)
-            .unwrap_or_else(|| panic!("no {name:?} record in {names:?}"))
+            .enumerate()
+            .filter(move |(_, r)| r["name"].as_str() == Some(name))
     };
-    let last = |name: &str| names.iter().rposition(|n| *n == name).unwrap();
+    let count = |name: &'static str| named(name).count();
+    let t_us = |at: usize| records[at]["t_us"].as_u64().expect("t_us");
+    let thread = |at: usize| records[at]["thread"].as_str().expect("thread");
+    // Record order within a thread, the trace clock across threads.
+    let before = |a: usize, b: usize| {
+        if thread(a) == thread(b) {
+            a < b
+        } else {
+            t_us(a) < t_us(b)
+        }
+    };
+    let earliest = |name: &'static str| {
+        named(name)
+            .map(|(at, _)| at)
+            .min_by_key(|at| t_us(*at))
+            .unwrap_or_else(|| panic!("no {name:?} record in the dump:\n{dump}"))
+    };
+    let first_on = |name: &'static str, on: &str| {
+        named(name)
+            .map(|(at, _)| at)
+            .find(|at| thread(*at) == on)
+            .unwrap_or_else(|| panic!("no {name:?} record on {on}"))
+    };
 
-    // The whole pipeline is present: planning → task take → compute →
+    // Every span and event the pipeline emits is in the recording.
+    for name in [
+        "master.planning",
+        "worker.task",
+        "worker.task.take",
+        "worker.compute",
+        "worker.result.write",
+        "master.aggregation",
+        "worker.transition",
+        "federation.lease.grant",
+    ] {
+        assert!(count(name) > 0, "no {name:?} record in the dump:\n{dump}");
+    }
+
+    // The whole pipeline, in order: planning → task take → compute →
     // result write → aggregation.
-    let planning = first("master.planning");
-    let take = first("worker.task.take");
-    let compute = first("worker.compute");
-    let write = first("worker.result.write");
-    let aggregation_end = last("master.aggregation");
+    let planning = earliest("master.planning");
+    let take = earliest("worker.task.take");
+    let worker = thread(take);
+    let compute = first_on("worker.compute", worker);
+    let write = first_on("worker.result.write", worker);
+    let aggregation_end = named("master.aggregation").next_back().unwrap().0;
     assert!(
-        planning < take,
+        before(planning, take),
         "tasks are taken only after planning starts"
     );
-    assert!(take < compute, "compute happens inside the taken task");
-    assert!(compute < write, "the result is written after computing");
     assert!(
-        write < aggregation_end,
+        before(take, compute),
+        "compute happens inside the taken task"
+    );
+    assert!(
+        before(compute, write),
+        "the result is written after computing"
+    );
+    assert!(
+        before(write, aggregation_end),
         "aggregation outlives the first result"
     );
 
     // Every task produced exactly one take and one result write.
-    assert_eq!(ring.count("worker.task.take"), 8);
-    assert_eq!(ring.count("worker.result.write"), 8);
+    assert_eq!(count("worker.task.take"), 8);
+    assert_eq!(count("worker.result.write"), 8);
 
-    // Spans nest: worker.compute sits inside the worker.task span.
-    let events = ring.events();
-    let task_enter = events
-        .iter()
-        .find(|e| e.name == "worker.task" && e.kind == TraceKind::SpanEnter)
-        .expect("worker.task span");
-    let compute_enter = events
-        .iter()
-        .find(|e| e.name == "worker.compute" && e.kind == TraceKind::SpanEnter)
-        .expect("worker.compute span");
-    assert_eq!(compute_enter.depth, task_enter.depth + 1);
+    // Spans nest: worker.compute's parent is the worker.task span.
+    let compute_enter = &records[compute];
+    assert_eq!(compute_enter["kind"].as_str(), Some("enter"));
+    assert!(
+        named("worker.task").any(|(at, task)| task["kind"].as_str() == Some("enter")
+            && task["span"] == compute_enter["parent"]
+            && thread(at) == worker),
+        "worker.compute's parent is not a worker.task span:\n{dump}"
+    );
 
     // Workers start via a Start signal, which is traced as a transition.
-    assert!(ring.count("worker.transition") >= 2, "one Start per worker");
+    assert!(count("worker.transition") >= 2, "one Start per worker");
 
     // Span exits carry elapsed time.
-    let exit = events
-        .iter()
-        .find(|e| matches!(e.kind, TraceKind::SpanExit { .. }) && e.name == "master.aggregation")
-        .expect("aggregation exit");
-    let TraceKind::SpanExit { .. } = exit.kind else {
-        unreachable!()
-    };
+    let exit = &records[aggregation_end];
+    assert_eq!(exit["kind"].as_str(), Some("exit"));
+    assert!(
+        exit["elapsed_us"].as_u64().is_some(),
+        "aggregation exit: {exit}"
+    );
 }
 
 #[test]
@@ -171,6 +221,16 @@ fn cluster_run_populates_registry_across_layers() {
     assert!(counter("space.take.count") >= 16);
     assert!(counter("monitor.samples") >= 1);
     assert!(counter("federation.lease.granted") >= 1);
+    // Registered by every deployment, whether or not they moved.
+    for name in [
+        "worker.transport_strikes",
+        "telemetry.flight.dropped_events",
+    ] {
+        assert!(
+            snapshot.counters.contains_key(name),
+            "no {name} in {names:?}"
+        );
+    }
 }
 
 /// One raw HTTP/1.0 GET; returns the body (everything past the header
