@@ -5,10 +5,8 @@
 //! against a fresh uncached decode, and the reused-scratch encode
 //! against encoding into a fresh buffer each time. Measuring runs export
 //! `BENCH_wire.json` at the repo root for the perf-trajectory record;
-//! CI treats the wall-clock numbers as advisory (the allocation budgets
-//! in `tests/alloc_budget.rs` are the hard gate).
-
-use std::time::Instant;
+//! the hard gate on this path is the allocation budgets in
+//! `tests/alloc_budget.rs`, not these timings.
 
 use acc_telemetry::Json;
 use acc_tuplespace::{decode_frame, Bytes, NameInterner, Payload, Tuple, WireWriter};
@@ -24,25 +22,10 @@ fn task_tuple(id: i64) -> Tuple {
         .done()
 }
 
-/// Median ns/op over `reps` timed passes of `iters` iterations each.
-fn median_ns(reps: usize, iters: usize, mut op: impl FnMut()) -> f64 {
-    let mut samples: Vec<u128> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                op();
-            }
-            start.elapsed().as_nanos() / iters as u128
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2] as f64
-}
-
 fn main() {
     let measure = std::env::args().any(|a| a == "--bench");
     let reps = if measure { 30 } else { 1 };
-    let iters = if measure { 10_000 } else { 10 };
+    let iters: u64 = if measure { 10_000 } else { 10 };
     let mut results: Vec<(&'static str, f64)> = Vec::new();
 
     let tuple = task_tuple(7);
@@ -53,7 +36,7 @@ fn main() {
         let mut interner = NameInterner::new();
         let warm: Tuple = decode_frame(frame.clone(), &mut interner).unwrap();
         assert_eq!(warm, tuple);
-        let ns = median_ns(reps, iters, || {
+        let ns = acc_bench::median_ns(reps, iters, || {
             let t: Tuple = decode_frame(frame.clone(), &mut interner).unwrap();
             std::hint::black_box(t);
         });
@@ -64,7 +47,7 @@ fn main() {
     // connection without the cache (or the pre-interning code) pays.
     {
         let bytes = tuple.to_bytes();
-        let ns = median_ns(reps, iters, || {
+        let ns = acc_bench::median_ns(reps, iters, || {
             let t = Tuple::from_bytes(&bytes).unwrap();
             std::hint::black_box(t);
         });
@@ -75,7 +58,7 @@ fn main() {
     // encoder's steady state.
     {
         let mut w = WireWriter::new();
-        let ns = median_ns(reps, iters, || {
+        let ns = acc_bench::median_ns(reps, iters, || {
             w.clear();
             tuple.encode(&mut w);
             std::hint::black_box(w.len());
@@ -85,7 +68,7 @@ fn main() {
 
     // Fresh-buffer encode: what `to_bytes()` per frame used to cost.
     {
-        let ns = median_ns(reps, iters, || {
+        let ns = acc_bench::median_ns(reps, iters, || {
             std::hint::black_box(tuple.to_bytes());
         });
         results.push(("wire/encode_6field_fresh", ns));
@@ -99,7 +82,7 @@ fn main() {
             .collect();
         let mut interner = NameInterner::new();
         let batch_iters = (iters / 64).max(1);
-        let ns = median_ns(reps, batch_iters, || {
+        let ns = acc_bench::median_ns(reps, batch_iters, || {
             for f in &frames {
                 let t: Tuple = decode_frame(f.clone(), &mut interner).unwrap();
                 std::hint::black_box(t);

@@ -1,18 +1,19 @@
 //! # acc-bench
 //!
-//! The benchmark harness: regenerates every table and figure of the
-//! paper's evaluation (§5).
+//! The paper's evaluation (§5) and the measured benches.
 //!
-//! * `cargo run -p acc-bench --bin repro -- all` prints every artifact;
-//!   individual ids: `fig6 fig7 fig8 fig9 fig10 fig11 exp3 table2`.
-//! * `cargo bench -p acc-bench` runs the Criterion benches: space
-//!   operations, the scalability sweeps, adaptation signal latencies,
-//!   the dynamic-load experiment, application kernels, and the design
-//!   ablations called out in `DESIGN.md`.
+//! * `cargo run -p acc-bench --bin repro -- all` prints every table and
+//!   figure from the virtual-time simulator; individual ids: `fig6 fig7
+//!   fig8 fig9 fig10 fig11 exp3 table2 ablations hetero baseline`.
+//! * `cargo bench -p acc-bench --bench <name>` runs one measured bench;
+//!   each writes the `BENCH_<name>.json` record committed at the
+//!   repository root (`telemetry` writes `BENCH_trace.json`). Without
+//!   `--bench` (`cargo test --benches`) each body runs once as a smoke
+//!   test and nothing is written.
 //!
-//! The library part holds the shared report formatting so the binary and
-//! the benches print identical rows, and the one `BENCH_*.json` exporter
-//! ([`bench_record`], [`write_bench_record`]) the measured benches share.
+//! The library part holds the shared report formatting, the timing loop
+//! the custom-harness benches share ([`median_ns`]) and the one
+//! `BENCH_*.json` exporter ([`bench_record`], [`write_bench_record`]).
 
 #![warn(missing_docs)]
 
@@ -66,6 +67,28 @@ pub fn results_ns<L: AsRef<str>>(rows: &[(L, f64)]) -> Json {
     )
 }
 
+/// Median nanoseconds per call of `op` over `reps` timed passes of
+/// `iters` calls each.
+pub fn median_ns(reps: usize, iters: u64, mut op: impl FnMut()) -> f64 {
+    median(
+        (0..reps)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                for _ in 0..iters {
+                    op();
+                }
+                start.elapsed().as_nanos() as f64 / iters as f64
+            })
+            .collect(),
+    )
+}
+
+/// The middle sample (the upper one of an even count).
+pub fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 /// Writes `record` to `BENCH_<bench>.json` at the repository root.
 pub fn write_bench_record(record: &Json) {
     let bench = record["bench"]
@@ -101,5 +124,30 @@ mod tests {
             "{parsed}"
         );
         assert_eq!(parsed["speedup"].as_f64(), Some(2.0), "{parsed}");
+    }
+
+    /// Every committed record says where and from what it was measured:
+    /// a number without its host and commit cannot be compared.
+    #[test]
+    fn every_committed_bench_record_carries_its_host_and_commit() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut records = 0;
+        for entry in std::fs::read_dir(&root).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let record = Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(record["host"]["cpu"].as_str().is_some(), "{name}: {record}");
+            assert!(
+                record["host"]["cores"].as_u64().is_some(),
+                "{name}: {record}"
+            );
+            assert!(record["commit"].as_str().is_some(), "{name}: {record}");
+            records += 1;
+        }
+        assert!(records > 0, "no BENCH_*.json at {}", root.display());
     }
 }

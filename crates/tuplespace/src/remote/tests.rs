@@ -549,6 +549,27 @@ fn remote_batch_write_and_take_up_to() {
         .unwrap();
     assert!(empty.is_empty());
     assert!(remote.write_all(Vec::new()).unwrap().is_empty());
+
+    // What batching buys, counted at the server: a batch of 1 000 crosses
+    // as one request frame, where the per-tuple loop sends 1 000. This
+    // server answers each request frame with one response frame, and the
+    // client's echoed-`seq` check holds it to that.
+    let (addr, log) = deaf_then_serving(Space::new("counted"), 0, 0);
+    let counted = RemoteSpace::connect(addr).unwrap();
+    let t = Template::of_type("t");
+    let frames = || log.lock().iter().map(Vec::len).sum::<usize>();
+    let ids = counted.write_all((0..1000).map(tuple).collect()).unwrap();
+    assert_eq!((ids.len(), frames()), (1000, 1));
+    let got = counted.take_up_to(&t, 1000, Some(Duration::ZERO)).unwrap();
+    assert_eq!((got.len(), frames()), (1000, 2));
+    for i in 0..1000 {
+        counted.write(tuple(i)).unwrap();
+    }
+    assert_eq!(frames(), 1002);
+    for _ in 0..1000 {
+        assert!(counted.take_if_exists(&t).unwrap().is_some());
+    }
+    assert_eq!(frames(), 2002);
 }
 
 #[test]
@@ -1154,10 +1175,10 @@ fn remote_refill_pair_writes_then_takes_in_one_exchange() {
     assert_eq!(taken, Err(SpaceError::Closed));
 }
 
-/// A server for [`a_resent_pair_keeps_seq_monotone_and_fails_through_one_exit`]:
-/// hangs up on its first `deaf` connections after reading `per_exchange`
-/// frames from each, serves the later ones against `space`, and logs the
-/// `seq`s every connection saw.
+/// A server that hangs up on its first `deaf` connections after reading
+/// `per_exchange` frames from each, serves the later ones against
+/// `space` with one answer frame per request frame, and logs the `seq`s
+/// every connection saw — with `deaf` 0, a frame-counting server.
 fn deaf_then_serving(
     space: Arc<Space>,
     deaf: usize,

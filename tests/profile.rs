@@ -2,10 +2,13 @@
 //! workers, one artificially slowed. `/profile.json` must report a
 //! critical path dominated by the slow worker, the verdict
 //! `straggler-bound`, and phase totals that reconcile with the job's
-//! measured wall-clock within 10%. Tail-based retention must keep the
-//! slow job's full trace in the flight recorder while a later flood of
-//! fast tasks ages everything else out of the rings.
+//! measured wall-clock within 10% and equal the per-worker attribution
+//! in `/cluster.json`; every route answers a whole document. Tail-based
+//! retention must keep the slow job's full trace in the flight recorder
+//! while a later flood of fast tasks ages everything else out of the
+//! rings.
 
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -76,15 +79,62 @@ impl Application for SkewedApp {
     }
 }
 
-/// GETs a JSON route and parses its body.
-fn get_json(addr: std::net::SocketAddr, path: &str) -> Json {
+/// GETs a route and returns its body, which must come with a 200.
+fn get(addr: SocketAddr, path: &str) -> String {
     use std::io::{Read, Write};
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
     write!(stream, "GET {path} HTTP/1.0\r\n\r\n").unwrap();
     let mut out = String::new();
     stream.read_to_string(&mut out).unwrap();
-    let (_, body) = out.split_once("\r\n\r\n").expect("header block");
-    Json::parse(body).unwrap_or_else(|e| panic!("{path}: {e}: {body}"))
+    let (head, body) = out.split_once("\r\n\r\n").expect("header block");
+    assert!(head.starts_with("HTTP/1.0 200"), "{path}: {head}");
+    body.to_owned()
+}
+
+/// GETs a JSON route and parses its whole body.
+fn get_json(addr: SocketAddr, path: &str) -> Json {
+    let body = get(addr, path);
+    Json::parse(&body).unwrap_or_else(|e| panic!("{path}: {e}: {body}"))
+}
+
+/// The phases `/profile.json` totals, in the names both documents use.
+const PHASES: [&str; 4] = ["compute_us", "wait_us", "xfer_us", "write_us"];
+
+/// [`PHASES`] summed over `/cluster.json`'s workers. The observer keeps
+/// them for the process's life, so a run's share is a difference of two
+/// of these. `compute_us` is a histogram there: its `sum` counts.
+fn attributed_phases(addr: SocketAddr) -> [u64; 4] {
+    let view = get_json(addr, "/cluster.json");
+    let mut totals = [0; 4];
+    for (_, worker) in view["workers"].as_object().unwrap_or_default() {
+        totals[0] += worker["compute_us"]["sum"].as_u64().unwrap_or(0);
+        for (total, phase) in totals.iter_mut().zip(PHASES).skip(1) {
+            *total += worker[phase].as_u64().unwrap_or(0);
+        }
+    }
+    totals
+}
+
+/// The routes the test body does not read answer whole documents:
+/// `/metrics.json` and `/spans` parse, `/healthz` says `ok`, every flight
+/// record in `/spans` has a `kind`, and `/metrics` exposes at least the
+/// 20 series the quickstart does — each has a reader in
+/// `tests/registry_audit.rs`, so fewer means a layer stopped reporting.
+fn assert_routes_answer_whole_documents(addr: SocketAddr) {
+    let metrics = get(addr, "/metrics");
+    let series = metrics.lines().filter(|l| l.starts_with("# TYPE")).count();
+    assert!(series >= 20, "{series} series exposed:\n{metrics}");
+    let health = get(addr, "/healthz");
+    assert!(health.starts_with("ok"), "{health}");
+    let counters = get_json(addr, "/metrics.json");
+    assert!(counters["counters"].as_object().is_some(), "{counters}");
+    let spans = get_json(addr, "/spans");
+    let events = spans["events"].as_array().unwrap_or_default();
+    assert!(!events.is_empty(), "{spans}");
+    assert!(
+        events.iter().all(|e| e["kind"].as_str().is_some()),
+        "{spans}"
+    );
 }
 
 #[test]
@@ -150,15 +200,19 @@ fn profile_names_the_straggler_and_retention_outlives_ring_overflow() {
     // mid-task), so allow a few runs; each rerun of the same job name
     // resets its profile. The expected outcome dominates every run.
     let mut profile = Json::Null;
+    let mut attributed = [0; 4];
     let mut ok = false;
     for _attempt in 0..3 {
         app.total = 0;
+        let before = attributed_phases(addr);
         let report = cluster.run(&mut app);
         assert!(report.complete, "failures: {:?}", report.failures);
         assert_eq!(report.results_collected, 80);
         assert_eq!(app.total, (1..=80u64).sum::<u64>());
 
         profile = get_json(addr, "/profile.json");
+        let after = attributed_phases(addr);
+        attributed = std::array::from_fn(|i| after[i] - before[i]);
         let wall_us = profile["wall_ms"].as_i64().unwrap_or(0) * 1000;
         let total_us = profile["critical_path"]["total_us"].as_i64().unwrap_or(0);
         let reconciles = wall_us > 0 && (total_us - wall_us).abs() <= wall_us / 10;
@@ -196,6 +250,27 @@ fn profile_names_the_straggler_and_retention_outlives_ring_overflow() {
         segments.iter().any(|s| s["task"].as_u64().is_some()),
         "critical path has no task segments: {profile}"
     );
+    // The rendered segments are a bounded window of the chain, so their
+    // sum never exceeds the chain's total.
+    let segment_sum: i64 = segments
+        .iter()
+        .map(|s| s["duration_us"].as_i64().unwrap_or(0))
+        .sum();
+    let total_us = profile["critical_path"]["total_us"].as_i64().unwrap_or(0);
+    assert!(
+        segment_sum <= total_us,
+        "{segment_sum} > {total_us}: {profile}"
+    );
+    // The profile's phase totals fold the same result stream the observer
+    // attributes per worker, so for one run they agree exactly.
+    for (phase, attributed) in PHASES.iter().zip(attributed) {
+        assert_eq!(
+            profile["phases"][*phase].as_u64(),
+            Some(attributed),
+            "{phase}: {profile}"
+        );
+    }
+    assert_routes_answer_whole_documents(addr);
     // The flight occupancy satellite reports through /cluster.json.
     let view = get_json(addr, "/cluster.json");
     assert!(
