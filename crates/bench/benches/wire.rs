@@ -31,7 +31,7 @@ fn main() {
     let tuple = task_tuple(7);
     let frame = Bytes::from(tuple.to_bytes());
 
-    // Borrowed decode: warm per-connection name cache, frame shared.
+    // Borrowed decode: warm per-connection shape cache, frame shared.
     {
         let mut interner = NameInterner::new();
         let warm: Tuple = decode_frame(frame.clone(), &mut interner).unwrap();
@@ -43,8 +43,8 @@ fn main() {
         results.push(("wire/decode_6field_borrowed", ns));
     }
 
-    // Uncached decode: no interner, every name allocates — what a
-    // connection without the cache (or the pre-interning code) pays.
+    // Uncached decode: a fresh cache per frame, so every frame decodes
+    // and checks its names and looks its shape up in the process table.
     {
         let bytes = tuple.to_bytes();
         let ns = acc_bench::median_ns(reps, iters, || {

@@ -183,7 +183,7 @@ impl Master {
                 }
             }
             let entry = TaskEntry::new(job.clone(), spec.task_id, spec.payload.clone());
-            pending.push(entry.to_tuple());
+            pending.push(entry.into_tuple());
             if pending.len() >= chunk {
                 dispatch_batch(&self.space, &mut pending, &mut agg.max_overhead_ms)?;
             }

@@ -8,7 +8,7 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use acc_tuplespace::{Bytes, Payload, PayloadError, Template, Tuple, Value};
+use acc_tuplespace::{Bytes, Payload, PayloadError, Shape, Template, Tuple, Value};
 
 /// Tuple type for task entries.
 pub const TASK_TYPE: &str = "acc.task";
@@ -25,7 +25,9 @@ pub const TIMING_FIELD: &str = "timing";
 
 /// Extracts the distributed trace context a tuple carries, if any.
 pub fn tuple_trace_context(tuple: &Tuple) -> Option<acc_telemetry::TraceContext> {
-    acc_telemetry::TraceContext::from_bytes(tuple.get_bytes(TRACE_FIELD)?)
+    let known = layouts().task.iter().chain(&layouts().result);
+    let fields = Fields::of(tuple, known);
+    acc_telemetry::TraceContext::from_bytes(fields.get(Field::Tctx)?.as_bytes()?)
 }
 
 /// The current trace context as a tuple field value.
@@ -34,40 +36,136 @@ fn current_trace_value() -> Option<Value> {
         .map(|ctx| Value::Bytes(Bytes::copy_from_slice(&ctx.to_bytes())))
 }
 
-/// The type and field names of task and result tuples, as process-wide
-/// shared strings: a tuple names its type and every field with an
-/// `Arc<str>`, and these are the same eleven strings on every tuple the
-/// framework builds — cloning one is a reference-count increment where
-/// `Tuple::build("acc.task").field("job", ..)` allocates and copies each.
-struct Names {
-    task_type: Arc<str>,
-    result_type: Arc<str>,
-    job: Arc<str>,
-    task_id: Arc<str>,
-    payload: Arc<str>,
-    retries: Arc<str>,
-    worker: Arc<str>,
-    compute_ms: Arc<str>,
-    span_ms: Arc<str>,
-    timing: Arc<str>,
-    tctx: Arc<str>,
+/// Every field a task or result tuple can carry, in name order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Field {
+    ComputeMs,
+    Error,
+    Job,
+    Payload,
+    Retries,
+    SpanMs,
+    TaskId,
+    Tctx,
+    Timing,
+    Worker,
 }
 
-fn names() -> &'static Names {
-    static NAMES: OnceLock<Names> = OnceLock::new();
-    NAMES.get_or_init(|| Names {
-        task_type: TASK_TYPE.into(),
-        result_type: RESULT_TYPE.into(),
-        job: "job".into(),
-        task_id: "task_id".into(),
-        payload: "payload".into(),
-        retries: "retries".into(),
-        worker: "worker".into(),
-        compute_ms: "compute_ms".into(),
-        span_ms: "span_ms".into(),
-        timing: TIMING_FIELD.into(),
-        tctx: TRACE_FIELD.into(),
+const FIELDS: usize = 10;
+
+impl Field {
+    fn name(self) -> &'static str {
+        match self {
+            Field::ComputeMs => "compute_ms",
+            Field::Error => "error",
+            Field::Job => "job",
+            Field::Payload => "payload",
+            Field::Retries => "retries",
+            Field::SpanMs => "span_ms",
+            Field::TaskId => "task_id",
+            Field::Tctx => TRACE_FIELD,
+            Field::Timing => TIMING_FIELD,
+            Field::Worker => "worker",
+        }
+    }
+}
+
+/// One shape a task or result tuple can have, and where each field sits
+/// in it. The optional fields (`tctx` on both, `timing` and `error` on
+/// results) are present or absent exactly as the tuples on the wire have
+/// them, so each combination is its own shape: 2 for tasks, 8 for results.
+struct Layout {
+    shape: Arc<Shape>,
+    /// The fields in shape order.
+    order: Vec<Field>,
+    /// Each field's position in the shape, if it has the field.
+    at: [Option<u8>; FIELDS],
+}
+
+impl Layout {
+    /// `base` plus the `optional` fields whose bit is set in `bits`.
+    fn variant(type_name: &str, base: &[Field], optional: &[Field], bits: usize) -> Layout {
+        let present = (0..optional.len()).filter(|k| bits >> k & 1 == 1);
+        let mut order: Vec<Field> = base
+            .iter()
+            .copied()
+            .chain(present.map(|k| optional[k]))
+            .collect();
+        order.sort_by_key(|f| f.name());
+        let names: Vec<&str> = order.iter().map(|f| f.name()).collect();
+        let mut at = [None; FIELDS];
+        for (i, f) in order.iter().enumerate() {
+            at[*f as usize] = Some(i as u8);
+        }
+        Layout {
+            shape: Shape::new(type_name, &names),
+            order,
+            at,
+        }
+    }
+
+    /// The tuple whose fields are `slots` (indexed by [`Field`]): one
+    /// allocation, the value array, built at its final size.
+    fn tuple(&self, mut slots: [Option<Value>; FIELDS]) -> Tuple {
+        let values = self
+            .order
+            .iter()
+            .map(|f| {
+                slots[*f as usize]
+                    .take()
+                    .expect("the layout's fields are set")
+            })
+            .collect();
+        Tuple::from_parts(self.shape.clone(), values)
+    }
+}
+
+/// The shapes of every task and result tuple, registered in the
+/// process-wide shape table, so tuples decoded off the wire share them
+/// and are recognised by pointer.
+struct Layouts {
+    /// Tasks, indexed by `tctx` present.
+    task: [Layout; 2],
+    /// Results, indexed by `timing | error << 1 | tctx << 2` present.
+    result: [Layout; 8],
+}
+
+fn layouts() -> &'static Layouts {
+    static LAYOUTS: OnceLock<Layouts> = OnceLock::new();
+    LAYOUTS.get_or_init(|| {
+        use Field::*;
+        let task = [Job, TaskId, Payload, Retries];
+        let result = [Job, TaskId, Worker, Payload, ComputeMs, SpanMs];
+        Layouts {
+            task: std::array::from_fn(|bits| Layout::variant(TASK_TYPE, &task, &[Tctx], bits)),
+            result: std::array::from_fn(|bits| {
+                Layout::variant(RESULT_TYPE, &result, &[Timing, Error, Tctx], bits)
+            }),
+        }
     })
+}
+
+/// A tuple's fields, read by position when its shape is one of the known
+/// layouts and by name otherwise.
+struct Fields<'a> {
+    tuple: &'a Tuple,
+    layout: Option<&'static Layout>,
+}
+
+impl<'a> Fields<'a> {
+    fn of(tuple: &'a Tuple, known: impl IntoIterator<Item = &'static Layout>) -> Fields<'a> {
+        let layout = known
+            .into_iter()
+            .find(|l| Arc::ptr_eq(&l.shape, tuple.shape()));
+        Fields { tuple, layout }
+    }
+
+    fn get(&self, field: Field) -> Option<&'a Value> {
+        match self.layout {
+            Some(l) => l.at[field as usize].map(|i| &self.tuple.values()[i as usize]),
+            None => self.tuple.get(field.name()),
+        }
+    }
 }
 
 /// A unit of work produced during task planning.
@@ -117,28 +215,36 @@ impl TaskEntry {
     /// [`acc_telemetry::TraceContext`] rides along as a `tctx` field so the
     /// worker that takes this task can join the master's trace.
     pub fn to_tuple(&self) -> Tuple {
-        let names = names();
-        let mut builder = Tuple::build(names.task_type.clone())
-            .field(names.job.clone(), self.job.as_str())
-            .field(names.task_id.clone(), self.task_id as i64)
-            .field(names.payload.clone(), self.payload.clone())
-            .field(names.retries.clone(), self.retries as i64);
-        if let Some(ctx) = current_trace_value() {
-            builder = builder.field(names.tctx.clone(), ctx);
-        }
-        builder.done()
+        self.clone().into_tuple()
+    }
+
+    /// [`TaskEntry::to_tuple`] without copying the job name or payload.
+    pub fn into_tuple(self) -> Tuple {
+        let tctx = current_trace_value();
+        let layout = &layouts().task[tctx.is_some() as usize];
+        let mut slots: [Option<Value>; FIELDS] = Default::default();
+        slots[Field::Job as usize] = Some(Value::Str(self.job));
+        slots[Field::TaskId as usize] = Some(Value::Int(self.task_id as i64));
+        slots[Field::Payload as usize] = Some(Value::from(self.payload));
+        slots[Field::Retries as usize] = Some(Value::Int(self.retries as i64));
+        slots[Field::Tctx as usize] = tctx;
+        layout.tuple(slots)
     }
 
     /// Deserializes from a space tuple.
     pub fn from_tuple(tuple: &Tuple) -> Option<TaskEntry> {
-        if tuple.type_name() != TASK_TYPE {
+        let fields = Fields::of(tuple, &layouts().task);
+        if fields.layout.is_none() && tuple.type_name() != TASK_TYPE {
             return None;
         }
         Some(TaskEntry {
-            job: tuple.get_str("job")?.to_owned(),
-            task_id: tuple.get_int("task_id")? as u64,
-            payload: tuple.get_bytes("payload")?.to_vec(),
-            retries: tuple.get_int("retries").unwrap_or(0) as u32,
+            job: fields.get(Field::Job)?.as_str()?.to_owned(),
+            task_id: fields.get(Field::TaskId)?.as_int()? as u64,
+            payload: fields.get(Field::Payload)?.as_bytes()?.to_vec(),
+            retries: fields
+                .get(Field::Retries)
+                .and_then(Value::as_int)
+                .unwrap_or(0) as u32,
         })
     }
 
@@ -178,41 +284,48 @@ pub struct ResultEntry {
 impl ResultEntry {
     /// Serializes into a space tuple.
     pub fn to_tuple(&self) -> Tuple {
-        let names = names();
-        let mut builder = Tuple::build(names.result_type.clone())
-            .field(names.job.clone(), self.job.as_str())
-            .field(names.task_id.clone(), self.task_id as i64)
-            .field(names.worker.clone(), self.worker.as_str())
-            .field(names.payload.clone(), self.payload.clone())
-            .field(names.compute_ms.clone(), self.compute_ms)
-            .field(names.span_ms.clone(), self.span_ms);
-        if self.timing != acc_cluster::TaskTiming::default() {
-            builder = builder.field(names.timing.clone(), self.timing.to_bytes());
-        }
-        if let Some(error) = &self.error {
-            builder = builder.field("error", error.as_str());
-        }
-        if let Some(ctx) = current_trace_value() {
-            builder = builder.field(names.tctx.clone(), ctx);
-        }
-        builder.done()
+        self.clone().into_tuple()
+    }
+
+    /// [`ResultEntry::to_tuple`] without copying the names or payload.
+    pub fn into_tuple(self) -> Tuple {
+        let timed = self.timing != acc_cluster::TaskTiming::default();
+        let tctx = current_trace_value();
+        let bits =
+            timed as usize | (self.error.is_some() as usize) << 1 | (tctx.is_some() as usize) << 2;
+        let mut slots: [Option<Value>; FIELDS] = Default::default();
+        slots[Field::Job as usize] = Some(Value::Str(self.job));
+        slots[Field::TaskId as usize] = Some(Value::Int(self.task_id as i64));
+        slots[Field::Worker as usize] = Some(Value::Str(self.worker));
+        slots[Field::Payload as usize] = Some(Value::from(self.payload));
+        slots[Field::ComputeMs as usize] = Some(Value::Float(self.compute_ms));
+        slots[Field::SpanMs as usize] = Some(Value::Float(self.span_ms));
+        slots[Field::Timing as usize] = timed.then(|| Value::from(self.timing.to_bytes()));
+        slots[Field::Error as usize] = self.error.map(Value::Str);
+        slots[Field::Tctx as usize] = tctx;
+        layouts().result[bits].tuple(slots)
     }
 
     /// Deserializes from a space tuple.
     pub fn from_tuple(tuple: &Tuple) -> Option<ResultEntry> {
-        if tuple.type_name() != RESULT_TYPE {
+        let fields = Fields::of(tuple, &layouts().result);
+        if fields.layout.is_none() && tuple.type_name() != RESULT_TYPE {
             return None;
         }
         Some(ResultEntry {
-            job: tuple.get_str("job")?.to_owned(),
-            task_id: tuple.get_int("task_id")? as u64,
-            worker: tuple.get_str("worker")?.to_owned(),
-            payload: tuple.get_bytes("payload")?.to_vec(),
-            compute_ms: tuple.get_float("compute_ms")?,
-            span_ms: tuple.get_float("span_ms")?,
-            error: tuple.get_str("error").map(str::to_owned),
-            timing: tuple
-                .get_bytes(TIMING_FIELD)
+            job: fields.get(Field::Job)?.as_str()?.to_owned(),
+            task_id: fields.get(Field::TaskId)?.as_int()? as u64,
+            worker: fields.get(Field::Worker)?.as_str()?.to_owned(),
+            payload: fields.get(Field::Payload)?.as_bytes()?.to_vec(),
+            compute_ms: fields.get(Field::ComputeMs)?.as_float()?,
+            span_ms: fields.get(Field::SpanMs)?.as_float()?,
+            error: fields
+                .get(Field::Error)
+                .and_then(Value::as_str)
+                .map(str::to_owned),
+            timing: fields
+                .get(Field::Timing)
+                .and_then(Value::as_bytes)
                 .and_then(acc_cluster::TaskTiming::from_bytes)
                 .unwrap_or_default(),
         })
@@ -412,6 +525,25 @@ mod tests {
         // The extra field does not confuse entry deserialization.
         let entry = TaskEntry::from_tuple(&tuple).unwrap();
         assert_eq!(entry.task_id, 5);
+    }
+
+    #[test]
+    fn decoded_tuples_are_read_by_position() {
+        use acc_tuplespace::{decode_frame, NameInterner};
+        let mut r = result();
+        r.error = Some("boom".into());
+        let mut shapes = NameInterner::new();
+        for tuple in [task().to_tuple(), r.to_tuple()] {
+            let frame = Bytes::from(tuple.to_bytes());
+            let decoded: Tuple = decode_frame(frame, &mut shapes).unwrap();
+            // The decoder hands back the process-wide static shape, so
+            // the entry conversions find their layout by pointer.
+            assert!(Arc::ptr_eq(decoded.shape(), tuple.shape()));
+            let known = layouts().task.iter().chain(&layouts().result);
+            assert!(Fields::of(&decoded, known).layout.is_some());
+        }
+        assert_eq!(TaskEntry::from_tuple(&task().to_tuple()), Some(task()));
+        assert_eq!(ResultEntry::from_tuple(&r.to_tuple()), Some(r));
     }
 
     #[test]

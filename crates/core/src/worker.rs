@@ -347,7 +347,7 @@ fn worker_loop(ls: LoopState) {
                                 // may be waiting for it.
                                 let mut retry = task.clone();
                                 retry.retries += 1;
-                                if ls.config.space.write(retry.to_tuple()).is_err() {
+                                if ls.config.space.write(retry.into_tuple()).is_err() {
                                     // Same exit as a failed result flush:
                                     // swallowing this error would silently
                                     // lose the task and keep looping against
@@ -370,7 +370,7 @@ fn worker_loop(ls: LoopState) {
                             error,
                             timing,
                         };
-                        outbox.push(&result);
+                        outbox.push(result);
                         if outbox.worth_flushing_after(compute) && outbox.flush(&ls).is_err() {
                             break;
                         }
@@ -489,9 +489,9 @@ struct Outbox {
 }
 
 impl Outbox {
-    fn push(&mut self, result: &ResultEntry) {
-        self.tuples.push(result.to_tuple());
+    fn push(&mut self, result: ResultEntry) {
         self.tasks.push((result.task_id, result.error.is_some()));
+        self.tuples.push(result.into_tuple());
     }
 
     /// Whether the result just pushed should go out now instead of

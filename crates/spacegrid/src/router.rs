@@ -132,12 +132,13 @@ pub fn route_template(template: &Template, key_fields: &[String], shards: usize)
     let mut hash = FNV_OFFSET;
     fnv1a(&mut hash, type_name.as_bytes());
     for key in key_fields {
-        let value = template.constraints().iter().find_map(|(name, c)| {
-            match (name == key.as_str(), c) {
-                (true, Constraint::Exact(v)) => Some(v),
-                _ => None,
-            }
-        })?;
+        let value =
+            template
+                .constraints()
+                .find_map(|(name, c)| match (name == key.as_str(), c) {
+                    (true, Constraint::Exact(v)) => Some(v),
+                    _ => None,
+                })?;
         fnv_sep(&mut hash);
         fnv1a(&mut hash, key.as_bytes());
         fnv_sep(&mut hash);

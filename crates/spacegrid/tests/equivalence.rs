@@ -141,7 +141,7 @@ proptest! {
         let copy = {
             let mut b = Tuple::build(tuple.type_name());
             for (name, value) in tuple.fields() {
-                b = b.field(name.as_ref(), value.clone());
+                b = b.field(name, value.clone());
             }
             b.done()
         };

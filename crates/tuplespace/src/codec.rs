@@ -2,7 +2,12 @@
 //! remote-space protocol (and anything else that ships tuples across a
 //! wire) serializes.
 
-use crate::payload::{Payload, PayloadError, WireReader, WireWriter};
+use std::sync::Arc;
+
+use bytes::Bytes;
+
+use crate::payload::{Payload, PayloadError, ShapeKind, WireReader, WireWriter};
+use crate::shape::{canonicalise, Shape};
 use crate::template::{Constraint, Template};
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -64,6 +69,92 @@ impl Payload for Value {
     }
 }
 
+/// Fewest wire bytes a named field takes: a 4-byte name length and at
+/// least a one-byte constraint (`Exists`). A count prefix larger than the
+/// frame could hold is truncation, found before anything is allocated
+/// for it.
+const MIN_FIELD_BYTES: usize = 5;
+
+/// Decodes `[type name] | count:u32 | count × (name, item)` into a shape
+/// and its items in shape order, through the reader's shape cache.
+///
+/// While the frame's names equal those of the type's cached shape they
+/// are skipped by byte compare, and a frame whose names all match reuses
+/// that shape as is. Otherwise the names are decoded and checked, the
+/// fields canonicalised, and the shape looked up and cached. Items decode
+/// straight into their final array.
+fn decode_fields<T: Clone>(
+    r: &mut WireReader,
+    kind: ShapeKind,
+    typed: bool,
+    count_what: &'static str,
+    mut item: impl FnMut(&mut WireReader) -> Result<T, PayloadError>,
+    filler: impl Fn() -> T,
+) -> Result<(Arc<Shape>, Arc<[T]>), PayloadError> {
+    let cached = r.cached_shape(kind, typed)?;
+    let type_name = match (&cached, typed) {
+        (None, true) => Some(r.get_bytes()?),
+        _ => None,
+    };
+    let n = r.get_u32()? as usize;
+    if n > 1 << 16 {
+        return Err(PayloadError::Corrupt(count_what));
+    }
+    if n > r.remaining() / MIN_FIELD_BYTES {
+        return Err(PayloadError::Truncated);
+    }
+    let known = cached.as_ref().filter(|s| s.len() == n);
+    // The leading names that matched `known`, and every name after them.
+    let mut matched = 0;
+    let mut names: Vec<Bytes> = Vec::new();
+    let mut failed = None;
+    let mut field = |r: &mut WireReader, i: usize| -> Result<T, PayloadError> {
+        match known {
+            Some(shape) if matched == i && r.skip_name_if(shape.name(i))? => matched += 1,
+            _ => names.push(r.get_bytes()?),
+        }
+        item(r)
+    };
+    // A mapped range is `TrustedLen`, so this is one exact allocation; on
+    // an error the remaining slots are filled without reading.
+    let items: Arc<[T]> = (0..n)
+        .map(|i| {
+            if failed.is_none() {
+                match field(r, i) {
+                    Ok(v) => return v,
+                    Err(e) => failed = Some(e),
+                }
+            }
+            filler()
+        })
+        .collect();
+    if let Some(e) = failed {
+        return Err(e);
+    }
+    if let Some(shape) = known.filter(|_| matched == n) {
+        return Ok((shape.clone(), items));
+    }
+    let ty = match (&type_name, &cached) {
+        (Some(raw), _) => utf8(raw)?,
+        (None, Some(shape)) => shape.type_name(),
+        (None, None) => "",
+    };
+    let mut strs: Vec<&str> = Vec::with_capacity(n);
+    if let Some(shape) = known {
+        strs.extend(shape.names().take(matched));
+    }
+    for raw in &names {
+        strs.push(utf8(raw)?);
+    }
+    let (shape, items) = canonicalise(ty, &strs, items);
+    r.interner().remember(kind, &shape);
+    Ok((shape, items))
+}
+
+fn utf8(raw: &[u8]) -> Result<&str, PayloadError> {
+    std::str::from_utf8(raw).map_err(|_| PayloadError::Corrupt("utf8"))
+}
+
 impl Payload for Tuple {
     fn encode(&self, w: &mut WireWriter) {
         w.put_str(self.type_name());
@@ -75,18 +166,15 @@ impl Payload for Tuple {
     }
 
     fn decode(r: &mut WireReader) -> Result<Self, PayloadError> {
-        let type_name = r.get_name()?;
-        let n = r.get_u32()? as usize;
-        if n > 1 << 16 {
-            return Err(PayloadError::Corrupt("field count"));
-        }
-        let mut fields = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let name = r.get_name()?;
-            let value = Value::decode(r)?;
-            fields.push((name, value));
-        }
-        Ok(Tuple::from_decoded(type_name, fields))
+        let (shape, values) = decode_fields(
+            r,
+            ShapeKind::Tuple,
+            true,
+            "field count",
+            Value::decode,
+            || Value::Bool(false),
+        )?;
+        Ok(Tuple::from_parts(shape, values))
     }
 }
 
@@ -130,48 +218,46 @@ impl Payload for Template {
     }
 
     fn decode(r: &mut WireReader) -> Result<Self, PayloadError> {
-        let type_name = if r.get_bool()? {
-            Some(r.get_name()?)
-        } else {
-            None
-        };
-        let n = r.get_u32()? as usize;
-        if n > 1 << 16 {
-            return Err(PayloadError::Corrupt("constraint count"));
-        }
-        let mut constraints = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let name = r.get_str()?;
-            let constraint = match r.get_u8()? {
-                0 => Constraint::Exact(Value::decode(r)?),
-                1 => {
-                    let k = r.get_u32()? as usize;
-                    if k > 1 << 16 {
-                        return Err(PayloadError::Corrupt("one-of length"));
-                    }
-                    let mut vs = Vec::with_capacity(k.min(1024));
-                    for _ in 0..k {
-                        vs.push(Value::decode(r)?);
-                    }
-                    Constraint::OneOf(vs)
-                }
-                2 => {
-                    let lo = r.get_i64()?;
-                    let hi = r.get_i64()?;
-                    Constraint::IntRange(lo, hi)
-                }
-                3 => {
-                    let lo = r.get_f64()?;
-                    let hi = r.get_f64()?;
-                    Constraint::FloatRange(lo, hi)
-                }
-                4 => Constraint::Exists,
-                _ => return Err(PayloadError::Corrupt("constraint tag")),
-            };
-            constraints.push((name, constraint));
-        }
-        Ok(Template::from_decoded(type_name, constraints))
+        let typed = r.get_bool()?;
+        let (shape, constraints) = decode_fields(
+            r,
+            ShapeKind::Template,
+            typed,
+            "constraint count",
+            decode_constraint,
+            || Constraint::Exists,
+        )?;
+        Ok(Template::from_parts(typed, shape, constraints))
     }
+}
+
+fn decode_constraint(r: &mut WireReader) -> Result<Constraint, PayloadError> {
+    Ok(match r.get_u8()? {
+        0 => Constraint::Exact(Value::decode(r)?),
+        1 => {
+            let k = r.get_u32()? as usize;
+            if k > 1 << 16 {
+                return Err(PayloadError::Corrupt("one-of length"));
+            }
+            let mut vs = Vec::with_capacity(k.min(1024));
+            for _ in 0..k {
+                vs.push(Value::decode(r)?);
+            }
+            Constraint::OneOf(vs)
+        }
+        2 => {
+            let lo = r.get_i64()?;
+            let hi = r.get_i64()?;
+            Constraint::IntRange(lo, hi)
+        }
+        3 => {
+            let lo = r.get_f64()?;
+            let hi = r.get_f64()?;
+            Constraint::FloatRange(lo, hi)
+        }
+        4 => Constraint::Exists,
+        _ => return Err(PayloadError::Corrupt("constraint tag")),
+    })
 }
 
 #[cfg(test)]
@@ -230,6 +316,10 @@ mod tests {
 
         let any = Template::any_type().exists("k").done();
         assert_eq!(Template::from_bytes(&any.to_bytes()).unwrap(), any);
+
+        // The smallest field on the wire: an empty name, `Exists`.
+        let tiny = Template::build("t").exists("").done();
+        assert_eq!(Template::from_bytes(&tiny.to_bytes()).unwrap(), tiny);
     }
 
     #[test]
@@ -320,6 +410,39 @@ mod tests {
         );
     }
 
+    /// Canonicalising a frame's names is one sort, not a search per field:
+    /// the largest tuple and template a frame may carry, their names in
+    /// reverse order, decode in a blink (a quadratic pass took seconds).
+    #[test]
+    fn widest_reversed_frames_decode_like_the_builder_builds() {
+        const N: usize = 1 << 16;
+        let name = |i: usize| format!("f{:05}", N - 1 - i);
+        let mut w = WireWriter::new();
+        w.put_str("wide");
+        w.put_u32(N as u32);
+        let mut builder = Tuple::build("wide");
+        for i in 0..N {
+            w.put_str(&name(i));
+            Value::Int(i as i64).encode(&mut w);
+            builder = builder.field(name(i), i as i64);
+        }
+        let decoded = Tuple::from_bytes(w.as_slice()).unwrap();
+        assert_eq!(decoded, builder.done());
+        assert_eq!(decoded.get_int(&name(0)), Some(0));
+
+        let mut w = WireWriter::new();
+        w.put_bool(true);
+        w.put_str("wide");
+        w.put_u32(N as u32);
+        let mut builder = Template::build("wide");
+        for i in 0..N {
+            w.put_str(&name(i));
+            w.put_u8(4); // Exists
+            builder = builder.exists(name(i));
+        }
+        assert_eq!(Template::from_bytes(w.as_slice()).unwrap(), builder.done());
+    }
+
     #[test]
     fn interned_decode_shares_names_across_tuples() {
         use crate::payload::{decode_frame, NameInterner};
@@ -331,7 +454,8 @@ mod tests {
         let db: Tuple = decode_frame(bytes::Bytes::from(b.to_bytes()), &mut cache).unwrap();
         assert_eq!(da, a);
         assert_eq!(db, b);
-        // One allocation per distinct name across both frames.
-        assert!(StdArc::ptr_eq(&da.fields()[0].0, &db.fields()[0].0));
+        // One shape across both frames.
+        assert!(StdArc::ptr_eq(da.shape(), db.shape()));
+        assert_eq!(cache.len(), 1);
     }
 }

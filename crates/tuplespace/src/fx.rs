@@ -1,11 +1,11 @@
 //! rustc-hash-style multiplicative hasher for the crate's internal maps:
-//! the space's field indexes and entry tables, and the wire decoder's
-//! name cache. Their keys are short field names, entry ids and value
-//! hashes, where SipHash's DoS resistance costs more than the whole map
+//! the space's field indexes and entry tables, and the process-wide shape
+//! table. Their keys are entry ids, value hashes and short name lists,
+//! where SipHash's DoS resistance costs more than the whole map
 //! operation. None of them is exposed to an unbounded untrusted key
-//! distribution: the space's maps are keyed by what local code wrote,
-//! and the name cache — whose keys do come off the wire — is capped in
-//! entries and key length (see `NameInterner`).
+//! distribution: the space's maps are keyed by what was written, and the
+//! shape table — whose keys do come off the wire — is capped in entries,
+//! names and name length (see `shape.rs`).
 
 /// The hasher.
 #[derive(Default, Clone)]

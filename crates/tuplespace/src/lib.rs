@@ -37,6 +37,7 @@ mod journal;
 mod lease;
 mod payload;
 pub mod remote;
+mod shape;
 mod space;
 mod stats;
 mod store;
@@ -50,6 +51,7 @@ pub use error::{SpaceError, SpaceResult};
 pub use lease::Lease;
 pub use payload::{decode_frame, NameInterner, Payload, PayloadError, WireReader, WireWriter};
 pub use remote::{Pending, RemoteSpace, SpaceServer};
+pub use shape::Shape;
 pub use space::{EntryId, Space, SpaceHandle, Txn, TxnId, TxnState};
 pub use stats::SpaceStats;
 pub use store::{write_all_then_take_up_to_in_sequence, StoreHandle, TupleStore, WriteThenTake};

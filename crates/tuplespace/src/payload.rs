@@ -11,11 +11,10 @@
 //! with a `u32`.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::fx::FxBuild;
+use crate::shape::Shape;
 
 /// Errors raised while decoding a payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,8 +62,8 @@ pub trait Payload: Sized {
 }
 
 /// Decodes one full frame out of a ref-counted buffer, threading a
-/// [`NameInterner`] through the decode so recurring field and type names
-/// resolve to shared `Arc<str>`s instead of fresh allocations.
+/// connection's [`NameInterner`] through the decode so tuples and
+/// templates of a shape the connection has seen before reuse its shape.
 ///
 /// This is the zero-copy sibling of [`Payload::from_bytes`]: `frame` is
 /// consumed by reference count, not copied, so `Bytes`-backed values in
@@ -78,9 +77,7 @@ pub fn decode_frame<T: Payload>(
     let mut r = WireReader::with_interner(frame, std::mem::take(interner));
     let out = T::decode(&mut r);
     let trailing = r.remaining();
-    if let Some(cache) = r.into_interner() {
-        *interner = cache;
-    }
+    *interner = r.into_interner();
     let v = out?;
     if trailing != 0 {
         return Err(PayloadError::Corrupt("trailing bytes"));
@@ -88,59 +85,77 @@ pub fn decode_frame<T: Payload>(
     Ok(v)
 }
 
-/// A bounded cache of recurring wire names (tuple field names, type
-/// names).
+/// Whether a cached shape belongs to tuples or to templates: a connection
+/// typically writes one shape of a type and takes with another, and the
+/// two must not evict each other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ShapeKind {
+    /// Field names of a tuple.
+    Tuple,
+    /// Constrained field names of a template.
+    Template,
+}
+
+/// A connection's shape cache: the last [`Shape`] decoded for each type
+/// name, tuples and templates apart.
 ///
-/// Task tuples repeat the same handful of names millions of times; the
-/// interner turns each repeat into an `Arc` refcount bump instead of a
-/// heap allocation. Bounded on both entry count and name length so a
-/// hostile peer streaming unique names cannot grow it without limit —
-/// once full, unseen names simply decode unshared.
+/// Task tuples repeat the same shape millions of times. A decoder that
+/// finds the type name here compares the frame's field-name bytes with
+/// the cached shape's names; when they all match, the tuple reuses the
+/// shape — no name is hashed, UTF-8-checked, allocated or refcounted.
+/// Anything else decodes the names, canonicalises them and looks the
+/// shape up in the process-wide table, which becomes the type's cached
+/// shape. The cache is keyed by content, so it survives reconnects.
 ///
-/// Names are hashed with the crate's multiplicative `FxBuild`, not
-/// SipHash: every field name of every decoded tuple is looked up here,
-/// and the keyed hash was several percent of a framework-bound job's
-/// CPU. The keys do come off the wire, but the same two caps bound what
-/// a collision flood can do — at most 256 colliding 64-byte entries,
-/// i.e. a lookup degrades to comparing against 256 short strings, once
-/// per name, on the attacker's own connection.
+/// Bounded: at most `MAX_ENTRIES` type names per kind, and shapes over
+/// the table's caps (too many fields, over-long names) are never cached,
+/// so a peer streaming distinct shapes cannot grow it.
 #[derive(Debug, Default)]
 pub struct NameInterner {
-    set: HashSet<Arc<str>, FxBuild>,
+    /// Indexed by [`ShapeKind`].
+    by_kind: [Vec<Arc<Shape>>; 2],
 }
 
 impl NameInterner {
-    /// Entry cap; past it, new names are no longer cached.
-    const MAX_ENTRIES: usize = 256;
-    /// Names longer than this are never cached (they are almost
-    /// certainly data, not schema).
-    const MAX_NAME_LEN: usize = 64;
+    /// Type names cached per kind; past it, new types decode uncached.
+    pub const MAX_ENTRIES: usize = 64;
 
-    /// An empty interner.
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Cached name count.
+    /// Cached shape count.
     pub fn len(&self) -> usize {
-        self.set.len()
+        self.by_kind.iter().map(Vec::len).sum()
     }
 
     /// True when nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.len() == 0
     }
 
-    /// The shared `Arc<str>` for `name`, caching it when within bounds.
-    pub fn intern(&mut self, name: &str) -> Arc<str> {
-        if let Some(hit) = self.set.get(name) {
-            return hit.clone();
+    /// The cached shape whose type name is `type_name`.
+    fn find(&self, kind: ShapeKind, type_name: &[u8]) -> Option<&Arc<Shape>> {
+        self.by_kind[kind as usize]
+            .iter()
+            .find(|s| s.type_name().as_bytes() == type_name)
+    }
+
+    /// Makes `shape` its type's cached shape, if it is within the caps.
+    pub(crate) fn remember(&mut self, kind: ShapeKind, shape: &Arc<Shape>) {
+        if !shape.is_cacheable() {
+            return;
         }
-        let arc: Arc<str> = Arc::from(name);
-        if name.len() <= Self::MAX_NAME_LEN && self.set.len() < Self::MAX_ENTRIES {
-            self.set.insert(arc.clone());
+        let slots = &mut self.by_kind[kind as usize];
+        match slots
+            .iter()
+            .position(|s| s.type_name() == shape.type_name())
+        {
+            Some(i) => slots[i] = shape.clone(),
+            None if slots.len() < Self::MAX_ENTRIES => slots.push(shape.clone()),
+            None => {}
         }
-        arc
     }
 }
 
@@ -278,36 +293,73 @@ impl WireWriter {
 ///
 /// The buffer is a ref-counted [`Bytes`], so decoding can hand out
 /// zero-copy views of it ([`WireReader::get_bytes`]) that stay valid as
-/// long as any view lives. With an attached [`NameInterner`]
-/// ([`WireReader::with_interner`] or [`decode_frame`]), recurring names
-/// decode to shared `Arc<str>`s.
+/// long as any view lives. Recurring shapes decode through the reader's
+/// [`NameInterner`] (an empty one unless attached with
+/// [`WireReader::with_interner`] or [`decode_frame`]).
 #[derive(Debug)]
 pub struct WireReader {
     buf: Bytes,
-    interner: Option<NameInterner>,
+    interner: NameInterner,
 }
 
 impl WireReader {
     /// Wraps a buffer for decoding.
     pub fn new(buf: Bytes) -> Self {
-        Self {
-            buf,
-            interner: None,
-        }
+        Self::with_interner(buf, NameInterner::new())
     }
 
-    /// Wraps a buffer for decoding with a name cache attached; recover it
+    /// Wraps a buffer for decoding with a shape cache attached; recover it
     /// with [`WireReader::into_interner`] when done.
     pub fn with_interner(buf: Bytes, interner: NameInterner) -> Self {
-        Self {
-            buf,
-            interner: Some(interner),
-        }
+        Self { buf, interner }
     }
 
-    /// Takes back the attached name cache, if any.
-    pub fn into_interner(self) -> Option<NameInterner> {
+    /// Takes back the shape cache.
+    pub fn into_interner(self) -> NameInterner {
         self.interner
+    }
+
+    /// The shape cache, for the tuple and template decoders.
+    pub(crate) fn interner(&mut self) -> &mut NameInterner {
+        &mut self.interner
+    }
+
+    /// The length-prefixed bytes at the read position, not consumed.
+    fn peek_prefixed(&self) -> Result<&[u8], PayloadError> {
+        self.need(4)?;
+        let len = u32::from_le_bytes(self.buf[..4].try_into().expect("four bytes")) as usize;
+        self.need(4 + len)?;
+        Ok(&self.buf[4..4 + len])
+    }
+
+    /// If the length-prefixed name at the read position is `name`'s bytes,
+    /// consumes it and returns true; otherwise consumes nothing.
+    pub(crate) fn skip_name_if(&mut self, name: &str) -> Result<bool, PayloadError> {
+        let same = self.peek_prefixed()? == name.as_bytes();
+        if same {
+            self.buf.advance(4 + name.len());
+        }
+        Ok(same)
+    }
+
+    /// The `kind` shape cached for the length-prefixed type name at the
+    /// read position (for an untyped template: for the empty type name,
+    /// which is not on the wire); on a hit the name is consumed, on a miss
+    /// nothing is.
+    pub(crate) fn cached_shape(
+        &mut self,
+        kind: ShapeKind,
+        typed: bool,
+    ) -> Result<Option<Arc<Shape>>, PayloadError> {
+        if !typed {
+            return Ok(self.interner.find(kind, b"").cloned());
+        }
+        let len = self.peek_prefixed()?.len();
+        let hit = self.interner.find(kind, &self.buf[4..4 + len]).cloned();
+        if let Some(shape) = &hit {
+            self.buf.advance(4 + shape.type_name().len());
+        }
+        Ok(hit)
     }
 
     /// Bytes not yet consumed.
@@ -384,20 +436,6 @@ impl WireReader {
         let len = self.get_u32()? as usize;
         self.need(len)?;
         Ok(self.buf.split_to(len))
-    }
-
-    /// Reads a length-prefixed UTF-8 name as a shared `Arc<str>`,
-    /// deduplicated through the attached [`NameInterner`] when present.
-    pub fn get_name(&mut self) -> Result<Arc<str>, PayloadError> {
-        let len = self.get_u32()? as usize;
-        self.need(len)?;
-        let s = std::str::from_utf8(&self.buf[..len]).map_err(|_| PayloadError::Corrupt("utf8"))?;
-        let name = match &mut self.interner {
-            Some(cache) => cache.intern(s),
-            None => Arc::from(s),
-        };
-        self.buf.advance(len);
-        Ok(name)
     }
 
     /// Reads a length-prefixed `f64` vector.
@@ -595,36 +633,25 @@ mod tests {
     }
 
     #[test]
-    fn get_name_interns_repeats() {
-        let mut w = WireWriter::new();
-        w.put_str("task_id");
-        w.put_str("task_id");
-        w.put_str("payload");
-        let mut r = WireReader::with_interner(w.finish(), NameInterner::new());
-        let a = r.get_name().unwrap();
-        let b = r.get_name().unwrap();
-        let c = r.get_name().unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "repeat must share one allocation");
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(&*a, "task_id");
-        assert_eq!(&*c, "payload");
-        assert_eq!(r.into_interner().unwrap().len(), 2);
-    }
-
-    #[test]
     fn interner_is_bounded() {
+        use crate::shape::MAX_NAME_LEN;
         let mut cache = NameInterner::new();
-        // Oversized names never enter the cache.
-        let long = "x".repeat(NameInterner::MAX_NAME_LEN + 1);
-        let _ = cache.intern(&long);
+        // Shapes over the table's caps are never cached.
+        let long = "x".repeat(MAX_NAME_LEN + 1);
+        cache.remember(ShapeKind::Tuple, &Shape::new("t", &[&long]));
         assert!(cache.is_empty());
-        // The entry cap holds under a flood of unique names.
+        // The entry cap holds under a flood of distinct types.
         for i in 0..2 * NameInterner::MAX_ENTRIES {
-            let _ = cache.intern(&format!("name-{i}"));
+            cache.remember(ShapeKind::Tuple, &Shape::new(&format!("type-{i}"), &["a"]));
         }
         assert_eq!(cache.len(), NameInterner::MAX_ENTRIES);
-        // A full cache still hands out correct (uncached) names.
-        assert_eq!(&*cache.intern("overflow"), "overflow");
+        // One shape per type: a new shape of a cached type replaces it.
+        cache.remember(ShapeKind::Tuple, &Shape::new("type-0", &["b"]));
+        assert_eq!(cache.len(), NameInterner::MAX_ENTRIES);
+        let hit = cache.find(ShapeKind::Tuple, b"type-0").unwrap();
+        assert_eq!(hit.names().collect::<Vec<_>>(), ["b"]);
+        // Kinds are apart.
+        assert!(cache.find(ShapeKind::Template, b"type-0").is_none());
     }
 
     #[test]

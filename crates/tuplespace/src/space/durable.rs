@@ -13,7 +13,7 @@ use super::shard::{LockState, Stored};
 use super::{EntryId, Space, SpaceHandle};
 use crate::error::{SpaceError, SpaceResult};
 use crate::journal::{self, get_deadline, put_deadline, Op, SpaceJournal};
-use crate::payload::{Payload, PayloadError, WireReader, WireWriter};
+use crate::payload::{decode_frame, NameInterner, Payload, PayloadError, WireReader, WireWriter};
 use crate::template::Template;
 use crate::tuple::Tuple;
 
@@ -90,11 +90,13 @@ impl Space {
                 entries.insert(id, (deadline_ms, tuple));
             }
         }
+        // One shape cache across the log: its tuples share a few shapes.
+        let mut shapes = NameInterner::new();
         for rec in replay.records {
             if rec.lsn < cut {
                 continue;
             }
-            let op = Op::from_bytes(&rec.payload)
+            let op = decode_frame::<Op>(bytes::Bytes::copy_from_slice(&rec.payload), &mut shapes)
                 .map_err(|e| SpaceError::Storage(format!("wal record {}: {e}", rec.lsn)))?;
             // Replay is idempotent per entry (insert-if-absent /
             // remove-if-present): records at or past the cut may describe

@@ -1,5 +1,5 @@
 //! How a shard locates an entry: the per-shard exact-match field index,
-//! folded in lazily, and the candidate lookup that probes it or falls back
+//! built on demand, and the candidate lookup that probes it or falls back
 //! to a FIFO scan.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -9,7 +9,7 @@ use std::time::Instant;
 use super::shard::{ShardState, Stored};
 use super::{EntryId, FxMap, Space, TxnId};
 use crate::fx::FxHasher;
-use crate::template::{Constraint, Template};
+use crate::template::{Constraint, Matcher};
 use crate::value::Value;
 
 /// Hash of an indexable [`Value`], used as the field-index key. Keying by
@@ -32,64 +32,38 @@ fn value_index_hash(value: &Value) -> Option<u64> {
     Some(h.finish())
 }
 
-/// One shard's exact-match index.
+/// One shard's exact-match index, over the fields an exact-match probe
+/// has named and no others.
+///
+/// A field enters the index the first time a probe names it and some
+/// stored entry has it: its buckets are back-filled once from the shard's
+/// entries, and from then on every write and removal keeps them current.
+/// Fields no probe has named cost nothing per write. The demanded set is
+/// bounded by the names of the shapes stored in the shard; it is never
+/// dropped.
 #[derive(Debug, Default)]
 pub(super) struct FieldIndex {
-    /// `field name → value hash → ids of entries carrying that value`.
-    /// Each id bucket is kept sorted, so index-served matches keep FIFO
-    /// semantics. Ids arrive nearly in order (they are allocated from a
-    /// monotone counter) and leave mostly from the front, so the sorted
-    /// deque behaves like a queue: O(1) amortized insert and remove.
-    by_field: FxMap<Arc<str>, FxMap<u64, VecDeque<EntryId>>>,
-    /// Ids written since the last index probe, not yet folded into
-    /// `by_field`. Writes only push here (O(1) per field set, no hashing);
-    /// the first probe that actually needs the index pays the folding
-    /// cost. Entries that are removed before any probe never touch the
-    /// index at all — which is what makes pure write→expire→sweep
-    /// traffic cheap.
-    pending: Vec<EntryId>,
+    demanded: Vec<Demanded>,
+}
+
+#[derive(Debug)]
+struct Demanded {
+    name: Arc<str>,
+    /// `value hash → ids of entries carrying that value`, each bucket
+    /// sorted so index-served matches keep FIFO order. Ids arrive nearly
+    /// in order (they come from a monotone counter) and leave mostly from
+    /// the front, so a bucket behaves like a queue.
+    buckets: FxMap<u64, VecDeque<EntryId>>,
 }
 
 impl FieldIndex {
-    /// Queues a freshly inserted entry for lazy indexing. `entries` must
-    /// already hold it.
-    pub(super) fn note_pending(&mut self, id: EntryId, entries: &BTreeMap<EntryId, Stored>) {
-        // Under write-heavy, probe-free churn the queue accumulates ids of
-        // entries that are long gone; compact it before it outgrows the
-        // live set by more than a small constant factor.
-        if self.pending.len() > entries.len() * 2 + 64 {
-            self.pending.retain(|id| entries.contains_key(id));
-        }
-        self.pending.push(id);
-    }
-
-    /// Folds queued writes into the index; called before any probe. Ids
-    /// whose entries were already removed are skipped, so the index never
-    /// references missing entries.
-    fn flush(&mut self, entries: &BTreeMap<EntryId, Stored>) {
-        for id in std::mem::take(&mut self.pending) {
-            if let Some(stored) = entries.get(&id) {
-                self.insert(stored);
-            }
-        }
-    }
-
-    fn insert(&mut self, stored: &Stored) {
-        for (name, value) in stored.tuple.fields() {
-            let Some(key) = value_index_hash(value) else {
+    /// Indexes a freshly stored entry under every demanded field it has.
+    pub(super) fn insert(&mut self, stored: &Stored) {
+        for field in &mut self.demanded {
+            let Some(key) = stored.tuple.get(&field.name).and_then(value_index_hash) else {
                 continue;
             };
-            // Field names are shared `Arc<str>`s, so keying the index is a
-            // refcount bump, never an allocation.
-            if !self.by_field.contains_key(name) {
-                self.by_field.insert(name.clone(), FxMap::default());
-            }
-            let ids = self
-                .by_field
-                .get_mut(name)
-                .expect("just ensured")
-                .entry(key)
-                .or_default();
+            let ids = field.buckets.entry(key).or_default();
             match ids.back() {
                 Some(last) if *last > stored.id => {
                     let pos = ids.partition_point(|id| *id < stored.id);
@@ -100,81 +74,120 @@ impl FieldIndex {
         }
     }
 
-    /// Removes an entry's ids from the index. Harmlessly misses for
-    /// entries still pending (never folded in).
+    /// Removes an entry's ids from the index.
     pub(super) fn remove(&mut self, stored: &Stored) {
-        for (name, value) in stored.tuple.fields() {
-            let Some(key) = value_index_hash(value) else {
+        for field in &mut self.demanded {
+            let Some(key) = stored.tuple.get(&field.name).and_then(value_index_hash) else {
                 continue;
             };
-            let Some(by_value) = self.by_field.get_mut(name) else {
-                continue;
-            };
-            if let Some(ids) = by_value.get_mut(&key) {
+            if let Some(ids) = field.buckets.get_mut(&key) {
                 if let Ok(pos) = ids.binary_search(&stored.id) {
                     ids.remove(pos);
                 }
                 if ids.is_empty() {
-                    by_value.remove(&key);
+                    field.buckets.remove(&key);
                 }
             }
         }
     }
 
+    /// Empties every bucket; the demanded fields stay demanded.
     pub(super) fn clear(&mut self) {
-        self.by_field.clear();
-        self.pending.clear();
+        for field in &mut self.demanded {
+            field.buckets.clear();
+        }
+    }
+
+    /// Makes `field` demanded, back-filling its buckets from `entries`.
+    /// Returns false, creating nothing, when no entry has the field — so
+    /// no entry can match an exact constraint on it.
+    fn demand(&mut self, field: &str, entries: &BTreeMap<EntryId, Stored>) -> bool {
+        if self.demanded.iter().any(|f| &*f.name == field) {
+            return true;
+        }
+        let mut buckets: FxMap<u64, VecDeque<EntryId>> = FxMap::default();
+        let mut found = false;
+        for stored in entries.values() {
+            let Some(value) = stored.tuple.get(field) else {
+                continue;
+            };
+            found = true;
+            if let Some(key) = value_index_hash(value) {
+                // Entries iterate in id order: every bucket is pushed sorted.
+                buckets.entry(key).or_default().push_back(stored.id);
+            }
+        }
+        if found {
+            self.demanded.push(Demanded {
+                name: Arc::from(field),
+                buckets,
+            });
+        }
+        found
     }
 
     /// Ids of entries whose `field` hashes to `key`, oldest first.
     fn bucket(&self, field: &str, key: u64) -> impl Iterator<Item = EntryId> + '_ {
-        self.by_field
-            .get(field)
-            .and_then(|by_value| by_value.get(&key))
+        self.demanded
+            .iter()
+            .find(|f| &*f.name == field)
+            .and_then(|f| f.buckets.get(&key))
             .into_iter()
             .flatten()
             .copied()
     }
+
+    /// The demanded field names, in demand order.
+    #[cfg(test)]
+    pub(super) fn demanded(&self) -> Vec<&str> {
+        self.demanded.iter().map(|f| &*f.name).collect()
+    }
 }
 
 impl Space {
-    /// Finds the oldest live entry in `state` matching `template` that the
-    /// caller may see, purging expired entries it passes over. An `==`
-    /// constraint on an indexable value lets the field index hand over
-    /// exactly the entries carrying that value; anything else scans.
+    /// Finds the oldest live entry in `state` matching `matcher`'s
+    /// template that the caller may see, purging expired entries it passes
+    /// over. An `==` constraint on an indexable value lets the field index
+    /// hand over exactly the entries carrying that value; anything else
+    /// scans.
     pub(super) fn find_candidate(
         &self,
         state: &mut ShardState,
-        template: &Template,
+        matcher: &mut Matcher<'_>,
         txn: Option<TxnId>,
         destructive: bool,
         now: Instant,
     ) -> Option<EntryId> {
-        let usable = |s: &Stored| {
-            template.matches(&s.tuple)
+        let probe = matcher
+            .template()
+            .constraints()
+            .find_map(|(name, c)| match c {
+                Constraint::Exact(value) => value_index_hash(value).map(|key| (name, key)),
+                _ => None,
+            });
+        self.stats.record_index_probe(probe.is_some());
+        let mut usable = |s: &Stored| {
+            matcher.matches(&s.tuple)
                 && if destructive {
                     s.takeable_by(txn)
                 } else {
                     s.visible_to_read(txn)
                 }
         };
-        let probe = template.constraints().iter().find_map(|(name, c)| match c {
-            Constraint::Exact(value) => value_index_hash(value).map(|key| (name.as_str(), key)),
-            _ => None,
-        });
-        self.stats.record_index_probe(probe.is_some());
         let mut dead = Vec::new();
         let found = match probe {
             Some((field, key)) => {
-                state.index.flush(&state.entries);
+                if !state.index.demand(field, &state.entries) {
+                    return None;
+                }
                 let entries = &state.entries;
                 let indexed = state
                     .index
                     .bucket(field, key)
                     .map(|id| entries.get(&id).expect("indexed entry exists"));
-                first_usable(indexed, now, usable, &mut dead)
+                first_usable(indexed, now, &mut usable, &mut dead)
             }
-            None => first_usable(state.entries.values(), now, usable, &mut dead),
+            None => first_usable(state.entries.values(), now, &mut usable, &mut dead),
         };
         for id in dead {
             state.remove(id);
@@ -188,7 +201,7 @@ impl Space {
 fn first_usable<'a>(
     candidates: impl Iterator<Item = &'a Stored>,
     now: Instant,
-    usable: impl Fn(&Stored) -> bool,
+    usable: &mut impl FnMut(&Stored) -> bool,
     dead: &mut Vec<EntryId>,
 ) -> Option<EntryId> {
     for stored in candidates {

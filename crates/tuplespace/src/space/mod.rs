@@ -287,10 +287,11 @@ impl Space {
     /// Plain-takes matches into `out` until it holds `max` tuples or
     /// nothing else matches, one lock acquisition per shard.
     fn drain_into(&self, template: &Template, max: usize, out: &mut Vec<Tuple>) {
+        let mut matcher = template.matcher();
         for (ty, shard) in self.select_shards(template.type_name()) {
             let mut state = self.lock_shard(&shard);
             while out.len() < max {
-                match self.try_match_shard(&ty, &mut state, template, None, true) {
+                match self.try_match_shard(&ty, &mut state, &mut matcher, None, true) {
                     Some(tuple) => {
                         self.stats.record_take();
                         out.push(tuple);
@@ -339,12 +340,13 @@ impl Space {
     /// `read` could observe, one lock acquisition per shard.
     fn scan_visible(&self, template: &Template, mut f: impl FnMut(&Stored)) {
         let now = Instant::now();
+        let mut matcher = template.matcher();
         for (_, shard) in self.select_shards(template.type_name()) {
             let state = self.lock_shard(&shard);
             for stored in state.entries.values() {
                 if !stored.expired(now)
                     && stored.visible_to_read(None)
-                    && template.matches(&stored.tuple)
+                    && matcher.matches(&stored.tuple)
                 {
                     f(stored);
                 }

@@ -12,7 +12,7 @@ use super::index::FieldIndex;
 use super::{EntryId, Space, TxnId};
 use crate::error::{SpaceError, SpaceResult};
 use crate::journal::Op;
-use crate::template::Template;
+use crate::template::{Matcher, Template};
 use crate::tuple::Tuple;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,11 +71,10 @@ pub(super) struct ShardState {
 }
 
 impl ShardState {
-    /// Stores a new entry; it reaches the field index lazily.
+    /// Stores a new entry, indexing its demanded fields.
     pub(super) fn insert(&mut self, stored: Stored) {
-        let id = stored.id;
-        self.entries.insert(id, stored);
-        self.index.note_pending(id, &self.entries);
+        self.index.insert(&stored);
+        self.entries.insert(stored.id, stored);
     }
 
     /// Removes an entry, keeping the field index consistent.
@@ -213,6 +212,7 @@ impl Space {
         let result = match template.type_name() {
             Some(ty) => {
                 let (ty, shard) = self.shard_entry(ty);
+                let mut matcher = template.matcher();
                 let mut state = self.lock_shard(&shard);
                 self.park_until_match(
                     &mut state,
@@ -220,7 +220,7 @@ impl Space {
                     Some(&shard.waiters),
                     deadline,
                     txn,
-                    |state| self.try_match_shard(&ty, state, template, txn, destructive),
+                    |state| self.try_match_shard(&ty, state, &mut matcher, txn, destructive),
                 )
             }
             None => {
@@ -306,9 +306,12 @@ impl Space {
         txn: Option<TxnId>,
         destructive: bool,
     ) -> Option<Tuple> {
+        let mut matcher = template.matcher();
         for (ty, shard) in self.all_shards() {
             let mut state = self.lock_shard(&shard);
-            if let Some(tuple) = self.try_match_shard(&ty, &mut state, template, txn, destructive) {
+            if let Some(tuple) =
+                self.try_match_shard(&ty, &mut state, &mut matcher, txn, destructive)
+            {
                 return Some(tuple);
             }
         }
@@ -322,11 +325,11 @@ impl Space {
         &self,
         ty: &Arc<str>,
         state: &mut ShardState,
-        template: &Template,
+        matcher: &mut Matcher<'_>,
         txn: Option<TxnId>,
         destructive: bool,
     ) -> Option<Tuple> {
-        let id = self.find_candidate(state, template, txn, destructive, Instant::now())?;
+        let id = self.find_candidate(state, matcher, txn, destructive, Instant::now())?;
         match (txn, destructive) {
             (None, true) => {
                 if let Some(j) = self.journal() {

@@ -504,6 +504,60 @@ fn indexed_lookup_respects_txn_locks() {
     assert!(s.take_if_exists(&tmpl).unwrap().is_some());
 }
 
+/// The fields the `task` shard indexes.
+fn demanded(s: &Space) -> Vec<String> {
+    let shard = s.existing_shard("task").expect("task shard");
+    let state = shard.state.lock();
+    state
+        .index
+        .demanded()
+        .into_iter()
+        .map(str::to_owned)
+        .collect()
+}
+
+#[test]
+fn the_index_holds_only_the_fields_probes_name() {
+    let kinded = |id: i64| {
+        Tuple::build("task")
+            .field("id", id)
+            .field("kind", "k")
+            .done()
+    };
+    let s = Space::new("t");
+    for i in 0..10 {
+        s.write(kinded(i)).unwrap();
+    }
+    // Writes alone index nothing.
+    assert!(demanded(&s).is_empty());
+    // The first probe of a field back-fills it from the stored entries,
+    // in FIFO order.
+    let by_kind = Template::build("task").eq("kind", "k").done();
+    assert_eq!(
+        s.take_if_exists(&by_kind).unwrap().unwrap().get_int("id"),
+        Some(0)
+    );
+    assert_eq!(demanded(&s), ["kind"]);
+    // Later writes and removals keep it current; other fields stay out.
+    s.write(kinded(10)).unwrap();
+    let ids: Vec<i64> = s
+        .take_all(&by_kind)
+        .unwrap()
+        .iter()
+        .map(|t| t.get_int("id").unwrap())
+        .collect();
+    assert_eq!(ids, (1..=10).collect::<Vec<_>>());
+    assert_eq!(demanded(&s), ["kind"]);
+    // A probe of a field no stored shape has creates no index state.
+    s.write(kinded(11)).unwrap();
+    let absent = Template::build("task").eq("owner", "w1").done();
+    assert!(s.read_if_exists(&absent).unwrap().is_none());
+    assert_eq!(demanded(&s), ["kind"]);
+    let by_id = Template::build("task").eq("id", 11i64).done();
+    assert!(s.read_if_exists(&by_id).unwrap().is_some());
+    assert_eq!(demanded(&s), ["kind", "id"]);
+}
+
 #[test]
 fn type_wildcard_template_scans_all_types() {
     let s = Space::new("t");

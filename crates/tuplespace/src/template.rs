@@ -9,6 +9,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use crate::shape::{canonicalise, Shape};
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -42,23 +43,24 @@ impl Constraint {
     }
 }
 
-/// An associative-lookup pattern over tuples.
+/// An associative-lookup pattern over tuples: a [`Shape`] naming the
+/// constrained fields, plus one [`Constraint`] per name, in name order.
 ///
 /// Both parts are ref-counted, so `Clone` is two refcount bumps — requests
 /// on the wire path clone templates freely without copying constraint
 /// payloads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Template {
-    /// `None` matches any tuple type.
-    type_name: Option<Arc<str>>,
-    /// Sorted by field name.
-    constraints: Arc<[(String, Constraint)]>,
+    /// False for a template matching any tuple type (its shape's type
+    /// name is then empty).
+    typed: bool,
+    shape: Arc<Shape>,
+    /// `constraints[i]` constrains the field named `shape.name(i)`.
+    constraints: Arc<[Constraint]>,
 }
 
 impl Template {
     /// Starts building a template for the given tuple type.
-    /// (`Into<Arc<str>>` so a `&str` name costs one allocation, not a
-    /// `String` detour.)
     pub fn build(type_name: impl Into<Arc<str>>) -> TemplateBuilder {
         TemplateBuilder {
             type_name: Some(type_name.into()),
@@ -81,12 +83,26 @@ impl Template {
 
     /// The type this template selects, if any.
     pub fn type_name(&self) -> Option<&str> {
-        self.type_name.as_deref()
+        self.typed.then(|| self.shape.type_name())
     }
 
-    /// The field constraints, sorted by field name.
-    pub fn constraints(&self) -> &[(String, Constraint)] {
-        &self.constraints
+    /// The field constraints as `(name, constraint)`, sorted by name.
+    pub fn constraints(&self) -> impl ExactSizeIterator<Item = (&str, &Constraint)> + '_ {
+        self.shape.names().zip(self.constraints.iter())
+    }
+
+    /// A template of `shape`'s names with one constraint each.
+    pub(crate) fn from_parts(
+        typed: bool,
+        shape: Arc<Shape>,
+        constraints: Arc<[Constraint]>,
+    ) -> Template {
+        debug_assert_eq!(shape.len(), constraints.len());
+        Template {
+            typed,
+            shape,
+            constraints,
+        }
     }
 
     /// True when `tuple` satisfies the template: the type matches (or the
@@ -94,24 +110,80 @@ impl Template {
     /// Fields of the tuple not mentioned by the template are ignored —
     /// JavaSpaces `null`-field semantics.
     pub fn matches(&self, tuple: &Tuple) -> bool {
-        if let Some(ty) = &self.type_name {
-            if ty.as_ref() != tuple.type_name() {
-                return false;
-            }
+        if self.typed && self.shape.type_name() != tuple.type_name() {
+            return false;
         }
-        self.constraints
+        self.constraints()
+            .all(|(name, c)| tuple.get(name).is_some_and(|v| c.matches(v)))
+    }
+
+    /// A matcher that resolves this template's field positions once per
+    /// tuple shape instead of once per tuple — what a scan uses.
+    pub(crate) fn matcher(&self) -> Matcher<'_> {
+        Matcher {
+            template: self,
+            last: None,
+        }
+    }
+}
+
+/// Constraint counts up to which a [`Matcher`] remembers positions.
+const MEMO: usize = 4;
+
+/// [`Template::matches`] with the positions of the constrained fields
+/// remembered for the last tuple shape seen: tuples sharing a shape are
+/// matched by index, with no name comparison.
+pub(crate) struct Matcher<'t> {
+    template: &'t Template,
+    /// The last shape and, if its type can match at all, the position of
+    /// each constrained field in it (`u32::MAX` for a field it lacks).
+    last: Option<(Arc<Shape>, Option<[u32; MEMO]>)>,
+}
+
+impl<'t> Matcher<'t> {
+    /// The template matched.
+    pub(crate) fn template(&self) -> &'t Template {
+        self.template
+    }
+
+    /// Same answer as [`Template::matches`].
+    pub(crate) fn matches(&mut self, tuple: &Tuple) -> bool {
+        let template = self.template;
+        if template.constraints.len() > MEMO {
+            return template.matches(tuple);
+        }
+        let shape = tuple.shape();
+        let fresh = !matches!(&self.last, Some((seen, _)) if Arc::ptr_eq(seen, shape));
+        if fresh {
+            let resolved = (!template.typed || template.shape.type_name() == shape.type_name())
+                .then(|| {
+                    let mut at = [u32::MAX; MEMO];
+                    for (slot, name) in at.iter_mut().zip(template.shape.names()) {
+                        *slot = shape.position(name).map_or(u32::MAX, |i| i as u32);
+                    }
+                    at
+                });
+            self.last = Some((shape.clone(), resolved));
+        }
+        let Some((_, Some(at))) = &self.last else {
+            return false;
+        };
+        let values = tuple.values();
+        template
+            .constraints
             .iter()
-            .all(|(name, c)| tuple.get(name).map(|v| c.matches(v)).unwrap_or(false))
+            .zip(at)
+            .all(|(c, &i)| i != u32::MAX && c.matches(&values[i as usize]))
     }
 }
 
 impl fmt::Display for Template {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.type_name {
+        match self.type_name() {
             Some(ty) => write!(f, "{ty}?{{")?,
             None => write!(f, "*?{{")?,
         }
-        for (i, (n, c)) in self.constraints.iter().enumerate() {
+        for (i, (n, c)) in self.constraints().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -127,82 +199,53 @@ impl fmt::Display for Template {
     }
 }
 
-/// Builder for [`Template`].
+/// Builder for [`Template`]; a later constraint on a field replaces an
+/// earlier one.
 #[derive(Debug)]
 pub struct TemplateBuilder {
     type_name: Option<Arc<str>>,
-    constraints: Vec<(String, Constraint)>,
-}
-
-impl Template {
-    /// Builds a template straight from decoded parts; used by the codec so
-    /// interned type names survive decode without re-allocation.
-    pub(crate) fn from_decoded(
-        type_name: Option<Arc<str>>,
-        mut constraints: Vec<(String, Constraint)>,
-    ) -> Template {
-        if !constraints.windows(2).all(|w| w[0].0 < w[1].0) {
-            // Replicate builder semantics: sort, later duplicates win.
-            let mut out: Vec<(String, Constraint)> = Vec::with_capacity(constraints.len());
-            for (name, c) in constraints {
-                if let Some(slot) = out.iter_mut().find(|(n, _)| *n == name) {
-                    slot.1 = c;
-                } else {
-                    out.push((name, c));
-                }
-            }
-            out.sort_by(|(a, _), (b, _)| a.cmp(b));
-            constraints = out;
-        }
-        Template {
-            type_name,
-            constraints: constraints.into(),
-        }
-    }
+    constraints: Vec<(Arc<str>, Constraint)>,
 }
 
 impl TemplateBuilder {
-    fn push(mut self, name: String, c: Constraint) -> Self {
-        if let Some(slot) = self.constraints.iter_mut().find(|(n, _)| *n == name) {
-            slot.1 = c;
-        } else {
-            self.constraints.push((name, c));
-        }
+    fn push(mut self, name: Arc<str>, c: Constraint) -> Self {
+        self.constraints.push((name, c));
         self
     }
 
     /// Field must equal `value`.
-    pub fn eq(self, name: impl Into<String>, value: impl Into<Value>) -> Self {
+    pub fn eq(self, name: impl Into<Arc<str>>, value: impl Into<Value>) -> Self {
         self.push(name.into(), Constraint::Exact(value.into()))
     }
 
     /// Field must equal one of `values`.
-    pub fn one_of(self, name: impl Into<String>, values: Vec<Value>) -> Self {
+    pub fn one_of(self, name: impl Into<Arc<str>>, values: Vec<Value>) -> Self {
         self.push(name.into(), Constraint::OneOf(values))
     }
 
     /// Field must be an integer in `[lo, hi]`.
-    pub fn int_range(self, name: impl Into<String>, lo: i64, hi: i64) -> Self {
+    pub fn int_range(self, name: impl Into<Arc<str>>, lo: i64, hi: i64) -> Self {
         self.push(name.into(), Constraint::IntRange(lo, hi))
     }
 
     /// Field must be a float in `[lo, hi]`.
-    pub fn float_range(self, name: impl Into<String>, lo: f64, hi: f64) -> Self {
+    pub fn float_range(self, name: impl Into<Arc<str>>, lo: f64, hi: f64) -> Self {
         self.push(name.into(), Constraint::FloatRange(lo, hi))
     }
 
     /// Field must exist, with any value.
-    pub fn exists(self, name: impl Into<String>) -> Self {
+    pub fn exists(self, name: impl Into<Arc<str>>) -> Self {
         self.push(name.into(), Constraint::Exists)
     }
 
     /// Finishes the template.
-    pub fn done(mut self) -> Template {
-        self.constraints.sort_by(|(a, _), (b, _)| a.cmp(b));
-        Template {
-            type_name: self.type_name,
-            constraints: self.constraints.into(),
-        }
+    pub fn done(self) -> Template {
+        let (names, constraints): (Vec<Arc<str>>, Vec<Constraint>) =
+            self.constraints.into_iter().unzip();
+        let names: Vec<&str> = names.iter().map(|n| &**n).collect();
+        let ty = self.type_name.as_deref();
+        let (shape, constraints) = canonicalise(ty.unwrap_or(""), &names, constraints.into());
+        Template::from_parts(ty.is_some(), shape, constraints)
     }
 }
 
@@ -280,6 +323,30 @@ mod tests {
         assert!(!t.matches(&task(1, "x")));
         assert!(t.matches(&task(2, "x")));
         assert_eq!(t.constraints().len(), 1);
+    }
+
+    #[test]
+    fn matcher_agrees_with_matches_across_shapes() {
+        let t = Template::build("task")
+            .eq("kind", "a")
+            .int_range("id", 0, 9)
+            .done();
+        let other = Tuple::build("task").field("kind", "a").done();
+        let wrong_type = Tuple::build("result")
+            .field("kind", "a")
+            .field("id", 1i64)
+            .done();
+        let mut m = t.matcher();
+        for tuple in [
+            task(1, "a"),
+            task(2, "b"),
+            other,
+            task(3, "a"),
+            wrong_type,
+            task(10, "a"),
+        ] {
+            assert_eq!(m.matches(&tuple), t.matches(&tuple), "{tuple}");
+        }
     }
 
     #[test]

@@ -2,28 +2,28 @@
 //!
 //! A [`Tuple`] is the Rust analogue of a JavaSpaces `Entry`: it carries a
 //! type name (the Java class) and a set of named fields (the entry's public
-//! fields). Fields are kept sorted by name so tuples have a canonical form.
+//! fields). The type and field names are the tuple's [`Shape`], shared by
+//! every tuple of that shape; the tuple itself is that shape plus its
+//! values, in the shape's (sorted) name order.
 
 use std::fmt;
 use std::sync::Arc;
 
+use crate::shape::{canonical_order, is_canonical, Shape};
 use crate::value::Value;
 
 /// An immutable, named-field record stored in a [`crate::Space`].
 ///
-/// Field names are shared `Arc<str>`s: tuples decoded off the wire with an
-/// interner attached reuse one allocation per distinct name across every
-/// tuple on the connection, instead of one `String` per field per tuple.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Cloning is two reference-count increments; dropping touches no name.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Tuple {
-    type_name: Arc<str>,
-    /// Sorted by field name; unique names.
-    fields: Arc<[(Arc<str>, Value)]>,
+    shape: Arc<Shape>,
+    /// `values[i]` is the field named `shape.name(i)`.
+    values: Arc<[Value]>,
 }
 
 impl Tuple {
-    /// Starts building a tuple of the given type. (`Into<Arc<str>>` so a
-    /// `&str` name costs one allocation, not a `String` detour.)
+    /// Starts building a tuple of the given type.
     pub fn build(type_name: impl Into<Arc<str>>) -> TupleBuilder {
         TupleBuilder {
             type_name: type_name.into(),
@@ -31,65 +31,57 @@ impl Tuple {
         }
     }
 
+    /// A tuple of `shape` whose field `i` is `values[i]`.
+    ///
+    /// # Panics
+    /// When `values` does not have one value per field of `shape`.
+    pub fn from_parts(shape: Arc<Shape>, values: Arc<[Value]>) -> Tuple {
+        assert_eq!(
+            shape.len(),
+            values.len(),
+            "one value per field of the shape"
+        );
+        Tuple { shape, values }
+    }
+
+    /// The tuple's shape: its type and field names.
+    pub fn shape(&self) -> &Arc<Shape> {
+        &self.shape
+    }
+
+    /// The field values, in the shape's name order.
+    pub fn values(&self) -> &[Value] {
+        &self.values
+    }
+
     /// The tuple's type name (the analogue of the entry's Java class).
     pub fn type_name(&self) -> &str {
-        &self.type_name
+        self.shape.type_name()
     }
 
     /// The shared type-name allocation (cheap to clone on hot paths).
     pub(crate) fn type_name_arc(&self) -> Arc<str> {
-        self.type_name.clone()
+        self.shape.type_name_arc().clone()
     }
 
-    /// All fields, sorted by name.
-    pub fn fields(&self) -> &[(Arc<str>, Value)] {
-        &self.fields
-    }
-
-    /// Builds a tuple straight from decoded parts, canonicalising only
-    /// when needed. Encoders emit fields in canonical (sorted, unique)
-    /// order, so the wire hot path takes the no-op fast path; inputs that
-    /// arrive unsorted or with duplicates fall back to builder semantics
-    /// (sort; later duplicates overwrite earlier ones).
-    pub(crate) fn from_decoded(type_name: Arc<str>, fields: Vec<(Arc<str>, Value)>) -> Tuple {
-        let canonical = fields.windows(2).all(|w| w[0].0 < w[1].0);
-        if canonical {
-            return Tuple {
-                type_name,
-                fields: fields.into(),
-            };
-        }
-        let mut out: Vec<(Arc<str>, Value)> = Vec::with_capacity(fields.len());
-        for (name, value) in fields {
-            if let Some(slot) = out.iter_mut().find(|(n, _)| *n == name) {
-                slot.1 = value;
-            } else {
-                out.push((name, value));
-            }
-        }
-        out.sort_by(|(a, _), (b, _)| a.cmp(b));
-        Tuple {
-            type_name,
-            fields: out.into(),
-        }
+    /// All fields as `(name, value)`, sorted by name.
+    pub fn fields(&self) -> impl ExactSizeIterator<Item = (&str, &Value)> + '_ {
+        self.shape.names().zip(self.values.iter())
     }
 
     /// Number of fields.
     pub fn len(&self) -> usize {
-        self.fields.len()
+        self.values.len()
     }
 
     /// True if the tuple has no fields.
     pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
+        self.values.is_empty()
     }
 
     /// Looks up a field by name.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.fields
-            .binary_search_by(|(n, _)| n.as_ref().cmp(name))
-            .ok()
-            .map(|i| &self.fields[i].1)
+        self.shape.position(name).map(|i| &self.values[i])
     }
 
     /// Integer field accessor.
@@ -125,33 +117,36 @@ impl Tuple {
     /// Approximate serialized size of the tuple in bytes. Drives space
     /// statistics and the simulator's communication-cost model.
     pub fn size_hint(&self) -> usize {
-        self.type_name.len()
+        self.type_name().len()
             + self
-                .fields
-                .iter()
+                .fields()
                 .map(|(n, v)| n.len() + v.size_hint())
                 .sum::<usize>()
     }
 
     /// Returns a copy of this tuple with one field replaced or added.
     pub fn with_field(&self, name: impl Into<Arc<str>>, value: impl Into<Value>) -> Tuple {
-        let name = name.into();
-        let mut fields: Vec<(Arc<str>, Value)> = self.fields.to_vec();
-        match fields.binary_search_by(|(n, _)| n.cmp(&name)) {
-            Ok(i) => fields[i].1 = value.into(),
-            Err(i) => fields.insert(i, (name, value.into())),
+        let mut builder = Tuple::build(self.shape.type_name_arc().clone());
+        for (n, v) in self.fields() {
+            builder = builder.field(n, v.clone());
         }
-        Tuple {
-            type_name: self.type_name.clone(),
-            fields: fields.into(),
-        }
+        builder.field(name, value).done()
+    }
+}
+
+impl fmt::Debug for Tuple {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tuple")
+            .field("type_name", &self.type_name())
+            .field("fields", &self.fields().collect::<Vec<_>>())
+            .finish()
     }
 }
 
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}{{", self.type_name)?;
-        for (i, (n, v)) in self.fields.iter().enumerate() {
+        write!(f, "{}{{", self.type_name())?;
+        for (i, (n, v)) in self.fields().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -169,28 +164,29 @@ pub struct TupleBuilder {
 }
 
 impl TupleBuilder {
-    /// Adds (or overwrites) a field. `Into<Arc<str>>` (rather than
-    /// `Into<String>`) keeps a `&str` name at exactly one allocation —
-    /// fields are stored `Arc<str>`-named, and routing through `String`
-    /// would pay a second alloc-and-copy on conversion.
+    /// Adds (or overwrites) a field.
     pub fn field(mut self, name: impl Into<Arc<str>>, value: impl Into<Value>) -> Self {
-        let name = name.into();
-        let value = value.into();
-        if let Some(slot) = self.fields.iter_mut().find(|(n, _)| *n == name) {
-            slot.1 = value;
-        } else {
-            self.fields.push((name, value));
-        }
+        self.fields.push((name.into(), value.into()));
         self
     }
 
-    /// Finishes the tuple.
-    pub fn done(mut self) -> Tuple {
-        self.fields.sort_by(|(a, _), (b, _)| a.cmp(b));
-        Tuple {
-            type_name: self.type_name,
-            fields: self.fields.into(),
+    /// Finishes the tuple: sorts the fields once and looks the shape up.
+    pub fn done(self) -> Tuple {
+        let names: Vec<&str> = self.fields.iter().map(|(n, _)| &**n).collect();
+        if is_canonical(&names) {
+            let shape = Shape::interned(&self.type_name, &names);
+            let values = self.fields.into_iter().map(|(_, v)| v).collect();
+            return Tuple { shape, values };
         }
+        let order = canonical_order(&names);
+        let sorted: Vec<&str> = order.iter().map(|&i| names[i]).collect();
+        let shape = Shape::interned(&self.type_name, &sorted);
+        let mut slots: Vec<Option<Value>> = self.fields.into_iter().map(|(_, v)| Some(v)).collect();
+        let values = order
+            .iter()
+            .map(|&i| slots[i].take().expect("each index kept once"))
+            .collect();
+        Tuple { shape, values }
     }
 }
 
@@ -227,7 +223,8 @@ mod tests {
         let a = Tuple::build("t").field("b", 1i64).field("a", 2i64).done();
         let b = Tuple::build("t").field("a", 2i64).field("b", 1i64).done();
         assert_eq!(a, b);
-        assert_eq!(&*a.fields()[0].0, "a");
+        assert!(Arc::ptr_eq(a.shape(), b.shape()));
+        assert_eq!(a.fields().next().unwrap().0, "a");
     }
 
     #[test]
@@ -255,24 +252,24 @@ mod tests {
 
     #[test]
     fn from_decoded_canonicalises_when_needed() {
-        let mk = |n: &str| -> Arc<str> { Arc::from(n) };
-        // Canonical input: fast path, order preserved verbatim.
-        let sorted = Tuple::from_decoded(
-            mk("t"),
-            vec![(mk("a"), Value::Int(1)), (mk("b"), Value::Int(2))],
-        );
+        // What the decoder does with a frame's names and values.
+        let from_decoded = |ty: &str, names: &[&str], values: Arc<[Value]>| {
+            let (shape, values) = crate::shape::canonicalise(ty, names, values);
+            Tuple::from_parts(shape, values)
+        };
+        // Canonical input: the values are kept as given.
+        let values: Arc<[Value]> = vec![Value::Int(1), Value::Int(2)].into();
+        let sorted = from_decoded("t", &["a", "b"], values.clone());
+        assert!(Arc::ptr_eq(&sorted.values, &values));
         assert_eq!(
             sorted,
             Tuple::build("t").field("a", 1i64).field("b", 2i64).done()
         );
         // Unsorted + duplicate input: builder semantics (sort, later wins).
-        let messy = Tuple::from_decoded(
-            mk("t"),
-            vec![
-                (mk("b"), Value::Int(2)),
-                (mk("a"), Value::Int(1)),
-                (mk("b"), Value::Int(9)),
-            ],
+        let messy = from_decoded(
+            "t",
+            &["b", "a", "b"],
+            vec![Value::Int(2), Value::Int(1), Value::Int(9)].into(),
         );
         assert_eq!(
             messy,
@@ -283,6 +280,12 @@ mod tests {
                 .done()
         );
         assert_eq!(messy.get_int("b"), Some(9));
+    }
+
+    #[test]
+    #[should_panic(expected = "one value per field")]
+    fn from_parts_checks_the_value_count() {
+        Tuple::from_parts(Shape::new("t", &["a"]), Arc::from(Vec::new()));
     }
 
     #[test]

@@ -7,8 +7,8 @@ use adaptive_spaces::framework::{Signal, WorkerState};
 use adaptive_spaces::snmp::codec::{decode_message, encode_message};
 use adaptive_spaces::snmp::{ErrorStatus, Message, Oid, Pdu, PduType, SnmpValue, VERSION_2C};
 use adaptive_spaces::space::{
-    decode_frame, Bytes, Lease, NameInterner, Payload, Space, Template, Tuple, Value, WalOptions,
-    WireReader,
+    decode_frame, Bytes, Lease, NameInterner, Payload, Shape, Space, Template, Tuple, Value,
+    WalOptions, WireReader, WireWriter,
 };
 
 // ---------------------------------------------------------------------
@@ -626,5 +626,176 @@ proptest! {
         // A second decode through the now-warm name cache agrees too.
         let again: Tuple = decode_frame(frame, &mut interner).unwrap();
         prop_assert_eq!(again, tuple);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Shapes: one connection's decoder and the demand-built field index.
+// ---------------------------------------------------------------------
+
+/// A tuple frame with the fields in the given order, duplicates and all —
+/// what a peer may send, whatever our encoder would.
+fn raw_tuple_frame(ty: &str, fields: &[(String, i64)]) -> Bytes {
+    let mut w = WireWriter::new();
+    w.put_str(ty);
+    w.put_u32(fields.len() as u32);
+    for (name, v) in fields {
+        w.put_str(name);
+        Value::Int(*v).encode(&mut w);
+    }
+    w.finish()
+}
+
+/// The same for a template of `Exists` constraints.
+fn raw_template_frame(ty: &str, names: &[String]) -> Bytes {
+    let mut w = WireWriter::new();
+    w.put_bool(true);
+    w.put_str(ty);
+    w.put_u32(names.len() as u32);
+    for name in names {
+        w.put_str(name);
+        w.put_u8(4);
+    }
+    w.finish()
+}
+
+fn built(ty: &str, fields: &[(String, i64)]) -> Tuple {
+    let mut builder = Tuple::build(ty);
+    for (name, v) in fields {
+        builder = builder.field(name.as_str(), *v);
+    }
+    builder.done()
+}
+
+/// A field set over a small alphabet: unsorted, repeated, sometimes
+/// canonical, sometimes empty.
+fn field_list_strategy() -> impl Strategy<Value = Vec<(String, i64)>> {
+    proptest::collection::vec(("[a-e]", -3i64..3), 0..6)
+}
+
+#[derive(Debug, Clone)]
+enum ShapeOp {
+    // A tuple with the `k`-th field set of `FIELD_SETS`.
+    Write(usize, i64),
+    // Take / read with `==` on the named fields (values from the
+    // `Write` range), or with a range constraint that forces a scan.
+    Take(Vec<(usize, i64)>, bool),
+    Read(Vec<(usize, i64)>, bool),
+}
+
+/// The field sets tuples of the one type in the history have.
+const FIELD_SETS: [&[&str]; 4] = [&["a", "b"], &["b", "c"], &["a", "b", "c"], &["c"]];
+const FIELD_NAMES: [&str; 4] = ["a", "b", "c", "d"];
+
+fn shape_op_strategy() -> impl Strategy<Value = ShapeOp> {
+    let template = || proptest::collection::vec((0usize..4, 0i64..3), 0..3);
+    prop_oneof![
+        (0usize..4, 0i64..3).prop_map(|(k, v)| ShapeOp::Write(k, v)),
+        (template(), any::<bool>()).prop_map(|(t, scan)| ShapeOp::Take(t, scan)),
+        (template(), any::<bool>()).prop_map(|(t, scan)| ShapeOp::Read(t, scan)),
+    ]
+}
+
+fn op_template(fields: &[(usize, i64)], scan: bool) -> Template {
+    let mut builder = Template::build("shaped");
+    for (i, v) in fields {
+        builder = if scan {
+            builder.int_range(FIELD_NAMES[*i], *v, *v)
+        } else {
+            builder.eq(FIELD_NAMES[*i], *v)
+        };
+    }
+    builder.done()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // (a) Same-type tuples with different, unsorted and duplicated field
+    // sets, interleaved on one connection: each decodes exactly as the
+    // builder builds it — the shape cache never hands out a previous
+    // shape's names. Templates likewise.
+    #[test]
+    fn one_decoder_decodes_every_field_set_as_the_builder_builds_it(
+        lists in proptest::collection::vec(field_list_strategy(), 1..24),
+    ) {
+        let mut interner = NameInterner::new();
+        for fields in &lists {
+            let frame = raw_tuple_frame("shaped", fields);
+            let decoded: Tuple = decode_frame(frame, &mut interner).unwrap();
+            let expected = built("shaped", fields);
+            prop_assert_eq!(&decoded, &expected);
+            prop_assert!(decoded.shape().names().eq(expected.shape().names()));
+
+            let names: Vec<String> = fields.iter().map(|(n, _)| n.clone()).collect();
+            let template: Template =
+                decode_frame(raw_template_frame("shaped", &names), &mut interner).unwrap();
+            let mut builder = Template::build("shaped");
+            for name in &names {
+                builder = builder.exists(name.as_str());
+            }
+            prop_assert_eq!(&template, &builder.done());
+            prop_assert!(template.matches(&expected));
+        }
+    }
+
+    // (c) Random histories of writes, takes and reads with templates
+    // naming random fields: the space answers exactly what a scan of its
+    // entries in id order answers, FIFO included — including the first
+    // probe of a field after writes, which back-fills its index.
+    #[test]
+    fn space_answers_like_a_fifo_scan(
+        ops in proptest::collection::vec(shape_op_strategy(), 0..80),
+    ) {
+        let space = Space::new("prop-shapes");
+        let mut model: Vec<Tuple> = Vec::new();
+        for op in ops {
+            match op {
+                ShapeOp::Write(k, v) => {
+                    let mut builder = Tuple::build("shaped");
+                    for (i, name) in FIELD_SETS[k].iter().enumerate() {
+                        builder = builder.field(*name, (v + i as i64) % 3);
+                    }
+                    let tuple = builder.done();
+                    space.write(tuple.clone()).unwrap();
+                    model.push(tuple);
+                }
+                ShapeOp::Take(fields, scan) => {
+                    let template = op_template(&fields, scan);
+                    let want = model.iter().position(|t| template.matches(t));
+                    let got = space.take_if_exists(&template).unwrap();
+                    prop_assert_eq!(got, want.map(|i| model.remove(i)));
+                }
+                ShapeOp::Read(fields, scan) => {
+                    let template = op_template(&fields, scan);
+                    let want = model.iter().find(|t| template.matches(t)).cloned();
+                    prop_assert_eq!(space.read_if_exists(&template).unwrap(), want);
+                    let count = model.iter().filter(|t| template.matches(t)).count();
+                    prop_assert_eq!(space.count(&template), count);
+                }
+            }
+        }
+        prop_assert_eq!(space.take_all(&Template::of_type("shaped")).unwrap(), model);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    // (b) A flood of distinct shapes on one connection stays within the
+    // connection's and the process table's caps, and every tuple still
+    // decodes correctly, shared or not.
+    #[test]
+    fn a_flood_of_shapes_stays_within_the_caps(seed in any::<u32>()) {
+        let mut interner = NameInterner::new();
+        for i in 0..Shape::MAX_SHARED + 200 {
+            let ty = format!("flood-{}", i % 100);
+            let fields = vec![(format!("f{seed}-{i}"), i as i64), ("z".to_string(), 1)];
+            let decoded: Tuple =
+                decode_frame(raw_tuple_frame(&ty, &fields), &mut interner).unwrap();
+            prop_assert_eq!(decoded, built(&ty, &fields));
+        }
+        prop_assert!(interner.len() <= NameInterner::MAX_ENTRIES);
+        prop_assert!(Shape::shared_count() <= Shape::MAX_SHARED);
     }
 }
