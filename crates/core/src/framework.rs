@@ -1,6 +1,6 @@
 //! End-to-end wiring: the whole framework in one handle.
 //!
-//! [`AdaptiveCluster`] assembles the space, the Jini-style federation, the
+//! [`AdaptiveCluster`] assembles the space (or a grid of shard servers), the
 //! bundle server, the network management module and any number of worker
 //! nodes, then runs applications through the master module. It is the
 //! programmatic equivalent of deploying the paper's framework on a cluster.
@@ -10,13 +10,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use acc_cluster::{ClusterObserver, JobProfiler, Node, NodeSpec};
-use acc_federation::{Attributes, DiscoveryBus, LookupService, Registrar, ServiceItem};
 use acc_snmp::{host_resources_mib, oids, transport::InProcTransport, Agent, Manager};
 use acc_spacegrid::PartitionedSpace;
 use acc_telemetry::Json;
-use acc_tuplespace::{
-    remote::SpaceServer, RemoteSpace, Space, SpaceHandle, StoreHandle, TupleStore,
-};
+use acc_tuplespace::{remote::SpaceServer, RemoteSpace, Space, SpaceHandle, StoreHandle};
 
 use crate::config::FrameworkConfig;
 use crate::loader::{BundleServer, CodeBundle, ExecutorRegistry};
@@ -47,7 +44,7 @@ impl ClusterBuilder {
         }
     }
 
-    /// Names the hosted space service.
+    /// Names the hosted space (a grid cluster hosts none).
     pub fn space_name(mut self, name: impl Into<String>) -> ClusterBuilder {
         self.space_name = name.into();
         self
@@ -64,12 +61,10 @@ impl ClusterBuilder {
     }
 
     /// Runs the cluster over a space grid: the given addresses are
-    /// external shard `SpaceServer`s, and all master dispatch and worker
-    /// prefetch traffic goes through a [`PartitionedSpace`] over them
-    /// instead of the in-process space (which remains hosted for
-    /// federation discovery). Without this call the shard list can still
-    /// come from the `ACC_SHARDS` environment variable (comma-separated
-    /// `host:port` addresses).
+    /// external shard `SpaceServer`s, all master dispatch and worker
+    /// prefetch traffic goes through a [`PartitionedSpace`] over them, and
+    /// the cluster hosts no space of its own. The build publishes the
+    /// shard list in shard 0, where [`PartitionedSpace::discover`] finds it.
     pub fn shards<I, S>(mut self, addrs: I) -> ClusterBuilder
     where
         I: IntoIterator<Item = S>,
@@ -79,9 +74,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// Brings the cluster up: hosts the space, announces the lookup
-    /// service, registers the space with the federation, and starts the
-    /// network management module.
+    /// Brings the cluster up: hosts the space — or connects the grid and
+    /// publishes its lookup entry — and starts the network management
+    /// module.
     pub fn build(self) -> AdaptiveCluster {
         // The flight recorder is always on under cluster management: a
         // bounded per-thread ring whose contents surface in `/spans` and in
@@ -95,21 +90,6 @@ impl ClusterBuilder {
         acc_telemetry::flight::install_panic_hook();
         acc_telemetry::refresh_process_series();
         let epoch = Instant::now();
-        let bus = DiscoveryBus::new();
-        let lookup = LookupService::new("lus-0");
-        bus.announce(lookup.clone());
-        let space = Space::new(self.space_name.clone());
-        // Join protocol: publish the space proxy in the federation.
-        let registrar = Registrar::join(
-            &bus,
-            ServiceItem::new(
-                self.space_name.clone(),
-                Attributes::build().set("kind", "tuple-space").done(),
-                space.clone(),
-            ),
-            None,
-        )
-        .expect("registering the space cannot fail on a fresh lookup");
         let bundle_server =
             BundleServer::new(self.config.class_load_base, self.config.class_load_per_kb);
         // The cluster view: the monitor's SNMP samples and the master's
@@ -120,36 +100,27 @@ impl ClusterBuilder {
         // The per-job waterfall profiler: the master folds every result's
         // timing into it; `/profile.json` serves it live.
         let profiler = Arc::new(JobProfiler::new());
-        // Space grid: when a shard list is configured (builder or
-        // ACC_SHARDS), every store operation the cluster performs —
-        // dispatch and prefetch — goes through a PartitionedSpace over
-        // those servers. Shards must be up at build time; one dying later
-        // degrades instead of failing.
-        let shard_addrs: Vec<std::net::SocketAddr> = {
-            let list = if self.shards.is_empty() {
-                std::env::var("ACC_SHARDS")
-                    .ok()
-                    .filter(|v| !v.is_empty())
-                    .map(|v| v.split(',').map(str::to_owned).collect())
-                    .unwrap_or_default()
-            } else {
-                self.shards.clone()
-            };
-            list.iter()
+        // Space grid: when a shard list is configured, every store
+        // operation the cluster performs — dispatch and prefetch — goes
+        // through a PartitionedSpace over those servers. Shards must be up
+        // at build time; one dying later degrades instead of failing.
+        let backing = if self.shards.is_empty() {
+            Backing::Space(Space::new(self.space_name.clone()))
+        } else {
+            let addrs: Vec<std::net::SocketAddr> = self
+                .shards
+                .iter()
                 .map(|a| {
                     a.trim()
                         .parse()
                         .unwrap_or_else(|e| panic!("bad shard address '{a}': {e}"))
                 })
-                .collect()
-        };
-        let grid = if shard_addrs.is_empty() {
-            None
-        } else {
-            Some(Arc::new(
-                PartitionedSpace::connect(&shard_addrs)
-                    .expect("all space-grid shards reachable at build time"),
-            ))
+                .collect();
+            let grid = PartitionedSpace::connect(&addrs)
+                .expect("all space-grid shards reachable at build time");
+            grid.publish()
+                .expect("shard 0 takes the grid's lookup entry at build time");
+            Backing::Grid(Arc::new(grid))
         };
         let observer = self
             .observe
@@ -157,8 +128,8 @@ impl ClusterBuilder {
             .and_then(|bind| {
                 match spawn_observer(
                     &bind,
-                    space.clone(),
-                    grid.clone(),
+                    backing.space(),
+                    backing.grid(),
                     monitor.clone(),
                     hub.clone(),
                     profiler.clone(),
@@ -174,11 +145,7 @@ impl ClusterBuilder {
         AdaptiveCluster {
             config: self.config,
             epoch,
-            bus,
-            lookup,
-            _registrar: registrar,
-            space,
-            grid,
+            backing,
             space_name: self.space_name,
             bundle_server,
             registry: ExecutorRegistry::new(),
@@ -196,11 +163,12 @@ impl ClusterBuilder {
 }
 
 /// Mounts the scrape/health endpoint for a cluster: `/healthz` reports
-/// whether the space is open, the WAL flushes, and — once workers are
-/// watched — how stale the newest monitor sample is.
+/// whether the hosted space is open and its WAL flushes (or, for a grid
+/// cluster, how many shards are healthy), and — once workers are watched —
+/// how stale the newest monitor sample is.
 fn spawn_observer(
     bind: &str,
-    space: SpaceHandle,
+    space: Option<SpaceHandle>,
     grid: Option<Arc<PartitionedSpace>>,
     monitor: Arc<MonitoringAgent>,
     hub: Arc<ClusterObserver>,
@@ -208,18 +176,20 @@ fn spawn_observer(
     config: &FrameworkConfig,
 ) -> std::io::Result<acc_telemetry::HttpServer> {
     let health = acc_telemetry::HealthChecks::new();
-    let space_for_check = space.clone();
-    health.register("space", move || {
-        if space_for_check.is_closed() {
-            Err("space closed".into())
-        } else {
-            Ok(format!("space '{}' open", space_for_check.name()))
-        }
-    });
-    health.register("wal", move || match space.flush_journal() {
-        Ok(()) => Ok("journal flushes (or space is non-durable)".into()),
-        Err(e) => Err(format!("journal flush failed: {e}")),
-    });
+    if let Some(space) = space {
+        let space_for_check = space.clone();
+        health.register("space", move || {
+            if space_for_check.is_closed() {
+                Err("space closed".into())
+            } else {
+                Ok(format!("space '{}' open", space_for_check.name()))
+            }
+        });
+        health.register("wal", move || match space.flush_journal() {
+            Ok(()) => Ok("journal flushes (or space is non-durable)".into()),
+            Err(e) => Err(format!("journal flush failed: {e}")),
+        });
+    }
     // The workers' view is stale when the monitor has gone many poll
     // intervals without a sample (capped so sub-millisecond test intervals
     // don't flap).
@@ -357,16 +327,34 @@ impl ManagedWorker {
     }
 }
 
-/// The assembled framework: space + federation + management + workers.
+/// Where a cluster's traffic goes: the space it hosts, or a grid of shard
+/// servers, beside which it hosts no space.
+enum Backing {
+    Space(SpaceHandle),
+    Grid(Arc<PartitionedSpace>),
+}
+
+impl Backing {
+    fn space(&self) -> Option<SpaceHandle> {
+        match self {
+            Backing::Space(space) => Some(space.clone()),
+            Backing::Grid(_) => None,
+        }
+    }
+
+    fn grid(&self) -> Option<Arc<PartitionedSpace>> {
+        match self {
+            Backing::Space(_) => None,
+            Backing::Grid(grid) => Some(grid.clone()),
+        }
+    }
+}
+
+/// The assembled framework: space (or grid) + management + workers.
 pub struct AdaptiveCluster {
     config: FrameworkConfig,
     epoch: Instant,
-    #[allow(dead_code)]
-    bus: Arc<DiscoveryBus>,
-    lookup: Arc<LookupService>,
-    _registrar: Registrar,
-    space: SpaceHandle,
-    grid: Option<Arc<PartitionedSpace>>,
+    backing: Backing,
     space_name: String,
     bundle_server: Arc<BundleServer>,
     registry: Arc<ExecutorRegistry>,
@@ -401,22 +389,22 @@ impl AdaptiveCluster {
         self.epoch
     }
 
-    /// The hosted space.
-    pub fn space(&self) -> SpaceHandle {
-        self.space.clone()
+    /// The hosted space; `None` for a grid cluster, which hosts none.
+    pub fn space(&self) -> Option<SpaceHandle> {
+        self.backing.space()
     }
 
     /// The space grid, when the cluster was built over shards.
     pub fn grid(&self) -> Option<Arc<PartitionedSpace>> {
-        self.grid.clone()
+        self.backing.grid()
     }
 
     /// The store all cluster traffic goes through: the grid when one is
     /// configured, the in-process space otherwise.
     pub fn store(&self) -> StoreHandle {
-        match &self.grid {
-            Some(grid) => grid.clone(),
-            None => self.space.clone(),
+        match &self.backing {
+            Backing::Space(space) => space.clone(),
+            Backing::Grid(grid) => grid.clone(),
         }
     }
 
@@ -425,7 +413,7 @@ impl AdaptiveCluster {
         self.monitor.clone()
     }
 
-    /// The federation hub: merged per-worker history rings, task-level
+    /// The cluster view: merged per-worker history rings, task-level
     /// attribution and straggler verdicts (the worker and job sections of
     /// `/cluster.json`).
     pub fn cluster_observer(&self) -> Arc<ClusterObserver> {
@@ -453,10 +441,17 @@ impl AdaptiveCluster {
     }
 
     /// Starts serving the space over TCP so remote workers can join, and
-    /// returns the address. Idempotent.
+    /// returns the address. Idempotent. A grid cluster hosts no space to
+    /// serve: its shard servers already are the network's spaces.
     pub fn serve_space(&mut self) -> std::io::Result<std::net::SocketAddr> {
+        let Backing::Space(space) = &self.backing else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "a grid cluster hosts no space to serve",
+            ));
+        };
         if self.space_server.is_none() {
-            self.space_server = Some(SpaceServer::spawn(self.space.clone(), "127.0.0.1:0")?);
+            self.space_server = Some(SpaceServer::spawn(space.clone(), "127.0.0.1:0")?);
         }
         Ok(self.space_server.as_ref().expect("just set").addr())
     }
@@ -468,13 +463,17 @@ impl AdaptiveCluster {
         self.space_server.as_ref()
     }
 
-    /// Adds a worker whose space access goes through the TCP proxy — the
-    /// deployment shape, where worker machines reach the master's space
-    /// over the network. Requires [`AdaptiveCluster::serve_space`].
+    /// Adds a worker whose space access goes over TCP — the deployment
+    /// shape, where worker machines reach the space over the network: a
+    /// [`RemoteSpace`] to the served space (see
+    /// [`AdaptiveCluster::serve_space`]), or, on a grid cluster, the grid
+    /// discovered from shard 0's address alone.
     pub fn add_remote_worker(&mut self, spec: NodeSpec) -> std::io::Result<WorkerId> {
-        let addr = self.serve_space()?;
-        let proxy: StoreHandle = Arc::new(RemoteSpace::connect(addr)?);
-        Ok(self.add_worker_with_store(spec, proxy))
+        let store: StoreHandle = match &self.backing {
+            Backing::Space(_) => Arc::new(RemoteSpace::connect(self.serve_space()?)?),
+            Backing::Grid(grid) => Arc::new(PartitionedSpace::discover(grid.addrs()[0])?),
+        };
+        Ok(self.add_worker_with_store(spec, store))
     }
 
     /// Adds a worker node: brings up its SNMP agent, registers it over the
@@ -486,12 +485,12 @@ impl AdaptiveCluster {
     pub fn add_worker(&mut self, spec: NodeSpec) -> WorkerId {
         // Grid deployments give every worker its own shard connections,
         // exactly as remote workers each get their own RemoteSpace.
-        let store: StoreHandle = match &self.grid {
-            Some(grid) => Arc::new(
+        let store: StoreHandle = match &self.backing {
+            Backing::Space(space) => space.clone(),
+            Backing::Grid(grid) => Arc::new(
                 grid.reconnect()
                     .expect("space-grid shards reachable for new worker"),
             ),
-            None => self.space.clone(),
         };
         self.add_worker_with_store(spec, store)
     }
@@ -563,37 +562,20 @@ impl AdaptiveCluster {
         &self.workers
     }
 
-    /// Looks the space service up through the federation — the path a
-    /// remote master uses — and returns its proxy.
-    pub fn find_space(&self) -> Option<SpaceHandle> {
-        let found = self.lookup.lookup_named(
-            &self.space_name,
-            &Attributes::build().set("kind", "tuple-space").done(),
-        );
-        found.first().and_then(|item| item.proxy::<Space>())
-    }
-
     /// Runs an installed application to completion through the master
-    /// module. The space is discovered via the federation, exactly as a
-    /// Jini client would.
+    /// module, over [`AdaptiveCluster::store`].
     pub fn run(&mut self, app: &mut dyn Application) -> RunReport {
-        // Grid mode dispatches straight through the partitioned store;
-        // otherwise the space is discovered via the federation, exactly
-        // as a Jini client would.
-        let store: StoreHandle = match &self.grid {
-            Some(grid) => grid.clone(),
-            None => self.find_space().expect("space registered in federation") as _,
-        };
-        let mut master = Master::new(store);
+        let mut master = Master::new(self.store());
         master.dispatch_chunk = self.config.dispatch_chunk;
         master.observer = Some(self.hub.clone());
         master.profiler = Some(self.profiler.clone());
         // Scatter-gather fan-out attribution: per-shard op counts/latency
         // are process-wide histograms, so the job's share is the delta
         // across the run.
-        let fanout_before = self.grid.as_ref().map(|g| g.fanout_profile());
+        let grid = self.grid();
+        let fanout_before = grid.as_ref().map(|g| g.fanout_profile());
         let report = master.run(app).expect("space open for the run's duration");
-        if let (Some(grid), Some(before)) = (&self.grid, fanout_before) {
+        if let (Some(grid), Some(before)) = (grid, fanout_before) {
             self.profiler
                 .record_fanout(&app.job_name(), grid.fanout_since(&before));
         }
@@ -628,21 +610,16 @@ impl AdaptiveCluster {
         self.sampler = Some((stop, thread));
     }
 
-    /// Tears the cluster down: stops monitoring, closes the space (waking
-    /// blocked workers), and joins every worker thread.
+    /// Tears the cluster down: stops monitoring, closes the store (waking
+    /// blocked workers), and joins every worker thread. Closing a grid
+    /// closes the shard spaces themselves.
     pub fn shutdown(mut self) {
         if let Some((stop, thread)) = self.sampler.take() {
             stop.store(true, Ordering::SeqCst);
             let _ = thread.join();
         }
         self.monitor.stop();
-        self.space.close();
-        // Closing the grid closes the shard spaces themselves, waking any
-        // worker blocked on a grid take — the partitioned analogue of
-        // closing the in-process space above.
-        if let Some(grid) = self.grid.take() {
-            grid.close();
-        }
+        self.store().close();
         for worker in self.workers.drain(..) {
             worker.runtime.shutdown();
         }
@@ -765,16 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn find_space_through_federation() {
-        let cluster = ClusterBuilder::new(fast_config())
-            .space_name("fed-space")
-            .build();
-        let space = cluster.find_space().unwrap();
-        assert_eq!(space.name(), "fed-space");
-        cluster.shutdown();
-    }
-
-    #[test]
     #[should_panic(expected = "install an application")]
     fn add_worker_requires_install() {
         let mut cluster = ClusterBuilder::new(fast_config()).build();
@@ -862,7 +829,19 @@ mod tests {
         // the cluster views.
         let addr = cluster.observe_addr().expect("observer mounted");
         let health = http_get(addr, "/healthz");
-        assert!(health.contains("2/2 shards healthy"), "got: {health}");
+        assert!(
+            health.contains("grid: ok (2/2 shards healthy"),
+            "got: {health}"
+        );
+        // Only checks that read the grid: the cluster hosts no space, so
+        // there is none to report open or to flush.
+        assert!(cluster.space().is_none());
+        for line in health.lines() {
+            assert!(
+                !line.starts_with("space") && !line.starts_with("wal"),
+                "check of a space the grid cluster does not use: {health}"
+            );
+        }
         let reply = http_get(addr, "/cluster.json");
         let body = reply.split_once("\r\n\r\n").expect("header block").1;
         let json = Json::parse(body).expect("/cluster.json parses");
@@ -876,6 +855,32 @@ mod tests {
         );
         assert!(json["wire"]["buffer_reuse_hits"].as_u64().is_some());
         assert!(json["wire"]["buffer_reuse_pct"].as_f64().is_some());
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn remote_worker_joins_the_grid_from_shard_0() {
+        let _serial = GRID_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        let shards = [Space::new("remote-a"), Space::new("remote-b")];
+        let servers: Vec<SpaceServer> = shards
+            .iter()
+            .map(|s| SpaceServer::spawn(s.clone(), "127.0.0.1:0").unwrap())
+            .collect();
+        let mut cluster = ClusterBuilder::new(fast_config())
+            .shards(servers.iter().map(|s| s.addr().to_string()))
+            .build();
+        assert!(
+            cluster.serve_space().is_err(),
+            "a grid cluster hosts no space"
+        );
+        let mut app = SumSquares { n: 20, total: 0 };
+        cluster.install(&app);
+        cluster
+            .add_remote_worker(NodeSpec::new("rw0", 800, 256))
+            .expect("the grid is discoverable from shard 0");
+        let report = cluster.run(&mut app);
+        assert!(report.complete, "failures: {:?}", report.failures);
+        assert_eq!(app.total, (0..20u64).map(|i| i * i).sum::<u64>());
         cluster.shutdown();
     }
 
@@ -907,13 +912,13 @@ mod tests {
         let restored_before = restored.get();
         let report = cluster.run(&mut app);
         assert!(report.complete, "failures: {:?}", report.failures);
-        // The shards saw the job's tasks and results and nothing else —
-        // bar the tuples scatter takes that lost a race put back, each
-        // with one write. A restore counts itself just after its write
+        // The shards saw the grid's lookup entry, the job's tasks and
+        // results, and nothing else — bar the tuples scatter takes that
+        // lost a race put back, each with one write. A restore counts itself just after its write
         // lands, so give the last count a moment.
         let writes = || shards.iter().map(|s| s.stats().writes).sum::<u64>();
         let deadline = Instant::now() + Duration::from_secs(2);
-        let expected = || 40 + 40 + restored.get() - restored_before;
+        let expected = || 1 + 40 + 40 + restored.get() - restored_before;
         while writes() != expected() && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }

@@ -44,7 +44,7 @@ pub struct Master {
     /// chunk is a single pipelined round trip instead of one per task; see
     /// [`crate::FrameworkConfig::dispatch_chunk`].
     pub dispatch_chunk: usize,
-    /// Federation sink for the task-level timing attribution riding each
+    /// Cluster-view sink for the task-level timing attribution riding each
     /// result entry. `None` (the default) drops the attribution.
     pub observer: Option<Arc<ClusterObserver>>,
     /// Per-job waterfall sink: every result's timing plus the master's

@@ -275,7 +275,7 @@ pub struct ResultEntry {
     /// master can account for the task instead of waiting forever.
     pub error: Option<String>,
     /// Per-task cost attribution (space-wait / transfer / compute /
-    /// result-write), feeding the federation plane's per-worker and
+    /// result-write), feeding the cluster view's per-worker and
     /// per-job histograms. Rides the tuple as a compact bytes field;
     /// results from older workers decode to all-zero timing.
     pub timing: acc_cluster::TaskTiming,

@@ -10,7 +10,7 @@
 //! * while Running it takes task entries from the space by value-based
 //!   lookup (a prefetched batch per round trip), computes them, and writes
 //!   result entries back — coalesced into one batch write per prefetched
-//!   batch when the tasks are cheaper than a round trip (see [`Outbox`]);
+//!   batch when the tasks are cheaper than a round trip (see `Outbox`);
 //! * signals only take effect *between* tasks: the currently executing task
 //!   always completes and every finished result is written into the space
 //!   first, so no work is ever lost;

@@ -8,9 +8,9 @@
 //! already speak — dispatch, prefetch and durability all
 //! work unchanged through the grid.
 //!
-//! * **Routing** ([`router`]): every write lands on the deterministic
-//!   FNV-1a owner of the tuple's key fields (or of the whole tuple in
-//!   spread mode). Templates that pin all key fields route straight to
+//! * **Routing** ([`route_tuple`], [`route_template`]): every write
+//!   lands on the deterministic FNV-1a owner of the tuple's key fields
+//!   (or of the whole tuple in spread mode). Templates that pin all key fields route straight to
 //!   the owner; anything else scatter-gathers.
 //! * **Scatter-gather**: non-blocking lookups sweep the healthy shards;
 //!   blocking `read`/`take` fan out one helper thread per shard running
@@ -36,6 +36,10 @@
 //!   scatters skip it, and a background prober readmits it when it
 //!   answers again. One dead shard degrades the grid instead of killing
 //!   the cluster.
+//! * **Lookup**: [`PartitionedSpace::publish`] keeps the shard list as
+//!   one entry in shard 0, and [`PartitionedSpace::discover`] reads it
+//!   back, so a client process needs shard 0's address alone — the
+//!   paper's Jini lookup, as template matching in the space itself.
 //!
 //! Telemetry: per-shard op latency (`grid.shard<i>.op_us`), scatter
 //! fan-out width (`grid.scatter.fanout`), rerouted writes
@@ -54,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use acc_tuplespace::{
     write_all_then_take_up_to_in_sequence, EntryId, Lease, Pending, RemoteSpace, SpaceError,
-    SpaceResult, Template, Tuple, TupleStore, WriteThenTake,
+    SpaceResult, Template, Tuple, TupleStore, Value, WriteThenTake,
 };
 
 pub use router::{route_template, route_tuple, tuple_hash, GridConfig};
@@ -98,6 +102,9 @@ fn shard_op_histogram(index: usize) -> Arc<acc_telemetry::Histogram> {
     };
     acc_telemetry::registry().histogram(name)
 }
+
+/// Type name of a grid's lookup entry (see [`PartitionedSpace::publish`]).
+pub const LOOKUP_TYPE: &str = "acc.lookup";
 
 /// Tuples asked of each shard per round of a [`PartitionedSpace::take_all`]
 /// drain (the per-frame cap `RemoteSpace::take_all` drains with).
@@ -438,6 +445,45 @@ impl PartitionedSpace {
         let mut grid = PartitionedSpace::connect_with(&self.addrs(), self.config.clone())?;
         grid.ever_rerouted = self.ever_rerouted.clone();
         Ok(grid)
+    }
+
+    /// Publishes the grid's lookup entry: one [`LOOKUP_TYPE`] tuple in
+    /// shard 0 whose `shards` field lists every shard address in routing
+    /// order, replacing any earlier entry. With it, shard 0's address is
+    /// all a client needs to find the grid ([`PartitionedSpace::discover`]).
+    pub fn publish(&self) -> SpaceResult<()> {
+        let shard0 = &self.shards[0];
+        let shards: Vec<Value> = self.addrs().iter().map(|a| a.to_string().into()).collect();
+        let entry = Tuple::build(LOOKUP_TYPE).field("shards", shards).done();
+        shard0.call(|r| r.take_all(&Template::of_type(LOOKUP_TYPE)))?;
+        shard0.call(|r| r.write(entry))?;
+        Ok(())
+    }
+
+    /// Connects the grid whose lookup entry the space at `addr` holds —
+    /// the published shard 0 — with the default [`GridConfig`]. Fails,
+    /// naming `addr`, when that space is unreachable or holds no entry.
+    pub fn discover(addr: SocketAddr) -> std::io::Result<PartitionedSpace> {
+        let fail = |why: String| {
+            std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                format!("space grid lookup at {addr}: {why}"),
+            )
+        };
+        let entry = RemoteSpace::connect(addr)
+            .map_err(|e| fail(e.to_string()))?
+            .read_if_exists(&Template::of_type(LOOKUP_TYPE))
+            .map_err(|e| fail(e.to_string()))?
+            .ok_or_else(|| fail("no lookup entry".into()))?;
+        let addrs: Option<Vec<SocketAddr>> = match entry.get("shards") {
+            Some(Value::List(list)) => list
+                .iter()
+                .map(|v| v.as_str().and_then(|a| a.parse().ok()))
+                .collect(),
+            _ => None,
+        };
+        let addrs = addrs.ok_or_else(|| fail(format!("malformed entry {entry}")))?;
+        PartitionedSpace::connect(&addrs)
     }
 
     fn ensure_open(&self) -> SpaceResult<()> {
@@ -897,7 +943,7 @@ impl TupleStore for PartitionedSpace {
     }
 
     /// Splits the batch by owner and sends the per-shard groups in one
-    /// split-phase [`fan_out`] — each group rides its own connection's
+    /// split-phase `fan_out` — each group rides its own connection's
     /// request frames (and their frame-budget chunking). Ids come
     /// back in input order. A group whose shard dies mid-write is
     /// re-dispatched through the (now updated) probe order; as with
@@ -1285,6 +1331,35 @@ mod tests {
             assert!(Instant::now() < deadline, "prober never readmitted shard 0");
             std::thread::sleep(Duration::from_millis(10));
         }
+    }
+
+    #[test]
+    fn publishing_twice_leaves_one_lookup_entry() {
+        let r = rig(3);
+        r.grid.publish().unwrap();
+        r.grid.publish().unwrap();
+        let lookup = Template::of_type(LOOKUP_TYPE);
+        let held: Vec<usize> = r.spaces.iter().map(|s| s.count(&lookup)).collect();
+        assert_eq!(held, [1, 0, 0]);
+    }
+
+    #[test]
+    fn discover_connects_every_shard_in_order_from_shard_0() {
+        let r = rig(4);
+        r.grid.publish().unwrap();
+        let found = PartitionedSpace::discover(r.servers[0].addr()).unwrap();
+        assert_eq!(found.addrs(), r.grid.addrs());
+        // The discovered client and the publisher share one grid.
+        found.write_all((0..16).map(task).collect()).unwrap();
+        assert_eq!(r.grid.count(&job_template()).unwrap(), 16);
+    }
+
+    #[test]
+    fn discover_without_a_lookup_entry_names_the_address() {
+        let r = rig(2);
+        let addr = r.servers[1].addr();
+        let err = PartitionedSpace::discover(addr).unwrap_err();
+        assert!(err.to_string().contains(&addr.to_string()), "{err}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   `RDTSC` read — about half the cost of the vDSO call;
 //! * everywhere else a tick is a nanosecond of [`Instant`] time.
 //!
-//! The TSC rate is never assumed: [`Scale::now`] divides the `Instant`
+//! The TSC rate is never assumed: `Scale::now` divides the `Instant`
 //! time elapsed since the clock was created by the ticks elapsed over the
 //! same interval, so the estimate sharpens the longer the process runs.
 
@@ -83,7 +83,7 @@ pub(crate) fn ticks() -> u64 {
     }
 }
 
-/// Which counter backs [`ticks`]: `"tsc"` or `"monotonic"`. Benches
+/// Which counter backs `ticks`: `"tsc"` or `"monotonic"`. Benches
 /// record it next to their numbers — the per-record cost differs by the
 /// price of one `clock_gettime`.
 pub fn source() -> &'static str {

@@ -43,7 +43,7 @@ const ID_BLOCK: u64 = 1024;
 /// Returns a fresh, unique, never-zero 64-bit id.
 ///
 /// Ids are the splitmix64 image of a process-wide counter. A span needs
-/// one per enter, so threads take counter values [`ID_BLOCK`] at a time
+/// one per enter, so threads take counter values `ID_BLOCK` at a time
 /// and hand them out from a thread-local: the shared counter's cache line
 /// is touched once per thousand ids, not once per span.
 pub fn fresh_id() -> u64 {

@@ -6,7 +6,7 @@
 //! Each thread records into its own ring, reached through a thread-local
 //! handle, and a record is twelve machine words written in place: no
 //! allocation, no lock, no read-modify-write instruction (see
-//! [`slot`](self::slot) for the layout and the publication protocol). The
+//! the `slot` module for the layout and the publication protocol). The
 //! point is crash forensics: a worker that dies mid-task leaves its last
 //! seconds of spans readable, either on demand (the `/spans` endpoint
 //! calls [`dump_json`]) or post-mortem (the panic hook installed by

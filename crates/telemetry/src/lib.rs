@@ -2,8 +2,8 @@
 //!
 //! Workspace-wide observability substrate:
 //!
-//! * [`registry`] — the unified metrics registry: monotone [`Counter`]s,
-//!   [`Gauge`]s and fixed-bucket log-scale latency [`Histogram`]s,
+//! * [`registry`](mod@registry) — the unified metrics registry: monotone
+//!   [`Counter`]s, [`Gauge`]s and fixed-bucket log-scale latency [`Histogram`]s,
 //!   registered by static name, with [`Registry::snapshot`] (what the
 //!   benchmark reads), a Prometheus-style text exposition and the
 //!   `/metrics.json` document;

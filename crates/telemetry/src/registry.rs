@@ -5,7 +5,7 @@
 //! registry, so instrumented code looks its series up once (typically at
 //! construction) and then records through plain relaxed atomics with no
 //! further locking. One process-wide registry ([`registry`]) aggregates
-//! every layer — tuple space, framework, SNMP, federation, simulator —
+//! every layer — tuple space, framework, SNMP, simulator —
 //! into a single [`Registry::snapshot`] (what the benchmark's layer table
 //! reads), a Prometheus-style text exposition ([`Registry::render_text`])
 //! and the `/metrics.json` document ([`Registry::to_json`]).

@@ -129,7 +129,7 @@ impl Space {
         self.journal.get()
     }
 
-    /// The space's name (used for federation registration).
+    /// The space's name.
     pub fn name(&self) -> &str {
         &self.name
     }

@@ -115,7 +115,7 @@ fn main() {
     cluster.shutdown();
 
     // The run above fed latency histograms and counters from every layer
-    // (space, master, workers, monitor, federation) into the global
+    // (space, master, workers, monitor) into the global
     // registry; dump the whole thing in text exposition format.
     println!();
     println!("--- telemetry ---");

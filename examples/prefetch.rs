@@ -37,8 +37,7 @@ fn main() {
     }
 
     // Parallel PageRank: one master round per power iteration.
-    let space = cluster.find_space().expect("space in federation");
-    let master = Master::new(space);
+    let master = Master::new(cluster.store());
     let reports = run_pagerank_parallel(&master, &mut app).expect("iterations complete");
     println!(
         "converged after {} iterations (delta {:.2e})",

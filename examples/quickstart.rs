@@ -202,7 +202,7 @@ fn main() {
         return;
     }
 
-    // 1. Bring the cluster up: space + federation + network management.
+    // 1. Bring the cluster up: space + network management.
     let config = FrameworkConfig {
         poll_interval: Duration::from_millis(20),
         ..FrameworkConfig::default()

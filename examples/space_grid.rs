@@ -5,11 +5,13 @@
 //!
 //! Run with: `cargo run --release --example space_grid`
 //!
-//! In production each shard would be its own process (`ACC_SHARDS`
-//! carries the comma-separated list); here they share the process so the
-//! demo is self-contained and the transcript reproducible. Set
+//! In production each shard would be its own process, and a worker
+//! process would find every shard from shard 0's address alone
+//! (`PartitionedSpace::discover` reads the lookup entry the cluster
+//! publishes there); here they share the process so the demo is
+//! self-contained and the transcript reproducible. Set
 //! `ACC_OBSERVE=127.0.0.1:9137` and pass `--hold-ms 60000` to curl the
-//! `/healthz` grid check and `/cluster` shard table while it holds.
+//! `/healthz` grid check and the `/cluster.json` shard list while it holds.
 //!
 //! Accepts `--shards <n>` (default 4) and `--workers <n>` (default 3).
 

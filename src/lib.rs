@@ -11,7 +11,6 @@
 //!   leases, events);
 //! * [`spacegrid`] — the partitioned multi-server space: hash routing and
 //!   scatter-gather over N space servers behind the same store interface;
-//! * [`federation`] — Jini-style discovery and lookup;
 //! * [`snmp`] — the monitoring stack (OIDs, PDUs, MIB, agent, manager);
 //! * [`cluster`] — node models and the paper's synthetic load simulators;
 //! * [`framework`] — the adaptive master–worker framework itself;
@@ -31,7 +30,6 @@ pub use acc_apps as apps;
 pub use acc_cluster as cluster;
 pub use acc_core as framework;
 pub use acc_durability as durability;
-pub use acc_federation as federation;
 pub use acc_sim as sim;
 pub use acc_snmp as snmp;
 pub use acc_spacegrid as spacegrid;

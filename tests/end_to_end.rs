@@ -68,7 +68,7 @@ fn prefetch_pagerank_parallel_equals_sequential() {
     for i in 0..3 {
         cluster.add_worker(NodeSpec::new(format!("w{i:02}"), 800, 256));
     }
-    let master = Master::new(cluster.find_space().unwrap());
+    let master = Master::new(cluster.store());
     let reports = run_pagerank_parallel(&master, &mut app).expect("iterations complete");
     assert!(!reports.is_empty());
     let (expected, expected_iters) = pagerank_sequential(&matrix, &app.solver);

@@ -196,7 +196,7 @@ fn poison_task_terminates_with_error_result() {
     assert_eq!(report.failures.len(), 1);
     assert_eq!(report.failures[0].0, 3);
     // Nothing left circulating in the space.
-    assert_eq!(cluster.space().len(), 0);
+    assert_eq!(cluster.space().expect("hosted space").len(), 0);
     cluster.shutdown();
 }
 

@@ -4,11 +4,14 @@
 //! renderers they replaced wrote for the same inputs (`tests/golden/*.json`,
 //! captured from those renderers), ignoring key order.
 //!
-//! The allowed differences: series the registry audit deleted, and
-//! `heartbeat_age_ms` renamed `sample_age_ms`. Fields that depend on time
-//! or on the host are compared by type only: sample ages, throughput,
-//! flight-ring occupancy, shard addresses (ephemeral ports), microsecond
-//! latency histograms and the process gauges.
+//! The allowed differences: series the registry audit deleted,
+//! `heartbeat_age_ms` renamed `sample_age_ms`, and the build's own
+//! traffic — the grid's lookup entry, one `take_all` and one `write` on
+//! shard 0 — which postdates the captures and is added to them as
+//! measured. Fields that depend on time or on the host are compared by
+//! type only: sample ages, throughput, flight-ring occupancy, shard
+//! addresses (ephemeral ports), microsecond latency histograms and the
+//! process gauges.
 //!
 //! One test, so no other test in this process moves the global registry.
 
@@ -19,11 +22,18 @@ use adaptive_spaces::framework::{ClusterBuilder, FrameworkConfig};
 use adaptive_spaces::space::remote::SpaceServer;
 use adaptive_spaces::space::{Space, Template, Tuple};
 use adaptive_spaces::telemetry::profile::ShardPhase;
-use adaptive_spaces::telemetry::Json;
+use adaptive_spaces::telemetry::{registry, Json, Snapshot};
 
 /// Series in the captured `/metrics.json` that the registry audit deleted,
 /// besides the `cluster.<worker>.*` mirror gauges.
 const DELETED: &[&str] = &[
+    "federation.discovery.announcements",
+    "federation.discovery.requests",
+    "federation.lease.cancelled",
+    "federation.lease.expired",
+    "federation.lease.granted",
+    "federation.lease.renewed",
+    "federation.lookup.queries",
     "grid.shards",
     "grid.unhealthy_shards",
     "space.expired.count",
@@ -100,6 +110,34 @@ fn assert_same(addr: std::net::SocketAddr, route: &str, golden: &str, captured: 
     assert_eq!(captured, now, "{golden}: captured {captured}\n  now {now}");
 }
 
+/// A captured `/metrics.json` series plus what the build left in it.
+fn with_build(kind: &str, name: &str, captured: Json, built: &Snapshot) -> Json {
+    let counter = |name| built.counters.get(name).copied().unwrap_or(0);
+    match kind {
+        "counters" => {
+            // A connection's first frame read is its one buffer-reuse
+            // miss, whichever operation makes it: the build's reads add
+            // hits only.
+            let extra = match name {
+                "remote.buffer_reuse_hits" => {
+                    counter("remote.buffer_reuse_hits") + counter("remote.buffer_reuse_misses")
+                }
+                "remote.buffer_reuse_misses" => 0,
+                _ => counter(name),
+            };
+            (captured.as_u64().unwrap() + extra).into()
+        }
+        "histograms" => {
+            let extra = built.histograms.get(name).map_or(0, |h| h.count);
+            let mut captured = captured;
+            let count = captured["count"].as_u64().unwrap() + extra;
+            captured.insert("count", count.into());
+            captured
+        }
+        _ => captured,
+    }
+}
+
 fn golden(name: &str) -> Json {
     let path = format!("{}/tests/golden/{name}.json", env!("CARGO_MANIFEST_DIR"));
     Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap()
@@ -121,6 +159,11 @@ fn documents_parse_to_the_values_the_replaced_renderers_wrote() {
     .observe("127.0.0.1:0")
     .build();
     let addr = cluster.observe_addr().unwrap();
+    // The build's traffic is the lookup entry and nothing else.
+    let built = registry().snapshot();
+    let ops = |shard: &str| built.histograms.get(shard).map_or(0, |h| h.count);
+    assert_eq!(built.counters.get("space.write.count"), Some(&1));
+    assert_eq!((ops("grid.shard0.op_us"), ops("grid.shard1.op_us")), (2, 0));
     assert_same(
         addr,
         "/profile.json",
@@ -172,7 +215,22 @@ fn documents_parse_to_the_values_the_replaced_renderers_wrote() {
     profiler.record_fanout(job, vec![shard(0, 120, 23_000), shard(1, 80, 17_500)]);
 
     assert_same(addr, "/profile.json", "profile", golden("profile"));
-    assert_same(addr, "/cluster.json", "cluster", golden("cluster"));
+    let mut cluster_doc = golden("cluster");
+    let mut wire = cluster_doc["wire"].clone();
+    for (key, series) in [
+        ("frame_bytes", "remote.frame_bytes"),
+        ("buffer_reuse_hits", "remote.buffer_reuse_hits"),
+        ("buffer_reuse_misses", "remote.buffer_reuse_misses"),
+    ] {
+        let captured = wire[key].clone();
+        wire.insert(key, with_build("counters", series, captured, &built));
+    }
+    let hits = wire["buffer_reuse_hits"].as_u64().unwrap() as f64;
+    let misses = wire["buffer_reuse_misses"].as_u64().unwrap() as f64;
+    let pct = (hits / (hits + misses) * 1000.0).round() / 10.0;
+    wire.insert("buffer_reuse_pct", Json::Float(pct, 1));
+    cluster_doc.insert("wire", wire);
+    assert_same(addr, "/cluster.json", "cluster", cluster_doc);
     let mut metrics = golden("metrics");
     for kind in ["counters", "gauges", "histograms"] {
         let Some(Json::Object(series)) = metrics.get(kind).cloned() else {
@@ -180,7 +238,11 @@ fn documents_parse_to_the_values_the_replaced_renderers_wrote() {
         };
         let kept = series
             .into_iter()
-            .filter(|(name, _)| !name.starts_with("cluster.") && !DELETED.contains(&name.as_str()));
+            .filter(|(name, _)| !name.starts_with("cluster.") && !DELETED.contains(&name.as_str()))
+            .map(|(name, captured)| {
+                let now = with_build(kind, &name, captured, &built);
+                (name, now)
+            });
         metrics.insert(kind, Json::object(kept));
     }
     assert_same(addr, "/metrics.json", "metrics", metrics);

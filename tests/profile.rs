@@ -118,12 +118,12 @@ fn attributed_phases(addr: SocketAddr) -> [u64; 4] {
 /// The routes the test body does not read answer whole documents:
 /// `/metrics.json` and `/spans` parse, `/healthz` says `ok`, every flight
 /// record in `/spans` has a `kind`, and `/metrics` exposes at least the
-/// 20 series the quickstart does — each has a reader in
+/// 13 series the quickstart does — each has a reader in
 /// `tests/registry_audit.rs`, so fewer means a layer stopped reporting.
 fn assert_routes_answer_whole_documents(addr: SocketAddr) {
     let metrics = get(addr, "/metrics");
     let series = metrics.lines().filter(|l| l.starts_with("# TYPE")).count();
-    assert!(series >= 20, "{series} series exposed:\n{metrics}");
+    assert!(series >= 13, "{series} series exposed:\n{metrics}");
     let health = get(addr, "/healthz");
     assert!(health.starts_with("ok"), "{health}");
     let counters = get_json(addr, "/metrics.json");

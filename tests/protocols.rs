@@ -1,21 +1,21 @@
 //! Cross-crate protocol integration: SNMP over real TCP, the rule-base
-//! protocol over real TCP, federation discovery of the space, and the
+//! protocol over real TCP, discovery of a space grid from shard 0, and the
 //! remote-configuration engine — the deployment-shaped paths.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use adaptive_spaces::cluster::{Node, NodeSpec};
-use adaptive_spaces::federation::{
-    Attributes, DiscoveryBus, LookupService, Registrar, ServiceItem,
-};
 use adaptive_spaces::framework::rulebase::{self, client_register, RuleBaseServer};
-use adaptive_spaces::framework::{RuleMessage, Signal, WorkerState};
+use adaptive_spaces::framework::{
+    ClusterBuilder, FrameworkConfig, RuleMessage, Signal, WorkerState,
+};
 use adaptive_spaces::snmp::{
     host_resources_mib, oids, transport::TcpAgentServer, transport::TcpTransport, Agent, Manager,
     Mib, SnmpValue,
 };
-use adaptive_spaces::space::Space;
+use adaptive_spaces::space::{Space, SpaceServer, Template, Tuple, TupleStore};
+use adaptive_spaces::spacegrid::PartitionedSpace;
 
 #[test]
 fn snmp_over_tcp_polls_live_node_state() {
@@ -107,46 +107,30 @@ fn rulebase_over_tcp_full_protocol() {
 }
 
 #[test]
-fn space_travels_through_federation_as_a_proxy() {
-    let bus = DiscoveryBus::new();
-    bus.announce(LookupService::new("lus-a"));
-    bus.announce(LookupService::new("lus-b"));
-
-    let space = Space::new("federated-space");
-    space
-        .write(
-            adaptive_spaces::space::Tuple::build("greeting")
-                .field("text", "hello")
-                .done(),
-        )
+fn a_grid_cluster_is_discovered_from_shard_0() {
+    let servers: Vec<SpaceServer> = (0..3)
+        .map(|i| SpaceServer::spawn(Space::new(format!("lookup-{i}")), "127.0.0.1:0").unwrap())
+        .collect();
+    let addrs: Vec<String> = servers.iter().map(|s| s.addr().to_string()).collect();
+    let cluster = ClusterBuilder::new(FrameworkConfig::default())
+        .shards(addrs.clone())
+        .build();
+    cluster
+        .store()
+        .write(Tuple::build("greeting").field("text", "hello").done())
         .unwrap();
 
-    let mut registrar = Registrar::join(
-        &bus,
-        ServiceItem::new(
-            "JavaSpaces",
-            Attributes::build().set("kind", "tuple-space").done(),
-            space.clone(),
-        ),
-        Some(Duration::from_secs(30)),
-    )
-    .unwrap();
-    assert_eq!(registrar.len(), 2);
-
-    // A client discovers a lookup, finds the space, and reads through the
-    // downloaded proxy.
-    let lookup = bus.discover_named("lus-b").unwrap();
-    let found = lookup.lookup(&Attributes::build().set("kind", "tuple-space").done());
-    assert_eq!(found.len(), 1);
-    let proxy: Arc<Space> = found[0].proxy().unwrap();
-    let got = proxy
-        .read_if_exists(&adaptive_spaces::space::Template::of_type("greeting"))
+    // A client holding shard 0's address alone finds every shard, in
+    // order, and reads what the cluster wrote.
+    let grid = PartitionedSpace::discover(servers[0].addr()).unwrap();
+    let found: Vec<String> = grid.addrs().iter().map(|a| a.to_string()).collect();
+    assert_eq!(found, addrs);
+    let got = grid
+        .read_if_exists(&Template::of_type("greeting"))
         .unwrap()
         .unwrap();
     assert_eq!(got.get_str("text"), Some("hello"));
-
-    registrar.cancel_all();
-    assert!(bus.discover_named("lus-a").unwrap().is_empty());
+    cluster.shutdown();
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! (`benchmark/src/layers.rs`), a `/cluster.json` or `/profile.json`
 //! section, or a `/healthz` check — or a recorded reason to stay. A series
 //! nobody reads is deleted with its recording sites, so registering one
-//! without naming its reader here fails. `sim.*` and `federation.*` are
-//! exempt until the simulator and the in-process federation are settled.
+//! without naming its reader here fails. `sim.*` is exempt until the
+//! simulator is settled.
 //!
 //! Registry names are `&'static str`: a registration names its series as
 //! a literal (`.counter("space.write.count")`) or through
@@ -105,8 +105,7 @@ fn every_registered_series_has_a_reader() {
     assert!(registered.contains("space.write.count"), "{registered:?}");
     for name in &registered {
         assert!(
-            ["sim.", "federation."].iter().any(|p| name.starts_with(p))
-                || AUDIT.iter().any(|(audited, _)| audited == name),
+            name.starts_with("sim.") || AUDIT.iter().any(|(audited, _)| audited == name),
             "series `{name}` has no reader: show it in a route section or the \
              benchmark's layer table and name that reader here, or delete it"
         );

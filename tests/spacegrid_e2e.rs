@@ -1,6 +1,6 @@
 //! Multi-process space-grid E2E: a real master, four real shard server
-//! processes, two real worker processes — and one shard killed in the
-//! middle of the job.
+//! processes, two real worker processes that find the grid from shard 0's
+//! address alone — and one shard killed in the middle of the job.
 //!
 //! The degradation contract under test: killing a shard mid-job must
 //! cost at most the tasks queued on it (which the master re-plans from
@@ -49,7 +49,8 @@ fn grid_child_shard() {
     }
 }
 
-/// Worker role: connects a `PartitionedSpace` over `ACC_SHARDS`, then
+/// Worker role: discovers the grid from the shard 0 address in
+/// `ACC_GRID_LOOKUP` (the lookup entry the master published), then
 /// loops take-task / compute / write-result until the grid closes.
 /// Transient grid faults (a dying shard) are ridden out, not fatal —
 /// that is the "no worker deaths" half of the contract.
@@ -60,12 +61,12 @@ fn grid_child_worker() {
         return;
     }
     let name = std::env::var("ACC_GRID_WORKER").unwrap_or_else(|_| "worker".into());
-    let addrs: Vec<std::net::SocketAddr> = std::env::var("ACC_SHARDS")
-        .expect("ACC_SHARDS set for worker role")
-        .split(',')
-        .map(|a| a.parse().expect("shard address"))
-        .collect();
-    let grid = PartitionedSpace::connect(&addrs).expect("connect worker grid");
+    let lookup = std::env::var("ACC_GRID_LOOKUP")
+        .expect("ACC_GRID_LOOKUP set for worker role")
+        .parse()
+        .expect("shard 0 address");
+    let grid = PartitionedSpace::discover(lookup).expect("discover worker grid");
+    assert_eq!(grid.shard_count(), 4, "the lookup entry lists every shard");
     println!("WORKER_READY");
     std::io::stdout().flush().unwrap();
     let template = task_template(JOB);
@@ -226,16 +227,24 @@ fn grid_job_survives_shard_kill() {
         addrs.push(addr);
         shards.push(guard);
     }
-    let shard_list = addrs.join(",");
 
-    // Two worker processes over the full grid.
+    // The master dispatches through its own grid client, and publishes
+    // the shard list in shard 0 for the workers to find. Lost tasks are
+    // re-planned from the checkpoint, so a shard dying with queued tasks
+    // costs a retry round, not the job.
+    let socket_addrs: Vec<std::net::SocketAddr> =
+        addrs.iter().map(|a| a.parse().unwrap()).collect();
+    let grid = Arc::new(PartitionedSpace::connect(&socket_addrs).expect("master grid"));
+    grid.publish().expect("shard 0 takes the lookup entry");
+
+    // Two worker processes, each given shard 0's address alone.
     let mut workers = Vec::new();
     for i in 0..2 {
         let (guard, _) = spawn_role(
             "grid_child_worker",
             "worker",
             &[
-                ("ACC_SHARDS", shard_list.clone()),
+                ("ACC_GRID_LOOKUP", addrs[0].clone()),
                 ("ACC_GRID_WORKER", format!("pw{i}")),
             ],
             "WORKER_READY",
@@ -243,12 +252,6 @@ fn grid_job_survives_shard_kill() {
         workers.push(guard);
     }
 
-    // The master dispatches through its own grid client. Lost tasks are
-    // re-planned from the checkpoint, so a shard dying with queued tasks
-    // costs a retry round, not the job.
-    let socket_addrs: Vec<std::net::SocketAddr> =
-        addrs.iter().map(|a| a.parse().unwrap()).collect();
-    let grid = Arc::new(PartitionedSpace::connect(&socket_addrs).expect("master grid"));
     let mut master = Master::new(grid.clone());
     master.result_timeout = Duration::from_secs(2);
     let checkpoint = std::env::temp_dir().join(format!("acc-grid-e2e-{}.ckpt", std::process::id()));

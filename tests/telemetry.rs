@@ -132,7 +132,6 @@ fn master_worker_round_emits_expected_span_tree() {
         "worker.result.write",
         "master.aggregation",
         "worker.transition",
-        "federation.lease.grant",
     ] {
         assert!(count(name) > 0, "no {name:?} record in the dump:\n{dump}");
     }
@@ -204,11 +203,11 @@ fn cluster_run_populates_registry_across_layers() {
     names.sort_unstable();
     names.dedup();
     assert!(
-        names.len() >= 15,
-        "expected at least 15 distinct series, got {}: {names:?}",
+        names.len() >= 13,
+        "expected at least 13 distinct series, got {}: {names:?}",
         names.len()
     );
-    for prefix in ["space.", "worker.", "monitor.", "federation."] {
+    for prefix in ["space.", "worker.", "monitor."] {
         assert!(
             names.iter().any(|n| n.starts_with(prefix)),
             "no {prefix}* series in {names:?}"
@@ -220,7 +219,6 @@ fn cluster_run_populates_registry_across_layers() {
     assert!(counter("space.write.count") >= 16);
     assert!(counter("space.take.count") >= 16);
     assert!(counter("monitor.samples") >= 1);
-    assert!(counter("federation.lease.granted") >= 1);
     // Registered by every deployment, whether or not they moved.
     for name in [
         "worker.transport_strikes",
