@@ -30,6 +30,17 @@
 //! `RemoteSpace` on the identical non-durable server, over the batch
 //! dispatch + drain cycle the master/worker hot path uses.
 //!
+//! The refill arm times a worker's refill on a 4-shard grid — results
+//! out, tasks in — as the grid sends it (one pipelined pair per shard)
+//! against `write_all_then_take_up_to_in_sequence` on the same grid (the
+//! write fan-out, then the take fan-out) as its control.
+//!
+//! Every ratio is taken between arms that alternate in one loop — the
+//! scaling arms shard count by shard count within each pass, the
+//! overhead and refill arms cycle by cycle — and is the median of the
+//! per-round ratios, so host drift between rounds lands on both sides
+//! alike.
+//!
 //! Custom harness (no `criterion_group!`): the scaling arm measures
 //! aggregate multi-thread throughput, which needs explicit thread
 //! control. Output stays `label: N ns/iter` compatible, and measured
@@ -38,12 +49,15 @@
 
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use acc_durability::{SyncPolicy, WalOptions};
 use acc_spacegrid::{route_tuple, GridConfig, PartitionedSpace};
 use acc_telemetry::Json;
-use acc_tuplespace::{RemoteSpace, Space, SpaceHandle, SpaceServer, Template, Tuple, TupleStore};
+use acc_tuplespace::{
+    write_all_then_take_up_to_in_sequence, RemoteSpace, Space, SpaceHandle, SpaceServer, Template,
+    Tuple, TupleStore,
+};
 
 const WRITERS: usize = 16;
 const PAYLOAD: usize = 64;
@@ -310,25 +324,93 @@ fn dispatch_cycle(store: &dyn TupleStore, batch: usize) {
     }
 }
 
-/// Median ns of `reps` timed cycles (median, not mean: one scheduler
-/// hiccup must not decide an overhead ratio).
-fn median_cycle_ns(store: &dyn TupleStore, batch: usize, reps: usize) -> f64 {
-    let mut samples: Vec<u128> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            dispatch_cycle(store, batch);
-            start.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2] as f64
+/// Refills per timed refill cycle, and results out / tasks asked per
+/// refill (a worker's prefetch depth).
+const REFILLS: usize = 32;
+const REFILL: usize = 8;
+
+/// One timed cycle of a worker's refills on a grid: `REFILLS` times,
+/// `REFILL` results out and up to `REFILL` tasks in — `paired` as the
+/// grid sends it, else as the write fan-out then the take fan-out.
+/// Seeding twice the tasks taken (so no sweep comes up dry) and clearing
+/// up are outside the timing. Returns ns per refill.
+fn refill_cycle_ns(grid: &PartitionedSpace, paired: bool) -> f64 {
+    let tasks = Template::build("acc.task").eq("job", "bench").done();
+    let seed = (0..2 * REFILLS * REFILL).map(|i| task_tuple(0, i as i64));
+    grid.write_all(seed.collect()).unwrap();
+    let start = Instant::now();
+    for r in 0..REFILLS {
+        let results = (0..REFILL)
+            .map(|i| {
+                Tuple::build("acc.result")
+                    .field("task_id", (r * REFILL + i) as i64)
+                    .field("payload", vec![0u8; PAYLOAD])
+                    .done()
+            })
+            .collect();
+        let zero = Some(Duration::ZERO);
+        let (written, taken) = if paired {
+            grid.write_all_then_take_up_to(results, &tasks, REFILL, zero)
+        } else {
+            write_all_then_take_up_to_in_sequence(grid, results, &tasks, REFILL, zero)
+        };
+        written.unwrap();
+        assert!(!taken.unwrap().is_empty(), "a refill found no task");
+    }
+    let ns = start.elapsed().as_nanos() as f64 / REFILLS as f64;
+    grid.take_all(&tasks).unwrap();
+    grid.take_all(&Template::of_type("acc.result")).unwrap();
+    ns
+}
+
+/// `reps` timed rounds of two arms, one run of each per round: each
+/// arm's median ns and the median of the rounds' `b / a` ratios.
+fn alternating(reps: usize, mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> [f64; 3] {
+    let (mut a_ns, mut b_ns, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..reps {
+        let (x, y) = (a(), b());
+        a_ns.push(x);
+        b_ns.push(y);
+        ratios.push(y / x);
+    }
+    [
+        acc_bench::median(a_ns),
+        acc_bench::median(b_ns),
+        acc_bench::median(ratios),
+    ]
+}
+
+/// Shard counts of the scaling arms.
+const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// `passes` passes of a scaling arm, each running every shard count in
+/// turn on fresh shards: each count's median ns, and the median of the
+/// passes' 1-vs-4 ratios.
+fn alternating_scaling(passes: usize, arm: impl Fn(usize) -> f64) -> ([f64; 3], f64) {
+    let mut samples: [Vec<f64>; 3] = Default::default();
+    let mut ratios = Vec::new();
+    for _ in 0..passes {
+        let pass = SHARD_COUNTS.map(&arm);
+        ratios.push(pass[0] / pass[2]);
+        for (all, ns) in samples.iter_mut().zip(pass) {
+            all.push(ns);
+        }
+    }
+    (samples.map(acc_bench::median), acc_bench::median(ratios))
 }
 
 fn main() {
     let measure = std::env::args().any(|a| a == "--bench");
     let mut results: Vec<(String, f64)> = Vec::new();
-
     let passes = if measure { 3 } else { 1 };
+    let mut report = |label: String, ns: f64, what: String| {
+        if measure {
+            println!("{label}: {ns:.0} ns/iter ({what})");
+        } else {
+            println!("{label}: ok (test mode)");
+        }
+        results.push((label, ns));
+    };
 
     // ----------------------------------------------------------------
     // Headline scaling arm: dispatch against a loaded space, 1 → 2 → 4
@@ -338,50 +420,34 @@ fn main() {
     // ----------------------------------------------------------------
     let per_writer = if measure { 64 } else { 8 };
     let backlog = if measure { 4096 } else { 64 };
-    for shards in [1usize, 2, 4] {
-        let mut samples: Vec<f64> = (0..passes)
-            .map(|_| loaded_dispatch_ns(shards, per_writer, backlog))
-            .collect();
-        samples.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
-        let ns = samples[samples.len() / 2];
-        let label = format!("spacegrid/loaded_dispatch/{shards}shards");
-        if measure {
-            println!(
-                "{label}: {ns:.0} ns/iter ({} tuples over {backlog} backlog, {:.0} tuples/s)",
-                WRITERS * per_writer,
-                1e9 / ns
-            );
-        } else {
-            println!("{label}: ok (test mode, {} tuples)", WRITERS * per_writer);
-        }
-        results.push((label, ns));
+    let (loaded, scaling_4x) = alternating_scaling(passes, |shards| {
+        loaded_dispatch_ns(shards, per_writer, backlog)
+    });
+    for (shards, ns) in SHARD_COUNTS.into_iter().zip(loaded) {
+        let what = format!("{} tuples over {backlog} backlog", WRITERS * per_writer);
+        report(
+            format!("spacegrid/loaded_dispatch/{shards}shards"),
+            ns,
+            what,
+        );
     }
 
     // ----------------------------------------------------------------
     // Secondary scaling arm: durable batched dispatch, 1 → 2 → 4
     // shards (fsync-overlap bound; ratio is host-disk dependent).
+    // Fresh shards each pass: fsync latency on shared hosts is too
+    // jittery for a single sample.
     // ----------------------------------------------------------------
     let per_writer = if measure { 128 } else { 8 };
-    for shards in [1usize, 2, 4] {
-        // Median of independent passes (fresh shards each): fsync
-        // latency on shared hosts is too jittery for a single sample.
-        let mut samples: Vec<f64> = (0..passes)
-            .map(|_| durable_dispatch_ns(shards, per_writer))
-            .collect();
-        samples.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
-        let ns = samples[samples.len() / 2];
-        let label = format!("spacegrid/durable_dispatch/{shards}shards");
-        if measure {
-            println!(
-                "{label}: {ns:.0} ns/iter ({} tuples, {} threads, {:.0} tuples/s)",
-                WRITERS * per_writer,
-                WRITERS,
-                1e9 / ns * 1.0
-            );
-        } else {
-            println!("{label}: ok (test mode, {} tuples)", WRITERS * per_writer);
-        }
-        results.push((label, ns));
+    let (durable, durable_4x) =
+        alternating_scaling(passes, |shards| durable_dispatch_ns(shards, per_writer));
+    for (shards, ns) in SHARD_COUNTS.into_iter().zip(durable) {
+        let what = format!("{} tuples, {WRITERS} threads", WRITERS * per_writer);
+        report(
+            format!("spacegrid/durable_dispatch/{shards}shards"),
+            ns,
+            what,
+        );
     }
 
     // ----------------------------------------------------------------
@@ -389,27 +455,41 @@ fn main() {
     // ----------------------------------------------------------------
     let batch = if measure { 512 } else { 32 };
     let reps = if measure { 30 } else { 1 };
-    let direct_ns = {
-        let rig = ShardRig::plain(1);
-        let remote = RemoteSpace::connect(rig.addrs()[0]).unwrap();
-        median_cycle_ns(&remote, batch, reps)
+    let (direct_rig, grid_rig) = (ShardRig::plain(1), ShardRig::plain(1));
+    let remote = RemoteSpace::connect(direct_rig.addrs()[0]).unwrap();
+    let grid = PartitionedSpace::connect(&grid_rig.addrs()).unwrap();
+    let time_cycle = |store: &dyn TupleStore| {
+        let start = Instant::now();
+        dispatch_cycle(store, batch);
+        start.elapsed().as_nanos() as f64
     };
-    let grid_ns = {
-        let rig = ShardRig::plain(1);
-        let grid = PartitionedSpace::connect(&rig.addrs()).unwrap();
-        median_cycle_ns(&grid, batch, reps)
-    };
-    for (label, ns) in [
-        ("spacegrid/overhead/direct_remote", direct_ns),
-        ("spacegrid/overhead/grid_1shard", grid_ns),
-    ] {
-        if measure {
-            println!("{label}: {ns:.0} ns/iter (batch {batch}, {reps} samples)");
-        } else {
-            println!("{label}: ok (test mode, 1 iter)");
-        }
-        results.push((label.to_owned(), ns));
-    }
+    let [direct_ns, grid_ns, overhead] =
+        alternating(reps, || time_cycle(&remote), || time_cycle(&grid));
+    let what = format!("batch {batch}, {reps} samples");
+    report(
+        "spacegrid/overhead/direct_remote".into(),
+        direct_ns,
+        what.clone(),
+    );
+    report("spacegrid/overhead/grid_1shard".into(), grid_ns, what);
+
+    // ----------------------------------------------------------------
+    // Refill arm: a 4-shard refill, one pair per shard vs two fan-outs.
+    // ----------------------------------------------------------------
+    let rig = ShardRig::plain(4);
+    let grid = PartitionedSpace::connect(&rig.addrs()).unwrap();
+    let [paired_ns, sequence_ns, refill_ratio] = alternating(
+        reps,
+        || refill_cycle_ns(&grid, true),
+        || refill_cycle_ns(&grid, false),
+    );
+    let what = format!("{REFILL} results out, {REFILL} tasks in, {reps} samples");
+    report("spacegrid/refill/4shards".into(), paired_ns, what.clone());
+    report(
+        "spacegrid/refill/4shards_in_sequence".into(),
+        sequence_ns,
+        what,
+    );
 
     if !measure {
         println!("spacegrid: smoke ok");
@@ -419,19 +499,12 @@ fn main() {
     // ----------------------------------------------------------------
     // Derived figures + perf-trajectory export.
     // ----------------------------------------------------------------
-    let ns_of = |needle: &str| {
-        results
-            .iter()
-            .find(|(l, _)| l.contains(needle))
-            .map(|(_, ns)| *ns)
-            .unwrap()
-    };
-    let scaling_4x = ns_of("loaded_dispatch/1shards") / ns_of("loaded_dispatch/4shards");
-    let durable_4x = ns_of("durable_dispatch/1shards") / ns_of("durable_dispatch/4shards");
-    let overhead_pct = (grid_ns / direct_ns - 1.0) * 100.0;
+    let overhead_pct = (overhead - 1.0) * 100.0;
+    let refill_pct = (1.0 / refill_ratio - 1.0) * 100.0;
     println!("spacegrid/scaling_4_shards_vs_1: {scaling_4x:.2}x");
     println!("spacegrid/durable_scaling_4_shards_vs_1: {durable_4x:.2}x");
     println!("spacegrid/overhead_1shard_vs_direct: {overhead_pct:+.1}%");
+    println!("spacegrid/refill_4shards_vs_in_sequence: {refill_pct:+.1}%");
 
     acc_bench::write_bench_record(&acc_bench::bench_record(
         "spacegrid",
@@ -440,6 +513,10 @@ fn main() {
             ("scaling_4_shards_vs_1", Json::Float(scaling_4x, 3)),
             ("durable_scaling_4_shards_vs_1", Json::Float(durable_4x, 3)),
             ("overhead_1shard_pct", Json::Float(overhead_pct, 2)),
+            (
+                "refill_4shards_vs_in_sequence_pct",
+                Json::Float(refill_pct, 2),
+            ),
         ],
     ));
 }

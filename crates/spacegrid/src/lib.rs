@@ -23,13 +23,14 @@
 //!   that miss on the owner fall back to a scatter before reporting
 //!   `None`, so a tuple another client rerouted off its owner is still
 //!   found.
-//! * **Batching**: `write_all` splits the batch by owner and sends the
-//!   per-shard groups split-phase from the calling thread — every
-//!   shard's request frames (with their
-//!   `BATCH_FRAME_BUDGET` chunking) go out on its own connection before
-//!   the first response is read, so the shards work concurrently and no
-//!   helper thread is spawned; `take_up_to` and `take_all` fan
-//!   quota-bounded batch takes out the same way.
+//! * **Batching**: a batch operation is one split-phase sweep from the
+//!   calling thread — every shard's request frames go out on its own
+//!   connection before the first response is read, so the shards work
+//!   concurrently and no helper thread is spawned. `write_all` groups
+//!   the batch by owner, `take_up_to` splits `max` into per-shard
+//!   quotas, and the worker's refill (`write_all_then_take_up_to`) does
+//!   both at once: each shard gets its results and its quota as one
+//!   pipelined pair. `take_all` drains the same way.
 //! * **Degradation**: a shard whose connection keeps failing (after
 //!   [`RemoteSpace`]'s own reconnect-and-retry) is marked unhealthy:
 //!   writes deterministically probe onward to the next healthy shard,
@@ -57,8 +58,8 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use acc_tuplespace::{
-    write_all_then_take_up_to_in_sequence, EntryId, Lease, Pending, RemoteSpace, SpaceError,
-    SpaceResult, Template, Tuple, TupleStore, Value, WriteThenTake,
+    EntryId, Lease, Pending, RemoteSpace, SpaceError, SpaceResult, Template, Tuple, TupleStore,
+    Value, WriteThenTake,
 };
 
 pub use router::{route_template, route_tuple, tuple_hash, GridConfig};
@@ -152,29 +153,72 @@ impl Shard {
     }
 }
 
-/// Split-phase fan-out of one batch operation over several shards, on the
-/// calling thread: `begin` puts each shard's request on the wire, and only
-/// when all of them are out are the responses collected — the shards work
-/// concurrently and the caller pays about one round trip, with no helper
-/// thread to spawn and join. Every op goes through [`Shard::account`], so
-/// health strikes and the per-shard histograms see it exactly as they see
-/// [`Shard::call`].
+/// One shard's request in a [`fan_out`], on the wire: its results and its
+/// take as one pipelined pair, or either alone.
+enum Exchange<'a> {
+    Pair(Pending<'a, WriteThenTake>),
+    Write(Pending<'a, Vec<EntryId>>),
+    Take(Pending<'a, Vec<Tuple>>),
+}
+
+impl Exchange<'_> {
+    /// Reads the answers; the half that was not asked comes back empty.
+    fn finish(self) -> SpaceResult<WriteThenTake> {
+        match self {
+            Exchange::Pair(pending) => pending.finish(),
+            Exchange::Write(pending) => pending.finish().map(|ids| (Ok(ids), Ok(Vec::new()))),
+            Exchange::Take(pending) => pending.finish().map(|taken| (Ok(Vec::new()), Ok(taken))),
+        }
+    }
+}
+
+/// Split-phase fan-out over several shards, on the calling thread: `begin`
+/// puts each shard's exchange on the wire, and only when all of them are
+/// out are the responses collected — the shards work concurrently and the
+/// caller pays about one round trip, with no helper thread to spawn and
+/// join. Every exchange is one op to [`Shard::account`], so health strikes
+/// and the per-shard histograms see it exactly as they see
+/// [`Shard::call`]; one that fails as a whole fails both its halves.
 ///
 /// `targets` must be in ascending shard order. A [`Pending`] holds its
 /// connection's lock, so this holds several at once; a fixed acquisition
 /// order is what keeps two threads sharing one grid client (the master and
 /// its metrics collector, say) from deadlocking on them.
-fn fan_out<'a, X, T>(
+fn fan_out<'a, X>(
     targets: impl IntoIterator<Item = (&'a Arc<Shard>, X)>,
-    mut begin: impl FnMut(&'a RemoteSpace, X) -> Pending<'a, T>,
-) -> Vec<SpaceResult<T>> {
+    mut begin: impl FnMut(&'a RemoteSpace, X) -> Exchange<'a>,
+) -> Vec<WriteThenTake> {
     let sent: Vec<_> = targets
         .into_iter()
         .map(|(shard, arg)| (shard, Instant::now(), begin(&shard.remote, arg)))
         .collect();
     sent.into_iter()
-        .map(|(shard, start, pending)| shard.account(start, pending.finish()))
+        .map(|(shard, start, exchange)| {
+            shard
+                .account(start, exchange.finish())
+                .unwrap_or_else(|e| (Err(e.clone()), Err(e)))
+        })
         .collect()
+}
+
+/// The blocking half of a batch take whose sweep came up dry: `wait` for a
+/// first match, then `drain` up to `max - 1` more without waiting. The
+/// first tuple has left its shard by the time the drain runs, so a drain
+/// that fails (no shard healthy any more, say) still hands it back; a
+/// `Closed` it met is latched for the next call.
+fn block_then_drain(
+    max: usize,
+    wait: impl FnOnce() -> SpaceResult<Option<Tuple>>,
+    drain: impl FnOnce(usize) -> SpaceResult<Vec<Tuple>>,
+) -> SpaceResult<Vec<Tuple>> {
+    let Some(first) = wait()? else {
+        return Ok(Vec::new());
+    };
+    let mut out = vec![first];
+    if max > 1 {
+        out.extend(drain(max - 1).unwrap_or_default());
+    }
+    Ok(out)
 }
 
 /// Outcome events a scatter helper thread reports to its caller. `Win`
@@ -703,47 +747,191 @@ impl PartitionedSpace {
         }
     }
 
-    /// One non-blocking batch sweep: every healthy shard is asked for a
-    /// quota-bounded slice of `max` (quotas sum to `max`, so the merge can
-    /// never overfetch and nothing needs restoring) in one split-phase
-    /// [`fan_out`].
-    fn sweep_take_up_to(&self, template: &Template, max: usize) -> SpaceResult<Vec<Tuple>> {
+    /// Splits a take of `max` into quotas, indexed by shard: all of it on
+    /// `owner` when routing names one, else over the healthy shards with
+    /// the remainder rotating, for fairness. The quotas sum to `max`, so a
+    /// sweep never overfetches and nothing needs restoring.
+    fn quotas(&self, max: usize, owner: Option<&Arc<Shard>>) -> SpaceResult<Vec<usize>> {
+        let mut quotas = vec![0; self.shards.len()];
+        if let Some(owner) = owner {
+            quotas[owner.index] = max;
+            return Ok(quotas);
+        }
         let healthy = self.healthy();
         if healthy.is_empty() {
             return Err(PartitionedSpace::no_healthy());
         }
         series().scatter_fanout.observe(healthy.len() as u64);
         let n = healthy.len();
-        // Rotate which shards get the remainder quotas, for fairness.
         let start = self.sweep_cursor.fetch_add(1, Ordering::Relaxed) % n;
-        let quota = |i: usize| max / n + usize::from((i + n - start) % n < max % n);
-        let asked = healthy
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| (shard, quota(i)))
-            .filter(|(_, want)| *want > 0);
-        let results = fan_out(asked, |remote, want| {
-            remote.begin_take_up_to(template, want)
-        });
-        self.merge_batches(results)
+        for (i, shard) in healthy.iter().enumerate() {
+            quotas[shard.index] = max / n + usize::from((i + n - start) % n < max % n);
+        }
+        Ok(quotas)
     }
 
-    /// Concatenates per-shard batch results. Struck shards degrade the
-    /// result, not the caller; `Closed` latches and propagates.
-    fn merge_batches(&self, results: Vec<SpaceResult<Vec<Tuple>>>) -> SpaceResult<Vec<Tuple>> {
-        let mut out = Vec::new();
-        for result in results {
-            match result {
-                Ok(batch) => out.extend(batch),
-                Err(SpaceError::Closed) => {
-                    self.closed.store(true, Ordering::SeqCst);
-                    return Err(SpaceError::Closed);
+    /// One non-blocking sweep, which every multi-shard batch operation is
+    /// made of: `tuples` grouped by [`write_target`](Self::write_target),
+    /// plus `take`'s per-shard quotas. Each shard touched gets one
+    /// exchange — a pipelined pair where it has both, no `TakeUpTo` where
+    /// its quota is 0 — and all of them go out in one [`fan_out`]. Ids
+    /// come back in input order.
+    ///
+    /// A group whose shard fails is struck out and rewritten through the
+    /// (now updated) probe order in a further, write-only round; as with
+    /// [`RemoteSpace`], the retry makes batch writes at-least-once. A
+    /// failed shard's quota is not asked again: the batch comes back
+    /// smaller. Tuples taken are returned whatever became of the write,
+    /// and a take error surfaces only when nothing was taken. `Closed`
+    /// latches.
+    fn sweep(
+        &self,
+        tuples: Vec<Tuple>,
+        lease: Lease,
+        take: Option<(&Template, Vec<usize>)>,
+    ) -> WriteThenTake {
+        let n = self.shards.len();
+        let (template, mut quotas) = match take {
+            Some((template, quotas)) => (Some(template), quotas),
+            None => (None, vec![0; n]),
+        };
+        let mut ids: Vec<Option<EntryId>> = vec![None; tuples.len()];
+        // (input position, tuple) pairs still to be written.
+        let mut pending: Vec<(usize, Tuple)> = tuples.into_iter().enumerate().collect();
+        let mut taken = Vec::new();
+        let (mut write_err, mut take_err) = (None, None);
+        let mut last_fault = PartitionedSpace::no_healthy();
+        // Each failed round strikes a shard out, so the probe order
+        // advances; `n + 1` rounds guarantee termination.
+        for _ in 0..=n {
+            let mut groups = vec![Vec::new(); n];
+            for (pos, tuple) in pending.drain(..) {
+                match self.write_target(&tuple) {
+                    Ok(target) => groups[target.index].push((pos, tuple)),
+                    Err(e) => return (Err(e), Ok(taken)),
                 }
-                Err(SpaceError::Transport(_)) | Err(SpaceError::Protocol(_)) => {}
-                Err(e) => return Err(e),
+            }
+            // Shard order, as `fan_out` requires; only the first round asks.
+            let parts: Vec<_> = self
+                .shards
+                .iter()
+                .zip(groups)
+                .zip(quotas.iter_mut().map(std::mem::take))
+                .filter(|((_, group), quota)| !group.is_empty() || *quota > 0)
+                .collect();
+            if parts.is_empty() {
+                break;
+            }
+            let results = fan_out(
+                parts
+                    .iter()
+                    .map(|((shard, group), quota)| (*shard, (group, *quota))),
+                |remote, (group, quota): (&Vec<(usize, Tuple)>, usize)| {
+                    let batch: Vec<Tuple> = group.iter().map(|(_, t)| t.clone()).collect();
+                    match template.filter(|_| quota > 0) {
+                        None => Exchange::Write(remote.begin_write_all_leased(batch, lease)),
+                        Some(t) if batch.is_empty() => {
+                            Exchange::Take(remote.begin_take_up_to(t, quota))
+                        }
+                        Some(t) => {
+                            debug_assert_eq!(lease, Lease::Forever, "a pair writes forever");
+                            Exchange::Pair(remote.begin_write_all_then_take_up_to(
+                                batch,
+                                t,
+                                quota,
+                                Some(Duration::ZERO),
+                            ))
+                        }
+                    }
+                },
+            );
+            for (((_, group), quota), (written, took)) in parts.into_iter().zip(results) {
+                if !group.is_empty() {
+                    match written {
+                        Ok(batch_ids) => {
+                            for ((pos, _), id) in group.iter().zip(batch_ids) {
+                                ids[*pos] = Some(id);
+                            }
+                        }
+                        Err(e @ SpaceError::Transport(_)) | Err(e @ SpaceError::Protocol(_)) => {
+                            last_fault = e;
+                            pending.extend(group);
+                        }
+                        Err(e) => write_err = Some(e),
+                    }
+                }
+                if quota > 0 {
+                    match took {
+                        Ok(batch) => taken.extend(batch),
+                        Err(SpaceError::Transport(_)) | Err(SpaceError::Protocol(_)) => {}
+                        Err(e) => take_err = Some(e),
+                    }
+                }
+            }
+            if write_err.is_some() {
+                break;
             }
         }
-        Ok(out)
+        if write_err == Some(SpaceError::Closed) || take_err == Some(SpaceError::Closed) {
+            self.closed.store(true, Ordering::SeqCst);
+        }
+        let written = match write_err {
+            Some(e) => Err(e),
+            None if !pending.is_empty() => Err(last_fault),
+            None => Ok(ids
+                .into_iter()
+                .map(|id| id.expect("pending drained, every position written"))
+                .collect()),
+        };
+        let taken = match take_err {
+            Some(e) if taken.is_empty() => Err(e),
+            _ => Ok(taken),
+        };
+        (written, taken)
+    }
+
+    /// A non-blocking take of up to `max` over every healthy shard.
+    fn sweep_take_up_to(&self, template: &Template, max: usize) -> SpaceResult<Vec<Tuple>> {
+        let quotas = self.quotas(max, None)?;
+        self.sweep(Vec::new(), Lease::Forever, Some((template, quotas)))
+            .1
+    }
+
+    /// The multi-shard refill, and with no results the multi-shard
+    /// `take_up_to`: one [`sweep`](Self::sweep) carrying the results and
+    /// the take. A routed sweep that finds nothing on the owner is not
+    /// authoritative (another client may have rerouted the tuples), so a
+    /// sweep of every shard follows. If the take is still empty and the
+    /// caller will wait, [`block_then_drain`] runs it through
+    /// [`scatter_blocking`](Self::scatter_blocking) — unless the write
+    /// failed: then the caller gets the error and whatever was taken.
+    fn refill(
+        &self,
+        tuples: Vec<Tuple>,
+        template: &Template,
+        max: usize,
+        timeout: Option<Duration>,
+    ) -> WriteThenTake {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let owner = self.route(template);
+        let quotas = match self.quotas(max, owner.as_ref()) {
+            Ok(quotas) => quotas,
+            Err(e) => return (Err(e.clone()), Err(e)),
+        };
+        let (written, mut taken) = self.sweep(tuples, Lease::Forever, Some((template, quotas)));
+        let dry =
+            |taken: &SpaceResult<Vec<Tuple>>| max > 0 && matches!(taken, Ok(b) if b.is_empty());
+        if owner.is_some() && dry(&taken) {
+            taken = self.sweep_take_up_to(template, max);
+        }
+        if dry(&taken) && timeout != Some(Duration::ZERO) && written.is_ok() {
+            taken = block_then_drain(
+                max,
+                || self.scatter_blocking(template, deadline, true),
+                |rest| self.sweep_take_up_to(template, rest),
+            );
+        }
+        (written, taken)
     }
 }
 
@@ -921,6 +1109,8 @@ impl TupleStore for PartitionedSpace {
     /// strand tuples another client rerouted off-owner. Rounds of
     /// split-phase batch takes over the shards that still had something
     /// last round, until every one has answered empty (or been struck).
+    /// Struck shards degrade the result, not the caller; `Closed` latches
+    /// and propagates.
     fn take_all(&self, template: &Template) -> SpaceResult<Vec<Tuple>> {
         self.ensure_open()?;
         let mut live = self.healthy();
@@ -931,32 +1121,39 @@ impl TupleStore for PartitionedSpace {
         let mut out = Vec::new();
         while !live.is_empty() {
             let results = fan_out(live.iter().map(|shard| (shard, ())), |remote, ()| {
-                remote.begin_take_up_to(template, DRAIN_BATCH)
+                Exchange::Take(remote.begin_take_up_to(template, DRAIN_BATCH))
             });
             let mut had_more = results
                 .iter()
-                .map(|r| matches!(r, Ok(batch) if !batch.is_empty()));
+                .map(|(_, took)| matches!(took, Ok(batch) if !batch.is_empty()));
             live.retain(|_| had_more.next().expect("one result per live shard"));
-            out.extend(self.merge_batches(results)?);
+            for (_, took) in results {
+                match took {
+                    Ok(batch) => out.extend(batch),
+                    Err(SpaceError::Closed) => {
+                        self.closed.store(true, Ordering::SeqCst);
+                        return Err(SpaceError::Closed);
+                    }
+                    Err(SpaceError::Transport(_)) | Err(SpaceError::Protocol(_)) => {}
+                    Err(e) => return Err(e),
+                }
+            }
         }
         Ok(out)
     }
 
-    /// Splits the batch by owner and sends the per-shard groups in one
-    /// split-phase `fan_out` — each group rides its own connection's
-    /// request frames (and their frame-budget chunking). Ids come
-    /// back in input order. A group whose shard dies mid-write is
-    /// re-dispatched through the (now updated) probe order; as with
-    /// [`RemoteSpace`], the retry makes batch writes at-least-once.
+    /// One `sweep` that only writes: the batch split by owner, each group
+    /// riding its own connection's request frames (and their frame-budget
+    /// chunking), groups on dead shards rewritten through the probe order.
     fn write_all_leased(&self, tuples: Vec<Tuple>, lease: Lease) -> SpaceResult<Vec<EntryId>> {
         self.ensure_open()?;
         if tuples.is_empty() {
             return Ok(Vec::new());
         }
         // Single-shard fast path: there is no reroute target, so the
-        // retry machinery below (which clones every tuple to be able to
-        // regroup after a shard death) would be pure overhead. Move the
-        // batch straight through.
+        // retry machinery of the sweep (which clones every tuple to be
+        // able to regroup after a shard death) would be pure overhead.
+        // Move the batch straight through.
         if self.shards.len() == 1 {
             let shard = &self.shards[0];
             if !shard.is_healthy() {
@@ -970,68 +1167,14 @@ impl TupleStore for PartitionedSpace {
                 other => other,
             };
         }
-        let mut ids: Vec<Option<EntryId>> = vec![None; tuples.len()];
-        // (input position, tuple) pairs still to be written.
-        let mut pending: Vec<(usize, Tuple)> = tuples.into_iter().enumerate().collect();
-        let mut last_err = PartitionedSpace::no_healthy();
-        for _ in 0..=self.shards.len() {
-            if pending.is_empty() {
-                break;
-            }
-            // Group by current write target (owner or reroute).
-            type Group = (Arc<Shard>, Vec<(usize, Tuple)>);
-            let mut groups: Vec<Group> = Vec::new();
-            for (pos, tuple) in pending.drain(..) {
-                let target = self.write_target(&tuple)?;
-                match groups.iter_mut().find(|(s, _)| s.index == target.index) {
-                    Some((_, group)) => group.push((pos, tuple)),
-                    None => groups.push((target, vec![(pos, tuple)])),
-                }
-            }
-            // Ascending shard order, as `fan_out` requires.
-            groups.sort_by_key(|(shard, _)| shard.index);
-            let results = fan_out(
-                groups.iter().map(|(shard, group)| (shard, group)),
-                |remote, group| {
-                    let batch = group.iter().map(|(_, t)| t.clone()).collect();
-                    remote.begin_write_all_leased(batch, lease)
-                },
-            );
-            let outcomes: Vec<_> = groups.into_iter().map(|(_, g)| g).zip(results).collect();
-            for (group, result) in outcomes {
-                match result {
-                    Ok(batch_ids) => {
-                        for ((pos, _), id) in group.iter().zip(batch_ids) {
-                            ids[*pos] = Some(id);
-                        }
-                    }
-                    Err(e @ SpaceError::Transport(_)) | Err(e @ SpaceError::Protocol(_)) => {
-                        // The shard is struck out; re-queue for reroute.
-                        last_err = e;
-                        pending.extend(group);
-                    }
-                    Err(SpaceError::Closed) => {
-                        self.closed.store(true, Ordering::SeqCst);
-                        return Err(SpaceError::Closed);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        if !pending.is_empty() {
-            return Err(last_err);
-        }
-        Ok(ids
-            .into_iter()
-            .map(|id| id.expect("pending drained, every position written"))
-            .collect())
+        self.sweep(tuples, lease, None).0
     }
 
-    /// Scatter batch take: a parallel quota sweep first; when it comes
-    /// up dry and the caller is willing to wait, one blocking scatter
-    /// take delivers the first match, then a final sweep drains whatever
-    /// else arrived — mirroring the single-store contract (block for the
-    /// first match, drain the rest without waiting).
+    /// One shard: forwarded, since the one server already implements the
+    /// block-then-drain contract in one round trip. More shards: the
+    /// refill with no results — a quota sweep, then, if it comes up dry
+    /// and the caller is willing to wait, one blocking scatter take for
+    /// the first match and a final sweep for whatever else arrived.
     fn take_up_to(
         &self,
         template: &Template,
@@ -1042,50 +1185,22 @@ impl TupleStore for PartitionedSpace {
         if max == 0 {
             return Ok(Vec::new());
         }
-        let deadline = timeout.map(|t| Instant::now() + t);
-        // Single-shard fast path: the one server already implements the
-        // exact block-then-drain contract in one round trip (v2).
         if self.shards.len() == 1 && self.shards[0].is_healthy() {
             match self.shards[0].call(|r| r.take_up_to(template, max, timeout)) {
                 Err(SpaceError::Transport(_)) | Err(SpaceError::Protocol(_)) => {}
                 other => return other,
             }
         }
-        if let Some(shard) = self.route(template) {
-            match shard.call(|r| r.take_up_to(template, max, timeout)) {
-                Ok(batch) if !batch.is_empty() => return Ok(batch),
-                // Empty routed batch: not authoritative under reroutes
-                // by other clients — fall through to the quota sweep.
-                Ok(_) => {}
-                Err(SpaceError::Transport(_)) | Err(SpaceError::Protocol(_)) => {}
-                other => return other,
-            }
-        }
-        let first_sweep = self.sweep_take_up_to(template, max)?;
-        if !first_sweep.is_empty() {
-            return Ok(first_sweep);
-        }
-        if timeout == Some(Duration::ZERO) {
-            return Ok(first_sweep);
-        }
-        match self.scatter_blocking(template, deadline, true)? {
-            None => Ok(Vec::new()),
-            Some(first) => {
-                let mut out = vec![first];
-                if max > 1 {
-                    out.extend(self.sweep_take_up_to(template, max - 1)?);
-                }
-                Ok(out)
-            }
-        }
+        self.refill(Vec::new(), template, max, timeout).1
     }
 
-    /// One shard: forwarded, so the worker's refill stays the one
-    /// exchange [`RemoteSpace`] makes of it — booked as one shard op,
-    /// judged for health by the take's outcome (a transport failure
-    /// fails both halves alike). More shards: results and tasks live on
-    /// different ones in general, so the pair has nothing to share and
-    /// runs as the two calls above, reroutes and scatter included.
+    /// The worker's refill point, one exchange per shard. One shard:
+    /// forwarded, so it stays the one exchange [`RemoteSpace`] makes of
+    /// it — booked as one shard op, judged for health by the take's
+    /// outcome (a transport failure fails both halves alike). More
+    /// shards: each shard touched gets its results and its share of the
+    /// take as one pipelined pair, all shards served in one split-phase
+    /// fan-out (see `refill`).
     fn write_all_then_take_up_to(
         &self,
         tuples: Vec<Tuple>,
@@ -1093,8 +1208,11 @@ impl TupleStore for PartitionedSpace {
         max: usize,
         timeout: Option<Duration>,
     ) -> WriteThenTake {
-        if self.shards.len() != 1 || !self.shards[0].is_healthy() || self.ensure_open().is_err() {
-            return write_all_then_take_up_to_in_sequence(self, tuples, template, max, timeout);
+        if let Err(e) = self.ensure_open() {
+            return (Err(e.clone()), Err(e));
+        }
+        if self.shards.len() != 1 || !self.shards[0].is_healthy() {
+            return self.refill(tuples, template, max, timeout);
         }
         let shard = &self.shards[0];
         let start = Instant::now();
@@ -1209,9 +1327,61 @@ mod tests {
                 r.grid
                     .write_all_then_take_up_to(vec![result(9)], &job_template(), 4, None);
             assert_eq!(written, Err(SpaceError::Closed), "{shards} shard(s)");
-            // (Forwarded, the take fails too; in sequence it is skipped.)
-            assert!(taken.is_err() || taken == Ok(Vec::new()), "{taken:?}");
+            assert_eq!(taken, Err(SpaceError::Closed), "{shards} shard(s)");
         }
+    }
+
+    /// Results that spread-route one to each of `shards` shards.
+    fn one_result_per_shard(shards: usize) -> Vec<Tuple> {
+        let result = |id: i64| Tuple::build("acc.result").field("task_id", id).done();
+        (0..shards)
+            .map(|s| {
+                (0..)
+                    .map(result)
+                    .find(|t| route_tuple(t, &[], shards) == s)
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn refill_rewrites_a_dead_shards_results_and_takes_from_the_rest() {
+        let mut r = rig(4);
+        r.grid.write_all((0..64).map(task).collect()).unwrap();
+        let dead = 2;
+        drop(r.servers.remove(dead));
+        let live = [0, 1, 3];
+        assert!(live.iter().all(|&s| r.spaces[s].len() >= 2));
+        let held = r.spaces[dead].len();
+        // Quotas of 2 on every shard; the dead one fails its pair.
+        let (written, taken) = r.grid.write_all_then_take_up_to(
+            one_result_per_shard(4),
+            &job_template(),
+            8,
+            Some(Duration::from_secs(2)),
+        );
+        assert_eq!(written.unwrap().len(), 4);
+        assert_eq!(r.grid.count(&Template::of_type("acc.result")).unwrap(), 4);
+        assert_eq!(taken.unwrap().len(), 6, "2 from each live shard");
+        assert_eq!(r.grid.healthy_count(), 3);
+        assert_eq!(r.spaces[dead].len(), held, "nothing left the dead shard");
+    }
+
+    #[test]
+    fn a_failed_drain_after_a_win_returns_the_tuple_already_taken() {
+        let got = block_then_drain(
+            4,
+            || Ok(Some(task(1))),
+            |rest| {
+                assert_eq!(rest, 3);
+                Err(PartitionedSpace::no_healthy())
+            },
+        );
+        assert_eq!(got, Ok(vec![task(1)]));
+        let timed_out = block_then_drain(4, || Ok(None), |_| unreachable!());
+        assert_eq!(timed_out, Ok(Vec::new()));
+        let failed = block_then_drain(4, || Err(SpaceError::Closed), |_| unreachable!());
+        assert_eq!(failed, Err(SpaceError::Closed));
     }
 
     #[test]

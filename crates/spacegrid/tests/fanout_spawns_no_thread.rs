@@ -47,9 +47,16 @@ fn batch_ops_on_a_four_shard_grid_spawn_no_thread() {
     let addrs: Vec<_> = servers.iter().map(|s| s.addr()).collect();
     let grid = PartitionedSpace::connect(&addrs).unwrap();
     let template = Template::build("acc.task").eq("job", "grid").done();
+    let result_template = Template::of_type("acc.result");
+    let results = || {
+        (0..4)
+            .map(|id: i64| Tuple::build("acc.result").field("task_id", id).done())
+            .collect()
+    };
 
     // One round: a batch write that reaches every shard, non-blocking
-    // batch takes that sweep every shard, and a drain.
+    // batch takes that sweep every shard, a refill that finds tasks, and
+    // drains.
     let round = || {
         let ids = grid.write_all((0..64).map(task).collect()).unwrap();
         assert_eq!(ids.len(), 64);
@@ -63,7 +70,13 @@ fn batch_ops_on_a_four_shard_grid_spawn_no_thread() {
             .take_up_to(&template, 6, Some(Duration::from_secs(5)))
             .unwrap();
         assert_eq!(more.len(), 6);
-        assert_eq!(grid.take_all(&template).unwrap().len(), 48);
+        // A worker's refill: results out and tasks in, one pair per shard.
+        let (written, taken) =
+            grid.write_all_then_take_up_to(results(), &template, 8, Some(Duration::from_secs(5)));
+        assert_eq!(written.unwrap().len(), 4);
+        assert_eq!(taken.unwrap().len(), 8);
+        assert_eq!(grid.take_all(&template).unwrap().len(), 40);
+        assert_eq!(grid.take_all(&result_template).unwrap().len(), 4);
     };
     // Warm-up: connections accepted, server threads up, every shard used.
     round();
