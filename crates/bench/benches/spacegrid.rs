@@ -31,9 +31,10 @@
 //! dispatch + drain cycle the master/worker hot path uses.
 //!
 //! The refill arm times a worker's refill on a 4-shard grid — results
-//! out, tasks in — as the grid sends it (one pipelined pair per shard)
-//! against `write_all_then_take_up_to_in_sequence` on the same grid (the
-//! write fan-out, then the take fan-out) as its control.
+//! out, tasks in — as the grid sends it (one pipelined pair on the
+//! client's home shard, the other shards asked only when the home runs
+//! short) against `write_all_then_take_up_to_in_sequence` on the same
+//! grid (the write fan-out, then the take fan-out) as its control.
 //!
 //! Every ratio is taken between arms that alternate in one loop — the
 //! scaling arms shard count by shard count within each pass, the
@@ -474,7 +475,7 @@ fn main() {
     report("spacegrid/overhead/grid_1shard".into(), grid_ns, what);
 
     // ----------------------------------------------------------------
-    // Refill arm: a 4-shard refill, one pair per shard vs two fan-outs.
+    // Refill arm: a 4-shard refill, one pair on one shard vs two fan-outs.
     // ----------------------------------------------------------------
     let rig = ShardRig::plain(4);
     let grid = PartitionedSpace::connect(&rig.addrs()).unwrap();

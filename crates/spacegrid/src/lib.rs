@@ -8,10 +8,12 @@
 //! already speak — dispatch, prefetch and durability all
 //! work unchanged through the grid.
 //!
-//! * **Routing** ([`route_tuple`], [`route_template`]): every write
-//!   lands on the deterministic FNV-1a owner of the tuple's key fields
-//!   (or of the whole tuple in spread mode). Templates that pin all key fields route straight to
-//!   the owner; anything else scatter-gathers.
+//! * **Routing** ([`route_tuple`], [`route_template`]): a write lands on
+//!   the deterministic FNV-1a owner of the tuple's key fields (or of the
+//!   whole tuple in spread mode). Templates that pin all key fields route
+//!   straight to the owner; anything else scatter-gathers. A tuple that
+//!   no template can route to — spread mode, or a key field missing — has
+//!   no owner, so a refill puts such results on its home shard instead.
 //! * **Scatter-gather**: non-blocking lookups sweep the healthy shards;
 //!   blocking `read`/`take` fan out one helper thread per shard running
 //!   short blocking slices, with first-wins cancellation — a losing
@@ -28,9 +30,10 @@
 //!   connection before the first response is read, so the shards work
 //!   concurrently and no helper thread is spawned. `write_all` groups
 //!   the batch by owner, `take_up_to` splits `max` into per-shard
-//!   quotas, and the worker's refill (`write_all_then_take_up_to`) does
-//!   both at once: each shard gets its results and its quota as one
-//!   pipelined pair. `take_all` drains the same way.
+//!   quotas, and the worker's refill (`write_all_then_take_up_to`) sends
+//!   its results and its whole take to its home shard as one pipelined
+//!   pair. A take that comes back short asks the shards not seen
+//!   exhausted for the rest, once. `take_all` drains the same way.
 //! * **Degradation**: a shard whose connection keeps failing (after
 //!   [`RemoteSpace`]'s own reconnect-and-retry) is marked unhealthy:
 //!   writes deterministically probe onward to the next healthy shard,
@@ -110,6 +113,10 @@ pub const LOOKUP_TYPE: &str = "acc.lookup";
 /// Tuples asked of each shard per round of a [`PartitionedSpace::take_all`]
 /// drain (the per-frame cap `RemoteSpace::take_all` drains with).
 const DRAIN_BATCH: usize = 4096;
+
+/// Seeds each client's home shard (see [`PartitionedSpace::home`]), so the
+/// master and each reconnected worker start on different shards.
+static NEXT_HOME: AtomicUsize = AtomicUsize::new(0);
 
 /// One shard of the grid: a [`RemoteSpace`] connection plus its health
 /// mark. The health mark is per *client* (each grid instance judges its
@@ -319,6 +326,10 @@ pub struct PartitionedSpace {
     /// Rotates the starting shard of scatter sweeps so repeated
     /// non-blocking lookups don't always favour shard 0.
     sweep_cursor: AtomicUsize,
+    /// Where this client's refills put their unowned results and ask their
+    /// take: the first healthy shard from this index. It moves to the next
+    /// shard when the home answers a take short.
+    home: AtomicUsize,
     prober: Option<(Arc<AtomicBool>, std::thread::JoinHandle<()>)>,
 }
 
@@ -370,6 +381,7 @@ impl PartitionedSpace {
             closed: AtomicBool::new(false),
             ever_rerouted: Arc::new(AtomicBool::new(false)),
             sweep_cursor: AtomicUsize::new(0),
+            home: AtomicUsize::new(NEXT_HOME.fetch_add(1, Ordering::Relaxed)),
             prober: Some(prober),
         })
     }
@@ -480,7 +492,8 @@ impl PartitionedSpace {
     }
 
     /// A fresh grid client over the same shards and tunables — each
-    /// worker gets its own connections, as with [`RemoteSpace`]. The
+    /// worker gets its own connections, as with [`RemoteSpace`], and its
+    /// own home shard. The
     /// clone shares this client's reroute latch, so reroutes either one
     /// observes retire the other's routed fast path too (reroutes by
     /// unrelated clients remain invisible — routed misses fall back to
@@ -747,47 +760,68 @@ impl PartitionedSpace {
         }
     }
 
-    /// Splits a take of `max` into quotas, indexed by shard: all of it on
-    /// `owner` when routing names one, else over the healthy shards with
-    /// the remainder rotating, for fairness. The quotas sum to `max`, so a
-    /// sweep never overfetches and nothing needs restoring.
-    fn quotas(&self, max: usize, owner: Option<&Arc<Shard>>) -> SpaceResult<Vec<usize>> {
-        let mut quotas = vec![0; self.shards.len()];
-        if let Some(owner) = owner {
-            quotas[owner.index] = max;
-            return Ok(quotas);
-        }
-        let healthy = self.healthy();
-        if healthy.is_empty() {
+    /// This client's home shard: the first healthy shard from the `home`
+    /// index. A refill that carries results puts the unowned ones there and
+    /// asks it for its whole take, so in the steady state a task and its
+    /// result share one shard and a refill is one exchange.
+    fn home(&self) -> SpaceResult<Arc<Shard>> {
+        let n = self.shards.len();
+        let start = self.home.load(Ordering::Relaxed);
+        (0..n)
+            .map(|k| &self.shards[(start + k) % n])
+            .find(|shard| shard.is_healthy())
+            .cloned()
+            .ok_or_else(PartitionedSpace::no_healthy)
+    }
+
+    /// Whether `tuple` has an owner: keyed mode, and every key field
+    /// present. Only such a tuple can be the match of a routed lookup; any
+    /// other is found by a scatter wherever it lies.
+    fn owned(&self, tuple: &Tuple) -> bool {
+        let keys = &self.config.key_fields;
+        !keys.is_empty() && keys.iter().all(|key| tuple.get(key).is_some())
+    }
+
+    /// Splits a take of `max` over the shards `over` into quotas, indexed
+    /// by shard, with the remainder rotating, for fairness. The quotas sum
+    /// to `max`, so a sweep never overfetches and nothing needs restoring.
+    fn quotas(&self, max: usize, over: &[Arc<Shard>]) -> SpaceResult<Vec<usize>> {
+        let n = over.len();
+        if n == 0 {
             return Err(PartitionedSpace::no_healthy());
         }
-        series().scatter_fanout.observe(healthy.len() as u64);
-        let n = healthy.len();
+        if n > 1 {
+            series().scatter_fanout.observe(n as u64);
+        }
         let start = self.sweep_cursor.fetch_add(1, Ordering::Relaxed) % n;
-        for (i, shard) in healthy.iter().enumerate() {
+        let mut quotas = vec![0; self.shards.len()];
+        for (i, shard) in over.iter().enumerate() {
             quotas[shard.index] = max / n + usize::from((i + n - start) % n < max % n);
         }
         Ok(quotas)
     }
 
     /// One non-blocking sweep, which every multi-shard batch operation is
-    /// made of: `tuples` grouped by [`write_target`](Self::write_target),
-    /// plus `take`'s per-shard quotas. Each shard touched gets one
-    /// exchange — a pipelined pair where it has both, no `TakeUpTo` where
-    /// its quota is 0 — and all of them go out in one [`fan_out`]. Ids
-    /// come back in input order.
+    /// made of: `tuples` grouped by [`write_target`](Self::write_target) —
+    /// or, `to_home`, the unowned ones on the [home](Self::home) — plus
+    /// `take`'s per-shard quotas. Each shard touched gets one exchange — a
+    /// pipelined pair where it has both, no `TakeUpTo` where its quota is
+    /// 0 — and all of them go out in one [`fan_out`]. Ids come back in
+    /// input order.
     ///
-    /// A group whose shard fails is struck out and rewritten through the
-    /// (now updated) probe order in a further, write-only round; as with
-    /// [`RemoteSpace`], the retry makes batch writes at-least-once. A
-    /// failed shard's quota is not asked again: the batch comes back
-    /// smaller. Tuples taken are returned whatever became of the write,
-    /// and a take error surfaces only when nothing was taken. `Closed`
-    /// latches.
+    /// A take that comes back short asks for the rest once more, in the
+    /// next round, of the healthy shards not seen exhausted (answering less
+    /// than they were asked), and a home that answered short moves to the
+    /// next shard. A group whose shard fails is struck out and rewritten through
+    /// the (now updated) probe order in a further round; as with
+    /// [`RemoteSpace`], the retry makes batch writes at-least-once. Tuples
+    /// taken are returned whatever became of the write, and a take error
+    /// surfaces only when nothing was taken. `Closed` latches.
     fn sweep(
         &self,
         tuples: Vec<Tuple>,
         lease: Lease,
+        to_home: bool,
         take: Option<(&Template, Vec<usize>)>,
     ) -> WriteThenTake {
         let n = self.shards.len();
@@ -795,23 +829,32 @@ impl PartitionedSpace {
             Some((template, quotas)) => (Some(template), quotas),
             None => (None, vec![0; n]),
         };
+        let max: usize = quotas.iter().sum();
+        let mut exhausted = vec![false; n];
         let mut ids: Vec<Option<EntryId>> = vec![None; tuples.len()];
         // (input position, tuple) pairs still to be written.
         let mut pending: Vec<(usize, Tuple)> = tuples.into_iter().enumerate().collect();
         let mut taken = Vec::new();
         let (mut write_err, mut take_err) = (None, None);
         let mut last_fault = PartitionedSpace::no_healthy();
-        // Each failed round strikes a shard out, so the probe order
-        // advances; `n + 1` rounds guarantee termination.
-        for _ in 0..=n {
+        // The second round carries the top-up, if any; a later one only
+        // rewrites what a failed round struck out, so `n + 1` rounds
+        // guarantee termination.
+        for round in 0..=n {
             let mut groups = vec![Vec::new(); n];
+            // No home means no healthy shard: `write_target` reports that.
+            let home = to_home.then(|| self.home().ok()).flatten();
             for (pos, tuple) in pending.drain(..) {
-                match self.write_target(&tuple) {
+                let target = match &home {
+                    Some(home) if !self.owned(&tuple) => Ok(home.clone()),
+                    _ => self.write_target(&tuple),
+                };
+                match target {
                     Ok(target) => groups[target.index].push((pos, tuple)),
                     Err(e) => return (Err(e), Ok(taken)),
                 }
             }
-            // Shard order, as `fan_out` requires; only the first round asks.
+            // Shard order, as `fan_out` requires.
             let parts: Vec<_> = self
                 .shards
                 .iter()
@@ -845,7 +888,7 @@ impl PartitionedSpace {
                     }
                 },
             );
-            for (((_, group), quota), (written, took)) in parts.into_iter().zip(results) {
+            for (((shard, group), quota), (written, took)) in parts.into_iter().zip(results) {
                 if !group.is_empty() {
                     match written {
                         Ok(batch_ids) => {
@@ -861,6 +904,7 @@ impl PartitionedSpace {
                     }
                 }
                 if quota > 0 {
+                    exhausted[shard.index] = !matches!(&took, Ok(batch) if batch.len() == quota);
                     match took {
                         Ok(batch) => taken.extend(batch),
                         Err(SpaceError::Transport(_)) | Err(SpaceError::Protocol(_)) => {}
@@ -870,6 +914,19 @@ impl PartitionedSpace {
             }
             if write_err.is_some() {
                 break;
+            }
+            if round == 0 && take_err.is_none() && taken.len() < max {
+                if let Some(home) = home.filter(|home| exhausted[home.index]) {
+                    self.home.store(home.index + 1, Ordering::Relaxed);
+                }
+                let rest: Vec<_> = self
+                    .healthy()
+                    .into_iter()
+                    .filter(|shard| !exhausted[shard.index])
+                    .collect();
+                if let Ok(top_up) = self.quotas(max - taken.len(), &rest) {
+                    quotas = top_up;
+                }
             }
         }
         if write_err == Some(SpaceError::Closed) || take_err == Some(SpaceError::Closed) {
@@ -890,19 +947,13 @@ impl PartitionedSpace {
         (written, taken)
     }
 
-    /// A non-blocking take of up to `max` over every healthy shard.
-    fn sweep_take_up_to(&self, template: &Template, max: usize) -> SpaceResult<Vec<Tuple>> {
-        let quotas = self.quotas(max, None)?;
-        self.sweep(Vec::new(), Lease::Forever, Some((template, quotas)))
-            .1
-    }
-
     /// The multi-shard refill, and with no results the multi-shard
     /// `take_up_to`: one [`sweep`](Self::sweep) carrying the results and
-    /// the take. A routed sweep that finds nothing on the owner is not
-    /// authoritative (another client may have rerouted the tuples), so a
-    /// sweep of every shard follows. If the take is still empty and the
-    /// caller will wait, [`block_then_drain`] runs it through
+    /// the take. The whole take goes to one shard when there is one to
+    /// name — the routed owner, else the home of a refill that carries
+    /// results — and is split over the healthy shards otherwise; a short
+    /// answer is topped up in the sweep. If the take is still empty and
+    /// the caller will wait, [`block_then_drain`] runs it through
     /// [`scatter_blocking`](Self::scatter_blocking) — unless the write
     /// failed: then the caller gets the error and whatever was taken.
     fn refill(
@@ -913,22 +964,27 @@ impl PartitionedSpace {
         timeout: Option<Duration>,
     ) -> WriteThenTake {
         let deadline = timeout.map(|t| Instant::now() + t);
-        let owner = self.route(template);
-        let quotas = match self.quotas(max, owner.as_ref()) {
+        let to_home = !tuples.is_empty();
+        let over = match self.route(template) {
+            Some(owner) => Ok(vec![owner]),
+            None if to_home => self.home().map(|home| vec![home]),
+            None => Ok(self.healthy()),
+        };
+        let quotas = match over.and_then(|over| self.quotas(max, &over)) {
             Ok(quotas) => quotas,
             Err(e) => return (Err(e.clone()), Err(e)),
         };
-        let (written, mut taken) = self.sweep(tuples, Lease::Forever, Some((template, quotas)));
-        let dry =
-            |taken: &SpaceResult<Vec<Tuple>>| max > 0 && matches!(taken, Ok(b) if b.is_empty());
-        if owner.is_some() && dry(&taken) {
-            taken = self.sweep_take_up_to(template, max);
-        }
-        if dry(&taken) && timeout != Some(Duration::ZERO) && written.is_ok() {
+        let (written, mut taken) =
+            self.sweep(tuples, Lease::Forever, to_home, Some((template, quotas)));
+        let dry = max > 0 && matches!(&taken, Ok(b) if b.is_empty());
+        if dry && timeout != Some(Duration::ZERO) && written.is_ok() {
             taken = block_then_drain(
                 max,
                 || self.scatter_blocking(template, deadline, true),
-                |rest| self.sweep_take_up_to(template, rest),
+                |rest| {
+                    self.refill(Vec::new(), template, rest, Some(Duration::ZERO))
+                        .1
+                },
             );
         }
         (written, taken)
@@ -1167,14 +1223,15 @@ impl TupleStore for PartitionedSpace {
                 other => other,
             };
         }
-        self.sweep(tuples, lease, None).0
+        self.sweep(tuples, lease, false, None).0
     }
 
     /// One shard: forwarded, since the one server already implements the
     /// block-then-drain contract in one round trip. More shards: the
-    /// refill with no results — a quota sweep, then, if it comes up dry
-    /// and the caller is willing to wait, one blocking scatter take for
-    /// the first match and a final sweep for whatever else arrived.
+    /// refill with no results — a quota sweep topped up once if short,
+    /// then, if it comes up dry and the caller is willing to wait, one
+    /// blocking scatter take for the first match and a final sweep for
+    /// whatever else arrived.
     fn take_up_to(
         &self,
         template: &Template,
@@ -1194,13 +1251,13 @@ impl TupleStore for PartitionedSpace {
         self.refill(Vec::new(), template, max, timeout).1
     }
 
-    /// The worker's refill point, one exchange per shard. One shard:
-    /// forwarded, so it stays the one exchange [`RemoteSpace`] makes of
-    /// it — booked as one shard op, judged for health by the take's
-    /// outcome (a transport failure fails both halves alike). More
-    /// shards: each shard touched gets its results and its share of the
-    /// take as one pipelined pair, all shards served in one split-phase
-    /// fan-out (see `refill`).
+    /// The worker's refill point, one exchange in the steady state. One
+    /// shard: forwarded, so it stays the one exchange [`RemoteSpace`]
+    /// makes of it — booked as one shard op, judged for health by the
+    /// take's outcome (a transport failure fails both halves alike). More
+    /// shards: the results and the whole take go to the home shard as one
+    /// pipelined pair, and the other shards are asked only for what the
+    /// home lacks (see `refill`).
     fn write_all_then_take_up_to(
         &self,
         tuples: Vec<Tuple>,
@@ -1353,7 +1410,9 @@ mod tests {
         let live = [0, 1, 3];
         assert!(live.iter().all(|&s| r.spaces[s].len() >= 2));
         let held = r.spaces[dead].len();
-        // Quotas of 2 on every shard; the dead one fails its pair.
+        // The whole refill goes to the home, which is dead: its pair fails,
+        // and the next round rewrites the results and tops the take up.
+        r.grid.home.store(dead, Ordering::Relaxed);
         let (written, taken) = r.grid.write_all_then_take_up_to(
             one_result_per_shard(4),
             &job_template(),
@@ -1362,9 +1421,91 @@ mod tests {
         );
         assert_eq!(written.unwrap().len(), 4);
         assert_eq!(r.grid.count(&Template::of_type("acc.result")).unwrap(), 4);
-        assert_eq!(taken.unwrap().len(), 6, "2 from each live shard");
+        assert_eq!(
+            taken.unwrap().len(),
+            8,
+            "the dead home's take, from the rest"
+        );
         assert_eq!(r.grid.healthy_count(), 3);
         assert_eq!(r.spaces[dead].len(), held, "nothing left the dead shard");
+        assert_eq!(r.grid.home().unwrap().index, 3, "the home moved on");
+    }
+
+    #[test]
+    fn a_short_batch_take_tops_up_from_the_shards_that_had_more() {
+        // Quotas of 2 and 2: the empty shard answers short, the full one
+        // is asked for the rest.
+        let r = rig(2);
+        for i in 0..10 {
+            r.spaces[1].write(task(i)).unwrap();
+        }
+        let taken = r
+            .grid
+            .take_up_to(&job_template(), 4, Some(Duration::ZERO))
+            .unwrap();
+        assert_eq!(taken.len(), 4, "10 matches on one shard");
+        // A failed shard's quota is asked of the live one.
+        let mut r = rig(2);
+        for i in 0..10 {
+            r.spaces[0].write(task(i)).unwrap();
+        }
+        drop(r.servers.remove(1));
+        let taken = r
+            .grid
+            .take_up_to(&job_template(), 4, Some(Duration::ZERO))
+            .unwrap();
+        assert_eq!(taken.len(), 4, "10 matches on the live shard");
+        assert_eq!(r.grid.healthy_count(), 1);
+    }
+
+    #[test]
+    fn a_refill_puts_keyed_results_on_their_owners_and_the_rest_on_the_home() {
+        let keys: Vec<String> = vec!["job".into(), "task_id".into()];
+        let r = rig_with(
+            4,
+            GridConfig {
+                key_fields: keys.clone(),
+                ..GridConfig::default()
+            },
+        );
+        r.grid.write_all((0..32).map(task).collect()).unwrap();
+        let home = 1;
+        r.grid.home.store(home, Ordering::Relaxed);
+        let keyed = |id: i64| {
+            Tuple::build("acc.result")
+                .field("job", "grid")
+                .field("task_id", id)
+                .done()
+        };
+        let id = (0..).find(|&i| route_tuple(&keyed(i), &keys, 4) != home);
+        let keyed = keyed(id.unwrap());
+        let owner = route_tuple(&keyed, &keys, 4);
+        let unkeyed = Tuple::build("acc.result").field("job", "grid").done();
+        let (written, taken) = r.grid.write_all_then_take_up_to(
+            vec![keyed.clone(), unkeyed],
+            &job_template(),
+            4,
+            Some(Duration::ZERO),
+        );
+        assert_eq!(written.unwrap().len(), 2);
+        assert_eq!(taken.unwrap().len(), 4);
+        let point = Template::build("acc.result")
+            .eq("job", "grid")
+            .eq("task_id", id.unwrap())
+            .done();
+        let results: Vec<usize> = (0..4)
+            .map(|s| Space::count(&r.spaces[s], &Template::of_type("acc.result")))
+            .collect();
+        assert_eq!(results.iter().sum::<usize>(), 2, "{results:?}");
+        assert_eq!(
+            Space::count(&r.spaces[owner], &point),
+            1,
+            "keyed on its owner"
+        );
+        assert_eq!(results[home], 1, "unkeyed on the home");
+        assert!(!r.grid.ever_rerouted.load(Ordering::SeqCst));
+        assert_eq!(route_template(&point, &keys, 4), Some(owner));
+        assert_eq!(r.grid.read_if_exists(&point).unwrap(), Some(keyed));
     }
 
     #[test]

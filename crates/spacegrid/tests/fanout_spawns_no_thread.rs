@@ -55,8 +55,8 @@ fn batch_ops_on_a_four_shard_grid_spawn_no_thread() {
     };
 
     // One round: a batch write that reaches every shard, non-blocking
-    // batch takes that sweep every shard, a refill that finds tasks, and
-    // drains.
+    // batch takes that sweep every shard, a refill that finds tasks, a
+    // batch take topped up from the one shard that has more, and drains.
     let round = || {
         let ids = grid.write_all((0..64).map(task).collect()).unwrap();
         assert_eq!(ids.len(), 64);
@@ -70,13 +70,20 @@ fn batch_ops_on_a_four_shard_grid_spawn_no_thread() {
             .take_up_to(&template, 6, Some(Duration::from_secs(5)))
             .unwrap();
         assert_eq!(more.len(), 6);
-        // A worker's refill: results out and tasks in, one pair per shard.
+        // A worker's refill: results out and tasks in, one pair on its home.
         let (written, taken) =
             grid.write_all_then_take_up_to(results(), &template, 8, Some(Duration::from_secs(5)));
         assert_eq!(written.unwrap().len(), 4);
         assert_eq!(taken.unwrap().len(), 8);
         assert_eq!(grid.take_all(&template).unwrap().len(), 40);
         assert_eq!(grid.take_all(&result_template).unwrap().len(), 4);
+        // Quotas of 1 on every shard, and only shard 0 answers in full.
+        for id in 0..8 {
+            spaces[0].write(task(id)).unwrap();
+        }
+        let topped_up = grid.take_up_to(&template, 4, Some(Duration::ZERO)).unwrap();
+        assert_eq!(topped_up.len(), 4);
+        assert_eq!(grid.take_all(&template).unwrap().len(), 4);
     };
     // Warm-up: connections accepted, server threads up, every shard used.
     round();

@@ -604,6 +604,9 @@ impl FrameEncoder {
     /// could not be sent is the caller's to resend or restore.
     pub(super) fn flush(&mut self, stream: &mut impl Write) -> std::io::Result<()> {
         let bytes = self.w.len();
+        // Counted before the write, so a peer that has read the reply finds
+        // it counted (a send that fails is counted too).
+        net_series().frame_bytes.add(bytes as u64);
         let sent = stream
             .write_all(self.w.as_slice())
             .and_then(|()| stream.flush());
@@ -617,8 +620,6 @@ impl FrameEncoder {
             self.seen_max = 0;
         }
         self.w.clear();
-        sent?;
-        net_series().frame_bytes.add(bytes as u64);
-        Ok(())
+        sent
     }
 }
