@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use acc_cluster::{ClusterObserver, JobProfiler, Node, NodeSpec};
-use acc_snmp::{host_resources_mib, oids, transport::InProcTransport, Agent, Manager};
+use acc_snmp::{host_resources_mib, oids, transport::InProcTransport, Agent, Session};
 use acc_spacegrid::PartitionedSpace;
 use acc_telemetry::Json;
 use acc_tuplespace::{remote::SpaceServer, RemoteSpace, Space, SpaceHandle, StoreHandle};
@@ -152,7 +152,6 @@ impl ClusterBuilder {
             monitor,
             hub,
             profiler,
-            manager: Manager::new("public"),
             binding: None,
             workers: Vec::new(),
             sampler: None,
@@ -361,7 +360,6 @@ pub struct AdaptiveCluster {
     monitor: Arc<MonitoringAgent>,
     hub: Arc<ClusterObserver>,
     profiler: Arc<JobProfiler>,
-    manager: Manager,
     binding: Option<(String, String)>,
     workers: Vec<ManagedWorker>,
     sampler: Option<(Arc<AtomicBool>, std::thread::JoinHandle<()>)>,
@@ -527,8 +525,7 @@ impl AdaptiveCluster {
         let id = accept.join().expect("accept thread");
         debug_assert_eq!(id, runtime.id());
 
-        // SNMP worker-agent for the node, including the worker runtime's
-        // participation gauge.
+        // SNMP worker-agent for the node.
         let n1 = node.clone();
         let n2 = node.clone();
         let n3 = node.clone();
@@ -543,15 +540,14 @@ impl AdaptiveCluster {
         mib.register_gauge(oids::acc_framework_load(), move || {
             load_for_mib.framework_effective()
         });
-        mib.register_gauge(oids::acc_worker_threads(), runtime.participation_gauge());
-        let agent = Arc::new(Agent::new(self.config.community.clone(), mib));
-        let session = self.manager.session(Box::new(InProcTransport::new(agent)));
+        let community = self.config.community.clone();
+        let agent = Arc::new(Agent::new(community.clone(), mib));
+        let session = Session::new(community, Box::new(InProcTransport::new(agent)));
 
         // Monitoring: register with the inference engine and start
         // polling, keyed by the node name the worker's result tuples
         // carry, so SNMP samples and attribution merge into one row.
-        self.monitor
-            .watch_named(id, node.spec().name.clone(), session);
+        self.monitor.watch(id, node.spec().name.clone(), session);
 
         self.workers.push(ManagedWorker { node, runtime });
         id
@@ -746,6 +742,28 @@ mod tests {
     fn add_worker_requires_install() {
         let mut cluster = ClusterBuilder::new(fast_config()).build();
         cluster.add_worker(NodeSpec::new("w", 800, 256));
+    }
+
+    #[test]
+    fn a_cluster_polls_with_its_own_community() {
+        // The monitor's sessions speak the community its agents check, so
+        // a non-default community still gets every poll answered.
+        let mut cluster = ClusterBuilder::new(FrameworkConfig {
+            community: "private".into(),
+            ..fast_config()
+        })
+        .build();
+        cluster.install(&SumSquares { n: 1, total: 0 });
+        let id = cluster.add_worker(NodeSpec::new("w", 800, 256));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while cluster.workers()[0].state() != WorkerState::Running {
+            assert!(Instant::now() < deadline, "the worker never started");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let decisions = cluster.monitor().decisions();
+        assert_eq!(decisions[0].worker, id);
+        assert_eq!(decisions[0].signal, Some(crate::signal::Signal::Start));
+        cluster.shutdown();
     }
 
     fn http_get(addr: std::net::SocketAddr, path: &str) -> String {

@@ -148,15 +148,10 @@ impl MonitoringAgent {
     }
 
     /// Registers a worker with the inference engine and starts its polling
-    /// loop over the given SNMP session.
-    pub fn watch(self: &Arc<Self>, id: WorkerId, session: Session) {
-        self.watch_named(id, format!("worker-{}", id.0), session);
-    }
-
-    /// [`MonitoringAgent::watch`] with the worker's cluster name attached,
-    /// so samples and straggler lookups reach the observer under the same
-    /// key the worker's result tuples carry.
-    pub fn watch_named(self: &Arc<Self>, id: WorkerId, name: impl Into<String>, session: Session) {
+    /// loop over the given SNMP session. Samples and straggler lookups
+    /// reach the observer under `name`, the key the worker's result tuples
+    /// carry.
+    pub fn watch(self: &Arc<Self>, id: WorkerId, name: impl Into<String>, session: Session) {
         let name = name.into();
         self.engine.lock().register(id);
         let (stop_tx, stop_rx) = bounded::<()>(1);
@@ -212,64 +207,6 @@ impl MonitoringAgent {
         });
     }
 
-    /// Trap-driven alternative to [`MonitoringAgent::watch`] (extension):
-    /// instead of polling, consume band-crossing traps pushed by the
-    /// worker-agent's `ThresholdWatch`. Each trap's first gauge varbind is
-    /// taken as the worker's *external* load.
-    pub fn watch_traps(
-        self: &Arc<Self>,
-        id: WorkerId,
-        traps: std::sync::mpsc::Receiver<acc_snmp::Message>,
-    ) {
-        self.engine.lock().register(id);
-        let (stop_tx, stop_rx) = bounded::<()>(1);
-        let agent = Arc::downgrade(self);
-        let thread = std::thread::spawn(move || loop {
-            if stop_rx.try_recv().is_ok() {
-                break;
-            }
-            match traps.recv_timeout(std::time::Duration::from_millis(50)) {
-                Ok(msg) => {
-                    let Some(agent) = agent.upgrade() else { break };
-                    let Some(external) = msg
-                        .pdu
-                        .varbinds
-                        .first()
-                        .and_then(|(_, value)| value.as_u64())
-                    else {
-                        continue;
-                    };
-                    let signal = agent.engine.lock().on_sample(id, external);
-                    series().monitor_samples.inc();
-                    agent.mark_sample();
-                    if let Some(sig) = signal {
-                        event!(
-                            "monitor.decision",
-                            worker = id.0,
-                            external_load = external,
-                            signal = format!("{sig:?}"),
-                        );
-                        agent.rulebase.send_signal(id, sig);
-                    }
-                    agent.decisions.lock().push(DecisionLogEntry {
-                        at_ms: agent.epoch.elapsed().as_millis() as u64,
-                        worker: id,
-                        total_load: external,
-                        external_load: external,
-                        straggler: false,
-                        signal,
-                    });
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        });
-        self.watchers.lock().push(Watcher {
-            stop: stop_tx,
-            thread,
-        });
-    }
-
     /// Stops every polling loop and joins the threads.
     pub fn stop(&self) {
         let watchers: Vec<Watcher> = self.watchers.lock().drain(..).collect();
@@ -300,7 +237,7 @@ mod tests {
     use super::*;
     use crate::rulebase::{client_register, duplex_pair};
     use acc_cluster::{Node, NodeSpec, ObserverConfig, TaskTiming};
-    use acc_snmp::{host_resources_mib, transport::InProcTransport, Agent, Manager};
+    use acc_snmp::{host_resources_mib, transport::InProcTransport, Agent};
     use std::time::Duration;
 
     fn observer() -> Arc<ClusterObserver> {
@@ -323,7 +260,7 @@ mod tests {
             load.framework_effective()
         });
         let agent = Arc::new(Agent::new("public", mib));
-        Manager::new("public").session(Box::new(InProcTransport::new(agent)))
+        Session::new("public", Box::new(InProcTransport::new(agent)))
     }
 
     #[test]
@@ -347,7 +284,7 @@ mod tests {
 
         // Nothing watched yet: no sample to age.
         assert_eq!(monitor.sample_age(), None);
-        monitor.watch(id, session);
+        monitor.watch(id, "w01", session);
         // Idle → Start.
         let msg = client.recv_timeout(Duration::from_secs(2)).unwrap();
         // A signal implies a sample arrived; it must be fresh.
@@ -382,56 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn trap_driven_watch_produces_signals() {
-        use acc_snmp::{oids, ThresholdWatch, TrapSender};
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        let config = FrameworkConfig::default();
-        let monitor = MonitoringAgent::new(config, Instant::now(), observer());
-        let (sender, rx) = TrapSender::channel("public");
-        let external = Arc::new(AtomicU64::new(0));
-        let external2 = external.clone();
-        let watch = ThresholdWatch::spawn(
-            sender,
-            oids::hr_processor_load_1(),
-            vec![25, 50],
-            Duration::from_millis(5),
-            move || external2.load(Ordering::Relaxed),
-        );
-
-        let (client, server_side) = duplex_pair();
-        let rb = monitor.rulebase();
-        let reg = std::thread::spawn(move || {
-            client_register(&client, "trapped", Duration::from_secs(2)).map(|id| (client, id))
-        });
-        rb.accept(server_side, Duration::from_secs(2)).unwrap();
-        let (client, id) = reg.join().unwrap().unwrap();
-        monitor.watch_traps(id, rx);
-
-        // Initial idle band → Start.
-        assert_eq!(
-            client.recv_timeout(Duration::from_secs(2)),
-            Some(RuleMessage::Signal {
-                signal: Signal::Start
-            })
-        );
-        client.send(RuleMessage::Ack {
-            signal: Signal::Start,
-            new_state: WorkerState::Running,
-        });
-        // Into the stop band → Stop, with no polling anywhere.
-        external.store(90, Ordering::Relaxed);
-        assert_eq!(
-            client.recv_timeout(Duration::from_secs(2)),
-            Some(RuleMessage::Signal {
-                signal: Signal::Stop
-            })
-        );
-        watch.stop();
-        monitor.stop();
-    }
-
-    #[test]
     fn framework_load_is_discounted() {
         let config = FrameworkConfig {
             poll_interval: Duration::from_millis(10),
@@ -449,7 +336,7 @@ mod tests {
         });
         rb.accept(server_side, Duration::from_secs(2)).unwrap();
         let (client, id) = reg.join().unwrap().unwrap();
-        monitor.watch(id, session);
+        monitor.watch(id, "w02", session);
         // External load is 0 → the worker is asked to Start, never Stop.
         let msg = client.recv_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!(
@@ -493,7 +380,7 @@ mod tests {
         });
         rb.accept(server_side, Duration::from_secs(2)).unwrap();
         let (_client, id) = reg.join().unwrap().unwrap();
-        monitor.watch_named(id, "w03", session);
+        monitor.watch(id, "w03", session);
         let deadline = Instant::now() + Duration::from_secs(5);
         while monitor.decisions().len() < 20 {
             assert!(Instant::now() < deadline, "monitor never polled 20 times");

@@ -146,17 +146,6 @@ impl WorkerRuntime {
         *self.tasks_done.lock()
     }
 
-    /// A cheap probe suitable for exporting over SNMP
-    /// (`acc_worker_threads`): 1 while the worker participates in the
-    /// computation (Running or Paused), 0 once Stopped.
-    pub fn participation_gauge(&self) -> impl Fn() -> u64 + Send + Sync + 'static {
-        let state = self.state.clone();
-        move || match *state.lock() {
-            WorkerState::Stopped => 0,
-            WorkerState::Running | WorkerState::Paused => 1,
-        }
-    }
-
     /// Stops the loop and joins the thread.
     pub fn shutdown(mut self) {
         self.stop_join();

@@ -9,7 +9,7 @@
 use crate::codec::{decode_message, encode_message};
 use crate::mib::Mib;
 use crate::oid::oids;
-use crate::pdu::{ErrorStatus, Message, Pdu, PduType, SnmpError, SnmpValue, VERSION_2C};
+use crate::pdu::{ErrorStatus, Message, Pdu, PduType, SnmpError, SnmpValue};
 
 /// An SNMP agent bound to one node's MIB.
 #[derive(Debug)]
@@ -27,11 +27,6 @@ impl Agent {
         }
     }
 
-    /// Read access to the MIB.
-    pub fn mib(&self) -> &Mib {
-        &self.mib
-    }
-
     /// Handles one raw request, producing one raw response.
     pub fn handle_bytes(&self, request: &[u8]) -> Result<Vec<u8>, SnmpError> {
         let msg = decode_message(request)?;
@@ -39,7 +34,8 @@ impl Agent {
         Ok(encode_message(&response))
     }
 
-    /// Handles one decoded request message.
+    /// Handles one decoded request message: a GET is answered, anything
+    /// else refused.
     pub fn handle(&self, msg: Message) -> Result<Message, SnmpError> {
         let (base, ctx) = crate::pdu::split_community(&msg.community);
         if base != self.community {
@@ -51,19 +47,13 @@ impl Agent {
         // spans join the manager's distributed trace.
         let _ctx = ctx.map(acc_telemetry::TraceContext::attach);
         let _span = acc_telemetry::span!("snmp.agent.handle");
-        let pdu = match msg.pdu_type {
-            PduType::Get => self.serve_get(msg.pdu),
-            PduType::GetNext => self.serve_get_next(msg.pdu),
-            PduType::Set => self.serve_set(msg.pdu),
-            PduType::Response | PduType::Trap => {
-                return Err(SnmpError::Decode("agent received a non-request PDU".into()))
-            }
-        };
+        if msg.pdu_type != PduType::Get {
+            return Err(SnmpError::Decode("agent received a non-request PDU".into()));
+        }
         Ok(Message {
-            version: VERSION_2C,
             community: msg.community,
             pdu_type: PduType::Response,
-            pdu,
+            pdu: self.serve_get(msg.pdu),
         })
     }
 
@@ -82,37 +72,6 @@ impl Agent {
             error_index: 0,
             varbinds,
         }
-    }
-
-    fn serve_get_next(&self, request: Pdu) -> Pdu {
-        let varbinds = request
-            .varbinds
-            .into_iter()
-            .map(|(oid, _)| match self.mib.next(&oid) {
-                Some((next_oid, value)) => (next_oid, value),
-                None => (oid, SnmpValue::EndOfMibView),
-            })
-            .collect();
-        Pdu {
-            request_id: request.request_id,
-            error_status: ErrorStatus::NoError,
-            error_index: 0,
-            varbinds,
-        }
-    }
-
-    fn serve_set(&self, request: Pdu) -> Pdu {
-        for (index, (oid, value)) in request.varbinds.iter().enumerate() {
-            if let Err(status) = self.mib.set(oid, value.clone()) {
-                return Pdu {
-                    request_id: request.request_id,
-                    error_status: status,
-                    error_index: index as i64 + 1,
-                    varbinds: request.varbinds,
-                };
-            }
-        }
-        self.serve_get(request)
     }
 }
 
@@ -150,7 +109,6 @@ mod tests {
 
     fn get(agent: &Agent, oid: &Oid) -> SnmpValue {
         let msg = Message {
-            version: VERSION_2C,
             community: "public".into(),
             pdu_type: PduType::Get,
             pdu: Pdu::request(1, std::slice::from_ref(oid)),
@@ -184,7 +142,6 @@ mod tests {
     fn bad_community_rejected() {
         let a = agent();
         let msg = Message {
-            version: VERSION_2C,
             community: "private".into(),
             pdu_type: PduType::Get,
             pdu: Pdu::request(1, &[oids::sys_descr()]),
@@ -201,7 +158,6 @@ mod tests {
         };
         let community = crate::pdu::community_with_context("public", &ctx);
         let msg = Message {
-            version: VERSION_2C,
             community: community.clone(),
             pdu_type: PduType::Get,
             pdu: Pdu::request(9, &[oids::hr_memory_size()]),
@@ -213,7 +169,6 @@ mod tests {
         assert_eq!(resp.pdu.varbinds[0].1, SnmpValue::Int(65536));
         // A context suffix does not let a wrong community through.
         let bad = Message {
-            version: VERSION_2C,
             community: crate::pdu::community_with_context("private", &ctx),
             pdu_type: PduType::Get,
             pdu: Pdu::request(9, &[oids::hr_memory_size()]),
@@ -222,34 +177,9 @@ mod tests {
     }
 
     #[test]
-    fn get_next_walks_mib() {
-        let a = agent();
-        // Walk from the root and collect all OIDs; must match mib.walk().
-        let mut walked = Vec::new();
-        let mut cursor = Oid::from_arcs(vec![0]);
-        loop {
-            let msg = Message {
-                version: VERSION_2C,
-                community: "public".into(),
-                pdu_type: PduType::GetNext,
-                pdu: Pdu::request(1, std::slice::from_ref(&cursor)),
-            };
-            let resp = a.handle(msg).unwrap();
-            let (oid, value) = resp.pdu.varbinds[0].clone();
-            if value == SnmpValue::EndOfMibView {
-                break;
-            }
-            cursor = oid.clone();
-            walked.push(oid);
-        }
-        assert_eq!(walked.len(), a.mib().len());
-    }
-
-    #[test]
     fn non_request_pdu_rejected() {
         let a = agent();
         let msg = Message {
-            version: VERSION_2C,
             community: "public".into(),
             pdu_type: PduType::Response,
             pdu: Pdu::request(1, &[oids::sys_descr()]),
@@ -258,29 +188,9 @@ mod tests {
     }
 
     #[test]
-    fn set_read_only_errors_with_index() {
-        let a = agent();
-        let msg = Message {
-            version: VERSION_2C,
-            community: "public".into(),
-            pdu_type: PduType::Set,
-            pdu: Pdu {
-                request_id: 9,
-                error_status: ErrorStatus::NoError,
-                error_index: 0,
-                varbinds: vec![(oids::hr_memory_size(), SnmpValue::Int(1))],
-            },
-        };
-        let resp = a.handle(msg).unwrap();
-        assert_eq!(resp.pdu.error_status, ErrorStatus::ReadOnly);
-        assert_eq!(resp.pdu.error_index, 1);
-    }
-
-    #[test]
     fn handle_bytes_roundtrip() {
         let a = agent();
         let msg = Message {
-            version: VERSION_2C,
             community: "public".into(),
             pdu_type: PduType::Get,
             pdu: Pdu::request(3, &[oids::hr_processor_load_1()]),

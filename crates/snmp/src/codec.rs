@@ -9,7 +9,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::oid::Oid;
-use crate::pdu::{ErrorStatus, Message, Pdu, PduType, SnmpError, SnmpValue};
+use crate::pdu::{ErrorStatus, Message, Pdu, PduType, SnmpError, SnmpValue, VERSION_2C};
 
 const TAG_INTEGER: u8 = 0x02;
 const TAG_OCTET_STRING: u8 = 0x04;
@@ -20,7 +20,6 @@ const TAG_COUNTER: u8 = 0x41;
 const TAG_GAUGE: u8 = 0x42;
 const TAG_TIMETICKS: u8 = 0x43;
 const TAG_NO_SUCH_OBJECT: u8 = 0x80;
-const TAG_END_OF_MIB_VIEW: u8 = 0x82;
 
 fn put_length(buf: &mut BytesMut, len: usize) {
     if len < 0x80 {
@@ -120,7 +119,6 @@ fn encode_value(buf: &mut BytesMut, value: &SnmpValue) {
         SnmpValue::Gauge(v) => put_tlv(buf, TAG_GAUGE, &encode_u64(*v)),
         SnmpValue::TimeTicks(v) => put_tlv(buf, TAG_TIMETICKS, &encode_u64(*v)),
         SnmpValue::NoSuchObject => put_tlv(buf, TAG_NO_SUCH_OBJECT, &[]),
-        SnmpValue::EndOfMibView => put_tlv(buf, TAG_END_OF_MIB_VIEW, &[]),
     }
 }
 
@@ -146,7 +144,7 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
     put_tlv(&mut pdu, TAG_SEQUENCE, &vbl);
     // message
     let mut body = BytesMut::new();
-    put_tlv(&mut body, TAG_INTEGER, &encode_i64(msg.version as i64));
+    put_tlv(&mut body, TAG_INTEGER, &encode_i64(VERSION_2C as i64));
     put_tlv(&mut body, TAG_OCTET_STRING, msg.community.as_bytes());
     put_tlv(&mut body, msg.pdu_type.tag(), &pdu);
     let mut out = BytesMut::new();
@@ -276,7 +274,6 @@ fn decode_value(tag: u8, body: &[u8]) -> Result<SnmpValue, SnmpError> {
         TAG_GAUGE => Ok(SnmpValue::Gauge(decode_u64(body)?)),
         TAG_TIMETICKS => Ok(SnmpValue::TimeTicks(decode_u64(body)?)),
         TAG_NO_SUCH_OBJECT => Ok(SnmpValue::NoSuchObject),
-        TAG_END_OF_MIB_VIEW => Ok(SnmpValue::EndOfMibView),
         _ => Err(SnmpError::Decode(format!("unknown value tag {tag:#x}"))),
     }
 }
@@ -290,6 +287,9 @@ pub fn decode_message(bytes: &[u8]) -> Result<Message, SnmpError> {
     }
     let mut r = Reader { buf: body };
     let version = decode_i64(&r.expect_tlv(TAG_INTEGER, "version")?)?;
+    if version != VERSION_2C as i64 {
+        return Err(SnmpError::Decode(format!("version {version}")));
+    }
     let community_raw = r.expect_tlv(TAG_OCTET_STRING, "community")?;
     let community = String::from_utf8(community_raw.to_vec())
         .map_err(|_| SnmpError::Decode("community utf8".into()))?;
@@ -312,7 +312,6 @@ pub fn decode_message(bytes: &[u8]) -> Result<Message, SnmpError> {
         varbinds.push((oid, decode_value(tag, &val_body)?));
     }
     Ok(Message {
-        version: version as u8,
         community,
         pdu_type,
         pdu: Pdu {
@@ -327,11 +326,9 @@ pub fn decode_message(bytes: &[u8]) -> Result<Message, SnmpError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pdu::VERSION_2C;
 
     fn sample_message() -> Message {
         Message {
-            version: VERSION_2C,
             community: "public".into(),
             pdu_type: PduType::Response,
             pdu: Pdu {
@@ -378,10 +375,8 @@ mod tests {
             SnmpValue::Gauge(100),
             SnmpValue::TimeTicks(0),
             SnmpValue::NoSuchObject,
-            SnmpValue::EndOfMibView,
         ];
         let msg = Message {
-            version: VERSION_2C,
             community: "c".into(),
             pdu_type: PduType::Get,
             pdu: Pdu {
@@ -454,12 +449,73 @@ mod tests {
     fn long_form_lengths() {
         // A payload > 127 bytes forces long-form length encoding.
         let msg = Message {
-            version: VERSION_2C,
             community: "x".repeat(200),
             pdu_type: PduType::Get,
             pdu: Pdu::request(1, &[Oid::parse("1.3").unwrap()]),
         };
         let bytes = encode_message(&msg);
         assert_eq!(decode_message(&bytes).unwrap(), msg);
+    }
+
+    /// A message built field by field, so a test can write what the
+    /// encoder never does: a foreign version, a retired PDU tag, a retired
+    /// value tag.
+    fn frame(version: i64, pdu_tag: u8, value_tag: u8) -> Vec<u8> {
+        let mut vb = BytesMut::new();
+        put_tlv(
+            &mut vb,
+            TAG_OID,
+            &encode_oid_body(&Oid::parse("1.3.6").unwrap()),
+        );
+        put_tlv(&mut vb, value_tag, &[]);
+        let mut vbl = BytesMut::new();
+        put_tlv(&mut vbl, TAG_SEQUENCE, &vb);
+        let mut pdu = BytesMut::new();
+        // Request id, error status, error index.
+        for field in [1, 0, 0] {
+            put_tlv(&mut pdu, TAG_INTEGER, &encode_i64(field));
+        }
+        put_tlv(&mut pdu, TAG_SEQUENCE, &vbl);
+        let mut body = BytesMut::new();
+        put_tlv(&mut body, TAG_INTEGER, &encode_i64(version));
+        put_tlv(&mut body, TAG_OCTET_STRING, b"public");
+        put_tlv(&mut body, pdu_tag, &pdu);
+        let mut out = BytesMut::new();
+        put_tlv(&mut out, TAG_SEQUENCE, &body);
+        out.to_vec()
+    }
+
+    #[test]
+    fn retired_pdu_tags_are_rejected() {
+        // GETNEXT, SET and SNMPv2-Trap.
+        for tag in [0xA1, 0xA3, 0xA7] {
+            assert_eq!(
+                decode_message(&frame(VERSION_2C as i64, tag, TAG_NULL)),
+                Err(SnmpError::Decode("pdu tag".into())),
+                "tag {tag:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn end_of_mib_view_is_rejected() {
+        let bytes = frame(VERSION_2C as i64, 0xA2, 0x82);
+        assert_eq!(
+            decode_message(&bytes),
+            Err(SnmpError::Decode("unknown value tag 0x82".into()))
+        );
+    }
+
+    #[test]
+    fn a_foreign_version_is_rejected() {
+        let v2c = decode_message(&frame(VERSION_2C as i64, 0xA0, TAG_NULL)).unwrap();
+        assert_eq!(v2c.pdu_type, PduType::Get);
+        // 257 truncates to v2c's byte, 1, if read as a `u8`.
+        for version in [0, 2, 257, -1] {
+            assert_eq!(
+                decode_message(&frame(version, 0xA0, TAG_NULL)),
+                Err(SnmpError::Decode(format!("version {version}"))),
+            );
+        }
     }
 }

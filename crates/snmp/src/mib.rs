@@ -2,23 +2,16 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 use crate::oid::Oid;
-use crate::pdu::{ErrorStatus, SnmpValue};
+use crate::pdu::SnmpValue;
 
-type Getter = Arc<dyn Fn() -> SnmpValue + Send + Sync>;
-type Setter = Arc<dyn Fn(SnmpValue) -> Result<(), ErrorStatus> + Send + Sync>;
+type Getter = Box<dyn Fn() -> SnmpValue + Send + Sync>;
 
-struct Variable {
-    getter: Getter,
-    setter: Option<Setter>,
-}
-
-/// A tree of managed variables keyed by [`Oid`], in MIB walk order.
+/// The read-only variables an agent answers GETs from, keyed by [`Oid`].
 #[derive(Default)]
 pub struct Mib {
-    vars: BTreeMap<Oid, Variable>,
+    vars: BTreeMap<Oid, Getter>,
 }
 
 impl fmt::Debug for Mib {
@@ -42,13 +35,7 @@ impl Mib {
 
     /// Registers a dynamic read-only variable.
     pub fn register(&mut self, oid: Oid, getter: impl Fn() -> SnmpValue + Send + Sync + 'static) {
-        self.vars.insert(
-            oid,
-            Variable {
-                getter: Arc::new(getter),
-                setter: None,
-            },
-        );
+        self.vars.insert(oid, Box::new(getter));
     }
 
     /// Registers a dynamic gauge (convenience for CPU-load style variables).
@@ -56,63 +43,9 @@ impl Mib {
         self.register(oid, move || SnmpValue::Gauge(getter()));
     }
 
-    /// Registers a writable variable.
-    pub fn register_writable(
-        &mut self,
-        oid: Oid,
-        getter: impl Fn() -> SnmpValue + Send + Sync + 'static,
-        setter: impl Fn(SnmpValue) -> Result<(), ErrorStatus> + Send + Sync + 'static,
-    ) {
-        self.vars.insert(
-            oid,
-            Variable {
-                getter: Arc::new(getter),
-                setter: Some(Arc::new(setter)),
-            },
-        );
-    }
-
     /// Reads a variable.
     pub fn get(&self, oid: &Oid) -> Option<SnmpValue> {
-        self.vars.get(oid).map(|v| (v.getter)())
-    }
-
-    /// Returns the first variable strictly after `oid` in walk order.
-    pub fn next(&self, oid: &Oid) -> Option<(Oid, SnmpValue)> {
-        use std::ops::Bound;
-        self.vars
-            .range((Bound::Excluded(oid.clone()), Bound::Unbounded))
-            .next()
-            .map(|(o, v)| (o.clone(), (v.getter)()))
-    }
-
-    /// Writes a variable; errors mirror SNMP semantics.
-    pub fn set(&self, oid: &Oid, value: SnmpValue) -> Result<(), ErrorStatus> {
-        match self.vars.get(oid) {
-            None => Err(ErrorStatus::NoSuchName),
-            Some(var) => match &var.setter {
-                None => Err(ErrorStatus::ReadOnly),
-                Some(setter) => setter(value),
-            },
-        }
-    }
-
-    /// Number of registered variables.
-    pub fn len(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// True when no variables are registered.
-    pub fn is_empty(&self) -> bool {
-        self.vars.is_empty()
-    }
-
-    /// Walks the entire MIB in order (for diagnostics).
-    pub fn walk(&self) -> Vec<(Oid, SnmpValue)> {
-        self.vars
-            .iter()
-            .map(|(o, v)| (o.clone(), (v.getter)()))
-            .collect()
+        self.vars.get(oid).map(|getter| getter())
     }
 }
 
@@ -120,6 +53,7 @@ impl Mib {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn get_const_and_dynamic() {
@@ -143,71 +77,5 @@ mod tests {
             Some(SnmpValue::Counter(1))
         );
         assert_eq!(mib.get(&Oid::parse("9.9").unwrap()), None);
-    }
-
-    #[test]
-    fn next_walks_in_order() {
-        let mut mib = Mib::new();
-        for s in ["1.3.1", "1.3.1.1", "1.3.2", "1.4"] {
-            mib.register_const(Oid::parse(s).unwrap(), SnmpValue::Null);
-        }
-        let (n1, _) = mib.next(&Oid::parse("1.3").unwrap()).unwrap();
-        assert_eq!(n1.to_string(), "1.3.1");
-        let (n2, _) = mib.next(&n1).unwrap();
-        assert_eq!(n2.to_string(), "1.3.1.1");
-        let (n3, _) = mib.next(&n2).unwrap();
-        assert_eq!(n3.to_string(), "1.3.2");
-        let (n4, _) = mib.next(&n3).unwrap();
-        assert_eq!(n4.to_string(), "1.4");
-        assert!(mib.next(&n4).is_none());
-    }
-
-    #[test]
-    fn set_semantics() {
-        let mut mib = Mib::new();
-        mib.register_const(Oid::parse("1.1").unwrap(), SnmpValue::Int(1));
-        let cell = Arc::new(AtomicU64::new(0));
-        let get_cell = cell.clone();
-        let set_cell = cell.clone();
-        mib.register_writable(
-            Oid::parse("1.2").unwrap(),
-            move || SnmpValue::Gauge(get_cell.load(Ordering::Relaxed)),
-            move |v| match v.as_u64() {
-                Some(n) => {
-                    set_cell.store(n, Ordering::Relaxed);
-                    Ok(())
-                }
-                None => Err(ErrorStatus::BadValue),
-            },
-        );
-        assert_eq!(
-            mib.set(&Oid::parse("1.1").unwrap(), SnmpValue::Int(2)),
-            Err(ErrorStatus::ReadOnly)
-        );
-        assert_eq!(
-            mib.set(&Oid::parse("9.9").unwrap(), SnmpValue::Int(2)),
-            Err(ErrorStatus::NoSuchName)
-        );
-        mib.set(&Oid::parse("1.2").unwrap(), SnmpValue::Gauge(7))
-            .unwrap();
-        assert_eq!(
-            mib.get(&Oid::parse("1.2").unwrap()),
-            Some(SnmpValue::Gauge(7))
-        );
-        assert_eq!(
-            mib.set(&Oid::parse("1.2").unwrap(), SnmpValue::Null),
-            Err(ErrorStatus::BadValue)
-        );
-    }
-
-    #[test]
-    fn walk_lists_everything() {
-        let mut mib = Mib::new();
-        mib.register_gauge(Oid::parse("1.1").unwrap(), || 1);
-        mib.register_gauge(Oid::parse("1.2").unwrap(), || 2);
-        let walked = mib.walk();
-        assert_eq!(walked.len(), 2);
-        assert_eq!(walked[0].1, SnmpValue::Gauge(1));
-        assert_eq!(walked[1].1, SnmpValue::Gauge(2));
     }
 }

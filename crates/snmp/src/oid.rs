@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// An SNMP object identifier: a dotted sequence of arcs, ordered
-/// lexicographically (MIB walk order).
+/// lexicographically.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Oid {
     arcs: Vec<u32>,
@@ -44,28 +44,6 @@ impl Oid {
     pub fn arcs(&self) -> &[u32] {
         &self.arcs
     }
-
-    /// Number of arcs.
-    pub fn len(&self) -> usize {
-        self.arcs.len()
-    }
-
-    /// True for the empty OID.
-    pub fn is_empty(&self) -> bool {
-        self.arcs.is_empty()
-    }
-
-    /// Returns this OID with one more arc appended — `self.index`.
-    pub fn child(&self, arc: u32) -> Oid {
-        let mut arcs = self.arcs.clone();
-        arcs.push(arc);
-        Oid { arcs }
-    }
-
-    /// True when `self` is a (non-strict) prefix of `other`.
-    pub fn is_prefix_of(&self, other: &Oid) -> bool {
-        other.arcs.len() >= self.arcs.len() && other.arcs[..self.arcs.len()] == self.arcs[..]
-    }
 }
 
 impl fmt::Display for Oid {
@@ -84,17 +62,11 @@ impl fmt::Display for Oid {
 pub mod oids {
     use super::Oid;
 
-    /// `hrProcessorLoad` (HOST-RESOURCES-MIB): average CPU load percentage
-    /// over the last minute, per processor. The framework polls
-    /// `hrProcessorLoad.1`.
-    pub fn hr_processor_load() -> Oid {
-        Oid::from_arcs(vec![1, 3, 6, 1, 2, 1, 25, 3, 3, 1, 2])
-    }
-
-    /// `hrProcessorLoad.1` — the first (only, in the paper's testbed)
-    /// processor.
+    /// `hrProcessorLoad.1` (HOST-RESOURCES-MIB): average CPU load
+    /// percentage over the last minute of the first (only, in the paper's
+    /// testbed) processor.
     pub fn hr_processor_load_1() -> Oid {
-        hr_processor_load().child(1)
+        Oid::from_arcs(vec![1, 3, 6, 1, 2, 1, 25, 3, 3, 1, 2, 1])
     }
 
     /// `hrMemorySize` (KB of physical memory).
@@ -121,11 +93,6 @@ pub mod oids {
     /// (free memory in KB).
     pub fn acc_free_memory() -> Oid {
         Oid::from_arcs(vec![1, 3, 6, 1, 4, 1, 59999, 1, 1, 0])
-    }
-
-    /// Private enterprise arc: number of framework worker threads running.
-    pub fn acc_worker_threads() -> Oid {
-        Oid::from_arcs(vec![1, 3, 6, 1, 4, 1, 59999, 1, 2, 0])
     }
 
     /// Private enterprise arc: CPU percent consumed by the framework's own
@@ -165,20 +132,10 @@ mod tests {
     }
 
     #[test]
-    fn prefix_relation() {
-        let parent = Oid::parse("1.3.6").unwrap();
-        let child = parent.child(1);
-        assert!(parent.is_prefix_of(&child));
-        assert!(parent.is_prefix_of(&parent));
-        assert!(!child.is_prefix_of(&parent));
-    }
-
-    #[test]
     fn known_oids_are_valid() {
         assert_eq!(
             oids::hr_processor_load_1().to_string(),
             "1.3.6.1.2.1.25.3.3.1.2.1"
         );
-        assert!(oids::hr_processor_load().is_prefix_of(&oids::hr_processor_load_1()));
     }
 }

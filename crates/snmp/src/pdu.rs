@@ -24,8 +24,6 @@ pub enum SnmpValue {
     Gauge(u64),
     /// Hundredths of a second since agent start.
     TimeTicks(u64),
-    /// GETNEXT walked past the end of the MIB.
-    EndOfMibView,
     /// GET addressed a variable the agent does not expose.
     NoSuchObject,
 }
@@ -62,25 +60,18 @@ impl fmt::Display for SnmpValue {
             SnmpValue::Counter(v) => write!(f, "Counter({v})"),
             SnmpValue::Gauge(v) => write!(f, "Gauge({v})"),
             SnmpValue::TimeTicks(v) => write!(f, "TimeTicks({v})"),
-            SnmpValue::EndOfMibView => write!(f, "endOfMibView"),
             SnmpValue::NoSuchObject => write!(f, "noSuchObject"),
         }
     }
 }
 
-/// PDU kind.
+/// PDU kind: the monitor GETs, the agent answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PduType {
     /// GET request.
     Get,
-    /// GETNEXT request (MIB walk step).
-    GetNext,
-    /// Response to any request.
+    /// Response to a GET.
     Response,
-    /// SET request.
-    Set,
-    /// Unsolicited trap notification.
-    Trap,
 }
 
 impl PduType {
@@ -88,21 +79,16 @@ impl PduType {
     pub fn tag(self) -> u8 {
         match self {
             PduType::Get => 0xA0,
-            PduType::GetNext => 0xA1,
             PduType::Response => 0xA2,
-            PduType::Set => 0xA3,
-            PduType::Trap => 0xA7,
         }
     }
 
-    /// Inverse of [`PduType::tag`].
+    /// Inverse of [`PduType::tag`]; any other PDU tag (GETNEXT, SET, a
+    /// trap) is not spoken here.
     pub fn from_tag(tag: u8) -> Option<PduType> {
         match tag {
             0xA0 => Some(PduType::Get),
-            0xA1 => Some(PduType::GetNext),
             0xA2 => Some(PduType::Response),
-            0xA3 => Some(PduType::Set),
-            0xA7 => Some(PduType::Trap),
             _ => None,
         }
     }
@@ -177,11 +163,10 @@ impl Pdu {
     }
 }
 
-/// A full SNMP message: version, community string, PDU type and PDU.
+/// A full SNMP message: community string, PDU type and PDU. The version
+/// on the wire is always [`VERSION_2C`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Message {
-    /// Protocol version ([`VERSION_2C`]).
-    pub version: u8,
     /// Community string — the paper-era access-control mechanism.
     pub community: String,
     /// What kind of PDU this is.
@@ -255,13 +240,7 @@ mod tests {
 
     #[test]
     fn pdu_type_tags_roundtrip() {
-        for ty in [
-            PduType::Get,
-            PduType::GetNext,
-            PduType::Response,
-            PduType::Set,
-            PduType::Trap,
-        ] {
+        for ty in [PduType::Get, PduType::Response] {
             assert_eq!(PduType::from_tag(ty.tag()), Some(ty));
         }
         assert_eq!(PduType::from_tag(0x30), None);

@@ -160,7 +160,7 @@ mod tests {
     use crate::agent::host_resources_mib;
     use crate::codec::{decode_message, encode_message};
     use crate::oid::oids;
-    use crate::pdu::{Message, Pdu, PduType, SnmpValue, VERSION_2C};
+    use crate::pdu::{Message, Pdu, PduType, SnmpValue};
 
     fn agent() -> Arc<Agent> {
         Arc::new(Agent::new(
@@ -171,7 +171,6 @@ mod tests {
 
     fn load_request() -> Vec<u8> {
         encode_message(&Message {
-            version: VERSION_2C,
             community: "public".into(),
             pdu_type: PduType::Get,
             pdu: Pdu::request(11, &[oids::hr_processor_load_1()]),

@@ -33,7 +33,8 @@
 //!   quotas, and the worker's refill (`write_all_then_take_up_to`) sends
 //!   its results and its whole take to its home shard as one pipelined
 //!   pair. A take that comes back short asks the shards not seen
-//!   exhausted for the rest, once. `take_all` drains the same way.
+//!   exhausted for the rest until it is full or every shard is seen
+//!   exhausted. `take_all` drains the same way.
 //! * **Degradation**: a shard whose connection keeps failing (after
 //!   [`RemoteSpace`]'s own reconnect-and-retry) is marked unhealthy:
 //!   writes deterministically probe onward to the next healthy shard,
@@ -809,10 +810,10 @@ impl PartitionedSpace {
     /// 0 — and all of them go out in one [`fan_out`]. Ids come back in
     /// input order.
     ///
-    /// A take that comes back short asks for the rest once more, in the
-    /// next round, of the healthy shards not seen exhausted (answering less
-    /// than they were asked), and a home that answered short moves to the
-    /// next shard. A group whose shard fails is struck out and rewritten through
+    /// A take that comes back short asks for the rest in the next round,
+    /// of the healthy shards not seen exhausted (answering less than they
+    /// were asked), and keeps asking until it is full or every shard is
+    /// seen exhausted; a home that answered short moves to the next shard. A group whose shard fails is struck out and rewritten through
     /// the (now updated) probe order in a further round; as with
     /// [`RemoteSpace`], the retry makes batch writes at-least-once. Tuples
     /// taken are returned whatever became of the write, and a take error
@@ -837,9 +838,10 @@ impl PartitionedSpace {
         let mut taken = Vec::new();
         let (mut write_err, mut take_err) = (None, None);
         let mut last_fault = PartitionedSpace::no_healthy();
-        // The second round carries the top-up, if any; a later one only
-        // rewrites what a failed round struck out, so `n + 1` rounds
-        // guarantee termination.
+        // A round after the first carries a top-up, a rewrite of what a
+        // failed round struck out, or both. A short round exhausts at
+        // least one more shard, and a failed one strikes one out, so
+        // `n + 1` rounds guarantee termination.
         for round in 0..=n {
             let mut groups = vec![Vec::new(); n];
             // No home means no healthy shard: `write_target` reports that.
@@ -915,8 +917,8 @@ impl PartitionedSpace {
             if write_err.is_some() {
                 break;
             }
-            if round == 0 && take_err.is_none() && taken.len() < max {
-                if let Some(home) = home.filter(|home| exhausted[home.index]) {
+            if take_err.is_none() && taken.len() < max {
+                if let Some(home) = home.filter(|home| round == 0 && exhausted[home.index]) {
                     self.home.store(home.index + 1, Ordering::Relaxed);
                 }
                 let rest: Vec<_> = self
@@ -1444,6 +1446,20 @@ mod tests {
             .take_up_to(&job_template(), 4, Some(Duration::ZERO))
             .unwrap();
         assert_eq!(taken.len(), 4, "10 matches on one shard");
+        // Quotas of 1 each over 1 / 0 / 0 / 5 matches: the first top-up
+        // asks shards 0 and 3 for 1 each, shard 0 is then empty, and the
+        // take asks shard 3 again.
+        let r = rig(4);
+        r.spaces[0].write(task(0)).unwrap();
+        for i in 1..6 {
+            r.spaces[3].write(task(i)).unwrap();
+        }
+        let taken = r
+            .grid
+            .take_up_to(&job_template(), 4, Some(Duration::ZERO))
+            .unwrap();
+        assert_eq!(taken.len(), 4, "6 matches over shards 0 and 3");
+        assert_eq!(r.grid.count(&job_template()).unwrap(), 2);
         // A failed shard's quota is asked of the live one.
         let mut r = rig(2);
         for i in 0..10 {

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use adaptive_spaces::apps::prefetch::{LinkGraph, LruCache, PageRank, StochasticMatrix};
 use adaptive_spaces::framework::{Signal, WorkerState};
 use adaptive_spaces::snmp::codec::{decode_message, encode_message};
-use adaptive_spaces::snmp::{ErrorStatus, Message, Oid, Pdu, PduType, SnmpValue, VERSION_2C};
+use adaptive_spaces::snmp::{ErrorStatus, Message, Oid, Pdu, PduType, SnmpValue};
 use adaptive_spaces::space::{
     decode_frame, Bytes, Lease, NameInterner, Payload, Shape, Space, Template, Tuple, Value,
     WalOptions, WireReader, WireWriter,
@@ -336,7 +336,6 @@ fn snmp_value_strategy() -> impl Strategy<Value = SnmpValue> {
         any::<u64>().prop_map(SnmpValue::Gauge),
         any::<u64>().prop_map(SnmpValue::TimeTicks),
         Just(SnmpValue::NoSuchObject),
-        Just(SnmpValue::EndOfMibView),
     ]
 }
 
@@ -350,7 +349,6 @@ proptest! {
         values in proptest::collection::vec(snmp_value_strategy(), 0..6),
     ) {
         let msg = Message {
-            version: VERSION_2C,
             community,
             pdu_type: PduType::Response,
             pdu: Pdu {

@@ -11,8 +11,8 @@ use adaptive_spaces::framework::{
     ClusterBuilder, FrameworkConfig, RuleMessage, Signal, WorkerState,
 };
 use adaptive_spaces::snmp::{
-    host_resources_mib, oids, transport::TcpAgentServer, transport::TcpTransport, Agent, Manager,
-    Mib, SnmpValue,
+    host_resources_mib, oids, transport::TcpAgentServer, transport::TcpTransport, Agent, Mib,
+    Session, SnmpValue,
 };
 use adaptive_spaces::space::{Space, SpaceServer, Template, Tuple, TupleStore};
 use adaptive_spaces::spacegrid::PartitionedSpace;
@@ -36,23 +36,34 @@ fn snmp_over_tcp_polls_live_node_state() {
         load.framework_effective()
     });
     let server = TcpAgentServer::spawn(Arc::new(Agent::new("public", mib))).unwrap();
-    let session =
-        Manager::new("public").session(Box::new(TcpTransport::connect(server.addr()).unwrap()));
+    let session = Session::new(
+        "public",
+        Box::new(TcpTransport::connect(server.addr()).unwrap()),
+    );
 
     assert_eq!(
         session.get(&oids::hr_processor_load_1()).unwrap(),
         SnmpValue::Gauge(0)
     );
     node.load().set_background(73);
-    assert_eq!(
-        session.get(&oids::hr_processor_load_1()).unwrap(),
-        SnmpValue::Gauge(73)
-    );
-    // Walk the whole MIB over the wire.
-    let walked = session
-        .walk(&adaptive_spaces::snmp::Oid::from_arcs(vec![1]))
-        .unwrap();
-    assert!(walked.len() >= 6);
+    // Every host-resources variable in one GET over the wire.
+    let wanted = [
+        oids::sys_descr(),
+        oids::sys_uptime(),
+        oids::hr_memory_size(),
+        oids::hr_processor_load_1(),
+        oids::acc_free_memory(),
+        oids::hr_system_num_users(),
+    ];
+    let got = session.get_many(&wanted).unwrap();
+    let oids_back: Vec<_> = got.iter().map(|(oid, _)| oid.clone()).collect();
+    assert_eq!(oids_back, wanted);
+    assert_eq!(got[0].1, SnmpValue::Str(b"tcp-node".to_vec()));
+    assert!(matches!(got[1].1, SnmpValue::TimeTicks(_)));
+    assert_eq!(got[2].1, SnmpValue::Int(256 * 1024));
+    assert_eq!(got[3].1, SnmpValue::Gauge(73));
+    assert_eq!(got[4].1, SnmpValue::Gauge(node.free_memory_kb()));
+    assert_eq!(got[5].1, SnmpValue::Gauge(0));
 }
 
 #[test]
@@ -131,57 +142,6 @@ fn a_grid_cluster_is_discovered_from_shard_0() {
         .unwrap();
     assert_eq!(got.get_str("text"), Some("hello"));
     cluster.shutdown();
-}
-
-#[test]
-fn trap_driven_adaptation_extension() {
-    // Extension path: instead of polling, the worker-agent pushes a trap
-    // whenever its external load crosses a threshold band; the inference
-    // engine consumes the traps and produces the same signal sequence the
-    // polling loop would.
-    use adaptive_spaces::framework::{InferenceEngine, Thresholds, WorkerId};
-    use adaptive_spaces::snmp::{ThresholdWatch, TrapSender};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    let (sender, rx) = TrapSender::channel("public");
-    let external = Arc::new(AtomicU64::new(0));
-    let external2 = external.clone();
-    let watch = ThresholdWatch::spawn(
-        sender,
-        oids::hr_processor_load_1(),
-        vec![25, 50],
-        Duration::from_millis(5),
-        move || external2.load(Ordering::Relaxed),
-    );
-
-    let mut engine = InferenceEngine::new(Thresholds::paper(), 1);
-    let id = WorkerId(1);
-    engine.register(id);
-    let mut signals = Vec::new();
-    let mut drive = |engine: &mut InferenceEngine| {
-        // Apply one trap to the engine, acking immediately.
-        let msg = rx.recv_timeout(Duration::from_secs(2)).expect("trap");
-        let load = msg.pdu.varbinds[0].1.as_u64().unwrap();
-        if let Some(sig) = engine.on_sample(id, load) {
-            let next = engine.state_of(id).unwrap().apply(sig).unwrap();
-            engine.on_ack(id, next);
-            signals.push(sig);
-        }
-    };
-
-    drive(&mut engine); // initial band 0 → Start
-    external.store(40, Ordering::Relaxed);
-    drive(&mut engine); // pause band → Pause
-    external.store(95, Ordering::Relaxed);
-    drive(&mut engine); // stop band → Stop
-    external.store(0, Ordering::Relaxed);
-    drive(&mut engine); // idle again → Start
-
-    watch.stop();
-    assert_eq!(
-        signals,
-        vec![Signal::Start, Signal::Pause, Signal::Stop, Signal::Start]
-    );
 }
 
 #[test]
