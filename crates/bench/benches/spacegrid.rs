@@ -15,11 +15,12 @@
 //! machine rather than by the design.
 //!
 //! The secondary scaling arm (`durable_dispatch`) runs durable shards
-//! (`SyncPolicy::Always`): every tuple pays a WAL append + fsync at its
-//! shard, and four shards commit four WALs concurrently. Its ratio is
-//! bounded by how well the host's disk overlaps concurrent syncs
-//! (≈ 2× on a typical single-device VM), so it is reported for the
-//! record, not gated on.
+//! (`SyncPolicy::Always`): every tuple pays a WAL append at its shard,
+//! each `write_all` batch one fsync, which the batches of other writers
+//! on that shard share when they meet, and four shards commit four WALs
+//! concurrently. Its ratio is bounded by how well the host's disk
+//! overlaps concurrent syncs, so it is reported for the record, not
+//! gated on.
 //!
 //! Both scaling arms route by key field, so each writer's `write_all`
 //! batches land whole on the writer's owning shard (no per-batch
@@ -174,8 +175,8 @@ fn balanced_writer_keys(shards: usize) -> Vec<i64> {
 /// shard connections, like real workers), each dispatching `per_writer`
 /// distinct tuples in `DISPATCH_CHUNK`-sized `write_all` batches that
 /// route whole to the writer's owning shard. Returns mean ns per tuple
-/// across the whole run; every tuple still costs its shard one WAL
-/// append + fsync.
+/// across the whole run; every tuple costs its shard one WAL append, and
+/// every batch at most one fsync.
 fn durable_dispatch_ns(shards: usize, per_writer: usize) -> f64 {
     let rig = ShardRig::durable(shards);
     let addrs = Arc::new(rig.addrs());

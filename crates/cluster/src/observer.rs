@@ -123,6 +123,9 @@ struct WorkerView {
     wait_us: u64,
     xfer_us: u64,
     write_us: u64,
+    /// How the newest SNMP poll went: `ok` or the failure's kind; `None`
+    /// before the first poll.
+    last_poll: Option<&'static str>,
 }
 
 impl WorkerView {
@@ -136,6 +139,7 @@ impl WorkerView {
             wait_us: 0,
             xfer_us: 0,
             write_us: 0,
+            last_poll: None,
         }
     }
 
@@ -201,6 +205,17 @@ impl ClusterObserver {
         view.load.record(at_ms, external as i64);
         view.framework_load.record(at_ms, framework);
         view.tasks.record(at_ms, results);
+        view.last_poll = Some("ok");
+    }
+
+    /// Records that a poll of `worker` failed, and how (`kind`): the row's
+    /// `last_poll` until the next poll. Its rings are left as they were.
+    pub fn record_poll_failure(&self, worker: &str, kind: &'static str) {
+        let mut workers = self.workers.lock();
+        workers
+            .entry(worker.to_owned())
+            .or_insert_with(|| WorkerView::new(self.config.history_depth))
+            .last_poll = Some(kind);
     }
 
     /// Records one completed task's cost attribution under its worker
@@ -330,6 +345,7 @@ impl ClusterObserver {
                     view.sample_age_ms(now).map_or(-1, |ms| ms as i64).into(),
                 ),
                 ("history_samples", view.framework_load.len().into()),
+                ("last_poll", view.last_poll.map_or(Json::Null, Json::from)),
                 ("straggler", stragglers.contains(&name).into()),
             ]);
             (name.as_str(), row)

@@ -246,7 +246,7 @@ fn spawn_observer(
 }
 
 /// The `/cluster.json` document: the observer's worker and job sections,
-/// then the grid's shards (when there is a grid), the flight recorder's
+/// the monitor's failed polls by kind, then the grid's shards (when there is a grid), the flight recorder's
 /// loss and ring occupancy — retention pressure shows before traces
 /// silently vanish — and the wire path's frame traffic and read-buffer
 /// reuse, so a regression in the zero-copy path shows up as a reuse-rate
@@ -254,6 +254,7 @@ fn spawn_observer(
 fn cluster_document(hub: &ClusterObserver, grid: Option<&PartitionedSpace>) -> Json {
     let r = acc_telemetry::registry();
     let mut doc = hub.to_json();
+    doc.insert("monitor", crate::monitor::monitor_json());
     if let Some(grid) = grid {
         doc.insert("grid", grid.to_json());
     }
@@ -763,6 +764,45 @@ mod tests {
         let decisions = cluster.monitor().decisions();
         assert_eq!(decisions[0].worker, id);
         assert_eq!(decisions[0].signal, Some(crate::signal::Signal::Start));
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_poll_refused_for_its_community_shows_in_the_worker_row() {
+        // The agent checks "private", the session speaks "public". The
+        // first poll runs as the watch starts and the next a minute later,
+        // so whatever the row shows before then is the first poll's, well
+        // within two poll intervals.
+        let cluster = ClusterBuilder::new(FrameworkConfig {
+            poll_interval: Duration::from_secs(60),
+            ..fast_config()
+        })
+        .observe("127.0.0.1:0")
+        .build();
+        let mib = host_resources_mib("mismatched".into(), 1024, || 0, || 0, || 0);
+        let agent = Arc::new(Agent::new("private", mib));
+        let session = Session::new("public", Box::new(InProcTransport::new(agent)));
+        cluster
+            .monitor()
+            .watch(WorkerId(900), "mismatched", session);
+        let addr = cluster.observe_addr().expect("observer mounted");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let json = loop {
+            let reply = http_get(addr, "/cluster.json");
+            let body = reply.split_once("\r\n\r\n").expect("header block").1;
+            let json = Json::parse(body).expect("/cluster.json parses");
+            if !matches!(json["workers"]["mismatched"]["last_poll"], Json::Null) {
+                break json;
+            }
+            assert!(Instant::now() < deadline, "the first poll never landed");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        let row = &json["workers"]["mismatched"];
+        assert_eq!(row["last_poll"].as_str(), Some("bad_community"), "{json}");
+        assert_eq!(row["load"]["samples"].as_u64(), Some(0), "{json}");
+        let failed = &json["monitor"]["failed_polls"];
+        assert!(failed["bad_community"].as_u64() >= Some(1), "{json}");
+        assert!(failed["timeout"].as_u64().is_some(), "{json}");
         cluster.shutdown();
     }
 

@@ -15,21 +15,25 @@
 //! the *effective* load the observer returns — floored by the recent
 //! mean, and saturated for a flagged compute straggler — rather than on
 //! the bare last sample.
+//!
+//! A poll that fails is counted by its kind of failure
+//! (`monitor.failed_polls.{kind}`, the `monitor` section of
+//! `/cluster.json`) and shown as the worker row's `last_poll`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use acc_cluster::ClusterObserver;
-use acc_snmp::{oids, Session, SnmpValue};
-use acc_telemetry::event;
+use acc_snmp::{oids, Session, SnmpError, SnmpValue};
+use acc_telemetry::{event, Json};
 use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
 
 use crate::config::FrameworkConfig;
 use crate::inference::InferenceEngine;
 use crate::rulebase::{RuleBaseServer, RuleMessage, WorkerId};
-use crate::series::series;
+use crate::series::{failed_polls, series};
 use crate::signal::{Signal, WorkerState};
 
 /// One monitoring decision: the data behind the adaptation experiments.
@@ -50,6 +54,63 @@ pub struct DecisionLogEntry {
     pub straggler: bool,
     /// The signal sent, if the inference engine acted.
     pub signal: Option<Signal>,
+}
+
+/// Why a monitor poll failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PollFailure {
+    /// The agent did not answer in time.
+    Timeout,
+    /// The agent checks a different community string.
+    BadCommunity,
+    /// The transport failed: the agent is gone or unreachable.
+    Transport,
+    /// An answer came, but not a reading of what was asked: malformed
+    /// bytes, a mismatched request id, or an agent error status.
+    Decode,
+}
+
+impl PollFailure {
+    /// Every kind, in the order of the `monitor` section of `/cluster.json`.
+    pub(crate) const ALL: [PollFailure; 4] = [
+        PollFailure::Timeout,
+        PollFailure::BadCommunity,
+        PollFailure::Transport,
+        PollFailure::Decode,
+    ];
+
+    /// The kind of failure a poll's error is.
+    fn of(error: &SnmpError) -> PollFailure {
+        match error {
+            SnmpError::Timeout => PollFailure::Timeout,
+            SnmpError::BadCommunity => PollFailure::BadCommunity,
+            SnmpError::Transport(_) => PollFailure::Transport,
+            SnmpError::Decode(_)
+            | SnmpError::Agent(_)
+            | SnmpError::RequestIdMismatch
+            | SnmpError::NoSuchObject => PollFailure::Decode,
+        }
+    }
+
+    /// The kind's name in series names and `/cluster.json`.
+    pub(crate) fn as_str(self) -> &'static str {
+        match self {
+            PollFailure::Timeout => "timeout",
+            PollFailure::BadCommunity => "bad_community",
+            PollFailure::Transport => "transport",
+            PollFailure::Decode => "decode",
+        }
+    }
+}
+
+/// The `monitor` section of `/cluster.json`: failed polls by kind, summed
+/// over every watched worker since the process started.
+pub(crate) fn monitor_json() -> Json {
+    let failed = PollFailure::ALL
+        .iter()
+        .zip(failed_polls())
+        .map(|(failure, count)| (failure.as_str(), count.get().into()));
+    Json::object([("failed_polls", Json::object(failed))])
 }
 
 struct Watcher {
@@ -164,33 +225,45 @@ impl MonitoringAgent {
             let oids_wanted = [oids::hr_processor_load_1(), oids::acc_framework_load()];
             loop {
                 let Some(agent) = agent.upgrade() else { break };
-                if let Ok(values) = session.get_many(&oids_wanted) {
-                    let total = gauge(&values, 0);
-                    let framework = gauge(&values, 1);
-                    let external = total.saturating_sub(framework);
-                    agent.observer.record_load_sample(&name, external, total);
-                    let (effective, straggler) = agent.observer.effective_load(&name, external);
-                    let signal = agent.engine.lock().on_sample(id, effective);
-                    series().monitor_samples.inc();
-                    agent.mark_sample();
-                    if let Some(sig) = signal {
+                match session.get_many(&oids_wanted) {
+                    Err(error) => {
+                        let failure = PollFailure::of(&error);
+                        agent.observer.record_poll_failure(&name, failure.as_str());
+                        failed_polls()[failure as usize].inc();
                         event!(
-                            "monitor.decision",
+                            "monitor.poll_failed",
                             worker = id.0,
-                            external_load = effective,
-                            straggler = straggler,
-                            signal = format!("{sig:?}"),
+                            kind = failure.as_str(),
                         );
-                        agent.rulebase.send_signal(id, sig);
                     }
-                    agent.decisions.lock().push(DecisionLogEntry {
-                        at_ms: agent.epoch.elapsed().as_millis() as u64,
-                        worker: id,
-                        total_load: total,
-                        external_load: effective,
-                        straggler,
-                        signal,
-                    });
+                    Ok(values) => {
+                        let total = gauge(&values, 0);
+                        let framework = gauge(&values, 1);
+                        let external = total.saturating_sub(framework);
+                        agent.observer.record_load_sample(&name, external, total);
+                        let (effective, straggler) = agent.observer.effective_load(&name, external);
+                        let signal = agent.engine.lock().on_sample(id, effective);
+                        series().monitor_samples.inc();
+                        agent.mark_sample();
+                        if let Some(sig) = signal {
+                            event!(
+                                "monitor.decision",
+                                worker = id.0,
+                                external_load = effective,
+                                straggler = straggler,
+                                signal = format!("{sig:?}"),
+                            );
+                            agent.rulebase.send_signal(id, sig);
+                        }
+                        agent.decisions.lock().push(DecisionLogEntry {
+                            at_ms: agent.epoch.elapsed().as_millis() as u64,
+                            worker: id,
+                            total_load: total,
+                            external_load: effective,
+                            straggler,
+                            signal,
+                        });
+                    }
                 }
                 drop(agent);
                 // Interruptible sleep: stop() wakes us immediately.

@@ -2,10 +2,11 @@
 //!
 //! The byte-level durability engine underneath the tuple space and the
 //! master's checkpoint/resume: a segmented, CRC-framed append-only
-//! write-ahead log ([`Wal`]) with group commit, plus atomic snapshot
-//! files ([`snapshot`]). The engine is payload-agnostic — callers hand it
-//! opaque records (the tuple space encodes ops with its own wire codec)
-//! and get back exactly the committed prefix after a crash.
+//! write-ahead log ([`Wal`]) whose appends and fsyncs are separate calls,
+//! plus atomic snapshot files ([`snapshot`]). The engine is
+//! payload-agnostic — callers hand it opaque records (the tuple space
+//! encodes ops with its own wire codec) and get back exactly the
+//! committed prefix after a crash.
 //!
 //! ## Crash model
 //!
@@ -14,9 +15,11 @@
 //! at the first frame whose length or CRC does not check out instead of
 //! failing. Every complete frame before that point is replayed. How much
 //! of the acknowledged tail survives a crash is governed by the
-//! [`SyncPolicy`] — `Always` fsyncs every append, `EveryN`/`IntervalMs`
-//! amortize the fsync over a group of appends (group commit), `Never`
-//! leaves flushing to the OS.
+//! [`SyncPolicy`], which decides which appends make a sync due: every one
+//! (`Always`), every N-th (`EveryN`), one per interval (`IntervalMs`), or
+//! none (`Never`, leaving flushing to the OS). [`Wal::append`] only
+//! reports a due sync; the appender settles it with [`Wal::sync_to`] once
+//! it holds no lock of its own, and one fsync settles every due it covers.
 
 #![warn(missing_docs)]
 
@@ -27,4 +30,4 @@ mod wal;
 
 pub use crc::crc32;
 pub use snapshot::{load_latest_snapshot, write_atomic, write_snapshot};
-pub use wal::{SyncPolicy, Wal, WalOptions, WalRecord, WalReplay};
+pub use wal::{Appended, SyncPolicy, Wal, WalOptions, WalRecord, WalReplay};

@@ -18,6 +18,17 @@
 //! the tail; `fsync` cadence against *machine* failure is the
 //! [`SyncPolicy`]'s business.
 //!
+//! # Append, then sync
+//!
+//! [`Wal::append`] writes under the WAL mutex and only *decides*, by the
+//! policy, whether a sync is due; it never fsyncs. The caller settles a
+//! due sync with [`Wal::sync_to`] after it has let go of its own locks.
+//! `sync_to` serializes on a separate sync mutex and skips the fsync when
+//! the synced watermark already covers the LSN: one fsync covers every
+//! record written before it started, so ops that fall due together share
+//! it. Only segment rotation (once per `segment_bytes`) still fsyncs
+//! under the WAL mutex, sealing the old segment before the new one opens.
+//!
 //! # Recovery
 //!
 //! [`Wal::open`] scans the newest segment and physically truncates it at
@@ -28,7 +39,8 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::crc::crc32;
@@ -40,15 +52,16 @@ pub(crate) const MAX_RECORD: usize = 64 << 20;
 
 const FRAME_HEADER: usize = 8;
 
-/// When appends are made durable against machine failure.
+/// When appends are made durable against machine failure: which appends
+/// make a sync due (see [`Appended::sync_due`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// `fsync` after every append. Safest, slowest.
+    /// A sync is due after every append. Safest, slowest.
     Always,
-    /// `fsync` once every N appends (group commit).
+    /// A sync is due once every N appends.
     EveryN(u32),
-    /// `fsync` when at least this many milliseconds passed since the last
-    /// sync, checked on each append.
+    /// A sync is due when at least this many milliseconds passed since the
+    /// last one fell due, checked on each append.
     IntervalMs(u64),
     /// Never `fsync`; the OS flushes on its own schedule. A process kill
     /// still loses nothing (appends are direct writes), only a machine
@@ -92,21 +105,45 @@ pub struct WalReplay {
     pub torn_bytes: u64,
 }
 
+/// What one [`Wal::append`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Appended {
+    /// The record's log sequence number.
+    pub lsn: u64,
+    /// The sync policy made a sync due at this record: the appender owes
+    /// a [`Wal::sync_to`] of `lsn` before it acknowledges the record.
+    pub sync_due: bool,
+}
+
+impl Appended {
+    /// The LSN a sync is owed for, if this append made one due.
+    pub fn owed(&self) -> Option<u64> {
+        self.sync_due.then_some(self.lsn)
+    }
+}
+
 struct Inner {
-    file: File,
+    file: Arc<File>,
     segment_len: u64,
     next_lsn: u64,
+    /// Appends since the policy last made a sync due.
     unsynced: u32,
-    last_sync: Instant,
+    last_due: Instant,
+    /// One past the newest LSN the policy made due.
+    due_below: u64,
 }
 
 /// A segmented append-only log of opaque records. All methods are
 /// thread-safe; appends are serialized by an internal mutex, which is what
-/// makes the WAL order a real total order for the layers above.
+/// makes the WAL order a real total order for the layers above. Syncs
+/// serialize on a mutex of their own (see the module docs).
 pub struct Wal {
     dir: PathBuf,
     opts: WalOptions,
     inner: Mutex<Inner>,
+    sync_lock: Mutex<()>,
+    /// Every record with an LSN below this is on stable storage.
+    synced_below: AtomicU64,
 }
 
 impl std::fmt::Debug for Wal {
@@ -198,19 +235,22 @@ impl Wal {
             dir,
             opts,
             inner: Mutex::new(Inner {
-                file,
+                file: Arc::new(file),
                 segment_len: valid_len,
                 next_lsn: start + count,
                 unsynced: 0,
-                last_sync: Instant::now(),
+                last_due: Instant::now(),
+                due_below: 0,
             }),
+            sync_lock: Mutex::new(()),
+            synced_below: AtomicU64::new(0),
         })
     }
 
-    /// Appends one record and applies the sync policy. Returns the record's
-    /// LSN. The frame is written with a single `write(2)`, so a concurrent
-    /// crash can tear at most this one frame.
-    pub fn append(&self, payload: &[u8]) -> io::Result<u64> {
+    /// Appends one record and asks the sync policy whether a sync is now
+    /// due; it does not sync. The frame is written with a single
+    /// `write(2)`, so a concurrent crash can tear at most this one frame.
+    pub fn append(&self, payload: &[u8]) -> io::Result<Appended> {
         assert!(payload.len() <= MAX_RECORD, "record exceeds MAX_RECORD");
         let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -221,49 +261,93 @@ impl Wal {
         if inner.segment_len >= self.opts.segment_bytes && inner.segment_len > 0 {
             self.rotate(&mut inner)?;
         }
-        inner.file.write_all(&frame)?;
+        (&*inner.file).write_all(&frame)?;
         let lsn = inner.next_lsn;
         inner.next_lsn += 1;
         inner.segment_len += frame.len() as u64;
         inner.unsynced += 1;
-        let due = match self.opts.sync {
+        let sync_due = match self.opts.sync {
             SyncPolicy::Always => true,
             SyncPolicy::EveryN(n) => inner.unsynced >= n.max(1),
-            SyncPolicy::IntervalMs(ms) => inner.last_sync.elapsed() >= Duration::from_millis(ms),
+            SyncPolicy::IntervalMs(ms) => inner.last_due.elapsed() >= Duration::from_millis(ms),
             SyncPolicy::Never => false,
         };
-        if due {
-            Self::fsync(&mut inner)?;
+        if sync_due {
+            inner.unsynced = 0;
+            inner.last_due = Instant::now();
+            inner.due_below = lsn + 1;
         }
+        drop(inner);
         let s = series();
         s.appends.inc();
         s.append_bytes.add(frame.len() as u64);
-        Ok(lsn)
+        Ok(Appended { lsn, sync_due })
+    }
+
+    /// Makes the record at `lsn`, and every record before it, durable.
+    /// Returns at once when an earlier fsync already covered `lsn`;
+    /// otherwise fsyncs everything appended so far, holding only the sync
+    /// mutex, so appends carry on meanwhile.
+    pub fn sync_to(&self, lsn: u64) -> io::Result<()> {
+        if self.synced_below.load(Ordering::Acquire) > lsn {
+            return Ok(());
+        }
+        let _sync = self.sync_lock.lock().expect("wal sync lock");
+        // A sync that ran while this one waited may have covered `lsn`.
+        if self.synced_below.load(Ordering::Acquire) > lsn {
+            return Ok(());
+        }
+        // Records in sealed segments were synced at rotation, so the
+        // current file holds every record this fsync must cover.
+        let (file, end) = {
+            let inner = self.inner.lock().expect("wal lock");
+            (inner.file.clone(), inner.next_lsn)
+        };
+        file.sync_data()?;
+        self.synced_below.fetch_max(end, Ordering::AcqRel);
+        series().fsyncs.inc();
+        Ok(())
     }
 
     /// Forces everything appended so far to stable storage.
     pub fn sync(&self) -> io::Result<()> {
-        let mut inner = self.inner.lock().expect("wal lock");
-        Self::fsync(&mut inner)
+        match self.next_lsn() {
+            0 => Ok(()),
+            end => self.sync_to(end - 1),
+        }
     }
 
-    fn fsync(inner: &mut Inner) -> io::Result<()> {
-        inner.file.sync_data()?;
-        inner.unsynced = 0;
-        inner.last_sync = Instant::now();
-        series().fsyncs.inc();
-        Ok(())
+    /// Every record with an LSN below this one is on stable storage.
+    pub fn synced_below(&self) -> u64 {
+        self.synced_below.load(Ordering::Acquire)
+    }
+
+    /// Every LSN the sync policy has made due is below this one.
+    pub fn due_below(&self) -> u64 {
+        self.inner.lock().expect("wal lock").due_below
+    }
+
+    /// Takes the sync mutex, as a sync in flight holds it: every
+    /// [`Wal::sync_to`] that must fsync waits until the guard drops. Lets
+    /// a test hold a sync open and check what proceeds beside it.
+    #[doc(hidden)]
+    pub fn hold_sync(&self) -> MutexGuard<'_, ()> {
+        self.sync_lock.lock().expect("wal sync lock")
     }
 
     /// Seals the current segment and starts a new one at the current LSN.
     fn rotate(&self, inner: &mut Inner) -> io::Result<()> {
         inner.file.sync_data()?;
+        self.synced_below
+            .fetch_max(inner.next_lsn, Ordering::AcqRel);
         let path = segment_path(&self.dir, inner.next_lsn);
-        inner.file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(path)?;
+        inner.file = Arc::new(
+            OpenOptions::new()
+                .create(true)
+                .read(true)
+                .append(true)
+                .open(path)?,
+        );
         inner.segment_len = 0;
         Ok(())
     }
@@ -353,7 +437,7 @@ mod tests {
         let dir = test_dir("roundtrip");
         let wal = Wal::open(&dir, WalOptions::default()).unwrap();
         for i in 0..50u64 {
-            let lsn = wal.append(&i.to_le_bytes()).unwrap();
+            let lsn = wal.append(&i.to_le_bytes()).unwrap().lsn;
             assert_eq!(lsn, i);
         }
         let replay = Wal::replay(&dir).unwrap();
@@ -376,7 +460,7 @@ mod tests {
         }
         let wal = Wal::open(&dir, WalOptions::default()).unwrap();
         assert_eq!(wal.next_lsn(), 2);
-        assert_eq!(wal.append(b"three").unwrap(), 2);
+        assert_eq!(wal.append(b"three").unwrap().lsn, 2);
         assert_eq!(Wal::replay(&dir).unwrap().records.len(), 3);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -529,6 +613,61 @@ mod tests {
             assert_eq!(Wal::replay(&dir).unwrap().records.len(), 20, "{label}");
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn every_n_makes_every_nth_append_due_and_never_syncs_by_itself() {
+        let dir = test_dir("due");
+        let opts = WalOptions {
+            sync: SyncPolicy::EveryN(4),
+            ..WalOptions::default()
+        };
+        let wal = Wal::open(&dir, opts).unwrap();
+        let owed: Vec<Option<u64>> = (0..10u64)
+            .map(|i| wal.append(&i.to_le_bytes()).unwrap().owed())
+            .collect();
+        let due: Vec<u64> = owed.into_iter().flatten().collect();
+        assert_eq!(due, [3, 7]);
+        assert_eq!(wal.due_below(), 8);
+        assert_eq!(wal.synced_below(), 0, "an append never fsyncs");
+        // One sync covers everything appended before it, so the earlier
+        // due needs no second fsync.
+        wal.sync_to(7).unwrap();
+        assert_eq!(wal.synced_below(), 10);
+        wal.sync_to(3).unwrap();
+        assert_eq!(wal.synced_below(), 10);
+        wal.sync().unwrap();
+        assert_eq!(wal.synced_below(), 10);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_sync_waits_for_the_one_in_flight_and_rotation_seals_what_it_holds() {
+        let dir = test_dir("follower");
+        let opts = WalOptions {
+            sync: SyncPolicy::Always,
+            segment_bytes: 64,
+        };
+        let wal = Arc::new(Wal::open(&dir, opts).unwrap());
+        let first = wal.append(b"first").unwrap();
+        assert_eq!(first.owed(), Some(0));
+        let held = wal.hold_sync();
+        let follower = {
+            let wal = wal.clone();
+            std::thread::spawn(move || wal.sync_to(first.lsn))
+        };
+        // Appends proceed beside the held sync, and rotation syncs the
+        // segment it seals without the sync mutex.
+        for i in 0..20u64 {
+            wal.append(&i.to_le_bytes()).unwrap();
+        }
+        assert!(segments(&dir).unwrap().len() > 1, "should have rotated");
+        assert!(wal.synced_below() > first.lsn);
+        drop(held);
+        follower.join().unwrap().unwrap();
+        wal.sync().unwrap();
+        assert_eq!(wal.synced_below(), 21);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

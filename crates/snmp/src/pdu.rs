@@ -180,8 +180,10 @@ pub struct Message {
 pub enum SnmpError {
     /// Malformed bytes on the wire.
     Decode(String),
-    /// The transport failed (peer gone, timeout).
+    /// The transport failed (peer gone, connection refused).
     Transport(String),
+    /// The agent did not answer within the transport's timeout.
+    Timeout,
     /// The agent rejected the community string.
     BadCommunity,
     /// The agent answered with an error status.
@@ -197,6 +199,7 @@ impl fmt::Display for SnmpError {
         match self {
             SnmpError::Decode(msg) => write!(f, "decode error: {msg}"),
             SnmpError::Transport(msg) => write!(f, "transport error: {msg}"),
+            SnmpError::Timeout => write!(f, "agent did not answer in time"),
             SnmpError::BadCommunity => write!(f, "bad community string"),
             SnmpError::Agent(status) => write!(f, "agent error: {status:?}"),
             SnmpError::RequestIdMismatch => write!(f, "response id does not match request"),

@@ -147,10 +147,19 @@ impl TcpTransport {
     }
 }
 
+/// A socket timeout is [`SnmpError::Timeout`]; any other I/O failure is
+/// [`SnmpError::Transport`].
+fn io_error(e: std::io::Error) -> SnmpError {
+    match e.kind() {
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => SnmpError::Timeout,
+        _ => SnmpError::Transport(e.to_string()),
+    }
+}
+
 impl Transport for TcpTransport {
     fn request(&mut self, bytes: &[u8]) -> Result<Vec<u8>, SnmpError> {
-        write_frame(&mut self.stream, bytes).map_err(|e| SnmpError::Transport(e.to_string()))?;
-        read_frame(&mut self.stream).map_err(|e| SnmpError::Transport(e.to_string()))
+        write_frame(&mut self.stream, bytes).map_err(io_error)?;
+        read_frame(&mut self.stream).map_err(io_error)
     }
 }
 
@@ -221,6 +230,19 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    #[test]
+    fn a_silent_agent_is_a_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut t = TcpTransport::connect_with_timeout(
+            listener.local_addr().unwrap(),
+            Duration::from_millis(20),
+        )
+        .unwrap();
+        // Accepted (the connect succeeded) but never answered.
+        let _peer = listener.accept().unwrap();
+        assert_eq!(t.request(&load_request()), Err(SnmpError::Timeout));
     }
 
     #[test]

@@ -198,9 +198,10 @@ impl Payload for Op {
 /// keeps multi-shard transaction commits atomic with respect to snapshots.
 ///
 /// Lock ordering: `commit_gate` is acquired *before* any shard lock (it
-/// brackets whole commit/checkpoint sequences); the WAL's internal mutex is
+/// brackets whole commit/checkpoint sequences); the WAL's append mutex is
 /// a leaf acquired *under* shard locks (plain ops journal inside their
-/// shard-lock critical section).
+/// shard-lock critical section). [`SpaceJournal::settle`] runs with no
+/// space lock held: it takes only the WAL's sync mutex.
 pub(crate) struct SpaceJournal {
     wal: Wal,
     dir: PathBuf,
@@ -223,16 +224,34 @@ impl SpaceJournal {
         })
     }
 
-    /// Appends one op. Panics on I/O failure (fail-stop; see module docs).
-    pub(crate) fn append(&self, op: &Op) -> u64 {
+    /// Appends one op and returns the LSN a sync is owed for, if the sync
+    /// policy made one due. The caller settles it with
+    /// [`SpaceJournal::settle`] once its locks are dropped, and before it
+    /// answers. Panics on I/O failure (fail-stop; see module docs).
+    pub(crate) fn append(&self, op: &Op) -> Option<u64> {
         self.wal
             .append(&op.to_bytes())
             .expect("WAL append failed; cannot acknowledge an un-journaled op")
+            .owed()
+    }
+
+    /// Makes the record at `lsn` durable, sharing a concurrent op's fsync
+    /// when it covers `lsn`. Panics on I/O failure, like
+    /// [`SpaceJournal::append`].
+    pub(crate) fn settle(&self, lsn: u64) {
+        self.wal
+            .sync_to(lsn)
+            .expect("WAL sync failed; cannot acknowledge an op the policy made due");
     }
 
     /// Forces the WAL to stable storage regardless of sync policy.
     pub(crate) fn sync(&self) -> io::Result<()> {
         self.wal.sync()
+    }
+
+    /// The WAL underneath.
+    pub(crate) fn wal(&self) -> &Wal {
+        &self.wal
     }
 
     /// The LSN the next journaled op will get.

@@ -217,6 +217,13 @@ impl Space {
         }
     }
 
+    /// The journal's WAL, `None` on a non-durable space. Lets tests check
+    /// the sync watermarks and hold a sync open.
+    #[doc(hidden)]
+    pub fn wal(&self) -> Option<&acc_durability::Wal> {
+        self.journal().map(|j| j.wal())
+    }
+
     /// Test/diagnostic view: every live, committed entry as `(id, tuple)`,
     /// in id order. Used by the crash-recovery tests to compare a recovered
     /// space against a live one.

@@ -34,9 +34,14 @@
 //! 3. `Shard::state` (at most one shard at a time)
 //! 4. `txns` (leaf)
 //!
-//! The WAL's internal mutex (inside `SpaceJournal::append`) is a further
-//! leaf: plain ops journal while holding their shard lock, and nothing is
-//! acquired under it.
+//! The WAL's append mutex (inside `SpaceJournal::append`) is a further
+//! leaf: plain ops journal while holding their shard lock, so WAL order
+//! is apply order, and nothing is acquired under it. An append only
+//! reports that the sync policy made a sync due; the op carries that LSN
+//! out and settles it (`Space::settle`, an fsync under the WAL's own
+//! sync mutex) after dropping every lock above and notifying waiters. No
+//! fsync runs under a space lock, and a due op still answers only after
+//! an fsync covering it.
 //!
 //! Writers and `finish_txn` notify the global condvar only *after*
 //! dropping every shard lock, so they never hold `Shard::state` while
@@ -178,7 +183,7 @@ impl Space {
         template: &Template,
         timeout: Option<Duration>,
     ) -> SpaceResult<Option<Tuple>> {
-        self.wait_for(template, timeout, None, false)
+        self.wait_for(template, timeout, None, false, &mut None)
     }
 
     /// Non-blocking read.
@@ -192,7 +197,10 @@ impl Space {
         template: &Template,
         timeout: Option<Duration>,
     ) -> SpaceResult<Option<Tuple>> {
-        self.wait_for(template, timeout, None, true)
+        let mut owed = None;
+        let found = self.wait_for(template, timeout, None, true, &mut owed);
+        self.settle(owed);
+        found
     }
 
     /// Non-blocking take.
@@ -207,7 +215,9 @@ impl Space {
             return Err(SpaceError::Closed);
         }
         let mut out = Vec::new();
-        self.drain_into(template, usize::MAX, &mut out);
+        let mut owed = None;
+        self.drain_into(template, usize::MAX, &mut out, &mut owed);
+        self.settle(owed);
         // The drain always ends on a failed probe, like the seed's
         // take-until-empty loop did.
         self.stats.record_miss();
@@ -241,6 +251,7 @@ impl Space {
             by_type.entry(tuple.type_name()).or_default().push(i);
         }
         let mut touched = Vec::with_capacity(by_type.len());
+        let mut owed = None;
         for (_, indexes) in by_type {
             let shard = self.shard_for(&tuples[indexes[0]].type_name_arc());
             {
@@ -248,7 +259,14 @@ impl Space {
                 for i in indexes {
                     let id = base + i as u64 + 1;
                     let tuple = tuples[i].clone();
-                    self.insert_entry(&mut state, id, tuple, &lease, expires, LockState::Free);
+                    owed = owed.max(self.insert_entry(
+                        &mut state,
+                        id,
+                        tuple,
+                        &lease,
+                        expires,
+                        LockState::Free,
+                    ));
                 }
             }
             touched.push(shard);
@@ -257,6 +275,7 @@ impl Space {
             self.notify_shard(&shard);
         }
         self.notify_wildcard_waiters();
+        self.settle(owed);
         Ok((base + 1..=base + tuples.len() as u64).collect())
     }
 
@@ -274,24 +293,33 @@ impl Space {
             return Ok(Vec::new());
         }
         let mut out = Vec::new();
-        match self.take(template, timeout)? {
-            None => return Ok(out),
-            Some(first) => out.push(first),
+        // One settle for the whole batch: its last due covers the rest.
+        let mut owed = None;
+        if let Some(first) = self.wait_for(template, timeout, None, true, &mut owed)? {
+            out.push(first);
+            self.drain_into(template, max, &mut out, &mut owed);
         }
-        self.drain_into(template, max, &mut out);
+        self.settle(owed);
         // A partly filled batch is a hit, not a miss: the only miss is the
-        // opening `take` finding nothing, and it has booked that itself.
+        // opening take finding nothing, and it has booked that itself.
         Ok(out)
     }
 
     /// Plain-takes matches into `out` until it holds `max` tuples or
-    /// nothing else matches, one lock acquisition per shard.
-    fn drain_into(&self, template: &Template, max: usize, out: &mut Vec<Tuple>) {
+    /// nothing else matches, one lock acquisition per shard. The syncs
+    /// the takes make due accumulate in `owed`, for the caller to settle.
+    fn drain_into(
+        &self,
+        template: &Template,
+        max: usize,
+        out: &mut Vec<Tuple>,
+        owed: &mut Option<u64>,
+    ) {
         let mut matcher = template.matcher();
         for (ty, shard) in self.select_shards(template.type_name()) {
             let mut state = self.lock_shard(&shard);
             while out.len() < max {
-                match self.try_match_shard(&ty, &mut state, &mut matcher, None, true) {
+                match self.try_match_shard(&ty, &mut state, &mut matcher, None, true, owed) {
                     Some(tuple) => {
                         self.stats.record_take();
                         out.push(tuple);
@@ -372,12 +400,14 @@ impl Space {
                 return Err(SpaceError::LeaseExpired);
             }
             stored.expires = lease.deadline_from(now);
-            if let Some(j) = self.journal() {
+            let owed = self.journal().and_then(|j| {
                 j.append(&Op::Renew {
                     id,
                     deadline_ms: journal::wall_deadline(&lease),
-                });
-            }
+                })
+            });
+            drop(state);
+            self.settle(owed);
             return Ok(());
         }
         Err(SpaceError::NoSuchEntry)
@@ -407,26 +437,28 @@ impl Space {
         let ty = tuple.type_name_arc();
         let shard = self.shard_for(&ty);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        {
+        let owed = {
             let mut state = self.lock_shard(&shard);
             let lock = match txn {
                 Some(t) => self.enlist_write(t, ty, id)?,
                 None => LockState::Free,
             };
-            self.insert_entry(&mut state, id, tuple, &lease, lease.deadline(), lock);
-        }
+            self.insert_entry(&mut state, id, tuple, &lease, lease.deadline(), lock)
+        };
         // Plain writes are instantly visible: wake this type's waiters.
         // Transactional writes wake them at commit instead.
         if txn.is_none() {
             self.notify_shard(&shard);
             self.notify_wildcard_waiters();
         }
+        self.settle(owed);
         Ok(id)
     }
 
     /// Stores one entry under its shard lock, journaling it first if it is
     /// a plain write (transactional writes are journaled at commit) — so
     /// WAL order agrees with apply order for ops touching the same entry.
+    /// Returns the LSN a sync is owed for, if the journal made one due.
     fn insert_entry(
         &self,
         state: &mut ShardState,
@@ -435,16 +467,15 @@ impl Space {
         lease: &Lease,
         expires: Option<Instant>,
         lock: LockState,
-    ) {
-        if lock == LockState::Free {
-            if let Some(j) = self.journal() {
-                j.append(&Op::Write {
-                    id,
-                    deadline_ms: journal::wall_deadline(lease),
-                    tuple: tuple.clone(),
-                });
-            }
-        }
+    ) -> Option<u64> {
+        let owed = match (lock == LockState::Free, self.journal()) {
+            (true, Some(j)) => j.append(&Op::Write {
+                id,
+                deadline_ms: journal::wall_deadline(lease),
+                tuple: tuple.clone(),
+            }),
+            _ => None,
+        };
         self.stats.record_write(tuple.size_hint() as u64);
         state.insert(Stored {
             id,
@@ -452,5 +483,16 @@ impl Space {
             expires,
             lock,
         });
+        owed
+    }
+
+    /// Settles the sync an op made due (see the module docs' lock
+    /// ordering): called with no space lock held, before the op answers.
+    fn settle(&self, owed: Option<u64>) {
+        if let Some(lsn) = owed {
+            self.journal()
+                .expect("only a journal owes a sync")
+                .settle(lsn);
+        }
     }
 }

@@ -200,13 +200,16 @@ impl Space {
 
 /// The blocking matchers.
 impl Space {
-    /// The single blocking matcher used by every read and take.
+    /// The single blocking matcher used by every read and take. A plain
+    /// take's due sync lands in `owed`, for the caller to settle once
+    /// this has dropped its locks.
     pub(super) fn wait_for(
         &self,
         template: &Template,
         timeout: Option<Duration>,
         txn: Option<TxnId>,
         destructive: bool,
+        owed: &mut Option<u64>,
     ) -> SpaceResult<Option<Tuple>> {
         let deadline = timeout.map(|d| Instant::now() + d);
         let result = match template.type_name() {
@@ -220,7 +223,7 @@ impl Space {
                     Some(&shard.waiters),
                     deadline,
                     txn,
-                    |state| self.try_match_shard(&ty, state, &mut matcher, txn, destructive),
+                    |state| self.try_match_shard(&ty, state, &mut matcher, txn, destructive, owed),
                 )
             }
             None => {
@@ -238,7 +241,7 @@ impl Space {
                     None,
                     deadline,
                     txn,
-                    |_| self.scan_all_shards(template, txn, destructive),
+                    |_| self.scan_all_shards(template, txn, destructive, owed),
                 );
                 drop(global);
                 self.wildcard_waiters.fetch_sub(1, Ordering::SeqCst);
@@ -305,12 +308,13 @@ impl Space {
         template: &Template,
         txn: Option<TxnId>,
         destructive: bool,
+        owed: &mut Option<u64>,
     ) -> Option<Tuple> {
         let mut matcher = template.matcher();
         for (ty, shard) in self.all_shards() {
             let mut state = self.lock_shard(&shard);
             if let Some(tuple) =
-                self.try_match_shard(&ty, &mut state, &mut matcher, txn, destructive)
+                self.try_match_shard(&ty, &mut state, &mut matcher, txn, destructive, owed)
             {
                 return Some(tuple);
             }
@@ -319,8 +323,8 @@ impl Space {
     }
 
     /// Resolves a match inside one shard and applies it: a plain take
-    /// journals and removes the entry, a transactional read or take locks
-    /// it (see `txn`).
+    /// journals and removes the entry (raising `owed` to the LSN of a sync
+    /// that makes due), a transactional read or take locks it (see `txn`).
     pub(super) fn try_match_shard(
         &self,
         ty: &Arc<str>,
@@ -328,12 +332,13 @@ impl Space {
         matcher: &mut Matcher<'_>,
         txn: Option<TxnId>,
         destructive: bool,
+        owed: &mut Option<u64>,
     ) -> Option<Tuple> {
         let id = self.find_candidate(state, matcher, txn, destructive, Instant::now())?;
         match (txn, destructive) {
             (None, true) => {
                 if let Some(j) = self.journal() {
-                    j.append(&Op::Take { id });
+                    *owed = (*owed).max(j.append(&Op::Take { id }));
                 }
                 Some(state.remove(id).expect("candidate exists").tuple)
             }

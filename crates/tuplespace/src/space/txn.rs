@@ -68,7 +68,8 @@ impl Txn {
         template: &Template,
         timeout: Option<Duration>,
     ) -> SpaceResult<Option<Tuple>> {
-        self.space.wait_for(template, timeout, Some(self.id), false)
+        self.space
+            .wait_for(template, timeout, Some(self.id), false, &mut None)
     }
 
     /// Takes a matching tuple under this transaction. The entry is locked —
@@ -78,7 +79,8 @@ impl Txn {
         template: &Template,
         timeout: Option<Duration>,
     ) -> SpaceResult<Option<Tuple>> {
-        self.space.wait_for(template, timeout, Some(self.id), true)
+        self.space
+            .wait_for(template, timeout, Some(self.id), true, &mut None)
     }
 
     /// Non-blocking take under this transaction.
@@ -233,7 +235,9 @@ impl Space {
         // locked by this transaction, so no other thread can remove them
         // (an expired locked entry can be purged concurrently, but its
         // journaled deadline is already past, so replay drops it again).
-        let _gate = if commit {
+        // A sync the record makes due is settled after the gate drops.
+        let mut owed = None;
+        let gate = if commit {
             self.journal().map(|j| {
                 let gate = j.commit_gate.lock();
                 let mut writes = Vec::new();
@@ -263,7 +267,7 @@ impl Space {
                     }
                 }
                 if !writes.is_empty() || !takes.is_empty() {
-                    j.append(&Op::TxnCommit { writes, takes });
+                    owed = j.append(&Op::TxnCommit { writes, takes });
                 }
                 gate
             })
@@ -316,6 +320,7 @@ impl Space {
             }
             touched.push(shard);
         }
+        drop(gate);
         self.stats.record_txn_finished(commit);
         // Entries became visible (commit) or available again (abort): wake
         // the affected types either way.
@@ -323,6 +328,7 @@ impl Space {
             self.notify_shard(&shard);
         }
         self.notify_wildcard_waiters();
+        self.settle(owed);
         Ok(())
     }
 }

@@ -12,9 +12,12 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 use std::time::Duration;
 
-use adaptive_spaces::space::{EntryId, Lease, Space, SpaceHandle, Template, Tuple, WalOptions};
+use adaptive_spaces::space::{
+    EntryId, Lease, Space, SpaceHandle, SyncPolicy, Template, Tuple, WalOptions,
+};
 
 fn tdir(label: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -259,5 +262,149 @@ fn recovered_space_keeps_accepting_and_journaling_ops() {
         .map(|(_, t)| t.get_int("id").unwrap())
         .collect();
     assert_eq!(ids, vec![1, 2, 3, 4, 50, 51]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// No due sync is skipped: after every op returns, the WAL's synced
+/// watermark covers every LSN the sync policy made due. Each phase repeats
+/// one journaling path until it has made at least one sync due, so every
+/// path is checked; the batch write crosses several multiples of 8.
+#[test]
+fn every_op_returns_only_after_the_syncs_it_made_due() {
+    let dir = tdir("dues");
+    let opts = WalOptions {
+        sync: SyncPolicy::EveryN(8),
+        ..WalOptions::default()
+    };
+    let space = Space::durable("dues", &dir, opts).unwrap();
+    let wal = space.wal().expect("a durable space has a WAL");
+    let all = Template::of_type("task");
+    let settled = |op: &str| {
+        let (due, synced) = (wal.due_below(), wal.synced_below());
+        assert!(
+            synced >= due,
+            "{op} returned with LSN {} due but only {synced} synced",
+            due - 1
+        );
+    };
+    let phase = |name: &str, op: &mut dyn FnMut()| {
+        let before = wal.due_below();
+        op();
+        assert!(wal.due_below() > before, "{name} made no sync due");
+    };
+
+    phase("write_all", &mut || {
+        space.write_all((0..30).map(task).collect()).unwrap();
+        settled("write_all");
+        assert!(wal.due_below() >= 24, "the batch crosses 8, 16 and 24");
+    });
+    phase("write", &mut || {
+        for i in 30..38 {
+            space.write(task(i)).unwrap();
+            settled("write");
+        }
+    });
+    phase("take", &mut || {
+        for _ in 0..8 {
+            space.take_if_exists(&all).unwrap().unwrap();
+            settled("take");
+        }
+    });
+    phase("wildcard take", &mut || {
+        for _ in 0..8 {
+            space
+                .take_if_exists(&Template::any_type().done())
+                .unwrap()
+                .unwrap();
+            settled("wildcard take");
+        }
+    });
+    phase("take_up_to", &mut || {
+        let got = space.take_up_to(&all, 9, Some(Duration::ZERO)).unwrap();
+        assert_eq!(got.len(), 9);
+        settled("take_up_to");
+    });
+    let leased = space
+        .write_leased(task(100), Lease::for_millis(120_000))
+        .unwrap();
+    settled("write_leased");
+    phase("renew_lease", &mut || {
+        for _ in 0..8 {
+            space
+                .renew_lease(leased, Lease::for_millis(240_000))
+                .unwrap();
+            settled("renew_lease");
+        }
+    });
+    phase("commit", &mut || {
+        for i in 200..208 {
+            let txn = space.txn().unwrap();
+            txn.write(task(i)).unwrap();
+            txn.commit().unwrap();
+            settled("commit");
+        }
+    });
+    phase("take_all", &mut || {
+        assert!(space.take_all(&all).unwrap().len() >= 8);
+        settled("take_all");
+    });
+    // The policy's cadence is unchanged: every 8th append fell due.
+    assert_eq!(wal.due_below(), wal.next_lsn() / 8 * 8);
+    drop(space);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `op` on a thread and waits for it. The wait is a watchdog that
+/// turns a deadlock into a failure; on a passing run it never fires.
+fn completes<T: Send + 'static>(what: &str, op: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(op()).unwrap());
+    rx.recv_timeout(Duration::from_secs(60))
+        .unwrap_or_else(|_| panic!("{what} is stuck behind the held sync"))
+}
+
+/// No lock is held across an fsync: while a sync is held open, the op
+/// that owes it waits, and a take on the same shard and an append from
+/// another thread both complete.
+#[test]
+fn a_held_sync_stalls_only_the_op_that_owes_it() {
+    let dir = tdir("held");
+    let opts = WalOptions {
+        sync: SyncPolicy::EveryN(4),
+        ..WalOptions::default()
+    };
+    let space = Space::durable("held", &dir, opts).unwrap();
+    for i in 0..3 {
+        space.write(task(i)).unwrap();
+    }
+    let wal = space.wal().unwrap();
+    let held = wal.hold_sync();
+    // The fourth append falls due, so its write waits on the held sync.
+    let owing = {
+        let space = space.clone();
+        std::thread::spawn(move || space.write(task(3)))
+    };
+    while wal.next_lsn() < 4 {
+        std::thread::yield_now();
+    }
+    let taker = space.clone();
+    let taken = completes("a take on the owing op's shard", move || {
+        taker.take_if_exists(&Template::of_type("task"))
+    });
+    assert!(taken.unwrap().is_some());
+    let writer = space.clone();
+    completes("an append from another thread", move || {
+        writer.write(task(4))
+    })
+    .unwrap();
+    assert!(
+        !owing.is_finished(),
+        "the op answered before the sync it made due"
+    );
+    assert!(wal.synced_below() <= 3);
+    drop(held);
+    owing.join().unwrap().unwrap();
+    assert!(wal.synced_below() >= 4);
+    drop(space);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,7 +5,10 @@
 //! captured from those renderers), ignoring key order.
 //!
 //! The allowed differences: series the registry audit deleted,
-//! `heartbeat_age_ms` renamed `sample_age_ms`, and the build's own
+//! `heartbeat_age_ms` renamed `sample_age_ms`, each worker row's
+//! `last_poll`, and the failed-poll counters with the `monitor` section
+//! that shows them (added after the captures, and added to them here),
+//! and the build's own
 //! traffic — the grid's lookup entry, one `take_all` and one `write` on
 //! shard 0 — which postdates the captures and is added to them as
 //! measured. Fields that depend on time or on the host are compared by
@@ -47,6 +50,9 @@ const DELETED: &[&str] = &[
     "space.txn.finish_us",
     "space.write.us",
 ];
+
+/// Kinds of the failed-poll counters, added after the captures.
+const FAILED_POLLS: [&str; 4] = ["timeout", "bad_community", "transport", "decode"];
 
 fn type_only(path: &str) -> bool {
     let latency = path.starts_with("/histograms/") && path.contains("_us/");
@@ -216,6 +222,20 @@ fn documents_parse_to_the_values_the_replaced_renderers_wrote() {
 
     assert_same(addr, "/profile.json", "profile", golden("profile"));
     let mut cluster_doc = golden("cluster");
+    // `w0` had load samples (polls that succeeded), `w"1` only results.
+    let mut workers = cluster_doc["workers"].clone();
+    for (worker, last_poll) in [("w0", Json::from("ok")), ("w\"1", Json::Null)] {
+        let mut row = workers[worker].clone();
+        row.insert("last_poll", last_poll);
+        workers.insert(worker, row);
+    }
+    cluster_doc.insert("workers", workers);
+    // No worker is watched, so no poll has failed.
+    let failed = FAILED_POLLS.map(|kind| (kind, 0u64.into()));
+    cluster_doc.insert(
+        "monitor",
+        Json::object([("failed_polls", Json::object(failed))]),
+    );
     let mut wire = cluster_doc["wire"].clone();
     for (key, series) in [
         ("frame_bytes", "remote.frame_bytes"),
@@ -236,13 +256,20 @@ fn documents_parse_to_the_values_the_replaced_renderers_wrote() {
         let Some(Json::Object(series)) = metrics.get(kind).cloned() else {
             panic!("metrics.json has {kind}");
         };
-        let kept = series
+        let mut kept: Vec<(String, Json)> = series
             .into_iter()
             .filter(|(name, _)| !name.starts_with("cluster.") && !DELETED.contains(&name.as_str()))
             .map(|(name, captured)| {
                 let now = with_build(kind, &name, captured, &built);
                 (name, now)
-            });
+            })
+            .collect();
+        if kind == "counters" {
+            // Registered by the `monitor` section's first render.
+            let failed =
+                FAILED_POLLS.map(|kind| (format!("monitor.failed_polls.{kind}"), 0u64.into()));
+            kept.extend(failed);
+        }
         metrics.insert(kind, Json::object(kept));
     }
     assert_same(addr, "/metrics.json", "metrics", metrics);

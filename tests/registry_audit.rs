@@ -35,6 +35,7 @@ const AUDIT: &[(&str, Reader)] = &[
     ("grid.restored_tuples", Layers),
     ("grid.scatter.fanout", Layers),
     ("grid.shard{i}.op_us", Route("/profile.json")),
+    ("monitor.failed_polls.{kind}", Route("/cluster.json")),
     ("monitor.samples", Layers),
     (
         "process.threads",
@@ -152,6 +153,9 @@ fn route_readers_show_their_series_value() {
             registry().histogram("grid.shard1.op_us").observe(sentinel);
             let fanout = grid.fanout_since(&before);
             cluster.job_profiler().record_fanout("audit", fanout);
+        } else if *name == "monitor.failed_polls.{kind}" {
+            let counter = registry().counter("monitor.failed_polls.decode");
+            counter.add(sentinel - counter.get());
         } else {
             let counter = registry().counter(name);
             counter.add(sentinel - counter.get());
