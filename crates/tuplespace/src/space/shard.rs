@@ -324,7 +324,8 @@ impl Space {
 
     /// Resolves a match inside one shard and applies it: a plain take
     /// journals and removes the entry (raising `owed` to the LSN of a sync
-    /// that makes due), a transactional read or take locks it (see `txn`).
+    /// the take makes due), a transactional read or take locks it (see
+    /// `txn`).
     pub(super) fn try_match_shard(
         &self,
         ty: &Arc<str>,
