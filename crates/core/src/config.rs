@@ -72,12 +72,6 @@ pub struct FrameworkConfig {
     /// How many times a failing task is returned to the space before the
     /// worker writes a terminal error result instead (poison-task guard).
     pub max_task_retries: u32,
-    /// How many tasks a worker fetches from the space per round trip
-    /// (one batch take). Signals are still drained between tasks,
-    /// so signal latency is bounded by one task regardless — but unstarted
-    /// prefetched tasks only return to the space when the worker reacts to
-    /// Pause/Stop, so keep this small (paper §4.3). 1 disables prefetch.
-    pub task_prefetch: usize,
     /// How many planned tasks the master writes per batched space
     /// operation during the planning phase (one pipelined round trip per
     /// chunk on a remote space). It also bounds a result drain: after
@@ -118,7 +112,6 @@ impl Default for FrameworkConfig {
             task_poll_timeout: Duration::from_millis(50),
             policy: crate::policy::ExecutionPolicy::default(),
             max_task_retries: 3,
-            task_prefetch: 4,
             dispatch_chunk: 256,
             history_depth: acc_telemetry::DEFAULT_DEPTH,
             straggler_k: 4.0,

@@ -8,9 +8,11 @@
 //!   application's code bundle from the master's bundle server (paying the
 //!   modeled class-loading cost) and links the executor;
 //! * while Running it takes task entries from the space by value-based
-//!   lookup (a prefetched batch per round trip), computes them, and writes
-//!   result entries back — coalesced into one batch write per prefetched
-//!   batch when the tasks are cheaper than a round trip (see `Outbox`);
+//!   lookup (a batch per round trip, as deep as the worker's own
+//!   measurements say pays — see `refill_depth`), computes them, and
+//!   writes result entries back — coalesced into one batch write per
+//!   prefetched batch when the tasks are cheaper than a round trip (see
+//!   `Outbox`);
 //! * signals only take effect *between* tasks: the currently executing task
 //!   always completes and every finished result is written into the space
 //!   first, so no work is ever lost;
@@ -179,15 +181,38 @@ struct LoopState {
 /// where the server is briefly unreachable across calls.
 const MAX_TRANSPORT_STRIKES: u32 = 3;
 
+/// The deepest refill [`refill_depth`] asks for: zero-compute tasks would
+/// otherwise have no bound. Each task in hand is a decoded tuple, its
+/// pending attribution and then its buffered result, so past 32 a deeper
+/// batch buys little throughput for resident memory.
+const MAX_REFILL_DEPTH: usize = 32;
+
+/// How many tasks the next refill takes: `⌈4 · min_refill ÷
+/// median_compute⌉`, clamped to `1..=`[`MAX_REFILL_DEPTH`]. The refill
+/// then costs at most a quarter of the compute it fetches, and the worker
+/// holds about four round trips of unstarted work (what a Stop hands back
+/// and a peer cannot run meanwhile), so a task that computes for four
+/// round trips or more is taken alone. With either input unmeasured the
+/// depth is 1; a zero median (tasks under a microsecond) gets the cap.
+fn refill_depth(min_refill: Option<Duration>, median_compute: Option<Duration>) -> usize {
+    let (Some(rtt), Some(compute)) = (min_refill, median_compute) else {
+        return 1;
+    };
+    if compute.is_zero() {
+        return MAX_REFILL_DEPTH;
+    }
+    let depth = (4 * rtt.as_nanos()).div_ceil(compute.as_nanos());
+    depth.clamp(1, MAX_REFILL_DEPTH as u128) as usize
+}
+
 fn worker_loop(ls: LoopState) {
     let template: Template = task_template(&ls.config.job);
     let mut executor: Option<Arc<dyn TaskExecutor>> = None;
     let mut first_access: Option<Instant> = None;
     // Tasks fetched ahead of execution (one batched round trip for up to
-    // `task_prefetch` tasks). Only the executing task is committed to this
+    // `refill_depth` tasks). Only the executing task is committed to this
     // worker: on Pause/Stop/shutdown the buffer is written back to the
     // space so other workers can claim it.
-    let prefetch = ls.config.framework.task_prefetch.max(1);
     let mut prefetched: VecDeque<Tuple> = VecDeque::new();
     // Cost attribution riding each result tuple, aligned with
     // `prefetched`: the delivering take's round trip is charged as
@@ -196,7 +221,7 @@ fn worker_loop(ls: LoopState) {
     let mut pending_timing: VecDeque<acc_cluster::TaskTiming> = VecDeque::new();
     // Tail-based trace retention: the decision whether a finished task
     // was "slow" is made here, where the task's spans live (flight rings
-    // are per-process).
+    // are per-process). Its window of compute times also sizes refills.
     let mut retention = TraceRetention::new(&ls.config.framework);
     let mut outbox = Outbox::default();
     let mut transport_strikes = 0u32;
@@ -247,8 +272,10 @@ fn worker_loop(ls: LoopState) {
                     // for the next batch, as one exchange where the store
                     // can pair them.
                     set_load(IDLE_RUNNING_LOAD);
+                    let median_compute = retention.median_compute();
+                    let depth = refill_depth(outbox.min_refill, median_compute);
                     let take_start = Instant::now();
-                    let (flushed, taken) = outbox.flush_and_refill(&ls, &template, prefetch);
+                    let (flushed, taken) = outbox.flush_and_refill(&ls, &template, depth);
                     if flushed.is_err() {
                         // As after any failed flush, the worker stops; a
                         // paired take may have succeeded all the same, and
@@ -268,11 +295,22 @@ fn worker_loop(ls: LoopState) {
                         Err(_) => break, // space closed: cluster shutting down
                         Ok(batch) => {
                             transport_strikes = 0;
-                            if batch.len() > 1 {
-                                event!("worker.prefetch", count = batch.len() as u64);
-                            }
                             if !batch.is_empty() {
-                                let rtt_us = take_start.elapsed().as_micros() as u64;
+                                let rtt = take_start.elapsed();
+                                // The depth and the inputs that chose it
+                                // (0 µs: not measured yet).
+                                let us =
+                                    |d: Option<Duration>| d.map_or(0, |d| d.as_micros() as u64);
+                                event!(
+                                    "worker.prefetch",
+                                    count = batch.len() as u64,
+                                    depth = depth as u64,
+                                    min_refill_us = us(outbox.min_refill),
+                                    median_compute_us = us(median_compute)
+                                );
+                                outbox.min_refill =
+                                    Some(outbox.min_refill.map_or(rtt, |min| min.min(rtt)));
+                                let rtt_us = rtt.as_micros() as u64;
                                 let xfer_us = rtt_us / batch.len() as u64;
                                 for i in 0..batch.len() {
                                     pending_timing.push_back(acc_cluster::TaskTiming {
@@ -384,7 +422,9 @@ fn worker_loop(ls: LoopState) {
 /// configured percentile of the compute times of the tasks this worker
 /// ran before it (the last `history_depth` of them, once there are
 /// `trace_retention_min_samples`). A worker runs the tasks of one job,
-/// so one window is its per-job history.
+/// so one window is its per-job history. Every task is recorded, traced
+/// or not: the same window's median sizes the worker's refills
+/// ([`TraceRetention::median_compute`]).
 ///
 /// Exceeds, not reaches: on a job of equal-cost tasks — zero-compute ones
 /// above all, whose every sample reads 0 µs — the percentile *is* the
@@ -415,16 +455,16 @@ impl TraceRetention {
     /// it did. The threshold is taken *before* recording the new sample,
     /// so a task is judged against the distribution of its predecessors.
     pub fn observe(&mut self, job: &str, compute_us: u64, errored: bool) -> bool {
+        let threshold = (self.window.len() >= self.min_samples)
+            .then(|| self.window.percentile(self.percentile))
+            .flatten();
+        self.window.record(compute_us);
         if !acc_telemetry::flight::installed() {
             return false;
         }
         let Some(ctx) = acc_telemetry::TraceContext::current() else {
             return false; // untraced task: nothing to pin
         };
-        let threshold = (self.window.len() >= self.min_samples)
-            .then(|| self.window.percentile(self.percentile))
-            .flatten();
-        self.window.record(compute_us);
         let slow = threshold.is_some_and(|t| compute_us > t);
         if errored || slow {
             acc_telemetry::flight::retain_trace(ctx.trace_id);
@@ -436,6 +476,12 @@ impl TraceRetention {
             );
         }
         errored || slow
+    }
+
+    /// The median compute time of the tasks observed so far (the last
+    /// `history_depth` of them), or `None` before the first.
+    pub fn median_compute(&self) -> Option<Duration> {
+        self.window.percentile(0.5).map(Duration::from_micros)
     }
 }
 
@@ -475,6 +521,10 @@ struct Outbox {
     /// worker cannot know a result's write cost before writing it, so
     /// this rides the *next* results' [`TaskTiming`](acc_cluster::TaskTiming).
     last_write_us: u64,
+    /// The fastest refill exchange that brought tasks, a minimum for the
+    /// reason `min_flush` is: an exchange that blocked waiting for tasks,
+    /// or shared the CPU, reads long. One input of [`refill_depth`].
+    min_refill: Option<Duration>,
 }
 
 impl Outbox {
@@ -525,8 +575,9 @@ impl Outbox {
     /// its write failed, and the caller owns them.
     ///
     /// The exchange's wall time is the caller's to charge, once, to the
-    /// take; the results that rode it cost no write of their own, so the
-    /// next results carry `write_us = 0` and no flush sample is taken.
+    /// take, and to keep as a `min_refill` sample; the results that rode
+    /// it cost no write of their own, so the next results carry
+    /// `write_us = 0` and no flush sample is taken.
     fn flush_and_refill(
         &mut self,
         ls: &LoopState,
@@ -809,6 +860,56 @@ mod tests {
     }
 
     #[test]
+    fn refill_depth_is_one_until_both_inputs_are_measured() {
+        let rtt = Some(Duration::from_micros(30));
+        assert_eq!(refill_depth(None, None), 1);
+        assert_eq!(refill_depth(rtt, None), 1);
+        assert_eq!(refill_depth(None, Some(Duration::ZERO)), 1);
+    }
+
+    #[test]
+    fn refill_depth_takes_a_task_alone_once_it_outweighs_four_round_trips() {
+        let rtt = Some(Duration::from_micros(30));
+        assert_eq!(refill_depth(rtt, Some(Duration::from_millis(7))), 1);
+        assert_eq!(refill_depth(rtt, Some(Duration::from_micros(120))), 1);
+        assert_eq!(refill_depth(rtt, Some(Duration::from_micros(119))), 2);
+    }
+
+    #[test]
+    fn refill_depth_caps_zero_compute_and_lands_between_for_cheap_tasks() {
+        let rtt = Some(Duration::from_micros(60));
+        assert_eq!(refill_depth(rtt, Some(Duration::ZERO)), MAX_REFILL_DEPTH);
+        // ⌈4 · 60 ÷ 13.5⌉ = 18, strictly between 1 and the cap.
+        assert_eq!(refill_depth(rtt, Some(Duration::from_nanos(13_500))), 18);
+    }
+
+    #[test]
+    fn refill_depth_never_exceeds_the_cap_nor_rises_with_compute() {
+        for rtt_us in [1, 13, 60, 2_000, 1_000_000] {
+            let rtt = Some(Duration::from_micros(rtt_us));
+            let mut previous = MAX_REFILL_DEPTH;
+            for compute_us in (0..10_000).step_by(7) {
+                let depth = refill_depth(rtt, Some(Duration::from_micros(compute_us)));
+                assert!(
+                    (1..=previous).contains(&depth),
+                    "{rtt_us} µs, {compute_us} µs"
+                );
+                previous = depth;
+            }
+        }
+    }
+
+    #[test]
+    fn the_median_compute_counts_untraced_tasks() {
+        let mut retention = TraceRetention::new(&FrameworkConfig::default());
+        assert_eq!(retention.median_compute(), None);
+        for compute_us in [7, 1, 40] {
+            retention.observe("squares", compute_us, false);
+        }
+        assert_eq!(retention.median_compute(), Some(Duration::from_micros(7)));
+    }
+
+    #[test]
     fn worker_idles_until_started() {
         let r = rig();
         put_task(&r.space, 0, 4);
@@ -902,31 +1003,38 @@ mod tests {
         r.worker.shutdown();
     }
 
+    /// What every write and batch take of the slow test stores costs. It
+    /// leaves a refill at [`MAX_REFILL_DEPTH`] while the first task's
+    /// compute stays under 4 · 10 ms ÷ 32 = 1.25 ms: microsecond tasks
+    /// with room for a preempted or cold first one.
+    const ROUND_TRIP: Duration = Duration::from_millis(10);
+
     /// Delegates everything to an inner space, but fails writes once
     /// armed — the shape of a master whose space became unreachable for
-    /// writes while takes still drain a local queue. Every write also
-    /// costs `write_delay` (a round trip far dearer than the test tasks,
-    /// so their results are buffered rather than flushed one by one), and
-    /// the size of every result write is logged.
+    /// writes while takes still drain a local queue. Every write and every
+    /// batch take also costs `delay`: a round trip far dearer than the
+    /// test tasks, so their results are buffered rather than flushed one
+    /// by one, and from the second refill on the worker measures its way
+    /// to [`MAX_REFILL_DEPTH`]. The size of every result write is logged.
     struct FailingWriteStore {
         inner: SpaceHandle,
         arm: AtomicBool,
-        write_delay: Duration,
+        delay: Duration,
         result_writes: Mutex<Vec<usize>>,
     }
 
     impl FailingWriteStore {
-        fn new(inner: SpaceHandle, write_delay: Duration) -> Arc<FailingWriteStore> {
+        fn new(inner: SpaceHandle, delay: Duration) -> Arc<FailingWriteStore> {
             Arc::new(FailingWriteStore {
                 inner,
                 arm: AtomicBool::new(false),
-                write_delay,
+                delay,
                 result_writes: Mutex::new(Vec::new()),
             })
         }
 
         fn before_write(&self, tuples: &[Tuple]) -> SpaceResult<()> {
-            std::thread::sleep(self.write_delay);
+            std::thread::sleep(self.delay);
             if self.arm.load(Ordering::SeqCst) {
                 return Err(SpaceError::Storage("injected write failure".into()));
             }
@@ -951,6 +1059,15 @@ mod tests {
         }
         fn take(&self, t: &Template, timeout: Option<Duration>) -> SpaceResult<Option<Tuple>> {
             self.inner.take(t, timeout)
+        }
+        fn take_up_to(
+            &self,
+            t: &Template,
+            max: usize,
+            timeout: Option<Duration>,
+        ) -> SpaceResult<Vec<Tuple>> {
+            std::thread::sleep(self.delay);
+            self.inner.take_up_to(t, max, timeout)
         }
         fn count(&self, t: &Template) -> SpaceResult<usize> {
             Ok(Space::count(&self.inner, t))
@@ -1022,7 +1139,6 @@ mod tests {
             Arc::new(AlwaysFails),
             FrameworkConfig {
                 task_poll_timeout: Duration::from_millis(10),
-                task_prefetch: 1,
                 max_task_retries: 10,
                 ..FrameworkConfig::default()
             },
@@ -1031,7 +1147,8 @@ mod tests {
         put_task(&r.space, 1, 2);
         store.arm.store(true, Ordering::SeqCst);
         r.server.send_signal(r.worker.id(), Signal::Start);
-        // The worker takes task 0, fails it, and cannot write the retry
+        // The worker takes task 0 alone (a first refill has measured
+        // nothing, so its depth is 1), fails it, and cannot write the retry
         // back: it must stop there — not swallow the error and keep
         // consuming (and losing) the rest of the queue.
         wait_for(|| space.len() == 1, "first task taken");
@@ -1048,9 +1165,10 @@ mod tests {
     #[test]
     fn flush_failure_stops_worker_without_consuming_further_tasks() {
         let space = Space::new("failing-flush");
-        let store = FailingWriteStore::new(space.clone(), Duration::from_millis(2));
-        // Writes start failing while the third task of the first batch
-        // runs: result 0 went out alone, 1..=3 are (or will be) buffered.
+        let store = FailingWriteStore::new(space.clone(), ROUND_TRIP);
+        // Task 0 comes alone and its result goes out alone; the next
+        // refill is a capped batch, 1..=CAP. Writes start failing while
+        // its second task runs, so its results are (or will be) buffered.
         let exec = HookedExec::at(3);
         let r = rig_with(
             space.clone(),
@@ -1058,26 +1176,26 @@ mod tests {
             exec.clone(),
             FrameworkConfig {
                 task_poll_timeout: Duration::from_millis(10),
-                task_prefetch: 4,
                 ..FrameworkConfig::default()
             },
         );
         let arm = store.clone();
         *exec.hook.lock() = Some(Box::new(move || arm.arm.store(true, Ordering::SeqCst)));
-        for i in 0..8 {
-            put_task(&r.space, i, i);
+        let total = 1 + MAX_REFILL_DEPTH as i64 + 4;
+        for i in 0..total {
+            put_task(&r.space, i as u64, i as u64);
         }
         r.server.send_signal(r.worker.id(), Signal::Start);
         // The batch's flush fails; the worker must end there, as after a
-        // failed single write — not fetch the second batch and lose it too.
+        // failed single write — not fetch the next batch and lose it too.
         let worker_thread = r.worker.thread.as_ref().unwrap();
         wait_for(|| worker_thread.is_finished(), "worker loop exit");
         assert_eq!(r.worker.tasks_done(), 1, "only the flushed result counts");
         assert_eq!(*store.result_writes.lock(), vec![1]);
         assert_eq!(
             task_ids(&space, &task_template("squares")),
-            vec![4, 5, 6, 7],
-            "the second batch must still be in the space"
+            (1 + MAX_REFILL_DEPTH as i64..total).collect::<Vec<_>>(),
+            "the tasks after the failed batch must still be in the space"
         );
         r.worker.shutdown();
     }
@@ -1086,8 +1204,9 @@ mod tests {
     fn a_failed_paired_write_returns_the_tasks_its_take_removed_and_stops_the_worker() {
         /// A store that runs the refill pair as one exchange, like
         /// `RemoteSpace`: the take is done by the time the write's
-        /// failure is known. Its stand-alone writes work, at 2 ms each,
-        /// so microsecond tasks buffer their results for the pair.
+        /// failure is known. Its stand-alone writes work; they and its
+        /// plain batch takes cost `ROUND_TRIP`, so microsecond tasks buffer
+        /// their results for the pair and refill at the cap.
         struct PairFailsWrite(SpaceHandle);
         impl TupleStore for PairFailsWrite {
             fn write_all_then_take_up_to(
@@ -1101,11 +1220,11 @@ mod tests {
                 (Err(SpaceError::Storage("injected".into())), taken)
             }
             fn write_leased(&self, tuple: Tuple, lease: Lease) -> SpaceResult<EntryId> {
-                std::thread::sleep(Duration::from_millis(2));
+                std::thread::sleep(ROUND_TRIP);
                 self.0.write_leased(tuple, lease)
             }
             fn write_all_leased(&self, ts: Vec<Tuple>, lease: Lease) -> SpaceResult<Vec<EntryId>> {
-                std::thread::sleep(Duration::from_millis(2));
+                std::thread::sleep(ROUND_TRIP);
                 self.0.write_all_leased(ts, lease)
             }
             fn read(&self, t: &Template, timeout: Option<Duration>) -> SpaceResult<Option<Tuple>> {
@@ -1120,6 +1239,7 @@ mod tests {
                 max: usize,
                 timeout: Option<Duration>,
             ) -> SpaceResult<Vec<Tuple>> {
+                std::thread::sleep(ROUND_TRIP);
                 self.0.take_up_to(t, max, timeout)
             }
             fn count(&self, t: &Template) -> SpaceResult<usize> {
@@ -1139,17 +1259,18 @@ mod tests {
             Arc::new(SquareExec),
             FrameworkConfig {
                 task_poll_timeout: Duration::from_millis(10),
-                task_prefetch: 4,
                 ..FrameworkConfig::default()
             },
         );
-        for i in 0..8 {
-            put_task(&r.space, i, i);
+        let total = 1 + MAX_REFILL_DEPTH as i64 + 4;
+        for i in 0..total {
+            put_task(&r.space, i as u64, i as u64);
         }
         r.server.send_signal(r.worker.id(), Signal::Start);
-        // Batch 0..4 arrives by a plain take (nothing to flush yet);
-        // result 0 goes out alone, 1..=3 ride the refill pair, whose
-        // write fails although its take brought 4..8.
+        // Task 0 arrives alone and its result goes out alone; the capped
+        // batch 1..=CAP arrives by a plain take (nothing to flush). Its
+        // results ride the refill pair, whose write fails although its
+        // take brought the last four tasks.
         let worker_thread = r.worker.thread.as_ref().unwrap();
         wait_for(|| worker_thread.is_finished(), "worker loop exit");
         assert_eq!(r.worker.tasks_done(), 1, "only the flushed result counts");
@@ -1159,7 +1280,7 @@ mod tests {
         );
         assert_eq!(
             task_ids(&space, &task_template("squares")),
-            vec![4, 5, 6, 7],
+            (1 + MAX_REFILL_DEPTH as i64..total).collect::<Vec<_>>(),
             "the tasks the failed pair took are back in the space, each once"
         );
         r.worker.shutdown();
@@ -1168,27 +1289,32 @@ mod tests {
     #[test]
     fn results_that_rode_the_refill_exchange_carry_no_write_cost() {
         let space = Space::new("attribution");
-        // A 2 ms write against microsecond tasks: everything after the
-        // first result is buffered and leaves with a refill.
-        let store = FailingWriteStore::new(space.clone(), Duration::from_millis(2));
+        // A 10 ms round trip against microsecond tasks: everything after
+        // the first result is buffered and leaves with a refill.
+        let store = FailingWriteStore::new(space.clone(), ROUND_TRIP);
         let r = rig_with(
             space.clone(),
             store.clone(),
             Arc::new(SquareExec),
             FrameworkConfig {
                 task_poll_timeout: Duration::from_millis(10),
-                task_prefetch: 4,
                 ..FrameworkConfig::default()
             },
         );
-        for i in 0..8 {
-            put_task(&r.space, i, i);
+        // Task 0 alone, then a capped batch, then the last four.
+        let cap = MAX_REFILL_DEPTH;
+        let total = 1 + cap + 4;
+        for i in 0..total {
+            put_task(&r.space, i as u64, i as u64);
         }
         r.server.send_signal(r.worker.id(), Signal::Start);
-        wait_for(|| r.worker.tasks_done() == 8, "all eight results flushed");
+        wait_for(
+            || r.worker.tasks_done() == total as u64,
+            "all results flushed",
+        );
         // One stand-alone flush (the first result), then one per refill.
-        assert_eq!(*store.result_writes.lock(), vec![1, 3, 4]);
-        let mut timing = vec![acc_cluster::TaskTiming::default(); 8];
+        assert_eq!(*store.result_writes.lock(), vec![1, cap, 4]);
+        let mut timing = vec![acc_cluster::TaskTiming::default(); total];
         for tuple in space
             .read_all(&crate::task::result_template("squares"))
             .unwrap()
@@ -1197,16 +1323,23 @@ mod tests {
             timing[result.task_id as usize] = result.timing;
         }
         // `write_us` is the previous flush's cost per result: nothing
-        // before task 0; the 2 ms stand-alone flush of result 0 before
-        // tasks 1..=3; and nothing again after the refill exchange, whose
-        // whole time — write included — is the take's, charged once to
-        // the batch's first task. A stale 2 ms sample here is the bug.
+        // before task 0; the 10 ms stand-alone flush of result 0 before
+        // tasks 1..=cap, which a plain take brought; and nothing again
+        // after the refill exchange, whose whole time — write included —
+        // is the take's, charged once to the batch's first task. A stale
+        // 10 ms sample here is the bug.
         let write_us: Vec<u64> = timing.iter().map(|t| t.write_us).collect();
         assert_eq!(write_us[0], 0, "{write_us:?}");
-        assert!(write_us[1..4].iter().all(|&us| us >= 2_000), "{write_us:?}");
-        assert_eq!(write_us[4..], [0; 4], "{write_us:?}");
-        assert!(timing[4].wait_us >= 2_000, "{:?}", timing[4]);
-        assert!(timing[5..].iter().all(|t| t.wait_us == 0), "{timing:?}");
+        assert!(
+            write_us[1..=cap].iter().all(|&us| us >= 10_000),
+            "{write_us:?}"
+        );
+        assert_eq!(write_us[cap + 1..], [0; 4], "{write_us:?}");
+        assert!(timing[cap + 1].wait_us >= 10_000, "{:?}", timing[cap + 1]);
+        assert!(
+            timing[cap + 2..].iter().all(|t| t.wait_us == 0),
+            "{timing:?}"
+        );
         r.worker.shutdown();
     }
 
@@ -1221,28 +1354,28 @@ mod tests {
     /// Paper §4.3 with an outbox: when a Pause, a Stop or a shutdown lands
     /// between two tasks of a prefetched batch, the results already
     /// computed reach the space and the tasks not yet started go back to
-    /// it, each exactly once.
-    fn hold_point_flushes_results_and_returns_unstarted_tasks(hold: HoldPoint) {
+    /// it, each exactly once. The hold lands while the `at`-th task runs:
+    /// task 0 came alone, the rest of those `at` from a batch at the cap.
+    fn hold_point_flushes_results_and_returns_unstarted_tasks(hold: HoldPoint, at: usize) {
         let space = Space::new("hold-point");
-        // A 2 ms "round trip" against microsecond tasks: results buffer.
-        let store = FailingWriteStore::new(space.clone(), Duration::from_millis(2));
-        // The hold lands while the third task of the first batch runs.
-        let exec = HookedExec::at(3);
+        // A 10 ms "round trip" against microsecond tasks: results buffer,
+        // and the second refill takes a batch at the cap.
+        let store = FailingWriteStore::new(space.clone(), ROUND_TRIP);
+        let exec = HookedExec::at(at);
         let r = rig_with(
             space.clone(),
             store.clone(),
             exec.clone(),
             FrameworkConfig {
                 task_poll_timeout: Duration::from_millis(10),
-                task_prefetch: 4,
                 ..FrameworkConfig::default()
             },
         );
-        let total = 10i64;
+        let total = 1 + MAX_REFILL_DEPTH + 5;
         for i in 0..total {
             put_task(&r.space, i as u64, i as u64);
         }
-        *exec.hook.lock() = Some(match hold {
+        let hold_now: Box<dyn Fn() + Send> = match hold {
             HoldPoint::Signal(signal) => {
                 let (server, id) = (r.server.clone(), r.worker.id());
                 Box::new(move || {
@@ -1253,7 +1386,14 @@ mod tests {
                 let shutdown = r.worker.shutdown.clone();
                 Box::new(move || shutdown.store(true, Ordering::SeqCst))
             }
-        });
+        };
+        // The hook also notes how many tasks the batch in hand left.
+        let left_in_space = Arc::new(Mutex::new(None));
+        let (seen, observed) = (space.clone(), left_in_space.clone());
+        *exec.hook.lock() = Some(Box::new(move || {
+            *observed.lock() = Some(seen.count(&task_template("squares")));
+            hold_now();
+        }));
         r.server.send_signal(r.worker.id(), Signal::Start);
         match hold {
             HoldPoint::Signal(signal) => {
@@ -1261,7 +1401,7 @@ mod tests {
                 wait_for(|| r.worker.state() == held, "the signal to land");
                 // Let the loop reach its held arm, which returns the buffer.
                 wait_for(
-                    || space.count(&task_template("squares")) == (total - 3) as usize,
+                    || space.count(&task_template("squares")) == total - at,
                     "unstarted tasks back in the space",
                 );
             }
@@ -1270,18 +1410,23 @@ mod tests {
                 wait_for(|| worker_thread.is_finished(), "worker loop exit");
             }
         }
-        // Tasks 0..3 ran: result 0 went out alone (no flush timed yet),
-        // 1 and 2 were buffered and flushed together by the hold.
-        assert_eq!(*store.result_writes.lock(), vec![1, 2], "{hold:?}");
-        assert_eq!(r.worker.tasks_done(), 3, "{hold:?}");
+        assert_eq!(
+            *left_in_space.lock(),
+            Some(5),
+            "{hold:?}: the batch in hand was {MAX_REFILL_DEPTH} deep"
+        );
+        // Tasks 0..at ran: result 0 went out alone (no flush timed yet),
+        // the others were buffered and flushed together by the hold.
+        assert_eq!(*store.result_writes.lock(), vec![1, at - 1], "{hold:?}");
+        assert_eq!(r.worker.tasks_done(), at as u64, "{hold:?}");
         assert_eq!(
             task_ids(&space, &crate::task::result_template("squares")),
-            vec![0, 1, 2],
+            (0..at as i64).collect::<Vec<_>>(),
             "{hold:?}: finished results in the space, each once"
         );
         assert_eq!(
             task_ids(&space, &task_template("squares")),
-            (3..total).collect::<Vec<_>>(),
+            (at as i64..total as i64).collect::<Vec<_>>(),
             "{hold:?}: unstarted tasks back in the space, each once"
         );
         r.worker.shutdown();
@@ -1289,42 +1434,42 @@ mod tests {
 
     #[test]
     fn pause_flushes_the_outbox_and_returns_unstarted_tasks() {
-        hold_point_flushes_results_and_returns_unstarted_tasks(HoldPoint::Signal(Signal::Pause));
+        hold_point_flushes_results_and_returns_unstarted_tasks(HoldPoint::Signal(Signal::Pause), 3);
     }
 
     #[test]
     fn stop_flushes_the_outbox_and_returns_unstarted_tasks() {
-        hold_point_flushes_results_and_returns_unstarted_tasks(HoldPoint::Signal(Signal::Stop));
+        hold_point_flushes_results_and_returns_unstarted_tasks(HoldPoint::Signal(Signal::Stop), 3);
     }
 
     #[test]
     fn shutdown_flushes_the_outbox_and_returns_unstarted_tasks() {
-        hold_point_flushes_results_and_returns_unstarted_tasks(HoldPoint::Shutdown);
+        hold_point_flushes_results_and_returns_unstarted_tasks(HoldPoint::Shutdown, 3);
+    }
+
+    /// A Stop on the first task of a batch at the cap hands back all
+    /// `MAX_REFILL_DEPTH - 1` others.
+    #[test]
+    fn a_stop_inside_a_capped_batch_returns_all_its_unstarted_tasks() {
+        hold_point_flushes_results_and_returns_unstarted_tasks(HoldPoint::Signal(Signal::Stop), 2);
     }
 
     #[test]
     fn pause_returns_unstarted_prefetched_tasks_to_the_space() {
-        struct Slow;
-        impl TaskExecutor for Slow {
-            fn execute(&self, task: &TaskEntry) -> Result<Vec<u8>, ExecError> {
-                std::thread::sleep(Duration::from_millis(25));
-                let x: u64 = task.input()?;
-                Ok((x * x).to_bytes())
-            }
-        }
         let space = Space::new("prefetching");
-        let store: StoreHandle = space.clone();
+        // A 10 ms round trip against microsecond tasks: refills take
+        // batches at the cap, and the job outlasts the Pause by far.
+        let store = FailingWriteStore::new(space.clone(), ROUND_TRIP);
         let r = rig_with(
             space.clone(),
             store,
-            Arc::new(Slow),
+            Arc::new(SquareExec),
             FrameworkConfig {
                 task_poll_timeout: Duration::from_millis(10),
-                task_prefetch: 4,
                 ..FrameworkConfig::default()
             },
         );
-        let total = 10u64;
+        let total = 200u64;
         for i in 0..total {
             put_task(&r.space, i, i);
         }

@@ -76,7 +76,6 @@ fn federation_reports_both_workers_and_excludes_the_straggler() {
         task_poll_timeout: Duration::from_millis(10),
         class_load_base: Duration::from_millis(1),
         class_load_per_kb: Duration::ZERO,
-        task_prefetch: 1,
         // The slow worker computes at ~7.5x the fast one, so 3x the
         // median flags it with plenty of margin — while a scheduling
         // hiccup on the fast worker (p99 a few ms over its own median)
