@@ -187,15 +187,21 @@ const MAX_TRANSPORT_STRIKES: u32 = 3;
 /// batch buys little throughput for resident memory.
 const MAX_REFILL_DEPTH: usize = 32;
 
-/// How many tasks the next refill takes: `⌈4 · min_refill ÷
-/// median_compute⌉`, clamped to `1..=`[`MAX_REFILL_DEPTH`]. The refill
-/// then costs at most a quarter of the compute it fetches, and the worker
-/// holds about four round trips of unstarted work (what a Stop hands back
-/// and a peer cannot run meanwhile), so a task that computes for four
-/// round trips or more is taken alone. With either input unmeasured the
-/// depth is 1; a zero median (tasks under a microsecond) gets the cap.
-fn refill_depth(min_refill: Option<Duration>, median_compute: Option<Duration>) -> usize {
-    let (Some(rtt), Some(compute)) = (min_refill, median_compute) else {
+/// How many tasks the next refill takes: `⌈4 · rtt ÷ median_compute⌉`,
+/// clamped to `1..=`[`MAX_REFILL_DEPTH`]. The refill then costs at most a
+/// quarter of the compute it fetches, and the worker holds about four
+/// round trips of unstarted work (what a Stop hands back and a peer
+/// cannot run meanwhile), so a task that computes for four round trips or
+/// more is taken alone. With either input unmeasured the depth is 1; a
+/// zero median (tasks under a microsecond) gets the cap.
+///
+/// `rtt` is [`Outbox::min_flush`], the fastest stand-alone result write,
+/// not a timed refill: a take blocks up to `task_poll_timeout` for its
+/// first match, and a worker is taking before the master has written the
+/// job's tasks, so its first refill reads a wait. A write never waits for
+/// tasks, and the first result always goes out alone and timed.
+fn refill_depth(rtt: Option<Duration>, median_compute: Option<Duration>) -> usize {
+    let (Some(rtt), Some(compute)) = (rtt, median_compute) else {
         return 1;
     };
     if compute.is_zero() {
@@ -273,7 +279,7 @@ fn worker_loop(ls: LoopState) {
                     // can pair them.
                     set_load(IDLE_RUNNING_LOAD);
                     let median_compute = retention.median_compute();
-                    let depth = refill_depth(outbox.min_refill, median_compute);
+                    let depth = refill_depth(outbox.min_flush, median_compute);
                     let take_start = Instant::now();
                     let (flushed, taken) = outbox.flush_and_refill(&ls, &template, depth);
                     if flushed.is_err() {
@@ -296,7 +302,6 @@ fn worker_loop(ls: LoopState) {
                         Ok(batch) => {
                             transport_strikes = 0;
                             if !batch.is_empty() {
-                                let rtt = take_start.elapsed();
                                 // The depth and the inputs that chose it
                                 // (0 µs: not measured yet).
                                 let us =
@@ -305,12 +310,10 @@ fn worker_loop(ls: LoopState) {
                                     "worker.prefetch",
                                     count = batch.len() as u64,
                                     depth = depth as u64,
-                                    min_refill_us = us(outbox.min_refill),
+                                    min_flush_us = us(outbox.min_flush),
                                     median_compute_us = us(median_compute)
                                 );
-                                outbox.min_refill =
-                                    Some(outbox.min_refill.map_or(rtt, |min| min.min(rtt)));
-                                let rtt_us = rtt.as_micros() as u64;
+                                let rtt_us = take_start.elapsed().as_micros() as u64;
                                 let xfer_us = rtt_us / batch.len() as u64;
                                 for i in 0..batch.len() {
                                     pending_timing.push_back(acc_cluster::TaskTiming {
@@ -423,7 +426,7 @@ fn worker_loop(ls: LoopState) {
 /// ran before it (the last `history_depth` of them, once there are
 /// `trace_retention_min_samples`). A worker runs the tasks of one job,
 /// so one window is its per-job history. Every task is recorded, traced
-/// or not: the same window's median sizes the worker's refills
+/// or not: the median of the latest of them sizes the worker's refills
 /// ([`TraceRetention::median_compute`]).
 ///
 /// Exceeds, not reaches: on a job of equal-cost tasks — zero-compute ones
@@ -478,10 +481,16 @@ impl TraceRetention {
         errored || slow
     }
 
-    /// The median compute time of the tasks observed so far (the last
-    /// `history_depth` of them), or `None` before the first.
+    /// The median compute time of the last 32 tasks observed (the refill
+    /// cap: a capped batch's worth), or `None` before the first.
+    /// Not of the whole window: a worker whose window holds a long history
+    /// of dear tasks would go on refilling one task at a time for half
+    /// that history after the tasks turned cheap, while a peer with a
+    /// shorter history drained the job at the cap.
     pub fn median_compute(&self) -> Option<Duration> {
-        self.window.percentile(0.5).map(Duration::from_micros)
+        self.window
+            .recent_median(MAX_REFILL_DEPTH)
+            .map(Duration::from_micros)
     }
 }
 
@@ -514,17 +523,14 @@ struct Outbox {
     /// the samples also measures the host: a flush that shared the CPU
     /// with the other worker's timeslice reads milliseconds, and judged
     /// by that a millisecond-scale task would look cheap and have its
-    /// (large) result held back to ride a batch frame.
+    /// (large) result held back to ride a batch frame. Also the round
+    /// trip [`refill_depth`] sizes refills by.
     min_flush: Option<Duration>,
     /// The previous flush's duration ÷ its result count — zero when it
     /// rode the refill exchange, whose time is charged to the take. A
     /// worker cannot know a result's write cost before writing it, so
     /// this rides the *next* results' [`TaskTiming`](acc_cluster::TaskTiming).
     last_write_us: u64,
-    /// The fastest refill exchange that brought tasks, a minimum for the
-    /// reason `min_flush` is: an exchange that blocked waiting for tasks,
-    /// or shared the CPU, reads long. One input of [`refill_depth`].
-    min_refill: Option<Duration>,
 }
 
 impl Outbox {
@@ -554,6 +560,7 @@ impl Outbox {
         }
         let tasks = std::mem::take(&mut self.tasks);
         let mut tuples = std::mem::take(&mut self.tuples);
+        record_writes(&tasks);
         let start = Instant::now();
         if tuples.len() == 1 {
             ls.config.space.write(tuples.pop().expect("one tuple"))?;
@@ -563,7 +570,7 @@ impl Outbox {
         let took = start.elapsed();
         self.min_flush = Some(self.min_flush.map_or(took, |min| min.min(took)));
         self.last_write_us = took.as_micros() as u64 / tasks.len() as u64;
-        book_flushed(ls, &tasks);
+        count_done(ls, &tasks);
         Ok(())
     }
 
@@ -575,9 +582,8 @@ impl Outbox {
     /// its write failed, and the caller owns them.
     ///
     /// The exchange's wall time is the caller's to charge, once, to the
-    /// take, and to keep as a `min_refill` sample; the results that rode
-    /// it cost no write of their own, so the next results carry
-    /// `write_us = 0` and no flush sample is taken.
+    /// take; the results that rode it cost no write of their own, so the
+    /// next results carry `write_us = 0` and no flush sample is taken.
     fn flush_and_refill(
         &mut self,
         ls: &LoopState,
@@ -590,30 +596,41 @@ impl Outbox {
         }
         let tasks = std::mem::take(&mut self.tasks);
         let tuples = std::mem::take(&mut self.tuples);
+        record_writes(&tasks);
         let (written, taken) = ls
             .config
             .space
             .write_all_then_take_up_to(tuples, template, max, timeout);
         let flushed = written.map(|_| {
             self.last_write_us = 0;
-            book_flushed(ls, &tasks);
+            count_done(ls, &tasks);
         });
         (flushed, taken)
     }
 }
 
-/// Counts flushed results as done: `(task_id, poisoned)` each.
-fn book_flushed(ls: &LoopState, tasks: &[(u64, bool)]) {
-    let mut completed = 0;
+/// Records a `worker.result.write` event for each result of a flush,
+/// `(task_id, poisoned)` each, as the write goes out. Before it, not
+/// after: the master may take a result the moment its write lands, so a
+/// worker that lost the CPU between its write returning and the record
+/// would leave a trace in which the job ended before its result was
+/// written. A write that then fails stops the worker; the master's result
+/// timeout covers its results, recorded or not.
+fn record_writes(tasks: &[(u64, bool)]) {
     for &(task_id, poisoned) in tasks {
         if poisoned {
             event!("worker.result.write", task_id = task_id, poisoned = true);
         } else {
             event!("worker.result.write", task_id = task_id);
-            completed += 1;
         }
     }
-    *ls.tasks_done.lock() += completed;
+}
+
+/// Counts the results of a flush that succeeded as done, poisoned ones
+/// apart.
+fn count_done(ls: &LoopState, tasks: &[(u64, bool)]) {
+    let completed = tasks.iter().filter(|&&(_, poisoned)| !poisoned).count();
+    *ls.tasks_done.lock() += completed as u64;
 }
 
 /// Writes the worker's unstarted prefetched tasks back to the space in one
@@ -909,6 +926,27 @@ mod tests {
         assert_eq!(retention.median_compute(), Some(Duration::from_micros(7)));
     }
 
+    /// The refill median is of the last `MAX_REFILL_DEPTH` tasks, not of
+    /// the whole retention window: a worker with a long history of 6 ms
+    /// tasks deepens its refills after 16 zero-compute ones, not after
+    /// as many as it has history.
+    #[test]
+    fn the_median_compute_follows_a_change_in_task_cost() {
+        let mut retention = TraceRetention::new(&FrameworkConfig {
+            history_depth: 2048,
+            ..FrameworkConfig::default()
+        });
+        for _ in 0..200 {
+            retention.observe("squares", 6_000, false);
+        }
+        for _ in 0..15 {
+            retention.observe("squares", 0, false);
+        }
+        assert_eq!(retention.median_compute(), Some(Duration::from_millis(6)));
+        retention.observe("squares", 0, false);
+        assert_eq!(retention.median_compute(), Some(Duration::ZERO));
+    }
+
     #[test]
     fn worker_idles_until_started() {
         let r = rig();
@@ -1003,38 +1041,41 @@ mod tests {
         r.worker.shutdown();
     }
 
-    /// What every write and batch take of the slow test stores costs. It
-    /// leaves a refill at [`MAX_REFILL_DEPTH`] while the first task's
+    /// What every write of the slow test stores costs. The first result
+    /// goes out alone and timed, so a worker's second refill reads this
+    /// round trip and sits at [`MAX_REFILL_DEPTH`] while the first task's
     /// compute stays under 4 · 10 ms ÷ 32 = 1.25 ms: microsecond tasks
     /// with room for a preempted or cold first one.
     const ROUND_TRIP: Duration = Duration::from_millis(10);
 
     /// Delegates everything to an inner space, but fails writes once
     /// armed — the shape of a master whose space became unreachable for
-    /// writes while takes still drain a local queue. Every write and every
-    /// batch take also costs `delay`: a round trip far dearer than the
-    /// test tasks, so their results are buffered rather than flushed one
-    /// by one, and from the second refill on the worker measures its way
-    /// to [`MAX_REFILL_DEPTH`]. The size of every result write is logged.
+    /// writes while takes still drain a local queue. Every write also
+    /// costs `write_delay` (a round trip far dearer than the test tasks,
+    /// so their results are buffered rather than flushed one by one), and
+    /// the size of every result write and the `max` of every batch take
+    /// are logged.
     struct FailingWriteStore {
         inner: SpaceHandle,
         arm: AtomicBool,
-        delay: Duration,
+        write_delay: Duration,
         result_writes: Mutex<Vec<usize>>,
+        refill_depths: Mutex<Vec<usize>>,
     }
 
     impl FailingWriteStore {
-        fn new(inner: SpaceHandle, delay: Duration) -> Arc<FailingWriteStore> {
+        fn new(inner: SpaceHandle, write_delay: Duration) -> Arc<FailingWriteStore> {
             Arc::new(FailingWriteStore {
                 inner,
                 arm: AtomicBool::new(false),
-                delay,
+                write_delay,
                 result_writes: Mutex::new(Vec::new()),
+                refill_depths: Mutex::new(Vec::new()),
             })
         }
 
         fn before_write(&self, tuples: &[Tuple]) -> SpaceResult<()> {
-            std::thread::sleep(self.delay);
+            std::thread::sleep(self.write_delay);
             if self.arm.load(Ordering::SeqCst) {
                 return Err(SpaceError::Storage("injected write failure".into()));
             }
@@ -1066,7 +1107,7 @@ mod tests {
             max: usize,
             timeout: Option<Duration>,
         ) -> SpaceResult<Vec<Tuple>> {
-            std::thread::sleep(self.delay);
+            self.refill_depths.lock().push(max);
             self.inner.take_up_to(t, max, timeout)
         }
         fn count(&self, t: &Template) -> SpaceResult<usize> {
@@ -1204,9 +1245,9 @@ mod tests {
     fn a_failed_paired_write_returns_the_tasks_its_take_removed_and_stops_the_worker() {
         /// A store that runs the refill pair as one exchange, like
         /// `RemoteSpace`: the take is done by the time the write's
-        /// failure is known. Its stand-alone writes work; they and its
-        /// plain batch takes cost `ROUND_TRIP`, so microsecond tasks buffer
-        /// their results for the pair and refill at the cap.
+        /// failure is known. Its stand-alone writes work, at `ROUND_TRIP`
+        /// each, so microsecond tasks buffer their results for the pair
+        /// and refill at the cap.
         struct PairFailsWrite(SpaceHandle);
         impl TupleStore for PairFailsWrite {
             fn write_all_then_take_up_to(
@@ -1239,7 +1280,6 @@ mod tests {
                 max: usize,
                 timeout: Option<Duration>,
             ) -> SpaceResult<Vec<Tuple>> {
-                std::thread::sleep(ROUND_TRIP);
                 self.0.take_up_to(t, max, timeout)
             }
             fn count(&self, t: &Template) -> SpaceResult<usize> {
@@ -1452,6 +1492,48 @@ mod tests {
     #[test]
     fn a_stop_inside_a_capped_batch_returns_all_its_unstarted_tasks() {
         hold_point_flushes_results_and_returns_unstarted_tasks(HoldPoint::Signal(Signal::Stop), 2);
+    }
+
+    /// A worker is Running, and blocked in a take, before the master has
+    /// written the job's tasks, so its first refill waits for them. That
+    /// wait is not a round trip: against 10 ms tasks over an in-process
+    /// space every refill stays at depth 1. Sized from a timed refill,
+    /// the 40 ms wait would make the second ⌈4 · 40 ÷ 10⌉ = 16 deep.
+    #[test]
+    fn a_refill_that_waited_for_tasks_does_not_deepen_the_next() {
+        struct TenMs;
+        impl TaskExecutor for TenMs {
+            fn execute(&self, task: &TaskEntry) -> Result<Vec<u8>, ExecError> {
+                std::thread::sleep(Duration::from_millis(10));
+                let x: u64 = task.input()?;
+                Ok((x * x).to_bytes())
+            }
+        }
+        let space = Space::new("late-tasks");
+        let store = FailingWriteStore::new(space.clone(), Duration::ZERO);
+        let r = rig_with(
+            space.clone(),
+            store.clone(),
+            Arc::new(TenMs),
+            FrameworkConfig {
+                task_poll_timeout: Duration::from_millis(200),
+                ..FrameworkConfig::default()
+            },
+        );
+        r.server.send_signal(r.worker.id(), Signal::Start);
+        wait_for(
+            || !store.refill_depths.lock().is_empty(),
+            "the worker to block in its first take",
+        );
+        std::thread::sleep(Duration::from_millis(40));
+        let total = 5;
+        for i in 0..total {
+            put_task(&r.space, i, i);
+        }
+        wait_for(|| r.worker.tasks_done() == total, "all results flushed");
+        let depths = store.refill_depths.lock().clone();
+        assert!(depths.iter().all(|&depth| depth == 1), "{depths:?}");
+        r.worker.shutdown();
     }
 
     #[test]

@@ -201,6 +201,28 @@ impl SortedWindow {
         self.sorted.get(rank.clamp(1, n.max(1)) - 1).copied()
     }
 
+    /// Nearest-rank median of the last `k` values recorded (of all of
+    /// them when fewer; `k` at most [`SortedWindow::RECENT_MAX`]), or
+    /// `None` when the window is empty or `k` is 0. It follows a change in the series
+    /// within `k / 2` values, where a percentile of a deep window lags by
+    /// half its length. Sorts a copy on the stack: no allocation.
+    pub fn recent_median(&self, k: usize) -> Option<u64> {
+        let mut recent = [0u64; Self::RECENT_MAX];
+        let k = k.min(Self::RECENT_MAX).min(self.arrivals.len());
+        if k == 0 {
+            return None;
+        }
+        let recent = &mut recent[..k];
+        for (slot, value) in recent.iter_mut().zip(self.arrivals.iter().rev()) {
+            *slot = *value;
+        }
+        recent.sort_unstable();
+        Some(recent[k.div_ceil(2) - 1])
+    }
+
+    /// The most values [`SortedWindow::recent_median`] looks back over.
+    pub const RECENT_MAX: usize = 64;
+
     /// Adds a value, pushing the oldest out of a full window.
     pub fn record(&mut self, value: u64) {
         // Where the value goes among the sorted ones: after its equals.
@@ -302,6 +324,28 @@ mod tests {
         assert_eq!(window.percentile(0.0), Some(1));
         assert_eq!(window.percentile(1.0), Some(100));
         assert_eq!(window.percentile(2.0), Some(100));
+    }
+
+    #[test]
+    fn recent_median_reads_only_the_last_k_values() {
+        let mut window = SortedWindow::new(128);
+        assert_eq!(window.recent_median(8), None);
+        window.record(7);
+        assert_eq!(window.recent_median(8), Some(7));
+        for v in 2..=100 {
+            window.record(v);
+        }
+        assert_eq!(window.recent_median(5), Some(98)); // 96..=100
+        assert_eq!(window.recent_median(4), Some(98)); // rank 2 of 97..=100
+        assert_eq!(window.recent_median(1), Some(100));
+        // Past the most it looks back over, the last 64: 37..=100.
+        assert_eq!(window.recent_median(1_000), Some(68));
+        // A level change shows once it is half the look-back.
+        for _ in 0..16 {
+            window.record(0);
+        }
+        assert_eq!(window.recent_median(32), Some(0));
+        assert_eq!(window.percentile(0.5), Some(42));
     }
 
     #[test]

@@ -158,10 +158,9 @@ fn profile_names_the_straggler_and_retention_outlives_ring_overflow() {
         // microsecond samples in very different proportions.
         straggler_k: f64::INFINITY,
         straggler_min_samples: 3,
-        // Deep enough that the slow job's compute samples stay in each
-        // worker's per-job history ring while the filler phase floods it
-        // with near-zero samples; the fast worker's 74 keep anchoring its
-        // retention threshold (the slow worker's 6 do not; see the flood).
+        // Deep enough that the slow job's compute samples still anchor
+        // the workers' retention threshold while the filler phase floods
+        // the same per-job history ring with near-zero samples.
         history_depth: 2048,
         ..FrameworkConfig::default()
     };
@@ -282,28 +281,15 @@ fn profile_names_the_straggler_and_retention_outlives_ring_overflow() {
     // workers with trivial tasks until their flight rings overflow; the
     // pinned records must move to the kept buffer while unpinned filler
     // spans are dropped.
-    //
-    // The flood is sized so that no worker's kept ring can overflow,
-    // however the filler splits. The slow worker's few slow samples stop
-    // anchoring its retention percentile within the first hundred filler
-    // tasks, so it may pin the filler's own trace, whose evicted records
-    // then go to the kept ring too. A worker also sizes its refills from
-    // its own compute history, so the slow one goes deep first and may
-    // take most of the flood. At about six records per filler task, 600
-    // tasks on one thread evict at most about 1 800 records, inside the
-    // 2 048 a kept ring holds before its oldest (the slow job's) go.
-    // At 900, sized when both workers took one task per refill, the slow
-    // worker's kept ring overflowed in 5 of 32 runs.
     let retained_before = flight::retained_traces();
     let dropped_before = registry().counter("telemetry.flight.dropped_events").get();
-    let filler = 600;
-    app.n = filler;
+    app.n = 900;
     app.filler = true;
     app.total = 0;
     let report = cluster.run(&mut app);
     assert!(report.complete, "failures: {:?}", report.failures);
-    assert_eq!(report.results_collected, filler as usize);
-    assert_eq!(app.total, (1..=filler).sum::<u64>());
+    assert_eq!(report.results_collected, 900);
+    assert_eq!(app.total, (1..=900u64).sum::<u64>());
 
     let dropped_after = registry().counter("telemetry.flight.dropped_events").get();
     assert!(

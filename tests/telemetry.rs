@@ -137,18 +137,12 @@ fn master_worker_round_emits_expected_span_tree() {
     }
 
     // The whole pipeline, in order: planning → task take → compute →
-    // result write → aggregation. A worker records a result write only
-    // after its write call returns, and the first-taking worker may run a
-    // single task and lose the CPU between its write landing and that
-    // record while its peer's results end the job. So the aggregation is
-    // held against the first write any worker recorded: some worker still
-    // had results to write after it.
+    // result write → aggregation.
     let planning = earliest("master.planning");
     let take = earliest("worker.task.take");
     let worker = thread(take);
     let compute = first_on("worker.compute", worker);
     let write = first_on("worker.result.write", worker);
-    let first_write = earliest("worker.result.write");
     let aggregation_end = named("master.aggregation").next_back().unwrap().0;
     assert!(
         before(planning, take),
@@ -163,7 +157,7 @@ fn master_worker_round_emits_expected_span_tree() {
         "the result is written after computing"
     );
     assert!(
-        before(first_write, aggregation_end),
+        before(write, aggregation_end),
         "aggregation outlives the first result"
     );
 
