@@ -22,10 +22,10 @@
 //! overlaps concurrent syncs, so it is reported for the record, not
 //! gated on.
 //!
-//! Both scaling arms route by key field, so each writer's `write_all`
-//! batches land whole on the writer's owning shard (no per-batch
-//! fan-out barrier), and the writer keys are pre-balanced over the
-//! shard count.
+//! Both scaling arms use the placement a cluster runs
+//! (`PartitionedSpace::connect`): each `write_all` batch splits evenly
+//! over the shards, so it waits on every shard's answer, and each drain
+//! asks every shard for its share.
 //!
 //! The overhead arm compares a 1-shard grid against a direct
 //! `RemoteSpace` on the identical non-durable server, over the batch
@@ -54,7 +54,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use acc_durability::{SyncPolicy, WalOptions};
-use acc_spacegrid::{route_tuple, GridConfig, PartitionedSpace};
+use acc_spacegrid::PartitionedSpace;
 use acc_telemetry::Json;
 use acc_tuplespace::{
     write_all_then_take_up_to_in_sequence, RemoteSpace, Space, SpaceHandle, SpaceServer, Template,
@@ -142,59 +142,28 @@ impl Drop for ShardRig {
 /// magnitude as the master's dispatch batches.
 const DISPATCH_CHUNK: usize = 64;
 
-/// Grid config for the scaling arm: route whole batches by writer.
-fn keyed_config() -> GridConfig {
-    GridConfig {
-        key_fields: vec!["writer".to_owned()],
-        ..GridConfig::default()
-    }
-}
-
-/// Picks `WRITERS` writer-key values whose keyed routes spread exactly
-/// evenly over `shards`, so the scaling measurement isn't at the mercy
-/// of hash luck on eight samples.
-fn balanced_writer_keys(shards: usize) -> Vec<i64> {
-    let key_fields = keyed_config().key_fields;
-    let per_shard = WRITERS / shards;
-    let mut counts = vec![0usize; shards];
-    let mut keys = Vec::with_capacity(WRITERS);
-    let mut candidate = 0i64;
-    while keys.len() < WRITERS {
-        let shard = route_tuple(&task_tuple(candidate as usize, 0), &key_fields, shards);
-        if counts[shard] < per_shard {
-            counts[shard] += 1;
-            keys.push(candidate);
-        }
-        candidate += 1;
-    }
-    keys
-}
-
 /// Aggregate durable dispatch throughput over `shards` shards:
-/// `WRITERS` threads, each with its own keyed grid client (its own
-/// shard connections, like real workers), each dispatching `per_writer`
+/// `WRITERS` threads, each with its own grid client (its own shard
+/// connections, like real workers), each dispatching `per_writer`
 /// distinct tuples in `DISPATCH_CHUNK`-sized `write_all` batches that
-/// route whole to the writer's owning shard. Returns mean ns per tuple
-/// across the whole run; every tuple costs its shard one WAL append, and
-/// every batch at most one fsync.
+/// split evenly over the shards. Returns mean ns per tuple across the
+/// whole run; every tuple costs its shard one WAL append, and every
+/// batch at most one fsync per shard.
 fn durable_dispatch_ns(shards: usize, per_writer: usize) -> f64 {
     let rig = ShardRig::durable(shards);
     let addrs = Arc::new(rig.addrs());
-    let keys = balanced_writer_keys(shards);
     let barrier = Arc::new(std::sync::Barrier::new(WRITERS + 1));
     let mut threads = Vec::new();
-    for &key in keys.iter().take(WRITERS) {
+    for writer in 0..WRITERS {
         let addrs = addrs.clone();
         let barrier = barrier.clone();
         threads.push(std::thread::spawn(move || {
-            let grid = PartitionedSpace::connect_with(&addrs, keyed_config()).unwrap();
+            let grid = PartitionedSpace::connect(&addrs).unwrap();
             barrier.wait();
             let mut next = 0usize;
             while next < per_writer {
                 let end = (next + DISPATCH_CHUNK).min(per_writer);
-                let chunk: Vec<Tuple> = (next..end)
-                    .map(|i| task_tuple(key as usize, i as i64))
-                    .collect();
+                let chunk: Vec<Tuple> = (next..end).map(|i| task_tuple(writer, i as i64)).collect();
                 grid.write_all(chunk).unwrap();
                 next = end;
             }
@@ -218,69 +187,35 @@ fn job_task(job: &[u8], id: i64) -> Tuple {
         .done()
 }
 
-/// Grid config for the loaded arm: route whole jobs by their byte id.
-fn bytes_keyed_config() -> GridConfig {
-    GridConfig {
-        key_fields: vec!["job".to_owned()],
-        ..GridConfig::default()
-    }
-}
-
-/// Byte job ids (`tag` + counter), route-balanced so exactly
-/// `per_shard[s]` of them land on shard `s`.
-fn balanced_job_keys(tag: u8, per_shard: &[usize]) -> Vec<Vec<u8>> {
-    let key_fields = bytes_keyed_config().key_fields;
-    let shards = per_shard.len();
-    let want: usize = per_shard.iter().sum();
-    let mut counts = vec![0usize; shards];
-    let mut keys = Vec::with_capacity(want);
-    let mut candidate: u32 = 0;
-    while keys.len() < want {
-        let mut id = vec![tag];
-        id.extend_from_slice(&candidate.to_le_bytes());
-        let shard = route_tuple(&job_task(&id, 0), &key_fields, shards);
-        if counts[shard] < per_shard[shard] {
-            counts[shard] += 1;
-            keys.push(id);
-        }
-        candidate += 1;
-    }
-    keys
-}
-
 /// Aggregate dispatch throughput against a loaded space: the shards
-/// also hold `backlog` other-job tuples (spread evenly — the same total
-/// cluster content whatever the shard count), and byte job ids keep
-/// every match on the server's scan path, so per-op cost tracks the
-/// entries stored *on that shard*. Each of `WRITERS` threads cycles
-/// `write_all` / `take_up_to` drains of its own job through its owning
-/// shard. Returns mean ns per dispatched tuple.
+/// also hold `backlog` tuples of another job (split evenly by the
+/// grid's placement — the same total cluster content whatever the shard
+/// count), and byte job ids keep every match on the server's scan path,
+/// so per-op cost tracks the entries stored *on that shard*. Each of
+/// `WRITERS` threads cycles `write_all` / `take_up_to` drains of its own
+/// job, both spread over every shard. Returns mean ns per dispatched
+/// tuple.
 fn loaded_dispatch_ns(shards: usize, per_writer: usize, backlog: usize) -> f64 {
     let rig = ShardRig::plain(shards);
     let addrs = Arc::new(rig.addrs());
-    let writer_jobs = balanced_job_keys(b'W', &vec![WRITERS / shards; shards]);
-    // One backlog job per shard, each holding an equal slice.
-    let backlog_jobs = balanced_job_keys(b'B', &vec![1; shards]);
-    let loader = PartitionedSpace::connect_with(&addrs, bytes_keyed_config()).unwrap();
-    let per_shard_backlog = backlog / shards;
-    for job in &backlog_jobs {
-        let mut next = 0usize;
-        while next < per_shard_backlog {
-            let end = (next + 256).min(per_shard_backlog);
-            let chunk: Vec<Tuple> = (next..end).map(|i| job_task(job, i as i64)).collect();
-            loader.write_all(chunk).unwrap();
-            next = end;
-        }
+    let loader = PartitionedSpace::connect(&addrs).unwrap();
+    let mut next = 0usize;
+    while next < backlog {
+        let end = (next + 256).min(backlog);
+        let chunk: Vec<Tuple> = (next..end).map(|i| job_task(b"B", i as i64)).collect();
+        loader.write_all(chunk).unwrap();
+        next = end;
     }
     drop(loader);
 
     let barrier = Arc::new(std::sync::Barrier::new(WRITERS + 1));
     let mut threads = Vec::new();
-    for job in writer_jobs.into_iter().take(WRITERS) {
+    for writer in 0..WRITERS {
         let addrs = addrs.clone();
         let barrier = barrier.clone();
+        let job = vec![b'W', writer as u8];
         threads.push(std::thread::spawn(move || {
-            let grid = PartitionedSpace::connect_with(&addrs, bytes_keyed_config()).unwrap();
+            let grid = PartitionedSpace::connect(&addrs).unwrap();
             let template = Template::build("acc.task").eq("job", job.clone()).done();
             barrier.wait();
             let mut next = 0usize;

@@ -114,7 +114,7 @@ fn one_task_record_set(retention: &mut acc_core::TraceRetention, task_id: u64) {
     {
         let _compute = span!("worker.compute", task_id = task_id);
     }
-    retention.observe("bench-job", task_id % 3, false);
+    retention.observe("bench-job", task_id % 3, false, 0);
     drop(_task_span);
     event!("worker.result.write", task_id = task_id);
 }

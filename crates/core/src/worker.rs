@@ -362,7 +362,8 @@ fn worker_loop(ls: LoopState) {
                         let compute_ms = compute.as_secs_f64() * 1e3;
                         timing.compute_us = (compute_ms * 1e3) as u64;
                         timing.write_us = outbox.last_write_us;
-                        retention.observe(&task.job, timing.compute_us, outcome.is_err());
+                        let rtt_us = outbox.min_flush.map_or(0, |d| d.as_micros() as u64);
+                        retention.observe(&task.job, timing.compute_us, outcome.is_err(), rtt_us);
                         set_load(IDLE_RUNNING_LOAD);
                         let span_ms = first_access
                             .map(|f| f.elapsed().as_secs_f64() * 1e3)
@@ -421,17 +422,22 @@ fn worker_loop(ls: LoopState) {
 
 /// Tail-based trace retention, decided worker-side, after the task ends,
 /// where the task's flight records live: pin the current trace when the
-/// task errored/retried, or when its compute time *exceeds* the
+/// task errored/retried, or when its compute time exceeds the
 /// configured percentile of the compute times of the tasks this worker
 /// ran before it (the last `history_depth` of them, once there are
-/// `trace_retention_min_samples`). A worker runs the tasks of one job,
-/// so one window is its per-job history. Every task is recorded, traced
-/// or not: the median of the latest of them sizes the worker's refills
+/// `trace_retention_min_samples`) by more than the worker's measured
+/// round trip. A worker runs the tasks of one job, so one window is its
+/// per-job history. Every task is recorded, traced or not: the median of
+/// the latest of them sizes the worker's refills
 /// ([`TraceRetention::median_compute`]).
 ///
 /// Exceeds, not reaches: on a job of equal-cost tasks — zero-compute ones
 /// above all, whose every sample reads 0 µs — the percentile *is* the
-/// common cost, and a `>=` would pin every task.
+/// common cost, and a `>=` would pin every task. And by more than a round
+/// trip: once a worker's few slow samples leave the top 5 %, the
+/// percentile of a cheap job reads 0 µs, and a 1 µs blip would pin the
+/// job's trace. A task that costs less extra than one round trip cannot
+/// be what makes its job slow.
 ///
 /// Runs once per task, so it does no allocation and no sort: the window
 /// is a [`SortedWindow`](acc_telemetry::SortedWindow).
@@ -457,7 +463,9 @@ impl TraceRetention {
     /// pins the trace if the task was slow or errored, and says whether
     /// it did. The threshold is taken *before* recording the new sample,
     /// so a task is judged against the distribution of its predecessors.
-    pub fn observe(&mut self, job: &str, compute_us: u64, errored: bool) -> bool {
+    /// `rtt_us` is the worker's round trip, its fastest stand-alone
+    /// result write, 0 while unmeasured.
+    pub fn observe(&mut self, job: &str, compute_us: u64, errored: bool, rtt_us: u64) -> bool {
         let threshold = (self.window.len() >= self.min_samples)
             .then(|| self.window.percentile(self.percentile))
             .flatten();
@@ -468,7 +476,7 @@ impl TraceRetention {
         let Some(ctx) = acc_telemetry::TraceContext::current() else {
             return false; // untraced task: nothing to pin
         };
-        let slow = threshold.is_some_and(|t| compute_us > t);
+        let slow = threshold.is_some_and(|t| compute_us > t.saturating_add(rtt_us));
         if errored || slow {
             acc_telemetry::flight::retain_trace(ctx.trace_id);
             event!(
@@ -862,18 +870,41 @@ mod tests {
             let job_trace = acc_telemetry::TraceContext::root();
             let _ctx = job_trace.attach();
             for _ in 0..250 {
-                assert!(!retention.observe("squares", cost_us, false));
+                assert!(!retention.observe("squares", cost_us, false, 0));
             }
             assert!(!flight::is_retained(job_trace.trace_id), "cost {cost_us}");
             // One task 50x its peers (at least 50 us, for the 0 us job).
-            assert!(retention.observe("squares", (50 * cost_us).max(50), false));
+            assert!(retention.observe("squares", (50 * cost_us).max(50), false, 0));
             assert!(flight::is_retained(job_trace.trace_id), "cost {cost_us}");
             for _ in 0..249 {
-                assert!(!retention.observe("squares", cost_us, false));
+                assert!(!retention.observe("squares", cost_us, false, 0));
             }
             // Errors pin whatever they cost.
-            assert!(retention.observe("squares", cost_us, true));
+            assert!(retention.observe("squares", cost_us, true, 0));
         }
+    }
+
+    /// The blips of a cheap job: once its window reads 0 µs, tasks of 1–3
+    /// µs under a 30 µs round trip retain nothing, and a task 50x the
+    /// percentile (at least 50 us, as above) still is retained.
+    #[test]
+    fn blips_within_a_round_trip_retain_nothing_and_a_slow_task_still_is() {
+        use acc_telemetry::flight;
+        flight::install();
+        let mut retention = TraceRetention::new(&FrameworkConfig::default());
+        let job_trace = acc_telemetry::TraceContext::root();
+        let _ctx = job_trace.attach();
+        for i in 0..250u64 {
+            // One task in 25 blips, 1 to 3 us: 4 %, so the p95 stays 0 us.
+            let compute_us = if i % 25 == 24 { 1 + i / 25 % 3 } else { 0 };
+            assert!(
+                !retention.observe("squares", compute_us, false, 30),
+                "task {i}"
+            );
+        }
+        assert!(!flight::is_retained(job_trace.trace_id));
+        assert!(retention.observe("squares", 50, false, 30));
+        assert!(flight::is_retained(job_trace.trace_id));
     }
 
     #[test]
@@ -921,7 +952,7 @@ mod tests {
         let mut retention = TraceRetention::new(&FrameworkConfig::default());
         assert_eq!(retention.median_compute(), None);
         for compute_us in [7, 1, 40] {
-            retention.observe("squares", compute_us, false);
+            retention.observe("squares", compute_us, false, 0);
         }
         assert_eq!(retention.median_compute(), Some(Duration::from_micros(7)));
     }
@@ -937,13 +968,13 @@ mod tests {
             ..FrameworkConfig::default()
         });
         for _ in 0..200 {
-            retention.observe("squares", 6_000, false);
+            retention.observe("squares", 6_000, false, 0);
         }
         for _ in 0..15 {
-            retention.observe("squares", 0, false);
+            retention.observe("squares", 0, false, 0);
         }
         assert_eq!(retention.median_compute(), Some(Duration::from_millis(6)));
-        retention.observe("squares", 0, false);
+        retention.observe("squares", 0, false, 0);
         assert_eq!(retention.median_compute(), Some(Duration::ZERO));
     }
 

@@ -8,12 +8,11 @@
 //! already speak — dispatch, prefetch and durability all
 //! work unchanged through the grid.
 //!
-//! * **Routing** ([`route_tuple`], [`route_template`]): a write lands on
-//!   the deterministic FNV-1a owner of the tuple's key fields (or of the
-//!   whole tuple in spread mode). Templates that pin all key fields route
-//!   straight to the owner; anything else scatter-gathers. A tuple that
-//!   no template can route to — spread mode, or a key field missing — has
-//!   no owner, so a refill puts such results on its home shard instead.
+//! * **Placement**: a write goes to the next healthy shard from a
+//!   rotating cursor, so a batch splits evenly over the healthy shards,
+//!   and a refill puts its results on its home shard. Templates bind only
+//!   the job in the master–worker loop, so no lookup can name one shard:
+//!   every lookup over several shards sweeps or scatters.
 //! * **Scatter-gather**: non-blocking lookups sweep the healthy shards;
 //!   blocking `read`/`take` fan out one helper thread per shard running
 //!   short blocking slices, with first-wins cancellation — a losing
@@ -21,23 +20,20 @@
 //!   client-side mirror of the server's `restore_unacked`), retrying
 //!   and falling back to another shard rather than ever dropping it,
 //!   and a gatherer that times out while a win is in flight recovers
-//!   and restores that straggler win the same way. Keyed routed lookups
-//!   that miss on the owner fall back to a scatter before reporting
-//!   `None`, so a tuple another client rerouted off its owner is still
-//!   found.
+//!   and restores that straggler win the same way.
 //! * **Batching**: a batch operation is one split-phase sweep from the
 //!   calling thread — every shard's request frames go out on its own
 //!   connection before the first response is read, so the shards work
-//!   concurrently and no helper thread is spawned. `write_all` groups
-//!   the batch by owner, `take_up_to` splits `max` into per-shard
-//!   quotas, and the worker's refill (`write_all_then_take_up_to`) sends
-//!   its results and its whole take to its home shard as one pipelined
-//!   pair. A take that comes back short asks the shards not seen
+//!   concurrently and no helper thread is spawned. `write_all` splits
+//!   the batch over the healthy shards, `take_up_to` splits `max` into
+//!   per-shard quotas, and the worker's refill
+//!   (`write_all_then_take_up_to`) sends its results and its whole take
+//!   to its home shard as one pipelined pair. A take that comes back short asks the shards not seen
 //!   exhausted for the rest until it is full or every shard is seen
 //!   exhausted. `take_all` drains the same way.
 //! * **Degradation**: a shard whose connection keeps failing (after
 //!   [`RemoteSpace`]'s own reconnect-and-retry) is marked unhealthy:
-//!   writes deterministically probe onward to the next healthy shard,
+//!   writes that failed on it are redone on the healthy shards,
 //!   scatters skip it, and a background prober readmits it when it
 //!   answers again. One dead shard degrades the grid instead of killing
 //!   the cluster.
@@ -47,14 +43,12 @@
 //!   paper's Jini lookup, as template matching in the space itself.
 //!
 //! Telemetry: per-shard op latency (`grid.shard<i>.op_us`), scatter
-//! fan-out width (`grid.scatter.fanout`), rerouted writes
-//! (`grid.rerouted_writes`), first-wins restores (`grid.restored_tuples`)
-//! and restore failures (`grid.lost_tuples` — every increment is also
+//! fan-out width (`grid.scatter.fanout`), writes redone on another shard
+//! after theirs failed (`grid.rerouted_writes`), first-wins restores
+//! (`grid.restored_tuples`) and restore failures (`grid.lost_tuples` — every increment is also
 //! logged to stderr). Shard health is in [`PartitionedSpace::to_json`].
 
 #![warn(missing_docs)]
-
-mod router;
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -66,7 +60,26 @@ use acc_tuplespace::{
     Value, WriteThenTake,
 };
 
-pub use router::{route_template, route_tuple, tuple_hash, GridConfig};
+/// Tunables for a [`PartitionedSpace`].
+#[derive(Debug, Clone)]
+pub struct GridConfig {
+    /// How long one helper-thread blocking slice lasts during a
+    /// scatter-gather `read`/`take`. Shorter slices react faster to a
+    /// first-wins cancellation (and to shutdown) at the cost of more
+    /// round trips while idle.
+    pub take_slice: Duration,
+    /// How often the background prober retries unhealthy shards.
+    pub reprobe_interval: Duration,
+}
+
+impl Default for GridConfig {
+    fn default() -> GridConfig {
+        GridConfig {
+            take_slice: Duration::from_millis(25),
+            reprobe_interval: Duration::from_millis(250),
+        }
+    }
+}
 
 /// Grid-wide telemetry series (see the crate docs for the name list).
 struct GridSeries {
@@ -121,9 +134,8 @@ static NEXT_HOME: AtomicUsize = AtomicUsize::new(0);
 
 /// One shard of the grid: a [`RemoteSpace`] connection plus its health
 /// mark. The health mark is per *client* (each grid instance judges its
-/// own connections), which is exactly what routing needs — a shard this
-/// client cannot reach must be routed around by this client, whatever
-/// other clients see.
+/// own connections): a shard this client cannot reach must be written
+/// around by this client, whatever other clients see.
 struct Shard {
     index: usize,
     addr: SocketAddr,
@@ -242,14 +254,6 @@ enum HelperEvent {
     Exit,
 }
 
-/// Everything needed to put a taken-but-unwanted tuple back into the
-/// grid: the shard list for fallback targets and the shared reroute
-/// latch to trip when a restore lands off its origin shard.
-struct RestoreCtx {
-    shards: Vec<Arc<Shard>>,
-    rerouted: Arc<AtomicBool>,
-}
-
 /// Puts back a tuple that a `take` removed but the operation will not
 /// deliver (a helper lost the first-wins race, or the gatherer timed
 /// out while a win was in flight). The original lease is unknowable
@@ -258,13 +262,11 @@ struct RestoreCtx {
 /// erring toward never losing a tuple at the cost of a bounded-lease
 /// entry outliving its deadline.
 ///
-/// The origin shard is retried first (routing invariants stay intact);
-/// if it stays unreachable, any healthy shard beats a lost tuple — but
-/// landing off-origin may move the tuple off its owner, so that path
-/// counts as a reroute and trips the keyed-routing latch. Only when
-/// every attempt fails is the tuple abandoned, and loudly: the
-/// `grid.lost_tuples` counter and stderr both record it.
-fn restore_tuple(ctx: &RestoreCtx, origin: &Arc<Shard>, tuple: Tuple) {
+/// The origin shard is retried first; if it stays unreachable, any
+/// healthy shard of `shards` beats a lost tuple, and landing there counts
+/// as a reroute. Only when every attempt fails is the tuple abandoned,
+/// and loudly: the `grid.lost_tuples` counter and stderr both record it.
+fn restore_tuple(shards: &[Arc<Shard>], origin: &Arc<Shard>, tuple: Tuple) {
     // One extra origin attempt on top of RemoteSpace's own
     // reconnect-and-resend, in case the first hits a transient fault.
     for _ in 0..2 {
@@ -279,7 +281,7 @@ fn restore_tuple(ctx: &RestoreCtx, origin: &Arc<Shard>, tuple: Tuple) {
             Err(_) => {}
         }
     }
-    for shard in &ctx.shards {
+    for shard in shards {
         if shard.index == origin.index || !shard.is_healthy() {
             continue;
         }
@@ -287,7 +289,6 @@ fn restore_tuple(ctx: &RestoreCtx, origin: &Arc<Shard>, tuple: Tuple) {
             Ok(_) => {
                 series().restored_tuples.inc();
                 series().rerouted_writes.inc();
-                ctx.rerouted.store(true, Ordering::SeqCst);
                 return;
             }
             Err(SpaceError::Closed) => return,
@@ -303,7 +304,7 @@ fn restore_tuple(ctx: &RestoreCtx, origin: &Arc<Shard>, tuple: Tuple) {
 }
 
 /// A partitioned tuple space: the full [`TupleStore`] contract over N
-/// [`RemoteSpace`] shards. See the crate docs for the routing,
+/// [`RemoteSpace`] shards. See the crate docs for the placement,
 /// scatter-gather and degradation semantics; see [`GridConfig`] for the
 /// tunables.
 ///
@@ -315,19 +316,13 @@ pub struct PartitionedSpace {
     shards: Vec<Arc<Shard>>,
     config: GridConfig,
     closed: AtomicBool,
-    /// This client's local knowledge that some write (or restore) went
-    /// off its owner shard, making keyed template routing pointless —
-    /// once set, routed lookups skip the owner attempt and go straight
-    /// to scatter. This is a latency optimisation, not the correctness
-    /// mechanism: reroutes by *other* clients are invisible here, so
-    /// routed lookups that miss always fall back to a scatter before
-    /// returning `None` (see [`PartitionedSpace::route`]). Shared
-    /// (`Arc`) with scatter helpers so restore fallbacks can trip it.
-    ever_rerouted: Arc<AtomicBool>,
     /// Rotates the starting shard of scatter sweeps so repeated
     /// non-blocking lookups don't always favour shard 0.
     sweep_cursor: AtomicUsize,
-    /// Where this client's refills put their unowned results and ask their
+    /// Rotates writes over the healthy shards (see
+    /// [`write_target`](Self::write_target)).
+    write_cursor: AtomicUsize,
+    /// Where this client's refills put their results and ask their
     /// take: the first healthy shard from this index. It moves to the next
     /// shard when the home answers a take short.
     home: AtomicUsize,
@@ -380,8 +375,8 @@ impl PartitionedSpace {
             shards,
             config,
             closed: AtomicBool::new(false),
-            ever_rerouted: Arc::new(AtomicBool::new(false)),
             sweep_cursor: AtomicUsize::new(0),
+            write_cursor: AtomicUsize::new(0),
             home: AtomicUsize::new(NEXT_HOME.fetch_add(1, Ordering::Relaxed)),
             prober: Some(prober),
         })
@@ -418,7 +413,7 @@ impl PartitionedSpace {
         (stop, thread)
     }
 
-    /// The shard addresses, in routing order.
+    /// The shard addresses, in shard order.
     pub fn addrs(&self) -> Vec<SocketAddr> {
         self.shards.iter().map(|s| s.addr).collect()
     }
@@ -473,7 +468,7 @@ impl PartitionedSpace {
     }
 
     /// The `grid` section of `/cluster.json`: per-shard identity and
-    /// health in routing order, plus the reroute counters.
+    /// health in shard order, plus the reroute counters.
     pub fn to_json(&self) -> acc_telemetry::Json {
         use acc_telemetry::Json;
         let shards = self.shards.iter().map(|s| {
@@ -494,19 +489,13 @@ impl PartitionedSpace {
 
     /// A fresh grid client over the same shards and tunables — each
     /// worker gets its own connections, as with [`RemoteSpace`], and its
-    /// own home shard. The
-    /// clone shares this client's reroute latch, so reroutes either one
-    /// observes retire the other's routed fast path too (reroutes by
-    /// unrelated clients remain invisible — routed misses fall back to
-    /// scatter to cover those).
+    /// own home shard.
     pub fn reconnect(&self) -> std::io::Result<PartitionedSpace> {
-        let mut grid = PartitionedSpace::connect_with(&self.addrs(), self.config.clone())?;
-        grid.ever_rerouted = self.ever_rerouted.clone();
-        Ok(grid)
+        PartitionedSpace::connect_with(&self.addrs(), self.config.clone())
     }
 
     /// Publishes the grid's lookup entry: one [`LOOKUP_TYPE`] tuple in
-    /// shard 0 whose `shards` field lists every shard address in routing
+    /// shard 0 whose `shards` field lists every shard address in shard
     /// order, replacing any earlier entry. With it, shard 0's address is
     /// all a client needs to find the grid ([`PartitionedSpace::discover`]).
     pub fn publish(&self) -> SpaceResult<()> {
@@ -563,46 +552,18 @@ impl PartitionedSpace {
         SpaceError::Transport("space grid: no healthy shards".into())
     }
 
-    /// The shard a write of `tuple` goes to *now*: the deterministic
-    /// owner, or — when the owner is down — the next healthy shard in
-    /// probe order. Rerouting trips [`Self::ever_rerouted`], which
-    /// retires keyed template routing for this client (the tuple is no
-    /// longer guaranteed to be on its owner).
-    fn write_target(&self, tuple: &Tuple) -> SpaceResult<Arc<Shard>> {
-        let n = self.shards.len();
-        let owner = route_tuple(tuple, &self.config.key_fields, n);
-        for probe in 0..n {
-            let shard = &self.shards[(owner + probe) % n];
-            if shard.is_healthy() {
-                if probe > 0 {
-                    series().rerouted_writes.inc();
-                    self.ever_rerouted.store(true, Ordering::SeqCst);
-                }
-                return Ok(shard.clone());
-            }
-        }
-        Err(PartitionedSpace::no_healthy())
-    }
-
-    /// The owner shard a lookup should *try first*: keyed mode, fully
-    /// bound template, no reroute known to this client, owner healthy.
-    /// Everything else scatters immediately.
-    ///
-    /// A routed *hit* is always valid (reroutes move tuples, they never
-    /// duplicate them), but a routed *miss* is not authoritative: some
-    /// other client may have rerouted the tuple off its owner, and that
-    /// is invisible to this client's `ever_rerouted` latch. Every caller
-    /// must therefore treat a routed `Ok(None)` / empty result as "not
-    /// on the owner" and fall back to a scatter before reporting a miss
-    /// — and ops whose result aggregates over matches (`count`,
-    /// `take_all`) must not use routing at all.
-    fn route(&self, template: &Template) -> Option<Arc<Shard>> {
-        if self.ever_rerouted.load(Ordering::SeqCst) {
-            return None;
-        }
-        let index = route_template(template, &self.config.key_fields, self.shards.len())?;
-        let shard = &self.shards[index];
-        shard.is_healthy().then(|| shard.clone())
+    /// The shard the next write goes to: the next healthy shard from the
+    /// rotating write cursor, counted over the healthy shards alone, so
+    /// consecutive writes — a batch's above all — split evenly over them.
+    fn write_target(&self) -> SpaceResult<Arc<Shard>> {
+        let healthy = || self.shards.iter().filter(|s| s.is_healthy());
+        let k = self.write_cursor.fetch_add(1, Ordering::Relaxed) % healthy().count().max(1);
+        // A shard struck out between the count and the pick: take the first.
+        healthy()
+            .nth(k)
+            .or_else(|| healthy().next())
+            .cloned()
+            .ok_or_else(PartitionedSpace::no_healthy)
     }
 
     /// One non-blocking sweep over the healthy shards, starting from the
@@ -671,10 +632,6 @@ impl PartitionedSpace {
         deadline: Option<Instant>,
         destructive: bool,
     ) -> SpaceResult<Option<Tuple>> {
-        let ctx = Arc::new(RestoreCtx {
-            shards: self.shards.clone(),
-            rerouted: self.ever_rerouted.clone(),
-        });
         loop {
             self.ensure_open()?;
             // Fast path: anything already matching anywhere? Runs before
@@ -698,7 +655,7 @@ impl PartitionedSpace {
                 slice: self.config.take_slice,
                 destructive,
                 done: AtomicBool::new(false),
-                restore: ctx.clone(),
+                shards: self.shards.clone(),
             });
             let (tx, rx) = mpsc::channel::<HelperEvent>();
             let mut live = 0usize;
@@ -748,7 +705,7 @@ impl PartitionedSpace {
                 while let Ok(event) = rx.recv() {
                     if let HelperEvent::Win(tuple, origin) = event {
                         if destructive {
-                            restore_tuple(&ctx, &origin, tuple);
+                            restore_tuple(&self.shards, &origin, tuple);
                         }
                         break;
                     }
@@ -762,9 +719,9 @@ impl PartitionedSpace {
     }
 
     /// This client's home shard: the first healthy shard from the `home`
-    /// index. A refill that carries results puts the unowned ones there and
-    /// asks it for its whole take, so in the steady state a task and its
-    /// result share one shard and a refill is one exchange.
+    /// index. A refill that carries results puts them there and asks it
+    /// for its whole take, so in the steady state a task and its result
+    /// share one shard and a refill is one exchange.
     fn home(&self) -> SpaceResult<Arc<Shard>> {
         let n = self.shards.len();
         let start = self.home.load(Ordering::Relaxed);
@@ -773,14 +730,6 @@ impl PartitionedSpace {
             .find(|shard| shard.is_healthy())
             .cloned()
             .ok_or_else(PartitionedSpace::no_healthy)
-    }
-
-    /// Whether `tuple` has an owner: keyed mode, and every key field
-    /// present. Only such a tuple can be the match of a routed lookup; any
-    /// other is found by a scatter wherever it lies.
-    fn owned(&self, tuple: &Tuple) -> bool {
-        let keys = &self.config.key_fields;
-        !keys.is_empty() && keys.iter().all(|key| tuple.get(key).is_some())
     }
 
     /// Splits a take of `max` over the shards `over` into quotas, indexed
@@ -804,7 +753,7 @@ impl PartitionedSpace {
 
     /// One non-blocking sweep, which every multi-shard batch operation is
     /// made of: `tuples` grouped by [`write_target`](Self::write_target) —
-    /// or, `to_home`, the unowned ones on the [home](Self::home) — plus
+    /// or, `to_home`, all on the [home](Self::home) — plus
     /// `take`'s per-shard quotas. Each shard touched gets one exchange — a
     /// pipelined pair where it has both, no `TakeUpTo` where its quota is
     /// 0 — and all of them go out in one [`fan_out`]. Ids come back in
@@ -813,11 +762,13 @@ impl PartitionedSpace {
     /// A take that comes back short asks for the rest in the next round,
     /// of the healthy shards not seen exhausted (answering less than they
     /// were asked), and keeps asking until it is full or every shard is
-    /// seen exhausted; a home that answered short moves to the next shard. A group whose shard fails is struck out and rewritten through
-    /// the (now updated) probe order in a further round; as with
-    /// [`RemoteSpace`], the retry makes batch writes at-least-once. Tuples
-    /// taken are returned whatever became of the write, and a take error
-    /// surfaces only when nothing was taken. `Closed` latches.
+    /// seen exhausted; a home that answered short moves to the next shard.
+    /// A group whose shard fails is struck out and redone in a further
+    /// round — on the healthy shards, counted as rerouted, or on the next
+    /// home; as with [`RemoteSpace`], the retry makes batch writes
+    /// at-least-once. Tuples taken are returned whatever became of the
+    /// write, and a take error surfaces only when nothing was taken.
+    /// `Closed` latches.
     fn sweep(
         &self,
         tuples: Vec<Tuple>,
@@ -848,8 +799,8 @@ impl PartitionedSpace {
             let home = to_home.then(|| self.home().ok()).flatten();
             for (pos, tuple) in pending.drain(..) {
                 let target = match &home {
-                    Some(home) if !self.owned(&tuple) => Ok(home.clone()),
-                    _ => self.write_target(&tuple),
+                    Some(home) => Ok(home.clone()),
+                    None => self.write_target(),
                 };
                 match target {
                     Ok(target) => groups[target.index].push((pos, tuple)),
@@ -894,6 +845,11 @@ impl PartitionedSpace {
                 if !group.is_empty() {
                     match written {
                         Ok(batch_ids) => {
+                            // Only a failed group's tuples are written after
+                            // round 0; a refill's follow its home, uncounted.
+                            if round > 0 && home.is_none() {
+                                series().rerouted_writes.add(group.len() as u64);
+                            }
                             for ((pos, _), id) in group.iter().zip(batch_ids) {
                                 ids[*pos] = Some(id);
                             }
@@ -951,9 +907,8 @@ impl PartitionedSpace {
 
     /// The multi-shard refill, and with no results the multi-shard
     /// `take_up_to`: one [`sweep`](Self::sweep) carrying the results and
-    /// the take. The whole take goes to one shard when there is one to
-    /// name — the routed owner, else the home of a refill that carries
-    /// results — and is split over the healthy shards otherwise; a short
+    /// the take. The whole take goes to the home when the refill carries
+    /// results, and is split over the healthy shards otherwise; a short
     /// answer is topped up in the sweep. If the take is still empty and
     /// the caller will wait, [`block_then_drain`] runs it through
     /// [`scatter_blocking`](Self::scatter_blocking) — unless the write
@@ -967,10 +922,10 @@ impl PartitionedSpace {
     ) -> WriteThenTake {
         let deadline = timeout.map(|t| Instant::now() + t);
         let to_home = !tuples.is_empty();
-        let over = match self.route(template) {
-            Some(owner) => Ok(vec![owner]),
-            None if to_home => self.home().map(|home| vec![home]),
-            None => Ok(self.healthy()),
+        let over = if to_home {
+            self.home().map(|home| vec![home])
+        } else {
+            Ok(self.healthy())
         };
         let quotas = match over.and_then(|over| self.quotas(max, &over)) {
             Ok(quotas) => quotas,
@@ -994,16 +949,16 @@ impl PartitionedSpace {
 }
 
 /// Shared state of one scatter-gather round: the lookup parameters, the
-/// first-wins flag, and the restore context losers use to put their
-/// tuples back. One per [`PartitionedSpace::scatter_blocking`] round,
-/// shared by the gatherer and every helper.
+/// first-wins flag, and the shards losers may put their tuples back on.
+/// One per [`PartitionedSpace::scatter_blocking`] round, shared by the
+/// gatherer and every helper.
 struct HelperJob {
     template: Template,
     deadline: Option<Instant>,
     slice: Duration,
     destructive: bool,
     done: AtomicBool,
-    restore: Arc<RestoreCtx>,
+    shards: Vec<Arc<Shard>>,
 }
 
 /// Body of one scatter helper thread; see
@@ -1034,7 +989,7 @@ fn helper_loop(shard: Arc<Shard>, job: Arc<HelperJob>, tx: mpsc::Sender<HelperEv
                 } else if job.destructive {
                     // Lost the race after removing a tuple: put it back
                     // so no other caller misses it.
-                    restore_tuple(&job.restore, &shard, tuple);
+                    restore_tuple(&job.shards, &shard, tuple);
                     let _ = tx.send(HelperEvent::Exit);
                 }
                 return;
@@ -1054,14 +1009,18 @@ fn helper_loop(shard: Arc<Shard>, job: Arc<HelperJob>, tx: mpsc::Sender<HelperEv
 impl TupleStore for PartitionedSpace {
     fn write_leased(&self, tuple: Tuple, lease: Lease) -> SpaceResult<EntryId> {
         self.ensure_open()?;
-        // Each failed attempt strikes a shard out, so the probe sequence
-        // advances; `shards + 1` attempts guarantees termination.
+        // Each failed attempt strikes a shard out, and the write is redone
+        // on another; `shards + 1` attempts guarantees termination.
         let mut last_err = PartitionedSpace::no_healthy();
-        for _ in 0..=self.shards.len() {
-            let target = self.write_target(&tuple)?;
+        for attempt in 0..=self.shards.len() {
+            let target = self.write_target()?;
             match target.call(|r| r.write_leased(tuple.clone(), lease)) {
                 Err(e @ SpaceError::Transport(_)) | Err(e @ SpaceError::Protocol(_)) => {
                     last_err = e;
+                }
+                Ok(id) if attempt > 0 => {
+                    series().rerouted_writes.inc();
+                    return Ok(id);
                 }
                 other => return other,
             }
@@ -1080,18 +1039,6 @@ impl TupleStore for PartitionedSpace {
                 other => return other,
             }
         }
-        if let Some(shard) = self.route(template) {
-            match shard.call(|r| r.read(template, timeout)) {
-                Ok(Some(tuple)) => return Ok(Some(tuple)),
-                // A routed miss is not authoritative — another client
-                // may have rerouted the tuple off its owner — so fall
-                // through to a scatter (whose opening sweep runs even
-                // with the deadline spent) before reporting `None`.
-                Ok(None) => {}
-                Err(SpaceError::Transport(_)) | Err(SpaceError::Protocol(_)) => {}
-                other => return other,
-            }
-        }
         self.scatter_blocking(template, deadline, false)
     }
 
@@ -1105,22 +1052,10 @@ impl TupleStore for PartitionedSpace {
                 other => return other,
             }
         }
-        if let Some(shard) = self.route(template) {
-            match shard.call(|r| r.take(template, timeout)) {
-                Ok(Some(tuple)) => return Ok(Some(tuple)),
-                // Routed miss: fall back to scatter, as in `read`.
-                Ok(None) => {}
-                Err(SpaceError::Transport(_)) | Err(SpaceError::Protocol(_)) => {}
-                other => return other,
-            }
-        }
         self.scatter_blocking(template, deadline, true)
     }
 
-    /// Counts always sum over every healthy shard — no routed fast
-    /// path. An owner-only count silently undercounts whenever any
-    /// client ever rerouted a write (or restore) off that owner, and
-    /// this client cannot know whether one did.
+    /// Sums over every healthy shard.
     fn count(&self, template: &Template) -> SpaceResult<usize> {
         self.ensure_open()?;
         let healthy = self.healthy();
@@ -1162,9 +1097,7 @@ impl TupleStore for PartitionedSpace {
         self.healthy().iter().any(|s| s.remote.is_closed())
     }
 
-    /// Drains every healthy shard — no routed fast path, for the same
-    /// reason as [`PartitionedSpace::count`]: an owner-only drain would
-    /// strand tuples another client rerouted off-owner. Rounds of
+    /// Drains every healthy shard: rounds of
     /// split-phase batch takes over the shards that still had something
     /// last round, until every one has answered empty (or been struck).
     /// Struck shards degrade the result, not the caller; `Closed` latches
@@ -1200,15 +1133,16 @@ impl TupleStore for PartitionedSpace {
         Ok(out)
     }
 
-    /// One `sweep` that only writes: the batch split by owner, each group
-    /// riding its own connection's request frames (and their frame-budget
-    /// chunking), groups on dead shards rewritten through the probe order.
+    /// One `sweep` that only writes: the batch split evenly over the
+    /// healthy shards, each group riding its own connection's request
+    /// frames (and their frame-budget chunking), groups on dead shards
+    /// redone on the rest.
     fn write_all_leased(&self, tuples: Vec<Tuple>, lease: Lease) -> SpaceResult<Vec<EntryId>> {
         self.ensure_open()?;
         if tuples.is_empty() {
             return Ok(Vec::new());
         }
-        // Single-shard fast path: there is no reroute target, so the
+        // Single-shard fast path: there is no other shard to redo on, so the
         // retry machinery of the sweep (which clones every tuple to be
         // able to regroup after a shard death) would be pure overhead.
         // Move the batch straight through.
@@ -1390,19 +1324,6 @@ mod tests {
         }
     }
 
-    /// Results that spread-route one to each of `shards` shards.
-    fn one_result_per_shard(shards: usize) -> Vec<Tuple> {
-        let result = |id: i64| Tuple::build("acc.result").field("task_id", id).done();
-        (0..shards)
-            .map(|s| {
-                (0..)
-                    .map(result)
-                    .find(|t| route_tuple(t, &[], shards) == s)
-                    .unwrap()
-            })
-            .collect()
-    }
-
     #[test]
     fn refill_rewrites_a_dead_shards_results_and_takes_from_the_rest() {
         let mut r = rig(4);
@@ -1416,7 +1337,9 @@ mod tests {
         // and the next round rewrites the results and tops the take up.
         r.grid.home.store(dead, Ordering::Relaxed);
         let (written, taken) = r.grid.write_all_then_take_up_to(
-            one_result_per_shard(4),
+            (0..4)
+                .map(|id| Tuple::build("acc.result").field("task_id", id).done())
+                .collect(),
             &job_template(),
             8,
             Some(Duration::from_secs(2)),
@@ -1475,56 +1398,6 @@ mod tests {
     }
 
     #[test]
-    fn a_refill_puts_keyed_results_on_their_owners_and_the_rest_on_the_home() {
-        let keys: Vec<String> = vec!["job".into(), "task_id".into()];
-        let r = rig_with(
-            4,
-            GridConfig {
-                key_fields: keys.clone(),
-                ..GridConfig::default()
-            },
-        );
-        r.grid.write_all((0..32).map(task).collect()).unwrap();
-        let home = 1;
-        r.grid.home.store(home, Ordering::Relaxed);
-        let keyed = |id: i64| {
-            Tuple::build("acc.result")
-                .field("job", "grid")
-                .field("task_id", id)
-                .done()
-        };
-        let id = (0..).find(|&i| route_tuple(&keyed(i), &keys, 4) != home);
-        let keyed = keyed(id.unwrap());
-        let owner = route_tuple(&keyed, &keys, 4);
-        let unkeyed = Tuple::build("acc.result").field("job", "grid").done();
-        let (written, taken) = r.grid.write_all_then_take_up_to(
-            vec![keyed.clone(), unkeyed],
-            &job_template(),
-            4,
-            Some(Duration::ZERO),
-        );
-        assert_eq!(written.unwrap().len(), 2);
-        assert_eq!(taken.unwrap().len(), 4);
-        let point = Template::build("acc.result")
-            .eq("job", "grid")
-            .eq("task_id", id.unwrap())
-            .done();
-        let results: Vec<usize> = (0..4)
-            .map(|s| Space::count(&r.spaces[s], &Template::of_type("acc.result")))
-            .collect();
-        assert_eq!(results.iter().sum::<usize>(), 2, "{results:?}");
-        assert_eq!(
-            Space::count(&r.spaces[owner], &point),
-            1,
-            "keyed on its owner"
-        );
-        assert_eq!(results[home], 1, "unkeyed on the home");
-        assert!(!r.grid.ever_rerouted.load(Ordering::SeqCst));
-        assert_eq!(route_template(&point, &keys, 4), Some(owner));
-        assert_eq!(r.grid.read_if_exists(&point).unwrap(), Some(keyed));
-    }
-
-    #[test]
     fn a_failed_drain_after_a_win_returns_the_tuple_already_taken() {
         let got = block_then_drain(
             4,
@@ -1558,30 +1431,6 @@ mod tests {
             got.extend(batch);
         }
         assert_eq!(got.len(), 100);
-    }
-
-    #[test]
-    fn keyed_routing_serves_point_lookups_from_the_owner() {
-        let config = GridConfig {
-            key_fields: vec!["job".into(), "task_id".into()],
-            ..GridConfig::default()
-        };
-        let r = rig_with(4, config);
-        for i in 0..32 {
-            r.grid.write(task(i)).unwrap();
-        }
-        for i in 0..32i64 {
-            let point = Template::build("acc.task")
-                .eq("job", "grid")
-                .eq("task_id", i)
-                .done();
-            let owner = route_tuple(&task(i), &["job".into(), "task_id".into()], 4);
-            // The owner shard really holds it...
-            assert_eq!(Space::count(&r.spaces[owner], &point), 1);
-            // ...and the grid finds it (routed, not scattered).
-            let got = r.grid.read_if_exists(&point).unwrap().unwrap();
-            assert_eq!(got.get_int("task_id"), Some(i));
-        }
     }
 
     #[test]
@@ -1721,49 +1570,6 @@ mod tests {
                 .take(&job_template(), Some(Duration::from_millis(50))),
             Err(SpaceError::Transport(_))
         ));
-    }
-
-    /// A reroute performed by one client must not make keyed tuples
-    /// invisible to *other* clients' routed lookups: the routed miss
-    /// has to fall back to a scatter (and `count` must always sum over
-    /// all shards).
-    #[test]
-    fn foreign_reroute_does_not_hide_keyed_tuples_from_other_clients() {
-        let keys: Vec<String> = vec!["job".into(), "task_id".into()];
-        let config = GridConfig {
-            key_fields: keys.clone(),
-            ..GridConfig::default()
-        };
-        let mut r = rig_with(2, config.clone());
-        // A tuple owned by shard 0.
-        let id = (0..)
-            .find(|&i| route_tuple(&task(i), &keys, 2) == 0)
-            .unwrap();
-        // Kill the owner; writer client A strikes it out and reroutes
-        // the write onto shard 1.
-        let addr0 = r.servers[0].addr();
-        let space0 = r.spaces[0].clone();
-        drop(r.servers.remove(0));
-        r.grid.write(task(id)).unwrap();
-        assert_eq!(r.spaces[1].len(), 1, "write must land on the survivor");
-        // The owner comes back (empty); a fresh client B connects with
-        // no knowledge of A's reroute, so its template routing still
-        // points at shard 0.
-        let _revived = SpaceServer::spawn(space0, &addr0.to_string()).unwrap();
-        let b = PartitionedSpace::connect_with(&r.grid.addrs(), config).unwrap();
-        let point = Template::build("acc.task")
-            .eq("job", "grid")
-            .eq("task_id", id)
-            .done();
-        assert_eq!(b.count(&point).unwrap(), 1, "count must sum all shards");
-        let read = b.read_if_exists(&point).unwrap();
-        assert_eq!(
-            read.and_then(|t| t.get_int("task_id")),
-            Some(id),
-            "routed miss must fall back to scatter"
-        );
-        let taken = b.take(&point, Some(Duration::from_millis(200))).unwrap();
-        assert_eq!(taken.and_then(|t| t.get_int("task_id")), Some(id));
     }
 
     /// Conservation canary for the first-wins races: takes racing a

@@ -6,14 +6,10 @@
 //! The property test drives the same random operation sequence (the
 //! tuple/template strategies mirror the wire-protocol codec props) into
 //! both clients and compares every result.
-//!
-//! Also here: routing stability — the placement hash is pure content
-//! addressing, so independently connected clients (and reconnected
-//! ones) must agree on every tuple's owner shard.
 
 use std::time::Duration;
 
-use acc_spacegrid::{route_tuple, tuple_hash, PartitionedSpace};
+use acc_spacegrid::PartitionedSpace;
 use acc_tuplespace::{
     RemoteSpace, Space, SpaceHandle, SpaceServer, Template, Tuple, TupleStore, Value,
 };
@@ -133,71 +129,5 @@ proptest! {
         grid.close();
         prop_assert!(plain.is_closed());
         prop_assert!(grid.is_closed());
-    }
-
-    #[test]
-    fn placement_hash_is_pure_content_addressing(tuple in arb_tuple(), shards in 1usize..9) {
-        // Same content, independently built: same hash, same owner.
-        let copy = {
-            let mut b = Tuple::build(tuple.type_name());
-            for (name, value) in tuple.fields() {
-                b = b.field(name, value.clone());
-            }
-            b.done()
-        };
-        prop_assert_eq!(tuple_hash(&tuple, &[]), tuple_hash(&copy, &[]));
-        prop_assert_eq!(
-            route_tuple(&tuple, &[], shards),
-            route_tuple(&copy, &[], shards)
-        );
-        prop_assert!(route_tuple(&tuple, &[], shards) < shards);
-    }
-}
-
-/// A reconnected client is a *new* `PartitionedSpace` with fresh TCP
-/// connections — and it must still place every tuple exactly where the
-/// first client did, or routed lookups would go blind after failover.
-#[test]
-fn routing_is_stable_across_reconnects() {
-    let rigs: Vec<(SpaceHandle, SpaceServer)> = (0..4).map(|i| serve(&format!("s{i}"))).collect();
-    let addrs: Vec<_> = rigs.iter().map(|(_, server)| server.addr()).collect();
-    let tuples: Vec<Tuple> = (0..48)
-        .map(|i| {
-            Tuple::build("acc.task")
-                .field("job", "stable")
-                .field("task_id", i as i64)
-                .done()
-        })
-        .collect();
-
-    let first = PartitionedSpace::connect(&addrs).unwrap();
-    for t in &tuples {
-        first.write(t.clone()).unwrap();
-    }
-    let placement: Vec<usize> = rigs.iter().map(|(space, _)| space.len()).collect();
-    drop(first);
-
-    // A fresh client (same shard list) writes identical copies: every
-    // shard must end up with exactly twice its original share.
-    let second = PartitionedSpace::connect(&addrs).unwrap();
-    for t in &tuples {
-        second.write(t.clone()).unwrap();
-    }
-    for ((space, _), &before) in rigs.iter().zip(&placement) {
-        assert_eq!(
-            space.len(),
-            before * 2,
-            "reconnected client placed tuples on a different shard"
-        );
-    }
-
-    // And the pure router agrees with where the tuples actually went.
-    for t in &tuples {
-        let owner = route_tuple(t, &[], addrs.len());
-        let point = Template::build("acc.task")
-            .eq("job", "stable")
-            .eq("task_id", t.get_int("task_id").unwrap())
-            .done();
-        assert_eq!(rigs[owner].0.count(&point), 2);
     }
 }

@@ -81,7 +81,7 @@ fn main() {
         parallel.high, parallel.low
     );
 
-    // Per-shard traffic: hash routing spread the job over every shard.
+    // Per-shard traffic: the grid's placement spread the job over every shard.
     println!("shard traffic:");
     for (i, (space, server)) in shards.iter().enumerate() {
         let stats = space.stats();

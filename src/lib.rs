@@ -9,8 +9,9 @@
 //!
 //! * [`space`] — the tuple space (write/read/take, templates, transactions,
 //!   leases, events);
-//! * [`spacegrid`] — the partitioned multi-server space: hash routing and
-//!   scatter-gather over N space servers behind the same store interface;
+//! * [`spacegrid`] — the partitioned multi-server space: writes spread
+//!   evenly and scatter-gather lookups over N space servers behind the same
+//!   store interface;
 //! * [`snmp`] — the monitoring stack (OIDs, PDUs, MIB, agent, manager);
 //! * [`cluster`] — node models and the paper's synthetic load simulators;
 //! * [`framework`] — the adaptive master–worker framework itself;

@@ -9,11 +9,12 @@
 //! copies, or a `Vec` per trace record, fails the build, not a
 //! dashboard.
 //!
-//! Everything lives in ONE `#[test]` so no sibling test thread can
-//! allocate inside a measurement window.
+//! The allocator counts per thread, and every measurement runs on the
+//! test's own thread, so what the harness's other threads allocate
+//! meanwhile is never charged to an operation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use adaptive_spaces::cluster::TaskTiming;
 use adaptive_spaces::framework::{tuple_trace_context, ResultEntry, TaskEntry};
@@ -24,11 +25,21 @@ use adaptive_spaces::telemetry::{event, flight, span, TraceContext};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. `const`-initialised and without a
+    /// destructor, so the allocator can touch it without allocating.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Charges one allocation to the calling thread; a thread past its
+/// thread-locals' teardown goes uncounted.
+fn count_one() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -37,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,9 +58,9 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 /// Allocation count of `f`, on this thread's watch.
 fn allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     let out = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, out)
+    (ALLOCS.with(Cell::get) - before, out)
 }
 
 /// A representative 6-field task tuple (mostly scalars plus one blob —
