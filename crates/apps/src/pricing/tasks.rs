@@ -301,7 +301,7 @@ impl Application for PricingApp {
             w.put_u64(*task_id);
             out.encode(&mut w);
         }
-        Some(w.finish().to_vec())
+        Some(w.into_vec())
     }
 
     fn restore_partials(&mut self, bytes: &[u8]) -> Result<(), ExecError> {

@@ -16,10 +16,8 @@
 //!   of the bare cycle. Measured runs export `BENCH_profile.json` at
 //!   the repo root, then assert the gate.
 //!
-//! Custom harness (no `criterion_group!`): the overhead arm needs the
-//! same cycle measured twice under identical conditions, which is
-//! clearer with explicit timing loops. Output stays `label: N ns/iter`
-//! compatible.
+//! The overhead arm measures the same cycle twice under identical
+//! conditions, with explicit timing loops; output is `label: N ns/iter`.
 
 use acc_cluster::{JobProfiler, TaskTiming};
 use acc_telemetry::{Json, SortedWindow};

@@ -11,7 +11,7 @@
 //! out, four tasks in, as the two calls it used to be and as the one
 //! pipelined pair it is now.
 //!
-//! Custom harness (no `criterion_group!`). Measured runs export
+//! Measured runs export
 //! `BENCH_remote.json` at the repo root. The numbers are only comparable
 //! pinned to one CPU: unpinned, every round trip is a cross-CPU wake-up.
 

@@ -43,9 +43,8 @@
 //! per-round ratios, so host drift between rounds lands on both sides
 //! alike.
 //!
-//! Custom harness (no `criterion_group!`): the scaling arm measures
-//! aggregate multi-thread throughput, which needs explicit thread
-//! control. Output stays `label: N ns/iter` compatible, and measured
+//! The scaling arm measures aggregate multi-thread throughput with
+//! explicit thread control. Output is `label: N ns/iter`, and measured
 //! runs export `BENCH_spacegrid.json` at the repo root for the
 //! perf-trajectory record.
 

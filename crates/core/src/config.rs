@@ -88,16 +88,6 @@ pub struct FrameworkConfig {
     /// Completed tasks required before a worker can be judged a
     /// straggler.
     pub straggler_min_samples: u64,
-    /// Tail-based trace retention: a finished task whose compute time
-    /// reaches this percentile of the worker's per-job compute history
-    /// gets its full flight-recorder trace pinned (kept past ring
-    /// eviction). Errored or retried tasks are always retained. Set
-    /// `>= 1.0` to retain only the per-job maximum seen so far; values
-    /// are clamped to `[0, 1]`.
-    pub trace_retention_percentile: f64,
-    /// Completed tasks a worker must have seen (per job) before the
-    /// percentile rule fires — below this the distribution is noise.
-    pub trace_retention_min_samples: usize,
 }
 
 impl Default for FrameworkConfig {
@@ -116,8 +106,6 @@ impl Default for FrameworkConfig {
             history_depth: acc_telemetry::DEFAULT_DEPTH,
             straggler_k: 4.0,
             straggler_min_samples: 5,
-            trace_retention_percentile: 0.95,
-            trace_retention_min_samples: 8,
         }
     }
 }

@@ -113,6 +113,31 @@ pub(crate) fn monitor_json() -> Json {
     Json::object([("failed_polls", Json::object(failed))])
 }
 
+/// The decision log: every decision that sent a signal, and the last
+/// `depth` per worker that sent none, in the order they were taken — so a
+/// monitor polling at 10 Hz for days holds its adaptation history, not
+/// every idle poll.
+#[derive(Debug)]
+struct DecisionLog {
+    entries: Vec<DecisionLogEntry>,
+    depth: usize,
+}
+
+impl DecisionLog {
+    fn push(&mut self, entry: DecisionLogEntry) {
+        if entry.signal.is_none() {
+            let quiet = |e: &DecisionLogEntry| e.worker == entry.worker && e.signal.is_none();
+            if self.entries.iter().filter(|e| quiet(e)).count() >= self.depth {
+                let Some(oldest) = self.entries.iter().position(quiet) else {
+                    return; // a depth of 0 keeps none
+                };
+                self.entries.remove(oldest);
+            }
+        }
+        self.entries.push(entry);
+    }
+}
+
 struct Watcher {
     stop: Sender<()>,
     thread: std::thread::JoinHandle<()>,
@@ -124,7 +149,7 @@ pub struct MonitoringAgent {
     epoch: Instant,
     engine: Arc<Mutex<InferenceEngine>>,
     rulebase: Arc<RuleBaseServer>,
-    decisions: Arc<Mutex<Vec<DecisionLogEntry>>>,
+    decisions: Mutex<DecisionLog>,
     watchers: Mutex<Vec<Watcher>>,
     // Raw samples go in; effective loads and straggler verdicts come back.
     observer: Arc<ClusterObserver>,
@@ -159,12 +184,16 @@ impl MonitoringAgent {
             RuleMessage::Bye => engine_for_acks.lock().unregister(id),
             _ => {}
         }));
+        let decisions = Mutex::new(DecisionLog {
+            entries: Vec::new(),
+            depth: config.history_depth,
+        });
         Arc::new(MonitoringAgent {
             config,
             epoch,
             engine,
             rulebase,
-            decisions: Arc::new(Mutex::new(Vec::new())),
+            decisions,
             watchers: Mutex::new(Vec::new()),
             observer,
             last_sample_ms: Arc::new(AtomicU64::new(0)),
@@ -203,9 +232,10 @@ impl MonitoringAgent {
         self.engine.lock().state_of(id)
     }
 
-    /// All decisions taken so far.
+    /// The decisions taken so far: every one that sent a signal, and the
+    /// last `history_depth` per worker that sent none.
     pub fn decisions(&self) -> Vec<DecisionLogEntry> {
-        self.decisions.lock().clone()
+        self.decisions.lock().entries.clone()
     }
 
     /// Registers a worker with the inference engine and starts its polling
@@ -318,6 +348,11 @@ mod tests {
     }
 
     fn node_session(node: &Node) -> Session {
+        node_session_counting(node, Arc::default())
+    }
+
+    /// A session to `node`'s agent that counts the polls it answers.
+    fn node_session_counting(node: &Node, polls: Arc<AtomicU64>) -> Session {
         let n1 = node.clone();
         let n2 = node.clone();
         let n3 = node.clone();
@@ -330,6 +365,7 @@ mod tests {
         );
         let load = node.load();
         mib.register_gauge(oids::acc_framework_load(), move || {
+            polls.fetch_add(1, Ordering::Relaxed);
             load.framework_effective()
         });
         let agent = Arc::new(Agent::new("public", mib));
@@ -389,6 +425,44 @@ mod tests {
         let decisions = monitor.decisions();
         assert!(decisions.iter().any(|d| d.signal == Some(Signal::Start)));
         assert!(decisions.iter().any(|d| d.signal == Some(Signal::Stop)));
+    }
+
+    /// Polled far past `history_depth`, the log holds the one signal
+    /// sent (the idle node's `Start`, never acknowledged, so nothing
+    /// follows it) and the last `history_depth` quiet polls, in order.
+    #[test]
+    fn the_decision_log_keeps_signals_and_the_last_quiet_polls() {
+        const DEPTH: usize = 4;
+        let config = FrameworkConfig {
+            poll_interval: Duration::from_millis(1),
+            history_depth: DEPTH,
+            ..FrameworkConfig::default()
+        };
+        let monitor = MonitoringAgent::new(config, Instant::now(), observer());
+        let node = Node::new(NodeSpec::new("w04", 800, 256));
+        let (client, server_side) = duplex_pair();
+        let rb = monitor.rulebase();
+        let reg = std::thread::spawn(move || {
+            client_register(&client, "w04", Duration::from_secs(2)).map(|id| (client, id))
+        });
+        rb.accept(server_side, Duration::from_secs(2)).unwrap();
+        let (_client, id) = reg.join().unwrap().unwrap();
+        let polls = Arc::new(AtomicU64::new(0));
+        monitor.watch(id, "w04", node_session_counting(&node, polls.clone()));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while polls.load(Ordering::Relaxed) < 25 * DEPTH as u64 {
+            assert!(
+                Instant::now() < deadline,
+                "the monitor never polled 100 times"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        monitor.stop();
+        let decisions = monitor.decisions();
+        assert_eq!(decisions.len(), 1 + DEPTH, "{decisions:?}");
+        assert_eq!(decisions[0].signal, Some(Signal::Start));
+        assert!(decisions[1..].iter().all(|d| d.signal.is_none()));
+        assert!(decisions.windows(2).all(|w| w[0].at_ms <= w[1].at_ms));
     }
 
     #[test]

@@ -423,13 +423,12 @@ fn worker_loop(ls: LoopState) {
 /// Tail-based trace retention, decided worker-side, after the task ends,
 /// where the task's flight records live: pin the current trace when the
 /// task errored/retried, or when its compute time exceeds the
-/// configured percentile of the compute times of the tasks this worker
-/// ran before it (the last `history_depth` of them, once there are
-/// `trace_retention_min_samples`) by more than the worker's measured
-/// round trip. A worker runs the tasks of one job, so one window is its
-/// per-job history. Every task is recorded, traced or not: the median of
-/// the latest of them sizes the worker's refills
-/// ([`TraceRetention::median_compute`]).
+/// 95th percentile of the compute times of the tasks this worker ran
+/// before it (the last `history_depth` of them, once there are 8) by
+/// more than the worker's measured round trip. A worker runs the tasks
+/// of one job, so one window is its per-job history. Every task is
+/// recorded, traced or not: the median of the latest of them sizes the
+/// worker's refills ([`TraceRetention::median_compute`]).
 ///
 /// Exceeds, not reaches: on a job of equal-cost tasks — zero-compute ones
 /// above all, whose every sample reads 0 µs — the percentile *is* the
@@ -444,18 +443,21 @@ fn worker_loop(ls: LoopState) {
 #[derive(Debug)]
 pub struct TraceRetention {
     window: acc_telemetry::SortedWindow,
-    min_samples: usize,
-    percentile: f64,
 }
 
+/// The percentile of a worker's compute history that a task must exceed
+/// for its trace to be retained.
+const TRACE_RETENTION_PERCENTILE: f64 = 0.95;
+
+/// Tasks a worker must have seen before the percentile rule fires —
+/// below this the distribution is noise.
+const TRACE_RETENTION_MIN_SAMPLES: usize = 8;
+
 impl TraceRetention {
-    /// Retention under `framework`'s `history_depth`,
-    /// `trace_retention_min_samples` and `trace_retention_percentile`.
+    /// Retention over a window of `framework`'s `history_depth`.
     pub fn new(framework: &FrameworkConfig) -> TraceRetention {
         TraceRetention {
             window: acc_telemetry::SortedWindow::new(framework.history_depth),
-            min_samples: framework.trace_retention_min_samples.max(1),
-            percentile: framework.trace_retention_percentile,
         }
     }
 
@@ -466,8 +468,8 @@ impl TraceRetention {
     /// `rtt_us` is the worker's round trip, its fastest stand-alone
     /// result write, 0 while unmeasured.
     pub fn observe(&mut self, job: &str, compute_us: u64, errored: bool, rtt_us: u64) -> bool {
-        let threshold = (self.window.len() >= self.min_samples)
-            .then(|| self.window.percentile(self.percentile))
+        let threshold = (self.window.len() >= TRACE_RETENTION_MIN_SAMPLES)
+            .then(|| self.window.percentile(TRACE_RETENTION_PERCENTILE))
             .flatten();
         self.window.record(compute_us);
         if !acc_telemetry::flight::installed() {

@@ -16,10 +16,10 @@
 //! failing. Every complete frame before that point is replayed. How much
 //! of the acknowledged tail survives a crash is governed by the
 //! [`SyncPolicy`], which decides which appends make a sync due: every one
-//! (`Always`), every N-th (`EveryN`), one per interval (`IntervalMs`), or
-//! none (`Never`, leaving flushing to the OS). [`Wal::append`] only
-//! reports a due sync; the appender settles it with [`Wal::sync_to`] once
-//! it holds no lock of its own, and one fsync settles every due it covers.
+//! (`Always`), every N-th (`EveryN`), or none (`Never`, leaving flushing
+//! to the OS). [`Wal::append`] only reports a due sync; the appender
+//! settles it with [`Wal::sync_to`] once it holds no lock of its own, and
+//! one fsync settles every due it covers.
 
 #![warn(missing_docs)]
 

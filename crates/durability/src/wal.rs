@@ -41,7 +41,6 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
 use crate::crc::crc32;
 use crate::series::series;
@@ -60,9 +59,6 @@ pub enum SyncPolicy {
     Always,
     /// A sync is due once every N appends.
     EveryN(u32),
-    /// A sync is due when at least this many milliseconds passed since the
-    /// last one fell due, checked on each append.
-    IntervalMs(u64),
     /// Never `fsync`; the OS flushes on its own schedule. A process kill
     /// still loses nothing (appends are direct writes), only a machine
     /// failure can.
@@ -128,7 +124,6 @@ struct Inner {
     next_lsn: u64,
     /// Appends since the policy last made a sync due.
     unsynced: u32,
-    last_due: Instant,
     /// One past the newest LSN the policy made due.
     due_below: u64,
 }
@@ -239,7 +234,6 @@ impl Wal {
                 segment_len: valid_len,
                 next_lsn: start + count,
                 unsynced: 0,
-                last_due: Instant::now(),
                 due_below: 0,
             }),
             sync_lock: Mutex::new(()),
@@ -269,12 +263,10 @@ impl Wal {
         let sync_due = match self.opts.sync {
             SyncPolicy::Always => true,
             SyncPolicy::EveryN(n) => inner.unsynced >= n.max(1),
-            SyncPolicy::IntervalMs(ms) => inner.last_due.elapsed() >= Duration::from_millis(ms),
             SyncPolicy::Never => false,
         };
         if sync_due {
             inner.unsynced = 0;
-            inner.last_due = Instant::now();
             inner.due_below = lsn + 1;
         }
         drop(inner);
@@ -591,7 +583,6 @@ mod tests {
         for (label, sync) in [
             ("always", SyncPolicy::Always),
             ("every", SyncPolicy::EveryN(8)),
-            ("interval", SyncPolicy::IntervalMs(1_000)),
             ("never", SyncPolicy::Never),
         ] {
             let dir = test_dir(label);

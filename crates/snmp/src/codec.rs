@@ -6,8 +6,6 @@
 //! to speak the protocol over a real socket and to exercise malformed-input
 //! handling in tests.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::oid::Oid;
 use crate::pdu::{ErrorStatus, Message, Pdu, PduType, SnmpError, SnmpValue, VERSION_2C};
 
@@ -21,22 +19,21 @@ const TAG_GAUGE: u8 = 0x42;
 const TAG_TIMETICKS: u8 = 0x43;
 const TAG_NO_SUCH_OBJECT: u8 = 0x80;
 
-fn put_length(buf: &mut BytesMut, len: usize) {
+fn put_length(buf: &mut Vec<u8>, len: usize) {
     if len < 0x80 {
-        buf.put_u8(len as u8);
+        buf.push(len as u8);
     } else if len <= 0xFF {
-        buf.put_u8(0x81);
-        buf.put_u8(len as u8);
+        buf.extend_from_slice(&[0x81, len as u8]);
     } else {
-        buf.put_u8(0x82);
-        buf.put_u16(len as u16);
+        buf.push(0x82);
+        buf.extend_from_slice(&(len as u16).to_be_bytes());
     }
 }
 
-fn put_tlv(buf: &mut BytesMut, tag: u8, body: &[u8]) {
-    buf.put_u8(tag);
+fn put_tlv(buf: &mut Vec<u8>, tag: u8, body: &[u8]) {
+    buf.push(tag);
     put_length(buf, body.len());
-    buf.put_slice(body);
+    buf.extend_from_slice(body);
 }
 
 fn encode_i64(v: i64) -> Vec<u8> {
@@ -109,7 +106,7 @@ fn push_base128(out: &mut Vec<u8>, mut v: u32) {
     }
 }
 
-fn encode_value(buf: &mut BytesMut, value: &SnmpValue) {
+fn encode_value(buf: &mut Vec<u8>, value: &SnmpValue) {
     match value {
         SnmpValue::Int(v) => put_tlv(buf, TAG_INTEGER, &encode_i64(*v)),
         SnmpValue::Str(bytes) => put_tlv(buf, TAG_OCTET_STRING, bytes),
@@ -125,15 +122,15 @@ fn encode_value(buf: &mut BytesMut, value: &SnmpValue) {
 /// Encodes a full message to wire bytes.
 pub fn encode_message(msg: &Message) -> Vec<u8> {
     // varbind list
-    let mut vbl = BytesMut::new();
+    let mut vbl = Vec::new();
     for (oid, value) in &msg.pdu.varbinds {
-        let mut vb = BytesMut::new();
+        let mut vb = Vec::new();
         put_tlv(&mut vb, TAG_OID, &encode_oid_body(oid));
         encode_value(&mut vb, value);
         put_tlv(&mut vbl, TAG_SEQUENCE, &vb);
     }
     // pdu body
-    let mut pdu = BytesMut::new();
+    let mut pdu = Vec::new();
     put_tlv(&mut pdu, TAG_INTEGER, &encode_i64(msg.pdu.request_id));
     put_tlv(
         &mut pdu,
@@ -143,35 +140,32 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
     put_tlv(&mut pdu, TAG_INTEGER, &encode_i64(msg.pdu.error_index));
     put_tlv(&mut pdu, TAG_SEQUENCE, &vbl);
     // message
-    let mut body = BytesMut::new();
+    let mut body = Vec::new();
     put_tlv(&mut body, TAG_INTEGER, &encode_i64(VERSION_2C as i64));
     put_tlv(&mut body, TAG_OCTET_STRING, msg.community.as_bytes());
     put_tlv(&mut body, msg.pdu_type.tag(), &pdu);
-    let mut out = BytesMut::new();
+    let mut out = Vec::new();
     put_tlv(&mut out, TAG_SEQUENCE, &body);
-    out.to_vec()
+    out
 }
 
-struct Reader {
-    buf: Bytes,
+/// A cursor over one TLV body: each read consumes from the front.
+struct Reader<'a> {
+    buf: &'a [u8],
 }
 
-impl Reader {
-    fn new(bytes: &[u8]) -> Reader {
-        Reader {
-            buf: Bytes::copy_from_slice(bytes),
-        }
-    }
-
+impl<'a> Reader<'a> {
     fn err<T>(&self, what: &str) -> Result<T, SnmpError> {
         Err(SnmpError::Decode(what.to_owned()))
     }
 
     fn get_u8(&mut self) -> Result<u8, SnmpError> {
-        if self.buf.remaining() < 1 {
-            return self.err("truncated");
-        }
-        Ok(self.buf.get_u8())
+        let (&first, rest) = self
+            .buf
+            .split_first()
+            .ok_or_else(|| SnmpError::Decode("truncated".into()))?;
+        self.buf = rest;
+        Ok(first)
     }
 
     fn get_length(&mut self) -> Result<usize, SnmpError> {
@@ -190,16 +184,18 @@ impl Reader {
         }
     }
 
-    fn get_tlv(&mut self) -> Result<(u8, Bytes), SnmpError> {
+    fn get_tlv(&mut self) -> Result<(u8, &'a [u8]), SnmpError> {
         let tag = self.get_u8()?;
         let len = self.get_length()?;
-        if self.buf.remaining() < len {
+        if self.buf.len() < len {
             return self.err("TLV body truncated");
         }
-        Ok((tag, self.buf.split_to(len)))
+        let (body, rest) = self.buf.split_at(len);
+        self.buf = rest;
+        Ok((tag, body))
     }
 
-    fn expect_tlv(&mut self, want: u8, what: &str) -> Result<Bytes, SnmpError> {
+    fn expect_tlv(&mut self, want: u8, what: &str) -> Result<&'a [u8], SnmpError> {
         let (tag, body) = self.get_tlv()?;
         if tag != want {
             return Err(SnmpError::Decode(format!(
@@ -210,7 +206,7 @@ impl Reader {
     }
 
     fn done(&self) -> bool {
-        self.buf.remaining() == 0
+        self.buf.is_empty()
     }
 }
 
@@ -280,13 +276,13 @@ fn decode_value(tag: u8, body: &[u8]) -> Result<SnmpValue, SnmpError> {
 
 /// Decodes a full message from wire bytes.
 pub fn decode_message(bytes: &[u8]) -> Result<Message, SnmpError> {
-    let mut outer = Reader::new(bytes);
+    let mut outer = Reader { buf: bytes };
     let body = outer.expect_tlv(TAG_SEQUENCE, "message sequence")?;
     if !outer.done() {
         return Err(SnmpError::Decode("trailing bytes after message".into()));
     }
     let mut r = Reader { buf: body };
-    let version = decode_i64(&r.expect_tlv(TAG_INTEGER, "version")?)?;
+    let version = decode_i64(r.expect_tlv(TAG_INTEGER, "version")?)?;
     if version != VERSION_2C as i64 {
         return Err(SnmpError::Decode(format!("version {version}")));
     }
@@ -296,20 +292,20 @@ pub fn decode_message(bytes: &[u8]) -> Result<Message, SnmpError> {
     let (pdu_tag, pdu_body) = r.get_tlv()?;
     let pdu_type = PduType::from_tag(pdu_tag).ok_or_else(|| SnmpError::Decode("pdu tag".into()))?;
     let mut p = Reader { buf: pdu_body };
-    let request_id = decode_i64(&p.expect_tlv(TAG_INTEGER, "request id")?)?;
-    let error_code = decode_i64(&p.expect_tlv(TAG_INTEGER, "error status")?)?;
+    let request_id = decode_i64(p.expect_tlv(TAG_INTEGER, "request id")?)?;
+    let error_code = decode_i64(p.expect_tlv(TAG_INTEGER, "error status")?)?;
     let error_status =
         ErrorStatus::from_code(error_code).ok_or_else(|| SnmpError::Decode("error code".into()))?;
-    let error_index = decode_i64(&p.expect_tlv(TAG_INTEGER, "error index")?)?;
+    let error_index = decode_i64(p.expect_tlv(TAG_INTEGER, "error index")?)?;
     let vbl = p.expect_tlv(TAG_SEQUENCE, "varbind list")?;
     let mut varbinds = Vec::new();
     let mut v = Reader { buf: vbl };
     while !v.done() {
         let vb = v.expect_tlv(TAG_SEQUENCE, "varbind")?;
         let mut b = Reader { buf: vb };
-        let oid = decode_oid_body(&b.expect_tlv(TAG_OID, "varbind oid")?)?;
+        let oid = decode_oid_body(b.expect_tlv(TAG_OID, "varbind oid")?)?;
         let (tag, val_body) = b.get_tlv()?;
-        varbinds.push((oid, decode_value(tag, &val_body)?));
+        varbinds.push((oid, decode_value(tag, val_body)?));
     }
     Ok(Message {
         community,
@@ -461,28 +457,28 @@ mod tests {
     /// encoder never does: a foreign version, a retired PDU tag, a retired
     /// value tag.
     fn frame(version: i64, pdu_tag: u8, value_tag: u8) -> Vec<u8> {
-        let mut vb = BytesMut::new();
+        let mut vb = Vec::new();
         put_tlv(
             &mut vb,
             TAG_OID,
             &encode_oid_body(&Oid::parse("1.3.6").unwrap()),
         );
         put_tlv(&mut vb, value_tag, &[]);
-        let mut vbl = BytesMut::new();
+        let mut vbl = Vec::new();
         put_tlv(&mut vbl, TAG_SEQUENCE, &vb);
-        let mut pdu = BytesMut::new();
+        let mut pdu = Vec::new();
         // Request id, error status, error index.
         for field in [1, 0, 0] {
             put_tlv(&mut pdu, TAG_INTEGER, &encode_i64(field));
         }
         put_tlv(&mut pdu, TAG_SEQUENCE, &vbl);
-        let mut body = BytesMut::new();
+        let mut body = Vec::new();
         put_tlv(&mut body, TAG_INTEGER, &encode_i64(version));
         put_tlv(&mut body, TAG_OCTET_STRING, b"public");
         put_tlv(&mut body, pdu_tag, &pdu);
-        let mut out = BytesMut::new();
+        let mut out = Vec::new();
         put_tlv(&mut out, TAG_SEQUENCE, &body);
-        out.to_vec()
+        out
     }
 
     #[test]

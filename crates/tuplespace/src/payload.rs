@@ -2,15 +2,16 @@
 //!
 //! JavaSpaces requires entries crossing the space to be serializable; the
 //! Rust analogue is the [`Payload`] trait, a small hand-rolled binary codec
-//! over [`bytes`]. Application task bodies implement `Payload` and travel
-//! through the space as `Value::Bytes` fields, so the space itself stays
-//! application-agnostic — the separation of concerns §3 of the paper credits
-//! to JavaSpaces.
+//! that writes into a `Vec<u8>` and reads from a shared [`Bytes`] frame.
+//! Application task bodies implement `Payload` and travel through the
+//! space as `Value::Bytes` fields, so the space itself stays
+//! application-agnostic — the separation of concerns §3 of the paper
+//! credits to JavaSpaces.
 //!
 //! All integers are little-endian. Strings and byte blobs are length-prefixed
 //! with a `u32`.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use std::fmt;
 use std::sync::Arc;
 
@@ -159,10 +160,10 @@ impl NameInterner {
     }
 }
 
-/// Append-only encoder.
+/// Append-only encoder into a `Vec<u8>`.
 #[derive(Debug, Default)]
 pub struct WireWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl WireWriter {
@@ -174,18 +175,18 @@ impl WireWriter {
     /// Creates an empty writer with pre-allocated capacity.
     pub fn with_capacity(cap: usize) -> Self {
         Self {
-            buf: BytesMut::with_capacity(cap),
+            buf: Vec::with_capacity(cap),
         }
     }
 
-    /// Finishes and returns the encoded bytes.
+    /// Finishes and returns the encoded bytes as a shared buffer.
     pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+        Bytes::from(self.buf)
     }
 
     /// Finishes and returns the backing vector without copying.
     pub fn into_vec(self) -> Vec<u8> {
-        self.buf.into_vec()
+        self.buf
     }
 
     /// The bytes written so far, borrowed.
@@ -222,44 +223,43 @@ impl WireWriter {
 
     /// Appends a `u8`.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Appends a `u32`.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u64`.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends an `i64`.
     pub fn put_i64(&mut self, v: i64) {
-        self.buf.put_i64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends an `f64`.
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.put_f64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a bool as one byte.
     pub fn put_bool(&mut self, v: bool) {
-        self.buf.put_u8(v as u8);
+        self.buf.push(v as u8);
     }
 
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, v: &str) {
-        self.put_u32(v.len() as u32);
-        self.buf.put_slice(v.as_bytes());
+        self.put_blob(v.as_bytes());
     }
 
     /// Appends a length-prefixed byte blob.
     pub fn put_blob(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     /// Appends a length-prefixed `f64` slice.
@@ -289,7 +289,7 @@ impl WireWriter {
     }
 }
 
-/// Consuming decoder over a byte buffer.
+/// Consuming decoder over a byte buffer: the buffer and a read position.
 ///
 /// The buffer is a ref-counted [`Bytes`], so decoding can hand out
 /// zero-copy views of it ([`WireReader::get_bytes`]) that stay valid as
@@ -299,6 +299,8 @@ impl WireWriter {
 #[derive(Debug)]
 pub struct WireReader {
     buf: Bytes,
+    /// Bytes of `buf` consumed so far.
+    pos: usize,
     interner: NameInterner,
 }
 
@@ -311,7 +313,11 @@ impl WireReader {
     /// Wraps a buffer for decoding with a shape cache attached; recover it
     /// with [`WireReader::into_interner`] when done.
     pub fn with_interner(buf: Bytes, interner: NameInterner) -> Self {
-        Self { buf, interner }
+        Self {
+            buf,
+            pos: 0,
+            interner,
+        }
     }
 
     /// Takes back the shape cache.
@@ -324,12 +330,17 @@ impl WireReader {
         &mut self.interner
     }
 
+    /// The bytes not yet consumed.
+    fn rest(&self) -> &[u8] {
+        &self.buf[self.pos..]
+    }
+
     /// The length-prefixed bytes at the read position, not consumed.
     fn peek_prefixed(&self) -> Result<&[u8], PayloadError> {
         self.need(4)?;
-        let len = u32::from_le_bytes(self.buf[..4].try_into().expect("four bytes")) as usize;
+        let len = u32::from_le_bytes(self.rest()[..4].try_into().expect("four bytes")) as usize;
         self.need(4 + len)?;
-        Ok(&self.buf[4..4 + len])
+        Ok(&self.rest()[4..4 + len])
     }
 
     /// If the length-prefixed name at the read position is `name`'s bytes,
@@ -337,7 +348,7 @@ impl WireReader {
     pub(crate) fn skip_name_if(&mut self, name: &str) -> Result<bool, PayloadError> {
         let same = self.peek_prefixed()? == name.as_bytes();
         if same {
-            self.buf.advance(4 + name.len());
+            self.pos += 4 + name.len();
         }
         Ok(same)
     }
@@ -354,55 +365,62 @@ impl WireReader {
         if !typed {
             return Ok(self.interner.find(kind, b"").cloned());
         }
-        let len = self.peek_prefixed()?.len();
-        let hit = self.interner.find(kind, &self.buf[4..4 + len]).cloned();
+        let name = self.peek_prefixed()?;
+        let hit = self.interner.find(kind, name).cloned();
         if let Some(shape) = &hit {
-            self.buf.advance(4 + shape.type_name().len());
+            self.pos += 4 + shape.type_name().len();
         }
         Ok(hit)
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.remaining()
+        self.buf.len() - self.pos
     }
 
     fn need(&self, n: usize) -> Result<(), PayloadError> {
-        if self.buf.remaining() < n {
+        if self.remaining() < n {
             Err(PayloadError::Truncated)
         } else {
             Ok(())
         }
     }
 
+    /// Consumes the next `n` bytes.
+    fn take(&mut self, n: usize) -> Result<&[u8], PayloadError> {
+        self.need(n)?;
+        self.pos += n;
+        Ok(&self.buf[self.pos - n..self.pos])
+    }
+
+    /// Consumes the next `N` bytes as an array.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], PayloadError> {
+        Ok(self.take(N)?.try_into().expect("N bytes"))
+    }
+
     /// Reads a `u8`.
     pub fn get_u8(&mut self) -> Result<u8, PayloadError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
+        Ok(self.take_array::<1>()?[0])
     }
 
     /// Reads a `u32`.
     pub fn get_u32(&mut self) -> Result<u32, PayloadError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a `u64`.
     pub fn get_u64(&mut self) -> Result<u64, PayloadError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     /// Reads an `i64`.
     pub fn get_i64(&mut self) -> Result<i64, PayloadError> {
-        self.need(8)?;
-        Ok(self.buf.get_i64_le())
+        Ok(i64::from_le_bytes(self.take_array()?))
     }
 
     /// Reads an `f64`.
     pub fn get_f64(&mut self) -> Result<f64, PayloadError> {
-        self.need(8)?;
-        Ok(self.buf.get_f64_le())
+        Ok(f64::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a bool; only 0 and 1 are legal encodings.
@@ -416,17 +434,14 @@ impl WireReader {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, PayloadError> {
-        let len = self.get_u32()? as usize;
-        self.need(len)?;
-        let raw = self.buf.split_to(len);
-        String::from_utf8(raw.to_vec()).map_err(|_| PayloadError::Corrupt("utf8"))
+        let raw = self.get_blob()?;
+        String::from_utf8(raw).map_err(|_| PayloadError::Corrupt("utf8"))
     }
 
     /// Reads a length-prefixed byte blob into a fresh vector.
     pub fn get_blob(&mut self) -> Result<Vec<u8>, PayloadError> {
         let len = self.get_u32()? as usize;
-        self.need(len)?;
-        Ok(self.buf.split_to(len).to_vec())
+        Ok(self.take(len)?.to_vec())
     }
 
     /// Reads a length-prefixed byte blob as a zero-copy view of the
@@ -435,29 +450,32 @@ impl WireReader {
     pub fn get_bytes(&mut self) -> Result<Bytes, PayloadError> {
         let len = self.get_u32()? as usize;
         self.need(len)?;
-        Ok(self.buf.split_to(len))
+        self.pos += len;
+        Ok(self.buf.slice(self.pos - len..self.pos))
     }
 
     /// Reads a length-prefixed `f64` vector.
     pub fn get_f64_vec(&mut self) -> Result<Vec<f64>, PayloadError> {
-        let len = self.get_u32()? as usize;
-        self.need(len.checked_mul(8).ok_or(PayloadError::Corrupt("length"))?)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.buf.get_f64_le());
-        }
-        Ok(out)
+        let raw = self.take_prefixed_array::<8>()?;
+        Ok(raw
+            .chunks_exact(8)
+            .map(|x| f64::from_le_bytes(x.try_into().expect("8 bytes")))
+            .collect())
     }
 
     /// Reads a length-prefixed `u32` vector.
     pub fn get_u32_vec(&mut self) -> Result<Vec<u32>, PayloadError> {
+        let raw = self.take_prefixed_array::<4>()?;
+        Ok(raw
+            .chunks_exact(4)
+            .map(|x| u32::from_le_bytes(x.try_into().expect("4 bytes")))
+            .collect())
+    }
+
+    /// Consumes a `u32` element count and that many `N`-byte elements.
+    fn take_prefixed_array<const N: usize>(&mut self) -> Result<&[u8], PayloadError> {
         let len = self.get_u32()? as usize;
-        self.need(len.checked_mul(4).ok_or(PayloadError::Corrupt("length"))?)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.buf.get_u32_le());
-        }
-        Ok(out)
+        self.take(len.checked_mul(N).ok_or(PayloadError::Corrupt("length"))?)
     }
 }
 
@@ -582,7 +600,7 @@ mod tests {
 
     #[test]
     fn bad_bool_tag_rejected() {
-        let mut r = WireReader::new(Bytes::from_static(&[2]));
+        let mut r = WireReader::new(Bytes::copy_from_slice(&[2]));
         assert_eq!(r.get_bool(), Err(PayloadError::Corrupt("bool tag")));
     }
 

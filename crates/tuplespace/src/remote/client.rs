@@ -31,10 +31,9 @@ const BATCH_FRAME_BUDGET: usize = MAX_FRAME / 4;
 const BATCH_MAX_TUPLES: usize = 4096;
 
 /// The client's per-connection state: the socket plus the reusable
-/// buffers that make the wire path allocation-free in steady state — an
-/// encode buffer, a read buffer with its recycled frame, and the decode
-/// name cache. All live under the one connection mutex, so none need
-/// their own.
+/// buffers the wire path reuses — an encode buffer, a read buffer, and
+/// the decode name cache. All live under the one connection mutex, so
+/// none need their own.
 #[derive(Debug)]
 struct Conn {
     stream: TcpStream,
@@ -78,11 +77,7 @@ impl Conn {
         let mut responses = Vec::with_capacity(n);
         for i in 0..n {
             let frame = self.reader.read_frame(&mut self.stream).map_err(io_error)?;
-            let decoded = proto::decode::<Response>(frame.clone(), &mut self.interner);
-            // Opportunistic: reclaims the buffer unless the response
-            // borrowed it (a tuple payload holding a `Bytes` view).
-            self.reader.recycle(frame);
-            let response = decoded?;
+            let response = proto::decode::<Response>(frame, &mut self.interner)?;
             let expected = first.wrapping_add(i as u32);
             if response.seq != expected {
                 return Err(SpaceError::Protocol(format!(

@@ -17,7 +17,7 @@
 //!
 //! * `proto` owns the frame — `len | version | flags | seq | [trace
 //!   context] | op tag | body` — the request/response codecs, the error
-//!   code table and the pooled frame I/O. Nothing outside it knows the
+//!   code table and the buffered frame I/O. Nothing outside it knows the
 //!   layout.
 //! * `server` accepts connections and serves every frame inline on the
 //!   connection's thread, in arrival order, echoing the request's `seq`.
@@ -52,18 +52,15 @@ pub use client::{Pending, RemoteSpace};
 pub use server::{ServerOptions, SpaceServer};
 
 /// Wire-path series: the error path (reconnects, restored tuples) and the
-/// zero-copy path's health — bytes moved, and how often a connection's
-/// frame buffer was reused instead of allocated.
+/// traffic — bytes moved and frames read.
 struct NetSeries {
     reconnects: Arc<acc_telemetry::Counter>,
     tuples_restored: Arc<acc_telemetry::Counter>,
     /// Total frame bytes moved (length prefixes + frames, both directions).
     frame_bytes: Arc<acc_telemetry::Counter>,
-    /// Frame reads served from a recycled per-connection buffer…
-    buffer_reuse_hits: Arc<acc_telemetry::Counter>,
-    /// …vs. reads that had to allocate (first read, or the previous frame
-    /// is still pinned by decoded values borrowing it).
-    buffer_reuse_misses: Arc<acc_telemetry::Counter>,
+    /// Frames read, each into its own allocation (the series keeps the
+    /// name it had when a per-connection pool served some reads).
+    frames_read: Arc<acc_telemetry::Counter>,
 }
 
 fn net_series() -> &'static NetSeries {
@@ -74,8 +71,7 @@ fn net_series() -> &'static NetSeries {
             reconnects: r.counter("remote.reconnects"),
             tuples_restored: r.counter("server.tuples_restored"),
             frame_bytes: r.counter("remote.frame_bytes"),
-            buffer_reuse_hits: r.counter("remote.buffer_reuse_hits"),
-            buffer_reuse_misses: r.counter("remote.buffer_reuse_misses"),
+            frames_read: r.counter("remote.buffer_reuse_misses"),
         }
     })
 }

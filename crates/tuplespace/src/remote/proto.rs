@@ -20,6 +20,7 @@
 //! malformed frame is rejected.
 
 use std::io::{Read, Write};
+use std::sync::Arc;
 use std::time::Duration;
 
 use acc_telemetry::TraceContext;
@@ -391,9 +392,9 @@ fn invalid_data(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
-/// How often (in frames) a connection's buffers decay toward the largest
-/// frame recently seen, so one huge batch frame does not pin megabytes for
-/// the life of the connection.
+/// How often (in flushes) a connection's encode buffer decays toward the
+/// largest batch recently sent, so one huge batch frame does not pin
+/// megabytes for the life of the connection.
 const DECAY_INTERVAL: u32 = 64;
 /// Never decay below this; tiny control frames shouldn't thrash.
 const MIN_CAPACITY: usize = 4 << 10;
@@ -428,21 +429,17 @@ fn read_some(stream: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
 
 /// A connection's read half: one [`READ_BUFFER`] that every `recv` fills
 /// with whatever the peer has written — several frames, when it
-/// pipelined — plus the recycled per-frame allocation.
+/// pipelined.
 ///
-/// Each frame is handed out as its own ref-counted [`Bytes`] so decoded
-/// values can borrow it; once every borrower is gone,
-/// [`FrameReader::recycle`] reclaims the allocation for the next frame.
+/// Each frame is handed out as its own exactly sized [`Bytes`], one
+/// allocation, so decoded values can borrow it for as long as they live
+/// without pinning the read buffer.
 #[derive(Debug)]
 pub(super) struct FrameReader {
     buf: Box<[u8]>,
     /// `buf[start..end]` is received and not yet handed out.
     start: usize,
     end: usize,
-    spare: Option<Vec<u8>>,
-    /// Largest frame seen since the last decay window closed.
-    seen_max: usize,
-    recycles: u32,
 }
 
 impl Default for FrameReader {
@@ -451,9 +448,6 @@ impl Default for FrameReader {
             buf: vec![0; READ_BUFFER].into_boxed_slice(),
             start: 0,
             end: 0,
-            spare: None,
-            seen_max: 0,
-            recycles: 0,
         }
     }
 }
@@ -484,29 +478,18 @@ impl FrameReader {
             )));
         }
         self.start += 4;
-        let net = net_series();
-        let mut body = match self.spare.take() {
-            Some(buf) => {
-                net.buffer_reuse_hits.inc();
-                buf
-            }
-            None => {
-                net.buffer_reuse_misses.inc();
-                Vec::new()
-            }
-        };
         let buffered = len.min(self.end - self.start);
-        body.reserve(len);
-        body.extend_from_slice(&self.buf[self.start..self.start + buffered]);
+        let mut body = frame_body(&self.buf[self.start..self.start + buffered], len);
         self.start += buffered;
         if buffered < len {
             // The rest of a frame larger than what one `recv` brought
             // goes straight into the frame's own allocation.
-            body.resize(len, 0);
-            stream.read_exact(&mut body[buffered..])?;
+            let unshared = Arc::get_mut(&mut body).expect("a fresh frame is unshared");
+            stream.read_exact(&mut unshared[buffered..])?;
         }
+        let net = net_series();
+        net.frames_read.inc();
         net.frame_bytes.add((len + 4) as u64);
-        self.seen_max = self.seen_max.max(len);
         Ok(Bytes::from(body))
     }
 
@@ -522,39 +505,34 @@ impl FrameReader {
     pub(super) fn discard_buffered(&mut self) {
         (self.start, self.end) = (0, 0);
     }
+}
 
-    /// Hands a frame's allocation back for reuse. A frame still borrowed
-    /// by decoded values (e.g. a written tuple's `Bytes` field now living
-    /// in the space) is simply dropped later with its last borrower —
-    /// callers recycle opportunistically and never wait.
-    pub(super) fn recycle(&mut self, frame: Bytes) {
-        let Ok(mut buf) = frame.try_reclaim() else {
-            return;
-        };
-        buf.clear();
-        self.recycles += 1;
-        if self.recycles % DECAY_INTERVAL == 0 {
-            let target = self.seen_max.max(MIN_CAPACITY);
-            if buf.capacity() > target * 2 {
-                buf.shrink_to(target);
-            }
-            self.seen_max = 0;
-        }
-        // Keep the larger of the spare and the incoming buffer.
-        if self
-            .spare
-            .as_ref()
-            .is_none_or(|s| s.capacity() < buf.capacity())
-        {
-            self.spare = Some(buf);
-        }
+/// A frame's allocation, `len` bytes: `head` (what the read buffer
+/// already holds) copied in, and the rest zeroed for the socket to
+/// overwrite. Only that tail is ever zeroed.
+fn frame_body(head: &[u8], len: usize) -> Arc<[u8]> {
+    assert!(head.len() <= len, "a frame's head is part of it");
+    let mut body = Arc::<[u8]>::new_uninit_slice(len);
+    let dst = Arc::get_mut(&mut body)
+        .expect("a fresh allocation is unshared")
+        .as_mut_ptr()
+        .cast::<u8>();
+    // SAFETY: `dst` points to `len` writable bytes of a fresh allocation
+    // that nothing else can see, and `head` (at most `len` bytes, checked
+    // above) cannot overlap it. The copy writes the first `head.len()`
+    // bytes and `write_bytes` the rest, so all `len` are initialised
+    // before `assume_init`.
+    unsafe {
+        std::ptr::copy_nonoverlapping(head.as_ptr(), dst, head.len());
+        dst.add(head.len()).write_bytes(0, len - head.len());
+        body.assume_init()
     }
 }
 
 /// A connection's write half: frames are encoded back to back into one
 /// reusable buffer ([`FrameEncoder::push`]) and leave in one write
 /// ([`FrameEncoder::flush`]), so an exchange of *n* frames costs one
-/// `send`. The buffer decays like [`FrameReader`]'s spare.
+/// `send`. The buffer decays toward the largest batch recently sent.
 #[derive(Debug, Default)]
 pub(super) struct FrameEncoder {
     w: WireWriter,

@@ -224,7 +224,7 @@ fn serve_connection(space: &Arc<Space>, mut stream: TcpStream) {
     let mut interner = NameInterner::new();
     let mut unacked: Vec<Response> = Vec::new();
     while let Ok(frame) = frames.read_frame(&mut stream) {
-        let request = match proto::decode::<Request>(frame.clone(), &mut interner) {
+        let request = match proto::decode::<Request>(frame, &mut interner) {
             Ok(request) => request,
             Err(e) => {
                 // Say why before hanging up: a peer of another wire
@@ -245,9 +245,6 @@ fn serve_connection(space: &Arc<Space>, mut stream: TcpStream) {
         if destructive {
             unacked.push(response);
         }
-        // Reused for the next read unless what was served kept a view of
-        // it (a written tuple's blob now living in the space).
-        frames.recycle(frame);
         if frames.has_buffered() && enc.pending() < COALESCE_LIMIT {
             continue;
         }

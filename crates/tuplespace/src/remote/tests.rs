@@ -899,7 +899,7 @@ fn frames_written_in_one_call_are_read_in_one_call() {
 }
 
 #[test]
-fn a_frame_larger_than_the_read_buffer_lands_in_its_own_reclaimable_allocation() {
+fn a_frame_larger_than_the_read_buffer_lands_in_its_own_allocation() {
     // `raytrace_job`'s shape: a 45 KB strip in one result tuple.
     let strip: Vec<u8> = (0..45_000u32).map(|i| (i % 251) as u8).collect();
     assert!(strip.len() > READ_BUFFER);
@@ -922,15 +922,11 @@ fn a_frame_larger_than_the_read_buffer_lands_in_its_own_reclaimable_allocation()
     };
     let pixels = written.get_bytes("pixels").expect("a bytes field");
     assert_eq!(pixels, &strip[..]);
-    // The field is a view into the frame, not a copy of it, so the frame
-    // cannot be reused while the tuple lives, and can once it is gone:
-    // its allocation is the frame's own, not the read buffer.
+    // The field is a view into the frame, not a copy of it, and the
+    // frame is exactly its own length, not the read buffer.
     let pixels_at = pixels.as_ptr();
     assert!(frame.as_ptr_range().contains(&pixels_at));
-    let frame = frame.try_reclaim().expect_err("the tuple still borrows it");
-    drop(written);
-    let reclaimed = frame.try_reclaim().expect("last view gone");
-    assert!(reclaimed.capacity() >= strip.len());
+    assert_eq!(frame.len() + 4, raw_frame(0, None, &op).len());
     // The frame behind it is intact.
     let next = reader.read_frame(&mut stream).unwrap();
     let decoded: Frame<Request> = proto::decode(next, &mut NameInterner::new()).unwrap();
@@ -1144,8 +1140,7 @@ fn remote_refill_pair_writes_then_takes_in_one_exchange() {
     let t = Template::of_type("t");
     let result = |id: i64| Tuple::build("r").field("id", id).done();
     Space::write_all(&space, (0..6).map(tuple).collect()).unwrap();
-    let frames_before =
-        super::net_series().buffer_reuse_hits.get() + super::net_series().buffer_reuse_misses.get();
+    let frames_before = super::net_series().frames_read.get();
     let (written, taken) =
         remote.write_all_then_take_up_to((0..4).map(result).collect(), &t, 4, Some(Duration::ZERO));
     assert_eq!(written.unwrap().len(), 4);
@@ -1164,9 +1159,7 @@ fn remote_refill_pair_writes_then_takes_in_one_exchange() {
     assert_eq!(Space::count(&space, &Template::of_type("r")), 5);
     // Other tests share the frame counters, so only a floor holds: two
     // frames each way for the first pair, one and two for the others.
-    let frames = super::net_series().buffer_reuse_hits.get()
-        + super::net_series().buffer_reuse_misses.get()
-        - frames_before;
+    let frames = super::net_series().frames_read.get() - frames_before;
     assert!(frames >= 10, "frames {frames}");
     // A closed space fails both halves, each with its own answer.
     remote.close();
@@ -1385,8 +1378,7 @@ mod codec_props {
             let mut interner = NameInterner::new();
             for frame in &frames {
                 let read = reader.read_frame(&mut stream).unwrap();
-                prop_assert_eq!(&proto::decode::<Request>(read.clone(), &mut interner).unwrap(), frame);
-                reader.recycle(read);
+                prop_assert_eq!(&proto::decode::<Request>(read, &mut interner).unwrap(), frame);
             }
             prop_assert!(!reader.has_buffered());
             let end = reader.read_frame(&mut stream).unwrap_err();

@@ -34,7 +34,7 @@ fn encode_snapshot_body(next_id: u64, entries: &SnapshotEntries) -> Vec<u8> {
         put_deadline(&mut w, *deadline_ms);
         tuple.encode(&mut w);
     }
-    w.finish().to_vec()
+    w.into_vec()
 }
 
 fn decode_snapshot_body(body: &[u8]) -> Result<(u64, SnapshotEntries), PayloadError> {

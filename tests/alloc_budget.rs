@@ -1,10 +1,10 @@
 //! Hard allocation budgets for the wire path's and the trace path's hot
 //! operations.
 //!
-//! The zero-copy decode work (borrowed `Bytes` frames, name interning,
-//! pooled buffers) and the flight recorder's in-place records are only
-//! real if they stay real: this binary installs a counting global
-//! allocator and gates the per-operation allocation counts. CI runs it
+//! The zero-copy decode work (borrowed `Bytes` frames, name interning)
+//! and the flight recorder's in-place records are only real if they stay
+//! real: this binary installs a counting global allocator and gates the
+//! per-operation allocation counts. CI runs it
 //! as a hard gate — a regression that quietly reintroduces per-field
 //! copies, or a `Vec` per trace record, fails the build, not a
 //! dashboard.
@@ -268,9 +268,10 @@ fn wire_path_allocation_budgets() {
     // --- Gate 5: framework tuples, traced -------------------------------
     // Type and field names live in static shapes, so what is left is the
     // tuple's own storage: the value array, the job/worker strings, and
-    // the payload/timing/trace-context blobs (a buffer and its ref-count
-    // each). `into_tuple` moves the strings and the payload buffer in;
-    // `to_tuple` copies them first.
+    // the payload/timing/trace-context blobs (one shared allocation each,
+    // plus the `Vec` the timing is encoded into). `into_tuple` moves the
+    // strings in and the payload into its blob; `to_tuple` copies them
+    // first.
     let task = TaskEntry::new("alloc-budget", 7, vec![0xA5; 64]);
     let result = ResultEntry {
         job: "alloc-budget".into(),
@@ -322,20 +323,20 @@ fn wire_path_allocation_budgets() {
     assert_eq!(TaskEntry::from_tuple(&task_tuple), Some(task));
     assert_eq!(ResultEntry::from_tuple(&result_tuple), Some(result));
     assert!(
-        task_moves <= 4 * ROUNDS,
-        "TaskEntry::into_tuple exceeded 4 allocs/op: {task_moves} over {ROUNDS} rounds"
+        task_moves <= 3 * ROUNDS,
+        "TaskEntry::into_tuple exceeded 3 allocs/op: {task_moves} over {ROUNDS} rounds"
     );
     assert!(
-        result_moves <= 6 * ROUNDS,
-        "ResultEntry::into_tuple exceeded 6 allocs/op: {result_moves} over {ROUNDS} rounds"
+        result_moves <= 5 * ROUNDS,
+        "ResultEntry::into_tuple exceeded 5 allocs/op: {result_moves} over {ROUNDS} rounds"
     );
     assert!(
-        task_allocs <= 6 * ROUNDS,
-        "TaskEntry::to_tuple exceeded 6 allocs/op: {task_allocs} over {ROUNDS} rounds"
+        task_allocs <= 5 * ROUNDS,
+        "TaskEntry::to_tuple exceeded 5 allocs/op: {task_allocs} over {ROUNDS} rounds"
     );
     assert!(
-        result_allocs <= 9 * ROUNDS,
-        "ResultEntry::to_tuple exceeded 9 allocs/op: {result_allocs} over {ROUNDS} rounds"
+        result_allocs <= 8 * ROUNDS,
+        "ResultEntry::to_tuple exceeded 8 allocs/op: {result_allocs} over {ROUNDS} rounds"
     );
     flight::uninstall();
 }

@@ -45,7 +45,6 @@ const AUDIT: &[(&str, Reader)] = &[
         "process.uptime_seconds",
         Kept("scrapers detect restarts by it"),
     ),
-    ("remote.buffer_reuse_hits", Layers),
     ("remote.buffer_reuse_misses", Layers),
     ("remote.frame_bytes", Layers),
     ("remote.reconnects", Layers),
