@@ -89,7 +89,7 @@ fn main() {
 
     // Worker-side refill: write a batch's four results and take the next
     // four tasks — `write_all` then `take_up_to` (two round trips), or
-    // `write_all_then_take_up_to` (one exchange). Seeding and cleanup are
+    // the bare `begin_refill` pair (one exchange). Seeding and cleanup are
     // local.
     for (label, paired) in [
         ("remote/refill/two_calls", false),
@@ -101,7 +101,8 @@ fn main() {
             let out: Vec<Tuple> = (0..REFILL as i64).map(|i| tuple("acc.result", i)).collect();
             let zero = Some(Duration::ZERO);
             let taken = if paired {
-                let (written, taken) = remote.write_all_then_take_up_to(out, &tasks, REFILL, zero);
+                let pair = remote.begin_refill(out, &tasks, REFILL, zero);
+                let (written, taken) = pair.finish().unwrap();
                 written.unwrap();
                 taken.unwrap()
             } else {

@@ -34,8 +34,8 @@
 //! The refill arm times a worker's refill on a 4-shard grid — results
 //! out, tasks in — as the grid sends it (one pipelined pair on the
 //! client's home shard, the other shards asked only when the home runs
-//! short) against `write_all_then_take_up_to_in_sequence` on the same
-//! grid (the write fan-out, then the take fan-out) as its control.
+//! short) against `write_all` then `take_up_to` on the same grid (the
+//! write fan-out, then the take fan-out) as its control.
 //!
 //! Every ratio is taken between arms that alternate in one loop — the
 //! scaling arms shard count by shard count within each pass, the
@@ -56,8 +56,7 @@ use acc_durability::{SyncPolicy, WalOptions};
 use acc_spacegrid::PartitionedSpace;
 use acc_telemetry::Json;
 use acc_tuplespace::{
-    write_all_then_take_up_to_in_sequence, RemoteSpace, Space, SpaceHandle, SpaceServer, Template,
-    Tuple, TupleStore,
+    Batch, BatchTxn, RemoteSpace, Space, SpaceHandle, SpaceServer, Template, Tuple, TupleStore,
 };
 
 const WRITERS: usize = 16;
@@ -285,13 +284,19 @@ fn refill_cycle_ns(grid: &PartitionedSpace, paired: bool) -> f64 {
             })
             .collect();
         let zero = Some(Duration::ZERO);
-        let (written, taken) = if paired {
-            grid.write_all_then_take_up_to(results, &tasks, REFILL, zero)
+        let taken = if paired {
+            let done = Batch {
+                txn: BatchTxn::default(),
+                tuples: results,
+            };
+            let (written, taken) = grid.take_batch(done, &tasks, REFILL, zero);
+            written.unwrap();
+            taken.unwrap().tuples
         } else {
-            write_all_then_take_up_to_in_sequence(grid, results, &tasks, REFILL, zero)
+            grid.write_all(results).unwrap();
+            grid.take_up_to(&tasks, REFILL, zero).unwrap()
         };
-        written.unwrap();
-        assert!(!taken.unwrap().is_empty(), "a refill found no task");
+        assert!(!taken.is_empty(), "a refill found no task");
     }
     let ns = start.elapsed().as_nanos() as f64 / REFILLS as f64;
     grid.take_all(&tasks).unwrap();

@@ -70,8 +70,9 @@ impl Master {
     /// Returns a [`RunReport`] with the paper's phase timings. If a result
     /// does not arrive within `result_timeout`, aggregation stops and the
     /// report is marked incomplete (`complete == false`). Results are
-    /// deduplicated by task id, so a result delivered twice (a worker's
-    /// at-least-once flush resend) is absorbed once.
+    /// deduplicated by task id, so a result delivered twice (a bare
+    /// write's at-least-once resend, as on a multi-shard grid) is absorbed
+    /// once.
     ///
     /// Task and result entries are matched by job name only, so a run
     /// assumes a space with no leftover entries for this job. Re-running a

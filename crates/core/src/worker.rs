@@ -8,14 +8,15 @@
 //!   application's code bundle from the master's bundle server (paying the
 //!   modeled class-loading cost) and links the executor;
 //! * while Running it takes task entries from the space by value-based
-//!   lookup (a batch per round trip, as deep as the worker's own
-//!   measurements say pays — see `refill_depth`), computes them, and
-//!   writes result entries back — coalesced into one batch write per
-//!   prefetched batch when the tasks are cheaper than a round trip (see
-//!   `Outbox`);
+//!   lookup — a batch per round trip, as deep as the worker's own
+//!   measurements say pays (see `refill_depth`), under a transaction of
+//!   the space's — computes them, and commits the batch with its result
+//!   entries, as the next batch is taken (see `Outbox`). A worker that
+//!   dies holding a batch loses nothing: the space aborts its transaction
+//!   and the tasks are there to take again;
 //! * signals only take effect *between* tasks: the currently executing task
-//!   always completes and every finished result is written into the space
-//!   first, so no work is ever lost;
+//!   always completes, and a Pause or Stop commits every finished result
+//!   with the unstarted tasks handed back, so no work is ever lost;
 //! * on Pause the executor stays linked (Resume skips class loading); on
 //!   Stop it is dropped (the next Start reloads).
 
@@ -26,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use acc_cluster::LoadMix;
 use acc_telemetry::{event, span};
-use acc_tuplespace::{SpaceError, StoreHandle, Template, Tuple};
+use acc_tuplespace::{Batch, BatchTxn, SpaceError, SpaceResult, StoreHandle, Template, Tuple};
 use parking_lot::Mutex;
 
 use crate::config::FrameworkConfig;
@@ -143,7 +144,9 @@ impl WorkerRuntime {
         self.log.lock().clone()
     }
 
-    /// Tasks completed so far.
+    /// Tasks completed so far: results whose commit was answered. A
+    /// commit whose answer a dropped connection lost is not counted,
+    /// though its results are in the space.
     pub fn tasks_done(&self) -> u64 {
         *self.tasks_done.lock()
     }
@@ -215,16 +218,12 @@ fn worker_loop(ls: LoopState) {
     let template: Template = task_template(&ls.config.job);
     let mut executor: Option<Arc<dyn TaskExecutor>> = None;
     let mut first_access: Option<Instant> = None;
-    // Tasks fetched ahead of execution (one batched round trip for up to
-    // `refill_depth` tasks). Only the executing task is committed to this
-    // worker: on Pause/Stop/shutdown the buffer is written back to the
-    // space so other workers can claim it.
-    let mut prefetched: VecDeque<Tuple> = VecDeque::new();
-    // Cost attribution riding each result tuple, aligned with
-    // `prefetched`: the delivering take's round trip is charged as
-    // `wait_us` to the first task of the batch and amortised into
-    // `xfer_us` across all of them.
-    let mut pending_timing: VecDeque<acc_cluster::TaskTiming> = VecDeque::new();
+    // The unstarted tasks of the batch in hand — taken in one round trip,
+    // up to `refill_depth` of them, under the transaction the outbox
+    // holds — each with the cost attribution its result will carry: the
+    // take's round trip is charged as `wait_us` to the batch's first task
+    // and amortised into `xfer_us` across all of them.
+    let mut prefetched: VecDeque<(Tuple, acc_cluster::TaskTiming)> = VecDeque::new();
     // Tail-based trace retention: the decision whether a finished task
     // was "slow" is made here, where the task's spans live (flight rings
     // are per-process). Its window of compute times also sizes refills.
@@ -236,6 +235,9 @@ fn worker_loop(ls: LoopState) {
             load.set_framework(pct);
         }
     };
+    let unstarted = |prefetched: &mut VecDeque<(Tuple, _)>| -> Vec<Tuple> {
+        prefetched.drain(..).map(|(tuple, _)| tuple).collect()
+    };
 
     loop {
         if ls.shutdown.load(Ordering::SeqCst) {
@@ -244,10 +246,6 @@ fn worker_loop(ls: LoopState) {
         let state = *ls.state.lock();
         match state {
             WorkerState::Stopped | WorkerState::Paused => {
-                // Unstarted prefetched tasks must not sit out the back-off
-                // invisible to the rest of the cluster (paper §4.3: only
-                // the currently executing task completes).
-                return_prefetched(&ls, &mut prefetched, &mut pending_timing);
                 set_load(0);
                 // Blocked on the signal channel; nothing else to do.
                 if let Some(msg) = ls.config.duplex.recv_timeout(Duration::from_millis(25)) {
@@ -257,11 +255,14 @@ fn worker_loop(ls: LoopState) {
             WorkerState::Running => {
                 // Signals are drained between tasks (paper §4.3: the node
                 // configuration engine forwards the signal before the
-                // worker fetches the next task).
+                // worker fetches the next task). One that takes the worker
+                // off Running first ends the batch: its results commit,
+                // with the tasks it did not start handed back, before the
+                // worker reacts (and acks).
                 if let Some(msg) = ls.config.duplex.try_recv() {
-                    // Every finished result is in the space before the
-                    // worker reacts (and acks).
-                    if outbox.flush(&ls).is_err() {
+                    let leaves = matches!(&msg, RuleMessage::Signal { signal }
+                        if WorkerState::Running.apply(*signal).is_some());
+                    if leaves && !carries_on(&outbox.commit(&ls, unstarted(&mut prefetched))) {
                         break;
                     }
                     handle_message(&ls, msg, &mut executor, &set_load);
@@ -273,32 +274,16 @@ fn worker_loop(ls: LoopState) {
                     *ls.state.lock() = WorkerState::Stopped;
                     continue;
                 };
-                if prefetched.is_empty() {
-                    // The batch is done: its results go out with the take
-                    // for the next batch, as one exchange where the store
-                    // can pair them.
+                let Some((tuple, mut timing)) = prefetched.pop_front() else {
+                    // The batch is done: it commits with its results as
+                    // the next batch is taken, one exchange where the
+                    // store pipelines them.
                     set_load(IDLE_RUNNING_LOAD);
                     let median_compute = retention.median_compute();
                     let depth = refill_depth(outbox.min_flush, median_compute);
                     let take_start = Instant::now();
-                    let (flushed, taken) = outbox.flush_and_refill(&ls, &template, depth);
-                    if flushed.is_err() {
-                        // As after any failed flush, the worker stops; a
-                        // paired take may have succeeded all the same, and
-                        // its tasks go back to the space on the way out.
-                        prefetched.extend(taken.unwrap_or_default());
-                        break;
-                    }
+                    let (committed, taken) = outbox.commit_and_refill(&ls, &template, depth);
                     match taken {
-                        Err(SpaceError::Transport(_))
-                            if transport_strikes + 1 < MAX_TRANSPORT_STRIKES =>
-                        {
-                            // Transient: the server may be restarting.
-                            transport_strikes += 1;
-                            series().transport_strikes.inc();
-                            continue;
-                        }
-                        Err(_) => break, // space closed: cluster shutting down
                         Ok(batch) => {
                             transport_strikes = 0;
                             if !batch.is_empty() {
@@ -313,111 +298,125 @@ fn worker_loop(ls: LoopState) {
                                     min_flush_us = us(outbox.min_flush),
                                     median_compute_us = us(median_compute)
                                 );
-                                let rtt_us = take_start.elapsed().as_micros() as u64;
-                                let xfer_us = rtt_us / batch.len() as u64;
-                                for i in 0..batch.len() {
-                                    pending_timing.push_back(acc_cluster::TaskTiming {
-                                        wait_us: if i == 0 { rtt_us } else { 0 },
-                                        xfer_us,
-                                        compute_us: 0,
-                                        write_us: 0,
-                                    });
-                                }
                             }
-                            prefetched.extend(batch);
+                            let rtt_us = take_start.elapsed().as_micros() as u64;
+                            let xfer_us = rtt_us / batch.len().max(1) as u64;
+                            prefetched.extend(batch.into_iter().enumerate().map(|(i, tuple)| {
+                                let wait_us = if i == 0 { rtt_us } else { 0 };
+                                let timing = acc_cluster::TaskTiming {
+                                    wait_us,
+                                    xfer_us,
+                                    ..Default::default()
+                                };
+                                (tuple, timing)
+                            }));
                         }
+                        Err(SpaceError::Transport(_))
+                            if transport_strikes + 1 < MAX_TRANSPORT_STRIKES =>
+                        {
+                            // Transient: the server may be restarting.
+                            transport_strikes += 1;
+                            series().transport_strikes.inc();
+                        }
+                        Err(_) => break, // space closed: cluster shutting down
+                    }
+                    // A failed commit ends the loop, as any failed write
+                    // does; a batch the pair took all the same is the batch
+                    // in hand, handed back on the way out.
+                    if !carries_on(&committed) {
+                        break;
                     }
                     // Re-check signals before starting on the batch.
                     continue;
+                };
+                let Some(task) = TaskEntry::from_tuple(&tuple) else {
+                    continue;
+                };
+                if first_access.is_none() {
+                    first_access = Some(Instant::now());
                 }
-                {
-                    let tuple = prefetched.pop_front().expect("non-empty buffer");
-                    let mut timing = pending_timing.pop_front().unwrap_or_default();
-                    {
-                        let Some(task) = TaskEntry::from_tuple(&tuple) else {
-                            continue;
-                        };
-                        if first_access.is_none() {
-                            first_access = Some(Instant::now());
-                        }
-                        // Adopt the master's trace context from the task
-                        // tuple (if present) before opening any spans, so
-                        // worker.task/worker.compute — and the result tuple
-                        // written below — join the master's trace.
-                        let _trace_ctx = crate::task::tuple_trace_context(&tuple)
-                            .map(acc_telemetry::TraceContext::attach);
-                        let _task_span = span!(
-                            "worker.task",
-                            worker = ls.config.name.as_str(),
-                            task_id = task.task_id,
-                        );
-                        event!("worker.task.take", task_id = task.task_id);
-                        set_load(COMPUTE_LOAD);
-                        let compute_start = Instant::now();
-                        let outcome = {
-                            let _compute = span!("worker.compute", task_id = task.task_id);
-                            execute_policed(&exec, &task, &ls.config.framework.policy)
-                        };
-                        let compute = compute_start.elapsed();
-                        let compute_ms = compute.as_secs_f64() * 1e3;
-                        timing.compute_us = (compute_ms * 1e3) as u64;
-                        timing.write_us = outbox.last_write_us;
-                        let rtt_us = outbox.min_flush.map_or(0, |d| d.as_micros() as u64);
-                        retention.observe(&task.job, timing.compute_us, outcome.is_err(), rtt_us);
-                        set_load(IDLE_RUNNING_LOAD);
-                        let span_ms = first_access
-                            .map(|f| f.elapsed().as_secs_f64() * 1e3)
-                            .unwrap_or(compute_ms);
-                        let (payload, error) = match outcome {
-                            Ok(payload) => (payload, None),
-                            Err(_) if task.retries < ls.config.framework.max_task_retries => {
-                                // Return the task to the space (with its
-                                // retry count bumped) so another attempt —
-                                // possibly on another worker — can succeed.
-                                // Written at once, not buffered: a worker
-                                // may be waiting for it.
-                                let mut retry = task.clone();
-                                retry.retries += 1;
-                                if ls.config.space.write(retry.into_tuple()).is_err() {
-                                    // Same exit as a failed result flush:
-                                    // swallowing this error would silently
-                                    // lose the task and keep looping against
-                                    // a dead space.
-                                    break;
-                                }
-                                continue;
-                            }
-                            // Poison task: a terminal error result, so the
-                            // master can account for it.
-                            Err(e) => (Vec::new(), Some(e.to_string())),
-                        };
-                        let result = ResultEntry {
-                            job: task.job.clone(),
-                            task_id: task.task_id,
-                            worker: ls.config.name.clone(),
-                            payload,
-                            compute_ms,
-                            span_ms,
-                            error,
-                            timing,
-                        };
-                        outbox.push(result);
-                        if outbox.worth_flushing_after(compute) && outbox.flush(&ls).is_err() {
-                            break;
-                        }
+                // Adopt the master's trace context from the task tuple (if
+                // present) before opening any spans, so worker.task and
+                // worker.compute — and the result tuple written below —
+                // join the master's trace.
+                let _trace_ctx = crate::task::tuple_trace_context(&tuple)
+                    .map(acc_telemetry::TraceContext::attach);
+                let _task_span = span!(
+                    "worker.task",
+                    worker = ls.config.name.as_str(),
+                    task_id = task.task_id,
+                );
+                event!("worker.task.take", task_id = task.task_id);
+                set_load(COMPUTE_LOAD);
+                let compute_start = Instant::now();
+                let outcome = {
+                    let _compute = span!("worker.compute", task_id = task.task_id);
+                    execute_policed(&exec, &task, &ls.config.framework.policy)
+                };
+                let compute = compute_start.elapsed();
+                let compute_ms = compute.as_secs_f64() * 1e3;
+                timing.compute_us = (compute_ms * 1e3) as u64;
+                timing.write_us = outbox.last_write_us;
+                let rtt_us = outbox.min_flush.map_or(0, |d| d.as_micros() as u64);
+                retention.observe(&task.job, timing.compute_us, outcome.is_err(), rtt_us);
+                set_load(IDLE_RUNNING_LOAD);
+                let span_ms = first_access
+                    .map(|f| f.elapsed().as_secs_f64() * 1e3)
+                    .unwrap_or(compute_ms);
+                let (payload, error) = match outcome {
+                    Ok(payload) => (payload, None),
+                    Err(_) if task.retries < ls.config.framework.max_task_retries => {
+                        // Return the task to the space (with its retry count
+                        // bumped) so another attempt — possibly on another
+                        // worker — can succeed. It is handed back with the
+                        // batch, so it shows exactly when the task it
+                        // retries is gone.
+                        let mut retry = task.clone();
+                        retry.retries += 1;
+                        outbox.tuples.push(retry.into_tuple());
+                        continue;
                     }
+                    // Poison task: a terminal error result, so the master
+                    // can account for it.
+                    Err(e) => (Vec::new(), Some(e.to_string())),
+                };
+                outbox.push(ResultEntry {
+                    job: task.job.clone(),
+                    task_id: task.task_id,
+                    worker: ls.config.name.clone(),
+                    payload,
+                    compute_ms,
+                    span_ms,
+                    error,
+                    timing,
+                });
+                // The batch's last task: where a round trip is small change
+                // beside its compute, the batch commits now, alone and
+                // timed, instead of with the next take.
+                if prefetched.is_empty()
+                    && outbox.worth_flushing_after(compute)
+                    && !carries_on(&outbox.commit(&ls, Vec::new()))
+                {
+                    break;
                 }
             }
         }
     }
-    // Whatever ended the loop (shutdown, space closed, failed write):
-    // hand finished results over and give unstarted prefetched tasks back
-    // if the space will still have them, so neither is lost with this
-    // worker.
-    let _ = outbox.flush(&ls);
-    return_prefetched(&ls, &mut prefetched, &mut pending_timing);
+    // Whatever ended the loop (shutdown, space closed, failed write): the
+    // batch in hand commits with its finished results and its unstarted
+    // tasks handed back, so neither is lost with this worker.
+    let _ = outbox.commit(&ls, unstarted(&mut prefetched));
     set_load(0);
     ls.config.duplex.send(RuleMessage::Bye);
+}
+
+/// Whether the worker goes on after a commit: unless it failed for
+/// another reason than `TxnInactive` — the connection that held the
+/// batch's transaction dropped, which settled it whole (aborted, or
+/// committed with the answer lost), so the batch is in the space once
+/// either way and the worker drops its copy of the results.
+fn carries_on(committed: &SpaceResult<()>) -> bool {
+    !matches!(committed, Err(e) if *e != SpaceError::TxnInactive)
 }
 
 /// Tail-based trace retention, decided worker-side, after the task ends,
@@ -504,39 +503,39 @@ impl TraceRetention {
     }
 }
 
-/// Finished results waiting to be written to the space.
+/// The batch in hand's transaction, and what it commits with: the
+/// finished results, and any task handed back.
 ///
 /// One blocking `write` per result is a round trip per task; for tasks
 /// cheaper than that round trip it is most of the worker's time. So
-/// results collect here and go out in one batch write when the prefetched
-/// batch that produced them is done — paired with the take for the next
-/// batch ([`Outbox::flush_and_refill`]) — and at once whenever buffering
-/// would not pay, or would hold a result back from a worker that is
-/// about to stop:
+/// results collect here and commit with their batch, paired with the take
+/// for the next batch ([`Outbox::commit_and_refill`]) — or alone, when
+/// the batch's last task computed for longer than a round trip
+/// ([`Outbox::worth_flushing_after`]), so a compute-bound job, whose
+/// batches are one task deep, writes each result the moment it exists, as
+/// without an outbox; and when a signal takes the worker off Running or
+/// the loop exits, with the unstarted tasks handed back (paper §4.3: only
+/// the executing task is the worker's to finish).
 ///
-/// * the task just computed took longer than a flush round trip
-///   ([`Outbox::worth_flushing_after`]), so a compute-bound job writes
-///   each result the moment it exists, exactly as without an outbox;
-/// * a signal arrived, or the loop is exiting (paper §4.3: only the
-///   executing task is the worker's to finish; nothing else it holds may
-///   be lost or delayed with it).
-///
-/// A result counts as done (`tasks_done`) when its flush succeeds, not
+/// A result counts as done (`tasks_done`) when its commit succeeds, not
 /// when it is buffered.
 #[derive(Default)]
 struct Outbox {
+    /// The transaction the batch in hand was taken under.
+    txn: BatchTxn,
+    /// The results buffered, then any task handed back.
     tuples: Vec<Tuple>,
-    /// `(task_id, poisoned)` of each buffered result, booked on flush.
+    /// `(task_id, poisoned)` of each buffered result, booked on commit.
     tasks: Vec<(u64, bool)>,
-    /// The fastest stand-alone flush round trip seen — what one write
+    /// The fastest stand-alone commit round trip seen — what one write
     /// costs when nothing else delays it. A minimum because every other statistic of
-    /// the samples also measures the host: a flush that shared the CPU
+    /// the samples also measures the host: a commit that shared the CPU
     /// with the other worker's timeslice reads milliseconds, and judged
     /// by that a millisecond-scale task would look cheap and have its
     /// (large) result held back to ride a batch frame. Also the round
     /// trip [`refill_depth`] sizes refills by.
     min_flush: Option<Duration>,
-    /// The previous flush's duration ÷ its result count — zero when it
+    /// The previous commit's duration ÷ its result count — zero when it
     /// rode the refill exchange, whose time is charged to the take. A
     /// worker cannot know a result's write cost before writing it, so
     /// this rides the *next* results' [`TaskTiming`](acc_cluster::TaskTiming).
@@ -549,83 +548,98 @@ impl Outbox {
         self.tuples.push(result.into_tuple());
     }
 
-    /// Whether the result just pushed should go out now instead of
-    /// waiting for its batch: its task computed for longer than a flush
-    /// costs (so the round trip saved is small change, and the result may
-    /// be large), or no flush has been timed yet.
+    /// Whether the batch whose last result was just pushed should commit
+    /// now instead of with the next take: its task computed for longer
+    /// than a commit costs (so the round trip saved is small change, and
+    /// the result may be large), or no commit has been timed yet.
     fn worth_flushing_after(&self, compute: Duration) -> bool {
         self.min_flush.is_none_or(|rtt| compute > rtt)
     }
 
-    /// Writes everything buffered in one space operation of its own — a
-    /// plain `write` for a single result — and times it: these
-    /// stand-alone flushes (first result, long task, signal, exit) are
-    /// the only samples of [`Outbox::min_flush`], because only they
-    /// measure a write and nothing else. On failure the results are gone
-    /// with the connection (the master's result timeout covers them) and
-    /// the worker must stop, as after any failed write.
-    fn flush(&mut self, ls: &LoopState) -> Result<(), SpaceError> {
-        if self.tuples.is_empty() {
-            return Ok(());
-        }
+    /// Commits the batch in one space operation of its own, `unstarted`
+    /// tasks handed back with it, and times it when it carried results:
+    /// these stand-alone commits (first result, long task, signal, exit)
+    /// are the only samples of [`Outbox::min_flush`], because only they
+    /// measure a write and nothing else.
+    fn commit(&mut self, ls: &LoopState, unstarted: Vec<Tuple>) -> SpaceResult<()> {
         let tasks = std::mem::take(&mut self.tasks);
         let mut tuples = std::mem::take(&mut self.tuples);
+        tuples.extend(unstarted);
+        let txn = std::mem::take(&mut self.txn);
         record_writes(&tasks);
         let start = Instant::now();
-        if tuples.len() == 1 {
-            ls.config.space.write(tuples.pop().expect("one tuple"))?;
-        } else {
-            ls.config.space.write_all(tuples)?;
+        let committed = ls.config.space.commit_batch(Batch { txn, tuples });
+        if committed.is_ok() && !tasks.is_empty() {
+            let took = start.elapsed();
+            self.min_flush = Some(self.min_flush.map_or(took, |min| min.min(took)));
+            self.last_write_us = took.as_micros() as u64 / tasks.len() as u64;
         }
-        let took = start.elapsed();
-        self.min_flush = Some(self.min_flush.map_or(took, |min| min.min(took)));
-        self.last_write_us = took.as_micros() as u64 / tasks.len() as u64;
-        count_done(ls, &tasks);
-        Ok(())
+        settled(ls, &tasks, committed)
     }
 
-    /// The refill point: whatever is buffered goes out *with* the take
-    /// for the next batch of up to `max` tasks — one pipelined exchange on
-    /// a store that pairs them (`RemoteSpace`, the one-shard grid), the
-    /// same two calls as ever on one that does not. Both outcomes come
-    /// back, the flush's first: the pair may have taken tasks although
-    /// its write failed, and the caller owns them.
+    /// The refill point: the batch commits with what is buffered *as* the
+    /// next batch of up to `max` tasks is taken — one pipelined exchange
+    /// on a store that pairs them (`RemoteSpace`, the one-shard grid),
+    /// the same two calls as ever on one that does not. Both outcomes
+    /// come back, the commit's first; the new batch's transaction stays
+    /// here, its tasks go to the caller.
     ///
     /// The exchange's wall time is the caller's to charge, once, to the
     /// take; the results that rode it cost no write of their own, so the
-    /// next results carry `write_us = 0` and no flush sample is taken.
-    fn flush_and_refill(
+    /// next results carry `write_us = 0` and no commit sample is taken.
+    fn commit_and_refill(
         &mut self,
         ls: &LoopState,
         template: &Template,
         max: usize,
-    ) -> (Result<(), SpaceError>, Result<Vec<Tuple>, SpaceError>) {
-        let timeout = Some(ls.config.framework.task_poll_timeout);
-        if self.tuples.is_empty() {
-            return (Ok(()), ls.config.space.take_up_to(template, max, timeout));
-        }
+    ) -> (SpaceResult<()>, SpaceResult<Vec<Tuple>>) {
         let tasks = std::mem::take(&mut self.tasks);
-        let tuples = std::mem::take(&mut self.tuples);
+        let done = Batch {
+            txn: std::mem::take(&mut self.txn),
+            tuples: std::mem::take(&mut self.tuples),
+        };
         record_writes(&tasks);
-        let (written, taken) = ls
-            .config
-            .space
-            .write_all_then_take_up_to(tuples, template, max, timeout);
-        let flushed = written.map(|_| {
+        let timeout = Some(ls.config.framework.task_poll_timeout);
+        let (committed, taken) = ls.config.space.take_batch(done, template, max, timeout);
+        if committed.is_ok() && !tasks.is_empty() {
             self.last_write_us = 0;
-            count_done(ls, &tasks);
+        }
+        let taken = taken.map(|batch| {
+            self.txn = batch.txn;
+            batch.tuples
         });
-        (flushed, taken)
+        (settled(ls, &tasks, committed), taken)
     }
 }
 
-/// Records a `worker.result.write` event for each result of a flush,
-/// `(task_id, poisoned)` each, as the write goes out. Before it, not
-/// after: the master may take a result the moment its write lands, so a
-/// worker that lost the CPU between its write returning and the record
+/// Books a commit's results: done when it succeeded (poisoned ones
+/// apart); dropped with their batch when its transaction was gone. That
+/// batch was aborted (its tasks are back in the space, to be run again)
+/// or committed with its answer lost — then its results are in the space
+/// but not in `tasks_done`, which undercounts by them: it is a progress
+/// gauge, not an exact count.
+fn settled(ls: &LoopState, tasks: &[(u64, bool)], committed: SpaceResult<()>) -> SpaceResult<()> {
+    match &committed {
+        Ok(()) => {
+            let completed = tasks.iter().filter(|&&(_, poisoned)| !poisoned).count();
+            *ls.tasks_done.lock() += completed as u64;
+        }
+        Err(SpaceError::TxnInactive) => {
+            event!("worker.batch.aborted", results = tasks.len() as u64);
+        }
+        Err(_) => {}
+    }
+    committed
+}
+
+/// Records a `worker.result.write` event for each result of a commit,
+/// `(task_id, poisoned)` each, as the commit goes out. Before it, not
+/// after: the master may take a result the moment its commit lands, so a
+/// worker that lost the CPU between its commit returning and the record
 /// would leave a trace in which the job ended before its result was
-/// written. A write that then fails stops the worker; the master's result
-/// timeout covers its results, recorded or not.
+/// written. A commit that then fails stops the worker or drops the
+/// batch; its results are then not in the space, unless a `TxnInactive`
+/// refusal hid a commit that landed.
 fn record_writes(tasks: &[(u64, bool)]) {
     for &(task_id, poisoned) in tasks {
         if poisoned {
@@ -633,34 +647,6 @@ fn record_writes(tasks: &[(u64, bool)]) {
         } else {
             event!("worker.result.write", task_id = task_id);
         }
-    }
-}
-
-/// Counts the results of a flush that succeeded as done, poisoned ones
-/// apart.
-fn count_done(ls: &LoopState, tasks: &[(u64, bool)]) {
-    let completed = tasks.iter().filter(|&&(_, poisoned)| !poisoned).count();
-    *ls.tasks_done.lock() += completed as u64;
-}
-
-/// Writes the worker's unstarted prefetched tasks back to the space in one
-/// batch. Failure is tolerated: if the space is closed the cluster is shutting
-/// down and the tasks are moot; if it is unreachable the master's result
-/// timeout re-issues them. Attribution pending for those tasks is dropped
-/// with them — whoever re-takes them measures its own costs.
-fn return_prefetched(
-    ls: &LoopState,
-    prefetched: &mut VecDeque<Tuple>,
-    pending_timing: &mut VecDeque<acc_cluster::TaskTiming>,
-) {
-    pending_timing.clear();
-    if prefetched.is_empty() {
-        return;
-    }
-    let tuples: Vec<Tuple> = prefetched.drain(..).collect();
-    let count = tuples.len() as u64;
-    if ls.config.space.write_all(tuples).is_ok() {
-        event!("worker.prefetch.return", count = count);
     }
 }
 
@@ -769,9 +755,7 @@ mod tests {
     use crate::loader::CodeBundle;
     use crate::rulebase::{duplex_pair, RuleBaseServer};
     use crate::task::{ExecError, TaskSpec};
-    use acc_tuplespace::{
-        EntryId, Lease, Payload, Space, SpaceHandle, SpaceResult, TupleStore, WriteThenTake,
-    };
+    use acc_tuplespace::{EntryId, Lease, Payload, Space, SpaceHandle, TupleStore};
 
     struct SquareExec;
     impl TaskExecutor for SquareExec {
@@ -1083,11 +1067,12 @@ mod tests {
 
     /// Delegates everything to an inner space, but fails writes once
     /// armed — the shape of a master whose space became unreachable for
-    /// writes while takes still drain a local queue. Every write also
-    /// costs `write_delay` (a round trip far dearer than the test tasks,
-    /// so their results are buffered rather than flushed one by one), and
-    /// the size of every result write and the `max` of every batch take
-    /// are logged.
+    /// writes while takes still drain a local queue. Its batches are the
+    /// trait's defaults: taken bare, committed as plain writes. Every
+    /// write also costs `write_delay` (a round trip far dearer than the
+    /// test tasks, so their results are buffered rather than flushed one
+    /// by one), and the results in every write that carries any and the
+    /// `max` of every batch take are logged.
     struct FailingWriteStore {
         inner: SpaceHandle,
         arm: AtomicBool,
@@ -1112,8 +1097,12 @@ mod tests {
             if self.arm.load(Ordering::SeqCst) {
                 return Err(SpaceError::Storage("injected write failure".into()));
             }
-            if tuples[0].type_name() == crate::task::RESULT_TYPE {
-                self.result_writes.lock().push(tuples.len());
+            let results = tuples
+                .iter()
+                .filter(|t| t.type_name() == crate::task::RESULT_TYPE)
+                .count();
+            if results > 0 {
+                self.result_writes.lock().push(results);
             }
             Ok(())
         }
@@ -1277,43 +1266,39 @@ mod tests {
     #[test]
     fn a_failed_paired_write_returns_the_tasks_its_take_removed_and_stops_the_worker() {
         /// A store that runs the refill pair as one exchange, like
-        /// `RemoteSpace`: the take is done by the time the write's
-        /// failure is known. Its stand-alone writes work, at `ROUND_TRIP`
-        /// each, so microsecond tasks buffer their results for the pair
-        /// and refill at the cap.
+        /// `RemoteSpace`: the next batch is taken by the time the commit's
+        /// failure is known. A commit that fails drops its transaction,
+        /// which aborts it, as a space server does. Its stand-alone
+        /// commits work, at `ROUND_TRIP` each, so microsecond tasks
+        /// buffer their results for the pair and refill at the cap.
         struct PairFailsWrite(SpaceHandle);
         impl TupleStore for PairFailsWrite {
-            fn write_all_then_take_up_to(
+            fn take_batch(
                 &self,
-                _results: Vec<Tuple>,
+                done: Batch,
                 t: &Template,
                 max: usize,
                 timeout: Option<Duration>,
-            ) -> WriteThenTake {
-                let taken = self.0.take_up_to(t, max, timeout);
+            ) -> (SpaceResult<()>, SpaceResult<Batch>) {
+                if done.tuples.is_empty() {
+                    return self.0.take_batch(done, t, max, timeout);
+                }
+                drop(done);
+                let (_, taken) = self.0.take_batch(Batch::default(), t, max, timeout);
                 (Err(SpaceError::Storage("injected".into())), taken)
             }
-            fn write_leased(&self, tuple: Tuple, lease: Lease) -> SpaceResult<EntryId> {
+            fn commit_batch(&self, batch: Batch) -> SpaceResult<()> {
                 std::thread::sleep(ROUND_TRIP);
-                self.0.write_leased(tuple, lease)
+                self.0.commit_batch(batch)
             }
-            fn write_all_leased(&self, ts: Vec<Tuple>, lease: Lease) -> SpaceResult<Vec<EntryId>> {
-                std::thread::sleep(ROUND_TRIP);
-                self.0.write_all_leased(ts, lease)
+            fn write_leased(&self, tuple: Tuple, lease: Lease) -> SpaceResult<EntryId> {
+                self.0.write_leased(tuple, lease)
             }
             fn read(&self, t: &Template, timeout: Option<Duration>) -> SpaceResult<Option<Tuple>> {
                 self.0.read(t, timeout)
             }
             fn take(&self, t: &Template, timeout: Option<Duration>) -> SpaceResult<Option<Tuple>> {
                 self.0.take(t, timeout)
-            }
-            fn take_up_to(
-                &self,
-                t: &Template,
-                max: usize,
-                timeout: Option<Duration>,
-            ) -> SpaceResult<Vec<Tuple>> {
-                self.0.take_up_to(t, max, timeout)
             }
             fn count(&self, t: &Template) -> SpaceResult<usize> {
                 Ok(Space::count(&self.0, t))
@@ -1340,22 +1325,99 @@ mod tests {
             put_task(&r.space, i as u64, i as u64);
         }
         r.server.send_signal(r.worker.id(), Signal::Start);
-        // Task 0 arrives alone and its result goes out alone; the capped
-        // batch 1..=CAP arrives by a plain take (nothing to flush). Its
-        // results ride the refill pair, whose write fails although its
-        // take brought the last four tasks.
+        // Task 0 arrives alone and its result commits alone; the capped
+        // batch 1..=CAP arrives by a take with nothing to commit. Its
+        // results ride the refill pair, whose commit fails although its
+        // take brought the last four tasks: the failed batch's tasks are
+        // back in the space by its abort, the last four by the worker's
+        // commit on the way out.
         let worker_thread = r.worker.thread.as_ref().unwrap();
         wait_for(|| worker_thread.is_finished(), "worker loop exit");
-        assert_eq!(r.worker.tasks_done(), 1, "only the flushed result counts");
+        assert_eq!(r.worker.tasks_done(), 1, "only the committed result counts");
         assert_eq!(
             task_ids(&space, &crate::task::result_template("squares")),
             vec![0]
         );
         assert_eq!(
             task_ids(&space, &task_template("squares")),
-            (1 + MAX_REFILL_DEPTH as i64..total).collect::<Vec<_>>(),
-            "the tasks the failed pair took are back in the space, each once"
+            (1..total).collect::<Vec<_>>(),
+            "every task not done is back in the space, each once"
         );
+        r.worker.shutdown();
+    }
+
+    /// A commit refused with `TxnInactive` — the connection that held the
+    /// batch dropped, and the batch went back to the space — costs the
+    /// worker that batch's results, not its life: it carries on, runs the
+    /// batch's tasks again, and every result reaches the space once.
+    #[test]
+    fn a_refused_commit_drops_its_results_and_the_worker_carries_on() {
+        /// Refuses the first commit that carries several results, as a
+        /// server does a resent one: the batch is aborted (dropped) and
+        /// the next is taken all the same.
+        struct RefusesOnce(SpaceHandle, AtomicBool);
+        impl TupleStore for RefusesOnce {
+            fn take_batch(
+                &self,
+                done: Batch,
+                t: &Template,
+                max: usize,
+                timeout: Option<Duration>,
+            ) -> (SpaceResult<()>, SpaceResult<Batch>) {
+                if done.tuples.len() < 2 || self.1.swap(true, Ordering::SeqCst) {
+                    return self.0.take_batch(done, t, max, timeout);
+                }
+                drop(done);
+                let (_, taken) = self.0.take_batch(Batch::default(), t, max, timeout);
+                (Err(SpaceError::TxnInactive), taken)
+            }
+            fn commit_batch(&self, batch: Batch) -> SpaceResult<()> {
+                std::thread::sleep(ROUND_TRIP);
+                self.0.commit_batch(batch)
+            }
+            fn write_leased(&self, tuple: Tuple, lease: Lease) -> SpaceResult<EntryId> {
+                self.0.write_leased(tuple, lease)
+            }
+            fn read(&self, t: &Template, timeout: Option<Duration>) -> SpaceResult<Option<Tuple>> {
+                self.0.read(t, timeout)
+            }
+            fn take(&self, t: &Template, timeout: Option<Duration>) -> SpaceResult<Option<Tuple>> {
+                self.0.take(t, timeout)
+            }
+            fn count(&self, t: &Template) -> SpaceResult<usize> {
+                Ok(Space::count(&self.0, t))
+            }
+            fn close(&self) {
+                self.0.close()
+            }
+            fn is_closed(&self) -> bool {
+                self.0.is_closed()
+            }
+        }
+        let space = Space::new("refused");
+        let store = Arc::new(RefusesOnce(space.clone(), AtomicBool::new(false)));
+        let r = rig_with(
+            space.clone(),
+            store.clone(),
+            Arc::new(SquareExec),
+            FrameworkConfig {
+                task_poll_timeout: Duration::from_millis(10),
+                ..FrameworkConfig::default()
+            },
+        );
+        let total = 1 + MAX_REFILL_DEPTH as i64 + 4;
+        for i in 0..total {
+            put_task(&r.space, i as u64, i as u64);
+        }
+        r.server.send_signal(r.worker.id(), Signal::Start);
+        let results = crate::task::result_template("squares");
+        // Counted once each: the refused batch's results were not.
+        wait_for(|| r.worker.tasks_done() == total as u64, "every result");
+        assert!(store.1.load(Ordering::SeqCst), "a commit was refused");
+        assert!(!r.worker.thread.as_ref().unwrap().is_finished());
+        assert_eq!(r.worker.state(), WorkerState::Running);
+        assert_eq!(task_ids(&space, &results), (0..total).collect::<Vec<_>>());
+        assert_eq!(space.count(&task_template("squares")), 0);
         r.worker.shutdown();
     }
 

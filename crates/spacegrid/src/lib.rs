@@ -26,9 +26,10 @@
 //!   connection before the first response is read, so the shards work
 //!   concurrently and no helper thread is spawned. `write_all` splits
 //!   the batch over the healthy shards, `take_up_to` splits `max` into
-//!   per-shard quotas, and the worker's refill
-//!   (`write_all_then_take_up_to`) sends its results and its whole take
-//!   to its home shard as one pipelined pair. A take that comes back short asks the shards not seen
+//!   per-shard quotas, and the worker's refill (`take_batch`) sends its
+//!   results and its whole take to its home shard as one pipelined pair.
+//!   Over several shards a batch is taken bare; over one it is forwarded,
+//!   so it stays the shard server's transaction. A take that comes back short asks the shards not seen
 //!   exhausted for the rest until it is full or every shard is seen
 //!   exhausted. `take_all` drains the same way.
 //! * **Degradation**: a shard whose connection keeps failing (after
@@ -56,9 +57,13 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use acc_tuplespace::{
-    EntryId, Lease, Pending, RemoteSpace, SpaceError, SpaceResult, Template, Tuple, TupleStore,
-    Value, WriteThenTake,
+    Batch, BatchTxn, EntryId, Lease, Pending, RemoteSpace, SpaceError, SpaceResult, Template,
+    Tuple, TupleStore, Value,
 };
+
+/// Both outcomes of a shard's exchange in a sweep: the write's ids and
+/// the take's tuples.
+type Outcome = (SpaceResult<Vec<EntryId>>, SpaceResult<Vec<Tuple>>);
 
 /// Tunables for a [`PartitionedSpace`].
 #[derive(Debug, Clone)]
@@ -176,14 +181,14 @@ impl Shard {
 /// One shard's request in a [`fan_out`], on the wire: its results and its
 /// take as one pipelined pair, or either alone.
 enum Exchange<'a> {
-    Pair(Pending<'a, WriteThenTake>),
+    Pair(Pending<'a, Outcome>),
     Write(Pending<'a, Vec<EntryId>>),
     Take(Pending<'a, Vec<Tuple>>),
 }
 
 impl Exchange<'_> {
     /// Reads the answers; the half that was not asked comes back empty.
-    fn finish(self) -> SpaceResult<WriteThenTake> {
+    fn finish(self) -> SpaceResult<Outcome> {
         match self {
             Exchange::Pair(pending) => pending.finish(),
             Exchange::Write(pending) => pending.finish().map(|ids| (Ok(ids), Ok(Vec::new()))),
@@ -207,7 +212,7 @@ impl Exchange<'_> {
 fn fan_out<'a, X>(
     targets: impl IntoIterator<Item = (&'a Arc<Shard>, X)>,
     mut begin: impl FnMut(&'a RemoteSpace, X) -> Exchange<'a>,
-) -> Vec<WriteThenTake> {
+) -> Vec<Outcome> {
     let sent: Vec<_> = targets
         .into_iter()
         .map(|(shard, arg)| (shard, Instant::now(), begin(&shard.remote, arg)))
@@ -775,7 +780,7 @@ impl PartitionedSpace {
         lease: Lease,
         to_home: bool,
         take: Option<(&Template, Vec<usize>)>,
-    ) -> WriteThenTake {
+    ) -> Outcome {
         let n = self.shards.len();
         let (template, mut quotas) = match take {
             Some((template, quotas)) => (Some(template), quotas),
@@ -831,7 +836,7 @@ impl PartitionedSpace {
                         }
                         Some(t) => {
                             debug_assert_eq!(lease, Lease::Forever, "a pair writes forever");
-                            Exchange::Pair(remote.begin_write_all_then_take_up_to(
+                            Exchange::Pair(remote.begin_refill(
                                 batch,
                                 t,
                                 quota,
@@ -919,7 +924,7 @@ impl PartitionedSpace {
         template: &Template,
         max: usize,
         timeout: Option<Duration>,
-    ) -> WriteThenTake {
+    ) -> Outcome {
         let deadline = timeout.map(|t| Instant::now() + t);
         let to_home = !tuples.is_empty();
         let over = if to_home {
@@ -1187,35 +1192,50 @@ impl TupleStore for PartitionedSpace {
         self.refill(Vec::new(), template, max, timeout).1
     }
 
+    /// One shard: forwarded, so the commit is that server's.
+    fn commit_batch(&self, batch: Batch) -> SpaceResult<()> {
+        self.ensure_open()?;
+        match self.shards.as_slice() {
+            [shard] => shard.call(|r| r.commit_batch(batch)),
+            _ => match batch.tuples.is_empty() {
+                true => Ok(()),
+                false => self.write_all(batch.tuples).map(drop),
+            },
+        }
+    }
+
     /// The worker's refill point, one exchange in the steady state. One
     /// shard: forwarded, so it stays the one exchange [`RemoteSpace`]
-    /// makes of it — booked as one shard op, judged for health by the
-    /// take's outcome (a transport failure fails both halves alike). More
-    /// shards: the results and the whole take go to the home shard as one
-    /// pipelined pair, and the other shards are asked only for what the
-    /// home lacks (see `refill`).
-    fn write_all_then_take_up_to(
+    /// makes of it, under that server's transactions — booked as one
+    /// shard op, judged for health by the take's outcome (a transport
+    /// failure fails both halves alike). More shards: taken bare, the
+    /// results and the whole take going to the home shard as one
+    /// pipelined pair, and the other shards asked only for what the home
+    /// lacks (see `refill`).
+    fn take_batch(
         &self,
-        tuples: Vec<Tuple>,
+        done: Batch,
         template: &Template,
         max: usize,
         timeout: Option<Duration>,
-    ) -> WriteThenTake {
+    ) -> (SpaceResult<()>, SpaceResult<Batch>) {
         if let Err(e) = self.ensure_open() {
             return (Err(e.clone()), Err(e));
         }
-        if self.shards.len() != 1 || !self.shards[0].is_healthy() {
-            return self.refill(tuples, template, max, timeout);
-        }
-        let shard = &self.shards[0];
+        let [shard] = self.shards.as_slice() else {
+            let (written, taken) = self.refill(done.tuples, template, max, timeout);
+            let taken = taken.map(|tuples| Batch {
+                txn: BatchTxn::default(),
+                tuples,
+            });
+            return (written.map(drop), taken);
+        };
         let start = Instant::now();
-        let (written, taken) = shard
-            .remote
-            .write_all_then_take_up_to(tuples, template, max, timeout);
-        if matches!(written, Err(SpaceError::Closed)) {
+        let (committed, taken) = shard.remote.take_batch(done, template, max, timeout);
+        if matches!(committed, Err(SpaceError::Closed)) {
             self.closed.store(true, Ordering::SeqCst);
         }
-        (written, shard.account(start, taken))
+        (committed, shard.account(start, taken))
     }
 }
 
@@ -1301,26 +1321,33 @@ mod tests {
     #[test]
     fn refill_pair_writes_then_takes_on_one_shard_and_on_several() {
         let result = |id: i64| Tuple::build("acc.result").field("task_id", id).done();
+        let wait = Some(Duration::from_secs(2));
         for shards in [1, 3] {
             let r = rig(shards);
             r.grid.write_all((0..10).map(task).collect()).unwrap();
-            let (written, taken) = r.grid.write_all_then_take_up_to(
-                (0..4).map(result).collect(),
-                &job_template(),
-                4,
-                Some(Duration::from_secs(2)),
-            );
-            assert_eq!(written.unwrap().len(), 4, "{shards} shard(s)");
-            assert_eq!(taken.unwrap().len(), 4, "{shards} shard(s)");
+            let (committed, taken) = r
+                .grid
+                .take_batch(Batch::default(), &job_template(), 4, wait);
+            assert_eq!(committed, Ok(()), "{shards} shard(s)");
+            let mut batch = taken.unwrap();
+            assert_eq!(batch.tuples.len(), 4, "{shards} shard(s)");
             assert_eq!(r.grid.count(&job_template()).unwrap(), 6);
+            // The batch commits with its results as the next one is taken.
+            batch.tuples = (0..4).map(result).collect();
+            let (committed, taken) = r.grid.take_batch(batch, &job_template(), 4, wait);
+            assert_eq!(committed, Ok(()), "{shards} shard(s)");
+            assert_eq!(taken.unwrap().tuples.len(), 4, "{shards} shard(s)");
+            assert_eq!(r.grid.count(&job_template()).unwrap(), 2);
             assert_eq!(r.grid.count(&Template::of_type("acc.result")).unwrap(), 4);
             // A closed grid fails both halves.
             r.grid.close();
-            let (written, taken) =
-                r.grid
-                    .write_all_then_take_up_to(vec![result(9)], &job_template(), 4, None);
-            assert_eq!(written, Err(SpaceError::Closed), "{shards} shard(s)");
-            assert_eq!(taken, Err(SpaceError::Closed), "{shards} shard(s)");
+            let done = Batch {
+                txn: BatchTxn::default(),
+                tuples: vec![result(9)],
+            };
+            let (committed, taken) = r.grid.take_batch(done, &job_template(), 4, None);
+            assert_eq!(committed, Err(SpaceError::Closed), "{shards} shard(s)");
+            assert_eq!(taken.map(|b| b.tuples), Err(SpaceError::Closed));
         }
     }
 
@@ -1336,18 +1363,19 @@ mod tests {
         // The whole refill goes to the home, which is dead: its pair fails,
         // and the next round rewrites the results and tops the take up.
         r.grid.home.store(dead, Ordering::Relaxed);
-        let (written, taken) = r.grid.write_all_then_take_up_to(
-            (0..4)
+        let done = Batch {
+            txn: BatchTxn::default(),
+            tuples: (0..4)
                 .map(|id| Tuple::build("acc.result").field("task_id", id).done())
                 .collect(),
-            &job_template(),
-            8,
-            Some(Duration::from_secs(2)),
-        );
-        assert_eq!(written.unwrap().len(), 4);
+        };
+        let (written, taken) =
+            r.grid
+                .take_batch(done, &job_template(), 8, Some(Duration::from_secs(2)));
+        assert_eq!(written, Ok(()));
         assert_eq!(r.grid.count(&Template::of_type("acc.result")).unwrap(), 4);
         assert_eq!(
-            taken.unwrap().len(),
+            taken.unwrap().tuples.len(),
             8,
             "the dead home's take, from the rest"
         );

@@ -19,7 +19,7 @@
 use std::time::Duration;
 
 use acc_spacegrid::PartitionedSpace;
-use acc_tuplespace::{Space, SpaceServer, Template, Tuple, TupleStore};
+use acc_tuplespace::{Batch, BatchTxn, Space, SpaceServer, Template, Tuple, TupleStore};
 
 fn last_allocated_pid() -> u64 {
     let loadavg = std::fs::read_to_string("/proc/loadavg").expect("read /proc/loadavg");
@@ -71,10 +71,13 @@ fn batch_ops_on_a_four_shard_grid_spawn_no_thread() {
             .unwrap();
         assert_eq!(more.len(), 6);
         // A worker's refill: results out and tasks in, one pair on its home.
-        let (written, taken) =
-            grid.write_all_then_take_up_to(results(), &template, 8, Some(Duration::from_secs(5)));
-        assert_eq!(written.unwrap().len(), 4);
-        assert_eq!(taken.unwrap().len(), 8);
+        let done = Batch {
+            txn: BatchTxn::default(),
+            tuples: results(),
+        };
+        let (written, taken) = grid.take_batch(done, &template, 8, Some(Duration::from_secs(5)));
+        assert_eq!(written, Ok(()));
+        assert_eq!(taken.unwrap().tuples.len(), 8);
         assert_eq!(grid.take_all(&template).unwrap().len(), 40);
         assert_eq!(grid.take_all(&result_template).unwrap().len(), 4);
         // Quotas of 1 on every shard, and only shard 0 answers in full.

@@ -9,7 +9,9 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 use acc_spacegrid::PartitionedSpace;
-use acc_tuplespace::{Space, SpaceHandle, SpaceServer, Template, Tuple, TupleStore};
+use acc_tuplespace::{
+    Batch, BatchTxn, Space, SpaceHandle, SpaceServer, Template, Tuple, TupleStore,
+};
 
 fn task(id: i64) -> Tuple {
     Tuple::build("acc.task")
@@ -39,6 +41,14 @@ fn grid_of(shards: usize) -> (Vec<SpaceHandle>, Vec<SpaceServer>, PartitionedSpa
     (spaces, servers, grid)
 }
 
+/// A batch handing `tuples` back bare, as a multi-shard grid's are.
+fn bare(tuples: Vec<Tuple>) -> Batch {
+    Batch {
+        txn: BatchTxn::default(),
+        tuples,
+    }
+}
+
 fn counter(name: &'static str) -> u64 {
     acc_telemetry::registry().counter(name).get()
 }
@@ -50,14 +60,14 @@ fn refills_on_a_healthy_spread_grid_count_no_reroute() {
     let before = counter("grid.rerouted_writes");
     let mut taken = 0;
     for refill in 0..100 {
-        let (written, took) = grid.write_all_then_take_up_to(
-            (4 * refill..4 * refill + 4).map(result).collect(),
+        let (written, took) = grid.take_batch(
+            bare((4 * refill..4 * refill + 4).map(result).collect()),
             &tasks(),
             4,
             Some(Duration::ZERO),
         );
-        assert_eq!(written.unwrap().len(), 4);
-        taken += took.unwrap().len();
+        assert_eq!(written, Ok(()));
+        taken += took.unwrap().tuples.len();
     }
     assert_eq!(taken, 400);
     assert_eq!(grid.count(&tasks()).unwrap(), 0);
@@ -87,14 +97,14 @@ fn losing_the_home_mid_series_writes_every_result_once() {
         if refill == 5 {
             drop(servers.remove(home.unwrap()));
         }
-        let (written, took) = grid.write_all_then_take_up_to(
-            ids.clone().map(result).collect(),
+        let (written, took) = grid.take_batch(
+            bare(ids.clone().map(result).collect()),
             &tasks(),
             4,
             Some(Duration::ZERO),
         );
-        assert_eq!(written.unwrap().len(), 4, "refill {refill}");
-        for t in took.unwrap() {
+        assert_eq!(written, Ok(()), "refill {refill}");
+        for t in took.unwrap().tuples {
             assert!(taken.insert(t.get_int("task_id").unwrap()), "taken twice");
         }
         let on = shards_with_results(ids);

@@ -9,13 +9,21 @@
 use std::time::Duration;
 
 use acc_spacegrid::PartitionedSpace;
-use acc_tuplespace::{Space, SpaceServer, Template, Tuple, TupleStore};
+use acc_tuplespace::{Batch, BatchTxn, Space, SpaceServer, Template, Tuple, TupleStore};
 
 fn task(id: i64) -> Tuple {
     Tuple::build("acc.task")
         .field("job", "grid")
         .field("task_id", id)
         .done()
+}
+
+/// A batch handing `tuples` back bare, as a multi-shard grid's are.
+fn bare(tuples: Vec<Tuple>) -> Batch {
+    Batch {
+        txn: BatchTxn::default(),
+        tuples,
+    }
 }
 
 fn results(ids: std::ops::Range<i64>) -> Vec<Tuple> {
@@ -38,14 +46,14 @@ fn a_four_shard_refill_is_one_op_on_its_home_shard() {
     assert!(spaces.iter().all(|s| s.len() >= 4), "tasks on every shard");
     let refill = |ids| {
         let before = grid.fanout_profile();
-        let (written, taken) = grid.write_all_then_take_up_to(
-            results(ids),
+        let (written, taken) = grid.take_batch(
+            bare(results(ids)),
             &template,
             4,
             Some(Duration::from_secs(5)),
         );
-        assert_eq!(written.unwrap().len(), 4);
-        assert_eq!(taken.unwrap().len(), 4);
+        assert_eq!(written, Ok(()));
+        assert_eq!(taken.unwrap().tuples.len(), 4);
         let ops: Vec<u64> = grid.fanout_since(&before).iter().map(|s| s.ops).collect();
         ops
     };

@@ -50,11 +50,11 @@ pub use bytes::Bytes;
 pub use error::{SpaceError, SpaceResult};
 pub use lease::Lease;
 pub use payload::{decode_frame, NameInterner, Payload, PayloadError, WireReader, WireWriter};
-pub use remote::{Pending, RemoteSpace, SpaceServer};
+pub use remote::{Pending, PendingBatch, RemoteSpace, SpaceServer};
 pub use shape::Shape;
 pub use space::{EntryId, Space, SpaceHandle, Txn, TxnId, TxnState};
 pub use stats::SpaceStats;
-pub use store::{write_all_then_take_up_to_in_sequence, StoreHandle, TupleStore, WriteThenTake};
+pub use store::{Batch, BatchTxn, StoreHandle, TupleStore};
 pub use template::{Constraint, Template, TemplateBuilder};
 pub use tuple::{Tuple, TupleBuilder};
 pub use value::Value;

@@ -1,9 +1,11 @@
 //! The client-side proxy: one connection, one exchange routine. Owns the
 //! per-connection sequence numbers, the reconnect-once-and-resend policy
 //! and its single error exit, the split-phase [`Pending`] handle, and the
-//! [`TupleStore`] implementation with its batch chunking.
+//! [`TupleStore`] implementation with its batch chunking and its
+//! transactional batches.
 
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use acc_telemetry::TraceContext;
@@ -12,13 +14,13 @@ use parking_lot::{Mutex, MutexGuard};
 use super::net_series;
 use super::proto::{
     self, io_error, lease_to_ms, timeout_to_ms, FrameEncoder, FrameReader, Request, Response,
-    COALESCE_LIMIT, MAX_FRAME,
+    TxnHeader, COALESCE_LIMIT, MAX_FRAME,
 };
 use crate::error::{SpaceError, SpaceResult};
 use crate::lease::Lease;
 use crate::payload::NameInterner;
 use crate::space::EntryId;
-use crate::store::{TupleStore, WriteThenTake};
+use crate::store::{Batch, BatchTxn, Held, TupleStore};
 use crate::template::Template;
 use crate::tuple::Tuple;
 
@@ -45,18 +47,22 @@ struct Conn {
     next_seq: u32,
 }
 
+/// One request frame of an exchange: the op, and the transaction it runs
+/// under.
+pub(super) type Op = (Request, Option<TxnHeader>);
+
 impl Conn {
     /// Encodes one frame per op, back to back, and sends them in one
     /// write (one per [`COALESCE_LIMIT`] bytes, for a batch of large
     /// frames). Returns the first frame's sequence number; the rest
     /// follow it consecutively. A frame the encoder refuses fails the
     /// send with whatever was not yet written dropped.
-    fn send(&mut self, ops: &[Request], trace: Option<TraceContext>) -> SpaceResult<u32> {
+    fn send(&mut self, ops: &[Op], trace: Option<TraceContext>) -> SpaceResult<u32> {
         let first = self.next_seq;
-        for op in ops {
+        for (request, txn) in ops {
             let seq = self.next_seq;
             self.next_seq = seq.wrapping_add(1);
-            if let Err(e) = self.enc.push(seq, trace, op) {
+            if let Err(e) = self.enc.push(seq, trace, *txn, request) {
                 self.enc.discard();
                 return Err(io_error(e));
             }
@@ -85,6 +91,11 @@ impl Conn {
                     response.seq
                 )));
             }
+            if response.txn.is_some() {
+                return Err(SpaceError::Protocol(
+                    "a response carries a transaction header".into(),
+                ));
+            }
             responses.push(response.body);
         }
         Ok(responses)
@@ -93,25 +104,66 @@ impl Conn {
 
 /// Chunks a batch write to `WriteAll` frames within
 /// [`BATCH_FRAME_BUDGET`] and [`BATCH_MAX_TUPLES`] (none for no tuples).
-fn write_all_chunks(tuples: Vec<Tuple>, lease_ms: Option<u64>) -> Vec<Request> {
-    let mut chunks: Vec<Request> = Vec::new();
+/// Under transaction `txn` every chunk runs under it and the last, an
+/// empty one if there is nothing to write, commits it.
+fn write_all_chunks(tuples: Vec<Tuple>, lease_ms: Option<u64>, txn: Option<u64>) -> Vec<Op> {
+    let mut chunks: Vec<Op> = Vec::new();
     let mut current: Vec<Tuple> = Vec::new();
     let mut budget = 0usize;
+    let header = |commit| txn.map(|id| TxnHeader { id, commit });
     for tuple in tuples {
         let hint = tuple.size_hint() + 64;
         if !current.is_empty()
             && (budget + hint > BATCH_FRAME_BUDGET || current.len() >= BATCH_MAX_TUPLES)
         {
-            chunks.push(Request::WriteAll(std::mem::take(&mut current), lease_ms));
+            let request = Request::WriteAll(std::mem::take(&mut current), lease_ms);
+            chunks.push((request, header(false)));
             budget = 0;
         }
         budget += hint;
         current.push(tuple);
     }
-    if !current.is_empty() {
-        chunks.push(Request::WriteAll(current, lease_ms));
+    if !current.is_empty() || txn.is_some() {
+        chunks.push((Request::WriteAll(current, lease_ms), header(true)));
     }
     chunks
+}
+
+/// A refill's frames: `writes`, committing transaction `commit` when
+/// given, then a `TakeUpTo` under transaction `txn` when given.
+fn refill_ops(
+    writes: Vec<Tuple>,
+    commit: Option<u64>,
+    template: &Template,
+    max: usize,
+    timeout: Option<Duration>,
+    txn: Option<u64>,
+) -> Vec<Op> {
+    let mut ops = write_all_chunks(writes, None, commit);
+    let take = Request::TakeUpTo(template.clone(), max as u64, timeout_to_ms(timeout));
+    ops.push((take, txn.map(|id| TxnHeader { id, commit: false })));
+    ops
+}
+
+/// Both answers of a refill: the writes' ids and the take's tuples.
+type Refilled = (SpaceResult<Vec<EntryId>>, SpaceResult<Vec<Tuple>>);
+
+/// The answers to [`refill_ops`]' frames.
+fn refilled(mut responses: Vec<Response>) -> SpaceResult<Refilled> {
+    let taken = tuples_of(responses.pop());
+    Ok((ids_of(responses), taken))
+}
+
+/// The wire id of a batch's transaction: none for a bare batch, and an
+/// error for one an in-process space opened.
+fn wire_txn(txn: BatchTxn) -> SpaceResult<Option<u64>> {
+    match txn.0 {
+        Held::Bare => Ok(None),
+        Held::Wire(id) => Ok(Some(id)),
+        Held::Local(_) => Err(SpaceError::Protocol(
+            "an in-process batch handed to a remote space".into(),
+        )),
+    }
 }
 
 /// The ids answering [`write_all_chunks`]' frames, in input order.
@@ -143,15 +195,20 @@ fn tuples_of(response: Option<Response>) -> SpaceResult<Vec<Tuple>> {
 ///
 /// A transport failure mid-call triggers exactly one reconnect and one
 /// resend before surfacing [`SpaceError::Transport`] — so a single dropped
-/// connection is invisible to callers. The retry makes mutating calls
-/// *at-least-once*: if the first attempt's response was lost after the
-/// server applied it, the resend applies it again. That matches
-/// JavaSpaces' RMI-era semantics; callers needing exactly-once dedupe by
-/// task id (as the master does).
+/// connection is invisible to callers. The retry makes a bare mutating
+/// call *at-least-once*: if the first attempt's response was lost after
+/// the server applied it, the resend applies it again. A batch's commit
+/// is exactly-once instead ([`TupleStore::take_batch`]): its transaction
+/// belongs to the connection it was opened on, whose end aborts it unless
+/// it had committed, so a resent commit is refused with `TxnInactive` and
+/// applies nothing — either way the batch's tuples are in the space once.
 #[derive(Debug)]
 pub struct RemoteSpace {
     addr: SocketAddr,
     stream: Mutex<Conn>,
+    /// The id of the next transaction a batch take opens; ids are never
+    /// reused, across reconnects too.
+    next_txn: AtomicU64,
 }
 
 impl RemoteSpace {
@@ -168,6 +225,7 @@ impl RemoteSpace {
                 interner: NameInterner::new(),
                 next_seq: 0,
             }),
+            next_txn: AtomicU64::new(1),
         })
     }
 
@@ -189,7 +247,7 @@ impl RemoteSpace {
     fn complete(
         &self,
         conn: &mut Conn,
-        ops: &[Request],
+        ops: &[Op],
         trace: Option<TraceContext>,
         sent: SpaceResult<u32>,
     ) -> SpaceResult<Vec<Response>> {
@@ -222,7 +280,7 @@ impl RemoteSpace {
     /// batch costs one round trip. [`Pending::finish`] is the second half.
     pub(super) fn begin<T>(
         &self,
-        ops: Vec<Request>,
+        ops: Vec<Op>,
         interpret: fn(Vec<Response>) -> SpaceResult<T>,
     ) -> Pending<'_, T> {
         let trace = TraceContext::current_if_enabled();
@@ -239,8 +297,9 @@ impl RemoteSpace {
     }
 
     /// One request, one response: the exchange with *n* = 1.
-    fn call(&self, request: &Request, trace: Option<TraceContext>) -> SpaceResult<Response> {
-        let ops = std::slice::from_ref(request);
+    fn call(&self, request: Request, trace: Option<TraceContext>) -> SpaceResult<Response> {
+        let op = (request, None);
+        let ops = std::slice::from_ref(&op);
         let mut conn = self.stream.lock();
         let sent = conn.send(ops, trace);
         let mut responses = self.complete(&mut conn, ops, trace, sent)?;
@@ -252,7 +311,7 @@ impl RemoteSpace {
     /// the server's handler span ends up in the caller's trace.
     fn call_traced(&self, span_name: &'static str, request: Request) -> SpaceResult<Response> {
         let _span = acc_telemetry::span!(span_name);
-        self.call(&request, TraceContext::current_if_enabled())
+        self.call(request, TraceContext::current_if_enabled())
     }
 
     /// Split-phase [`TupleStore::write_all_leased`]: the chunked
@@ -266,7 +325,7 @@ impl RemoteSpace {
         tuples: Vec<Tuple>,
         lease: Lease,
     ) -> Pending<'_, Vec<EntryId>> {
-        let chunks = write_all_chunks(tuples, lease_to_ms(lease));
+        let chunks = write_all_chunks(tuples, lease_to_ms(lease), None);
         self.begin(chunks, ids_of)
     }
 
@@ -278,36 +337,64 @@ impl RemoteSpace {
     pub fn begin_take_up_to(&self, template: &Template, max: usize) -> Pending<'_, Vec<Tuple>> {
         let ops = match max {
             0 => Vec::new(),
-            _ => vec![Request::TakeUpTo(template.clone(), max as u64, Some(0))],
+            _ => vec![(
+                Request::TakeUpTo(template.clone(), max as u64, Some(0)),
+                None,
+            )],
         };
         self.begin(ops, |responses| tuples_of(responses.into_iter().next()))
     }
 
-    /// Split-phase [`TupleStore::write_all_then_take_up_to`]: the
-    /// `WriteAll` frame(s) and the `TakeUpTo` frame leave in one write,
-    /// the server serves them in order and answers both in one write;
-    /// [`Pending::finish`] reads the two outcomes. The take may block on
-    /// the server for `timeout` — the write has been applied by then,
-    /// only its answer waits. A transport failure resends the whole pair
-    /// once, so write and take are each at-least-once, as on their own
-    /// (the server restores a take whose answer it could not deliver).
-    pub fn begin_write_all_then_take_up_to(
+    /// Split-phase refill for a caller that holds no transaction across
+    /// it (`acc-spacegrid`'s multi-shard sweep): `writes` out, then up to
+    /// `max` tuples taken bare, the frames sent in one write and answered
+    /// in one; [`Pending::finish`] reads both outcomes. The take may block
+    /// on the server for `timeout` — the writes have been applied by then.
+    /// A transport failure resends the whole exchange once, so writes and
+    /// take are each at-least-once, as on their own (the server restores a
+    /// bare take whose answer it could not deliver).
+    pub fn begin_refill(
         &self,
-        tuples: Vec<Tuple>,
+        writes: Vec<Tuple>,
         template: &Template,
         max: usize,
         timeout: Option<Duration>,
-    ) -> Pending<'_, WriteThenTake> {
-        let mut ops = write_all_chunks(tuples, None);
-        ops.push(Request::TakeUpTo(
-            template.clone(),
-            max as u64,
-            timeout_to_ms(timeout),
-        ));
-        self.begin(ops, |mut responses| {
-            let taken = tuples_of(responses.pop());
-            Ok((ids_of(responses), taken))
-        })
+    ) -> Pending<'_, Refilled> {
+        let ops = refill_ops(writes, None, template, max, timeout, None);
+        self.begin(ops, refilled)
+    }
+
+    /// Split-phase [`TupleStore::commit_batch`]: the batch's `WriteAll`
+    /// frames, the last committing its transaction, go out now; the
+    /// outcome comes back from [`Pending::finish`].
+    pub fn begin_commit_batch(&self, batch: Batch) -> SpaceResult<Pending<'_, Vec<EntryId>>> {
+        let ops = write_all_chunks(batch.tuples, None, wire_txn(batch.txn)?);
+        Ok(self.begin(ops, ids_of))
+    }
+
+    /// Split-phase [`TupleStore::take_batch`], the refill as one
+    /// exchange: `done`'s commit and a `TakeUpTo` under a fresh
+    /// transaction go out now, in one write, and are answered in one by
+    /// [`PendingBatch::finish`]. What fails for good (after the one
+    /// reconnect and resend) fails both.
+    pub fn begin_take_batch(
+        &self,
+        done: Batch,
+        template: &Template,
+        max: usize,
+        timeout: Option<Duration>,
+    ) -> PendingBatch<'_> {
+        let id = self.next_txn.fetch_add(1, Ordering::Relaxed);
+        let nothing_to_commit = done.tuples.is_empty() && matches!(done.txn.0, Held::Bare);
+        let exchange = wire_txn(done.txn).map(|commit| {
+            let ops = refill_ops(done.tuples, commit, template, max, timeout, Some(id));
+            self.begin(ops, refilled)
+        });
+        PendingBatch {
+            exchange,
+            id,
+            nothing_to_commit,
+        }
     }
 
     fn expect_tuple(
@@ -335,7 +422,7 @@ pub struct Pending<'a, T> {
     space: &'a RemoteSpace,
     conn: MutexGuard<'a, Conn>,
     /// Kept for the resend after a reconnect.
-    ops: Vec<Request>,
+    ops: Vec<Op>,
     trace: Option<TraceContext>,
     sent: SpaceResult<u32>,
     interpret: fn(Vec<Response>) -> SpaceResult<T>,
@@ -349,6 +436,36 @@ impl<T> Pending<'_, T> {
         self.space
             .complete(&mut self.conn, &self.ops, self.trace, self.sent)
             .and_then(self.interpret)
+    }
+}
+
+/// The second half of [`RemoteSpace::begin_take_batch`].
+pub struct PendingBatch<'a> {
+    exchange: SpaceResult<Pending<'a, Refilled>>,
+    /// The transaction the take runs under.
+    id: u64,
+    /// The exchange is a take alone: a failure fails only the take.
+    nothing_to_commit: bool,
+}
+
+impl PendingBatch<'_> {
+    /// Reads both answers: the commit's outcome, then the new batch.
+    pub fn finish(self) -> (SpaceResult<()>, SpaceResult<Batch>) {
+        let (written, taken) = match self.exchange.and_then(Pending::finish) {
+            Ok(pair) => pair,
+            Err(e) if self.nothing_to_commit => (Ok(Vec::new()), Err(e)),
+            Err(e) => (Err(e.clone()), Err(e)),
+        };
+        // A take that found nothing left no transaction open.
+        let taken = taken.map(|tuples| Batch {
+            txn: BatchTxn(if tuples.is_empty() {
+                Held::Bare
+            } else {
+                Held::Wire(self.id)
+            }),
+            tuples,
+        });
+        (written.map(drop), taken)
     }
 }
 
@@ -381,12 +498,12 @@ impl TupleStore for RemoteSpace {
     }
 
     fn close(&self) {
-        let _ = self.call(&Request::Close, None);
+        let _ = self.call(Request::Close, None);
     }
 
     fn is_closed(&self) -> bool {
         matches!(
-            self.call(&Request::IsClosed, None),
+            self.call(Request::IsClosed, None),
             Ok(Response::Bool(true)) | Err(_)
         )
     }
@@ -415,20 +532,21 @@ impl TupleStore for RemoteSpace {
         tuples_of(Some(self.call_traced("remote.take_up_to", request)?))
     }
 
-    /// The refill pair as one exchange — see
-    /// [`RemoteSpace::begin_write_all_then_take_up_to`]. What fails for
-    /// good (after the one reconnect and resend) fails both outcomes.
-    fn write_all_then_take_up_to(
+    /// The batch's writes and commit as one exchange.
+    fn commit_batch(&self, batch: Batch) -> SpaceResult<()> {
+        let _span = acc_telemetry::span!("remote.commit", tuples = batch.tuples.len() as u64);
+        self.begin_commit_batch(batch)?.finish().map(drop)
+    }
+
+    fn take_batch(
         &self,
-        tuples: Vec<Tuple>,
+        done: Batch,
         template: &Template,
         max: usize,
         timeout: Option<Duration>,
-    ) -> WriteThenTake {
-        let _span = acc_telemetry::span!("remote.write_take", tuples = tuples.len() as u64);
-        self.begin_write_all_then_take_up_to(tuples, template, max, timeout)
-            .finish()
-            .unwrap_or_else(|e| (Err(e.clone()), Err(e)))
+    ) -> (SpaceResult<()>, SpaceResult<Batch>) {
+        let _span = acc_telemetry::span!("remote.write_take", tuples = done.tuples.len() as u64);
+        self.begin_take_batch(done, template, max, timeout).finish()
     }
 
     /// Batch drain over the wire: repeated `take_up_to` frames instead of

@@ -48,7 +48,7 @@ mod server;
 #[cfg(test)]
 mod tests;
 
-pub use client::{Pending, RemoteSpace};
+pub use client::{Pending, PendingBatch, RemoteSpace};
 pub use server::{ServerOptions, SpaceServer};
 
 /// Wire-path series: the error path (reconnects, restored tuples) and the

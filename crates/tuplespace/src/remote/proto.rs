@@ -3,14 +3,17 @@
 //! Every frame, request or response, is
 //!
 //! ```text
-//! len:u32 | version:u8 | flags:u8 | seq:u32 | [trace_id:u64 span_id:u64] | tag:u8 | body
+//! len:u32 | version:u8 | flags:u8 | seq:u32 | [trace_id:u64 span_id:u64] | [txn:u64] | tag:u8 | body
 //! ```
 //!
 //! little-endian, `len` counting everything after itself and capped at
 //! [`MAX_FRAME`]. `version` is [`WIRE_VERSION`] or the frame is refused —
 //! there is no negotiation. `flags` bit 0 says a 16-byte trace context
-//! follows `seq`; every other bit must be zero. `seq` is chosen by the
-//! client and echoed by the server in the response to that request.
+//! follows `seq`; bit 1 that a client-chosen transaction id follows it,
+//! which only a `TakeUpTo` or a `WriteAll` request may carry; bit 2, on a
+//! `WriteAll` with bit 1, asks the server to commit that transaction once
+//! the write is served. Every other bit must be zero. `seq` is chosen by
+//! the client and echoed by the server in the response to that request.
 //!
 //! This file owns the layout ([`Frame`]), the operation and response
 //! codecs ([`Request`], [`Response`]), the error-code table, and the
@@ -39,11 +42,25 @@ pub(super) const MAX_FRAME: usize = 16 << 20;
 
 /// The one wire version this build speaks. A peer whose frames carry any
 /// other value gets [`SpaceError::Protocol`] naming both — never a silent
-/// downgrade. (Versions 0–2 were the tag-first formats this one replaced.)
-pub(super) const WIRE_VERSION: u8 = 3;
+/// downgrade. (Versions 0–2 were the tag-first formats version 3 replaced;
+/// version 4 added the transaction header.)
+pub(super) const WIRE_VERSION: u8 = 4;
 
 /// `flags` bit 0: a trace context follows `seq`.
 const FLAG_TRACE: u8 = 1;
+/// `flags` bit 1: a transaction id follows the trace context.
+const FLAG_TXN: u8 = 2;
+/// `flags` bit 2: commit the transaction after serving (needs bit 1).
+const FLAG_COMMIT: u8 = 4;
+
+/// The transaction a request frame runs under: the client-chosen id of a
+/// transaction its connection opens or has opened, and whether the server
+/// commits it once the request is served.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct TxnHeader {
+    pub id: u64,
+    pub commit: bool,
+}
 
 /// A decoded frame: the header fields plus the request or response body.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,22 +70,28 @@ pub(super) struct Frame<T> {
     /// The sender's trace context, so the server-side handler span joins
     /// the client's trace. Responses carry none.
     pub trace: Option<TraceContext>,
+    /// The transaction a request runs under. Responses carry none.
+    pub txn: Option<TxnHeader>,
     pub body: T,
 }
 
-fn put_header(w: &mut WireWriter, seq: u32, trace: Option<TraceContext>) {
+fn put_header(w: &mut WireWriter, seq: u32, trace: Option<TraceContext>, txn: Option<TxnHeader>) {
+    let txn_flags = txn.map_or(0, |t| FLAG_TXN | if t.commit { FLAG_COMMIT } else { 0 });
     w.put_u8(WIRE_VERSION);
-    w.put_u8(if trace.is_some() { FLAG_TRACE } else { 0 });
+    w.put_u8(if trace.is_some() { FLAG_TRACE } else { 0 } | txn_flags);
     w.put_u32(seq);
     if let Some(ctx) = trace {
         w.put_u64(ctx.trace_id);
         w.put_u64(ctx.span_id);
     }
+    if let Some(txn) = txn {
+        w.put_u64(txn.id);
+    }
 }
 
 impl<T: Payload> Payload for Frame<T> {
     fn encode(&self, w: &mut WireWriter) {
-        put_header(w, self.seq, self.trace);
+        put_header(w, self.seq, self.trace, self.txn);
         self.body.encode(w);
     }
 
@@ -77,7 +100,9 @@ impl<T: Payload> Payload for Frame<T> {
             return Err(PayloadError::Corrupt("wire version"));
         }
         let flags = r.get_u8()?;
-        if flags & !FLAG_TRACE != 0 {
+        if flags & !(FLAG_TRACE | FLAG_TXN | FLAG_COMMIT) != 0
+            || flags & (FLAG_TXN | FLAG_COMMIT) == FLAG_COMMIT
+        {
             return Err(PayloadError::Corrupt("frame flags"));
         }
         let seq = r.get_u32()?;
@@ -90,8 +115,21 @@ impl<T: Payload> Payload for Frame<T> {
         } else {
             None
         };
+        let commit = flags & FLAG_COMMIT != 0;
+        let txn = match flags & FLAG_TXN {
+            0 => None,
+            _ => Some(TxnHeader {
+                id: r.get_u64()?,
+                commit,
+            }),
+        };
         let body = T::decode(r)?;
-        Ok(Frame { seq, trace, body })
+        Ok(Frame {
+            seq,
+            trace,
+            txn,
+            body,
+        })
     }
 }
 
@@ -236,9 +274,10 @@ impl Request {
     }
 
     /// True when serving this request *removes* tuples from the space: if
-    /// its response cannot be delivered, the server must put them back.
-    pub(super) fn is_destructive(&self) -> bool {
-        matches!(self, Request::Take(..) | Request::TakeUpTo(..))
+    /// its response cannot be delivered, the server must put them back —
+    /// unless it ran under a transaction, whose abort puts them back.
+    pub(super) fn is_destructive(&self, txn: Option<TxnHeader>) -> bool {
+        txn.is_none() && matches!(self, Request::Take(..) | Request::TakeUpTo(..))
     }
 }
 
@@ -328,8 +367,8 @@ impl Response {
 }
 
 /// Codes 5 and 6 are retired (they named errors of the removed notify and
-/// cancel ops) and decode as unknown. Do not reuse them: every peer of
-/// wire version 3 must agree on what each code means.
+/// cancel ops) and decode as unknown. Do not reuse them: every peer must
+/// agree on what each code means.
 pub(super) fn error_encode(e: &SpaceError) -> Response {
     let code = match e {
         SpaceError::Closed => 1,
@@ -550,11 +589,12 @@ impl FrameEncoder {
         &mut self,
         seq: u32,
         trace: Option<TraceContext>,
+        txn: Option<TxnHeader>,
         body: &impl Payload,
     ) -> std::io::Result<()> {
         let at = self.w.len();
         self.w.put_u32(0);
-        put_header(&mut self.w, seq, trace);
+        put_header(&mut self.w, seq, trace, txn);
         body.encode(&mut self.w);
         let len = self.w.len() - at - 4;
         if len > MAX_FRAME {

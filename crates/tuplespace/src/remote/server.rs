@@ -1,8 +1,9 @@
 //! The serving side: accept loop, connection limits, and the one serve
 //! path — every frame is decoded, served against the space and answered
 //! inline on its connection's thread, in arrival order. Also owns the
-//! lost-take protection: tuples removed for a response that could not be
-//! delivered go back into the space.
+//! connection's transactions, which its end aborts, and the lost-take
+//! protection for bare takes: tuples removed for a response that could
+//! not be delivered go back into the space.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -15,13 +16,15 @@ use parking_lot::Mutex;
 
 use super::net_series;
 use super::proto::{
-    self, error_encode, lease_from_ms, FrameEncoder, FrameReader, Request, Response,
-    COALESCE_LIMIT, MAX_FRAME,
+    self, error_encode, lease_from_ms, Frame, FrameEncoder, FrameReader, Request, Response,
+    TxnHeader, COALESCE_LIMIT, MAX_FRAME,
 };
-use crate::error::SpaceError;
+use crate::error::{SpaceError, SpaceResult};
+use crate::lease::Lease;
 use crate::payload::NameInterner;
-use crate::space::Space;
+use crate::space::{EntryId, Space, Txn};
 use crate::store::TupleStore;
+use crate::tuple::Tuple;
 
 /// Resource limits for a [`SpaceServer`]. Each accepted connection owns one
 /// service thread, so an unbounded accept loop lets one misbehaving client
@@ -32,7 +35,11 @@ pub struct ServerOptions {
     /// Max idle time between requests on a connection before it is dropped
     /// (`None` = wait forever). Does not limit blocking `read`/`take`
     /// service time — while those wait on the space, the socket is idle on
-    /// the *client's* side, not the server's.
+    /// the *client's* side, not the server's — nor a connection holding an
+    /// open transaction, whose holder may compute for longer than this
+    /// before it commits. A dead holder *process*'s socket closes, which
+    /// aborts; a holder *host* that vanishes without closing it leaves the
+    /// connection, and its transaction, open (there is no keepalive).
     pub read_timeout: Option<Duration>,
     /// Max time a response write may block before the connection is
     /// dropped (`None` = wait forever).
@@ -157,7 +164,7 @@ impl SpaceServer {
                         }
                     }
                     let _slot = Slot(active, conns3, conn_id);
-                    serve_connection(&space, stream);
+                    serve_connection(&space, stream, opts.read_timeout);
                 });
             }
         });
@@ -214,28 +221,44 @@ impl Drop for SpaceServer {
 /// client stopped in the middle of a frame it has yet to finish — which
 /// no client waiting for an answer does — so holding cannot deadlock.
 ///
-/// **Lost-take protection.** Every destructive answer served and not yet
-/// successfully flushed is kept in `unacked`; however the loop ends —
-/// failed write, hangup, timeout, undecodable frame — what is still there
-/// goes back to the space.
-fn serve_connection(space: &Arc<Space>, mut stream: TcpStream) {
+/// **Transactions.** The connection's open transactions live in `txns`,
+/// by the ids its client chose. However the loop ends — hangup, failed
+/// write, timeout, undecodable frame — dropping them aborts every one:
+/// what they took goes back to the space, what they wrote never shows.
+/// While one is open the socket waits for the next request without
+/// `read_timeout`.
+///
+/// **Lost-take protection.** Every bare destructive answer served and not
+/// yet successfully flushed is kept in `unacked`; however the loop ends,
+/// what is still there goes back to the space.
+fn serve_connection(space: &Arc<Space>, mut stream: TcpStream, read_timeout: Option<Duration>) {
     let mut frames = FrameReader::default();
     let mut enc = FrameEncoder::default();
     let mut interner = NameInterner::new();
     let mut unacked: Vec<Response> = Vec::new();
-    while let Ok(frame) = frames.read_frame(&mut stream) {
+    let mut txns = Txns::new();
+    let mut timeout = read_timeout;
+    loop {
+        let wanted = read_timeout.filter(|_| txns.is_empty());
+        if wanted != timeout && !frames.has_buffered() {
+            timeout = wanted;
+            let _ = stream.set_read_timeout(timeout);
+        }
+        let Ok(frame) = frames.read_frame(&mut stream) else {
+            break;
+        };
         let request = match proto::decode::<Request>(frame, &mut interner) {
             Ok(request) => request,
             Err(e) => {
                 // Say why before hanging up: a peer of another wire
                 // version learns both versions instead of a bare reset.
-                let _ = enc.push(0, None, &error_encode(&e));
+                let _ = enc.push(0, None, None, &error_encode(&e));
                 break;
             }
         };
-        let destructive = request.body.is_destructive();
-        let response = serve(space, request.body, request.trace);
-        if enc.push(request.seq, None, &response).is_err() {
+        let (seq, destructive) = (request.seq, request.body.is_destructive(request.txn));
+        let response = serve(space, &mut txns, request);
+        if enc.push(seq, None, None, &response).is_err() {
             // An answer too large to frame can never be delivered.
             if destructive {
                 restore_unacked(space, response);
@@ -261,20 +284,22 @@ fn serve_connection(space: &Arc<Space>, mut stream: TcpStream) {
     for response in unacked {
         restore_unacked(space, response);
     }
+    // Dropping `txns` aborts them.
 }
 
-/// Returns tuples carried by an *undeliverable* response to a destructive
-/// request back to the space. A take's tuples live only in the response
-/// frame once removed from the space; if that frame never reaches the
-/// client (connection cut mid-call — see `SpaceServer::disconnect_all`, or
-/// the client died), dropping it would silently destroy them. Restoring
+/// Returns tuples carried by an *undeliverable* response to a bare
+/// destructive request back to the space. A take's tuples live only in the
+/// response frame once removed from the space; if that frame never reaches
+/// the client (connection cut mid-call — see `SpaceServer::disconnect_all`,
+/// or the client died), dropping it would silently destroy them. Restoring
 /// them lets the client's reconnect-and-retry take them again, and returns
 /// a dead worker's tasks to the pool. Restored tuples get a fresh
 /// `Forever` lease — the original lease was consumed by the take.
 ///
 /// The caller gates on [`Request::is_destructive`]: a `MaybeTuple`
 /// response to a plain `read` must *not* be restored (the tuple is still
-/// in the space — writing it back would duplicate it).
+/// in the space — writing it back would duplicate it), nor a take under a
+/// transaction, whose abort restores the originals.
 fn restore_unacked(space: &Arc<Space>, response: Response) {
     let tuples = match response {
         Response::MaybeTuple(Some(tuple)) => vec![tuple],
@@ -286,54 +311,94 @@ fn restore_unacked(space: &Arc<Space>, response: Response) {
     let _ = Space::write_all(space, tuples);
 }
 
-pub(super) fn serve(space: &Arc<Space>, request: Request, trace: Option<TraceContext>) -> Response {
+/// The most a batch take answers with, by `size_hint` plus a margin per
+/// tuple: the batch fits one response frame. Tuples past it are not
+/// taken.
+const TAKE_BUDGET: usize = MAX_FRAME / 2;
+
+/// A connection's open transactions, by the ids its client chose.
+pub(super) type Txns = HashMap<u64, Txn>;
+
+/// Serves one request. Under a transaction, a `TakeUpTo` takes under it,
+/// opening it if this connection has not — and closes it again if it
+/// opened it and took nothing, so an empty poll leaves nothing open; a
+/// `WriteAll` writes under it and, with the commit bit, commits it. Any
+/// other op under a transaction, and a committing take, are refused.
+pub(super) fn serve(space: &Arc<Space>, txns: &mut Txns, request: Frame<Request>) -> Response {
     // Adopt the client's context so the handler span (and any space
     // instrumentation under it) joins the client's trace.
-    let _ctx = trace.map(TraceContext::attach);
-    let _span = trace.map(|_| acc_telemetry::span!("space.serve", op = request.op_name()));
+    let _ctx = request.trace.map(TraceContext::attach);
+    let _span = request
+        .trace
+        .map(|_| acc_telemetry::span!("space.serve", op = request.body.op_name()));
     let millis = |ms: Option<u64>| ms.map(Duration::from_millis);
-    let result = match request {
-        Request::Write(tuple, lease) => space
+    let result = match (request.body, request.txn) {
+        (Request::WriteAll(tuples, lease), Some(txn)) => {
+            write_under(txns, txn, tuples, lease_from_ms(lease)).map(Response::Ids)
+        }
+        (Request::TakeUpTo(tmpl, max, timeout), Some(txn)) if !txn.commit => {
+            let opened = !txns.contains_key(&txn.id);
+            if opened {
+                match space.txn() {
+                    Ok(t) => txns.insert(txn.id, t),
+                    Err(e) => return error_encode(&e),
+                };
+            }
+            let taken =
+                txns[&txn.id].take_up_to_within(&tmpl, max as usize, TAKE_BUDGET, millis(timeout));
+            if opened && !matches!(&taken, Ok(tuples) if !tuples.is_empty()) {
+                txns.remove(&txn.id);
+            }
+            taken.map(Response::Tuples)
+        }
+        (body, Some(_)) => Err(SpaceError::Protocol(format!(
+            "a transaction header on a {} frame",
+            body.op_name()
+        ))),
+        (Request::Write(tuple, lease), _) => space
             .write_leased(tuple, lease_from_ms(lease))
             .map(Response::Id),
-        Request::Read(tmpl, timeout) => {
+        (Request::Read(tmpl, timeout), _) => {
             Space::read(space, &tmpl, millis(timeout)).map(Response::MaybeTuple)
         }
-        Request::Take(tmpl, timeout) => {
+        (Request::Take(tmpl, timeout), _) => {
             Space::take(space, &tmpl, millis(timeout)).map(Response::MaybeTuple)
         }
-        Request::Count(tmpl) => {
+        (Request::Count(tmpl), _) => {
             TupleStore::count(&**space, &tmpl).map(|n| Response::Count(n as u64))
         }
-        Request::Close => {
+        (Request::Close, _) => {
             Space::close(space);
             Ok(Response::Unit)
         }
-        Request::IsClosed => Ok(Response::Bool(Space::is_closed(space))),
-        Request::WriteAll(tuples, lease) => {
+        (Request::IsClosed, _) => Ok(Response::Bool(Space::is_closed(space))),
+        (Request::WriteAll(tuples, lease), None) => {
             Space::write_all_leased(space, tuples, lease_from_ms(lease)).map(Response::Ids)
         }
-        Request::TakeUpTo(tmpl, max, timeout) => {
-            Space::take_up_to(space, &tmpl, max as usize, millis(timeout)).and_then(|mut tuples| {
-                // The batch must fit one response frame. Tuples that would
-                // overflow it go *back to the space* — they were already
-                // taken, and dropping them would silently destroy them.
-                let mut total = 0usize;
-                let mut keep = tuples.len();
-                for (i, t) in tuples.iter().enumerate() {
-                    total += t.size_hint() + 64;
-                    if total > MAX_FRAME / 2 {
-                        keep = i.max(1);
-                        break;
-                    }
-                }
-                if keep < tuples.len() {
-                    let excess = tuples.split_off(keep);
-                    Space::write_all(space, excess).map_err(|_| SpaceError::Closed)?;
-                }
-                Ok(Response::Tuples(tuples))
-            })
-        }
+        (Request::TakeUpTo(tmpl, max, timeout), None) => space
+            .take_batch(&tmpl, max as usize, TAKE_BUDGET, millis(timeout), None)
+            .map(Response::Tuples),
     };
     result.unwrap_or_else(|e| error_encode(&e))
+}
+
+/// A transactional `WriteAll`: the writes, then the commit if asked for.
+/// One naming a transaction this connection has not opened is refused
+/// with `TxnInactive` and applies nothing. Asked to commit, the
+/// transaction is done whatever happens: a write that fails drops it,
+/// which aborts.
+fn write_under(
+    txns: &mut Txns,
+    header: TxnHeader,
+    tuples: Vec<Tuple>,
+    lease: Lease,
+) -> SpaceResult<Vec<EntryId>> {
+    if !header.commit {
+        let txn = txns.get(&header.id).ok_or(SpaceError::TxnInactive)?;
+        return txn.write_all(tuples, lease);
+    }
+    let txn = txns.remove(&header.id).ok_or(SpaceError::TxnInactive)?;
+    let ids = txn.write_all(tuples, lease)?;
+    txn.commit()?;
+    Ok(ids)
 }

@@ -7,16 +7,16 @@ use acc_telemetry::TraceContext;
 use bytes::Bytes;
 
 use super::proto::{
-    self, error_encode, error_from, Frame, FrameEncoder, FrameReader, Request, Response, MAX_FRAME,
-    READ_BUFFER, WIRE_VERSION,
+    self, error_encode, error_from, Frame, FrameEncoder, FrameReader, Request, Response, TxnHeader,
+    MAX_FRAME, READ_BUFFER, WIRE_VERSION,
 };
-use super::server::serve;
+use super::server::{serve, Txns};
 use super::{RemoteSpace, ServerOptions, SpaceServer};
 use crate::error::{SpaceError, SpaceResult};
 use crate::lease::Lease;
 use crate::payload::{NameInterner, Payload, PayloadError, WireReader, WireWriter};
 use crate::space::Space;
-use crate::store::{StoreHandle, TupleStore};
+use crate::store::{Batch, BatchTxn, Held, StoreHandle, TupleStore};
 use crate::template::Template;
 use crate::tuple::Tuple;
 
@@ -44,7 +44,7 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
 /// A frame as it travels, length prefix included.
 fn raw_frame<T: Payload>(seq: u32, trace: Option<TraceContext>, body: &T) -> Vec<u8> {
     let mut enc = FrameEncoder::default();
-    enc.push(seq, trace, body).unwrap();
+    enc.push(seq, trace, None, body).unwrap();
     let mut out = Vec::new();
     enc.flush(&mut out).unwrap();
     out
@@ -102,6 +102,7 @@ fn request_response_codecs_roundtrip() {
             let frame = Frame {
                 seq,
                 trace,
+                txn: None,
                 body: body.clone(),
             };
             assert_eq!(Frame::from_bytes(&frame.to_bytes()).unwrap(), frame);
@@ -124,6 +125,7 @@ fn request_response_codecs_roundtrip() {
         let frame = Frame {
             seq: 17,
             trace: None,
+            txn: None,
             body,
         };
         assert_eq!(Frame::from_bytes(&frame.to_bytes()).unwrap(), frame);
@@ -139,6 +141,7 @@ fn the_encoder_writes_what_the_frame_codec_reads() {
         let frame = Frame {
             seq: 3,
             trace,
+            txn: None,
             body: op.clone(),
         };
         let body = frame.to_bytes();
@@ -153,6 +156,7 @@ fn hostile_frames_are_rejected_at_decode() {
     let good = Frame {
         seq: 1,
         trace: Some(ctx()),
+        txn: None,
         body: Request::IsClosed,
     }
     .to_bytes();
@@ -169,16 +173,33 @@ fn hostile_frames_are_rejected_at_decode() {
     let mut lying_count = Frame {
         seq: 1,
         trace: None,
+        txn: None,
         body: Request::WriteAll(Vec::new(), None),
     }
     .to_bytes();
     lying_count[7..11].copy_from_slice(&u32::MAX.to_le_bytes());
+    let committing_write_all = Frame {
+        seq: 1,
+        trace: None,
+        txn: Some(TxnHeader {
+            id: 7,
+            commit: true,
+        }),
+        body: Request::WriteAll(Vec::new(), None),
+    }
+    .to_bytes();
+    assert!(Frame::<Request>::from_bytes(&committing_write_all).is_ok());
     let cases: Vec<(&str, Vec<u8>)> = vec![
         ("no bytes at all", Vec::new()),
         ("older version byte", patched(0, WIRE_VERSION - 1)),
         ("newer version byte", patched(0, WIRE_VERSION + 1)),
-        ("unknown flag bit", patched(1, 0b11)),
+        ("unknown flag bit", patched(1, 0b1001)),
         ("only unknown flag bits", patched(1, 0x80)),
+        ("commit bit without a transaction", patched(1, 0b101)),
+        (
+            "header cut inside the transaction id",
+            committing_write_all[..10].to_vec(),
+        ),
         ("trace flag, zero trace id", zero_trace_id),
         ("trace flag, zero span id", zero_span_id),
         ("header cut inside seq", good[..4].to_vec()),
@@ -255,18 +276,29 @@ fn version_mismatch_names_both_versions_in_both_directions() {
     }
 }
 
+/// Serves one bare request outside any connection.
+fn serve_one(space: &Arc<Space>, body: Request, trace: Option<TraceContext>) -> Response {
+    let request = Frame {
+        seq: 0,
+        trace,
+        txn: None,
+        body,
+    };
+    serve(space, &mut Txns::new(), request)
+}
+
 #[test]
 fn traced_frame_serves_like_plain_request() {
     let space = Space::new("traced");
-    let Response::Id(_) = serve(&space, Request::Write(tuple(5), None), Some(ctx())) else {
+    let Response::Id(_) = serve_one(&space, Request::Write(tuple(5), None), Some(ctx())) else {
         panic!("traced write must behave like a plain write");
     };
     let count = Request::Count(Template::of_type("t"));
     assert_eq!(
-        serve(&space, count.clone(), Some(ctx())),
+        serve_one(&space, count.clone(), Some(ctx())),
         Response::Count(1)
     );
-    assert_eq!(serve(&space, count, None), Response::Count(1));
+    assert_eq!(serve_one(&space, count, None), Response::Count(1));
 }
 
 #[test]
@@ -612,7 +644,9 @@ fn split_phase_finish_resends_after_a_dropped_connection() {
 #[test]
 fn frames_sent_back_to_back_are_answered_in_order() {
     let (space, _server, remote) = rig();
-    let requests = (0..8).map(|i| Request::Write(tuple(i), None)).collect();
+    let requests = (0..8)
+        .map(|i| (Request::Write(tuple(i), None), None))
+        .collect();
     let responses = remote.begin(requests, Ok).finish().unwrap();
     assert_eq!(responses.len(), 8);
     for r in responses {
@@ -684,13 +718,13 @@ fn encoder_enforces_max_frame_at_the_boundary() {
     let overhead = raw_frame(0, None, &Blob(Vec::new())).len() - 4;
     // Exactly MAX_FRAME: allowed (the reader accepts len == MAX_FRAME).
     let at_limit = Blob(vec![0u8; MAX_FRAME - overhead]);
-    enc.push(0, None, &at_limit).unwrap();
+    enc.push(0, None, None, &at_limit).unwrap();
     enc.flush(&mut sink).unwrap();
     // One byte over: rejected cleanly before any bytes go out, and taken
     // back out of the buffer — a frame pushed before it still leaves.
     let over = Blob(vec![0u8; MAX_FRAME - overhead + 1]);
-    enc.push(1, None, &Request::IsClosed).unwrap();
-    let err = enc.push(2, None, &over).unwrap_err();
+    enc.push(1, None, None, &Request::IsClosed).unwrap();
+    let err = enc.push(2, None, None, &over).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("frame too large"), "{err}");
     let mut out = Vec::new();
@@ -756,6 +790,24 @@ fn unexpected_response_is_a_protocol_error() {
     let remote = RemoteSpace::connect(addr).unwrap();
     match remote.count(&Template::of_type("t")) {
         Err(SpaceError::Protocol(msg)) => assert!(msg.contains("seq"), "{msg}"),
+        other => panic!("expected protocol error, got {other:?}"),
+    }
+    // An answer under a transaction header, which no response carries.
+    let addr = misbehaving_server(|request| {
+        let mut enc = FrameEncoder::default();
+        let txn = Some(TxnHeader {
+            id: 1,
+            commit: false,
+        });
+        enc.push(request.seq, None, txn, &Response::Count(9))
+            .unwrap();
+        let mut reply = Vec::new();
+        enc.flush(&mut reply).unwrap();
+        reply
+    });
+    let remote = RemoteSpace::connect(addr).unwrap();
+    match remote.count(&Template::of_type("t")) {
+        Err(SpaceError::Protocol(msg)) => assert!(msg.contains("transaction"), "{msg}"),
         other => panic!("expected protocol error, got {other:?}"),
     }
 }
@@ -858,7 +910,7 @@ fn pushed_frames_reach_the_socket_in_one_write() {
     let mut enc = FrameEncoder::default();
     let mut expected = Vec::new();
     for (seq, op) in ops.iter().enumerate() {
-        enc.push(seq as u32, None, op).unwrap();
+        enc.push(seq as u32, None, None, op).unwrap();
         expected.extend(raw_frame(seq as u32, None, op));
     }
     assert_eq!(enc.pending(), expected.len());
@@ -1134,38 +1186,58 @@ fn answers_pending_when_the_peer_stops_mid_frame_are_restored() {
     assert_eq!(tuples_restored() - before, 3);
 }
 
+/// A batch handing `tuples` back under no transaction: bare writes.
+fn bare(tuples: Vec<Tuple>) -> Batch {
+    Batch {
+        txn: BatchTxn::default(),
+        tuples,
+    }
+}
+
 #[test]
 fn remote_refill_pair_writes_then_takes_in_one_exchange() {
     let (space, _server, remote) = rig();
     let t = Template::of_type("t");
+    let r = Template::of_type("r");
     let result = |id: i64| Tuple::build("r").field("id", id).done();
     Space::write_all(&space, (0..6).map(tuple).collect()).unwrap();
     let frames_before = super::net_series().frames_read.get();
-    let (written, taken) =
-        remote.write_all_then_take_up_to((0..4).map(result).collect(), &t, 4, Some(Duration::ZERO));
-    assert_eq!(written.unwrap().len(), 4);
-    assert_eq!(taken.unwrap(), (0..4).map(tuple).collect::<Vec<_>>());
-    assert_eq!(Space::count(&space, &Template::of_type("r")), 4);
+    // Nothing to commit: the take alone, under a transaction — its
+    // tuples are out of sight, not out of the space.
+    let (committed, taken) = remote.take_batch(Batch::default(), &t, 4, Some(Duration::ZERO));
+    assert_eq!(committed, Ok(()));
+    let mut batch = taken.unwrap();
+    assert_eq!(batch.tuples, (0..4).map(tuple).collect::<Vec<_>>());
+    assert!(matches!(batch.txn.0, Held::Wire(_)));
     assert_eq!(Space::count(&space, &t), 2);
-    // Nothing to write: the take alone; nothing to take: an empty batch
-    // after the timeout, with the write applied.
-    let (written, taken) = remote.write_all_then_take_up_to(Vec::new(), &t, 8, None);
-    assert!(written.unwrap().is_empty());
-    assert_eq!(taken.unwrap().len(), 2);
-    let (written, taken) =
-        remote.write_all_then_take_up_to(vec![result(9)], &t, 8, Some(Duration::from_millis(10)));
-    assert_eq!(written.unwrap().len(), 1);
-    assert!(taken.unwrap().is_empty());
-    assert_eq!(Space::count(&space, &Template::of_type("r")), 5);
-    // Other tests share the frame counters, so only a floor holds: two
-    // frames each way for the first pair, one and two for the others.
+    // The batch commits with its results and takes the rest in one
+    // exchange.
+    batch.tuples = (0..4).map(result).collect();
+    let (committed, taken) = remote.take_batch(batch, &t, 8, None);
+    assert_eq!(committed, Ok(()));
+    let mut batch = taken.unwrap();
+    assert_eq!(batch.tuples.len(), 2);
+    assert_eq!(Space::count(&space, &r), 4);
+    assert_eq!(Space::count(&space, &t), 0);
+    // Committed alone, with one task handed back; an empty take holds no
+    // transaction.
+    batch.tuples = vec![result(4), tuple(5)];
+    remote.commit_batch(batch).unwrap();
+    assert_eq!(Space::count(&space, &r), 5);
+    assert_eq!(Space::count(&space, &t), 1);
+    Space::take_all(&space, &t).unwrap();
+    let (_, taken) = remote.take_batch(Batch::default(), &t, 8, Some(Duration::from_millis(10)));
+    let empty = taken.unwrap();
+    assert!(empty.tuples.is_empty() && matches!(empty.txn.0, Held::Bare));
+    // Other tests share the frame counters, so only a floor holds: one
+    // frame each way, two, one, one.
     let frames = super::net_series().frames_read.get() - frames_before;
     assert!(frames >= 10, "frames {frames}");
     // A closed space fails both halves, each with its own answer.
     remote.close();
-    let (written, taken) = remote.write_all_then_take_up_to(vec![result(1)], &t, 4, None);
-    assert_eq!(written, Err(SpaceError::Closed));
-    assert_eq!(taken, Err(SpaceError::Closed));
+    let (committed, taken) = remote.take_batch(bare(vec![result(1)]), &t, 4, None);
+    assert_eq!(committed, Err(SpaceError::Closed));
+    assert_eq!(taken.map(|b| b.tuples), Err(SpaceError::Closed));
 }
 
 /// A server that hangs up on its first `deaf` connections after reading
@@ -1187,6 +1259,7 @@ fn deaf_then_serving(
             let mut interner = NameInterner::new();
             seen.lock().push(Vec::new());
             let mut answers = Vec::new();
+            let mut txns = Txns::new();
             while let Ok(frame) = reader.read_frame(&mut stream) {
                 let request: Frame<Request> = proto::decode(frame, &mut interner).unwrap();
                 seen.lock()[conn].push(request.seq);
@@ -1196,8 +1269,9 @@ fn deaf_then_serving(
                     }
                     continue;
                 }
-                let response = serve(&space, request.body, None);
-                answers.extend(raw_frame(request.seq, None, &response));
+                let seq = request.seq;
+                let response = serve(&space, &mut txns, request);
+                answers.extend(raw_frame(seq, None, &response));
                 if !reader.has_buffered() {
                     if stream.write_all(&answers).is_err() {
                         break;
@@ -1220,8 +1294,10 @@ fn a_resent_pair_keeps_seq_monotone_and_fails_through_one_exit() {
     Space::write_all(&space, (0..3).map(tuple).collect()).unwrap();
     let (addr, log) = deaf_then_serving(space.clone(), 1, 2);
     let remote = RemoteSpace::connect(addr).unwrap();
-    let (written, taken) =
-        remote.write_all_then_take_up_to(vec![result(0), result(1)], &t, 8, Some(Duration::ZERO));
+    let (written, taken) = remote
+        .begin_refill(vec![result(0), result(1)], &t, 8, Some(Duration::ZERO))
+        .finish()
+        .unwrap();
     assert_eq!(written.unwrap().len(), 2);
     assert_eq!(taken.unwrap().len(), 3);
     assert_eq!(*log.lock(), vec![vec![0, 1], vec![2, 3]]);
@@ -1235,17 +1311,287 @@ fn a_resent_pair_keeps_seq_monotone_and_fails_through_one_exit() {
     // reconnect instead of reading a stale answer.
     let (addr, log) = deaf_then_serving(space.clone(), 2, 2);
     let remote = RemoteSpace::connect(addr).unwrap();
-    let (written, taken) =
-        remote.write_all_then_take_up_to(vec![result(2)], &t, 8, Some(Duration::ZERO));
+    let (written, taken) = remote.take_batch(bare(vec![result(2)]), &t, 8, Some(Duration::ZERO));
     assert!(
         matches!(written, Err(SpaceError::Transport(_))),
         "{written:?}"
     );
-    assert_eq!(written.map(|_| ()), taken.map(|_| ()));
+    assert_eq!(written, taken.map(drop));
     assert_eq!(*log.lock(), vec![vec![0, 1], vec![2, 3]]);
     // (`seq` 4 went to the send that found the socket shut down.)
     assert_eq!(remote.count(&Template::of_type("r")), Ok(2));
     assert_eq!(*log.lock(), vec![vec![0, 1], vec![2, 3], vec![5]]);
+}
+
+/// A request frame under transaction `id`, committing it if `commit`.
+fn txn_frame(seq: u32, id: u64, commit: bool, body: &Request) -> Vec<u8> {
+    let mut enc = FrameEncoder::default();
+    enc.push(seq, None, Some(TxnHeader { id, commit }), body)
+        .unwrap();
+    let mut out = Vec::new();
+    enc.flush(&mut out).unwrap();
+    out
+}
+
+/// The `id`s of the visible tuples of type `ty`, sorted.
+fn ids_of_type(space: &Space, ty: &str) -> Vec<i64> {
+    let mut ids: Vec<i64> = space
+        .read_all(&Template::of_type(ty))
+        .unwrap()
+        .iter()
+        .map(|t| t.get_int("id").unwrap())
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// Where [`a_cut_at_any_step_of_a_batch_loses_and_duplicates_nothing`]
+/// severs the worker's connection.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Cut {
+    BeforeTheTakeAnswerIsRead,
+    AfterTheTakeAnswerIsRead,
+    AfterTheCommitIsSent,
+    AfterTheCommitAnswerIsRead,
+}
+
+/// The kill matrix: a worker's batch — a take under a transaction, then
+/// its results written under it with the commit bit — with the socket
+/// shut down at each step. However the cut falls, each task is in the
+/// space either still as a task or as its result, never both and never
+/// neither, once the server has finished with the connection.
+#[test]
+fn a_cut_at_any_step_of_a_batch_loses_and_duplicates_nothing() {
+    let result = |id: i64| Tuple::build("r").field("id", id).done();
+    for cut in [
+        Cut::BeforeTheTakeAnswerIsRead,
+        Cut::AfterTheTakeAnswerIsRead,
+        Cut::AfterTheCommitIsSent,
+        Cut::AfterTheCommitAnswerIsRead,
+    ] {
+        let (space, server, _remote) = rig();
+        Space::write_all(&space, (0..4).map(tuple).collect()).unwrap();
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        let take = Request::TakeUpTo(Template::of_type("t"), 3, Some(0));
+        raw.write_all(&txn_frame(0, 1, false, &take)).unwrap();
+        if cut != Cut::BeforeTheTakeAnswerIsRead {
+            let Response::Tuples(taken) = read_raw::<Response>(&mut raw).unwrap().body else {
+                panic!("{cut:?}: a take answers with tuples");
+            };
+            assert_eq!(taken.len(), 3, "{cut:?}");
+            assert_eq!(
+                ids_of_type(&space, "t"),
+                vec![3],
+                "{cut:?}: taken is hidden"
+            );
+            if cut != Cut::AfterTheTakeAnswerIsRead {
+                let results = taken.iter().map(|t| result(t.get_int("id").unwrap()));
+                let commit = Request::WriteAll(results.collect(), None);
+                raw.write_all(&txn_frame(1, 1, true, &commit)).unwrap();
+                if cut == Cut::AfterTheCommitAnswerIsRead {
+                    let answer = read_raw::<Response>(&mut raw).unwrap().body;
+                    assert!(matches!(answer, Response::Ids(ref ids) if ids.len() == 3));
+                }
+            }
+        }
+        raw.shutdown(std::net::Shutdown::Both).unwrap();
+        wait_until("every task is a task or a result again", || {
+            Space::count(&space, &Template::any_type().done()) == 4
+        });
+        let (tasks, results) = (ids_of_type(&space, "t"), ids_of_type(&space, "r"));
+        let mut every = [tasks.clone(), results.clone()].concat();
+        every.sort_unstable();
+        assert_eq!(every, vec![0, 1, 2, 3], "{cut:?}: {tasks:?} {results:?}");
+        match cut {
+            Cut::BeforeTheTakeAnswerIsRead | Cut::AfterTheTakeAnswerIsRead => {
+                assert!(results.is_empty(), "{cut:?}: aborted")
+            }
+            Cut::AfterTheCommitAnswerIsRead => assert_eq!(results, vec![0, 1, 2], "committed"),
+            // Served before the hangup or not: committed or aborted whole.
+            Cut::AfterTheCommitIsSent => assert!(results.is_empty() || results == [0, 1, 2]),
+        }
+    }
+}
+
+/// The same matrix in process, over the [`crate::Txn`] the server holds:
+/// dropping it is the hangup.
+#[test]
+fn a_dropped_txn_at_any_step_of_a_batch_loses_and_duplicates_nothing() {
+    let result = |id: i64| Tuple::build("r").field("id", id).done();
+    for step in 0..3 {
+        let space = Space::new("in-process");
+        Space::write_all(&space, (0..4).map(tuple).collect()).unwrap();
+        let txn = space.txn().unwrap();
+        let taken = txn.take_up_to(&Template::of_type("t"), 3, None).unwrap();
+        assert_eq!(taken.len(), 3);
+        if step >= 1 {
+            let results = taken.iter().map(|t| result(t.get_int("id").unwrap()));
+            txn.write_all(results.collect(), Lease::Forever).unwrap();
+            assert_eq!(ids_of_type(&space, "r"), Vec::<i64>::new(), "pending");
+        }
+        if step == 2 {
+            txn.commit().unwrap();
+        } else {
+            drop(txn);
+        }
+        let (tasks, results) = (ids_of_type(&space, "t"), ids_of_type(&space, "r"));
+        match step {
+            2 => assert_eq!((tasks, results), (vec![3], vec![0, 1, 2])),
+            _ => assert_eq!((tasks, results), (vec![0, 1, 2, 3], vec![]), "step {step}"),
+        }
+    }
+}
+
+/// Transaction ids belong to the connection that opened them: a
+/// committing `WriteAll` sent on another connection — a resend after a
+/// reconnect — is refused with `TxnInactive` and applies nothing, while
+/// the transaction it names is untouched.
+#[test]
+fn a_commit_resent_on_a_new_connection_is_refused_and_applies_nothing() {
+    let (space, server, remote) = rig();
+    Space::write_all(&space, (0..3).map(tuple).collect()).unwrap();
+    let mut opener = TcpStream::connect(server.addr()).unwrap();
+    let take = Request::TakeUpTo(Template::of_type("t"), 3, Some(0));
+    opener.write_all(&txn_frame(0, 1, false, &take)).unwrap();
+    read_raw::<Response>(&mut opener).unwrap();
+    let mut other = TcpStream::connect(server.addr()).unwrap();
+    let commit = Request::WriteAll(vec![Tuple::build("r").field("id", 0i64).done()], None);
+    other.write_all(&txn_frame(0, 1, true, &commit)).unwrap();
+    let answer = read_raw::<Response>(&mut other).unwrap().body;
+    assert_eq!(answer.into_error("commit"), SpaceError::TxnInactive);
+    assert_eq!(space.len(), 0, "nothing written; the takes still held");
+    drop(opener);
+    wait_until("the opener's hangup aborts", || space.len() == 3);
+    // Through the proxy: its connection is cut under an open batch, and
+    // the commit it resends after reconnecting is refused.
+    let (_, taken) = remote.take_batch(Batch::default(), &Template::of_type("t"), 3, None);
+    let mut batch = taken.unwrap();
+    assert_eq!(space.len(), 0);
+    server.disconnect_all();
+    wait_until("the cut aborts the batch", || space.len() == 3);
+    batch.tuples = vec![Tuple::build("r").field("id", 1i64).done()];
+    assert_eq!(remote.commit_batch(batch), Err(SpaceError::TxnInactive));
+    assert_eq!(ids_of_type(&space, "t"), vec![0, 1, 2]);
+    assert!(ids_of_type(&space, "r").is_empty());
+}
+
+/// The case a resend must not apply twice: the server applied a refill's
+/// commit, and the connection is cut before its answer left (held back
+/// while the paired take waits for a task). The proxy reconnects and
+/// resends the pair; the resent commit is refused with `TxnInactive`, and
+/// the results are in the space once.
+#[test]
+fn a_commit_whose_answer_is_lost_is_not_applied_again() {
+    let (space, server, remote) = rig();
+    let t = Template::of_type("t");
+    Space::write_all(&space, (0..3).map(tuple).collect()).unwrap();
+    let (_, taken) = remote.take_batch(Batch::default(), &t, 3, None);
+    let mut batch = taken.unwrap();
+    batch.tuples = (0..3)
+        .map(|id| Tuple::build("r").field("id", id).done())
+        .collect();
+    let wait = Some(Duration::from_millis(200));
+    let pending = remote.begin_take_batch(batch, &t, 3, wait);
+    wait_until("the commit is applied", || {
+        ids_of_type(&space, "r") == [0, 1, 2]
+    });
+    server.disconnect_all();
+    let (committed, taken) = pending.finish();
+    assert_eq!(committed, Err(SpaceError::TxnInactive));
+    assert!(taken.unwrap().tuples.is_empty());
+    assert_eq!(ids_of_type(&space, "r"), vec![0, 1, 2], "written once");
+    assert!(ids_of_type(&space, "t").is_empty(), "consumed once");
+}
+
+/// A connection holding an open transaction waits for its next request
+/// without `read_timeout`: its holder may compute for longer than that
+/// before committing. One holding none still times out.
+#[test]
+fn a_connection_holding_a_txn_outlives_the_read_timeout() {
+    let space = Space::new("long-task");
+    let server = SpaceServer::spawn_with(
+        space.clone(),
+        "127.0.0.1:0",
+        ServerOptions {
+            read_timeout: Some(Duration::from_millis(200)),
+            ..ServerOptions::default()
+        },
+    )
+    .unwrap();
+    space.write(tuple(1)).unwrap();
+    let mut holder = TcpStream::connect(server.addr()).unwrap();
+    let take = Request::TakeUpTo(Template::of_type("t"), 1, Some(0));
+    holder.write_all(&txn_frame(0, 1, false, &take)).unwrap();
+    read_raw::<Response>(&mut holder).unwrap();
+    std::thread::sleep(Duration::from_millis(500)); // the task
+    let commit = Request::WriteAll(vec![Tuple::build("r").field("id", 1i64).done()], None);
+    holder.write_all(&txn_frame(1, 1, true, &commit)).unwrap();
+    let answer = read_raw::<Response>(&mut holder).unwrap().body;
+    assert!(matches!(answer, Response::Ids(_)), "{answer:?}");
+    assert_eq!(ids_of_type(&space, "r"), vec![1]);
+    assert!(ids_of_type(&space, "t").is_empty());
+    // Committed, the same connection is timed again; so is a fresh one.
+    let mut idle = TcpStream::connect(server.addr()).unwrap();
+    idle.write_all(&raw_frame(0, None, &Request::IsClosed))
+        .unwrap();
+    read_raw::<Response>(&mut idle).unwrap();
+    std::thread::sleep(Duration::from_millis(500));
+    for conn in [&mut holder, &mut idle] {
+        let _ = conn.write_all(&raw_frame(2, None, &Request::IsClosed));
+        assert!(read_raw::<Response>(conn).is_err(), "timed out");
+    }
+}
+
+/// A batch take under a transaction that would overflow its answer frame
+/// takes only the prefix it answers with: the rest stays visible and
+/// free, so the commit removes exactly what the client was sent.
+#[test]
+fn a_txn_take_that_would_overflow_a_frame_holds_only_what_it_answers() {
+    let (space, server, _remote) = rig();
+    let big = |i: i64| {
+        Tuple::build("big")
+            .field("id", i)
+            .field("blob", vec![0u8; 2 << 20])
+            .done()
+    };
+    Space::write_all(&space, (0..6).map(big).collect()).unwrap();
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    let take = Request::TakeUpTo(Template::of_type("big"), 10, Some(0));
+    raw.write_all(&txn_frame(0, 1, false, &take)).unwrap();
+    let Response::Tuples(sent) = read_raw::<Response>(&mut raw).unwrap().body else {
+        panic!("a take answers with tuples");
+    };
+    assert!((1..6).contains(&sent.len()), "split: {}", sent.len());
+    assert_eq!(
+        space.len(),
+        6 - sent.len(),
+        "nothing held but what was sent"
+    );
+    raw.write_all(&txn_frame(1, 1, true, &Request::WriteAll(Vec::new(), None)))
+        .unwrap();
+    assert!(matches!(
+        read_raw::<Response>(&mut raw).unwrap().body,
+        Response::Ids(_)
+    ));
+    let left: Vec<i64> = (sent.len() as i64..6).collect();
+    assert_eq!(ids_of_type(&space, "big"), left);
+}
+
+/// A refill with nothing to commit that cannot reach the server fails its
+/// take only: there was no commit to fail, and a worker rides out a
+/// failed take as a transient strike.
+#[test]
+fn a_take_alone_that_cannot_reach_the_server_fails_only_the_take() {
+    let (addr, _log) = deaf_then_serving(Space::new("deaf"), 2, 1);
+    let remote = RemoteSpace::connect(addr).unwrap();
+    let t = Template::of_type("t");
+    let (committed, taken) = remote.take_batch(Batch::default(), &t, 8, Some(Duration::ZERO));
+    assert_eq!(committed, Ok(()));
+    assert!(
+        matches!(taken, Err(SpaceError::Transport(_))),
+        "{:?}",
+        taken.map(|b| b.tuples)
+    );
 }
 
 /// Property tests over the wire codec: arbitrary frames — every header
@@ -1338,7 +1684,12 @@ mod codec_props {
             (1..u64::MAX, 1..u64::MAX)
                 .prop_map(|(trace_id, span_id)| Some(TraceContext { trace_id, span_id })),
         ];
-        (any::<u32>(), trace, body).prop_map(|(seq, trace, body)| Frame { seq, trace, body })
+        (any::<u32>(), trace, body).prop_map(|(seq, trace, body)| Frame {
+            seq,
+            trace,
+            txn: None,
+            body,
+        })
     }
 
     proptest! {
@@ -1383,6 +1734,43 @@ mod codec_props {
             prop_assert!(!reader.has_buffered());
             let end = reader.read_frame(&mut stream).unwrap_err();
             prop_assert_eq!(end.kind(), std::io::ErrorKind::UnexpectedEof);
+        }
+
+        #[test]
+        fn a_txn_header_rides_a_batch_take_or_write_and_nothing_else(
+            frame in arb_frame(arb_request()),
+            response in arb_frame(arb_response()),
+            id in any::<u64>(),
+            commit in any::<bool>(),
+        ) {
+            // Accepted exactly on a `WriteAll` (committing or not) and a
+            // non-committing `TakeUpTo`, and then decoded as sent.
+            // Decoded as sent; served only on a `WriteAll` (committing
+            // or not) or a non-committing `TakeUpTo`, and refused on
+            // every other op without touching the space.
+            let txn = Some(TxnHeader { id, commit });
+            let frame = Frame { txn, ..frame };
+            let accepted = match frame.body {
+                Request::WriteAll(..) => true,
+                Request::TakeUpTo(..) => !commit,
+                _ => false,
+            };
+            let decoded = proto::decode(Bytes::from(frame.to_bytes()), &mut NameInterner::new());
+            prop_assert_eq!(&decoded, &Ok(frame));
+            if !accepted {
+                let space = Space::new("refuses");
+                let served = serve(&space, &mut Txns::new(), decoded.unwrap());
+                prop_assert!(
+                    matches!(served.into_error("txn"), SpaceError::Protocol(_)),
+                    "a transaction header must be refused"
+                );
+                prop_assert!(!space.is_closed());
+            }
+            // And a response carrying one still decodes as sent (the
+            // client refuses it on receipt).
+            let response = Frame { txn, ..response };
+            let decoded = proto::decode(Bytes::from(response.to_bytes()), &mut NameInterner::new());
+            prop_assert_eq!(decoded, Ok(response));
         }
 
         #[test]

@@ -126,12 +126,14 @@ impl FieldIndex {
         found
     }
 
-    /// Ids of entries whose `field` hashes to `key`, oldest first.
-    fn bucket(&self, field: &str, key: u64) -> impl Iterator<Item = EntryId> + '_ {
+    /// Ids past `after` of entries whose `field` hashes to `key`, oldest
+    /// first.
+    fn bucket(&self, field: &str, key: u64, after: EntryId) -> impl Iterator<Item = EntryId> + '_ {
         self.demanded
             .iter()
             .find(|f| &*f.name == field)
             .and_then(|f| f.buckets.get(&key))
+            .map(|ids| ids.range(ids.partition_point(|id| *id <= after)..))
             .into_iter()
             .flatten()
             .copied()
@@ -145,9 +147,9 @@ impl FieldIndex {
 }
 
 impl Space {
-    /// Finds the oldest live entry in `state` matching `matcher`'s
-    /// template that the caller may see, purging expired entries it passes
-    /// over. An `==` constraint on an indexable value lets the field index
+    /// Finds the oldest live entry past `after` in `state` matching
+    /// `matcher`'s template that the caller may see, purging expired
+    /// entries it passes over. An `==` constraint on an indexable value lets the field index
     /// hand over exactly the entries carrying that value; anything else
     /// scans.
     pub(super) fn find_candidate(
@@ -156,6 +158,7 @@ impl Space {
         matcher: &mut Matcher<'_>,
         txn: Option<TxnId>,
         destructive: bool,
+        after: EntryId,
         now: Instant,
     ) -> Option<EntryId> {
         let probe = matcher
@@ -166,13 +169,14 @@ impl Space {
                 _ => None,
             });
         self.stats.record_index_probe(probe.is_some());
+        // The lock state first: entries a transaction holds are skipped
+        // without matching them.
         let mut usable = |s: &Stored| {
-            matcher.matches(&s.tuple)
-                && if destructive {
-                    s.takeable_by(txn)
-                } else {
-                    s.visible_to_read(txn)
-                }
+            let allowed = match destructive {
+                true => s.takeable_by(txn),
+                false => s.visible_to_read(txn),
+            };
+            allowed && matcher.matches(&s.tuple)
         };
         let mut dead = Vec::new();
         let found = match probe {
@@ -183,11 +187,14 @@ impl Space {
                 let entries = &state.entries;
                 let indexed = state
                     .index
-                    .bucket(field, key)
+                    .bucket(field, key, after)
                     .map(|id| entries.get(&id).expect("indexed entry exists"));
                 first_usable(indexed, now, &mut usable, &mut dead)
             }
-            None => first_usable(state.entries.values(), now, &mut usable, &mut dead),
+            None => {
+                let scan = state.entries.range(after + 1..).map(|(_, s)| s);
+                first_usable(scan, now, &mut usable, &mut dead)
+            }
         };
         for id in dead {
             state.remove(id);

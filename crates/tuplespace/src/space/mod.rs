@@ -49,7 +49,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -87,6 +87,8 @@ type FxMap<K, V> = HashMap<K, V, FxBuild>;
 /// their type's condition variable and are woken by writes of that type,
 /// transaction commits/aborts, and [`Space::close`].
 pub struct Space {
+    /// The space's own handle, for the [`Txn`]s it hands out.
+    me: Weak<Space>,
     name: String,
     closed: AtomicBool,
     next_id: AtomicU64,
@@ -114,7 +116,8 @@ impl std::fmt::Debug for Space {
 impl Space {
     /// Creates a new, empty space.
     pub fn new(name: impl Into<String>) -> SpaceHandle {
-        Arc::new(Space {
+        Arc::new_cyclic(|me| Space {
+            me: me.clone(),
             name: name.into(),
             closed: AtomicBool::new(false),
             next_id: AtomicU64::new(0),
@@ -216,7 +219,7 @@ impl Space {
         }
         let mut out = Vec::new();
         let mut owed = None;
-        self.drain_into(template, usize::MAX, &mut out, &mut owed);
+        self.drain_into(template, usize::MAX, usize::MAX, None, &mut out, &mut owed);
         self.settle(owed);
         // The drain always ends on a failed probe, like the seed's
         // take-until-empty loop did.
@@ -234,9 +237,23 @@ impl Space {
 
     /// Batch write with an explicit lease applied to every tuple.
     pub fn write_all_leased(&self, tuples: Vec<Tuple>, lease: Lease) -> SpaceResult<Vec<EntryId>> {
+        self.write_batch(tuples, lease, None)
+    }
+
+    /// The one batch write, plain or under `txn`: one lock acquisition
+    /// per touched shard, contiguous input-ordered ids. Plain writes are
+    /// visible at once and wake their waiters; transactional ones become
+    /// visible, and wake them, at commit.
+    pub(crate) fn write_batch(
+        &self,
+        tuples: Vec<Tuple>,
+        lease: Lease,
+        txn: Option<TxnId>,
+    ) -> SpaceResult<Vec<EntryId>> {
         if self.is_closed() {
             return Err(SpaceError::Closed);
         }
+        self.check_active(txn)?;
         if tuples.is_empty() {
             return Ok(Vec::new());
         }
@@ -253,28 +270,29 @@ impl Space {
         let mut touched = Vec::with_capacity(by_type.len());
         let mut owed = None;
         for (_, indexes) in by_type {
-            let shard = self.shard_for(&tuples[indexes[0]].type_name_arc());
+            let ty = tuples[indexes[0]].type_name_arc();
+            let shard = self.shard_for(&ty);
             {
                 let mut state = self.lock_shard(&shard);
                 for i in indexes {
                     let id = base + i as u64 + 1;
+                    let lock = match txn {
+                        Some(t) => self.enlist_write(t, ty.clone(), id)?,
+                        None => LockState::Free,
+                    };
                     let tuple = tuples[i].clone();
-                    owed = owed.max(self.insert_entry(
-                        &mut state,
-                        id,
-                        tuple,
-                        &lease,
-                        expires,
-                        LockState::Free,
-                    ));
+                    owed =
+                        owed.max(self.insert_entry(&mut state, id, tuple, &lease, expires, lock));
                 }
             }
             touched.push(shard);
         }
-        for shard in touched {
-            self.notify_shard(&shard);
+        if txn.is_none() {
+            for shard in touched {
+                self.notify_shard(&shard);
+            }
+            self.notify_wildcard_waiters();
         }
-        self.notify_wildcard_waiters();
         self.settle(owed);
         Ok((base + 1..=base + tuples.len() as u64).collect())
     }
@@ -289,15 +307,32 @@ impl Space {
         max: usize,
         timeout: Option<Duration>,
     ) -> SpaceResult<Vec<Tuple>> {
+        self.take_batch(template, max, usize::MAX, timeout, None)
+    }
+
+    /// The one batch take, plain or under `txn`: [`Space::take_up_to`],
+    /// stopped short of the tuple that would take the batch past `bytes`
+    /// (`size_hint` + 64 per tuple; the first is taken whatever its size).
+    /// A tuple left out for size is never taken, so it needs no putting
+    /// back.
+    pub(crate) fn take_batch(
+        &self,
+        template: &Template,
+        max: usize,
+        bytes: usize,
+        timeout: Option<Duration>,
+        txn: Option<TxnId>,
+    ) -> SpaceResult<Vec<Tuple>> {
         if max == 0 {
             return Ok(Vec::new());
         }
         let mut out = Vec::new();
         // One settle for the whole batch: its last due covers the rest.
         let mut owed = None;
-        if let Some(first) = self.wait_for(template, timeout, None, true, &mut owed)? {
+        if let Some(first) = self.wait_for(template, timeout, txn, true, &mut owed)? {
+            let left = bytes.saturating_sub(batch_cost(&first));
             out.push(first);
-            self.drain_into(template, max, &mut out, &mut owed);
+            self.drain_into(template, max, left, txn, &mut out, &mut owed);
         }
         self.settle(owed);
         // A partly filled batch is a hit, not a miss: the only miss is the
@@ -305,26 +340,42 @@ impl Space {
         Ok(out)
     }
 
-    /// Plain-takes matches into `out` until it holds `max` tuples or
-    /// nothing else matches, one lock acquisition per shard. The syncs
-    /// the takes make due accumulate in `owed`, for the caller to settle.
+    /// Takes matches into `out` until it holds `max` tuples, the next
+    /// would cost more than `bytes` are left, or nothing else matches, one
+    /// lock acquisition per shard. The syncs plain takes make due
+    /// accumulate in `owed`, for the caller to settle.
     fn drain_into(
         &self,
         template: &Template,
         max: usize,
+        mut bytes: usize,
+        txn: Option<TxnId>,
         out: &mut Vec<Tuple>,
         owed: &mut Option<u64>,
     ) {
         let mut matcher = template.matcher();
         for (ty, shard) in self.select_shards(template.type_name()) {
             let mut state = self.lock_shard(&shard);
+            // Under the shard lock nothing passed over can become takeable,
+            // so each search resumes after the last entry taken.
+            let mut after = 0;
             while out.len() < max {
-                match self.try_match_shard(&ty, &mut state, &mut matcher, None, true, owed) {
+                let now = Instant::now();
+                let Some(id) = self.find_candidate(&mut state, &mut matcher, txn, true, after, now)
+                else {
+                    break;
+                };
+                after = id;
+                let Some(cost) = bytes.checked_sub(batch_cost(&state.entries[&id].tuple)) else {
+                    return;
+                };
+                bytes = cost;
+                match self.apply_match(&ty, &mut state, id, txn, true, owed) {
                     Some(tuple) => {
                         self.stats.record_take();
                         out.push(tuple);
                     }
-                    None => break,
+                    None => return,
                 }
             }
             if out.len() >= max {
@@ -495,4 +546,10 @@ impl Space {
                 .settle(lsn);
         }
     }
+}
+
+/// What one tuple costs a batch take's byte budget: its size estimate
+/// plus a framing margin.
+fn batch_cost(tuple: &Tuple) -> usize {
+    tuple.size_hint() + 64
 }

@@ -322,10 +322,8 @@ impl Space {
         None
     }
 
-    /// Resolves a match inside one shard and applies it: a plain take
-    /// journals and removes the entry (raising `owed` to the LSN of a sync
-    /// the take makes due), a transactional read or take locks it (see
-    /// `txn`).
+    /// Resolves a match inside one shard and applies it (see
+    /// [`Space::apply_match`]).
     pub(super) fn try_match_shard(
         &self,
         ty: &Arc<str>,
@@ -335,7 +333,22 @@ impl Space {
         destructive: bool,
         owed: &mut Option<u64>,
     ) -> Option<Tuple> {
-        let id = self.find_candidate(state, matcher, txn, destructive, Instant::now())?;
+        let id = self.find_candidate(state, matcher, txn, destructive, 0, Instant::now())?;
+        self.apply_match(ty, state, id, txn, destructive, owed)
+    }
+
+    /// Applies a match on candidate `id`: a plain take journals and
+    /// removes the entry (raising `owed` to the LSN of a sync the take
+    /// makes due), a transactional read or take locks it (see `txn`).
+    pub(super) fn apply_match(
+        &self,
+        ty: &Arc<str>,
+        state: &mut ShardState,
+        id: EntryId,
+        txn: Option<TxnId>,
+        destructive: bool,
+        owed: &mut Option<u64>,
+    ) -> Option<Tuple> {
         match (txn, destructive) {
             (None, true) => {
                 if let Some(j) = self.journal() {

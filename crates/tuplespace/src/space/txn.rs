@@ -8,7 +8,9 @@
 //!
 //! Dropping an active transaction aborts it, so a worker that panics while
 //! holding a task under a transaction returns the task to the space — the
-//! entry is never lost.
+//! entry is never lost. The wire's transactions are these: a space server
+//! holds one [`Txn`] per transaction its connection opened, and dropping
+//! them when the connection ends is the wire's only abort.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -88,6 +90,38 @@ impl Txn {
         self.take(template, Some(Duration::ZERO))
     }
 
+    /// Takes up to `max` matching tuples under this transaction: blocks
+    /// up to `timeout` for the first match, then drains whatever else
+    /// matches without waiting, like [`Space::take_up_to`]. Each entry is
+    /// locked as by [`Txn::take`].
+    pub fn take_up_to(
+        &self,
+        template: &Template,
+        max: usize,
+        timeout: Option<Duration>,
+    ) -> SpaceResult<Vec<Tuple>> {
+        self.take_up_to_within(template, max, usize::MAX, timeout)
+    }
+
+    /// [`Txn::take_up_to`] within a byte budget (see `Space::take_batch`):
+    /// a space server answers a batch take in one frame.
+    pub(crate) fn take_up_to_within(
+        &self,
+        template: &Template,
+        max: usize,
+        bytes: usize,
+        timeout: Option<Duration>,
+    ) -> SpaceResult<Vec<Tuple>> {
+        self.space
+            .take_batch(template, max, bytes, timeout, Some(self.id))
+    }
+
+    /// Writes every tuple under this transaction in one batch, under one
+    /// lease; like [`Txn::write`], none is visible to others until commit.
+    pub fn write_all(&self, tuples: Vec<Tuple>, lease: Lease) -> SpaceResult<Vec<EntryId>> {
+        self.space.write_batch(tuples, lease, Some(self.id))
+    }
+
     /// Commits: buffered writes become visible, taken entries are removed,
     /// read locks are released.
     pub fn commit(self) -> SpaceResult<()> {
@@ -127,14 +161,14 @@ pub(super) struct Held {
 
 impl Space {
     /// Begins a transaction.
-    pub fn txn(self: &Arc<Self>) -> SpaceResult<Txn> {
+    pub fn txn(&self) -> SpaceResult<Txn> {
         if self.is_closed() {
             return Err(SpaceError::Closed);
         }
         let id = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed) + 1);
         self.txns.lock().insert(id, TxnRecord::default());
         Ok(Txn {
-            space: self.clone(),
+            space: self.me.upgrade().expect("a space in use has a handle"),
             id,
             finished: AtomicBool::new(false),
         })

@@ -6,14 +6,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use adaptive_spaces::cluster::NodeSpec;
+use adaptive_spaces::framework::task::result_template;
+use adaptive_spaces::framework::ResultEntry;
 use adaptive_spaces::framework::{
     duplex_pair, task_template, Application, BundleServer, ClusterBuilder, CodeBundle, ExecError,
     ExecutorRegistry, FrameworkConfig, Master, RuleBaseServer, Signal, TaskEntry, TaskExecutor,
     TaskSpec, WorkerConfig, WorkerRuntime,
 };
 use adaptive_spaces::space::{
-    EntryId, Lease, Payload, RemoteSpace, Space, SpaceResult, SpaceServer, StoreHandle, Template,
-    Tuple, TupleStore, WriteThenTake,
+    Batch, EntryId, Lease, Payload, RemoteSpace, Space, SpaceResult, SpaceServer, StoreHandle,
+    Template, Tuple, TupleStore,
 };
 
 fn fast_config() -> FrameworkConfig {
@@ -72,6 +74,74 @@ impl Application for FlakyApp {
     fn absorb(&mut self, _task_id: u64, _payload: &[u8]) -> Result<(), ExecError> {
         self.outputs += 1;
         Ok(())
+    }
+}
+
+/// The master's store, counting every result tuple it takes by task id:
+/// the writes the space saw, before the master's dedupe by task id.
+struct ResultCounter {
+    inner: StoreHandle,
+    taken: parking_lot::Mutex<std::collections::BTreeMap<u64, u32>>,
+}
+
+impl ResultCounter {
+    fn new(inner: StoreHandle) -> Arc<ResultCounter> {
+        Arc::new(ResultCounter {
+            inner,
+            taken: Default::default(),
+        })
+    }
+
+    fn note(&self, tuples: &[Tuple]) {
+        let mut taken = self.taken.lock();
+        for result in tuples.iter().filter_map(ResultEntry::from_tuple) {
+            *taken.entry(result.task_id).or_default() += 1;
+        }
+    }
+
+    /// Asserts each of tasks `0..n` had its result written exactly once:
+    /// taken once by the master, and no copy left in the space.
+    fn assert_each_once(&self, n: u64, job: &str) {
+        let taken = self.taken.lock().clone();
+        let expected: std::collections::BTreeMap<u64, u32> = (0..n).map(|id| (id, 1)).collect();
+        assert_eq!(taken, expected, "result writes per task id");
+        assert_eq!(self.inner.count(&result_template(job)).unwrap(), 0);
+    }
+}
+
+impl TupleStore for ResultCounter {
+    fn write_leased(&self, tuple: Tuple, lease: Lease) -> SpaceResult<EntryId> {
+        self.inner.write_leased(tuple, lease)
+    }
+    fn write_all_leased(&self, tuples: Vec<Tuple>, lease: Lease) -> SpaceResult<Vec<EntryId>> {
+        self.inner.write_all_leased(tuples, lease)
+    }
+    fn read(&self, t: &Template, timeout: Option<Duration>) -> SpaceResult<Option<Tuple>> {
+        self.inner.read(t, timeout)
+    }
+    fn take(&self, t: &Template, timeout: Option<Duration>) -> SpaceResult<Option<Tuple>> {
+        let taken = self.inner.take(t, timeout)?;
+        self.note(taken.as_slice());
+        Ok(taken)
+    }
+    fn take_up_to(&self, t: &Template, max: usize, d: Option<Duration>) -> SpaceResult<Vec<Tuple>> {
+        let taken = self.inner.take_up_to(t, max, d)?;
+        self.note(&taken);
+        Ok(taken)
+    }
+    fn take_all(&self, t: &Template) -> SpaceResult<Vec<Tuple>> {
+        let taken = self.inner.take_all(t)?;
+        self.note(&taken);
+        Ok(taken)
+    }
+    fn count(&self, t: &Template) -> SpaceResult<usize> {
+        self.inner.count(t)
+    }
+    fn close(&self) {
+        self.inner.close()
+    }
+    fn is_closed(&self) -> bool {
+        self.inner.is_closed()
     }
 }
 
@@ -285,9 +355,11 @@ fn workers_survive_transient_connection_drops_and_finish_the_job() {
     cluster.space_server().unwrap().disconnect_all();
     std::thread::sleep(Duration::from_millis(50));
     cluster.space_server().unwrap().disconnect_all();
-    let report = cluster.run(&mut app);
+    let counter = ResultCounter::new(cluster.store());
+    let report = Master::new(counter.clone()).run(&mut app).unwrap();
     assert!(report.complete, "job must finish despite the dropped links");
     assert_eq!(app.outputs, 30);
+    counter.assert_each_once(30, "flaky");
     cluster.shutdown();
 }
 
@@ -313,8 +385,9 @@ fn worker_dies_when_space_server_disappears() {
 }
 
 /// A worker's proxy to the space whose connection is cut exactly once:
-/// between the request frames of the first multi-result flush — on its
-/// own or paired with the refill take — and their response.
+/// between the request frames of the first commit that carries several
+/// tuples — on its own or paired with the refill take — and their
+/// response.
 struct CutDuringFlush {
     remote: RemoteSpace,
     server: Arc<SpaceServer>,
@@ -322,33 +395,33 @@ struct CutDuringFlush {
 }
 
 impl CutDuringFlush {
-    fn cut_once(&self) {
-        if self.cuts.fetch_add(1, Ordering::SeqCst) == 0 {
+    /// Called with the frames sent and no answer read: the server may or
+    /// may not have served them when the cut lands.
+    fn cut_once(&self, several: bool) {
+        if several && self.cuts.fetch_add(1, Ordering::SeqCst) == 0 {
             self.server.disconnect_all();
         }
     }
 }
 
 impl TupleStore for CutDuringFlush {
-    fn write_all_leased(&self, tuples: Vec<Tuple>, lease: Lease) -> SpaceResult<Vec<EntryId>> {
-        let pending = self.remote.begin_write_all_leased(tuples, lease);
-        self.cut_once();
-        pending.finish()
+    fn commit_batch(&self, batch: Batch) -> SpaceResult<()> {
+        let several = batch.tuples.len() > 1;
+        let pending = self.remote.begin_commit_batch(batch)?;
+        self.cut_once(several);
+        pending.finish().map(drop)
     }
-    fn write_all_then_take_up_to(
+    fn take_batch(
         &self,
-        tuples: Vec<Tuple>,
+        done: Batch,
         t: &Template,
         max: usize,
         d: Option<Duration>,
-    ) -> WriteThenTake {
-        let pending = self
-            .remote
-            .begin_write_all_then_take_up_to(tuples, t, max, d);
-        self.cut_once();
-        pending
-            .finish()
-            .unwrap_or_else(|e| (Err(e.clone()), Err(e)))
+    ) -> (SpaceResult<()>, SpaceResult<Batch>) {
+        let several = done.tuples.len() > 1;
+        let pending = self.remote.begin_take_batch(done, t, max, d);
+        self.cut_once(several);
+        pending.finish()
     }
     fn write_leased(&self, tuple: Tuple, lease: Lease) -> SpaceResult<EntryId> {
         self.remote.write_leased(tuple, lease)
@@ -375,15 +448,15 @@ impl TupleStore for CutDuringFlush {
 
 #[test]
 fn connection_cut_during_a_result_flush_still_completes_the_job_exactly_once() {
-    // The worker's coalesced result write — the first half of its refill
-    // pair — loses its connection after the frames went out and before
-    // the responses came back. `RemoteSpace` reconnects and resends the
-    // whole pair, which makes the flush at-least-once: if the server had
-    // applied the first copy, every result of that batch is now in the
-    // space twice; and the tasks the first copy's take removed are back
-    // in the space (the server restores a take it could not answer) for
-    // the resent take to find. The master must absorb each task id once,
-    // and the job must complete.
+    // The worker's coalesced commit — the first half of its refill pair —
+    // loses its connection after its frames went out and before the
+    // answers came back. If the server had not applied it, the end of the
+    // connection aborted the batch's transaction and its tasks are back in
+    // the space; if it had, the results are there and only the answer was
+    // lost. Either way `RemoteSpace` reconnects and resends the pair, and
+    // the resent commit names a transaction the new connection never
+    // opened: it is refused and applies nothing. The worker drops those
+    // results and carries on. Each result reaches the space once.
     struct CountingApp {
         absorbed: Vec<u32>,
     }
@@ -456,7 +529,8 @@ fn connection_cut_during_a_result_flush_still_completes_the_job_exactly_once() {
     rule_base.send_signal(worker.id(), Signal::Start);
 
     let master_store: StoreHandle = Arc::new(RemoteSpace::connect(server.addr()).unwrap());
-    let mut master = Master::new(master_store);
+    let counter = ResultCounter::new(master_store);
+    let mut master = Master::new(counter.clone());
     master.result_timeout = Duration::from_secs(10);
     let report = master.run(&mut app).unwrap();
     assert!(report.complete, "failures: {:?}", report.failures);
@@ -470,5 +544,6 @@ fn connection_cut_during_a_result_flush_still_completes_the_job_exactly_once() {
         store.cuts.load(Ordering::SeqCst) >= 1,
         "the job must have flushed at least one coalesced batch"
     );
+    counter.assert_each_once(40, "cut");
     worker.shutdown();
 }
