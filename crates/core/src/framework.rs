@@ -220,12 +220,8 @@ fn spawn_observer(
         health.register("grid", move || {
             let healthy = grid_for_check.healthy_count();
             let total = grid_for_check.shard_count();
-            // Tuples confirmed lost (restore-on-reroute failed) degrade
-            // the check even with every shard back up: data went missing
-            // and only an operator can clear that.
-            let lost = acc_telemetry::registry().counter("grid.lost_tuples").get();
-            let detail = format!("{healthy}/{total} shards healthy, lost_tuples={lost}");
-            if healthy == total && lost == 0 {
+            let detail = format!("{healthy}/{total} shards healthy");
+            if healthy == total {
                 Ok(detail)
             } else {
                 Err(detail)
@@ -845,13 +841,8 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// The grid tests run one at a time: one of them counts the
-    /// process-wide `grid.restored_tuples` across its run.
-    static GRID_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn end_to_end_run_over_a_space_grid() {
-        let _serial = GRID_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         // Two external shard servers, as separate processes would host.
         let shard_a = Space::new("shard-a");
         let shard_b = Space::new("shard-b");
@@ -909,7 +900,6 @@ mod tests {
 
     #[test]
     fn remote_worker_joins_the_grid_from_shard_0() {
-        let _serial = GRID_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let shards = [Space::new("remote-a"), Space::new("remote-b")];
         let servers: Vec<SpaceServer> = shards
             .iter()
@@ -935,7 +925,6 @@ mod tests {
 
     #[test]
     fn monitoring_writes_nothing_into_the_space_it_monitors() {
-        let _serial = GRID_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let shards = [Space::new("quiet-a"), Space::new("quiet-b")];
         let servers: Vec<SpaceServer> = shards
             .iter()
@@ -957,21 +946,12 @@ mod tests {
         // Workers up and polled for longer than any periodic report
         // interval would take to fire.
         std::thread::sleep(Duration::from_millis(1_500));
-        let restored = acc_telemetry::registry().counter("grid.restored_tuples");
-        let restored_before = restored.get();
         let report = cluster.run(&mut app);
         assert!(report.complete, "failures: {:?}", report.failures);
         // The shards saw the grid's lookup entry, the job's tasks and
-        // results, and nothing else — bar the tuples scatter takes that
-        // lost a race put back, each with one write. A restore counts itself just after its write
-        // lands, so give the last count a moment.
-        let writes = || shards.iter().map(|s| s.stats().writes).sum::<u64>();
-        let deadline = Instant::now() + Duration::from_secs(2);
-        let expected = || 1 + 40 + 40 + restored.get() - restored_before;
-        while writes() != expected() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(writes(), expected());
+        // results, and nothing else.
+        let writes: u64 = shards.iter().map(|s| s.stats().writes).sum();
+        assert_eq!(writes, 1 + 40 + 40);
         cluster.shutdown();
     }
 }

@@ -12,15 +12,11 @@
 //!   rotating cursor, so a batch splits evenly over the healthy shards,
 //!   and a refill puts its results on its home shard. Templates bind only
 //!   the job in the master–worker loop, so no lookup can name one shard:
-//!   every lookup over several shards sweeps or scatters.
+//!   every lookup over several shards sweeps them all.
 //! * **Scatter-gather**: non-blocking lookups sweep the healthy shards;
-//!   blocking `read`/`take` fan out one helper thread per shard running
-//!   short blocking slices, with first-wins cancellation — a losing
-//!   `take` restores its tuple to the shard it came from (the
-//!   client-side mirror of the server's `restore_unacked`), retrying
-//!   and falling back to another shard rather than ever dropping it,
-//!   and a gatherer that times out while a win is in flight recovers
-//!   and restores that straggler win the same way.
+//!   blocking `read`/`take` alternate a sweep with one blocking slice on
+//!   one shard, from the calling thread. Only one take is ever out, so a
+//!   take removes nothing but the tuple it returns.
 //! * **Batching**: a batch operation is one split-phase sweep from the
 //!   calling thread — every shard's request frames go out on its own
 //!   connection before the first response is read, so the shards work
@@ -44,16 +40,15 @@
 //!   paper's Jini lookup, as template matching in the space itself.
 //!
 //! Telemetry: per-shard op latency (`grid.shard<i>.op_us`), scatter
-//! fan-out width (`grid.scatter.fanout`), writes redone on another shard
-//! after theirs failed (`grid.rerouted_writes`), first-wins restores
-//! (`grid.restored_tuples`) and restore failures (`grid.lost_tuples` — every increment is also
-//! logged to stderr). Shard health is in [`PartitionedSpace::to_json`].
+//! fan-out width (`grid.scatter.fanout`) and writes redone on another
+//! shard after theirs failed (`grid.rerouted_writes`). Shard health is in
+//! [`PartitionedSpace::to_json`].
 
 #![warn(missing_docs)]
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use acc_tuplespace::{
@@ -68,11 +63,6 @@ type Outcome = (SpaceResult<Vec<EntryId>>, SpaceResult<Vec<Tuple>>);
 /// Tunables for a [`PartitionedSpace`].
 #[derive(Debug, Clone)]
 pub struct GridConfig {
-    /// How long one helper-thread blocking slice lasts during a
-    /// scatter-gather `read`/`take`. Shorter slices react faster to a
-    /// first-wins cancellation (and to shutdown) at the cost of more
-    /// round trips while idle.
-    pub take_slice: Duration,
     /// How often the background prober retries unhealthy shards.
     pub reprobe_interval: Duration,
 }
@@ -80,17 +70,22 @@ pub struct GridConfig {
 impl Default for GridConfig {
     fn default() -> GridConfig {
         GridConfig {
-            take_slice: Duration::from_millis(25),
             reprobe_interval: Duration::from_millis(250),
         }
     }
 }
 
+/// The first slice of a blocking lookup's wait on one shard; each later
+/// slice doubles, up to [`SLICE_CAP`].
+const FIRST_SLICE: Duration = Duration::from_millis(1);
+
+/// The longest slice a blocking lookup waits on one shard, and so the
+/// longest a match written to another shard goes unseen.
+const SLICE_CAP: Duration = Duration::from_millis(25);
+
 /// Grid-wide telemetry series (see the crate docs for the name list).
 struct GridSeries {
     rerouted_writes: Arc<acc_telemetry::Counter>,
-    restored_tuples: Arc<acc_telemetry::Counter>,
-    lost_tuples: Arc<acc_telemetry::Counter>,
     scatter_fanout: Arc<acc_telemetry::Histogram>,
 }
 
@@ -100,8 +95,6 @@ fn series() -> &'static GridSeries {
         let r = acc_telemetry::registry();
         GridSeries {
             rerouted_writes: r.counter("grid.rerouted_writes"),
-            restored_tuples: r.counter("grid.restored_tuples"),
-            lost_tuples: r.counter("grid.lost_tuples"),
             scatter_fanout: r.histogram("grid.scatter.fanout"),
         }
     })
@@ -246,68 +239,6 @@ fn block_then_drain(
     Ok(out)
 }
 
-/// Outcome events a scatter helper thread reports to its caller. `Win`
-/// carries the shard the tuple came from so that a gatherer abandoning
-/// the wait (timeout) can restore a straggler win to its origin instead
-/// of dropping it on the channel floor.
-enum HelperEvent {
-    /// This helper won the race; the tuple is the operation's result.
-    Win(Tuple, Arc<Shard>),
-    /// The remote space reports closed — the grid must propagate it.
-    Closed,
-    /// The helper gave up (shard error or deadline) without a match.
-    Exit,
-}
-
-/// Puts back a tuple that a `take` removed but the operation will not
-/// deliver (a helper lost the first-wins race, or the gatherer timed
-/// out while a win was in flight). The original lease is unknowable
-/// client-side — `take` returns the tuple alone and the server entry is
-/// gone — so the restore re-writes with the default forever lease,
-/// erring toward never losing a tuple at the cost of a bounded-lease
-/// entry outliving its deadline.
-///
-/// The origin shard is retried first; if it stays unreachable, any
-/// healthy shard of `shards` beats a lost tuple, and landing there counts
-/// as a reroute. Only when every attempt fails is the tuple abandoned,
-/// and loudly: the `grid.lost_tuples` counter and stderr both record it.
-fn restore_tuple(shards: &[Arc<Shard>], origin: &Arc<Shard>, tuple: Tuple) {
-    // One extra origin attempt on top of RemoteSpace's own
-    // reconnect-and-resend, in case the first hits a transient fault.
-    for _ in 0..2 {
-        match origin.call(|r| r.write(tuple.clone())) {
-            Ok(_) => {
-                series().restored_tuples.inc();
-                return;
-            }
-            // The space itself is gone; there is nothing to preserve
-            // the tuple *for*.
-            Err(SpaceError::Closed) => return,
-            Err(_) => {}
-        }
-    }
-    for shard in shards {
-        if shard.index == origin.index || !shard.is_healthy() {
-            continue;
-        }
-        match shard.call(|r| r.write(tuple.clone())) {
-            Ok(_) => {
-                series().restored_tuples.inc();
-                series().rerouted_writes.inc();
-                return;
-            }
-            Err(SpaceError::Closed) => return,
-            Err(_) => {}
-        }
-    }
-    series().lost_tuples.inc();
-    eprintln!(
-        "acc: grid failed to restore a taken '{}' tuple (shard {} and every fallback unreachable); tuple dropped",
-        tuple.type_name(),
-        origin.index
-    );
-}
-
 /// A partitioned tuple space: the full [`TupleStore`] contract over N
 /// [`RemoteSpace`] shards. See the crate docs for the placement,
 /// scatter-gather and degradation semantics; see [`GridConfig`] for the
@@ -331,6 +262,9 @@ pub struct PartitionedSpace {
     /// take: the first healthy shard from this index. It moves to the next
     /// shard when the home answers a take short.
     home: AtomicUsize,
+    /// The shard that last answered this client's single-tuple take or
+    /// read with a match (see [`waited`](Self::waited)).
+    waited: AtomicUsize,
     prober: Option<(Arc<AtomicBool>, std::thread::JoinHandle<()>)>,
 }
 
@@ -376,13 +310,15 @@ impl PartitionedSpace {
             })
             .collect::<std::io::Result<_>>()?;
         let prober = PartitionedSpace::spawn_prober(&shards, config.reprobe_interval);
+        let home = NEXT_HOME.fetch_add(1, Ordering::Relaxed);
         Ok(PartitionedSpace {
             shards,
             config,
             closed: AtomicBool::new(false),
             sweep_cursor: AtomicUsize::new(0),
             write_cursor: AtomicUsize::new(0),
-            home: AtomicUsize::new(NEXT_HOME.fetch_add(1, Ordering::Relaxed)),
+            home: AtomicUsize::new(home),
+            waited: AtomicUsize::new(home),
             prober: Some(prober),
         })
     }
@@ -487,7 +423,6 @@ impl PartitionedSpace {
             ("total", self.shard_count().into()),
             ("healthy", self.healthy_count().into()),
             ("rerouted_writes", series().rerouted_writes.get().into()),
-            ("restored_tuples", series().restored_tuples.get().into()),
             ("shards", shards.collect()),
         ])
     }
@@ -591,7 +526,10 @@ impl PartitionedSpace {
                 }
             });
             match got {
-                Ok(Some(tuple)) => return Ok(Some(tuple)),
+                Ok(Some(tuple)) => {
+                    self.matched(shard);
+                    return Ok(Some(tuple));
+                }
                 Ok(None) => {}
                 Err(SpaceError::Closed) => {
                     self.closed.store(true, Ordering::SeqCst);
@@ -604,123 +542,73 @@ impl PartitionedSpace {
         Ok(None)
     }
 
-    /// Blocking scatter lookup: a helper thread per healthy shard runs
-    /// short blocking slices ([`GridConfig::take_slice`]) against its
-    /// shard, checking the shared first-wins flag between slices.
+    /// A blocking lookup over several shards, on the calling thread: each
+    /// pass sweeps the healthy shards without blocking and, if nothing
+    /// matched, blocks on the [waited](Self::waited) shard for one slice.
+    /// Slices start at [`FIRST_SLICE`] and double up to [`SLICE_CAP`], cut
+    /// to the deadline. A match written to the waited shard wakes the call
+    /// at once, and one written anywhere else is found by the next sweep,
+    /// within a slice. Only one lookup is ever out, so a take removes only
+    /// the tuple it returns and nothing is written back.
     ///
-    /// Lock/thread ordering, and why this cannot deadlock or lose
-    /// tuples:
-    /// 1. the main thread holds **no** shard connection while waiting —
-    ///    it blocks on the event channel only;
-    /// 2. each helper touches exactly one shard connection (its own), so
-    ///    helpers never wait on each other;
-    /// 3. the first helper to flip the `done` flag owns the result; any
-    ///    later match is a *loser* and is restored to the shard it was
-    ///    taken from (client-side `restore_unacked`, see
-    ///    [`restore_tuple`]) before the helper exits;
-    /// 4. the gatherer abandons the wait (deadline) by *swapping* `done`
-    ///    rather than storing it: a `true` result means some helper's
-    ///    own swap beat ours — it won and its `Win` is in flight on the
-    ///    channel — so the gatherer drains the channel for that
-    ///    straggler win and restores its tuple before returning `None`.
-    ///    Without the swap handshake the `Win` would be dropped with
-    ///    `rx` and the already-taken tuple lost;
-    /// 5. helpers are detached, not joined: the winner returns
-    ///    immediately, and stragglers die within one slice of `done`
-    ///    flipping (dropping their channel senders, which bounds the
-    ///    straggler drain in step 4). A straggler's connection mutex may
-    ///    be held for up to one slice after the call returns — the next
-    ///    operation on that shard simply queues behind it.
-    fn scatter_blocking(
+    /// `swept` skips the first sweep, for a caller whose own sweep has
+    /// just come up dry. Without it a zero timeout (the `*_if_exists`
+    /// contract) still gets one full sweep.
+    fn sliced_wait(
         &self,
         template: &Template,
         deadline: Option<Instant>,
         destructive: bool,
+        mut swept: bool,
     ) -> SpaceResult<Option<Tuple>> {
+        let mut slice = FIRST_SLICE;
         loop {
             self.ensure_open()?;
-            // Fast path: anything already matching anywhere? Runs before
-            // any deadline check so a zero timeout (the `*_if_exists`
-            // contract) still gets one full sweep.
-            if let Some(tuple) = self.sweep_one(template, destructive)? {
-                return Ok(Some(tuple));
-            }
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return Ok(None);
+            if !std::mem::take(&mut swept) {
+                if let Some(tuple) = self.sweep_one(template, destructive)? {
+                    return Ok(Some(tuple));
                 }
             }
-            let healthy = self.healthy();
-            if healthy.is_empty() {
-                return Err(PartitionedSpace::no_healthy());
-            }
-            let job = Arc::new(HelperJob {
-                template: template.clone(),
-                deadline,
-                slice: self.config.take_slice,
-                destructive,
-                done: AtomicBool::new(false),
-                shards: self.shards.clone(),
-            });
-            let (tx, rx) = mpsc::channel::<HelperEvent>();
-            let mut live = 0usize;
-            for shard in healthy {
-                let tx = tx.clone();
-                let job = job.clone();
-                std::thread::Builder::new()
-                    .name(format!("acc-grid-scatter-{}", shard.index))
-                    .spawn(move || helper_loop(shard, job, tx))
-                    .expect("spawn grid scatter helper");
-                live += 1;
-            }
-            drop(tx);
-            // (decided result, whether we consumed a Win event).
-            let (outcome, consumed_win) = loop {
-                let event = match deadline {
-                    None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
-                    Some(d) => rx.recv_timeout(d.saturating_duration_since(Instant::now())),
-                };
-                match event {
-                    Ok(HelperEvent::Win(tuple, _)) => break (Some(Ok(Some(tuple))), true),
-                    Ok(HelperEvent::Closed) => {
-                        self.closed.store(true, Ordering::SeqCst);
-                        break (Some(Err(SpaceError::Closed)), false);
-                    }
-                    Ok(HelperEvent::Exit) => {
-                        live -= 1;
-                        if live == 0 {
-                            // Every helper died (shard faults) or timed
-                            // out; decide at the top of the outer loop.
-                            break (None, false);
-                        }
-                    }
-                    Err(_) => break (Some(Ok(None)), false), // deadline
-                }
+            let wait = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                None => slice,
+                Some(left) if left.is_zero() => return Ok(None),
+                Some(left) => left.min(slice),
             };
-            // Cancel the stragglers — with a `swap`, not a `store`, to
-            // close the race the timeout path opens (ordering rule 4 in
-            // the doc comment): `true` here without a consumed `Win`
-            // means a helper's swap beat ours, it believes it won, and
-            // its `Win` is in (or on its way into) the channel. Dropping
-            // `rx` now would strand that already-taken tuple outside the
-            // space, so wait for the event and put the tuple back. The
-            // wait is bounded: every helper exits within one slice of
-            // `done` flipping and drops its sender.
-            if job.done.swap(true, Ordering::SeqCst) && !consumed_win {
-                while let Ok(event) = rx.recv() {
-                    if let HelperEvent::Win(tuple, origin) = event {
-                        if destructive {
-                            restore_tuple(&self.shards, &origin, tuple);
-                        }
-                        break;
-                    }
+            let shard = self.waited()?;
+            let got = shard.call(|r| {
+                if destructive {
+                    r.take(template, Some(wait))
+                } else {
+                    r.read(template, Some(wait))
                 }
+            });
+            match got {
+                Ok(Some(tuple)) => {
+                    self.matched(&shard);
+                    return Ok(Some(tuple));
+                }
+                Ok(None) => {}
+                Err(SpaceError::Closed) => {
+                    self.closed.store(true, Ordering::SeqCst);
+                    return Err(SpaceError::Closed);
+                }
+                // `call` struck the shard out: the next pass waits on another.
+                Err(SpaceError::Transport(_)) | Err(SpaceError::Protocol(_)) => {}
+                Err(e) => return Err(e),
             }
-            match outcome {
-                Some(result) => return result,
-                None => continue,
-            }
+            slice = (slice * 2).min(SLICE_CAP);
         }
+    }
+
+    /// The first healthy shard from the index `from` holds.
+    fn first_healthy(&self, from: &AtomicUsize) -> SpaceResult<Arc<Shard>> {
+        let n = self.shards.len();
+        let start = from.load(Ordering::Relaxed);
+        (0..n)
+            .map(|k| &self.shards[(start + k) % n])
+            .find(|shard| shard.is_healthy())
+            .cloned()
+            .ok_or_else(PartitionedSpace::no_healthy)
     }
 
     /// This client's home shard: the first healthy shard from the `home`
@@ -728,13 +616,27 @@ impl PartitionedSpace {
     /// for its whole take, so in the steady state a task and its result
     /// share one shard and a refill is one exchange.
     fn home(&self) -> SpaceResult<Arc<Shard>> {
-        let n = self.shards.len();
-        let start = self.home.load(Ordering::Relaxed);
-        (0..n)
-            .map(|k| &self.shards[(start + k) % n])
-            .find(|shard| shard.is_healthy())
-            .cloned()
-            .ok_or_else(PartitionedSpace::no_healthy)
+        self.first_healthy(&self.home)
+    }
+
+    /// The shard a [`sliced_wait`](Self::sliced_wait) blocks on: the first
+    /// healthy shard from the one that last answered one of this client's
+    /// single-tuple lookups with a match, which starts as its home.
+    ///
+    /// Batch takes do not move it. A dry worker waits for tasks that a
+    /// master's `write_all` lands on the shards one after another, in
+    /// shard order; the sweep after a missed slice finds them on the
+    /// shard they reach first, and the next wait sits there. A refill's
+    /// batch answers, mostly from its home, would move the wait back off
+    /// it (twice the missed slices in `grid4_job`).
+    fn waited(&self) -> SpaceResult<Arc<Shard>> {
+        self.first_healthy(&self.waited)
+    }
+
+    /// Notes that `shard` answered a single-tuple take or read with a
+    /// match.
+    fn matched(&self, shard: &Shard) {
+        self.waited.store(shard.index, Ordering::Relaxed);
     }
 
     /// Splits a take of `max` over the shards `over` into quotas, indexed
@@ -916,7 +818,8 @@ impl PartitionedSpace {
     /// results, and is split over the healthy shards otherwise; a short
     /// answer is topped up in the sweep. If the take is still empty and
     /// the caller will wait, [`block_then_drain`] runs it through
-    /// [`scatter_blocking`](Self::scatter_blocking) — unless the write
+    /// [`sliced_wait`](Self::sliced_wait), which skips its first sweep
+    /// since this one has just come up dry — unless the write
     /// failed: then the caller gets the error and whatever was taken.
     fn refill(
         &self,
@@ -942,7 +845,7 @@ impl PartitionedSpace {
         if dry && timeout != Some(Duration::ZERO) && written.is_ok() {
             taken = block_then_drain(
                 max,
-                || self.scatter_blocking(template, deadline, true),
+                || self.sliced_wait(template, deadline, true, true),
                 |rest| {
                     self.refill(Vec::new(), template, rest, Some(Duration::ZERO))
                         .1
@@ -951,64 +854,6 @@ impl PartitionedSpace {
         }
         (written, taken)
     }
-}
-
-/// Shared state of one scatter-gather round: the lookup parameters, the
-/// first-wins flag, and the shards losers may put their tuples back on.
-/// One per [`PartitionedSpace::scatter_blocking`] round, shared by the
-/// gatherer and every helper.
-struct HelperJob {
-    template: Template,
-    deadline: Option<Instant>,
-    slice: Duration,
-    destructive: bool,
-    done: AtomicBool,
-    shards: Vec<Arc<Shard>>,
-}
-
-/// Body of one scatter helper thread; see
-/// [`PartitionedSpace::scatter_blocking`] for the ordering rules.
-fn helper_loop(shard: Arc<Shard>, job: Arc<HelperJob>, tx: mpsc::Sender<HelperEvent>) {
-    while !job.done.load(Ordering::SeqCst) {
-        let wait = match job.deadline {
-            None => job.slice,
-            Some(d) => {
-                let remaining = d.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    break;
-                }
-                job.slice.min(remaining)
-            }
-        };
-        let got = shard.call(|r| {
-            if job.destructive {
-                r.take(&job.template, Some(wait))
-            } else {
-                r.read(&job.template, Some(wait))
-            }
-        });
-        match got {
-            Ok(Some(tuple)) => {
-                if !job.done.swap(true, Ordering::SeqCst) {
-                    let _ = tx.send(HelperEvent::Win(tuple, shard));
-                } else if job.destructive {
-                    // Lost the race after removing a tuple: put it back
-                    // so no other caller misses it.
-                    restore_tuple(&job.shards, &shard, tuple);
-                    let _ = tx.send(HelperEvent::Exit);
-                }
-                return;
-            }
-            Ok(None) => continue,
-            Err(SpaceError::Closed) => {
-                let _ = tx.send(HelperEvent::Closed);
-                return;
-            }
-            // Transport/protocol: `call` already struck the shard out.
-            Err(_) => break,
-        }
-    }
-    let _ = tx.send(HelperEvent::Exit);
 }
 
 impl TupleStore for PartitionedSpace {
@@ -1037,14 +882,14 @@ impl TupleStore for PartitionedSpace {
         self.ensure_open()?;
         let deadline = timeout.map(|t| Instant::now() + t);
         // Single-shard fast path: one direct blocking call (the server
-        // wakes it on a matching write) instead of sliced scatter polls.
+        // wakes it on a matching write) instead of sliced waits.
         if self.shards.len() == 1 && self.shards[0].is_healthy() {
             match self.shards[0].call(|r| r.read(template, timeout)) {
                 Err(SpaceError::Transport(_)) | Err(SpaceError::Protocol(_)) => {}
                 other => return other,
             }
         }
-        self.scatter_blocking(template, deadline, false)
+        self.sliced_wait(template, deadline, false, false)
     }
 
     fn take(&self, template: &Template, timeout: Option<Duration>) -> SpaceResult<Option<Tuple>> {
@@ -1057,7 +902,7 @@ impl TupleStore for PartitionedSpace {
                 other => return other,
             }
         }
-        self.scatter_blocking(template, deadline, true)
+        self.sliced_wait(template, deadline, true, false)
     }
 
     /// Sums over every healthy shard.
@@ -1170,9 +1015,9 @@ impl TupleStore for PartitionedSpace {
     /// One shard: forwarded, since the one server already implements the
     /// block-then-drain contract in one round trip. More shards: the
     /// refill with no results — a quota sweep topped up once if short,
-    /// then, if it comes up dry and the caller is willing to wait, one
-    /// blocking scatter take for the first match and a final sweep for
-    /// whatever else arrived.
+    /// then, if it comes up dry and the caller is willing to wait, the
+    /// sliced wait for the first match and a final sweep for whatever
+    /// else arrived.
     fn take_up_to(
         &self,
         template: &Template,
@@ -1470,7 +1315,7 @@ mod tests {
             std::thread::spawn(move || grid.take(&job_template(), Some(Duration::from_secs(5))))
         };
         std::thread::sleep(Duration::from_millis(60));
-        // Write directly into a shard: the scatter helpers must see it.
+        // Write directly into a shard: the sliced wait must see it.
         r.spaces[1].write(task(9)).unwrap();
         let got = waiter.join().unwrap().unwrap().expect("tuple delivered");
         assert_eq!(got.get_int("task_id"), Some(9));
@@ -1519,7 +1364,6 @@ mod tests {
     fn recovered_shard_rejoins_via_the_prober() {
         let config = GridConfig {
             reprobe_interval: Duration::from_millis(20),
-            ..GridConfig::default()
         };
         let mut r = rig_with(2, config);
         // Take shard 0 down and let the grid notice.
@@ -1600,18 +1444,11 @@ mod tests {
         ));
     }
 
-    /// Conservation canary for the first-wins races: takes racing a
-    /// writer under very short timeouts and slices must never lose a
-    /// tuple — a gatherer that times out while a helper's win is in
-    /// flight has to restore that straggler, and losing helpers have to
-    /// restore theirs.
+    /// Conservation canary: takes racing a writer under very short
+    /// timeouts, each cut off mid-slice, must never lose a tuple.
     #[test]
     fn short_timeout_takes_never_lose_tuples() {
-        let config = GridConfig {
-            take_slice: Duration::from_millis(2),
-            ..GridConfig::default()
-        };
-        let r = rig_with(2, config);
+        let r = rig(2);
         let total = 120i64;
         let writer_grid = r.grid.reconnect().unwrap();
         let writer = std::thread::spawn(move || {
@@ -1632,21 +1469,13 @@ mod tests {
             }
         }
         writer.join().unwrap();
-        // Whatever the takes missed must still be in the space. Loser
-        // restores may land up to a slice after a take returns, so poll
-        // instead of asserting a single snapshot.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let leftover = r.grid.count(&job_template()).unwrap() as i64;
-            if got + leftover == total {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "tuples lost: took {got}, {leftover} left of {total}"
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        // Whatever the takes missed must still be in the space: no take
+        // is left out once the call returns, so one count settles it.
+        let leftover = r.grid.count(&job_template()).unwrap() as i64;
+        assert!(
+            got + leftover == total,
+            "tuples lost: took {got}, {leftover} left of {total}"
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Batch operations on a multi-shard grid fan out from the calling thread:
-//! no helper thread is spawned per shard per call.
+//! Batch operations on a multi-shard grid fan out from the calling thread,
+//! and blocking lookups wait from it: no helper thread is spawned per shard
+//! per call.
 //!
 //! A thread that is spawned and joined inside the call leaves no trace in
 //! the process's thread count, so the test watches the kernel's id
@@ -16,10 +17,13 @@
 
 #![cfg(target_os = "linux")]
 
+use std::sync::mpsc;
 use std::time::Duration;
 
 use acc_spacegrid::PartitionedSpace;
-use acc_tuplespace::{Batch, BatchTxn, Space, SpaceServer, Template, Tuple, TupleStore};
+use acc_tuplespace::{
+    Batch, BatchTxn, Space, SpaceHandle, SpaceServer, Template, Tuple, TupleStore,
+};
 
 fn last_allocated_pid() -> u64 {
     let loadavg = std::fs::read_to_string("/proc/loadavg").expect("read /proc/loadavg");
@@ -35,6 +39,32 @@ fn task(id: i64) -> Tuple {
         .field("job", "grid")
         .field("task_id", id)
         .done()
+}
+
+/// What the waker does for one blocking case: once shard `waited` has
+/// parked a lookup more than `parked_before` times, write `tuple` straight
+/// into shard `to`.
+struct Wake {
+    waited: usize,
+    parked_before: u64,
+    to: usize,
+    tuple: Tuple,
+}
+
+/// The waker: one thread for the whole test, spawned before any pid is
+/// read, which writes each [`Wake`]'s tuple once the grid's wait has
+/// parked on its shard.
+fn spawn_waker(spaces: Vec<SpaceHandle>) -> mpsc::Sender<Wake> {
+    let (tx, rx) = mpsc::channel::<Wake>();
+    std::thread::spawn(move || {
+        for wake in rx {
+            while spaces[wake.waited].stats().blocked_waits <= wake.parked_before {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            spaces[wake.to].write(wake.tuple).unwrap();
+        }
+    });
+    tx
 }
 
 #[test]
@@ -88,18 +118,63 @@ fn batch_ops_on_a_four_shard_grid_spawn_no_thread() {
         assert_eq!(topped_up.len(), 4);
         assert_eq!(grid.take_all(&template).unwrap().len(), 4);
     };
+    let waker = spawn_waker(spaces.clone());
+    let marker = Template::of_type("acc.marker");
+    let wait = Some(Duration::from_secs(30));
+    // One round of the blocking lookups, each on a dry grid: the waited
+    // shard is set by a match there, and the tuple that wakes the lookup
+    // is written to the next shard once the wait has parked.
+    let blocking_round = || {
+        for (case, waited) in (0..4usize).enumerate() {
+            spaces[waited]
+                .write(Tuple::build("acc.marker").done())
+                .unwrap();
+            assert!(grid.take(&marker, Some(Duration::ZERO)).unwrap().is_some());
+            waker
+                .send(Wake {
+                    waited,
+                    parked_before: spaces[waited].stats().blocked_waits,
+                    to: (waited + 1) % 4,
+                    tuple: task(100 + case as i64),
+                })
+                .unwrap();
+            let got: Vec<Tuple> = match case {
+                0 => grid.take(&template, wait).unwrap().into_iter().collect(),
+                1 => {
+                    let read = grid.read(&template, wait).unwrap();
+                    assert_eq!(grid.take_all(&template).unwrap().len(), 1);
+                    read.into_iter().collect()
+                }
+                2 => grid.take_up_to(&template, 8, wait).unwrap(),
+                _ => {
+                    let done = Batch {
+                        txn: BatchTxn::default(),
+                        tuples: results(),
+                    };
+                    let (written, taken) = grid.take_batch(done, &template, 8, wait);
+                    assert_eq!(written, Ok(()));
+                    assert_eq!(grid.take_all(&result_template).unwrap().len(), 4);
+                    taken.unwrap().tuples
+                }
+            };
+            assert_eq!(got, [task(100 + case as i64)], "blocking case {case}");
+        }
+        assert_eq!(grid.count(&template).unwrap(), 0);
+    };
     // Warm-up: connections accepted, server threads up, every shard used.
     round();
+    blocking_round();
     assert!(spaces.iter().all(|s| s.stats().writes > 0));
 
     let quiet = (0..200).any(|_| {
         let before = last_allocated_pid();
         round();
+        blocking_round();
         last_allocated_pid() == before
     });
     assert!(
         quiet,
-        "every one of 200 rounds of batch operations saw a thread or process \
-         created: the grid's fan-out is spawning helpers again"
+        "every one of 200 rounds of batch operations and blocking lookups saw \
+         a thread or process created: the grid is spawning helpers again"
     );
 }

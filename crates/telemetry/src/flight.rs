@@ -549,12 +549,12 @@ struct ThreadRing {
 }
 
 /// Ring slots the rings of *ended* threads may hold between them — two
-/// threads' worth. A deployment that runs its blocking operations on
-/// short-lived helper threads (the space grid starts some 170 a second,
-/// three or four records each) would otherwise grow by a ring per thread
-/// for ever. When a newly registered thread finds the budget exceeded,
-/// the longest-registered ended threads' rings are freed, their records
-/// counted as dropped.
+/// threads' worth. Servers serve each connection on a thread of its own
+/// (the space server, the observer's HTTP, the SNMP agent), so a
+/// long-lived server whose clients come and go would otherwise grow by a
+/// ring per connection for ever. When a newly registered thread finds the
+/// budget exceeded, the longest-registered ended threads' rings are
+/// freed, their records counted as dropped.
 pub const DEAD_THREAD_SLOTS: usize = 2 * DEFAULT_CAPACITY;
 
 struct Recorder {
@@ -1330,7 +1330,7 @@ mod tests {
         assert_eq!(live.trace_id, newest.trace_id);
     }
 
-    /// A stream of short-lived threads (the space grid's scatter helpers)
+    /// A stream of short-lived threads (a server's connection threads)
     /// does not grow the recorder without bound: ended threads' rings
     /// share a slot budget, oldest out first, their records counted.
     #[test]

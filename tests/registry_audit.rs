@@ -30,9 +30,7 @@ enum Reader {
 use Reader::{Kept, Layers, Route};
 
 const AUDIT: &[(&str, Reader)] = &[
-    ("grid.lost_tuples", Layers),
     ("grid.rerouted_writes", Route("/cluster.json")),
-    ("grid.restored_tuples", Layers),
     ("grid.scatter.fanout", Layers),
     ("grid.shard{i}.op_us", Route("/profile.json")),
     ("monitor.failed_polls.{kind}", Route("/cluster.json")),
