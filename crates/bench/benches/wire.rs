@@ -36,6 +36,12 @@ fn main() {
         let mut interner = NameInterner::new();
         let warm: Tuple = decode_frame(frame.clone(), &mut interner).unwrap();
         assert_eq!(warm, tuple);
+        let job = warm.get_str("job").unwrap().as_ptr() as usize;
+        let span = frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len();
+        assert!(
+            span.contains(&job),
+            "a decoded string is a view of its frame"
+        );
         let ns = acc_bench::median_ns(reps, iters, || {
             let t: Tuple = decode_frame(frame.clone(), &mut interner).unwrap();
             std::hint::black_box(t);
@@ -81,6 +87,10 @@ fn main() {
             .map(|i| Bytes::from(task_tuple(i).to_bytes()))
             .collect();
         let mut interner = NameInterner::new();
+        for (i, f) in frames.iter().enumerate() {
+            let t: Tuple = decode_frame(f.clone(), &mut interner).unwrap();
+            assert_eq!(t, task_tuple(i as i64));
+        }
         let batch_iters = (iters / 64).max(1);
         let ns = acc_bench::median_ns(reps, batch_iters, || {
             for f in &frames {

@@ -59,11 +59,12 @@ pub struct TaskTiming {
 
 impl TaskTiming {
     /// Version byte plus four little-endian `u64`s — 33 bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(33);
-        out.push(TIMING_VERSION);
-        for v in [self.wait_us, self.xfer_us, self.compute_us, self.write_us] {
-            out.extend_from_slice(&v.to_le_bytes());
+    pub fn to_bytes(&self) -> [u8; 33] {
+        let mut out = [0; 33];
+        out[0] = TIMING_VERSION;
+        let words = [self.wait_us, self.xfer_us, self.compute_us, self.write_us];
+        for (chunk, v) in out[1..].chunks_exact_mut(8).zip(words) {
+            chunk.copy_from_slice(&v.to_le_bytes());
         }
         out
     }
@@ -220,12 +221,17 @@ impl ClusterObserver {
 
     /// Records one completed task's cost attribution under its worker
     /// and job.
+    ///
+    /// Names are looked up before they are inserted: only a worker's or
+    /// job's first result pays for a copy of its name.
     pub fn record_attribution(&self, job: &str, worker: &str, timing: &TaskTiming) {
         {
             let mut workers = self.workers.lock();
-            let view = workers
-                .entry(worker.to_owned())
-                .or_insert_with(|| WorkerView::new(self.config.history_depth));
+            if !workers.contains_key(worker) {
+                let view = WorkerView::new(self.config.history_depth);
+                workers.insert(worker.to_owned(), view);
+            }
+            let view = workers.get_mut(worker).expect("inserted above");
             view.results += 1;
             view.compute.observe(timing.compute_us);
             view.wait_us += timing.wait_us;
@@ -234,9 +240,14 @@ impl ClusterObserver {
         }
         let hist = {
             let mut jobs = self.jobs.lock();
-            jobs.entry(job.to_owned())
-                .or_insert_with(|| Arc::new(Histogram::new()))
-                .clone()
+            match jobs.get(job) {
+                Some(hist) => hist.clone(),
+                None => {
+                    let hist = Arc::new(Histogram::new());
+                    jobs.insert(job.to_owned(), hist.clone());
+                    hist
+                }
+            }
         };
         hist.observe(timing.compute_us);
     }

@@ -50,7 +50,7 @@ pub use policy::{execute_policed, ExecutionPolicy, PolicedError, PolicyViolation
 pub use rulebase::{client_register, duplex_pair, Duplex, RuleBaseServer, RuleMessage, WorkerId};
 pub use signal::{Signal, SignalLogEntry, WorkerState};
 pub use task::{
-    result_template, task_template, tuple_trace_context, Application, ExecError, ResultEntry,
-    TaskEntry, TaskExecutor, TaskSpec,
+    result_template, task_template, Application, ExecError, ResultEntry, ResultView, TaskEntry,
+    TaskExecutor, TaskSpec,
 };
 pub use worker::{TraceRetention, WorkerConfig, WorkerRuntime};

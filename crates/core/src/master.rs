@@ -7,18 +7,18 @@
 //! master-side metrics (task planning time, task aggregation time, max
 //! worker time, parallel time, max master overhead) are measured here.
 
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use acc_cluster::{ClusterObserver, JobProfiler, JobRecorder};
 use acc_telemetry::span;
-use acc_tuplespace::{SpaceError, StoreHandle, Template, Tuple};
+use acc_tuplespace::{Bytes, SpaceError, StoreHandle, Template, Tuple, Value};
 
 use crate::checkpoint::CheckpointState;
 use crate::metrics::PhaseTimes;
-use crate::task::{result_template, Application, ExecError, ResultEntry, TaskEntry, TASK_TYPE};
+use crate::task::{result_template, task_tuple, Application, ExecError, ResultView, TASK_TYPE};
 
 /// Outcome of one application run.
 #[derive(Debug, Clone, Default)]
@@ -123,14 +123,14 @@ impl Master {
             profiler.job_started(&job);
         }
 
-        let mut completed: BTreeSet<u64> = BTreeSet::new();
+        let mut completed = HashSet::new();
         let mut resumed = false;
         if let Some((path, _)) = checkpoint {
             match CheckpointState::load(path) {
                 Ok(Some(state)) if state.job == job => {
                     app.restore_partials(&state.app_state)
                         .map_err(|e| SpaceError::Storage(format!("restore partials: {e}")))?;
-                    completed = state.completed;
+                    completed = state.completed.into_iter().collect();
                     resumed = true;
                 }
                 Ok(_) => {}
@@ -148,6 +148,8 @@ impl Master {
         };
         let total = specs.len();
         let template = result_template(&job);
+        // Room for every task up front, so recording one never allocates.
+        completed.reserve(total.saturating_sub(completed.len()));
         let mut agg = Aggregation {
             app,
             completed,
@@ -168,6 +170,8 @@ impl Master {
 
         agg.report.times.tasks = total;
         let chunk = self.dispatch_chunk.max(1);
+        // One job name for every task tuple: each shares it.
+        let job_value = Value::from(job.as_str());
         let mut pending: Vec<Tuple> = Vec::new();
         for spec in &specs {
             if agg.completed.contains(&spec.task_id) {
@@ -183,8 +187,8 @@ impl Master {
                     continue;
                 }
             }
-            let entry = TaskEntry::new(job.clone(), spec.task_id, spec.payload.clone());
-            pending.push(entry.into_tuple());
+            let payload = Bytes::copy_from_slice(&spec.payload);
+            pending.push(task_tuple(job_value.clone(), spec.task_id, payload, 0));
             if pending.len() >= chunk {
                 dispatch_batch(&self.space, &mut pending, &mut agg.max_overhead_ms)?;
             }
@@ -293,7 +297,7 @@ fn dispatch_batch(
 /// of finished task ids, and the master-side cost of getting them there.
 struct Aggregation<'a> {
     app: &'a mut dyn Application,
-    completed: BTreeSet<u64>,
+    completed: HashSet<u64>,
     report: RunReport,
     observer: Option<&'a ClusterObserver>,
     recorder: Option<JobRecorder>,
@@ -319,7 +323,7 @@ impl Aggregation<'_> {
     }
 
     fn absorb_untimed(&mut self, tuple: &Tuple) -> bool {
-        let Some(result) = ResultEntry::from_tuple(tuple) else {
+        let Some(result) = ResultView::of(tuple) else {
             self.report
                 .failures
                 .push((u64::MAX, ExecError::App("malformed result entry".into())));
@@ -332,21 +336,21 @@ impl Aggregation<'_> {
         times.max_worker_ms = times.max_worker_ms.max(result.span_ms);
         // Looked up before `entry`, which needs an owned key: only a
         // worker's first result pays for the name's clone.
-        match times.per_worker_ms.get_mut(&result.worker) {
+        match times.per_worker_ms.get_mut(result.worker) {
             Some(slot) => *slot = slot.max(result.span_ms),
             None => {
                 times
                     .per_worker_ms
-                    .insert(result.worker.clone(), result.span_ms.max(0.0));
+                    .insert(result.worker.to_owned(), result.span_ms.max(0.0));
             }
         }
         if let Some(observer) = self.observer {
-            observer.record_attribution(&result.job, &result.worker, &result.timing);
+            observer.record_attribution(result.job, result.worker, &result.timing);
         }
         if let Some(recorder) = &mut self.recorder {
             recorder.record_task(
                 result.task_id,
-                &result.worker,
+                result.worker,
                 &result.timing,
                 result.error.is_some(),
             );
@@ -357,8 +361,8 @@ impl Aggregation<'_> {
             Some(error) => self
                 .report
                 .failures
-                .push((result.task_id, ExecError::App(error))),
-            None => match self.app.absorb(result.task_id, &result.payload) {
+                .push((result.task_id, ExecError::App(error.to_owned()))),
+            None => match self.app.absorb(result.task_id, result.payload) {
                 Ok(()) => self.report.results_collected += 1,
                 Err(e) => self.report.failures.push((result.task_id, e)),
             },
@@ -373,13 +377,13 @@ fn save_checkpoint(
     path: &Path,
     job: &str,
     total: u64,
-    completed: &BTreeSet<u64>,
+    completed: &HashSet<u64>,
     app: &dyn Application,
 ) -> Result<(), SpaceError> {
     let state = CheckpointState {
         job: job.to_owned(),
         total,
-        completed: completed.clone(),
+        completed: completed.iter().copied().collect(),
         app_state: app.snapshot_partials().unwrap_or_default(),
     };
     state
@@ -394,7 +398,7 @@ fn ms_since(start: Instant) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::{task_template, TaskExecutor, TaskSpec};
+    use crate::task::{task_template, ResultEntry, TaskEntry, TaskExecutor, TaskSpec};
     use acc_tuplespace::{EntryId, Lease, Payload, Space, SpaceHandle, SpaceResult, TupleStore};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;

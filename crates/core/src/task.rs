@@ -8,33 +8,17 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
+use acc_cluster::TaskTiming;
+use acc_telemetry::TraceContext;
 use acc_tuplespace::{Bytes, Payload, PayloadError, Shape, Template, Tuple, Value};
 
 /// Tuple type for task entries.
 pub const TASK_TYPE: &str = "acc.task";
 /// Tuple type for result entries.
 pub const RESULT_TYPE: &str = "acc.result";
-/// Field carrying a serialized [`acc_telemetry::TraceContext`] on task and
-/// result tuples. The wire envelope only links one request to its reply;
-/// the master→worker hop happens through the space (the worker's `take` is
-/// its own request), so the context has to ride the tuple itself.
-pub const TRACE_FIELD: &str = "tctx";
 /// Field carrying the serialized [`acc_cluster::TaskTiming`] attribution
-/// record on result tuples (same compact-bytes style as [`TRACE_FIELD`]).
+/// record on result tuples.
 pub const TIMING_FIELD: &str = "timing";
-
-/// Extracts the distributed trace context a tuple carries, if any.
-pub fn tuple_trace_context(tuple: &Tuple) -> Option<acc_telemetry::TraceContext> {
-    let known = layouts().task.iter().chain(&layouts().result);
-    let fields = Fields::of(tuple, known);
-    acc_telemetry::TraceContext::from_bytes(fields.get(Field::Tctx)?.as_bytes()?)
-}
-
-/// The current trace context as a tuple field value.
-fn current_trace_value() -> Option<Value> {
-    acc_telemetry::TraceContext::current_if_enabled()
-        .map(|ctx| Value::Bytes(Bytes::copy_from_slice(&ctx.to_bytes())))
-}
 
 /// Every field a task or result tuple can carry, in name order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,12 +30,11 @@ enum Field {
     Retries,
     SpanMs,
     TaskId,
-    Tctx,
     Timing,
     Worker,
 }
 
-const FIELDS: usize = 10;
+const FIELDS: usize = 9;
 
 impl Field {
     fn name(self) -> &'static str {
@@ -63,7 +46,6 @@ impl Field {
             Field::Retries => "retries",
             Field::SpanMs => "span_ms",
             Field::TaskId => "task_id",
-            Field::Tctx => TRACE_FIELD,
             Field::Timing => TIMING_FIELD,
             Field::Worker => "worker",
         }
@@ -71,9 +53,9 @@ impl Field {
 }
 
 /// One shape a task or result tuple can have, and where each field sits
-/// in it. The optional fields (`tctx` on both, `timing` and `error` on
-/// results) are present or absent exactly as the tuples on the wire have
-/// them, so each combination is its own shape: 2 for tasks, 8 for results.
+/// in it. A result's optional fields (`timing`, `error`) are present or
+/// absent exactly as the tuples on the wire have them, so each
+/// combination is its own shape: 1 for tasks, 4 for results.
 struct Layout {
     shape: Arc<Shape>,
     /// The fields in shape order.
@@ -124,10 +106,9 @@ impl Layout {
 /// process-wide shape table, so tuples decoded off the wire share them
 /// and are recognised by pointer.
 struct Layouts {
-    /// Tasks, indexed by `tctx` present.
-    task: [Layout; 2],
-    /// Results, indexed by `timing | error << 1 | tctx << 2` present.
-    result: [Layout; 8],
+    task: Layout,
+    /// Results, indexed by `timing | error << 1` present.
+    result: [Layout; 4],
 }
 
 fn layouts() -> &'static Layouts {
@@ -137,9 +118,9 @@ fn layouts() -> &'static Layouts {
         let task = [Job, TaskId, Payload, Retries];
         let result = [Job, TaskId, Worker, Payload, ComputeMs, SpanMs];
         Layouts {
-            task: std::array::from_fn(|bits| Layout::variant(TASK_TYPE, &task, &[Tctx], bits)),
+            task: Layout::variant(TASK_TYPE, &task, &[], 0),
             result: std::array::from_fn(|bits| {
-                Layout::variant(RESULT_TYPE, &result, &[Timing, Error, Tctx], bits)
+                Layout::variant(RESULT_TYPE, &result, &[Timing, Error], bits)
             }),
         }
     })
@@ -153,11 +134,16 @@ struct Fields<'a> {
 }
 
 impl<'a> Fields<'a> {
-    fn of(tuple: &'a Tuple, known: impl IntoIterator<Item = &'static Layout>) -> Fields<'a> {
+    /// The fields of `tuple` if it is of type `type_name`.
+    fn of(
+        tuple: &'a Tuple,
+        type_name: &str,
+        known: impl IntoIterator<Item = &'static Layout>,
+    ) -> Option<Fields<'a>> {
         let layout = known
             .into_iter()
             .find(|l| Arc::ptr_eq(&l.shape, tuple.shape()));
-        Fields { tuple, layout }
+        (layout.is_some() || tuple.type_name() == type_name).then_some(Fields { tuple, layout })
     }
 
     fn get(&self, field: Field) -> Option<&'a Value> {
@@ -166,6 +152,21 @@ impl<'a> Fields<'a> {
             None => self.tuple.get(field.name()),
         }
     }
+}
+
+/// A task tuple: `job` is shared (a string value's clone is a reference
+/// count), and the current trace context rides along as the tuple's
+/// metadata, so the worker that takes the task joins the writer's trace.
+pub(crate) fn task_tuple(job: Value, task_id: u64, payload: Bytes, retries: u32) -> Tuple {
+    let mut slots: [Option<Value>; FIELDS] = Default::default();
+    slots[Field::Job as usize] = Some(job);
+    slots[Field::TaskId as usize] = Some(Value::Int(task_id as i64));
+    slots[Field::Payload as usize] = Some(Value::Bytes(payload));
+    slots[Field::Retries as usize] = Some(Value::Int(retries as i64));
+    layouts()
+        .task
+        .tuple(slots)
+        .with_trace(TraceContext::current_if_enabled())
 }
 
 /// A unit of work produced during task planning.
@@ -212,40 +213,53 @@ impl TaskEntry {
     }
 
     /// Serializes into a space tuple. When tracing is active the current
-    /// [`acc_telemetry::TraceContext`] rides along as a `tctx` field so the
-    /// worker that takes this task can join the master's trace.
+    /// [`acc_telemetry::TraceContext`] rides along as the tuple's trace
+    /// metadata ([`Tuple::trace`]) so the worker that takes this task can
+    /// join the master's trace.
     pub fn to_tuple(&self) -> Tuple {
-        self.clone().into_tuple()
+        let payload = Bytes::copy_from_slice(&self.payload);
+        task_tuple(
+            self.job.as_str().into(),
+            self.task_id,
+            payload,
+            self.retries,
+        )
     }
 
-    /// [`TaskEntry::to_tuple`] without copying the job name or payload.
+    /// [`TaskEntry::to_tuple`], consuming the entry. It costs the same: a
+    /// tuple's string and blob are shared allocations of their own, which
+    /// a `String` or `Vec` is copied into either way.
     pub fn into_tuple(self) -> Tuple {
-        let tctx = current_trace_value();
-        let layout = &layouts().task[tctx.is_some() as usize];
-        let mut slots: [Option<Value>; FIELDS] = Default::default();
-        slots[Field::Job as usize] = Some(Value::Str(self.job));
-        slots[Field::TaskId as usize] = Some(Value::Int(self.task_id as i64));
-        slots[Field::Payload as usize] = Some(Value::from(self.payload));
-        slots[Field::Retries as usize] = Some(Value::Int(self.retries as i64));
-        slots[Field::Tctx as usize] = tctx;
-        layout.tuple(slots)
+        self.to_tuple()
     }
 
     /// Deserializes from a space tuple.
     pub fn from_tuple(tuple: &Tuple) -> Option<TaskEntry> {
-        let fields = Fields::of(tuple, &layouts().task);
-        if fields.layout.is_none() && tuple.type_name() != TASK_TYPE {
-            return None;
-        }
-        Some(TaskEntry {
-            job: fields.get(Field::Job)?.as_str()?.to_owned(),
-            task_id: fields.get(Field::TaskId)?.as_int()? as u64,
-            payload: fields.get(Field::Payload)?.as_bytes()?.to_vec(),
-            retries: fields
-                .get(Field::Retries)
-                .and_then(Value::as_int)
-                .unwrap_or(0) as u32,
-        })
+        let mut entry = TaskEntry::new(String::new(), 0, Vec::new());
+        entry.read_tuple(tuple).map(|_| entry)
+    }
+
+    /// Overwrites this entry with the task `tuple` carries, into the
+    /// entry's own job and payload buffers: how a worker reads each task
+    /// it takes without allocating. Returns the tuple's `job` value, for
+    /// the task's result to share; `None`, with the entry unspecified,
+    /// when `tuple` is not a task.
+    pub(crate) fn read_tuple<'t>(&mut self, tuple: &'t Tuple) -> Option<&'t Value> {
+        let fields = Fields::of(tuple, TASK_TYPE, [&layouts().task])?;
+        let job_value = fields.get(Field::Job)?;
+        let job = job_value.as_str()?;
+        let task_id = fields.get(Field::TaskId)?.as_int()?;
+        let payload = fields.get(Field::Payload)?.as_bytes()?;
+        self.job.clear();
+        self.job.push_str(job);
+        self.task_id = task_id as u64;
+        self.payload.clear();
+        self.payload.extend_from_slice(payload);
+        self.retries = fields
+            .get(Field::Retries)
+            .and_then(Value::as_int)
+            .unwrap_or(0) as u32;
+        Some(job_value)
     }
 
     /// Decodes the payload into the application's input type.
@@ -278,57 +292,119 @@ pub struct ResultEntry {
     /// result-write), feeding the cluster view's per-worker and
     /// per-job histograms. Rides the tuple as a compact bytes field;
     /// results from older workers decode to all-zero timing.
-    pub timing: acc_cluster::TaskTiming,
+    pub timing: TaskTiming,
 }
 
 impl ResultEntry {
-    /// Serializes into a space tuple.
+    /// Serializes into a space tuple. It carries no trace context:
+    /// nothing reads one off a result.
     pub fn to_tuple(&self) -> Tuple {
-        self.clone().into_tuple()
+        let view = self.view();
+        view.tuple_sharing(view.job.into(), view.worker.into())
     }
 
-    /// [`ResultEntry::to_tuple`] without copying the names or payload.
+    /// [`ResultEntry::to_tuple`], consuming the entry (at the same cost,
+    /// as [`TaskEntry::into_tuple`]).
     pub fn into_tuple(self) -> Tuple {
-        let timed = self.timing != acc_cluster::TaskTiming::default();
-        let tctx = current_trace_value();
-        let bits =
-            timed as usize | (self.error.is_some() as usize) << 1 | (tctx.is_some() as usize) << 2;
-        let mut slots: [Option<Value>; FIELDS] = Default::default();
-        slots[Field::Job as usize] = Some(Value::Str(self.job));
-        slots[Field::TaskId as usize] = Some(Value::Int(self.task_id as i64));
-        slots[Field::Worker as usize] = Some(Value::Str(self.worker));
-        slots[Field::Payload as usize] = Some(Value::from(self.payload));
-        slots[Field::ComputeMs as usize] = Some(Value::Float(self.compute_ms));
-        slots[Field::SpanMs as usize] = Some(Value::Float(self.span_ms));
-        slots[Field::Timing as usize] = timed.then(|| Value::from(self.timing.to_bytes()));
-        slots[Field::Error as usize] = self.error.map(Value::Str);
-        slots[Field::Tctx as usize] = tctx;
-        layouts().result[bits].tuple(slots)
+        self.to_tuple()
     }
 
     /// Deserializes from a space tuple.
     pub fn from_tuple(tuple: &Tuple) -> Option<ResultEntry> {
-        let fields = Fields::of(tuple, &layouts().result);
-        if fields.layout.is_none() && tuple.type_name() != RESULT_TYPE {
-            return None;
+        ResultView::of(tuple).map(|r| r.to_entry())
+    }
+
+    /// The entry, borrowed.
+    fn view(&self) -> ResultView<'_> {
+        ResultView {
+            job: &self.job,
+            task_id: self.task_id,
+            worker: &self.worker,
+            payload: &self.payload,
+            compute_ms: self.compute_ms,
+            span_ms: self.span_ms,
+            error: self.error.as_deref(),
+            timing: self.timing,
         }
-        Some(ResultEntry {
-            job: fields.get(Field::Job)?.as_str()?.to_owned(),
+    }
+}
+
+/// A result tuple's fields, borrowed from it: how the master absorbs a
+/// result without copying its names or payload out of the frame.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ResultView<'a> {
+    /// The job this result belongs to.
+    pub job: &'a str,
+    /// Which task produced it.
+    pub task_id: u64,
+    /// The worker that computed it.
+    pub worker: &'a str,
+    /// Serialized application output (empty when `error` is set).
+    pub payload: &'a [u8],
+    /// See [`ResultEntry::compute_ms`].
+    pub compute_ms: f64,
+    /// See [`ResultEntry::span_ms`].
+    pub span_ms: f64,
+    /// See [`ResultEntry::error`].
+    pub error: Option<&'a str>,
+    /// See [`ResultEntry::timing`].
+    pub timing: TaskTiming,
+}
+
+impl<'a> ResultView<'a> {
+    /// The result `tuple` carries, if it is one.
+    pub fn of(tuple: &'a Tuple) -> Option<ResultView<'a>> {
+        let fields = Fields::of(tuple, RESULT_TYPE, &layouts().result)?;
+        Some(ResultView {
+            job: fields.get(Field::Job)?.as_str()?,
             task_id: fields.get(Field::TaskId)?.as_int()? as u64,
-            worker: fields.get(Field::Worker)?.as_str()?.to_owned(),
-            payload: fields.get(Field::Payload)?.as_bytes()?.to_vec(),
+            worker: fields.get(Field::Worker)?.as_str()?,
+            payload: fields.get(Field::Payload)?.as_bytes()?,
             compute_ms: fields.get(Field::ComputeMs)?.as_float()?,
             span_ms: fields.get(Field::SpanMs)?.as_float()?,
-            error: fields
-                .get(Field::Error)
-                .and_then(Value::as_str)
-                .map(str::to_owned),
+            error: fields.get(Field::Error).and_then(Value::as_str),
             timing: fields
                 .get(Field::Timing)
                 .and_then(Value::as_bytes)
-                .and_then(acc_cluster::TaskTiming::from_bytes)
+                .and_then(TaskTiming::from_bytes)
                 .unwrap_or_default(),
         })
+    }
+
+    /// An owned copy.
+    fn to_entry(self) -> ResultEntry {
+        ResultEntry {
+            job: self.job.to_owned(),
+            task_id: self.task_id,
+            worker: self.worker.to_owned(),
+            payload: self.payload.to_vec(),
+            compute_ms: self.compute_ms,
+            span_ms: self.span_ms,
+            error: self.error.map(str::to_owned),
+            timing: self.timing,
+        }
+    }
+
+    /// The result as a space tuple, with the job and worker names given
+    /// as shared values, equal to `job` and `worker`: a worker passes the
+    /// task tuple's `job` and a name value it made once, so building its
+    /// result copies neither.
+    pub(crate) fn tuple_sharing(&self, job: Value, worker: Value) -> Tuple {
+        debug_assert_eq!(job.as_str(), Some(self.job));
+        debug_assert_eq!(worker.as_str(), Some(self.worker));
+        let timed = self.timing != TaskTiming::default();
+        let bits = timed as usize | (self.error.is_some() as usize) << 1;
+        let mut slots: [Option<Value>; FIELDS] = Default::default();
+        slots[Field::Job as usize] = Some(job);
+        slots[Field::TaskId as usize] = Some(Value::Int(self.task_id as i64));
+        slots[Field::Worker as usize] = Some(worker);
+        slots[Field::Payload as usize] = Some(Value::Bytes(Bytes::copy_from_slice(self.payload)));
+        slots[Field::ComputeMs as usize] = Some(Value::Float(self.compute_ms));
+        slots[Field::SpanMs as usize] = Some(Value::Float(self.span_ms));
+        slots[Field::Timing as usize] =
+            timed.then(|| Value::Bytes(Bytes::copy_from_slice(&self.timing.to_bytes())));
+        slots[Field::Error as usize] = self.error.map(Value::from);
+        layouts().result[bits].tuple(slots)
     }
 }
 
@@ -507,9 +583,8 @@ mod tests {
 
     #[test]
     fn tuple_trace_context_extraction() {
-        // No tracing active in tests: to_tuple adds no context field.
-        assert_eq!(tuple_trace_context(&task().to_tuple()), None);
-        // A tuple carrying one yields it back.
+        // No tracing active in tests: to_tuple attaches no context.
+        assert_eq!(task().to_tuple().trace(), None);
         let ctx = acc_telemetry::TraceContext {
             trace_id: 0x1122,
             span_id: 0x3344,
@@ -517,14 +592,37 @@ mod tests {
         let tuple = Tuple::build(TASK_TYPE)
             .field("job", "render")
             .field("task_id", 5i64)
-            .field("payload", vec![1u8])
+            .field("payload", vec![1u8, 2, 3])
             .field("retries", 0i64)
-            .field(TRACE_FIELD, ctx.to_bytes().to_vec())
-            .done();
-        assert_eq!(tuple_trace_context(&tuple), Some(ctx));
-        // The extra field does not confuse entry deserialization.
-        let entry = TaskEntry::from_tuple(&tuple).unwrap();
-        assert_eq!(entry.task_id, 5);
+            .field("extra", 1i64)
+            .done()
+            .with_trace(Some(ctx));
+        assert_eq!(TaskEntry::from_tuple(&tuple), Some(task()));
+        // A reused entry takes every field from the tuple it reads.
+        let mut reused = TaskEntry::new("an-older-job", 9, vec![7; 100]);
+        reused.retries = 4;
+        assert_eq!(reused.read_tuple(&tuple), tuple.get("job"));
+        assert_eq!(reused, task());
+        assert_eq!(reused.read_tuple(&result().to_tuple()), None);
+    }
+
+    #[test]
+    fn result_views_borrow_the_tuple() {
+        let mut r = result();
+        r.error = Some("boom".into());
+        let tuple = r.to_tuple();
+        let view = ResultView::of(&tuple).unwrap();
+        assert_eq!(view, r.view());
+        assert_eq!(
+            view.payload.as_ptr(),
+            tuple.get_bytes("payload").unwrap().as_ptr()
+        );
+        assert_eq!(
+            view.worker.as_ptr(),
+            tuple.get_str("worker").unwrap().as_ptr()
+        );
+        assert_eq!(view.to_entry(), r);
+        assert_eq!(ResultView::of(&task().to_tuple()), None);
     }
 
     #[test]
@@ -539,8 +637,9 @@ mod tests {
             // The decoder hands back the process-wide static shape, so
             // the entry conversions find their layout by pointer.
             assert!(Arc::ptr_eq(decoded.shape(), tuple.shape()));
-            let known = layouts().task.iter().chain(&layouts().result);
-            assert!(Fields::of(&decoded, known).layout.is_some());
+            let known = std::iter::once(&layouts().task).chain(&layouts().result);
+            let fields = Fields::of(&decoded, tuple.type_name(), known).unwrap();
+            assert!(fields.layout.is_some());
         }
         assert_eq!(TaskEntry::from_tuple(&task().to_tuple()), Some(task()));
         assert_eq!(ResultEntry::from_tuple(&r.to_tuple()), Some(r));

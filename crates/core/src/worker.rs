@@ -27,7 +27,9 @@ use std::time::{Duration, Instant};
 
 use acc_cluster::LoadMix;
 use acc_telemetry::{event, span};
-use acc_tuplespace::{Batch, BatchTxn, SpaceError, SpaceResult, StoreHandle, Template, Tuple};
+use acc_tuplespace::{
+    Batch, BatchTxn, SpaceError, SpaceResult, StoreHandle, Template, Tuple, Value,
+};
 use parking_lot::Mutex;
 
 use crate::config::FrameworkConfig;
@@ -36,7 +38,7 @@ use crate::policy::execute_policed;
 use crate::rulebase::{client_register, Duplex, RuleMessage, WorkerId};
 use crate::series::series;
 use crate::signal::{Signal, SignalLogEntry, WorkerState};
-use crate::task::{task_template, ResultEntry, TaskEntry, TaskExecutor};
+use crate::task::{task_template, ResultView, TaskEntry, TaskExecutor};
 
 /// Everything a worker runtime needs to operate.
 pub struct WorkerConfig {
@@ -230,6 +232,10 @@ fn worker_loop(ls: LoopState) {
     let mut retention = TraceRetention::new(&ls.config.framework);
     let mut outbox = Outbox::default();
     let mut transport_strikes = 0u32;
+    // Each task taken is read into this one entry, and each result names
+    // the worker through this one value: neither is made per task.
+    let mut task = TaskEntry::new(String::new(), 0, Vec::new());
+    let worker = Value::from(ls.config.name.as_str());
     let set_load = |pct: u64| {
         if let Some(load) = &ls.config.node_load {
             load.set_framework(pct);
@@ -329,7 +335,7 @@ fn worker_loop(ls: LoopState) {
                     // Re-check signals before starting on the batch.
                     continue;
                 };
-                let Some(task) = TaskEntry::from_tuple(&tuple) else {
+                let Some(job) = task.read_tuple(&tuple) else {
                     continue;
                 };
                 if first_access.is_none() {
@@ -337,10 +343,8 @@ fn worker_loop(ls: LoopState) {
                 }
                 // Adopt the master's trace context from the task tuple (if
                 // present) before opening any spans, so worker.task and
-                // worker.compute — and the result tuple written below —
-                // join the master's trace.
-                let _trace_ctx = crate::task::tuple_trace_context(&tuple)
-                    .map(acc_telemetry::TraceContext::attach);
+                // worker.compute join the master's trace.
+                let _trace_ctx = tuple.trace().map(acc_telemetry::TraceContext::attach);
                 let _task_span = span!(
                     "worker.task",
                     worker = ls.config.name.as_str(),
@@ -380,16 +384,17 @@ fn worker_loop(ls: LoopState) {
                     // can account for it.
                     Err(e) => (Vec::new(), Some(e.to_string())),
                 };
-                outbox.push(ResultEntry {
-                    job: task.job.clone(),
+                let result = ResultView {
+                    job: &task.job,
                     task_id: task.task_id,
-                    worker: ls.config.name.clone(),
-                    payload,
+                    worker: &ls.config.name,
+                    payload: &payload,
                     compute_ms,
                     span_ms,
-                    error,
+                    error: error.as_deref(),
                     timing,
-                });
+                };
+                outbox.push(&result, job, &worker);
                 // The batch's last task: where a round trip is small change
                 // beside its compute, the batch commits now, alone and
                 // timed, instead of with the next take.
@@ -543,9 +548,11 @@ struct Outbox {
 }
 
 impl Outbox {
-    fn push(&mut self, result: ResultEntry) {
+    /// Buffers a result, its `job` and `worker` names shared, not copied.
+    fn push(&mut self, result: &ResultView<'_>, job: &Value, worker: &Value) {
         self.tasks.push((result.task_id, result.error.is_some()));
-        self.tuples.push(result.into_tuple());
+        let tuple = result.tuple_sharing(job.clone(), worker.clone());
+        self.tuples.push(tuple);
     }
 
     /// Whether the batch whose last result was just pushed should commit
@@ -754,7 +761,7 @@ mod tests {
     use super::*;
     use crate::loader::CodeBundle;
     use crate::rulebase::{duplex_pair, RuleBaseServer};
-    use crate::task::{ExecError, TaskSpec};
+    use crate::task::{ExecError, ResultEntry, TaskSpec};
     use acc_tuplespace::{EntryId, Lease, Payload, Space, SpaceHandle, TupleStore};
 
     struct SquareExec;

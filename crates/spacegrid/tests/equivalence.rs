@@ -22,7 +22,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
         // through the grid too (Value compares bitwise).
         any::<u64>().prop_map(|bits| Value::Float(f64::from_bits(bits))),
         any::<bool>().prop_map(Value::Bool),
-        "[a-zA-Z0-9 ]{0,16}".prop_map(Value::Str),
+        "[a-zA-Z0-9 ]{0,16}".prop_map(Value::from),
         proptest::collection::vec(any::<u8>(), 0..24).prop_map(Value::from),
     ]
 }

@@ -161,6 +161,13 @@ impl Registry {
         self.lock().counters.entry(name).or_default().clone()
     }
 
+    /// Registers `counter` under `name` too, replacing any counter of
+    /// that name: one count behind two series names, so a renamed series
+    /// keeps its old name until its last reader has moved.
+    pub fn alias_counter(&self, name: &'static str, counter: &Arc<Counter>) {
+        self.lock().counters.insert(name, counter.clone());
+    }
+
     /// Returns the gauge named `name`, registering it on first use.
     pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
         self.lock().gauges.entry(name).or_default().clone()
@@ -256,6 +263,20 @@ mod tests {
         a.inc();
         b.add(2);
         assert_eq!(r.snapshot().counters["x.count"], 3);
+    }
+
+    #[test]
+    fn an_alias_is_the_same_counter() {
+        let r = Registry::new();
+        let c = r.counter("x.new_name");
+        r.alias_counter("x.old_name", &c);
+        c.add(3);
+        let snap = r.snapshot();
+        assert_eq!(
+            (snap.counters["x.new_name"], snap.counters["x.old_name"]),
+            (3, 3)
+        );
+        assert!(Arc::ptr_eq(&r.counter("x.old_name"), &c));
     }
 
     #[test]

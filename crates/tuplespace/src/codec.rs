@@ -50,8 +50,8 @@ impl Payload for Value {
             0 => Ok(Value::Int(r.get_i64()?)),
             1 => Ok(Value::Float(r.get_f64()?)),
             2 => Ok(Value::Bool(r.get_bool()?)),
-            3 => Ok(Value::Str(r.get_str()?)),
             // Zero-copy: the decoded value is a view into the frame.
+            3 => Ok(Value::Str(r.get_str_view()?)),
             4 => Ok(Value::Bytes(r.get_bytes()?)),
             5 => {
                 let n = r.get_u32()? as usize;
@@ -78,11 +78,12 @@ const MIN_FIELD_BYTES: usize = 5;
 /// Decodes `[type name] | count:u32 | count × (name, item)` into a shape
 /// and its items in shape order, through the reader's shape cache.
 ///
-/// While the frame's names equal those of the type's cached shape they
-/// are skipped by byte compare, and a frame whose names all match reuses
-/// that shape as is. Otherwise the names are decoded and checked, the
-/// fields canonicalised, and the shape looked up and cached. Items decode
-/// straight into their final array.
+/// A frame whose names are those of the type's cached shape, in order,
+/// decodes in one pass: each name is skipped by byte compare and its item
+/// decoded straight into the final array, and the tuple reuses that
+/// shape. Otherwise the reader goes back to the first name, the names are
+/// decoded and checked, the fields canonicalised, and the shape looked up
+/// and cached.
 fn decode_fields<T: Clone>(
     r: &mut WireReader,
     kind: ShapeKind,
@@ -103,52 +104,62 @@ fn decode_fields<T: Clone>(
     if n > r.remaining() / MIN_FIELD_BYTES {
         return Err(PayloadError::Truncated);
     }
-    let known = cached.as_ref().filter(|s| s.len() == n);
-    // The leading names that matched `known`, and every name after them.
-    let mut matched = 0;
-    let mut names: Vec<Bytes> = Vec::new();
-    let mut failed = None;
-    let mut field = |r: &mut WireReader, i: usize| -> Result<T, PayloadError> {
+    if let Some(shape) = cached.as_ref().filter(|s| s.len() == n) {
+        let first_name = r.position();
+        let known = collect_fields(n, &filler, |i| {
+            Ok(match r.skip_name_if(shape.name(i))? {
+                true => Some(item(r)?),
+                false => None,
+            })
+        })?;
         match known {
-            Some(shape) if matched == i && r.skip_name_if(shape.name(i))? => matched += 1,
-            _ => names.push(r.get_bytes()?),
+            Some(items) => return Ok((cached.expect("matched a cached shape"), items)),
+            None => r.rewind(first_name),
         }
-        item(r)
-    };
-    // A mapped range is `TrustedLen`, so this is one exact allocation; on
-    // an error the remaining slots are filled without reading.
-    let items: Arc<[T]> = (0..n)
-        .map(|i| {
-            if failed.is_none() {
-                match field(r, i) {
-                    Ok(v) => return v,
-                    Err(e) => failed = Some(e),
-                }
-            }
-            filler()
-        })
-        .collect();
-    if let Some(e) = failed {
-        return Err(e);
     }
-    if let Some(shape) = known.filter(|_| matched == n) {
-        return Ok((shape.clone(), items));
-    }
+    let mut names: Vec<Bytes> = Vec::with_capacity(n);
+    let items = collect_fields(n, &filler, |_| {
+        names.push(r.get_bytes()?);
+        item(r).map(Some)
+    })?
+    .expect("every field is taken");
     let ty = match (&type_name, &cached) {
         (Some(raw), _) => utf8(raw)?,
         (None, Some(shape)) => shape.type_name(),
         (None, None) => "",
     };
-    let mut strs: Vec<&str> = Vec::with_capacity(n);
-    if let Some(shape) = known {
-        strs.extend(shape.names().take(matched));
-    }
-    for raw in &names {
-        strs.push(utf8(raw)?);
-    }
+    let strs = names
+        .iter()
+        .map(|raw| utf8(raw))
+        .collect::<Result<Vec<_>, _>>()?;
     let (shape, items) = canonicalise(ty, &strs, items);
     r.interner().remember(kind, &shape);
     Ok((shape, items))
+}
+
+/// The `n` fields `field` yields, collected into their final array — one
+/// exact allocation, a mapped range being `TrustedLen`. `None` when
+/// `field` declines one; after a decline or an error the remaining slots
+/// are filled without reading.
+fn collect_fields<T>(
+    n: usize,
+    filler: &impl Fn() -> T,
+    mut field: impl FnMut(usize) -> Result<Option<T>, PayloadError>,
+) -> Result<Option<Arc<[T]>>, PayloadError> {
+    let mut outcome = Ok(true);
+    let items: Arc<[T]> = (0..n)
+        .map(|i| {
+            if matches!(outcome, Ok(true)) {
+                match field(i) {
+                    Ok(Some(v)) => return v,
+                    Ok(None) => outcome = Ok(false),
+                    Err(e) => outcome = Err(e),
+                }
+            }
+            filler()
+        })
+        .collect();
+    Ok(outcome?.then_some(items))
 }
 
 fn utf8(raw: &[u8]) -> Result<&str, PayloadError> {
@@ -441,6 +452,27 @@ mod tests {
             builder = builder.exists(name(i));
         }
         assert_eq!(Template::from_bytes(w.as_slice()).unwrap(), builder.done());
+    }
+
+    #[test]
+    fn a_frame_leaving_the_cached_shape_midway_decodes_by_name() {
+        use crate::payload::{decode_frame, NameInterner};
+        let cached = Tuple::build("t")
+            .field("a", 1i64)
+            .field("b", "x")
+            .field("c", 2i64)
+            .done();
+        let other = Tuple::build("t")
+            .field("a", 1i64)
+            .field("b", "y")
+            .field("d", 3i64)
+            .done();
+        let mut cache = NameInterner::new();
+        for tuple in [&cached, &other, &cached, &other] {
+            let frame = bytes::Bytes::from(tuple.to_bytes());
+            let decoded: Tuple = decode_frame(frame, &mut cache).unwrap();
+            assert_eq!(&decoded, tuple);
+        }
     }
 
     #[test]

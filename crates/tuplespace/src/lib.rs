@@ -57,4 +57,4 @@ pub use stats::SpaceStats;
 pub use store::{Batch, BatchTxn, StoreHandle, TupleStore};
 pub use template::{Constraint, Template, TemplateBuilder};
 pub use tuple::{Tuple, TupleBuilder};
-pub use value::Value;
+pub use value::{Str, Value};

@@ -16,6 +16,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::shape::Shape;
+use crate::value::Str;
 
 /// Errors raised while decoding a payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -330,6 +331,17 @@ impl WireReader {
         &mut self.interner
     }
 
+    /// Bytes consumed so far: a point [`WireReader::rewind`] can return to.
+    pub(crate) fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// Goes back to `position`, to read what follows it again.
+    pub(crate) fn rewind(&mut self, position: usize) {
+        assert!(position <= self.pos, "a reader rewinds, never skips");
+        self.pos = position;
+    }
+
     /// The bytes not yet consumed.
     fn rest(&self) -> &[u8] {
         &self.buf[self.pos..]
@@ -436,6 +448,12 @@ impl WireReader {
     pub fn get_str(&mut self) -> Result<String, PayloadError> {
         let raw = self.get_blob()?;
         String::from_utf8(raw).map_err(|_| PayloadError::Corrupt("utf8"))
+    }
+
+    /// Reads a length-prefixed UTF-8 string as a checked view of the
+    /// underlying frame, like [`WireReader::get_bytes`].
+    pub fn get_str_view(&mut self) -> Result<Str, PayloadError> {
+        Str::from_utf8(self.get_bytes()?).map_err(|_| PayloadError::Corrupt("utf8"))
     }
 
     /// Reads a length-prefixed byte blob into a fresh vector.

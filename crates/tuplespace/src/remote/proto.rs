@@ -15,6 +15,16 @@
 //! the write is served. Every other bit must be zero. `seq` is chosen by
 //! the client and echoed by the server in the response to that request.
 //!
+//! Every tuple in a body, request or response, is an entry:
+//!
+//! ```text
+//! meta:u8 | [trace_id:u64 span_id:u64] | tuple
+//! ```
+//!
+//! `meta` 1 says the tuple carries the 16-byte trace context that
+//! follows ([`Tuple::trace`]), 0 that it carries none; nothing else is
+//! legal.
+//!
 //! This file owns the layout ([`Frame`]), the operation and response
 //! codecs ([`Request`], [`Response`]), the error-code table, and the
 //! per-connection frame I/O ([`FrameEncoder`], [`FrameReader`]) with its
@@ -43,8 +53,8 @@ pub(super) const MAX_FRAME: usize = 16 << 20;
 /// The one wire version this build speaks. A peer whose frames carry any
 /// other value gets [`SpaceError::Protocol`] naming both — never a silent
 /// downgrade. (Versions 0–2 were the tag-first formats version 3 replaced;
-/// version 4 added the transaction header.)
-pub(super) const WIRE_VERSION: u8 = 4;
+/// version 4 added the transaction header, version 5 the entry metadata.)
+pub(super) const WIRE_VERSION: u8 = 5;
 
 /// `flags` bit 0: a trace context follows `seq`.
 const FLAG_TRACE: u8 = 1;
@@ -81,12 +91,46 @@ fn put_header(w: &mut WireWriter, seq: u32, trace: Option<TraceContext>, txn: Op
     w.put_u8(if trace.is_some() { FLAG_TRACE } else { 0 } | txn_flags);
     w.put_u32(seq);
     if let Some(ctx) = trace {
-        w.put_u64(ctx.trace_id);
-        w.put_u64(ctx.span_id);
+        put_trace(w, ctx);
     }
     if let Some(txn) = txn {
         w.put_u64(txn.id);
     }
+}
+
+fn put_trace(w: &mut WireWriter, ctx: TraceContext) {
+    w.put_u64(ctx.trace_id);
+    w.put_u64(ctx.span_id);
+}
+
+/// A trace context's 16 bytes; both ids are never zero.
+fn get_trace(r: &mut WireReader) -> Result<TraceContext, PayloadError> {
+    let (trace_id, span_id) = (r.get_u64()?, r.get_u64()?);
+    if trace_id == 0 || span_id == 0 {
+        return Err(PayloadError::Corrupt("trace context"));
+    }
+    Ok(TraceContext { trace_id, span_id })
+}
+
+/// One entry: the tuple behind its metadata.
+fn put_entry(w: &mut WireWriter, tuple: &Tuple) {
+    match tuple.trace() {
+        Some(ctx) => {
+            w.put_u8(1);
+            put_trace(w, ctx);
+        }
+        None => w.put_u8(0),
+    }
+    tuple.encode(w);
+}
+
+fn get_entry(r: &mut WireReader) -> Result<Tuple, PayloadError> {
+    let trace = match r.get_u8()? {
+        0 => None,
+        1 => Some(get_trace(r)?),
+        _ => return Err(PayloadError::Corrupt("entry metadata")),
+    };
+    Ok(Tuple::decode(r)?.with_trace(trace))
 }
 
 impl<T: Payload> Payload for Frame<T> {
@@ -106,14 +150,9 @@ impl<T: Payload> Payload for Frame<T> {
             return Err(PayloadError::Corrupt("frame flags"));
         }
         let seq = r.get_u32()?;
-        let trace = if flags & FLAG_TRACE != 0 {
-            let (trace_id, span_id) = (r.get_u64()?, r.get_u64()?);
-            if trace_id == 0 || span_id == 0 {
-                return Err(PayloadError::Corrupt("trace context"));
-            }
-            Some(TraceContext { trace_id, span_id })
-        } else {
-            None
+        let trace = match flags & FLAG_TRACE {
+            0 => None,
+            _ => Some(get_trace(r)?),
         };
         let commit = flags & FLAG_COMMIT != 0;
         let txn = match flags & FLAG_TXN {
@@ -186,7 +225,7 @@ fn get_opt_ms(r: &mut WireReader) -> Result<Option<u64>, PayloadError> {
 fn put_tuples(w: &mut WireWriter, tuples: &[Tuple]) {
     w.put_u32(tuples.len() as u32);
     for tuple in tuples {
-        tuple.encode(w);
+        put_entry(w, tuple);
     }
 }
 
@@ -210,7 +249,7 @@ impl Payload for Request {
         match self {
             Request::Write(tuple, lease) => {
                 w.put_u8(1);
-                tuple.encode(w);
+                put_entry(w, tuple);
                 put_opt_ms(w, *lease);
             }
             Request::Read(tmpl, timeout) => {
@@ -245,13 +284,13 @@ impl Payload for Request {
 
     fn decode(r: &mut WireReader) -> Result<Self, PayloadError> {
         Ok(match r.get_u8()? {
-            1 => Request::Write(Tuple::decode(r)?, get_opt_ms(r)?),
+            1 => Request::Write(get_entry(r)?, get_opt_ms(r)?),
             2 => Request::Read(Template::decode(r)?, get_opt_ms(r)?),
             3 => Request::Take(Template::decode(r)?, get_opt_ms(r)?),
             4 => Request::Count(Template::decode(r)?),
             5 => Request::Close,
             6 => Request::IsClosed,
-            7 => Request::WriteAll(get_list(r, Tuple::decode)?, get_opt_ms(r)?),
+            7 => Request::WriteAll(get_list(r, get_entry)?, get_opt_ms(r)?),
             8 => Request::TakeUpTo(Template::decode(r)?, r.get_u64()?, get_opt_ms(r)?),
             _ => return Err(PayloadError::Corrupt("request tag")),
         })
@@ -307,7 +346,7 @@ impl Payload for Response {
             Response::MaybeTuple(None) => w.put_u8(2),
             Response::MaybeTuple(Some(tuple)) => {
                 w.put_u8(3);
-                tuple.encode(w);
+                put_entry(w, tuple);
             }
             Response::Count(n) => {
                 w.put_u8(4);
@@ -341,13 +380,13 @@ impl Payload for Response {
         Ok(match r.get_u8()? {
             1 => Response::Id(r.get_u64()?),
             2 => Response::MaybeTuple(None),
-            3 => Response::MaybeTuple(Some(Tuple::decode(r)?)),
+            3 => Response::MaybeTuple(Some(get_entry(r)?)),
             4 => Response::Count(r.get_u64()?),
             5 => Response::Bool(r.get_bool()?),
             6 => Response::Unit,
             7 => Response::Err(r.get_u8()?, r.get_str()?),
             8 => Response::Ids(get_list(r, WireReader::get_u64)?),
-            9 => Response::Tuples(get_list(r, Tuple::decode)?),
+            9 => Response::Tuples(get_list(r, get_entry)?),
             _ => return Err(PayloadError::Corrupt("response tag")),
         })
     }

@@ -189,6 +189,28 @@ fn hostile_frames_are_rejected_at_decode() {
     }
     .to_bytes();
     assert!(Frame::<Request>::from_bytes(&committing_write_all).is_ok());
+    // header (6 bytes), op tag, entry metadata byte, trace context, tuple
+    let traced_write = Frame {
+        seq: 1,
+        trace: None,
+        txn: None,
+        body: Request::Write(
+            Tuple::build("t")
+                .field("a", 1i64)
+                .done()
+                .with_trace(Some(ctx())),
+            None,
+        ),
+    }
+    .to_bytes();
+    match Frame::<Request>::from_bytes(&traced_write).unwrap().body {
+        Request::Write(tuple, _) => assert_eq!(tuple.trace(), Some(ctx())),
+        other => panic!("decoded {other:?}"),
+    }
+    let mut unknown_metadata = traced_write.clone();
+    unknown_metadata[7] = 2;
+    let mut zero_entry_trace = traced_write.clone();
+    zero_entry_trace[8..16].fill(0);
     let cases: Vec<(&str, Vec<u8>)> = vec![
         ("no bytes at all", Vec::new()),
         ("older version byte", patched(0, WIRE_VERSION - 1)),
@@ -208,6 +230,12 @@ fn hostile_frames_are_rejected_at_decode() {
         ("unknown op tag", patched(22, 0xEE)),
         ("trailing byte", [good.clone(), vec![0]].concat()),
         ("tuple count far beyond the frame", lying_count),
+        ("unknown entry metadata byte", unknown_metadata),
+        ("entry trace context with a zero id", zero_entry_trace),
+        (
+            "entry cut inside its trace context",
+            traced_write[..12].to_vec(),
+        ),
     ];
     for (what, bytes) in cases {
         let request =
@@ -1609,7 +1637,7 @@ mod codec_props {
             // (Value compares bitwise).
             any::<u64>().prop_map(|bits| Value::Float(f64::from_bits(bits))),
             any::<bool>().prop_map(Value::Bool),
-            "[a-zA-Z0-9 ]{0,16}".prop_map(Value::Str),
+            "[a-zA-Z0-9 ]{0,16}".prop_map(Value::from),
             proptest::collection::vec(any::<u8>(), 0..24).prop_map(Value::from),
         ]
     }

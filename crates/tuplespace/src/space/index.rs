@@ -9,7 +9,7 @@ use std::time::Instant;
 use super::shard::{ShardState, Stored};
 use super::{EntryId, FxMap, Space, TxnId};
 use crate::fx::FxHasher;
-use crate::template::{Constraint, Matcher};
+use crate::template::{Constraint, Matcher, Template};
 use crate::value::Value;
 
 /// Hash of an indexable [`Value`], used as the field-index key. Keying by
@@ -98,12 +98,13 @@ impl FieldIndex {
         }
     }
 
-    /// Makes `field` demanded, back-filling its buckets from `entries`.
-    /// Returns false, creating nothing, when no entry has the field — so
-    /// no entry can match an exact constraint on it.
-    fn demand(&mut self, field: &str, entries: &BTreeMap<EntryId, Stored>) -> bool {
-        if self.demanded.iter().any(|f| &*f.name == field) {
-            return true;
+    /// Makes `field` demanded, back-filling its buckets from `entries`,
+    /// and returns its slot. Returns `None`, creating nothing, when no
+    /// entry has the field — so no entry can match an exact constraint
+    /// on it.
+    fn demand(&mut self, field: &str, entries: &BTreeMap<EntryId, Stored>) -> Option<usize> {
+        if let Some(slot) = self.demanded.iter().position(|f| &*f.name == field) {
+            return Some(slot);
         }
         let mut buckets: FxMap<u64, VecDeque<EntryId>> = FxMap::default();
         let mut found = false;
@@ -117,22 +118,22 @@ impl FieldIndex {
                 buckets.entry(key).or_default().push_back(stored.id);
             }
         }
-        if found {
-            self.demanded.push(Demanded {
-                name: Arc::from(field),
-                buckets,
-            });
+        if !found {
+            return None;
         }
-        found
+        self.demanded.push(Demanded {
+            name: Arc::from(field),
+            buckets,
+        });
+        Some(self.demanded.len() - 1)
     }
 
-    /// Ids past `after` of entries whose `field` hashes to `key`, oldest
-    /// first.
-    fn bucket(&self, field: &str, key: u64, after: EntryId) -> impl Iterator<Item = EntryId> + '_ {
-        self.demanded
-            .iter()
-            .find(|f| &*f.name == field)
-            .and_then(|f| f.buckets.get(&key))
+    /// Ids past `after` of entries whose demanded field `slot` hashes to
+    /// `key`, oldest first.
+    fn bucket(&self, slot: usize, key: u64, after: EntryId) -> impl Iterator<Item = EntryId> + '_ {
+        self.demanded[slot]
+            .buckets
+            .get(&key)
             .map(|ids| ids.range(ids.partition_point(|id| *id <= after)..))
             .into_iter()
             .flatten()
@@ -146,31 +147,62 @@ impl FieldIndex {
     }
 }
 
+/// One operation's search for a template's matches: its matcher, and
+/// its index probe — an `==` constraint on an indexable value, as the
+/// field and the value's hash — worked out once, not per candidate.
+pub(super) struct Search<'t> {
+    matcher: Matcher<'t>,
+    probe: Option<(&'t str, u64)>,
+    /// Where candidates come from in the shard last resolved: the probed
+    /// field's slot in its index, or `None` to scan.
+    slot: Option<usize>,
+}
+
+impl<'t> Search<'t> {
+    pub(super) fn new(template: &'t Template) -> Search<'t> {
+        let probe = template.constraints().find_map(|(name, c)| match c {
+            Constraint::Exact(value) => value_index_hash(value).map(|key| (name, key)),
+            _ => None,
+        });
+        Search {
+            matcher: template.matcher(),
+            probe,
+            slot: None,
+        }
+    }
+}
+
 impl Space {
+    /// Readies `search` for the shard `state`, once per lock acquisition:
+    /// the probed field's slot is looked up (and the field demanded) here,
+    /// not per candidate. False when no entry of the shard can match.
+    pub(super) fn resolve(&self, state: &mut ShardState, search: &mut Search<'_>) -> bool {
+        self.stats.record_index_probe(search.probe.is_some());
+        search.slot = None;
+        if let Some((field, _)) = search.probe {
+            search.slot = state.index.demand(field, &state.entries);
+            return search.slot.is_some();
+        }
+        true
+    }
+
     /// Finds the oldest live entry past `after` in `state` matching
-    /// `matcher`'s template that the caller may see, purging expired
-    /// entries it passes over. An `==` constraint on an indexable value lets the field index
-    /// hand over exactly the entries carrying that value; anything else
-    /// scans.
+    /// `search`'s template that the caller may see, purging expired
+    /// entries it passes over. `search` was resolved for `state`: an `==`
+    /// constraint on an indexable value lets the field index hand over
+    /// exactly the entries carrying that value; anything else scans.
     pub(super) fn find_candidate(
         &self,
         state: &mut ShardState,
-        matcher: &mut Matcher<'_>,
+        search: &mut Search<'_>,
         txn: Option<TxnId>,
         destructive: bool,
         after: EntryId,
         now: Instant,
     ) -> Option<EntryId> {
-        let probe = matcher
-            .template()
-            .constraints()
-            .find_map(|(name, c)| match c {
-                Constraint::Exact(value) => value_index_hash(value).map(|key| (name, key)),
-                _ => None,
-            });
-        self.stats.record_index_probe(probe.is_some());
         // The lock state first: entries a transaction holds are skipped
         // without matching them.
+        let matcher = &mut search.matcher;
         let mut usable = |s: &Stored| {
             let allowed = match destructive {
                 true => s.takeable_by(txn),
@@ -179,19 +211,16 @@ impl Space {
             allowed && matcher.matches(&s.tuple)
         };
         let mut dead = Vec::new();
-        let found = match probe {
-            Some((field, key)) => {
-                if !state.index.demand(field, &state.entries) {
-                    return None;
-                }
+        let found = match (search.slot, search.probe) {
+            (Some(slot), Some((_, key))) => {
                 let entries = &state.entries;
                 let indexed = state
                     .index
-                    .bucket(field, key, after)
+                    .bucket(slot, key, after)
                     .map(|id| entries.get(&id).expect("indexed entry exists"));
                 first_usable(indexed, now, &mut usable, &mut dead)
             }
-            None => {
+            _ => {
                 let scan = state.entries.range(after + 1..).map(|(_, s)| s);
                 first_usable(scan, now, &mut usable, &mut dead)
             }

@@ -69,6 +69,7 @@ mod shard;
 mod tests;
 mod txn;
 
+use index::Search;
 use shard::{LockState, Shard, ShardState, Stored};
 use txn::TxnRecord;
 pub use txn::{Txn, TxnId, TxnState};
@@ -353,15 +354,19 @@ impl Space {
         out: &mut Vec<Tuple>,
         owed: &mut Option<u64>,
     ) {
-        let mut matcher = template.matcher();
+        let mut search = Search::new(template);
         for (ty, shard) in self.select_shards(template.type_name()) {
             let mut state = self.lock_shard(&shard);
+            if !self.resolve(&mut state, &mut search) {
+                continue;
+            }
             // Under the shard lock nothing passed over can become takeable,
-            // so each search resumes after the last entry taken.
+            // so each search resumes after the last entry taken, and no
+            // lease runs out that had not at the lock's first look.
+            let now = Instant::now();
             let mut after = 0;
             while out.len() < max {
-                let now = Instant::now();
-                let Some(id) = self.find_candidate(&mut state, &mut matcher, txn, true, after, now)
+                let Some(id) = self.find_candidate(&mut state, &mut search, txn, true, after, now)
                 else {
                     break;
                 };

@@ -8,11 +8,11 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use super::index::FieldIndex;
+use super::index::{FieldIndex, Search};
 use super::{EntryId, Space, TxnId};
 use crate::error::{SpaceError, SpaceResult};
 use crate::journal::Op;
-use crate::template::{Matcher, Template};
+use crate::template::Template;
 use crate::tuple::Tuple;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,8 +25,10 @@ pub(super) enum LockState {
     /// Taken under a transaction; invisible pending commit/abort.
     TakenBy(TxnId),
     /// Read under one or more transactions; readable by all, takeable by
-    /// nobody else.
-    ReadBy(Vec<TxnId>),
+    /// nobody else. Boxed: every stored entry is as large as this enum's
+    /// largest variant, and few are ever read under a transaction.
+    #[allow(clippy::box_collection)]
+    ReadBy(Box<Vec<TxnId>>),
 }
 
 #[derive(Debug)]
@@ -215,7 +217,7 @@ impl Space {
         let result = match template.type_name() {
             Some(ty) => {
                 let (ty, shard) = self.shard_entry(ty);
-                let mut matcher = template.matcher();
+                let mut search = Search::new(template);
                 let mut state = self.lock_shard(&shard);
                 self.park_until_match(
                     &mut state,
@@ -223,7 +225,7 @@ impl Space {
                     Some(&shard.waiters),
                     deadline,
                     txn,
-                    |state| self.try_match_shard(&ty, state, &mut matcher, txn, destructive, owed),
+                    |state| self.try_match_shard(&ty, state, &mut search, txn, destructive, owed),
                 )
             }
             None => {
@@ -310,11 +312,11 @@ impl Space {
         destructive: bool,
         owed: &mut Option<u64>,
     ) -> Option<Tuple> {
-        let mut matcher = template.matcher();
+        let mut search = Search::new(template);
         for (ty, shard) in self.all_shards() {
             let mut state = self.lock_shard(&shard);
             if let Some(tuple) =
-                self.try_match_shard(&ty, &mut state, &mut matcher, txn, destructive, owed)
+                self.try_match_shard(&ty, &mut state, &mut search, txn, destructive, owed)
             {
                 return Some(tuple);
             }
@@ -328,12 +330,15 @@ impl Space {
         &self,
         ty: &Arc<str>,
         state: &mut ShardState,
-        matcher: &mut Matcher<'_>,
+        search: &mut Search<'_>,
         txn: Option<TxnId>,
         destructive: bool,
         owed: &mut Option<u64>,
     ) -> Option<Tuple> {
-        let id = self.find_candidate(state, matcher, txn, destructive, 0, Instant::now())?;
+        if !self.resolve(state, search) {
+            return None;
+        }
+        let id = self.find_candidate(state, search, txn, destructive, 0, Instant::now())?;
         self.apply_match(ty, state, id, txn, destructive, owed)
     }
 

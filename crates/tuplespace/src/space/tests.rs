@@ -766,3 +766,12 @@ fn distinct_types_do_not_contend_for_wakeups() {
     }
     assert_eq!(s.len(), 0);
 }
+
+/// A space holds each stored entry inline in its shard's map, so its size
+/// is every resident tuple's cost: the tuple's trace metadata (16 bytes)
+/// is paid for by boxing the rare transactional-read lock state.
+#[test]
+fn a_stored_entry_is_80_bytes() {
+    assert_eq!(std::mem::size_of::<Tuple>(), 40);
+    assert_eq!(std::mem::size_of::<super::Stored>(), 80);
+}

@@ -247,7 +247,7 @@ impl Space {
                 .reads
                 .push(id);
             match &mut stored.lock {
-                lock @ LockState::Free => *lock = LockState::ReadBy(vec![t]),
+                lock @ LockState::Free => *lock = LockState::ReadBy(Box::new(vec![t])),
                 LockState::ReadBy(readers) => readers.push(t),
                 _ => unreachable!("needs_lock implies Free or ReadBy"),
             }

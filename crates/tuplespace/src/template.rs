@@ -141,11 +141,6 @@ pub(crate) struct Matcher<'t> {
 }
 
 impl<'t> Matcher<'t> {
-    /// The template matched.
-    pub(crate) fn template(&self) -> &'t Template {
-        self.template
-    }
-
     /// Same answer as [`Template::matches`].
     pub(crate) fn matches(&mut self, tuple: &Tuple) -> bool {
         let template = self.template;

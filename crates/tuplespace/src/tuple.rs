@@ -4,10 +4,14 @@
 //! type name (the Java class) and a set of named fields (the entry's public
 //! fields). The type and field names are the tuple's [`Shape`], shared by
 //! every tuple of that shape; the tuple itself is that shape plus its
-//! values, in the shape's (sorted) name order.
+//! values, in the shape's (sorted) name order, and optionally a trace
+//! context: entry metadata, not a field.
 
 use std::fmt;
+use std::num::NonZeroU64;
 use std::sync::Arc;
+
+use acc_telemetry::TraceContext;
 
 use crate::shape::{canonical_order, is_canonical, Shape};
 use crate::value::Value;
@@ -15,12 +19,25 @@ use crate::value::Value;
 /// An immutable, named-field record stored in a [`crate::Space`].
 ///
 /// Cloning is two reference-count increments; dropping touches no name.
-#[derive(Clone, PartialEq, Eq)]
+/// Equality, like matching, is over the type, names and values: the
+/// trace context is metadata ([`Tuple::trace`]).
+#[derive(Clone)]
 pub struct Tuple {
     shape: Arc<Shape>,
     /// `values[i]` is the field named `shape.name(i)`.
     values: Arc<[Value]>,
+    /// The trace context's ids (never zero), in 16 bytes: a space holds
+    /// every tuple it stores inline.
+    trace: Option<(NonZeroU64, NonZeroU64)>,
 }
+
+impl PartialEq for Tuple {
+    fn eq(&self, other: &Tuple) -> bool {
+        self.shape == other.shape && self.values == other.values
+    }
+}
+
+impl Eq for Tuple {}
 
 impl Tuple {
     /// Starts building a tuple of the given type.
@@ -41,7 +58,29 @@ impl Tuple {
             values.len(),
             "one value per field of the shape"
         );
-        Tuple { shape, values }
+        Tuple {
+            shape,
+            values,
+            trace: None,
+        }
+    }
+
+    /// The trace context the tuple carries: the span of whoever wrote it,
+    /// for whoever takes it to join. It travels with the tuple through a
+    /// space and across the wire; the WAL does not keep it.
+    pub fn trace(&self) -> Option<TraceContext> {
+        self.trace.map(|(trace_id, span_id)| TraceContext {
+            trace_id: trace_id.get(),
+            span_id: span_id.get(),
+        })
+    }
+
+    /// The tuple carrying `trace` as its trace context (none if either id
+    /// is zero, which no context has).
+    pub fn with_trace(mut self, trace: Option<TraceContext>) -> Tuple {
+        self.trace =
+            trace.and_then(|ctx| NonZeroU64::new(ctx.trace_id).zip(NonZeroU64::new(ctx.span_id)));
+        self
     }
 
     /// The tuple's shape: its type and field names.
@@ -176,7 +215,7 @@ impl TupleBuilder {
         if is_canonical(&names) {
             let shape = Shape::interned(&self.type_name, &names);
             let values = self.fields.into_iter().map(|(_, v)| v).collect();
-            return Tuple { shape, values };
+            return Tuple::from_parts(shape, values);
         }
         let order = canonical_order(&names);
         let sorted: Vec<&str> = order.iter().map(|&i| names[i]).collect();
@@ -186,7 +225,7 @@ impl TupleBuilder {
             .iter()
             .map(|&i| slots[i].take().expect("each index kept once"))
             .collect();
-        Tuple { shape, values }
+        Tuple::from_parts(shape, values)
     }
 }
 
@@ -236,6 +275,20 @@ mod tests {
         // Original untouched (immutability).
         assert_eq!(t.get_int("a"), Some(1));
         assert!(t.get("z").is_none());
+    }
+
+    #[test]
+    fn the_trace_context_is_metadata_not_content() {
+        let ctx = TraceContext {
+            trace_id: 1,
+            span_id: 2,
+        };
+        let t = Tuple::build("t").field("a", 1i64).done();
+        let traced = t.clone().with_trace(Some(ctx));
+        assert_eq!(traced.trace(), Some(ctx));
+        assert_eq!(t.trace(), None);
+        assert_eq!(traced, t, "equality ignores the trace context");
+        assert_eq!(traced.len(), 1, "it is not a field");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use bytes::Bytes;
 use std::fmt;
+use std::ops::Deref;
 
 /// A single typed field value inside a [`crate::Tuple`].
 #[derive(Debug, Clone)]
@@ -17,8 +18,9 @@ pub enum Value {
     Float(f64),
     /// Boolean flag.
     Bool(bool),
-    /// UTF-8 string.
-    Str(String),
+    /// UTF-8 string. Ref-counted like `Bytes`: a string decoded from a
+    /// network frame is a view of the frame, and a clone shares it.
+    Str(Str),
     /// Opaque binary payload (serialized application state — the analogue of
     /// a serialized Java object travelling through the space). Ref-counted:
     /// cloning is O(1), and values decoded from a network frame borrow the
@@ -68,7 +70,7 @@ impl Value {
     /// Returns the string slice if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(v) => Some(v),
+            Value::Str(v) => Some(v.as_str()),
             _ => None,
         }
     }
@@ -124,7 +126,7 @@ impl fmt::Display for Value {
             Value::Int(v) => write!(f, "{v}"),
             Value::Float(v) => write!(f, "{v}"),
             Value::Bool(v) => write!(f, "{v}"),
-            Value::Str(v) => write!(f, "{v:?}"),
+            Value::Str(v) => write!(f, "{:?}", v.as_str()),
             Value::Bytes(v) => write!(f, "<{} bytes>", v.len()),
             Value::List(v) => {
                 write!(f, "[")?;
@@ -178,12 +180,18 @@ impl From<bool> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_owned())
+        Value::Str(Str::from(v))
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
+        Value::Str(Str::from(v.as_str()))
+    }
+}
+
+impl From<Str> for Value {
+    fn from(v: Str) -> Self {
         Value::Str(v)
     }
 }
@@ -203,6 +211,64 @@ impl From<Bytes> for Value {
 impl From<Vec<Value>> for Value {
     fn from(v: Vec<Value>) -> Self {
         Value::List(v)
+    }
+}
+
+/// An immutable UTF-8 string over a shared [`Bytes`] view: what a string
+/// field holds.
+///
+/// A string decoded from a frame is checked when decoded and borrows the
+/// frame's allocation; a clone is a reference count. One made from a
+/// `&str` or a `String` is one allocation, as a blob is.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Str(Bytes);
+
+impl Str {
+    /// `bytes` as a string, if they are UTF-8. Shares their allocation.
+    pub fn from_utf8(bytes: Bytes) -> Result<Str, std::str::Utf8Error> {
+        std::str::from_utf8(&bytes)?;
+        Ok(Str(bytes))
+    }
+
+    /// The string. Checked again on each call rather than trusted
+    /// unchecked: field strings are names of a few bytes.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.0).expect("a Str is built from checked UTF-8")
+    }
+
+    /// Length in bytes, without the check [`Str::as_str`] makes.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True for the empty string.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+impl Deref for Str {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl std::hash::Hash for Str {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.0.as_ref().hash(state);
+    }
+}
+
+impl From<&str> for Str {
+    fn from(v: &str) -> Self {
+        Str(Bytes::copy_from_slice(v.as_bytes()))
+    }
+}
+
+impl fmt::Debug for Str {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
@@ -263,6 +329,18 @@ mod tests {
             Value::List(vec![Value::Int(0), Value::Int(1)]).size_hint(),
             24
         );
+    }
+
+    #[test]
+    fn str_views_share_their_bytes_and_check_utf8() {
+        let frame = Bytes::copy_from_slice(b"-job-");
+        let view = Str::from_utf8(frame.slice(1..4)).unwrap();
+        assert_eq!(view.as_str(), "job");
+        assert_eq!(view.as_ptr(), frame[1..].as_ptr(), "a view, not a copy");
+        assert_eq!(view.clone().as_ptr(), view.as_ptr(), "a clone shares it");
+        assert!(Str::from_utf8(Bytes::copy_from_slice(&[0xff])).is_err());
+        assert_eq!(Value::Str(view), Value::from("job"));
+        assert_eq!(Value::from(String::from("job")).as_str(), Some("job"));
     }
 
     #[test]

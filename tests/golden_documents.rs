@@ -21,7 +21,11 @@
 //! The wire figures were edited in the captures when the per-connection
 //! frame pool went: `/cluster.json`'s `wire` section is `frame_bytes`
 //! alone, and every frame read counts in `remote.buffer_reuse_misses`
-//! (the captured 16 pooled + 4 fresh reads are 20).
+//! (the captured 16 pooled + 4 fresh reads are 20), and in
+//! `remote.frames_read`, the same counter under its present name. Wire
+//! version 5 put a metadata byte in front of each tuple on the wire:
+//! `frame_bytes` grew by the 24 that the six tuples' 12 crossings (out
+//! and back) count at both ends, 2084 → 2108.
 //!
 //! One test, so no other test in this process moves the global registry.
 

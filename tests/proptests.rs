@@ -156,7 +156,7 @@ fn leaf_value_strategy() -> impl Strategy<Value = Value> {
         any::<i64>().prop_map(Value::Int),
         any::<u64>().prop_map(|bits| Value::Float(f64::from_bits(bits))),
         any::<bool>().prop_map(Value::Bool),
-        "[a-zA-Z0-9 ]{0,24}".prop_map(Value::Str),
+        "[a-zA-Z0-9 ]{0,24}".prop_map(Value::from),
         proptest::collection::vec(any::<u8>(), 0..48).prop_map(Value::from),
     ]
 }
@@ -506,7 +506,7 @@ proptest! {
         prop_assert_eq!(TaskTiming::from_bytes(&bytes), Some(timing));
         // Trailing garbage is tolerated (forward compat): the known
         // prefix still decodes to the same value.
-        let mut padded = bytes.clone();
+        let mut padded = bytes.to_vec();
         padded.extend_from_slice(&[0xAB; 7]);
         prop_assert_eq!(TaskTiming::from_bytes(&padded), Some(timing));
     }
@@ -582,7 +582,7 @@ fn legacy_copying_decode(frame: Bytes) -> Tuple {
             0 => Value::Int(r.get_i64().unwrap()),
             1 => Value::Float(r.get_f64().unwrap()),
             2 => Value::Bool(r.get_bool().unwrap()),
-            3 => Value::Str(r.get_str().unwrap()),
+            3 => Value::from(r.get_str().unwrap()),
             4 => Value::from(r.get_blob().unwrap()),
             5 => {
                 let n = r.get_u32().unwrap() as usize;

@@ -7,8 +7,8 @@
 //! simulator is settled.
 //!
 //! Registry names are `&'static str`: a registration names its series as
-//! a literal (`.counter("space.write.count")`) or through
-//! `Box::leak(format!(..))`, and the scan finds both.
+//! a literal (`.counter("space.write.count")`, `.alias_counter("..", ..)`)
+//! or through `Box::leak(format!(..))`, and the scan finds all three.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -45,6 +45,10 @@ const AUDIT: &[(&str, Reader)] = &[
     ),
     ("remote.buffer_reuse_misses", Layers),
     ("remote.frame_bytes", Layers),
+    (
+        "remote.frames_read",
+        Kept("the layer table reads it as remote.buffer_reuse_misses, its alias"),
+    ),
     ("remote.reconnects", Layers),
     ("server.tuples_restored", Route("/healthz")),
     ("space.blocked_waits", Layers),
@@ -85,7 +89,14 @@ fn registered(repo: &Path) -> BTreeSet<String> {
     for file in files {
         let text = std::fs::read_to_string(&file).unwrap();
         let code = text.split("#[cfg(test)]\nmod tests {").next().unwrap();
-        for call in [".counter(", ".gauge(", ".histogram(", "Box::leak(format!("] {
+        let calls = [
+            ".counter(",
+            ".alias_counter(",
+            ".gauge(",
+            ".histogram(",
+            "Box::leak(format!(",
+        ];
+        for call in calls {
             for (at, _) in code.match_indices(call) {
                 if let Some(literal) = code[at + call.len()..].trim_start().strip_prefix('"') {
                     names.insert(literal[..literal.find('"').unwrap()].to_owned());

@@ -1,10 +1,12 @@
-//! Wire goldens: the bytes a task tuple, a traced and timed result tuple,
-//! a job template and one `WriteAll` frame encode to. The files under
-//! `tests/golden/*.hex` were captured before tuples became a shape plus a
-//! value array; encoding must reproduce them byte for byte, and decoding
-//! them must give back what was encoded. The WAL, snapshots and the
-//! spacegrid placement hash all go through this codec, so this pins them
-//! too.
+//! Wire goldens: the bytes a task tuple, a timed result tuple written
+//! under a trace, a job template and one `WriteAll` frame (an untraced
+//! and a traced task) encode to. The files under `tests/golden/*.hex`
+//! were captured before tuples became a shape plus a value array, and
+//! edited since only where the trace context left the tuples' fields for
+//! the entry metadata of wire version 5; encoding must reproduce them
+//! byte for byte, and decoding them must give back what was encoded. The
+//! WAL, snapshots and the spacegrid placement hash all go through this
+//! codec, so this pins them too.
 //!
 //! One test, so no sibling test switches the flight recorder on or off
 //! while another encodes.
@@ -15,7 +17,7 @@ use std::time::Duration;
 
 use adaptive_spaces::cluster::TaskTiming;
 use adaptive_spaces::framework::task::{RESULT_TYPE, TASK_TYPE};
-use adaptive_spaces::framework::{task_template, tuple_trace_context, ResultEntry, TaskEntry};
+use adaptive_spaces::framework::{task_template, ResultEntry, TaskEntry};
 use adaptive_spaces::space::remote::SpaceServer;
 use adaptive_spaces::space::{
     decode_frame, Bytes, NameInterner, Payload, RemoteSpace, Space, Template, Tuple, TupleStore,
@@ -112,15 +114,40 @@ fn encodings_match_the_goldens_and_decode_back() {
     assert_eq!(decoded, template);
     assert!(decoded.matches(&task_tuple));
 
-    // One WriteAll frame of two task tuples, as the client sends it.
-    let batch = vec![task_tuple.clone(), {
+    // A task tuple and a timed result tuple written under a trace: the
+    // task carries the context as metadata, the result carries none.
+    flight::install();
+    let ctx = TraceContext {
+        trace_id: 0x1122_3344_5566_7788,
+        span_id: 0x99aa_bbcc_ddee_ff01,
+    };
+    let (traced_task, result_tuple) = {
+        let _attached = ctx.attach();
         let mut second = task();
         second.task_id = 43;
         second.retries = 1;
-        second.to_tuple()
-    }];
+        (second.to_tuple(), result().to_tuple())
+    };
+    flight::uninstall();
+    assert_eq!(traced_task.trace(), Some(ctx));
+    assert_eq!(
+        result_tuple.trace(),
+        None,
+        "a result carries no trace context"
+    );
+    assert_golden("result_tuple", &result_tuple.to_bytes());
+    let decoded: Tuple = decode_frame(Bytes::from(golden("result_tuple")), &mut interner).unwrap();
+    assert_eq!(decoded, result_tuple);
+    assert_eq!(decoded.type_name(), RESULT_TYPE);
+    assert_eq!(ResultEntry::from_tuple(&decoded), Some(result()));
+
+    // One WriteAll frame of the two task tuples, as the client sends it:
+    // the first entry's metadata byte is 0, the second's is 1 and the
+    // context's 16 bytes.
+    let batch = vec![task_tuple.clone(), traced_task];
     assert_golden("write_all_frame", &captured_write_all_frame(batch.clone()));
-    // The server decodes the golden frame into the same two tuples.
+    // The server decodes the golden frame into the same two tuples, the
+    // second still carrying its context.
     let space = Space::new("golden");
     let server = SpaceServer::spawn(space.clone(), "127.0.0.1:0").unwrap();
     let mut conn = std::net::TcpStream::connect(server.addr()).unwrap();
@@ -131,22 +158,6 @@ fn encodings_match_the_goldens_and_decode_back() {
     conn.read_exact(&mut len).unwrap();
     let stored = space.take_all(&Template::of_type(TASK_TYPE)).unwrap();
     assert_eq!(stored, batch);
-
-    // A result tuple carrying timing and a trace context.
-    flight::install();
-    let ctx = TraceContext {
-        trace_id: 0x1122_3344_5566_7788,
-        span_id: 0x99aa_bbcc_ddee_ff01,
-    };
-    let result_tuple = {
-        let _attached = ctx.attach();
-        result().to_tuple()
-    };
-    flight::uninstall();
-    assert_golden("result_tuple", &result_tuple.to_bytes());
-    let decoded: Tuple = decode_frame(Bytes::from(golden("result_tuple")), &mut interner).unwrap();
-    assert_eq!(decoded, result_tuple);
-    assert_eq!(decoded.type_name(), RESULT_TYPE);
-    assert_eq!(ResultEntry::from_tuple(&decoded), Some(result()));
-    assert_eq!(tuple_trace_context(&decoded), Some(ctx));
+    let traces: Vec<_> = stored.iter().map(Tuple::trace).collect();
+    assert_eq!(traces, [None, Some(ctx)]);
 }
