@@ -15,10 +15,10 @@
 //! machine rather than by the design.
 //!
 //! The secondary scaling arm (`durable_dispatch`) runs durable shards
-//! (`SyncPolicy::Always`): every tuple pays a WAL append at its shard,
-//! each `write_all` batch one fsync, which the batches of other writers
-//! on that shard share when they meet, and four shards commit four WALs
-//! concurrently. Its ratio is bounded by how well the host's disk
+//! (`SyncPolicy::Always`): each `write_all` batch pays every shard it
+//! reaches one WAL append (one record of its share) and one fsync, which
+//! the batches of other writers on that shard share when they meet, and
+//! four shards commit four WALs concurrently. Its ratio is bounded by how well the host's disk
 //! overlaps concurrent syncs, so it is reported for the record, not
 //! gated on.
 //!
@@ -145,8 +145,8 @@ const DISPATCH_CHUNK: usize = 64;
 /// connections, like real workers), each dispatching `per_writer`
 /// distinct tuples in `DISPATCH_CHUNK`-sized `write_all` batches that
 /// split evenly over the shards. Returns mean ns per tuple across the
-/// whole run; every tuple costs its shard one WAL append, and every
-/// batch at most one fsync per shard.
+/// whole run; every batch costs each shard it reaches one WAL append,
+/// a record of its share, and at most one fsync.
 fn durable_dispatch_ns(shards: usize, per_writer: usize) -> f64 {
     let rig = ShardRig::durable(shards);
     let addrs = Arc::new(rig.addrs());

@@ -16,8 +16,9 @@
 //! failing. Every complete frame before that point is replayed. How much
 //! of the acknowledged tail survives a crash is governed by the
 //! [`SyncPolicy`], which decides which appends make a sync due: every one
-//! (`Always`), every N-th (`EveryN`), or none (`Never`, leaving flushing
-//! to the OS). [`Wal::append`] only reports a due sync; the appender
+//! (`Always`), the one that brings the ops since the last due to N
+//! (`EveryN`; a record may hold many ops), or none (`Never`, leaving
+//! flushing to the OS). [`Wal::append`] only reports a due sync; the appender
 //! settles it with [`Wal::sync_to`] once it holds no lock of its own, and
 //! one fsync settles every due it covers.
 
@@ -30,4 +31,6 @@ mod wal;
 
 pub use crc::crc32;
 pub use snapshot::{load_latest_snapshot, write_atomic, write_snapshot};
-pub use wal::{Appended, SyncPolicy, Wal, WalOptions, WalRecord, WalReplay};
+pub use wal::{
+    Appended, SyncPolicy, Wal, WalOptions, WalRecord, WalReplay, FRAME_HEADER, MAX_RECORD,
+};

@@ -12,9 +12,10 @@
 //!
 //! LSNs are implicit — the i-th frame of a segment starting at LSN `s`
 //! has LSN `s + i` — so frames carry no per-record header beyond length
-//! and checksum. Appends are a single `write(2)` of the whole frame
-//! (never buffered in userspace), so after a process kill the file
-//! contains every acknowledged append up to at most one torn frame at
+//! and checksum. One record may hold many of the caller's ops; the sync
+//! policy counts ops, not records. Appends are a single `write(2)` of the
+//! whole frame (never buffered in userspace), so after a process kill the
+//! file contains every acknowledged append up to at most one torn frame at
 //! the tail; `fsync` cadence against *machine* failure is the
 //! [`SyncPolicy`]'s business.
 //!
@@ -46,10 +47,13 @@ use crate::crc::crc32;
 use crate::series::series;
 
 /// Upper bound on one record's payload; a larger length prefix is treated
-/// as corruption (it would otherwise make recovery attempt a huge read).
-pub(crate) const MAX_RECORD: usize = 64 << 20;
+/// as corruption (it would otherwise make recovery attempt a huge read),
+/// and a larger append panics.
+pub const MAX_RECORD: usize = 64 << 20;
 
-const FRAME_HEADER: usize = 8;
+/// Bytes a frame handed to [`Wal::append_frame`] reserves in front of its
+/// payload, for the length and checksum the WAL fills in.
+pub const FRAME_HEADER: usize = 8;
 
 /// When appends are made durable against machine failure: which appends
 /// make a sync due (see [`Appended::sync_due`]).
@@ -57,7 +61,10 @@ const FRAME_HEADER: usize = 8;
 pub enum SyncPolicy {
     /// A sync is due after every append. Safest, slowest.
     Always,
-    /// A sync is due once every N appends.
+    /// A sync is due at the append that brings the ops appended since the
+    /// last due to N or more: a record counts the ops its appender declares
+    /// ([`Wal::append`] one), so at most N − 1 acknowledged ops are ever
+    /// left unsynced.
     EveryN(u32),
     /// Never `fsync`; the OS flushes on its own schedule. A process kill
     /// still loses nothing (appends are direct writes), only a machine
@@ -101,13 +108,14 @@ pub struct WalReplay {
     pub torn_bytes: u64,
 }
 
-/// What one [`Wal::append`] did.
+/// What one [`Wal::append`] or [`Wal::append_frame`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Appended {
     /// The record's log sequence number.
     pub lsn: u64,
     /// The sync policy made a sync due at this record: the appender owes
-    /// a [`Wal::sync_to`] of `lsn` before it acknowledges the record.
+    /// a [`Wal::sync_to`] of `lsn` before it acknowledges any op the
+    /// record holds.
     pub sync_due: bool,
 }
 
@@ -122,8 +130,8 @@ struct Inner {
     file: Arc<File>,
     segment_len: u64,
     next_lsn: u64,
-    /// Appends since the policy last made a sync due.
-    unsynced: u32,
+    /// Ops appended since the policy last made a sync due.
+    unsynced: u64,
     /// One past the newest LSN the policy made due.
     due_below: u64,
 }
@@ -241,28 +249,41 @@ impl Wal {
         })
     }
 
-    /// Appends one record and asks the sync policy whether a sync is now
-    /// due; it does not sync. The frame is written with a single
-    /// `write(2)`, so a concurrent crash can tear at most this one frame.
+    /// Appends one record of one op and asks the sync policy whether a
+    /// sync is now due; it does not sync. The frame is written with a
+    /// single `write(2)`, so a concurrent crash can tear at most this one
+    /// frame.
     pub fn append(&self, payload: &[u8]) -> io::Result<Appended> {
-        assert!(payload.len() <= MAX_RECORD, "record exceeds MAX_RECORD");
         let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        frame.extend_from_slice(&[0; FRAME_HEADER]);
         frame.extend_from_slice(payload);
+        self.append_frame(&mut frame, 1)
+    }
+
+    /// Appends one record holding `ops` of the caller's ops, encoded in
+    /// `frame[FRAME_HEADER..]`: fills in the header in place and writes
+    /// the frame with a single `write(2)`, like [`Wal::append`]. The sync
+    /// policy counts all `ops`, and a due sync covers them all.
+    pub fn append_frame(&self, frame: &mut [u8], ops: u32) -> io::Result<Appended> {
+        assert!(frame.len() >= FRAME_HEADER, "frame lacks its header");
+        let len = frame.len() - FRAME_HEADER;
+        assert!(len <= MAX_RECORD, "record exceeds MAX_RECORD");
+        let crc = crc32(&frame[FRAME_HEADER..]);
+        frame[0..4].copy_from_slice(&(len as u32).to_le_bytes());
+        frame[4..8].copy_from_slice(&crc.to_le_bytes());
 
         let mut inner = self.inner.lock().expect("wal lock");
         if inner.segment_len >= self.opts.segment_bytes && inner.segment_len > 0 {
             self.rotate(&mut inner)?;
         }
-        (&*inner.file).write_all(&frame)?;
+        (&*inner.file).write_all(frame)?;
         let lsn = inner.next_lsn;
         inner.next_lsn += 1;
         inner.segment_len += frame.len() as u64;
-        inner.unsynced += 1;
+        inner.unsynced += u64::from(ops);
         let sync_due = match self.opts.sync {
             SyncPolicy::Always => true,
-            SyncPolicy::EveryN(n) => inner.unsynced >= n.max(1),
+            SyncPolicy::EveryN(n) => inner.unsynced >= u64::from(n.max(1)),
             SyncPolicy::Never => false,
         };
         if sync_due {
@@ -317,6 +338,12 @@ impl Wal {
     /// Every LSN the sync policy has made due is below this one.
     pub fn due_below(&self) -> u64 {
         self.inner.lock().expect("wal lock").due_below
+    }
+
+    /// Ops appended since the sync policy last made a sync due: under
+    /// `EveryN(n)`, always below `n`.
+    pub fn unsynced_ops(&self) -> u64 {
+        self.inner.lock().expect("wal lock").unsynced
     }
 
     /// Takes the sync mutex, as a sync in flight holds it: every
@@ -629,6 +656,33 @@ mod tests {
         assert_eq!(wal.synced_below(), 10);
         wal.sync().unwrap();
         assert_eq!(wal.synced_below(), 10);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_n_counts_the_ops_a_record_holds() {
+        let dir = test_dir("ops");
+        let opts = WalOptions {
+            sync: SyncPolicy::EveryN(8),
+            ..WalOptions::default()
+        };
+        let wal = Wal::open(&dir, opts).unwrap();
+        let mut append = |ops: u32| {
+            let mut frame = vec![0; FRAME_HEADER];
+            frame.extend_from_slice(&ops.to_le_bytes());
+            wal.append_frame(&mut frame, ops).unwrap().owed()
+        };
+        // 3 + 3 leave 6 ops unsynced; the third record reaches 9 and falls
+        // due, and a record of 20 ops falls due by itself.
+        let owed: Vec<Option<u64>> = [3, 3, 3, 20, 7, 1].into_iter().map(&mut append).collect();
+        assert_eq!(owed, [None, None, Some(2), Some(3), None, Some(5)]);
+        assert_eq!(wal.unsynced_ops(), 0);
+        assert_eq!(append(7), None);
+        assert_eq!(wal.unsynced_ops(), 7);
+        let replay = Wal::replay(&dir).unwrap();
+        let payloads: Vec<&[u8]> = replay.records.iter().map(|r| &r.payload[..]).collect();
+        assert_eq!(payloads[3], 20u32.to_le_bytes());
+        assert_eq!(payloads.len(), 7);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -4,9 +4,11 @@
 //! Every state-changing operation that survived a crash must be derivable
 //! from `snapshot + WAL tail`, so the journal records exactly the committed
 //! mutations: plain writes, destructive takes, lease renewals and
-//! transaction commits (a transaction's ops hit the journal only at commit,
-//! as one atomic record). Expiry is *not* journaled — lease deadlines are
-//! recorded as absolute wall-clock times and recovery re-evaluates them, so
+//! transaction commits. The plain writes or takes one shard-lock hold
+//! applies are one record, and a transaction's ops hit the journal only at
+//! commit, as one atomic record. Expiry is *not* journaled — lease
+//! deadlines are recorded as absolute wall-clock times and recovery
+//! re-evaluates them, so
 //! an entry whose lease ran out while the process was down stays dead.
 //!
 //! Journaling failures are fail-stop: an operation that was acknowledged
@@ -17,7 +19,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use acc_durability::{Wal, WalOptions, WalReplay};
+use acc_durability::{Wal, WalOptions, WalReplay, FRAME_HEADER, MAX_RECORD};
 use parking_lot::Mutex;
 
 use crate::lease::Lease;
@@ -91,30 +93,36 @@ pub(crate) fn get_deadline(r: &mut WireReader) -> Result<Option<u64>, PayloadErr
     })
 }
 
-/// One journaled mutation. Deadlines are absolute wall-clock milliseconds
+/// One journaled record. Deadlines are absolute wall-clock milliseconds
 /// since the UNIX epoch.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Op {
-    /// A plain (non-transactional) write became visible.
+    /// A plain write, as logs before batch records wrote it (tag 1). Only
+    /// decoded: plain writes are journaled as an [`Op::Batch`].
     Write {
         id: EntryId,
         deadline_ms: Option<u64>,
         tuple: Tuple,
     },
-    /// A plain take removed the entry.
+    /// A plain take, as logs before batch records wrote it (tag 2). Only
+    /// decoded, like [`Op::Write`].
     Take { id: EntryId },
     /// [`crate::Space::renew_lease`] moved the entry's deadline.
     Renew {
         id: EntryId,
         deadline_ms: Option<u64>,
     },
-    /// A transaction committed: its pending writes became visible and its
-    /// take-locked entries were removed, atomically.
-    TxnCommit {
+    /// Writes became visible and entries were removed, atomically: the
+    /// plain writes or takes one shard-lock hold applied (built in place
+    /// by [`BatchRecord`]), or a transaction's commit.
+    Batch {
         writes: Vec<(EntryId, Option<u64>, Tuple)>,
         takes: Vec<EntryId>,
     },
 }
+
+const TAG_RENEW: u8 = 4;
+const TAG_BATCH: u8 = 5;
 
 impl Payload for Op {
     fn encode(&self, w: &mut WireWriter) {
@@ -134,17 +142,15 @@ impl Payload for Op {
                 w.put_u64(*id);
             }
             Op::Renew { id, deadline_ms } => {
-                w.put_u8(4);
+                w.put_u8(TAG_RENEW);
                 w.put_u64(*id);
                 put_deadline(w, *deadline_ms);
             }
-            Op::TxnCommit { writes, takes } => {
-                w.put_u8(5);
+            Op::Batch { writes, takes } => {
+                w.put_u8(TAG_BATCH);
                 w.put_u32(writes.len() as u32);
                 for (id, deadline_ms, tuple) in writes {
-                    w.put_u64(*id);
-                    put_deadline(w, *deadline_ms);
-                    tuple.encode(w);
+                    put_write(w, *id, *deadline_ms, tuple);
                 }
                 w.put_u32(takes.len() as u32);
                 for id in takes {
@@ -163,15 +169,16 @@ impl Payload for Op {
             }),
             2 => Ok(Op::Take { id: r.get_u64()? }),
             // Tag 3 is retired (it named the removed `cancel` op): never
-            // reuse it, or an old log would replay as something else.
-            4 => Ok(Op::Renew {
+            // reuse it, or an old log would replay as something else. Tags
+            // 1 and 2 are no longer written, and stay reserved likewise.
+            TAG_RENEW => Ok(Op::Renew {
                 id: r.get_u64()?,
                 deadline_ms: get_deadline(r)?,
             }),
-            5 => {
+            TAG_BATCH => {
                 let nw = r.get_u32()? as usize;
                 if nw > 1 << 20 {
-                    return Err(PayloadError::Corrupt("txn write count"));
+                    return Err(PayloadError::Corrupt("batch write count"));
                 }
                 let mut writes = Vec::with_capacity(nw.min(1024));
                 for _ in 0..nw {
@@ -181,16 +188,123 @@ impl Payload for Op {
                 }
                 let nt = r.get_u32()? as usize;
                 if nt > 1 << 20 {
-                    return Err(PayloadError::Corrupt("txn take count"));
+                    return Err(PayloadError::Corrupt("batch take count"));
                 }
                 let mut takes = Vec::with_capacity(nt.min(1024));
                 for _ in 0..nt {
                     takes.push(r.get_u64()?);
                 }
-                Ok(Op::TxnCommit { writes, takes })
+                Ok(Op::Batch { writes, takes })
             }
             _ => Err(PayloadError::Corrupt("op tag")),
         }
+    }
+}
+
+fn put_write(w: &mut WireWriter, id: EntryId, deadline_ms: Option<u64>, tuple: &Tuple) {
+    w.put_u64(id);
+    put_deadline(w, deadline_ms);
+    tuple.encode(w);
+}
+
+/// A new frame buffer: the WAL's header reserved, then room for `payload`
+/// bytes.
+fn frame(payload: usize) -> WireWriter {
+    let mut w = WireWriter::with_capacity(FRAME_HEADER + payload);
+    w.put_u64(0);
+    w
+}
+
+/// The most ops one batch record holds, well under the
+/// [`Op::decode`](Payload::decode) cap of 2^20 per section.
+const RECORD_OPS: u32 = 1 << 16;
+
+/// The payload bytes past which a batch record takes no further op: half
+/// the WAL's record cap, so an op's estimated cost may fall short.
+const RECORD_BYTES: usize = MAX_RECORD / 2;
+
+/// The [`Op::Batch`] records of plain writes or of plain takes, encoded
+/// straight from the borrowed tuples and ids into a WAL frame while the
+/// space applies them under one shard-lock hold. One record holds them
+/// all, unless they pass [`RECORD_OPS`] or [`RECORD_BYTES`]; then each
+/// full record is appended and the next begun.
+pub(crate) struct BatchRecord<'j> {
+    journal: &'j SpaceJournal,
+    frame: WireWriter,
+    /// Where the count of the section being filled sits.
+    count_at: usize,
+    ops: u32,
+    /// Writes, not takes: the record still owes its (empty) takes section.
+    writes: bool,
+    /// The LSN a sync is owed for, if an appended record made one due.
+    owed: Option<u64>,
+}
+
+impl<'j> BatchRecord<'j> {
+    fn new(journal: &'j SpaceJournal, payload: usize, writes: bool) -> BatchRecord<'j> {
+        let mut frame = frame(9 + payload.min(RECORD_BYTES));
+        frame.put_u8(TAG_BATCH);
+        if !writes {
+            frame.put_u32(0);
+        }
+        let count_at = frame.len();
+        frame.put_u32(0);
+        BatchRecord {
+            journal,
+            frame,
+            count_at,
+            ops: 0,
+            writes,
+            owed: None,
+        }
+    }
+
+    /// What journaling `tuple` adds to a writes record, roughly: its id,
+    /// deadline and encoded fields.
+    pub(crate) fn write_cost(tuple: &Tuple) -> usize {
+        32 + tuple.size_hint() + 9 * tuple.len()
+    }
+
+    /// Adds a write to a record begun by [`SpaceJournal::writes`].
+    pub(crate) fn write(&mut self, id: EntryId, deadline_ms: Option<u64>, tuple: &Tuple) {
+        debug_assert!(self.writes, "a write in a takes record");
+        self.make_room(Self::write_cost(tuple));
+        put_write(&mut self.frame, id, deadline_ms, tuple);
+        self.ops += 1;
+    }
+
+    /// Adds a take to a record begun by [`SpaceJournal::takes`].
+    pub(crate) fn take(&mut self, id: EntryId) {
+        debug_assert!(!self.writes, "a take in a writes record");
+        self.make_room(8);
+        self.frame.put_u64(id);
+        self.ops += 1;
+    }
+
+    /// Appends the record so far, and begins the next, if an op of `cost`
+    /// bytes would take it past its caps.
+    fn make_room(&mut self, cost: usize) {
+        let len = self.frame.len() - FRAME_HEADER;
+        if self.ops > 0 && (self.ops >= RECORD_OPS || len + cost > RECORD_BYTES) {
+            let next = BatchRecord::new(self.journal, len, self.writes);
+            let full = std::mem::replace(self, next);
+            self.owed = full.append();
+        }
+    }
+
+    /// Appends the record, counting each write or take it holds as an op
+    /// (one that holds none appends nothing), and returns the LSN a sync
+    /// is owed for, if this or an earlier full record made one due.
+    pub(crate) fn append(mut self) -> Option<u64> {
+        if self.ops == 0 {
+            return self.owed;
+        }
+        self.frame.set_u32(self.count_at, self.ops);
+        if self.writes {
+            self.frame.put_u32(0);
+        }
+        self.owed
+            .max(self.journal.append_frame(self.frame, self.ops))
     }
 }
 
@@ -224,13 +338,32 @@ impl SpaceJournal {
         })
     }
 
-    /// Appends one op and returns the LSN a sync is owed for, if the sync
-    /// policy made one due. The caller settles it with
+    /// Appends one record, a lease renewal or a transaction's commit, as
+    /// one op of the sync policy's count, and returns the LSN a sync is
+    /// owed for, if the policy made one due. The caller settles it with
     /// [`SpaceJournal::settle`] once its locks are dropped, and before it
     /// answers. Panics on I/O failure (fail-stop; see module docs).
     pub(crate) fn append(&self, op: &Op) -> Option<u64> {
+        let mut w = frame(64);
+        op.encode(&mut w);
+        self.append_frame(w, 1)
+    }
+
+    /// Begins the batch records of plain writes, with room for `payload`
+    /// bytes of them (see [`BatchRecord::write_cost`]).
+    pub(crate) fn writes(&self, payload: usize) -> BatchRecord<'_> {
+        BatchRecord::new(self, payload, true)
+    }
+
+    /// Begins the batch records of plain takes, with room for `ids` of
+    /// them.
+    pub(crate) fn takes(&self, ids: usize) -> BatchRecord<'_> {
+        BatchRecord::new(self, 8 * ids, false)
+    }
+
+    fn append_frame(&self, frame: WireWriter, ops: u32) -> Option<u64> {
         self.wal
-            .append(&op.to_bytes())
+            .append_frame(&mut frame.into_vec(), ops)
             .expect("WAL append failed; cannot acknowledge an un-journaled op")
             .owed()
     }
@@ -312,11 +445,11 @@ mod tests {
                 id: 12,
                 deadline_ms: None,
             },
-            Op::TxnCommit {
+            Op::Batch {
                 writes: vec![(13, None, sample_tuple()), (14, Some(42), sample_tuple())],
                 takes: vec![1, 2, 3],
             },
-            Op::TxnCommit {
+            Op::Batch {
                 writes: vec![],
                 takes: vec![],
             },
@@ -324,6 +457,54 @@ mod tests {
         for op in ops {
             assert_eq!(Op::from_bytes(&op.to_bytes()).unwrap(), op);
         }
+    }
+
+    #[test]
+    fn batch_records_replay_as_their_ops_and_split_at_the_cap() {
+        let dir = std::env::temp_dir().join(format!("acc-journal-batch-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = SpaceJournal::open(&dir, WalOptions::default()).unwrap();
+        let tuples = [sample_tuple(), sample_tuple().with_field("id", 4i64)];
+        let cost = tuples.iter().map(BatchRecord::write_cost).sum();
+        let mut writes = journal.writes(cost);
+        writes.write(20, Some(77), &tuples[0]);
+        writes.write(21, Some(77), &tuples[1]);
+        writes.append();
+        let mut takes = journal.takes(1);
+        for id in [5, 9, 2] {
+            takes.take(id);
+        }
+        takes.append();
+        assert_eq!(journal.takes(4).append(), None, "an empty record");
+        let mut many = journal.takes(64);
+        for id in 0..u64::from(RECORD_OPS) + 3 {
+            many.take(id);
+        }
+        many.append();
+
+        let ops: Vec<Op> = SpaceJournal::replay(&dir)
+            .unwrap()
+            .records
+            .iter()
+            .map(|r| Op::from_bytes(&r.payload).unwrap())
+            .collect();
+        let batch = |writes, takes| Op::Batch { writes, takes };
+        assert_eq!(ops.len(), 4);
+        assert_eq!(
+            ops[0],
+            batch(
+                vec![
+                    (20, Some(77), tuples[0].clone()),
+                    (21, Some(77), tuples[1].clone())
+                ],
+                vec![]
+            )
+        );
+        assert_eq!(ops[1], batch(vec![], vec![5, 9, 2]));
+        assert_eq!(ops[2], batch(vec![], (0..u64::from(RECORD_OPS)).collect()));
+        let rest = u64::from(RECORD_OPS)..u64::from(RECORD_OPS) + 3;
+        assert_eq!(ops[3], batch(vec![], rest.collect()));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl Space {
                         slot.0 = deadline_ms;
                     }
                 }
-                Op::TxnCommit { writes, takes } => {
+                Op::Batch { writes, takes } => {
                     for (id, deadline_ms, tuple) in writes {
                         max_id = max_id.max(id);
                         entries.entry(id).or_insert((deadline_ms, tuple));

@@ -34,9 +34,10 @@
 //! 3. `Shard::state` (at most one shard at a time)
 //! 4. `txns` (leaf)
 //!
-//! The WAL's append mutex (inside `SpaceJournal::append`) is a further
-//! leaf: plain ops journal while holding their shard lock, so WAL order
-//! is apply order, and nothing is acquired under it. An append only
+//! The WAL's append mutex (inside `SpaceJournal::append` and
+//! `BatchRecord::append`) is a further leaf: plain ops journal while
+//! holding their shard lock, so WAL order is apply order, and nothing is
+//! acquired under it. An append only
 //! reports that the sync policy made a sync due; the op carries that LSN
 //! out and settles it (`Space::settle`, an fsync under the WAL's own
 //! sync mutex) after dropping every lock above and notifying waiters. No
@@ -56,7 +57,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::error::{SpaceError, SpaceResult};
 use crate::fx::FxBuild;
-use crate::journal::{self, Op, SpaceJournal};
+use crate::journal::{self, BatchRecord, Op, SpaceJournal};
 use crate::lease::Lease;
 use crate::stats::{SpaceStats, StatsSnapshot};
 use crate::template::Template;
@@ -275,15 +276,17 @@ impl Space {
             let shard = self.shard_for(&ty);
             {
                 let mut state = self.lock_shard(&shard);
+                if txn.is_none() {
+                    let writes = indexes.iter().map(|&i| (base + i as u64 + 1, &tuples[i]));
+                    owed = owed.max(self.journal_writes(writes, &lease));
+                }
                 for i in indexes {
                     let id = base + i as u64 + 1;
                     let lock = match txn {
                         Some(t) => self.enlist_write(t, ty.clone(), id)?,
                         None => LockState::Free,
                     };
-                    let tuple = tuples[i].clone();
-                    owed =
-                        owed.max(self.insert_entry(&mut state, id, tuple, &lease, expires, lock));
+                    self.insert_entry(&mut state, id, tuples[i].clone(), expires, lock);
                 }
             }
             touched.push(shard);
@@ -343,8 +346,9 @@ impl Space {
 
     /// Takes matches into `out` until it holds `max` tuples, the next
     /// would cost more than `bytes` are left, or nothing else matches, one
-    /// lock acquisition per shard. The syncs plain takes make due
-    /// accumulate in `owed`, for the caller to settle.
+    /// lock acquisition per shard. The plain takes of each shard are one
+    /// journal record, appended before its lock drops; the syncs they make
+    /// due accumulate in `owed`, for the caller to settle.
     fn drain_into(
         &self,
         template: &Template,
@@ -354,6 +358,7 @@ impl Space {
         out: &mut Vec<Tuple>,
         owed: &mut Option<u64>,
     ) {
+        let journal = self.journal().filter(|_| txn.is_none());
         let mut search = Search::new(template);
         for (ty, shard) in self.select_shards(template.type_name()) {
             let mut state = self.lock_shard(&shard);
@@ -365,25 +370,34 @@ impl Space {
             // lease runs out that had not at the lock's first look.
             let now = Instant::now();
             let mut after = 0;
-            while out.len() < max {
+            let mut record = None;
+            let stopped = loop {
+                if out.len() >= max {
+                    break true;
+                }
                 let Some(id) = self.find_candidate(&mut state, &mut search, txn, true, after, now)
                 else {
-                    break;
+                    break false;
                 };
                 after = id;
                 let Some(cost) = bytes.checked_sub(batch_cost(&state.entries[&id].tuple)) else {
-                    return;
+                    break true;
                 };
                 bytes = cost;
-                match self.apply_match(&ty, &mut state, id, txn, true, owed) {
-                    Some(tuple) => {
-                        self.stats.record_take();
-                        out.push(tuple);
-                    }
-                    None => return,
+                let Some(tuple) = self.apply_match(&ty, &mut state, id, txn, true) else {
+                    break true;
+                };
+                if let Some(j) = journal {
+                    let left = max - out.len();
+                    record.get_or_insert_with(|| j.takes(left.min(64))).take(id);
                 }
+                self.stats.record_take();
+                out.push(tuple);
+            };
+            if let Some(record) = record {
+                *owed = (*owed).max(record.append());
             }
-            if out.len() >= max {
+            if stopped {
                 return;
             }
         }
@@ -495,11 +509,15 @@ impl Space {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let owed = {
             let mut state = self.lock_shard(&shard);
-            let lock = match txn {
-                Some(t) => self.enlist_write(t, ty, id)?,
-                None => LockState::Free,
+            let (lock, owed) = match txn {
+                Some(t) => (self.enlist_write(t, ty, id)?, None),
+                None => (
+                    LockState::Free,
+                    self.journal_writes(std::iter::once((id, &tuple)), &lease),
+                ),
             };
-            self.insert_entry(&mut state, id, tuple, &lease, lease.deadline(), lock)
+            self.insert_entry(&mut state, id, tuple, lease.deadline(), lock);
+            owed
         };
         // Plain writes are instantly visible: wake this type's waiters.
         // Transactional writes wake them at commit instead.
@@ -511,27 +529,36 @@ impl Space {
         Ok(id)
     }
 
-    /// Stores one entry under its shard lock, journaling it first if it is
-    /// a plain write (transactional writes are journaled at commit) — so
-    /// WAL order agrees with apply order for ops touching the same entry.
-    /// Returns the LSN a sync is owed for, if the journal made one due.
+    /// Journals plain writes, before the shard lock they insert under
+    /// drops, as one record: WAL order is apply order. Returns the LSN a
+    /// sync is owed for, if the journal made one due.
+    fn journal_writes<'t>(
+        &self,
+        writes: impl Iterator<Item = (EntryId, &'t Tuple)> + Clone,
+        lease: &Lease,
+    ) -> Option<u64> {
+        let j = self.journal()?;
+        let size = writes
+            .clone()
+            .map(|(_, t)| BatchRecord::write_cost(t))
+            .sum();
+        let mut record = j.writes(size);
+        let deadline_ms = journal::wall_deadline(lease);
+        for (id, tuple) in writes {
+            record.write(id, deadline_ms, tuple);
+        }
+        record.append()
+    }
+
+    /// Stores one entry under its shard lock.
     fn insert_entry(
         &self,
         state: &mut ShardState,
         id: EntryId,
         tuple: Tuple,
-        lease: &Lease,
         expires: Option<Instant>,
         lock: LockState,
-    ) -> Option<u64> {
-        let owed = match (lock == LockState::Free, self.journal()) {
-            (true, Some(j)) => j.append(&Op::Write {
-                id,
-                deadline_ms: journal::wall_deadline(lease),
-                tuple: tuple.clone(),
-            }),
-            _ => None,
-        };
+    ) {
         self.stats.record_write(tuple.size_hint() as u64);
         state.insert(Stored {
             id,
@@ -539,7 +566,6 @@ impl Space {
             expires,
             lock,
         });
-        owed
     }
 
     /// Settles the sync an op made due (see the module docs' lock

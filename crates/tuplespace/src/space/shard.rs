@@ -11,7 +11,6 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use super::index::{FieldIndex, Search};
 use super::{EntryId, Space, TxnId};
 use crate::error::{SpaceError, SpaceResult};
-use crate::journal::Op;
 use crate::template::Template;
 use crate::tuple::Tuple;
 
@@ -339,12 +338,19 @@ impl Space {
             return None;
         }
         let id = self.find_candidate(state, search, txn, destructive, 0, Instant::now())?;
-        self.apply_match(ty, state, id, txn, destructive, owed)
+        // A plain take is a record of one, journaled before it applies
+        // (raising `owed` to the LSN of a sync it makes due).
+        if let Some(j) = self.journal().filter(|_| destructive && txn.is_none()) {
+            let mut record = j.takes(1);
+            record.take(id);
+            *owed = (*owed).max(record.append());
+        }
+        self.apply_match(ty, state, id, txn, destructive)
     }
 
-    /// Applies a match on candidate `id`: a plain take journals and
-    /// removes the entry (raising `owed` to the LSN of a sync the take
-    /// makes due), a transactional read or take locks it (see `txn`).
+    /// Applies a match on candidate `id`: a plain take removes the entry,
+    /// a transactional read or take locks it (see `txn`). Journaling a
+    /// plain take is the caller's, under the same lock.
     pub(super) fn apply_match(
         &self,
         ty: &Arc<str>,
@@ -352,15 +358,9 @@ impl Space {
         id: EntryId,
         txn: Option<TxnId>,
         destructive: bool,
-        owed: &mut Option<u64>,
     ) -> Option<Tuple> {
         match (txn, destructive) {
-            (None, true) => {
-                if let Some(j) = self.journal() {
-                    *owed = (*owed).max(j.append(&Op::Take { id }));
-                }
-                Some(state.remove(id).expect("candidate exists").tuple)
-            }
+            (None, true) => Some(state.remove(id).expect("candidate exists").tuple),
             (None, false) => Some(state.entries[&id].tuple.clone()),
             (Some(t), true) => self.take_under(t, ty, state, id),
             (Some(t), false) => self.read_under(t, ty, state, id),

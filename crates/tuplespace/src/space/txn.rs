@@ -301,7 +301,7 @@ impl Space {
                     }
                 }
                 if !writes.is_empty() || !takes.is_empty() {
-                    owed = j.append(&Op::TxnCommit { writes, takes });
+                    owed = j.append(&Op::Batch { writes, takes });
                 }
                 gate
             })

@@ -129,6 +129,15 @@ fn every_kill_point_recovers_exactly_the_committed_prefix() {
     space.take_if_exists(&all).unwrap().unwrap();
     boundaries.push(record(&dir, &space));
 
+    // Batches: a multi-tuple write and a several-tuple take, each one
+    // boundary.
+    let batches = boundaries.len();
+    space.write_all((500..505).map(task).collect()).unwrap();
+    boundaries.push(record(&dir, &space));
+    let taken = space.take_up_to(&all, 4, Some(Duration::ZERO)).unwrap();
+    assert_eq!(taken.len(), 4);
+    boundaries.push(record(&dir, &space));
+
     drop(space);
 
     // The log grows monotonically, and an aborted txn journals nothing.
@@ -148,6 +157,19 @@ fn every_kill_point_recovers_exactly_the_committed_prefix() {
             assert_eq!(&got, expected, "torn frame after kill point {i}");
         }
     }
+    // The batch write is one record: torn one byte short, it recovers
+    // none of its batch.
+    let (before, after) = (&boundaries[batches - 1], &boundaries[batches]);
+    let got = recover_at(&dir, &kill_dir, after.0 - 1);
+    assert_eq!(
+        got, before.1,
+        "a torn batch write recovered part of its batch"
+    );
+    // The batch take's drain is one record too: torn, it keeps all of its
+    // tuples, and only the waited first take (a record of its own) stays.
+    let (before, after) = (&boundaries[batches], &boundaries[batches + 1]);
+    let got = recover_at(&dir, &kill_dir, after.0 - 1);
+    assert_eq!(got.len(), before.1.len() - 1, "a torn batch take");
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&kill_dir);
 }
@@ -265,6 +287,27 @@ fn recovered_space_keeps_accepting_and_journaling_ops() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A single-type batch write is one WAL record, and a batch take at most
+/// two: the waited first take, then one per shard drained.
+#[test]
+fn a_batch_is_one_record() {
+    let dir = tdir("one-record");
+    let space = Space::durable("one", &dir, WalOptions::default()).unwrap();
+    let wal = space.wal().unwrap();
+    let before = wal.next_lsn();
+    space.write_all((0..64).map(task).collect()).unwrap();
+    assert_eq!(wal.next_lsn(), before + 1, "a 64-tuple write_all");
+    let before = wal.next_lsn();
+    let got = space
+        .take_up_to(&Template::of_type("task"), 64, Some(Duration::ZERO))
+        .unwrap();
+    assert_eq!(got.len(), 64);
+    assert!(wal.next_lsn() - before <= 2, "a take_up_to of 64");
+    drop(space);
+    assert!(Space::recover(&dir).unwrap().dump().is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// No due sync is skipped: after every op returns, the WAL's synced
 /// watermark covers every LSN the sync policy made due. Each phase repeats
 /// one journaling path until it has made at least one sync due, so every
@@ -296,7 +339,11 @@ fn every_op_returns_only_after_the_syncs_it_made_due() {
     phase("write_all", &mut || {
         space.write_all((0..30).map(task).collect()).unwrap();
         settled("write_all");
-        assert!(wal.due_below() >= 24, "the batch crosses 8, 16 and 24");
+        assert_eq!(
+            wal.unsynced_ops(),
+            0,
+            "the batch's 30 ops cross 8 at its record"
+        );
     });
     phase("write", &mut || {
         for i in 30..38 {
@@ -348,8 +395,8 @@ fn every_op_returns_only_after_the_syncs_it_made_due() {
         assert!(space.take_all(&all).unwrap().len() >= 8);
         settled("take_all");
     });
-    // The policy's cadence is unchanged: every 8th append fell due.
-    assert_eq!(wal.due_below(), wal.next_lsn() / 8 * 8);
+    // The policy's cadence counts ops: fewer than 8 stand past the last due.
+    assert!(wal.unsynced_ops() < 8);
     drop(space);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -194,6 +194,8 @@ enum DurableOp {
     TakeSpecific(i64),
     TxnSwap(i64),
     TxnAbort(i64),
+    WriteAll(Vec<i64>),
+    TakeUpTo(usize),
 }
 
 fn durable_op_strategy() -> impl Strategy<Value = DurableOp> {
@@ -203,6 +205,8 @@ fn durable_op_strategy() -> impl Strategy<Value = DurableOp> {
         (0i64..20).prop_map(DurableOp::TakeSpecific),
         (100i64..120).prop_map(DurableOp::TxnSwap),
         (200i64..220).prop_map(DurableOp::TxnAbort),
+        proptest::collection::vec(0i64..20, 0..6).prop_map(DurableOp::WriteAll),
+        (0usize..6).prop_map(DurableOp::TakeUpTo),
     ]
 }
 
@@ -281,6 +285,14 @@ proptest! {
                         txn.write(Tuple::build("t").field("id", *id).done()).unwrap();
                         let _ = txn.take_if_exists(&all).unwrap();
                         txn.abort().unwrap();
+                    }
+                    DurableOp::WriteAll(ids) => {
+                        let tuples = ids.iter().map(|id| Tuple::build("t").field("id", *id).done());
+                        space.write_all(tuples.collect()).unwrap();
+                    }
+                    DurableOp::TakeUpTo(max) => {
+                        let zero = Some(std::time::Duration::ZERO);
+                        let _ = space.take_up_to(&all, *max, zero).unwrap();
                     }
                 }
                 boundaries.push((wal_len(), space.dump()));
